@@ -9,7 +9,7 @@ for desk-scale codes where exhaustive verification is feasible.
 """
 
 from .codespec import CodeSpec, CodeSpecError, load_codespec, parse_codespec
-from .decoder import DecodeResult, decode_tailbiting, format_result, min_weight_path
+from .decoder import AnchorCollisionError, DecodeResult, decode_tailbiting, format_result, min_weight_path
 from .error_trellis import (
     SyndromeSequence,
     backward_error_anchor,

@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or code-spec error, 2 decoding tie
-(result still printed), 3 verification failure.
+Exit codes: 0 success, 1 usage, code-spec or output-file error, or a
+G/H pair whose encoder states collide on one error-subtrellis anchor
+(decode, verify), 2 decoding tie (result still printed), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import sys
 
 from . import verify
 from .codespec import CodeSpecError, load_codespec
-from .decoder import decode_tailbiting, format_result
+from .decoder import AnchorCollisionError, decode_tailbiting, format_result
 from .error_trellis import (
     backward_sigma_fin,
     backward_syndromes,
@@ -44,8 +46,11 @@ def _received_symbols(spec, text):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         print(text)
 
@@ -171,7 +176,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CodeSpecError, ValueError) as exc:
+    except (CodeSpecError, ValueError, AnchorCollisionError) as exc:
         print(f"tbtrellis: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 from .error_trellis import build_tailbiting_error_trellis, error_anchor, sigma_fin
 from .gf2 import format_bits, format_state
 from .state_machines import enc_state_space, xor_states
-from .trellis import _adjacency, _require_anchor
+from .trellis import _require_anchor
+
+
+class AnchorCollisionError(RuntimeError):
+    """Two encoder states of a G/H pair map onto one error-subtrellis anchor."""
 
 
 @dataclass(frozen=True)
@@ -32,8 +36,7 @@ def min_weight_path(T, anchor):
     """Lightest tailbiting path of one subtrellis: (symbol labels, weight)."""
     _require_anchor(T, anchor)
     best = {anchor: (0, ())}
-    for section in T.sections:
-        adj = _adjacency(section)
+    for adj in T.adjacency:
         nxt = {}
         for state, (w, labels) in best.items():
             for e in adj.get(state, ()):
@@ -55,7 +58,7 @@ def decode_tailbiting(G, H, z):
     betas = enc_state_space(G)
     anchors = {beta: error_anchor(beta, fin, G, H) for beta in betas}
     if len(set(anchors.values())) != len(betas):
-        raise RuntimeError(
+        raise AnchorCollisionError(
             "encoder states map onto colliding error-subtrellis anchors; "
             "the dual-state labeling is not one-to-one for this G/H pair"
         )

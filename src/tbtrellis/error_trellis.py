@@ -21,11 +21,11 @@ from .state_machines import (
     dual_state_of,
     sf_run,
     sf_state_space,
-    sf_step,
     sf_zero_state,
+    syndrome_former,
     xor_states,
 )
-from .trellis import Edge, _all_symbols, _make_trellis
+from .trellis import Edge, _make_trellis
 
 
 @dataclass(frozen=True)
@@ -76,33 +76,26 @@ def tailbiting_syndromes(H, z):
 
 @lru_cache(maxsize=None)
 def _module_table(H):
-    """For each state, outgoing transitions bucketed by syndrome symbol."""
+    """The syndrome former's transitions, bucketed by the syndrome symbol they emit."""
     table = {}
-    for sigma in sf_state_space(H):
-        by_zeta = {}
-        for e in _all_symbols(H.cols):
-            nxt, zeta = sf_step(H, sigma, e)
-            by_zeta.setdefault(zeta, []).append((e, nxt))
-        table[sigma] = by_zeta
+    for sigma, e, nxt, zeta in syndrome_former(H).edges():
+        table.setdefault(zeta, []).append(Edge(src=sigma, label=e, dst=nxt))
     return table
 
 
 def error_trellis_module(H, zeta):
     """All transitions (state, error symbol, next state) emitting ``zeta``."""
-    zeta = tuple(int(b) for b in zeta)
-    table = _module_table(H)
-    edges = []
-    for sigma in sf_state_space(H):
-        for e, nxt in table[sigma].get(zeta, ()):
-            edges.append(Edge(src=sigma, label=e, dst=nxt))
-    return edges
+    return list(_module_table(H).get(tuple(int(b) for b in zeta), ()))
+
+
+def _error_trellis(kind, H, z):
+    sections = [error_trellis_module(H, zeta) for zeta in tailbiting_syndromes(H, z)]
+    return _make_trellis(kind, sf_state_space(H), sections)
 
 
 def build_tailbiting_error_trellis(H, z):
     """Concatenate error-trellis modules for the syndromes of z."""
-    zetas = tailbiting_syndromes(H, z)
-    sections = [error_trellis_module(H, zeta) for zeta in zetas]
-    return _make_trellis("error", sf_state_space(H), sections)
+    return _error_trellis("error", H, z)
 
 
 def error_anchor(beta, sigma_fin_state, G, H):
@@ -120,28 +113,25 @@ def eta_from_zeta(zeta, M):
     return SyndromeSequence(symbols=tuple(out), kind="backward")
 
 
+def _reversed(H, z):
+    """The reciprocal parity-check matrix and the time-reversed word."""
+    _check_length(H, z)
+    return H.reciprocal(), list(reversed(list(z)))
+
+
 def build_backward_error_trellis(H, z):
     """Error trellis of the reciprocal syndrome former on the reversed word."""
-    _check_length(H, z)
-    Ht = H.reciprocal()
-    zt = list(reversed(list(z)))
-    etas = tailbiting_syndromes(Ht, zt)
-    sections = [error_trellis_module(Ht, eta) for eta in etas]
-    return _make_trellis("backward-error", sf_state_space(Ht), sections)
+    return _error_trellis("backward-error", *_reversed(H, z))
 
 
 def backward_syndromes(H, z):
     """Syndromes of the backward construction (kind marked backward)."""
-    _check_length(H, z)
-    Ht = H.reciprocal()
-    zt = list(reversed(list(z)))
-    return SyndromeSequence(symbols=tailbiting_syndromes(Ht, zt).symbols, kind="backward")
+    return SyndromeSequence(symbols=tailbiting_syndromes(*_reversed(H, z)).symbols, kind="backward")
 
 
 def backward_sigma_fin(H, z):
     """Circular syndrome-former state of the backward construction."""
-    _check_length(H, z)
-    return sigma_fin(H.reciprocal(), list(reversed(list(z))))
+    return sigma_fin(*_reversed(H, z))
 
 
 def backward_error_anchor(beta, sigma_fin_tilde, G, H):

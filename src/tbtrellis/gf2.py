@@ -145,7 +145,7 @@ class PolyMatrix:
     trailing zero matrices do not distinguish two values.
     """
 
-    __slots__ = ("coeffs", "rows", "cols")
+    __slots__ = ("coeffs", "rows", "cols", "deg", "_key", "_hash")
 
     def __init__(self, coeffs):
         mats = [np.array(c, dtype=np.uint8, copy=True) % 2 for c in coeffs]
@@ -158,9 +158,14 @@ class PolyMatrix:
             raise ValueError("coefficient matrices must share dimensions")
         for m in mats:
             m.flags.writeable = False
+        deg = max((i for i, m in enumerate(mats) if m.any()), default=0)
+        key = (shape[0], shape[1], b"".join(m.tobytes() for m in mats[: deg + 1]))
         object.__setattr__(self, "coeffs", tuple(mats))
         object.__setattr__(self, "rows", shape[0])
         object.__setattr__(self, "cols", shape[1])
+        object.__setattr__(self, "deg", deg)
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -185,13 +190,6 @@ class PolyMatrix:
                 for p, c in enumerate(s):
                     coeffs[p][i, j] = int(c)
         return cls(_trimmed(coeffs))
-
-    @property
-    def deg(self):
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if self.coeffs[i].any():
-                return i
-        return 0
 
     def is_zero(self):
         return not any(c.any() for c in self.coeffs)
@@ -243,17 +241,13 @@ class PolyMatrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
-    def _key(self):
-        trimmed = self.coeffs[: self.deg + 1]
-        return (self.rows, self.cols, b"".join(c.tobytes() for c in trimmed))
-
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self._key() == other._key()
+        return self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def entry_string(self, i, j):
         """LSB-first coefficient string of entry (i, j) in canonical form."""

@@ -1,26 +1,36 @@
 """Syndrome-former and encoder state machines for convolutional codes.
 
+Both are linear machines over GF(2): a state row vector x and an input
+symbol e give the next state x' = xA + eB and the output o = xC + eD.
+
 The syndrome former of an r x n parity-check matrix H(D) of memory M is
 realized in observer canonical form.  Its state is a flat tuple of M*r
 bits laid out block-wise: position (p-1)*r + (q-1) holds the content of
 memory cell p on the chain feeding syndrome bit q (p = 1..M closest
-first).  Cells that are structurally absent (p exceeds the degree of
-row q) are pinned to zero.
+first).  A shifts every block one place towards the output,
+B = [H_1^T ... H_M^T], C reads block 1 and D = H_0^T.  Cells that are
+structurally absent (p exceeds the degree of row q) are pinned to zero.
 
 The encoder of a k x n generator matrix G(D) of memory L is the
 feedforward shift-register (controller) form: the state is a flat tuple
 of k*L bits, row-major, each row holding the last L inputs of one input
-stream, most recent last.
+stream, most recent last.  B writes the newest slot, A shifts the older
+ones, C maps slot t of row j to row j of G_{L-t} and D = G_0.
+
+Each matrix is compiled once, cached by the matrix, into the integer
+tables of a :class:`LinearMachine`, which every function below reads.
+A w-bit tuple is the integer whose most significant bit is its first
+entry, so integer order is tuple order.  By linearity a transition is
+the XOR of one state-table and one input-table entry, so the tables
+hold 2^(state bits) + 2^(input bits) entries.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-
-from .gf2 import as_bits
 
 
 class ExtendedState(NamedTuple):
@@ -30,44 +40,120 @@ class ExtendedState(NamedTuple):
     sigma: tuple
 
 
+@lru_cache(maxsize=None)
+def _bit_tuples(width):
+    """All width-bit tuples in ascending order, and the index of each."""
+    tuples = [tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in range(2**width)]
+    return tuples, {t: v for v, t in enumerate(tuples)}
+
+
+def _span(rows):
+    """Images of all 2^len(rows) bit vectors, given the image of each unit vector."""
+    width = len(rows)
+    table = [0] * (2**width)
+    for x in range(1, 2**width):
+        low = x & -x
+        table[x] = table[x ^ low] ^ rows[width - low.bit_length()]
+    return table
+
+
+def _as_int(bits):
+    return int("".join(str(int(b)) for b in bits) or "0", 2)
+
+
+class LinearMachine:
+    """Tabulated realization x' = xA + eB, o = xC + eD of one matrix.
+
+    Entries of ``from_state`` and ``from_input`` pack the next state above
+    the output bits.  ``states`` lists the trellis states, ascending.
+    """
+
+    def __init__(self, A, B, C, D, free=None):
+        self.out_bits, self.out_mask = D.shape[1], 2 ** D.shape[1] - 1
+        self.from_state = _span([_as_int(np.concatenate(row)) for row in zip(A, C)])
+        self.from_input = _span([_as_int(np.concatenate(row)) for row in zip(B, D)])
+        self.state_tuples, self._state_index = _bit_tuples(A.shape[0])
+        self.in_tuples, self._in_index = _bit_tuples(B.shape[0])
+        self.out_tuples = _bit_tuples(self.out_bits)[0]
+        pinned = ~_as_int(free) if free is not None else 0
+        self.states = [x for x in range(len(self.from_state)) if not x & pinned]
+
+    def state(self, bits):
+        """Integer of a state tuple; ValueError unless it holds state-width 0/1 entries."""
+        return _lookup(self._state_index, bits, "state")
+
+    def symbol(self, bits):
+        """Integer of an input symbol (a 0/1 int is a one-bit symbol)."""
+        return _lookup(self._in_index, bits, "input symbol")
+
+    def step(self, x, e):
+        """One transition on integers: (next state, output)."""
+        v = self.from_state[x] ^ self.from_input[e]
+        return v >> self.out_bits, v & self.out_mask
+
+    def run(self, sigma, seq):
+        """Fold the transitions over a symbol sequence: (final state, outputs) as tuples."""
+        x, outs = self.state(sigma), []
+        for e in seq:
+            x, o = self.step(x, self.symbol(e))
+            outs.append(self.out_tuples[o])
+        return self.state_tuples[x], outs
+
+    def edges(self):
+        """Every transition out of ``states``: (state, input, next state, output) tuples."""
+        for x in self.states:
+            for e, u in enumerate(self.in_tuples):
+                nxt, o = self.step(x, e)
+                yield self.state_tuples[x], u, self.state_tuples[nxt], self.out_tuples[o]
+
+
+def _lookup(index, bits, what):
+    if isinstance(bits, (int, np.integer)):
+        bits = (bits,)
+    try:
+        return index[tuple(bits)]
+    except (KeyError, TypeError):
+        width = len(next(iter(index)))
+        raise ValueError(f"expected a {what} of {width} bits in {{0, 1}}, got {bits!r}") from None
+
+
+def _row_degrees(P):
+    coeffs = P.coefficient_list()
+    return [max((i for i, c in enumerate(coeffs) if c[q].any()), default=0) for q in range(P.rows)]
+
+
+@lru_cache(maxsize=None)
+def syndrome_former(H):
+    """Observer-canonical realization of the syndrome former of H, compiled."""
+    M, r = H.deg, H.rows
+    coeffs = H.coefficient_list()
+    A = np.eye(M * r, k=-r, dtype=np.uint8)
+    B = np.hstack([c.T for c in coeffs[1:]] or [np.zeros((H.cols, 0), np.uint8)])
+    C = np.eye(M * r, r, dtype=np.uint8)
+    free = [int(p <= d) for p in range(1, M + 1) for d in _row_degrees(H)]
+    return LinearMachine(A, B, C, coeffs[0].T, free)
+
+
+@lru_cache(maxsize=None)
+def encoder(G):
+    """Controller-form realization of the feedforward encoder of G, compiled."""
+    L, k = G.deg, G.rows
+    coeffs = G.coefficient_list()
+    eye = np.eye(k, dtype=np.uint8)
+    A = np.kron(eye, np.eye(L, k=-1, dtype=np.uint8))
+    B = np.kron(eye, np.eye(1, L, L - 1, dtype=np.uint8))
+    C = np.array([coeffs[L - t][j] for j in range(k) for t in range(L)], dtype=np.uint8).reshape(k * L, G.cols)
+    return LinearMachine(A, B, C, coeffs[0])
+
+
 def constraint_length(P):
     """Overall constraint length: sum of the row degrees of P."""
-    degs = []
-    for q in range(P.rows):
-        d = 0
-        for i, c in enumerate(P.coefficient_list()):
-            if c[q].any():
-                d = i
-        degs.append(d)
-    return sum(degs)
-
-
-def _row_degrees(H):
-    out = []
-    for q in range(H.rows):
-        d = 0
-        for i, c in enumerate(H.coefficient_list()):
-            if c[q].any():
-                d = i
-        out.append(d)
-    return out
-
-
-def _sf_dims(H):
-    return H.deg, H.rows, H.cols
-
-
-def _check_sigma(sigma, M, r):
-    s = np.asarray(sigma, dtype=np.uint8)
-    if s.shape != (M * r,):
-        raise ValueError(f"state has {s.size} bits, expected {M * r}")
-    return s
+    return sum(_row_degrees(P))
 
 
 def sf_zero_state(H):
     """The all-zero syndrome-former state for H."""
-    M, r, _ = _sf_dims(H)
-    return (0,) * (M * r)
+    return (0,) * (H.deg * H.rows)
 
 
 def sf_step(H, sigma_prev, e):
@@ -76,100 +162,46 @@ def sf_step(H, sigma_prev, e):
     The state shifts down one block and the input adds e*(H_1^T...H_M^T);
     the output is the first block of the old state plus e*H_0^T.
     """
-    M, r, n = _sf_dims(H)
-    coeffs = H.coefficient_list()
-    e = as_bits(e, n)
-    s = _check_sigma(sigma_prev, M, r)
-    zeta = e @ coeffs[0].T % 2
-    if M:
-        zeta = (zeta + s[:r]) % 2
-    new = np.concatenate([s[r:], np.zeros(r, dtype=np.uint8)]) if M else s
-    for j in range(1, M + 1):
-        new[(j - 1) * r : j * r] ^= (e @ coeffs[j].T % 2).astype(np.uint8)
-    return tuple(int(b) for b in new), tuple(int(b) for b in zeta)
+    sigma, (zeta,) = syndrome_former(H).run(sigma_prev, [e])
+    return sigma, zeta
 
 
 def sf_run(H, sigma0, seq):
     """Fold sf_step over a symbol sequence; returns (final state, syndromes)."""
-    sigma = tuple(int(b) for b in sigma0)
-    out = []
-    for e in seq:
-        sigma, zeta = sf_step(H, sigma, e)
-        out.append(zeta)
-    return sigma, out
-
-
-def _window_state(H, window):
-    """Map an M-symbol window onto the state it leaves the syndrome former in.
-
-    Block j of the result is sum_{i=j..M} window[M-1-(i-j)] * H_i^T.
-    """
-    M, r, n = _sf_dims(H)
-    coeffs = H.coefficient_list()
-    syms = [as_bits(e, n) for e in window]
-    blocks = []
-    for j in range(1, M + 1):
-        acc = np.zeros(r, dtype=np.uint8)
-        for i in range(j, M + 1):
-            acc ^= (syms[M - 1 - (i - j)] @ coeffs[i].T % 2).astype(np.uint8)
-        blocks.append(acc)
-    return tuple(int(b) for blk in blocks for b in blk)
+    return syndrome_former(H).run(sigma0, seq)
 
 
 def extended_state(H, window):
     """Syndrome and state produced by a window of the last M+1 input symbols."""
-    M, r, n = _sf_dims(H)
-    if len(window) != M + 1:
-        raise ValueError(f"window length {len(window)}, expected {M + 1}")
-    syms = [as_bits(e, n) for e in window]
-    coeffs = H.coefficient_list()
-    zeta = np.zeros(r, dtype=np.uint8)
-    for i in range(M + 1):
-        zeta ^= (syms[M - i] @ coeffs[i].T % 2).astype(np.uint8)
-    return ExtendedState(tuple(int(b) for b in zeta), _window_state(H, window[1:]))
+    if len(window) != H.deg + 1:
+        raise ValueError(f"window length {len(window)}, expected {H.deg + 1}")
+    sigma, zetas = sf_run(H, sf_zero_state(H), window)
+    return ExtendedState(zetas[-1], sigma)
 
 
 def dual_state(H, window):
-    """Syndrome-former state reached by the last M encoder output symbols."""
-    M, _, _ = _sf_dims(H)
-    if len(window) != M:
-        raise ValueError(f"window length {len(window)}, expected {M}")
-    return _window_state(H, window)
+    """Syndrome-former state reached by the last M encoder output symbols.
 
-
-def enc_dims(G):
-    return G.deg, G.rows, G.cols
+    M steps forget the starting state, so the run starts from zero.
+    """
+    if len(window) != H.deg:
+        raise ValueError(f"window length {len(window)}, expected {H.deg}")
+    return sf_run(H, sf_zero_state(H), window)[0]
 
 
 def enc_zero_state(G):
-    L, k, _ = enc_dims(G)
-    return (0,) * (k * L)
+    return (0,) * (G.rows * G.deg)
 
 
 def encoder_step(G, beta, u):
     """One encoder transition: returns (next state, output symbol)."""
-    L, k, n = enc_dims(G)
-    coeffs = G.coefficient_list()
-    u = as_bits(u, k)
-    regs = as_bits(beta, k * L).reshape(k, L) if L else np.zeros((k, 0), np.uint8)
-    y = u @ coeffs[0] % 2
-    for i in range(1, L + 1):
-        y = (y + regs[:, L - i] @ coeffs[i]) % 2
-    if L:
-        new = np.concatenate([regs[:, 1:], u[:, None]], axis=1).reshape(-1)
-    else:
-        new = np.zeros(0, dtype=np.uint8)
-    return tuple(int(b) for b in new), tuple(int(b) for b in y)
+    state, (y,) = encoder(G).run(beta, [u])
+    return state, y
 
 
 def encoder_run(G, beta, seq):
     """Fold encoder_step over input symbols; returns (final state, outputs)."""
-    state = tuple(int(b) for b in beta)
-    out = []
-    for u in seq:
-        state, y = encoder_step(G, state, u)
-        out.append(y)
-    return state, out
+    return encoder(G).run(beta, seq)
 
 
 def dual_state_of(G, H, beta, fill=0):
@@ -178,14 +210,12 @@ def dual_state_of(G, H, beta, fill=0):
     Reconstructs the M output symbols entering the cut where the encoder
     sits in beta: the M unknown inputs preceding the register window are
     frozen to ``fill``, the encoder is run over them plus the register
-    contents, and the last M outputs are mapped through the syndrome
-    former's window formula.  For dual G/H pairs the result does not
-    depend on ``fill``.
+    contents, and the last M outputs are run through the syndrome
+    former.  For dual G/H pairs the result does not depend on ``fill``.
     """
-    M = H.deg
-    L, k, _ = enc_dims(G)
-    regs = as_bits(beta, k * L).reshape(k, L) if L else np.zeros((k, 0), np.uint8)
-    inputs = [tuple([fill] * k)] * M + [tuple(int(b) for b in regs[:, t]) for t in range(L)]
+    M, L, enc = H.deg, G.deg, encoder(G)
+    regs = enc.state_tuples[enc.state(beta)]
+    inputs = [(fill,) * G.rows] * M + [regs[t::L] for t in range(L)]
     _, outputs = encoder_run(G, enc_zero_state(G), inputs)
     return dual_state(H, outputs[-M:] if M else [])
 
@@ -196,9 +226,9 @@ def backward_state(G, beta):
     For shift-register states this is per-row reversal of the register
     contents.
     """
-    L, k, _ = enc_dims(G)
-    regs = as_bits(beta, k * L).reshape(k, L) if L else np.zeros((k, 0), np.uint8)
-    return tuple(int(b) for b in regs[:, ::-1].reshape(-1))
+    L, enc = G.deg, encoder(G)
+    regs = enc.state_tuples[enc.state(beta)]
+    return tuple(b for j in range(G.rows) for b in reversed(regs[j * L : (j + 1) * L]))
 
 
 def tailbiting_encode(G, inputs):
@@ -207,47 +237,27 @@ def tailbiting_encode(G, inputs):
     y_t = sum_i u_{(t-i) mod N} G_i.  The encoder starts and ends in the
     state formed by the last L input symbols.
     """
-    L, k, n = enc_dims(G)
-    coeffs = G.coefficient_list()
-    syms = [as_bits(u, k) for u in inputs]
-    N = len(syms)
-    if N < 1:
+    if len(inputs) < 1:
         raise ValueError("need at least one input symbol")
-    out = []
-    for t in range(N):
-        y = np.zeros(n, dtype=np.uint8)
-        for i in range(L + 1):
-            y ^= (syms[(t - i) % N] @ coeffs[i] % 2).astype(np.uint8)
-        out.append(tuple(int(b) for b in y))
-    return out
+    return encoder_run(G, tailbiting_anchor(G, inputs), inputs)[1]
 
 
 def tailbiting_anchor(G, inputs):
     """Encoder state shared by cut 0 and cut N for a tailbiting input word."""
-    L, k, _ = enc_dims(G)
-    syms = [as_bits(u, k) for u in inputs]
-    regs = [[int(syms[(len(syms) - L + t) % len(syms)][j]) for t in range(L)] for j in range(k)]
-    return tuple(b for row in regs for b in row)
+    enc, L, N = encoder(G), G.deg, len(inputs)
+    syms = [enc.in_tuples[enc.symbol(u)] for u in inputs]
+    return tuple(syms[(N - L + t) % N][j] for j in range(G.rows) for t in range(L))
 
 
 def enc_state_space(G):
     """All encoder states, in ascending tuple order."""
-    L, k, _ = enc_dims(G)
-    return [tuple(bits) for bits in product((0, 1), repeat=k * L)]
+    return list(encoder(G).state_tuples)
 
 
 def sf_state_space(H):
     """All syndrome-former states, structurally absent cells pinned to zero."""
-    M, r, _ = _sf_dims(H)
-    degs = _row_degrees(H)
-    free = [(p - 1) * r + (q - 1) for p in range(1, M + 1) for q in range(1, r + 1) if p <= degs[q - 1]]
-    states = []
-    for values in product((0, 1), repeat=len(free)):
-        bits = [0] * (M * r)
-        for pos, v in zip(free, values):
-            bits[pos] = v
-        states.append(tuple(bits))
-    return states
+    sf = syndrome_former(H)
+    return [sf.state_tuples[x] for x in sf.states]
 
 
 def xor_states(a, b):

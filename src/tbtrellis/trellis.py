@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .gf2 import format_bits, format_state
-from .state_machines import enc_state_space, encoder_step
+from .state_machines import enc_state_space, encoder
 
 DEFAULT_MAX_PATHS = 2**20
 
@@ -37,6 +38,17 @@ class Trellis:
         last = set(self.states_per_cut[-1])
         return [s for s in self.states_per_cut[0] if s in last]
 
+    @cached_property
+    def adjacency(self):
+        """Per section, a dict from each source state to its outgoing edges."""
+        out = []
+        for section in self.sections:
+            adj = {}
+            for e in section:
+                adj.setdefault(e.src, []).append(e)
+            out.append(adj)
+        return tuple(out)
+
 
 def _make_trellis(kind, states, section_edges):
     """Assemble a time-invariant trellis from one section's edge list."""
@@ -52,34 +64,16 @@ def build_tailbiting_code_trellis(G, N):
     """N identical encoder sections over all encoder states."""
     if N < 1:
         raise ValueError("need N >= 1 sections")
-    states = enc_state_space(G)
-    k = G.rows
-    edges = []
-    for beta in states:
-        for u in _all_symbols(k):
-            nxt, y = encoder_step(G, beta, u)
-            edges.append(Edge(src=beta, label=y, dst=nxt))
-    return _make_trellis("code", states, [edges] * N)
-
-
-def _all_symbols(width):
-    return [tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in range(2**width)]
-
-
-def _adjacency(section):
-    adj = {}
-    for e in section:
-        adj.setdefault(e.src, []).append(e)
-    return adj
+    edges = [Edge(src=beta, label=y, dst=nxt) for beta, _, nxt, y in encoder(G).edges()]
+    return _make_trellis("code", enc_state_space(G), [edges] * N)
 
 
 def count_paths(T, anchor):
     """Number of tailbiting paths through the subtrellis at ``anchor``."""
     _require_anchor(T, anchor)
     counts = {anchor: 1}
-    for section in T.sections:
+    for adj in T.adjacency:
         nxt = {}
-        adj = _adjacency(section)
         for state, c in counts.items():
             for e in adj.get(state, ()):
                 nxt[e.dst] = nxt.get(e.dst, 0) + c
@@ -112,7 +106,6 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
     if total > max_paths:
         raise ValueError(f"subtrellis has {total} paths, exceeding the bound {max_paths}")
     back = _reach_back(T, anchor)
-    adjs = [_adjacency(s) for s in T.sections]
     paths = []
     stack = [((), (anchor,))]
     while stack:
@@ -121,7 +114,7 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
         if t == T.n_sections:
             paths.append((labels, states))
             continue
-        for e in adjs[t].get(states[-1], ()):
+        for e in T.adjacency[t].get(states[-1], ()):
             if e.dst in back[t + 1]:
                 stack.append((labels + (e.label,), states + (e.dst,)))
     paths.sort(key=lambda p: (p[0], p[1]))

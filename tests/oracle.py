@@ -10,6 +10,17 @@ from itertools import product
 import numpy as np
 
 
+def coeffs_from_strings(rows):
+    """Coefficient matrices [P_0..P_d] of LSB-first polynomial entry strings."""
+    d = max(len(s) for row in rows for s in row)
+    out = [np.zeros((len(rows), len(rows[0])), dtype=np.uint8) for _ in range(d)]
+    for i, row in enumerate(rows):
+        for j, s in enumerate(row):
+            for p, c in enumerate(s):
+                out[p][i, j] = int(c)
+    return out
+
+
 def circ_encode(g_coeffs, u_syms):
     """Tailbiting encoding by direct circular convolution.
 

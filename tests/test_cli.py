@@ -178,3 +178,35 @@ def test_usage_errors_exit_one(code_file):
 def test_missing_code_file(capsys):
     code, _, err = run(capsys, "syndrome", "--code", "/nonexistent.json", "--received", RECEIVED)
     assert code == 1 and "cannot read" in err
+
+
+def test_unwritable_out_exits_one(capsys, code_file, tmp_path):
+    target = str(tmp_path / "missing-dir" / "x")
+    for argv in (["hscalar", "-N", "3"], ["code-trellis", "-N", "3"]):
+        code, out, err = run(capsys, argv[0], "--code", code_file, *argv[1:], "--out", target)
+        assert code == 1 and out == ""
+        assert err.startswith("tbtrellis: error: ") and err.count("\n") == 1
+        assert "No such file or directory" in err
+
+
+@pytest.fixture
+def colliding_code_file(tmp_path):
+    # a dual rate-2/3 pair: G's encoder has 4 states, H's syndrome former 2,
+    # so two encoder states share one error-subtrellis anchor
+    path = tmp_path / "rate23.json"
+    path.write_text(json.dumps({"n": 3, "k": 2, "G": [["01", "1", "0"], ["11", "0", "1"]], "H": [["1", "01", "11"]]}))
+    return str(path)
+
+
+def test_decode_anchor_collision_exits_one(capsys, colliding_code_file):
+    code, out, err = run(capsys, "decode", "--code", colliding_code_file, "--received", "101 011 110 000")
+    assert code == 1 and out == ""
+    assert err.startswith("tbtrellis: error: ") and err.count("\n") == 1
+    assert "colliding error-subtrellis anchors" in err
+
+
+def test_verify_anchor_collision_exits_one(capsys, colliding_code_file):
+    code, out, err = run(capsys, "verify", "--code", colliding_code_file, "-N", "4", "--trials", "20")
+    assert code == 1 and out == ""
+    assert err.startswith("tbtrellis: error: ") and err.count("\n") == 1
+    assert "colliding error-subtrellis anchors" in err

@@ -10,7 +10,9 @@ from tbtrellis import (
     hscalar_terminated,
     is_tailbiting_codeword,
     nullspace,
+    poly_from_strings,
     rank,
+    sf_state_space,
     tailbiting_syndromes,
 )
 
@@ -163,3 +165,18 @@ def test_annotate_blocks(H1, H2):
     assert summed[0].split() == ["H0+H2", "H1"]
     with pytest.raises(ValueError):
         annotate_blocks(H1, 5, kind="banded")
+
+
+def test_tailbiting_syndromes_equal_matrix_product_with_pinned_cells():
+    """Exhaustively, the circular syndromes are the rows of H_scalar times y,
+    for parity checks whose memoryless rows pin state cells to zero."""
+    for strings in ([["11", "01", "1"], ["1", "1", "0"]], [["111", "101", "0"], ["0", "1", "1"]]):
+        H = poly_from_strings(strings)
+        assert len(sf_state_space(H)) < 2 ** (H.deg * H.rows)
+        for N in range(H.deg, 5):
+            P = hscalar_tailbiting(H, N)
+            for bits in product((0, 1), repeat=N * 3):
+                y = np.array(bits, dtype=np.uint8)
+                zetas = tailbiting_syndromes(H, [bits[i : i + 3] for i in range(0, len(bits), 3)])
+                assert flat(zetas) == tuple(int(b) for b in (P.matrix.astype(int) @ y) % 2)
+                assert is_tailbiting_codeword(P, y) == (not any(flat(zetas)))

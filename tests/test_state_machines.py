@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from tbtrellis import (
     encoder_run,
     encoder_step,
     extended_state,
+    poly_from_strings,
     reciprocal,
     sf_run,
     sf_state_space,
@@ -20,7 +23,7 @@ from tbtrellis import (
     xor_states,
 )
 
-from oracle import circ_encode
+from oracle import circ_encode, coeffs_from_strings
 
 
 def test_sf_step_from_zero(H1):
@@ -219,3 +222,60 @@ def test_encoder_run_round_trip(G1):
     state, out = encoder_run(G1, (0, 0), [(1,), (1,), (0,)])
     assert state == (1, 0)
     assert out == [(1, 1, 1), (1, 1, 0), (0, 1, 0)]
+
+
+# generators with two input rows; the second has unequal row degrees
+G_K2_STRINGS = (
+    [["101", "11", "1"], ["01", "1", "111"]],
+    [["1011", "1", "0"], ["0", "11", "1"]],
+)
+# parity checks with a memoryless row, so some state cells are pinned
+H_PINNED_STRINGS = (
+    [["11", "01", "1"], ["1", "1", "0"]],
+    [["111", "101", "0"], ["0", "1", "1"]],
+)
+
+
+def test_tailbiting_encode_two_inputs_matches_oracle():
+    for strings in G_K2_STRINGS:
+        G, coeffs = poly_from_strings(strings), coeffs_from_strings(strings)
+        for N in (1, 2, 3, 5):  # N = 1 and 2 lie below the memory of the second G
+            for bits in product((0, 1), repeat=2 * N):
+                u = [bits[2 * t : 2 * t + 2] for t in range(N)]
+                assert tuple(tailbiting_encode(G, u)) == circ_encode(coeffs, u)
+
+
+def test_superposition_over_pinned_cells():
+    """Linearity holds for every M*r-bit state, pinned cells set or not."""
+    rng = np.random.default_rng(6)
+    for strings in H_PINNED_STRINGS:
+        H = poly_from_strings(strings)
+        bits, n = H.deg * H.rows, H.cols
+        assert len(sf_state_space(H)) < 2**bits
+        for _ in range(500):
+            s1, s2 = tuple(rng.integers(0, 2, bits)), tuple(rng.integers(0, 2, bits))
+            e1, e2 = tuple(rng.integers(0, 2, n)), tuple(rng.integers(0, 2, n))
+            n1, z1 = sf_step(H, s1, e1)
+            n2, z2 = sf_step(H, s2, e2)
+            ns, zs = sf_step(H, xor_states(s1, s2), xor_states(e1, e2))
+            assert ns == xor_states(n1, n2)
+            assert zs == xor_states(z1, z2)
+
+
+def test_steps_reject_non_binary_entries(G1, H1):
+    with pytest.raises(ValueError):
+        sf_step(H1, (0, 2), (1, 1, 1))
+    with pytest.raises(ValueError):
+        sf_step(H1, (0, 0), (1, 2, 1))
+    with pytest.raises(ValueError):
+        sf_run(H1, (2, 0), [(1, 1, 1)])
+    with pytest.raises(ValueError):
+        sf_run(H1, (0, 0), [(0, 0, 0), (1, 1, 2)])
+    with pytest.raises(ValueError):
+        encoder_step(G1, (0, 2), 1)
+    with pytest.raises(ValueError):
+        encoder_step(G1, (0, 0), 2)
+    with pytest.raises(ValueError):
+        encoder_run(G1, (2, 0), [(1,)])
+    with pytest.raises(ValueError):
+        encoder_run(G1, (0, 0), [(1,), (2,)])
