@@ -1,8 +1,10 @@
 """Minimum-weight tailbiting decoding over the error-trellis.
 
-One Viterbi pass per error subtrellis, then the global minimum over the
-anchors: exact maximum-likelihood for hard decisions.  The result is
-cross-checked against exhaustive search over all tailbiting codewords.
+All error subtrellises are searched together in one backward min-plus
+pass over the shared error trellis, then the global minimum over the
+anchors is traced back: exact maximum-likelihood for hard decisions.
+The result is cross-checked against exhaustive search over all
+tailbiting codewords.
 """
 
 from itertools import product

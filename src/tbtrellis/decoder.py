@@ -1,21 +1,35 @@
 """Minimum-weight error-path search over tailbiting error-trellises.
 
 Decoding a tailbiting received word is exact maximum-likelihood for the
-binary symmetric channel: one Viterbi pass per subtrellis anchor, then
-the global minimum over anchors.  Ties inside a subtrellis resolve to
-the lexicographically smallest label sequence; ties across anchors set
-the ``tie`` flag and resolve to the smallest label sequence, then the
-smallest anchor.
+binary symmetric channel.  Code subtrellis beta corresponds to the error
+subtrellis anchored at sigma_fin + dual(beta), so all S anchors share one
+error trellis and are searched together: a backward min-plus pass keeps,
+per cut, an int32 (states x anchors) matrix of the weight still to go
+into each anchor at cut N, built from the integer module tables of
+``error_trellis``.  The pass holds (N+1) such matrices, under 1 MB for 64
+states at N=48.
+
+Ties inside a subtrellis resolve to the lexicographically smallest label
+sequence: from each anchor reaching the minimum, a forward walk takes the
+smallest label whose weight plus the next cut's cost equals the current
+cost.  Ties across anchors set the ``tie`` flag and resolve to the
+smallest label sequence, then the smallest anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .error_trellis import build_tailbiting_error_trellis, error_anchor, sigma_fin
+import numpy as np
+
+from .error_trellis import _search_tables, circular_run
 from .gf2 import format_bits, format_state
-from .state_machines import enc_state_space, xor_states
+from .state_machines import dual_state_of, enc_state_space, syndrome_former
 from .trellis import _require_anchor
+
+# above any path weight; unreachable costs grow past it by at most N*n
+_UNREACHED = 2**30
 
 
 class AnchorCollisionError(RuntimeError):
@@ -33,57 +47,104 @@ class DecodeResult:
 
 
 def min_weight_path(T, anchor):
-    """Lightest tailbiting path of one subtrellis: (symbol labels, weight)."""
+    """Lightest tailbiting path of one subtrellis: (symbol labels, weight).
+
+    A backward pass gives each state's weight still to go into the anchor
+    at cut N; the forward walk then takes the smallest label on an optimal
+    edge, which yields the lexicographically smallest lightest path.
+    """
     _require_anchor(T, anchor)
-    best = {anchor: (0, ())}
-    for adj in T.adjacency:
-        nxt = {}
-        for state, (w, labels) in best.items():
-            for e in adj.get(state, ()):
-                cand = (w + sum(e.label), labels + (e.label,))
-                if e.dst not in nxt or cand < nxt[e.dst]:
-                    nxt[e.dst] = cand
-        best = nxt
-    if anchor not in best:
+    togo = [{anchor: 0}]
+    for adj in reversed(T.adjacency):
+        nxt, cur = togo[-1], {}
+        for state, edges in adj.items():
+            costs = [sum(e.label) + nxt[e.dst] for e in edges if e.dst in nxt]
+            if costs:
+                cur[state] = min(costs)
+        togo.append(cur)
+    togo.reverse()
+    if anchor not in togo[0]:
         raise RuntimeError(f"no tailbiting path through {format_state(anchor)}")
-    w, labels = best[anchor]
-    return labels, w
+    labels, state = [], anchor
+    for adj, here, nxt in zip(T.adjacency, togo, togo[1:]):
+        c = here[state]
+        label, state = min((e.label, e.dst) for e in adj[state] if nxt.get(e.dst) == c - sum(e.label))
+        labels.append(label)
+    return tuple(labels), togo[0][anchor]
+
+
+@lru_cache(maxsize=None)
+def _dual_codes(G, H):
+    """Encoder states and the syndrome-former integer of each one's dual state."""
+    betas = enc_state_space(G)
+    sf = syndrome_former(H)
+    duals = [sf.state(dual_state_of(G, H, beta)) for beta in betas]
+    if len(set(duals)) != len(betas):
+        raise AnchorCollisionError(
+            "encoder states map onto colliding error-subtrellis anchors; "
+            "the dual-state labeling is not one-to-one for this G/H pair"
+        )
+    return betas, duals
+
+
+def _cost_to_go(tables, zetas, rows):
+    """Per cut t, the (states x anchors) weight of the lightest way into each anchor at cut N."""
+    N, A = len(zetas), len(rows)
+    cost = np.full((N + 1, len(tables.states), A), _UNREACHED, dtype=np.int32)
+    cost[N, rows, np.arange(A)] = 0
+    for t in range(N - 1, -1, -1):
+        sec = tables.sections[zetas[t]]
+        via = cost[t + 1].take(sec.dst, axis=0)
+        via += sec.weight
+        via = via.reshape(-1, sec.degree, A)
+        if sec.sources is None:
+            np.minimum.reduce(via, axis=1, out=cost[t])
+        else:
+            cost[t][sec.sources] = via.min(axis=1)
+    return cost
+
+
+def _traceback(tables, zetas, togo, state):
+    """Smallest label sequence along which ``togo`` (one anchor's costs per cut) falls to 0."""
+    labels, c = [], togo[0][state]
+    for zeta, nxt in zip(zetas, togo[1:]):
+        for label, dst, w in tables.sections[zeta].out[state]:
+            if nxt[dst] == c - w:
+                labels.append(label)
+                state, c = dst, c - w
+                break
+    return tuple(labels)
 
 
 def decode_tailbiting(G, H, z):
     """Exact minimum-weight tailbiting decoding of the received word z."""
     z = [tuple(int(b) for b in sym) for sym in z]
-    fin = sigma_fin(H, z)
-    T = build_tailbiting_error_trellis(H, z)
-    betas = enc_state_space(G)
-    anchors = {beta: error_anchor(beta, fin, G, H) for beta in betas}
-    if len(set(anchors.values())) != len(betas):
-        raise AnchorCollisionError(
-            "encoder states map onto colliding error-subtrellis anchors; "
-            "the dual-state labeling is not one-to-one for this G/H pair"
-        )
-    candidates = []
-    for beta in betas:
-        try:
-            labels, w = min_weight_path(T, anchors[beta])
-        except RuntimeError:
-            # short words (N < L) leave some subtrellises without paths
-            continue
-        candidates.append((w, labels, anchors[beta], beta))
-    if not candidates:
+    if not z:
+        raise ValueError("a trellis needs at least one section")
+    fin, zetas = circular_run(H, z)
+    betas, duals = _dual_codes(G, H)
+    tables = _search_tables(H)
+    f = syndrome_former(H).state(fin)
+    rows = [tables.index[f ^ d] for d in duals]
+    cost = _cost_to_go(tables, zetas, rows)
+    weights = cost[0, rows, np.arange(len(rows))]
+    w = int(weights.min())
+    if w >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    candidates.sort()
-    w, labels, sigma, beta = candidates[0]
-    tie = len(candidates) > 1 and candidates[1][0] == w
+    winners = np.flatnonzero(weights == w).tolist()
+    labels, sigma, beta = min(
+        (_traceback(tables, zetas, cost[:, :, i].tolist(), rows[i]), tables.states[rows[i]], betas[i])
+        for i in winners
+    )
     error = tuple(b for sym in labels for b in sym)
-    codeword = tuple(b for sym, esym in zip(z, labels) for b in xor_states(sym, esym))
+    codeword = tuple(b ^ e for b, e in zip((b for sym in z for b in sym), error))
     return DecodeResult(
         codeword=codeword,
         error=error,
         weight=w,
         anchor_beta=beta,
         anchor_sigma=sigma,
-        tie=tie,
+        tie=len(winners) > 1,
     )
 
 

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
+
+import numpy as np
 
 from .gf2 import format_bits
 from .state_machines import (
@@ -56,22 +59,26 @@ def _check_length(H, z):
 def sigma_fin(H, z):
     """Final syndrome-former state for input z, from the all-zero start.
 
-    With N >= M the result is independent of the starting state and is
-    determined by the last M symbols alone.
+    A is nilpotent (A^M = 0), so with N >= M the result is independent of
+    the starting state and only the last M symbols are run.
     """
     _check_length(H, z)
-    final, _ = sf_run(H, sf_zero_state(H), z)
+    final, _ = sf_run(H, sf_zero_state(H), z[len(z) - H.deg :])
     return final
 
 
-def tailbiting_syndromes(H, z):
-    """Syndrome sequence of z when the initial state is set to sigma_fin.
+def circular_run(H, z):
+    """sigma_fin of z and the syndromes of the run from it: M + N steps.
 
     The run is circularly consistent: it ends in sigma_fin again.
     """
     fin = sigma_fin(H, z)
-    _, zetas = sf_run(H, fin, z)
-    return SyndromeSequence(symbols=tuple(zetas), kind="forward")
+    return fin, sf_run(H, fin, z)[1]
+
+
+def tailbiting_syndromes(H, z):
+    """Syndrome sequence of z when the initial state is set to sigma_fin."""
+    return SyndromeSequence(symbols=tuple(circular_run(H, z)[1]), kind="forward")
 
 
 @lru_cache(maxsize=None)
@@ -81,6 +88,55 @@ def _module_table(H):
     for sigma, e, nxt, zeta in syndrome_former(H).edges():
         table.setdefault(zeta, []).append(Edge(src=sigma, label=e, dst=nxt))
     return table
+
+
+class SearchSection(NamedTuple):
+    """One module over dense state indices, for the all-anchor search.
+
+    Edges are sorted by source.  Every state in ``sources`` (None when that
+    is every state) has ``degree`` edges, because the inputs e with
+    eD = zeta + xC form a coset of the kernel of D or none.  ``dst`` and
+    ``weight`` (a column) give each edge's next state and label weight;
+    ``out`` lists, per state, its (label, next state, weight) edges in
+    label order.
+    """
+
+    dst: np.ndarray
+    weight: np.ndarray
+    degree: int
+    sources: np.ndarray | None
+    out: tuple
+
+
+class SearchTables(NamedTuple):
+    """The modules of one H keyed by syndrome symbol; states in ``sf_state_space`` order."""
+
+    states: list
+    index: dict  # syndrome-former state integer -> dense index
+    sections: dict
+
+
+@lru_cache(maxsize=None)
+def _search_tables(H):
+    """``_module_table`` as integer arrays, built in plain Python once per H."""
+    sf = syndrome_former(H)
+    index = {x: i for i, x in enumerate(sf.states)}
+    dense = {sf.state_tuples[x]: i for x, i in index.items()}
+    sections = {}
+    for zeta, edges in _module_table(H).items():
+        out = [[] for _ in index]
+        for e in sorted(edges, key=lambda e: e.label):
+            out[dense[e.src]].append((e.label, dense[e.dst], sum(e.label)))
+        sources = [i for i, es in enumerate(out) if es]
+        flat = [edge for i in sources for edge in out[i]]
+        sections[zeta] = SearchSection(
+            dst=np.array([d for _, d, _ in flat], dtype=np.intp),
+            weight=np.array([[w] for _, _, w in flat], dtype=np.int32),
+            degree=len(out[sources[0]]),
+            sources=None if len(sources) == len(out) else np.array(sources, dtype=np.intp),
+            out=tuple(tuple(es) for es in out),
+        )
+    return SearchTables([sf.state_tuples[x] for x in sf.states], index, sections)
 
 
 def error_trellis_module(H, zeta):

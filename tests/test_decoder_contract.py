@@ -1,0 +1,130 @@
+"""The decoder against its per-subtrellis definition, and its running costs.
+
+The reference decodes one subtrellis at a time: it builds the error
+trellis, runs ``min_weight_path`` from every anchor sigma_fin + dual(beta)
+and sorts the candidates by (weight, labels, anchor, beta).
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import tbtrellis.error_trellis as error_trellis
+from tbtrellis import (
+    DecodeResult,
+    build_tailbiting_error_trellis,
+    decode_tailbiting,
+    enc_state_space,
+    error_anchor,
+    min_weight_path,
+    poly_from_strings,
+    sigma_fin,
+)
+from tbtrellis.state_machines import LinearMachine
+
+from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS
+from oracle import flat
+
+K7_STRINGS = ([["1011011", "1111001"]], [["1111001", "1011011"]])
+CODES = {
+    "ref": ((G1_STRINGS, H1_STRINGS), 300),
+    "mem2": ((G2_STRINGS, H2_STRINGS), 300),
+    "16-state": (([["10011", "11101"]], [["11101", "10011"]]), 300),
+    "k7": (K7_STRINGS, 30),
+    # H_0 = 0: under each syndrome symbol only half of the states have edges
+    "H0-zero": (([["11", "1"]], [["01", "011"]]), 300),
+}
+
+
+def reference_decode(G, H, z):
+    fin = sigma_fin(H, z)
+    T = build_tailbiting_error_trellis(H, z)
+    candidates = []
+    for beta in enc_state_space(G):
+        anchor = error_anchor(beta, fin, G, H)
+        try:
+            labels, w = min_weight_path(T, anchor)
+        except RuntimeError:
+            continue
+        candidates.append((w, labels, anchor, beta))
+    candidates.sort()
+    w, labels, anchor, beta = candidates[0]
+    error = flat(labels)
+    return DecodeResult(
+        codeword=tuple(a ^ b for a, b in zip(flat(z), error)),
+        error=error,
+        weight=w,
+        anchor_beta=beta,
+        anchor_sigma=anchor,
+        tie=len(candidates) > 1 and candidates[1][0] == w,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_decode_matches_per_subtrellis_reference(name):
+    (g, h), words = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    M, L, n = H.deg, G.deg, H.cols
+    lengths = sorted({N for N in (M, L - 1, L, L + 1, 2 * L + 3) if N >= max(M, 1)})
+    rng = np.random.default_rng(53)
+    ties = 0
+    for i in range(words):
+        N = lengths[i % len(lengths)]
+        z = [tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(N)]
+        res = decode_tailbiting(G, H, z)
+        assert res == reference_decode(G, H, z), (N, z)
+        ties += res.tie
+    assert ties, f"expected a tie among {words} random words"
+
+
+def test_decode_rejects_an_empty_word_of_a_memoryless_code():
+    G, H = poly_from_strings([["1", "1"]]), poly_from_strings([["1", "1"]])
+    assert decode_tailbiting(G, H, [(1, 0)]).weight == 1
+    with pytest.raises(ValueError):
+        decode_tailbiting(G, H, [])
+
+
+def test_decode_runs_the_syndrome_former_once(monkeypatch):
+    """One sigma_fin per word, and M + N syndrome-former steps in all."""
+    G, H = (poly_from_strings(s) for s in K7_STRINGS)
+    z = [(1, 0), (0, 1), (1, 1)] * 4
+    decode_tailbiting(G, H, z)  # fills the per-code caches
+    calls = {"sigma_fin": 0, "step": 0}
+    real_sigma_fin, real_step = error_trellis.sigma_fin, LinearMachine.step
+
+    def counting_sigma_fin(*args):
+        calls["sigma_fin"] += 1
+        return real_sigma_fin(*args)
+
+    def counting_step(self, *args):
+        calls["step"] += 1
+        return real_step(self, *args)
+
+    monkeypatch.setattr(error_trellis, "sigma_fin", counting_sigma_fin)
+    monkeypatch.setattr(LinearMachine, "step", counting_step)
+    decode_tailbiting(G, H, z)
+    assert calls == {"sigma_fin": 1, "step": H.deg + len(z)}
+
+
+def test_decode_imports_nothing_new():
+    """Decoding loads no module that importing the package did not (e.g. numpy.ma)."""
+    script = (
+        "import sys, tbtrellis\n"
+        "before = set(sys.modules)\n"
+        f"G, H = (tbtrellis.poly_from_strings(s) for s in {K7_STRINGS!r})\n"
+        "tbtrellis.decode_tailbiting(G, H, [(1, 0), (0, 1), (1, 1)] * 16)\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split() == []
