@@ -142,10 +142,12 @@ class PolyMatrix:
     Instances are immutable.  ``deg`` is the effective degree (highest
     index with a nonzero coefficient matrix; 0 for the zero matrix).
     Equality and hashing compare the trimmed coefficient lists, so
-    trailing zero matrices do not distinguish two values.
+    trailing zero matrices do not distinguish two values.  The reciprocal
+    reverses the stored list, trailing zeros included, so it is kept per
+    instance, not in a cache keyed by value.
     """
 
-    __slots__ = ("coeffs", "rows", "cols", "deg", "_key", "_hash")
+    __slots__ = ("coeffs", "rows", "cols", "deg", "_key", "_hash", "_reciprocal")
 
     def __init__(self, coeffs):
         mats = [np.array(c, dtype=np.uint8, copy=True) % 2 for c in coeffs]
@@ -166,6 +168,7 @@ class PolyMatrix:
         object.__setattr__(self, "deg", deg)
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "_reciprocal", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -199,8 +202,10 @@ class PolyMatrix:
         return list(self.coeffs[: self.deg + 1])
 
     def reciprocal(self):
-        """Reverse the stored coefficient list (P~_i = P_{deg-i})."""
-        return PolyMatrix(list(reversed(self.coeffs)))
+        """Reverse the stored coefficient list (P~_i = P_{deg-i}); built once per instance."""
+        if self._reciprocal is None:
+            object.__setattr__(self, "_reciprocal", PolyMatrix(list(reversed(self.coeffs))))
+        return self._reciprocal
 
     def transpose(self):
         return PolyMatrix([c.T for c in self.coeffs])

@@ -147,6 +147,20 @@ def test_verify_boundary_and_bounds(capsys, code_file):
     assert code == 1 and "exhaustive" in err
 
 
+def test_verify_rejects_negative_trials_and_length(capsys, code_file):
+    for argv, message in (
+        (["-N", "3", "--trials", "-1"], "trials must be at least 0, got -1"),
+        (["-N", "-2"], "N must be at least 1, got -2"),
+    ):
+        code, out, err = run(capsys, "verify", "--code", code_file, *argv)
+        assert code == 1 and out == ""
+        assert err == f"tbtrellis: error: {message}\n"
+    # no random trial, only the exhaustive checks
+    code, out, _ = run(capsys, "verify", "--code", code_file, "-N", "3", "--trials", "0")
+    assert code == 0
+    assert len(out.splitlines()) == 6 and all(line.endswith(": PASS") for line in out.splitlines())
+
+
 def test_missing_matrix_for_command(capsys, tmp_path):
     path = tmp_path / "honly.json"
     path.write_text(json.dumps({"n": 3, "k": 1, "H": H1_STRINGS}))

@@ -91,6 +91,16 @@ def test_reciprocal_involution(G1, H1):
         assert reciprocal(reciprocal(P)) == P
 
 
+def test_reciprocal_is_built_once_per_instance(H1):
+    assert reciprocal(H1) is reciprocal(H1)
+    # equality ignores trailing zero coefficients; the reciprocal reverses them too
+    c0, c1 = coefficient_expansion(H1)
+    zero = np.zeros_like(c0)
+    padded = PolyMatrix([c0, c1, zero])
+    assert padded == H1
+    assert reciprocal(padded) == PolyMatrix([zero, c1, c0]) != reciprocal(H1)
+
+
 def test_generator_parity_product_is_zero(G1, H1, G2, H2):
     assert (G1 * H1.transpose()).is_zero()
     assert (G2 * H2.transpose()).is_zero()

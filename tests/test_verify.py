@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from tbtrellis import verify
@@ -39,3 +42,156 @@ def test_deterministic_given_seed(G1, H1):
     a = verify.run_all(G1, H1, 3, seed=5, trials=50)
     b = verify.run_all(G1, H1, 3, seed=5, trials=50)
     assert a == b
+
+
+def test_rejects_bad_length_and_trial_count(G1, H1):
+    with pytest.raises(ValueError, match="N must be at least 1"):
+        verify.run_all(G1, H1, 0, seed=1)
+    with pytest.raises(ValueError, match="trials must be at least 0"):
+        verify.run_all(G1, H1, 5, seed=1, trials=-1)
+    assert all(ok for _, ok in verify.run_all(G1, H1, 5, seed=1, trials=0))
+
+
+# Each mutant is wrong on some inputs only; exactly the suite that reads
+# the mutated name must catch it, and every other suite must still pass.
+
+
+def _nonlinear_sf_step(real):
+    def sf_step(H, sigma, e):
+        nxt, zeta = real(H, sigma, e)
+        if sigma == (1, 1):
+            zeta = (1 - zeta[0],) + zeta[1:]
+        return nxt, zeta
+
+    return sf_step
+
+
+def _wrong_dual_state(real):
+    def dual_state_of(G, H, beta, fill=0):
+        sigma = real(G, H, beta, fill)
+        return (1 - sigma[0],) + sigma[1:] if beta == (1, 1) else sigma
+
+    return dual_state_of
+
+
+def _dropping_enumerate_paths(real):
+    def enumerate_paths(T, anchor, *args):
+        paths = real(T, anchor, *args)
+        return paths[1:] if anchor == (0, 1) else paths
+
+    return enumerate_paths
+
+
+def _flipping_backward_syndromes(real):
+    def backward_syndromes(H, z):
+        seq = real(H, z)
+        if z[0] != (1, 0, 1):
+            return seq
+        first = (1 - seq.symbols[0][0],) + seq.symbols[0][1:]
+        return replace(seq, symbols=(first,) + seq.symbols[1:])
+
+    return backward_syndromes
+
+
+def _negating_membership(real):
+    def is_tailbiting_codeword(P, y):
+        return real(P, y) != (tuple(y) == (0,) * 15)
+
+    return is_tailbiting_codeword
+
+
+def _overweight_decoder(real):
+    def decode_tailbiting(G, H, z):
+        res = real(G, H, z)
+        return replace(res, weight=res.weight + 1) if z[0] == (1, 0, 1) else res
+
+    return decode_tailbiting
+
+
+@pytest.mark.parametrize(
+    "name, mutant, suite",
+    [
+        ("sf_step", _nonlinear_sf_step, "superposition"),
+        ("dual_state_of", _wrong_dual_state, "zero-syndrome-traversal"),
+        ("enumerate_paths", _dropping_enumerate_paths, "subtrellis-set-equality"),
+        ("backward_syndromes", _flipping_backward_syndromes, "eta-zeta-correspondence"),
+        ("is_tailbiting_codeword", _negating_membership, "hscalar-membership"),
+        ("decode_tailbiting", _overweight_decoder, "decoder-oracle"),
+    ],
+)
+def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite):
+    monkeypatch.setattr(verify, name, mutant(getattr(verify, name)))
+    results = dict(verify.run_all(G1, H1, 5, seed=1, trials=200))
+    assert results == {s: s != suite for s in EXPECTED_SUITES}
+
+
+def _recorded_calls(monkeypatch, names, G, H, N, seed, trials):
+    calls = {name: [] for name in names}
+    with monkeypatch.context() as m:
+        for name in names:
+            real = getattr(verify, name)
+
+            def record(*args, _real=real, _log=calls[name]):
+                _log.append(args)
+                return _real(*args)
+
+            m.setattr(verify, name, record)
+        results = verify.run_all(G, H, N, seed=seed, trials=trials)
+    return results, calls
+
+
+def _per_field_draws(H, N, seed, trials):
+    """The words a draw of one ``rng.integers(0, 2, size=w)`` per field gives,
+    in suite order, from one generator."""
+    rng = np.random.default_rng(seed)
+    M, r, n = H.deg, H.rows, H.cols
+
+    def bits(w):
+        return tuple(int(b) for b in rng.integers(0, 2, size=w))
+
+    def word():
+        return [bits(n) for _ in range(N)]
+
+    steps = []
+    for _ in range(trials):
+        s1, s2, e1, e2 = bits(M * r), bits(M * r), bits(n), bits(n)
+        s12 = tuple(a ^ b for a, b in zip(s1, s2))
+        e12 = tuple(a ^ b for a, b in zip(e1, e2))
+        steps += [(H, s1, e1), (H, s2, e2), (H, s12, e12)]
+    for _ in range(5):  # subtrellis-set-equality draws five words
+        word()
+    backward = [(H, word()) for _ in range(trials)]
+    membership = [bits(N * n) for _ in range(trials)]
+    decoded = [word() for _ in range(trials)]
+    return steps, backward, membership, decoded
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
+    names = ["sf_step", "backward_syndromes", "is_tailbiting_codeword", "decode_tailbiting"]
+    trials, N = 50, 5
+    results, calls = _recorded_calls(monkeypatch, names, G1, H1, N, seed, trials)
+    assert all(ok for _, ok in results)
+    steps, backward, membership, decoded = _per_field_draws(H1, N, seed, trials)
+    assert calls["sf_step"] == steps
+    assert calls["backward_syndromes"] == backward
+    # the suite first checks each of the 2^N codewords, then the random words
+    assert len(calls["is_tailbiting_codeword"]) == 2**N + trials
+    assert [y for _, y in calls["is_tailbiting_codeword"][2**N :]] == membership
+    assert calls["decode_tailbiting"] == [(G1, H1, z) for z in decoded]
+
+
+@pytest.mark.parametrize("code, N", [("1", 5), ("2", 4)])
+def test_distance_blocks_of_one_trial_change_nothing(request, monkeypatch, code, N):
+    G, H = request.getfixturevalue("G" + code), request.getfixturevalue("H" + code)
+    default = _recorded_calls(monkeypatch, ["decode_tailbiting"], G, H, N, 4, 300)
+    monkeypatch.setattr(verify, "DISTANCE_BLOCK", 1)
+    single = _recorded_calls(monkeypatch, ["decode_tailbiting"], G, H, N, 4, 300)
+    assert single == default
+    assert all(ok for _, ok in default[0])
+
+
+def test_all_suites_pass_on_4096_codewords(G1, H1):
+    results = verify.run_all(G1, H1, 12, seed=1, trials=50)
+    assert [name for name, _ in results] == EXPECTED_SUITES
+    assert all(ok for _, ok in results)
