@@ -60,52 +60,39 @@ def cmd_syndrome(args):
     z = _received_symbols(spec, args.received)
     H = spec.require_H()
     if args.backward:
-        fin = backward_sigma_fin(H, z)
-        seq = backward_syndromes(H, z)
-        print(f"sigma_fin={format_state(fin)}")
-        print(f"eta={seq}")
+        fin, seq, name = backward_sigma_fin(H, z), backward_syndromes(H, z), "eta"
     else:
-        fin = sigma_fin(H, z)
-        seq = tailbiting_syndromes(H, z)
-        print(f"sigma_fin={format_state(fin)}")
-        print(f"zeta={seq}")
+        fin, seq, name = sigma_fin(H, z), tailbiting_syndromes(H, z), "zeta"
+    print(f"sigma_fin={format_state(fin)}")
+    print(f"{name}={seq}")
     return EXIT_OK
 
 
-def _export_trellis(T, args):
+_ERROR_TRELLIS = {
+    "error-trellis": build_tailbiting_error_trellis,
+    "backward-error-trellis": build_backward_error_trellis,
+}
+
+
+def cmd_trellis(args):
+    spec = load_codespec(args.code)
+    if args.command == "code-trellis":
+        T = build_tailbiting_code_trellis(spec.require_G(), args.N)
+    else:
+        z = _received_symbols(spec, args.received)
+        T = _ERROR_TRELLIS[args.command](spec.require_H(), z)
     highlight = parse_state(args.highlight) if args.highlight else None
     text = to_dot(T, highlight=highlight) if args.format == "dot" else to_json(T)
     _emit(text, args.out)
     return EXIT_OK
 
 
-def cmd_code_trellis(args):
-    spec = load_codespec(args.code)
-    T = build_tailbiting_code_trellis(spec.require_G(), args.N)
-    return _export_trellis(T, args)
-
-
-def cmd_error_trellis(args):
-    spec = load_codespec(args.code)
-    z = _received_symbols(spec, args.received)
-    T = build_tailbiting_error_trellis(spec.require_H(), z)
-    return _export_trellis(T, args)
-
-
-def cmd_backward_error_trellis(args):
-    spec = load_codespec(args.code)
-    z = _received_symbols(spec, args.received)
-    T = build_backward_error_trellis(spec.require_H(), z)
-    return _export_trellis(T, args)
+_HSCALAR = {"tailbiting": hscalar_tailbiting, "terminated": hscalar_terminated}
 
 
 def cmd_hscalar(args):
     spec = load_codespec(args.code)
-    H = spec.require_H()
-    if args.kind == "tailbiting":
-        P = hscalar_tailbiting(H, args.N)
-    else:
-        P = hscalar_terminated(H, args.N)
+    P = _HSCALAR[args.kind](spec.require_H(), args.N)
     rows, cols = P.matrix.shape
     _emit(f"{format_matrix(P)}\nsize {rows}x{cols} rank {rank(P.matrix)}", args.out)
     return EXIT_OK
@@ -141,23 +128,19 @@ def build_parser():
     p.add_argument("--received", required=True, help="received word bits (grouping optional)")
     p.add_argument("--backward", action="store_true", help="reciprocal run on the reversed word")
 
-    for name, fn, received in [
-        ("code-trellis", cmd_code_trellis, False),
-        ("error-trellis", cmd_error_trellis, True),
-        ("backward-error-trellis", cmd_backward_error_trellis, True),
-    ]:
-        p = add(name, fn, f"build and export the {name.replace('-', ' ')}")
-        if received:
-            p.add_argument("--received", required=True, help="received word bits")
-        else:
+    for name in ["code-trellis", *_ERROR_TRELLIS]:
+        p = add(name, cmd_trellis, f"build and export the {name.replace('-', ' ')}")
+        if name == "code-trellis":
             p.add_argument("-N", type=int, required=True, help="number of trellis sections")
+        else:
+            p.add_argument("--received", required=True, help="received word bits")
         p.add_argument("--format", choices=["dot", "json"], default="dot")
         p.add_argument("--out", help="write to a file instead of stdout")
         p.add_argument("--highlight", help="subtrellis anchor to render bold, e.g. '(1,0)'")
 
     p = add("hscalar", cmd_hscalar, "scalar parity-check matrix")
     p.add_argument("-N", type=int, required=True, help="number of trellis sections")
-    p.add_argument("--kind", choices=["tailbiting", "terminated"], default="tailbiting")
+    p.add_argument("--kind", choices=list(_HSCALAR), default="tailbiting")
     p.add_argument("--out", help="write to a file instead of stdout")
 
     p = add("decode", cmd_decode, "minimum-weight tailbiting decoding")

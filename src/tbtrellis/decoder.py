@@ -6,8 +6,14 @@ subtrellis anchored at sigma_fin + dual(beta), so all S anchors share one
 error trellis and are searched together: a backward min-plus pass keeps,
 per cut, an int32 (states x anchors) matrix of the weight still to go
 into each anchor at cut N, built from the integer module tables of
-``error_trellis``.  The pass holds (N+1) such matrices, under 1 MB for 64
-states at N=48.
+``error_trellis``.  A cut is one gather of the next cut's rows, an add and
+a minimum over each state's edges; states without edges under a syndrome
+symbol read one extra, never reached row.  The pass holds (N+1) such
+matrices, under 1 MB for 64 states at N=48.
+
+``min_weight_path`` is the one-subtrellis reference on a built
+``Trellis``: it reads the weights of the backward pass that every
+subtrellis query in ``trellis`` shares.
 
 Ties inside a subtrellis resolve to the lexicographically smallest label
 sequence: from each anchor reaching the minimum, a forward walk takes the
@@ -26,7 +32,7 @@ import numpy as np
 from .error_trellis import _search_tables, circular_run
 from .gf2 import format_bits, format_state
 from .state_machines import dual_state_of, enc_state_space, syndrome_former
-from .trellis import _require_anchor
+from .trellis import _to_anchor
 
 # above any path weight; unreachable costs grow past it by at most N*n
 _UNREACHED = 2**30
@@ -49,28 +55,22 @@ class DecodeResult:
 def min_weight_path(T, anchor):
     """Lightest tailbiting path of one subtrellis: (symbol labels, weight).
 
-    A backward pass gives each state's weight still to go into the anchor
-    at cut N; the forward walk then takes the smallest label on an optimal
-    edge, which yields the lexicographically smallest lightest path.
+    The backward pass of ``_to_anchor`` gives each state's least weight
+    still to go into the anchor at cut N; the forward walk then takes the
+    smallest label on an optimal edge, which yields the lexicographically
+    smallest lightest path.
     """
-    _require_anchor(T, anchor)
-    togo = [{anchor: 0}]
-    for adj in reversed(T.adjacency):
-        nxt, cur = togo[-1], {}
-        for state, edges in adj.items():
-            costs = [sum(e.label) + nxt[e.dst] for e in edges if e.dst in nxt]
-            if costs:
-                cur[state] = min(costs)
-        togo.append(cur)
-    togo.reverse()
+    togo = _to_anchor(T, anchor)
     if anchor not in togo[0]:
         raise RuntimeError(f"no tailbiting path through {format_state(anchor)}")
     labels, state = [], anchor
     for adj, here, nxt in zip(T.adjacency, togo, togo[1:]):
-        c = here[state]
-        label, state = min((e.label, e.dst) for e in adj[state] if nxt.get(e.dst) == c - sum(e.label))
+        c = here[state][0]
+        label, state = min(
+            (e.label, e.dst) for e in adj[state] if e.dst in nxt and nxt[e.dst][0] == c - sum(e.label)
+        )
         labels.append(label)
-    return tuple(labels), togo[0][anchor]
+    return tuple(labels), togo[0][anchor][0]
 
 
 @lru_cache(maxsize=None)
@@ -88,19 +88,20 @@ def _dual_codes(G, H):
 
 
 def _cost_to_go(tables, zetas, rows):
-    """Per cut t, the (states x anchors) weight of the lightest way into each anchor at cut N."""
+    """Per cut t, the (states x anchors) weight of the lightest way into each anchor at cut N.
+
+    Row S, one past the last state, is never reached: the tables point
+    the rows of states without edges at it.
+    """
     N, A = len(zetas), len(rows)
-    cost = np.full((N + 1, len(tables.states), A), _UNREACHED, dtype=np.int32)
+    S = len(tables.states)
+    cost = np.full((N + 1, S + 1, A), _UNREACHED, dtype=np.int32)
     cost[N, rows, np.arange(A)] = 0
     for t in range(N - 1, -1, -1):
         sec = tables.sections[zetas[t]]
         via = cost[t + 1].take(sec.dst, axis=0)
         via += sec.weight
-        via = via.reshape(-1, sec.degree, A)
-        if sec.sources is None:
-            np.minimum.reduce(via, axis=1, out=cost[t])
-        else:
-            cost[t][sec.sources] = via.min(axis=1)
+        np.minimum.reduce(via, axis=1, out=cost[t, :S])
     return cost
 
 
@@ -108,9 +109,9 @@ def _traceback(tables, zetas, togo, state):
     """Smallest label sequence along which ``togo`` (one anchor's costs per cut) falls to 0."""
     labels, c = [], togo[0][state]
     for zeta, nxt in zip(zetas, togo[1:]):
-        for label, dst, w in tables.sections[zeta].out[state]:
+        for edge, dst, w in tables.sections[zeta].out[state]:
             if nxt[dst] == c - w:
-                labels.append(label)
+                labels.append(edge.label)
                 state, c = dst, c - w
                 break
     return tuple(labels)

@@ -8,10 +8,15 @@ exactly the error sequences whose subtraction from the received word
 leaves a tailbiting codeword.  The backward variant applies the same
 procedure to the reciprocal parity-check matrix and the time-reversed
 word; its paths are the forward paths read in reverse symbol order.
+
+The modules of one H are tabulated once, straight from the syndrome
+former's integer step table (``_search_tables``): the trellis builders
+read their edges from it and the decoder its index arrays.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -81,30 +86,20 @@ def tailbiting_syndromes(H, z):
     return SyndromeSequence(symbols=tuple(circular_run(H, z)[1]), kind="forward")
 
 
-@lru_cache(maxsize=None)
-def _module_table(H):
-    """The syndrome former's transitions, bucketed by the syndrome symbol they emit."""
-    table = {}
-    for sigma, e, nxt, zeta in syndrome_former(H).edges():
-        table.setdefault(zeta, []).append(Edge(src=sigma, label=e, dst=nxt))
-    return table
-
-
 class SearchSection(NamedTuple):
-    """One module over dense state indices, for the all-anchor search.
+    """The module of one syndrome symbol zeta over dense state indices.
 
-    Edges are sorted by source.  Every state in ``sources`` (None when that
-    is every state) has ``degree`` edges, because the inputs e with
-    eD = zeta + xC form a coset of the kernel of D or none.  ``dst`` and
-    ``weight`` (a column) give each edge's next state and label weight;
-    ``out`` lists, per state, its (label, next state, weight) edges in
-    label order.
+    Under zeta a state has ``degree`` edges or none, because the inputs e
+    with eD = zeta + xC form a coset of the kernel of D or none.  ``dst``
+    (states x degree) and ``weight`` (states x degree x 1) give each
+    edge's next state and label weight; the row of a state without edges
+    holds weight-0 edges into index S, one past the last state, which the
+    search never reaches.  ``out`` lists, per state, its edges in label
+    order as (``Edge``, next state index, weight).
     """
 
     dst: np.ndarray
     weight: np.ndarray
-    degree: int
-    sources: np.ndarray | None
     out: tuple
 
 
@@ -118,30 +113,34 @@ class SearchTables(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _search_tables(H):
-    """``_module_table`` as integer arrays, built in plain Python once per H."""
+    """The syndrome former's transitions bucketed by the syndrome symbol they emit.
+
+    Built once per H from the integer step table.  Inputs are visited in
+    ascending order, which is label order.
+    """
     sf = syndrome_former(H)
     index = {x: i for i, x in enumerate(sf.states)}
-    dense = {sf.state_tuples[x]: i for x, i in index.items()}
+    out = defaultdict(lambda: [[] for _ in index])
+    for i, x in enumerate(sf.states):
+        for e, label in enumerate(sf.in_tuples):
+            nxt, zeta = sf.step(x, e)
+            edge = Edge(src=sf.state_tuples[x], label=label, dst=sf.state_tuples[nxt])
+            out[sf.out_tuples[zeta]][i].append((edge, index[nxt], sum(label)))
     sections = {}
-    for zeta, edges in _module_table(H).items():
-        out = [[] for _ in index]
-        for e in sorted(edges, key=lambda e: e.label):
-            out[dense[e.src]].append((e.label, dense[e.dst], sum(e.label)))
-        sources = [i for i, es in enumerate(out) if es]
-        flat = [edge for i in sources for edge in out[i]]
+    for zeta, rows in out.items():
+        degree = max(len(es) for es in rows)
         sections[zeta] = SearchSection(
-            dst=np.array([d for _, d, _ in flat], dtype=np.intp),
-            weight=np.array([[w] for _, _, w in flat], dtype=np.int32),
-            degree=len(out[sources[0]]),
-            sources=None if len(sources) == len(out) else np.array(sources, dtype=np.intp),
-            out=tuple(tuple(es) for es in out),
+            dst=np.array([[d for _, d, _ in es] or [len(index)] * degree for es in rows], dtype=np.intp),
+            weight=np.array([[[w] for _, _, w in es] or [[0]] * degree for es in rows], dtype=np.int32),
+            out=tuple(tuple(es) for es in rows),
         )
     return SearchTables([sf.state_tuples[x] for x in sf.states], index, sections)
 
 
 def error_trellis_module(H, zeta):
     """All transitions (state, error symbol, next state) emitting ``zeta``."""
-    return list(_module_table(H).get(tuple(int(b) for b in zeta), ()))
+    sec = _search_tables(H).sections.get(tuple(int(b) for b in zeta))
+    return [edge for es in sec.out for edge, _, _ in es] if sec else []
 
 
 def _error_trellis(kind, H, z):

@@ -23,41 +23,48 @@ class ScalarParity:
     block_dims: tuple  # (r, n)
 
 
-def hscalar_terminated(H, N):
-    """Block-banded (N+M)r x Nn matrix: block (i, j) = H_{i-j}."""
+def _placement(H, N, kind):
+    """The block grid (rows, cols) of a scalar matrix and the m of each H_m in block (i, j)."""
+    M = H.deg
+    if kind == "tailbiting":
+        if N < M:
+            raise ValueError(f"need N >= M ({N} < {M})")
+        grid, members = (N, N), lambda i, j: [m for m in range(M + 1) if m % N == (i - j) % N]
+    elif kind == "terminated":
+        grid, members = (N + M, N), lambda i, j: [i - j] if 0 <= i - j <= M else []
+    else:
+        raise ValueError(f"unknown kind: {kind!r}")
     if N < 1:
         raise ValueError("need N >= 1 sections")
+    return grid, members
+
+
+def _hscalar(H, N, kind):
+    (rows, cols), members = _placement(H, N, kind)
     coeffs = H.coefficient_list()
-    M, r, n = H.deg, H.rows, H.cols
-    out = np.zeros(((N + M) * r, N * n), dtype=np.uint8)
-    for i in range(N + M):
-        for j in range(N):
-            if 0 <= i - j <= M:
-                out[i * r : (i + 1) * r, j * n : (j + 1) * n] = coeffs[i - j]
+    r, n = H.rows, H.cols
+    out = np.zeros((rows * r, cols * n), dtype=np.uint8)
+    for i in range(rows):
+        for j in range(cols):
+            for m in members(i, j):
+                out[i * r : (i + 1) * r, j * n : (j + 1) * n] ^= coeffs[m]
     out.flags.writeable = False
-    return ScalarParity(matrix=out, kind="terminated", n_sections=N, block_dims=(r, n))
+    return ScalarParity(matrix=out, kind=kind, n_sections=N, block_dims=(r, n))
+
+
+def hscalar_terminated(H, N):
+    """Block-banded (N+M)r x Nn matrix: block (i, j) = H_{i-j}."""
+    return _hscalar(H, N, "terminated")
 
 
 def hscalar_tailbiting(H, N):
     """Cyclic Nr x Nn matrix: block (i, j) collects H_m for m = (i-j) mod N.
 
-    Requires N >= M.  For N = M the main-diagonal H_M occupies the same
-    block as the wrapped H_M; coinciding contributions are summed over
-    GF(2).
+    Requires N >= M and N >= 1.  For N = M the main-diagonal H_M occupies
+    the same block as the wrapped H_M; coinciding contributions are summed
+    over GF(2).
     """
-    coeffs = H.coefficient_list()
-    M, r, n = H.deg, H.rows, H.cols
-    if N < M:
-        raise ValueError(f"need N >= M ({N} < {M})")
-    out = np.zeros((N * r, N * n), dtype=np.uint8)
-    for i in range(N):
-        for j in range(N):
-            block = out[i * r : (i + 1) * r, j * n : (j + 1) * n]
-            for m in range(M + 1):
-                if m % N == (i - j) % N:
-                    block ^= coeffs[m]
-    out.flags.writeable = False
-    return ScalarParity(matrix=out, kind="tailbiting", n_sections=N, block_dims=(r, n))
+    return _hscalar(H, N, "tailbiting")
 
 
 def is_tailbiting_codeword(P, y):
@@ -79,17 +86,7 @@ def annotate_blocks(H, N, kind="tailbiting"):
     Tokens name the coefficient matrices placed in each block ("H0",
     "H0+H2", or "." for a zero block).
     """
-    M = H.deg
-    if kind == "tailbiting":
-        if N < M:
-            raise ValueError(f"need N >= M ({N} < {M})")
-        rows, cols = N, N
-        members = lambda i, j: [m for m in range(M + 1) if m % N == (i - j) % N]
-    elif kind == "terminated":
-        rows, cols = N + M, N
-        members = lambda i, j: [m for m in range(M + 1) if m == i - j]
-    else:
-        raise ValueError(f"unknown kind: {kind!r}")
+    (rows, cols), members = _placement(H, N, kind)
     grid = [["+".join(f"H{m}" for m in members(i, j)) or "." for j in range(cols)] for i in range(rows)]
     width = max(len(tok) for row in grid for tok in row)
     return "\n".join(" ".join(tok.ljust(width) for tok in row).rstrip() for row in grid)

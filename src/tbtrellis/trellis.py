@@ -4,6 +4,11 @@ States are the bit tuples themselves (encoder registers row-major,
 syndrome-former cells in block order), so states match across modules
 without translation.  A tailbiting subtrellis is identified by its
 anchor: the state occupied at both cut 0 and cut N.
+
+Every subtrellis query (path count, path enumeration, the highlighted
+edges of ``to_dot`` and the decoder's ``min_weight_path``) reads one
+backward pass, ``_to_anchor``, that gives each state at each cut the
+least label weight and the number of its paths into the anchor.
 """
 
 from __future__ import annotations
@@ -68,32 +73,33 @@ def build_tailbiting_code_trellis(G, N):
     return _make_trellis("code", enc_state_space(G), [edges] * N)
 
 
-def count_paths(T, anchor):
-    """Number of tailbiting paths through the subtrellis at ``anchor``."""
-    _require_anchor(T, anchor)
-    counts = {anchor: 1}
-    for adj in T.adjacency:
-        nxt = {}
-        for state, c in counts.items():
-            for e in adj.get(state, ()):
-                nxt[e.dst] = nxt.get(e.dst, 0) + c
-        counts = nxt
-    return counts.get(anchor, 0)
-
-
 def _require_anchor(T, anchor):
     if anchor not in T.states_per_cut[0] or anchor not in T.states_per_cut[-1]:
         raise ValueError(f"state {format_state(anchor)} is not an anchor of this trellis")
 
 
-def _reach_back(T, anchor):
-    """Per-cut sets of states from which the anchor is reachable at cut N."""
-    back = [set() for _ in range(T.n_sections + 1)]
-    back[-1] = {anchor}
-    for t in range(T.n_sections - 1, -1, -1):
-        ok = back[t + 1]
-        back[t] = {e.src for e in T.sections[t] if e.dst in ok}
-    return back
+def _to_anchor(T, anchor):
+    """Per cut, {state: (least label weight, number of paths)} into ``anchor`` at cut N.
+
+    One backward pass over ``T.adjacency``.  Only states with a path into
+    the anchor appear, so cut 0 holds the anchor iff its subtrellis has a
+    tailbiting path.  Raises unless ``anchor`` is an anchor of T.
+    """
+    _require_anchor(T, anchor)
+    cuts = [{anchor: (0, 1)}]
+    for adj in reversed(T.adjacency):
+        nxt, cur = cuts[-1], {}
+        for state, edges in adj.items():
+            ways = [(sum(e.label) + nxt[e.dst][0], nxt[e.dst][1]) for e in edges if e.dst in nxt]
+            if ways:
+                cur[state] = (min(w for w, _ in ways), sum(c for _, c in ways))
+        cuts.append(cur)
+    return cuts[::-1]
+
+
+def count_paths(T, anchor):
+    """Number of tailbiting paths through the subtrellis at ``anchor``."""
+    return _to_anchor(T, anchor)[0].get(anchor, (0, 0))[1]
 
 
 def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
@@ -102,10 +108,10 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
     Each path is a (labels, states) pair: N edge labels and N+1 states.
     Raises if the subtrellis holds more than ``max_paths`` paths.
     """
-    total = count_paths(T, anchor)
+    cuts = _to_anchor(T, anchor)
+    total = cuts[0].get(anchor, (0, 0))[1]
     if total > max_paths:
         raise ValueError(f"subtrellis has {total} paths, exceeding the bound {max_paths}")
-    back = _reach_back(T, anchor)
     paths = []
     stack = [((), (anchor,))]
     while stack:
@@ -115,7 +121,7 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
             paths.append((labels, states))
             continue
         for e in T.adjacency[t].get(states[-1], ()):
-            if e.dst in back[t + 1]:
+            if e.dst in cuts[t + 1]:
                 stack.append((labels + (e.label,), states + (e.dst,)))
     paths.sort(key=lambda p: (p[0], p[1]))
     return paths
@@ -123,16 +129,12 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
 
 def _subtrellis_edges(T, anchor):
     """Edges lying on at least one tailbiting path of the subtrellis."""
-    back = _reach_back(T, anchor)
-    fwd = [set() for _ in range(T.n_sections + 1)]
-    fwd[0] = {anchor}
-    for t in range(T.n_sections):
-        fwd[t + 1] = {e.dst for e in T.sections[t] if e.src in fwd[t]}
-    chosen = set()
-    for t, section in enumerate(T.sections):
-        for e in section:
-            if e.src in fwd[t] and e.dst in back[t + 1]:
-                chosen.add((t, e))
+    cuts = _to_anchor(T, anchor)
+    chosen, here = set(), {anchor}
+    for t, adj in enumerate(T.adjacency):
+        on = [e for s in here for e in adj.get(s, ()) if e.dst in cuts[t + 1]]
+        chosen.update((t, e) for e in on)
+        here = {e.dst for e in on}
     return chosen
 
 

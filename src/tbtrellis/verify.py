@@ -1,7 +1,8 @@
 """Self-verification suites: every construction against a brute-force oracle.
 
 All suites work at desk scale (exhaustive enumeration of the 2^(Nk)
-tailbiting codewords) and are deterministic given a seed.  They back the
+tailbiting codewords, which ``run_all`` encodes once and hands to the
+suites that need them) and are deterministic given a seed.  They back the
 ``verify`` CLI command; the same properties are frozen individually in
 the test suite.
 
@@ -99,10 +100,8 @@ def suite_superposition(H, rng, trials=1000):
     return True
 
 
-def suite_zero_syndrome(G, H, N):
+def suite_zero_syndrome(G, H, by_anchor):
     """Codewords traverse the syndrome former from their dual anchor silently."""
-    by_anchor, _ = _codeword_table(G, N)
-    r = H.rows
     for beta, words in by_anchor.items():
         start = dual_state_of(G, H, beta)
         for y in words:
@@ -112,9 +111,8 @@ def suite_zero_syndrome(G, H, N):
     return True
 
 
-def suite_set_equality(G, H, N, rng, words=5):
+def suite_set_equality(G, H, N, by_anchor, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis."""
-    by_anchor, _ = _codeword_table(G, N)
     for z in _draw(rng, words, [H.cols] * N):
         fin = sigma_fin(H, z)
         T = build_tailbiting_error_trellis(H, z)
@@ -139,12 +137,11 @@ def suite_eta_zeta(H, N, rng, trials=1000):
     return True
 
 
-def suite_hscalar_membership(G, H, N, rng, trials=1000):
+def suite_hscalar_membership(H, N, flat, rng, trials=1000):
     """Matrix membership == zero syndrome sequence == exhaustive codeword set."""
     n = H.cols
     draws = _draw(rng, trials, [N * n])
-    _, flat = _codeword_table(G, N)
-    codewords = {tuple(int(b) for b in row) for row in flat}
+    codewords = {tuple(row) for row in flat.tolist()}
     P = hscalar_tailbiting(H, N)
     for y in codewords:
         if not is_tailbiting_codeword(P, y):
@@ -158,11 +155,10 @@ def suite_hscalar_membership(G, H, N, rng, trials=1000):
     return True
 
 
-def suite_decoder_oracle(G, H, N, rng, trials=1000):
+def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
     """Decoder weight equals the exhaustive minimum distance, every time."""
     n = H.cols
     words = _bits(rng, trials, N * n)
-    _, flat = _codeword_table(G, N)
     table = np.packbits(flat, axis=1)
     per_block = max(1, DISTANCE_BLOCK // table.size)
     for start in range(0, trials, per_block):
@@ -189,11 +185,12 @@ def run_all(G, H, N, seed=1, trials=1000):
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
     rng = np.random.default_rng(seed)
+    by_anchor, flat = _codeword_table(G, N)
     return [
         ("superposition", suite_superposition(H, rng, trials)),
-        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, N)),
-        ("subtrellis-set-equality", suite_set_equality(G, H, N, rng)),
+        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, by_anchor)),
+        ("subtrellis-set-equality", suite_set_equality(G, H, N, by_anchor, rng)),
         ("eta-zeta-correspondence", suite_eta_zeta(H, N, rng, trials)),
-        ("hscalar-membership", suite_hscalar_membership(G, H, N, rng, trials)),
-        ("decoder-oracle", suite_decoder_oracle(G, H, N, rng, trials)),
+        ("hscalar-membership", suite_hscalar_membership(H, N, flat, rng, trials)),
+        ("decoder-oracle", suite_decoder_oracle(G, H, N, flat, rng, trials)),
     ]

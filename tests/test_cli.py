@@ -224,3 +224,25 @@ def test_verify_anchor_collision_exits_one(capsys, colliding_code_file):
     assert code == 1 and out == ""
     assert err.startswith("tbtrellis: error: ") and err.count("\n") == 1
     assert "colliding error-subtrellis anchors" in err
+
+
+def test_highlight_of_a_state_that_is_not_an_anchor_exits_one(capsys, code_file):
+    for argv, state in (
+        (["code-trellis", "--code", code_file, "-N", "2"], "(1,1,1)"),
+        (["error-trellis", "--code", code_file, "--received", "111"], "(0,1,0)"),
+        (["backward-error-trellis", "--code", code_file, "--received", "111"], "(0,1,0)"),
+    ):
+        code, out, err = run(capsys, *argv, "--highlight", state)
+        assert code == 1 and out == ""
+        assert err == f"tbtrellis: error: state {state} is not an anchor of this trellis\n"
+
+
+def test_hscalar_of_a_memoryless_code_rejects_zero_sections(capsys, tmp_path):
+    path = tmp_path / "memoryless.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "G": [["1", "1"]], "H": [["1", "1"]]}))
+    for kind in ("tailbiting", "terminated"):
+        code, out, err = run(capsys, "hscalar", "--code", str(path), "-N", "0", "--kind", kind)
+        assert code == 1 and out == ""
+        assert err == "tbtrellis: error: need N >= 1 sections\n"
+    code, out, _ = run(capsys, "hscalar", "--code", str(path), "-N", "2")
+    assert code == 0 and out == "1100\n0011\nsize 2x4 rank 2\n"

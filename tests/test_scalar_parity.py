@@ -180,3 +180,30 @@ def test_tailbiting_syndromes_equal_matrix_product_with_pinned_cells():
                 zetas = tailbiting_syndromes(H, [bits[i : i + 3] for i in range(0, len(bits), 3)])
                 assert flat(zetas) == tuple(int(b) for b in (P.matrix.astype(int) @ y) % 2)
                 assert is_tailbiting_codeword(P, y) == (not any(flat(zetas)))
+
+
+@pytest.mark.parametrize("kind, build", [("tailbiting", hscalar_tailbiting), ("terminated", hscalar_terminated)])
+def test_each_block_is_the_sum_of_the_coefficients_annotate_blocks_names(H1, H2, kind, build):
+    for H, N in ((H1, 1), (H1, 4), (H2, 2), (H2, 3), (H2, 6)):
+        coeffs = H.coefficient_list()
+        r, n = H.rows, H.cols
+        grid = [row.split() for row in annotate_blocks(H, N, kind=kind).splitlines()]
+        P = build(H, N).matrix
+        assert P.shape == (len(grid) * r, N * n)
+        for i, row in enumerate(grid):
+            assert len(row) == N
+            for j, token in enumerate(row):
+                want = np.zeros((r, n), dtype=np.uint8)
+                for name in token.split("+") if token != "." else []:
+                    want ^= coeffs[int(name[1:])]
+                assert np.array_equal(P[i * r : (i + 1) * r, j * n : (j + 1) * n], want), (kind, N, i, j)
+
+
+def test_memoryless_code_rejects_zero_sections_in_every_kind():
+    H = poly_from_strings([["1", "1"]])
+    for build in (hscalar_tailbiting, hscalar_terminated):
+        with pytest.raises(ValueError, match="need N >= 1 sections"):
+            build(H, 0)
+    for kind in ("tailbiting", "terminated"):
+        with pytest.raises(ValueError, match="need N >= 1 sections"):
+            annotate_blocks(H, 0, kind=kind)

@@ -1,6 +1,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from tbtrellis import (
@@ -9,12 +10,20 @@ from tbtrellis import (
     build_tailbiting_code_trellis,
     build_tailbiting_error_trellis,
     count_paths,
+    enc_state_space,
     enumerate_paths,
+    error_anchor,
+    format_bits,
+    format_state,
+    min_weight_path,
+    poly_from_strings,
+    sigma_fin,
     to_dot,
     to_json,
+    xor_states,
 )
 
-from oracle import all_tailbiting, flat
+from oracle import all_tailbiting, coeffs_from_strings, flat
 
 
 def test_number_of_subtrellises(G1):
@@ -144,3 +153,52 @@ def test_json_export_schema(G1):
         for edge in section:
             assert set(edge) == {"from", "label", "to"}
             assert re.fullmatch(r"[01]{3}", edge["label"])
+
+
+def test_dot_highlight_rejects_a_state_that_is_not_an_anchor(G1, H1):
+    for T, state in (
+        (build_tailbiting_code_trellis(G1, 2), (1, 1, 1)),
+        (build_tailbiting_error_trellis(H1, [(1, 1, 1)]), (0, 1, 0)),
+    ):
+        with pytest.raises(ValueError, match=r"is not an anchor of this trellis"):
+            to_dot(T, highlight=state)
+
+
+# H_0 = 0: under each syndrome symbol only half of the states have edges
+H0_ZERO_STRINGS = ([["11", "1"]], [["01", "011"]])
+
+
+def _bold_edges(dot):
+    return {line.split(" style=bold")[0] for line in dot.splitlines() if "style=bold" in line}
+
+
+def _path_edges(paths):
+    return {
+        f'\t"{t}|{format_state(states[t])}" -> "{t + 1}|{format_state(states[t + 1])}"'
+        f' [label="{format_bits(label)}"'
+        for labels, states in paths
+        for t, label in enumerate(labels)
+    }
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_subtrellis_queries_agree_on_states_without_edges(N):
+    g, h = H0_ZERO_STRINGS
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    by_anchor, _ = all_tailbiting(coeffs_from_strings(g), N, G.rows, G.deg)
+    rng = np.random.default_rng(N)
+    for _ in range(4):
+        z = [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]
+        T = build_tailbiting_error_trellis(H, z)
+        fin = sigma_fin(H, z)
+        total = 0
+        for beta in enc_state_space(G):
+            anchor = error_anchor(beta, fin, G, H)
+            paths = enumerate_paths(T, anchor)
+            assert count_paths(T, anchor) == len(paths)
+            total += len(paths)
+            shifted = {tuple(xor_states(zs, es) for zs, es in zip(z, labels)) for labels, _ in paths}
+            assert shifted == set(by_anchor[beta])
+            assert min_weight_path(T, anchor)[1] == min(sum(flat(labels)) for labels, _ in paths)
+            assert _bold_edges(to_dot(T, highlight=anchor)) == _path_edges(paths)
+        assert total == 2 ** (N * G.rows)

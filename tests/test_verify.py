@@ -195,3 +195,17 @@ def test_all_suites_pass_on_4096_codewords(G1, H1):
     results = verify.run_all(G1, H1, 12, seed=1, trials=50)
     assert [name for name, _ in results] == EXPECTED_SUITES
     assert all(ok for _, ok in results)
+
+
+def test_run_all_encodes_each_codeword_once(monkeypatch, G1, H1):
+    calls = []
+    real = verify.tailbiting_encode
+
+    def counting_encode(G, u):
+        calls.append(u)
+        return real(G, u)
+
+    monkeypatch.setattr(verify, "tailbiting_encode", counting_encode)
+    N = 5
+    assert all(ok for _, ok in verify.run_all(G1, H1, N, seed=1, trials=20))
+    assert len(calls) == 2 ** (N * G1.rows)
