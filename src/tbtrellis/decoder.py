@@ -3,13 +3,23 @@
 Decoding a tailbiting received word is exact maximum-likelihood for the
 binary symmetric channel.  Code subtrellis beta corresponds to the error
 subtrellis anchored at sigma_fin + dual(beta), so all S anchors share one
-error trellis and are searched together: a backward min-plus pass keeps,
-per cut, an int32 (states x anchors) matrix of the weight still to go
-into each anchor at cut N, built from the integer module tables of
-``error_trellis``.  A cut is one gather of the next cut's rows, an add and
-a minimum over each state's edges; states without edges under a syndrome
-symbol read one extra, never reached row.  The pass holds (N+1) such
-matrices, under 1 MB for 64 states at N=48.
+error trellis and are searched together, in backward min-plus passes
+over the merged tables of ``error_trellis._search_tables``: a table
+covers m consecutive sections (m fixed per H by ``TABLE_BUDGET``; the
+N mod m sections left over use the 1-section tables), so a pass makes
+floor(N/m) + N mod m steps.  A pass keeps, per step, an int32 (columns x
+states) matrix of the weight still to go into each column's end states
+at cut N: a gather of the next step's costs along every merged edge, an
+add and a minimum over each state's edges.  Edges that die inside a
+merged section end in one extra, never reached state.
+
+Pruning is exact.  Where a pass over all anchors would exceed the
+table budget (the 64-state K=7 code, not the 4-state reference code), a
+first pass with one column that may end anywhere gives each anchor a
+lower bound ``lb`` on its weight.
+The anchors of least ``lb`` are searched, giving weight w, then every
+other anchor with ``lb <= w``; an anchor left out has ``lb > w``, so it
+can neither win nor tie.  Otherwise all anchors are searched in one pass.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the weights of the backward pass that every
@@ -17,15 +27,18 @@ subtrellis query in ``trellis`` shares.
 
 Ties inside a subtrellis resolve to the lexicographically smallest label
 sequence: from each anchor reaching the minimum, a forward walk takes the
-smallest label whose weight plus the next cut's cost equals the current
-cost.  Ties across anchors set the ``tie`` flag and resolve to the
-smallest label sequence, then the smallest anchor.
+first merged edge, in concatenated-label order, whose weight plus the
+next step's cost equals the current cost.  Ties across anchors set the
+``tie`` flag and resolve to the smallest label sequence, then the
+smallest anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+from operator import xor
 
 import numpy as np
 
@@ -44,8 +57,22 @@ class AnchorCollisionError(RuntimeError):
 
 @dataclass(frozen=True)
 class DecodeResult:
-    codeword: tuple  # flat Nn bits
-    error: tuple  # flat Nn bits
+    """The outcome of one exact minimum-weight decoding.
+
+    ``codeword`` (flat N*n bits) is a tailbiting codeword nearest the
+    received word, and ``error`` (flat N*n bits) the received word minus
+    it; ``weight`` is the Hamming weight of ``error``, the distance from
+    the received word to the code.  ``anchor_beta`` is the encoder state
+    at cuts 0 and N of ``codeword``, and ``anchor_sigma`` the state of
+    the error subtrellis holding ``error``, sigma_fin + dual(beta).
+    ``tie`` is true exactly when more than one anchor reaches ``weight``;
+    two optimal error paths inside one subtrellis read ``tie=False``.
+    Of all optimal error sequences, ``error`` is the lexicographically
+    smallest, read bit by bit; the anchors are the ones it passes.
+    """
+
+    codeword: tuple
+    error: tuple
     weight: int
     anchor_beta: tuple
     anchor_sigma: tuple
@@ -75,7 +102,7 @@ def min_weight_path(T, anchor):
 
 @lru_cache(maxsize=None)
 def _dual_codes(G, H):
-    """Encoder states and the syndrome-former integer of each one's dual state."""
+    """Encoder states and the syndrome-former integers of their dual states."""
     betas = enc_state_space(G)
     sf = syndrome_former(H)
     duals = [sf.state(dual_state_of(G, H, beta)) for beta in betas]
@@ -84,63 +111,92 @@ def _dual_codes(G, H):
             "encoder states map onto colliding error-subtrellis anchors; "
             "the dual-state labeling is not one-to-one for this G/H pair"
         )
-    return betas, duals
+    return betas, np.array(duals)
 
 
-def _cost_to_go(tables, zetas, rows):
-    """Per cut t, the (states x anchors) weight of the lightest way into each anchor at cut N.
+def _min_plus(sections, end):
+    """Per section cut, the (columns x states + 1) least weight still to go into ``end``.
 
-    Row S, one past the last state, is never reached: the tables point
-    the rows of states without edges at it.
+    ``end`` holds each column's cost per state at cut N.  State S, one
+    past the last, is never reached: the tables point dead edges at it.
     """
-    N, A = len(zetas), len(rows)
-    S = len(tables.states)
-    cost = np.full((N + 1, S + 1, A), _UNREACHED, dtype=np.int32)
-    cost[N, rows, np.arange(A)] = 0
-    for t in range(N - 1, -1, -1):
-        sec = tables.sections[zetas[t]]
-        via = cost[t + 1].take(sec.dst, axis=0)
+    cost = np.full((len(sections) + 1, *end.shape), _UNREACHED, dtype=np.int32)
+    cost[-1] = end
+    for t in range(len(sections) - 1, -1, -1):
+        sec = sections[t]
+        via = cost[t + 1].take(sec.dst, axis=1)
         via += sec.weight
-        np.minimum.reduce(via, axis=1, out=cost[t, :S])
+        np.minimum.reduce(via, axis=1, out=cost[t, :, :-1])
     return cost
 
 
-def _traceback(tables, zetas, togo, state):
-    """Smallest label sequence along which ``togo`` (one anchor's costs per cut) falls to 0."""
+@lru_cache(maxsize=None)
+def _ends(S):
+    """Costs at cut N over S states and state S: row s < S ends in s alone, row S anywhere."""
+    ends = np.full((S + 1, S + 1), _UNREACHED, dtype=np.int32)
+    np.fill_diagonal(ends[:S], 0)
+    ends[S, :S] = 0
+    return ends
+
+
+def _search(sections, ends, rows):
+    """One min-plus pass with one column per anchor row: (costs, each anchor's weight)."""
+    cost = _min_plus(sections, ends[rows])
+    return cost, cost[0, np.arange(len(rows)), rows]
+
+
+def _traceback(sections, togo, state):
+    """Smallest label sequence along which ``togo`` (one column's costs per cut) falls to 0.
+
+    Returns the label integer of each section's edge.
+    """
     labels, c = [], togo[0][state]
-    for zeta, nxt in zip(zetas, togo[1:]):
-        for edge, dst, w in tables.sections[zeta].out[state]:
+    for sec, nxt in zip(sections, togo[1:]):
+        for label, dst, w in sec.out[state]:
             if nxt[dst] == c - w:
-                labels.append(edge.label)
+                labels.append(label)
                 state, c = dst, c - w
                 break
-    return tuple(labels)
+    return labels
 
 
 def decode_tailbiting(G, H, z):
     """Exact minimum-weight tailbiting decoding of the received word z."""
-    z = [tuple(int(b) for b in sym) for sym in z]
+    z = [tuple(map(int, sym)) for sym in z]
     if not z:
         raise ValueError("a trellis needs at least one section")
     fin, zetas = circular_run(H, z)
     betas, duals = _dual_codes(G, H)
     tables = _search_tables(H)
-    f = syndrome_former(H).state(fin)
-    rows = [tables.index[f ^ d] for d in duals]
-    cost = _cost_to_go(tables, zetas, rows)
-    weights = cost[0, rows, np.arange(len(rows))]
-    w = int(weights.min())
+    rows = tables.index[syndrome_former(H).state(fin) ^ duals]
+    m, N, n = tables.m, len(zetas), H.cols
+    cut = N - N % m
+    sections = [tables.sections[tuple(zetas[t : t + m])] for t in range(0, cut, m)]
+    sections += [tables.sections[(zeta,)] for zeta in zetas[cut:]]
+    ends = _ends(len(tables.states))
+    if tables.prune:
+        lb = _min_plus(sections, ends[-1:])[0, 0, rows]
+        first = np.flatnonzero(lb == lb.min())
+    else:
+        first = np.arange(len(rows))
+    passes = [(first, *_search(sections, ends, rows[first]))]
+    w = int(passes[0][2].min())
+    if tables.prune:
+        # no anchor whose bound exceeds w can reach w
+        rest = np.flatnonzero((lb > lb.min()) & (lb <= w))
+        if len(rest):
+            passes.append((rest, *_search(sections, ends, rows[rest])))
+            w = min(w, int(passes[1][2].min()))
     if w >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    winners = np.flatnonzero(weights == w).tolist()
+    winners = [(anchors[j], cost[:, j]) for anchors, cost, weights in passes for j in np.flatnonzero(weights == w)]
     labels, sigma, beta = min(
-        (_traceback(tables, zetas, cost[:, :, i].tolist(), rows[i]), tables.states[rows[i]], betas[i])
-        for i in winners
+        (_traceback(sections, togo.tolist(), rows[i]), tables.states[rows[i]], betas[i]) for i, togo in winners
     )
-    error = tuple(b for sym in labels for b in sym)
-    codeword = tuple(b ^ e for b, e in zip((b for sym in z for b in sym), error))
+    widths = [m * n] * (cut // m) + [n] * (N - cut)
+    error = tuple(map(int, "".join(format(v, f"0{width}b") for v, width in zip(labels, widths))))
     return DecodeResult(
-        codeword=codeword,
+        codeword=tuple(map(xor, chain.from_iterable(z), error)),
         error=error,
         weight=w,
         anchor_beta=beta,

@@ -86,16 +86,25 @@ def tailbiting_syndromes(H, z):
     return SyndromeSequence(symbols=tuple(circular_run(H, z)[1]), kind="forward")
 
 
-class SearchSection(NamedTuple):
-    """The module of one syndrome symbol zeta over dense state indices.
+# entries the merged tables of one H may hold: it sets m, the number of
+# sections merged into one table, and whether the decoder's all-anchor
+# pass (states x merged edges x anchors) is small enough to skip pruning
+TABLE_BUDGET = 1 << 12
 
-    Under zeta a state has ``degree`` edges or none, because the inputs e
-    with eD = zeta + xC form a coset of the kernel of D or none.  ``dst``
-    (states x degree) and ``weight`` (states x degree x 1) give each
-    edge's next state and label weight; the row of a state without edges
-    holds weight-0 edges into index S, one past the last state, which the
-    search never reaches.  ``out`` lists, per state, its edges in label
-    order as (``Edge``, next state index, weight).
+
+class SearchSection(NamedTuple):
+    """The merged module of one run of syndrome symbols over dense state indices.
+
+    Under one symbol zeta a state has ``degree`` edges or none, because the
+    inputs e with eD = zeta + xC form a coset of the kernel of D or none;
+    over m symbols it has degree^m merged edges, ordered by their
+    concatenated labels.  ``dst`` and ``weight`` (degree^m x states) give
+    each merged edge's end state and label weight; an edge that dies
+    inside the run, as all of an edge-less state's do, ends in index S,
+    one past the last state, which the search never reaches.  ``out``
+    lists, per state, its live edges in label order as (label, end state
+    index, weight), the label being the integer of the concatenated
+    error symbols.
     """
 
     dst: np.ndarray
@@ -104,43 +113,93 @@ class SearchSection(NamedTuple):
 
 
 class SearchTables(NamedTuple):
-    """The modules of one H keyed by syndrome symbol; states in ``sf_state_space`` order."""
+    """The search tables of one H; states in ``sf_state_space`` order.
+
+    ``sections`` is keyed by runs of syndrome symbols: every 1-tuple and,
+    for m > 1, every m-tuple of the symbols the syndrome former emits.
+    ``prune`` is true when a pass over all S anchor columns would exceed
+    ``TABLE_BUDGET`` entries per section; ``modules`` holds each symbol's
+    transitions as ``Edge``s.
+    """
 
     states: list
-    index: dict  # syndrome-former state integer -> dense index
+    index: np.ndarray  # syndrome-former state integer -> dense index, -1 if pinned
+    m: int
     sections: dict
+    prune: bool
+    modules: dict
+
+
+def _merge(run, single, n):
+    """The (dst, label) stacks of every run extended by one more symbol.
+
+    A stack holds one (states + 1 x edges) table per run of symbols, with
+    an edge-less row S; runs are extended in order, symbols ascending,
+    and each merged label appends the n-bit label of the next edge.
+    """
+    dst, label = run
+    nxt = np.arange(len(single[0]))[None, :, None, None], dst[:, None]
+    shape = (-1, dst.shape[1], dst.shape[2] * single[0].shape[2])
+    return single[0][nxt].reshape(shape), ((label[:, None, :, :, None] << n) | single[1][nxt]).reshape(shape)
+
+
+def _section(dst, label):
+    """The SearchSection of one (states + 1 x edges) table; a label's weight is its popcount."""
+    S = len(dst) - 1
+    weight = np.bitwise_count(label[:S]).astype(np.int32)
+    rows = zip(label[:S].tolist(), dst[:S].tolist(), weight.tolist())
+    out = tuple(tuple(edge for edge in zip(*row) if edge[1] != S) for row in rows)
+    return SearchSection(np.ascontiguousarray(dst[:S].T), np.ascontiguousarray(weight.T), out)
 
 
 @lru_cache(maxsize=None)
 def _search_tables(H):
-    """The syndrome former's transitions bucketed by the syndrome symbol they emit.
+    """The syndrome former's transitions bucketed by the syndrome symbols they emit.
 
-    Built once per H from the integer step table.  Inputs are visited in
-    ascending order, which is label order.
+    Built once per H from the integer step table: one table per symbol,
+    then, with numpy, one per m-tuple of symbols, m the largest run whose
+    tables fit ``TABLE_BUDGET``.  Inputs are visited in ascending order,
+    which is label order, so merged edges in index order are in
+    concatenated-label order.
     """
     sf = syndrome_former(H)
-    index = {x: i for i, x in enumerate(sf.states)}
-    out = defaultdict(lambda: [[] for _ in index])
+    S = len(sf.states)
+    index = np.full(len(sf.state_tuples), -1, dtype=np.intp)
+    index[sf.states] = np.arange(S)
+    states = [sf.state_tuples[x] for x in sf.states]
+    out = defaultdict(lambda: [[] for _ in range(S)])
     for i, x in enumerate(sf.states):
-        for e, label in enumerate(sf.in_tuples):
+        for e in range(len(sf.in_tuples)):
             nxt, zeta = sf.step(x, e)
-            edge = Edge(src=sf.state_tuples[x], label=label, dst=sf.state_tuples[nxt])
-            out[sf.out_tuples[zeta]][i].append((edge, index[nxt], sum(label)))
-    sections = {}
-    for zeta, rows in out.items():
-        degree = max(len(es) for es in rows)
-        sections[zeta] = SearchSection(
-            dst=np.array([[d for _, d, _ in es] or [len(index)] * degree for es in rows], dtype=np.intp),
-            weight=np.array([[[w] for _, _, w in es] or [[0]] * degree for es in rows], dtype=np.int32),
-            out=tuple(tuple(es) for es in rows),
-        )
-    return SearchTables([sf.state_tuples[x] for x in sf.states], index, sections)
+            out[sf.out_tuples[zeta]][i].append((e, int(index[nxt])))
+    symbols = sorted(out)
+    degree = max(len(es) for rows in out.values() for es in rows)
+    dst = np.full((len(symbols), S + 1, degree), S, dtype=np.intp)
+    label = np.zeros_like(dst)
+    for z, zeta in enumerate(symbols):
+        for i, es in enumerate(out[zeta]):
+            if es:
+                label[z, i], dst[z, i] = zip(*es)
+    single = dst, label
+    m = 1
+    while (len(symbols) * degree) ** (m + 1) * S <= TABLE_BUDGET:
+        m += 1
+    run, keys = single, [(zeta,) for zeta in symbols]
+    sections = {key: _section(*t) for key, t in zip(keys, zip(*single))}
+    for _ in range(m - 1):
+        run = _merge(run, single, H.cols)
+        keys = [key + (zeta,) for key in keys for zeta in symbols]
+    sections.update({key: _section(*t) for key, t in zip(keys, zip(*run)) if len(key) > 1})
+    modules = {
+        zeta: tuple(Edge(states[i], sf.in_tuples[e], states[j]) for i, es in enumerate(rows) for e, j in es)
+        for zeta, rows in out.items()
+    }
+    return SearchTables(states, index, m, sections, S * S * degree**m > TABLE_BUDGET, modules)
 
 
 def error_trellis_module(H, zeta):
     """All transitions (state, error symbol, next state) emitting ``zeta``."""
-    sec = _search_tables(H).sections.get(tuple(int(b) for b in zeta))
-    return [edge for es in sec.out for edge, _, _ in es] if sec else []
+    return list(_search_tables(H).modules.get(tuple(int(b) for b in zeta), ()))
 
 
 def _error_trellis(kind, H, z):

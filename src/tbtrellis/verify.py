@@ -180,6 +180,8 @@ def run_all(G, H, N, seed=1, trials=1000):
     """Run every suite; returns [(name, passed)] in a fixed order."""
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
+    if N < H.deg:
+        raise ValueError(f"-N {N} is below M={H.deg}, the memory of H")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
     if N * G.rows > EXHAUSTIVE_BITS:

@@ -60,6 +60,21 @@ def all_tailbiting(g_coeffs, N, k, L):
     return by_anchor, np.array(rows, dtype=np.uint8)
 
 
+def tailbiting_codebook(g_coeffs, N, k):
+    """All 2^(N*k) tailbiting codewords as flat rows, spanned from the unit-input codewords.
+
+    Tailbiting encoding is linear, so the codebook is the GF(2) span of
+    the codewords of the N*k inputs with a single 1.
+    """
+    table = np.zeros((1, N * g_coeffs[0].shape[1]), dtype=np.uint8)
+    for t in range(N):
+        for q in range(k):
+            u = [tuple(int(s == t and j == q) for j in range(k)) for s in range(N)]
+            row = np.array(flat(circ_encode(g_coeffs, u)), dtype=np.uint8)
+            table = np.vstack([table, table ^ row])
+    return table
+
+
 def term_encode(g_coeffs, u_syms):
     """Terminated (non-circular) encoding: y_t = sum_i u_{t-i} G_i, u_t = 0 outside."""
     N = len(u_syms)

@@ -4,7 +4,7 @@ import pytest
 
 from tbtrellis.cli import main
 
-from conftest import G1_STRINGS, H1_STRINGS, RECEIVED
+from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RECEIVED
 
 
 def run(capsys, *argv):
@@ -159,6 +159,16 @@ def test_verify_rejects_negative_trials_and_length(capsys, code_file):
     code, out, _ = run(capsys, "verify", "--code", code_file, "-N", "3", "--trials", "0")
     assert code == 0
     assert len(out.splitlines()) == 6 and all(line.endswith(": PASS") for line in out.splitlines())
+
+
+def test_verify_rejects_n_below_the_memory_of_h(capsys, tmp_path):
+    path = tmp_path / "mem2.json"
+    path.write_text(json.dumps({"n": 2, "k": 1, "G": G2_STRINGS, "H": H2_STRINGS}))
+    code, out, err = run(capsys, "verify", "--code", str(path), "-N", "1")
+    assert (code, out) == (1, "")
+    assert err == "tbtrellis: error: -N 1 is below M=2, the memory of H\n"
+    code, out, _ = run(capsys, "verify", "--code", str(path), "-N", "2", "--trials", "20")
+    assert code == 0 and len(out.splitlines()) == 6 and all(l.endswith(": PASS") for l in out.splitlines())
 
 
 def test_missing_matrix_for_command(capsys, tmp_path):

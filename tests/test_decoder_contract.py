@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tbtrellis.decoder as decoder
 import tbtrellis.error_trellis as error_trellis
 from tbtrellis import (
     DecodeResult,
@@ -27,7 +28,7 @@ from tbtrellis import (
 from tbtrellis.state_machines import LinearMachine
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS
-from oracle import flat
+from oracle import circ_encode, coeffs_from_strings, flat
 
 K7_STRINGS = ([["1011011", "1111001"]], [["1111001", "1011011"]])
 CODES = {
@@ -79,6 +80,79 @@ def test_decode_matches_per_subtrellis_reference(name):
         assert res == reference_decode(G, H, z), (N, z)
         ties += res.tie
     assert ties, f"expected a tie among {words} random words"
+
+
+def low_noise_k7_words(count, seed, N=48, p=0.03):
+    """Oracle codewords of the K=7 code at length N, each bit flipped with probability p."""
+    g = coeffs_from_strings(K7_STRINGS[0])
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(count):
+        y = circ_encode(g, [(int(b),) for b in rng.integers(0, 2, N)])
+        flips = (rng.random((N, 2)) < p).astype(int).tolist()
+        words.append([tuple(b ^ f for b, f in zip(sym, row)) for sym, row in zip(y, flips)])
+    return words
+
+
+def test_decode_matches_per_subtrellis_reference_on_low_noise_k7_words():
+    G, H = (poly_from_strings(s) for s in K7_STRINGS)
+    for z in low_noise_k7_words(4, 71):
+        assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), z
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_decode_matches_per_subtrellis_reference_at_every_section_remainder(name):
+    """Lengths M..M+m: every N mod m for the m of H's merged tables, and N < m where M < m."""
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    m, low = error_trellis._search_tables(H).m, max(H.deg, 1)
+    lengths = range(low, low + m + 1)
+    assert {N % m for N in lengths} == set(range(m))
+    rng = np.random.default_rng(89)
+    for N in lengths:
+        for _ in range(2 if name == "k7" else 6):
+            z = [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]
+            assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), (N, z)
+
+
+def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
+    """Columns per pass: a 1-column bound pass, then few anchors, sometimes a second set."""
+    columns = []
+    real_min_plus = decoder._min_plus
+
+    def recording_min_plus(sections, end):
+        columns[-1].append(len(end))
+        return real_min_plus(sections, end)
+
+    monkeypatch.setattr(decoder, "_min_plus", recording_min_plus)
+    G, H = (poly_from_strings(s) for s in K7_STRINGS)
+    S = len(error_trellis._search_tables(H).states)
+    for z in low_noise_k7_words(200, 7):
+        columns.append([])
+        decode_tailbiting(G, H, z)
+    assert all(c[0] == 1 and len(c) in (2, 3) for c in columns)
+    searched = [sum(c[1:]) for c in columns]
+    assert max(searched) <= S and sum(searched) < len(columns) * S / 8
+    assert any(len(c) == 3 for c in columns)
+    # a 4-state code searches every anchor in one pass, without a bound pass
+    G, H = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
+    columns.clear()
+    for z in ([(1, 0, 1)] * 5, [(0, 1, 1)] * 16):
+        columns.append([])
+        decode_tailbiting(G, H, z)
+    assert columns == [[4], [4]]
+
+
+def test_pruned_search_equals_the_search_of_every_anchor(monkeypatch):
+    G, H = (poly_from_strings(s) for s in K7_STRINGS)
+    rng = np.random.default_rng(29)
+    uniform = [[tuple(int(b) for b in rng.integers(0, 2, 2)) for _ in range(N)] for N in [6, 7, 8, 48] * 10]
+    words = low_noise_k7_words(100, 13) + uniform
+    pruned = [decode_tailbiting(G, H, z) for z in words]
+    tables = error_trellis._search_tables(H)
+    assert tables.prune
+    monkeypatch.setattr(decoder, "_search_tables", lambda H: tables._replace(prune=False))
+    assert [decode_tailbiting(G, H, z) for z in words] == pruned
 
 
 def test_decode_rejects_an_empty_word_of_a_memoryless_code():
