@@ -9,19 +9,29 @@ for desk-scale codes where exhaustive verification is feasible.
 """
 
 from .codespec import CodeSpec, CodeSpecError, load_codespec, parse_codespec
-from .decoder import AnchorCollisionError, DecodeResult, decode_tailbiting, format_result, min_weight_path
+from .decoder import (
+    AnchorCollisionError,
+    DecodeResult,
+    decode_tailbiting,
+    decode_tailbiting_batch,
+    format_result,
+    min_weight_path,
+)
 from .error_trellis import (
     SyndromeSequence,
     backward_error_anchor,
     backward_sigma_fin,
     backward_syndromes,
+    backward_syndromes_batch,
     build_backward_error_trellis,
     build_tailbiting_error_trellis,
     error_anchor,
     error_trellis_module,
     eta_from_zeta,
     sigma_fin,
+    sigma_fin_batch,
     tailbiting_syndromes,
+    tailbiting_syndromes_batch,
 )
 from .gf2 import (
     PolyMatrix,
@@ -45,6 +55,7 @@ from .scalar_parity import (
     hscalar_tailbiting,
     hscalar_terminated,
     is_tailbiting_codeword,
+    is_tailbiting_codeword_batch,
 )
 from .state_machines import (
     ExtendedState,
@@ -60,6 +71,7 @@ from .state_machines import (
     sf_run,
     sf_state_space,
     sf_step,
+    sf_step_batch,
     sf_zero_state,
     tailbiting_anchor,
     tailbiting_encode,

@@ -7,19 +7,29 @@ error trellis and are searched together, in backward min-plus passes
 over the merged tables of ``error_trellis._search_tables``: a table
 covers m consecutive sections (m fixed per H by ``TABLE_BUDGET``; the
 N mod m sections left over use the 1-section tables), so a pass makes
-floor(N/m) + N mod m steps.  A pass keeps, per step, an int32 (columns x
-states) matrix of the weight still to go into each column's end states
-at cut N: a gather of the next step's costs along every merged edge, an
-add and a minimum over each state's edges.  Edges that die inside a
-merged section end in one extra, never reached state.
+floor(N/m) + N mod m steps.
 
-Pruning is exact.  Where a pass over all anchors would exceed the
-table budget (the 64-state K=7 code, not the 4-state reference code), a
-first pass with one column that may end anywhere gives each anchor a
-lower bound ``lb`` on its weight.
-The anchors of least ``lb`` are searched, giving weight w, then every
-other anchor with ``lb <= w``; an anchor left out has ``lb > w``, so it
-can neither win nor tie.  Otherwise all anchors are searched in one pass.
+A block of words is decoded together, ``decode_tailbiting`` being a
+block of one.  A pass keeps, per step, an int32 (columns x words *
+(states + 1)) matrix of the weight still to go into each column's end
+states at cut N; a column belongs to one (word, anchor) pair, and every
+word of a block has as many.  Each step is three numpy calls: a gather
+of the next step's costs along every merged edge of each word's own
+table, an add and a minimum over each state's edges.  The gather's flat
+indices and weights come from the symbol-indexed stack of tables,
+picked for all steps and words of a block before the loop.  Edges that
+die inside a merged section end in one extra, never reached state.  A
+block holds as many words as keep an all-anchor pass within
+``TABLE_BUDGET`` entries per step.
+
+Pruning is exact and per word.  Where a pass over all anchors would
+exceed the table budget (the 64-state K=7 code, not the 4-state
+reference code), a block holds one word, and a first pass with one
+column that may end anywhere gives each anchor a lower bound ``lb`` on
+its weight.  The anchors of least ``lb`` are searched, giving weight w,
+then every other anchor with ``lb <= w``; an anchor left out has
+``lb > w``, so it can neither win nor tie.  Otherwise all anchors are
+searched in one pass.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the weights of the backward pass that every
@@ -38,13 +48,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from operator import xor
+from operator import getitem, xor
 
 import numpy as np
 
-from .error_trellis import _search_tables, circular_run
+from .error_trellis import _search_tables, circular_run, received
 from .gf2 import format_bits, format_state
-from .state_machines import dual_state_of, enc_state_space, syndrome_former
+from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former
 from .trellis import _to_anchor
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -115,18 +125,21 @@ def _dual_codes(G, H):
 
 
 def _min_plus(sections, end):
-    """Per section cut, the (columns x states + 1) least weight still to go into ``end``.
+    """Per section cut, the (columns x words * (states + 1)) least weight still to go into ``end``.
 
-    ``end`` holds each column's cost per state at cut N.  State S, one
-    past the last, is never reached: the tables point dead edges at it.
+    ``sections`` is the ``_sections`` pair of a block of words; a word's
+    states are consecutive entries of a row.  ``end`` holds one row per
+    column: its cost at cut N over the states of every word of the block.
+    State S, one past the last, is never reached: the tables point dead
+    edges at it, and it keeps its cost.
     """
-    cost = np.full((len(sections) + 1, *end.shape), _UNREACHED, dtype=np.int32)
+    dst, weight = sections
+    cost = np.empty((len(dst) + 1, *end.shape), dtype=np.int32)
     cost[-1] = end
-    for t in range(len(sections) - 1, -1, -1):
-        sec = sections[t]
-        via = cost[t + 1].take(sec.dst, axis=1)
-        via += sec.weight
-        np.minimum.reduce(via, axis=1, out=cost[t, :, :-1])
+    for t in range(len(dst) - 1, -1, -1):
+        via = cost[t + 1].take(dst[t], axis=1)
+        via += weight[t]
+        np.minimum.reduce(via, axis=1, out=cost[t])
     return cost
 
 
@@ -139,20 +152,56 @@ def _ends(S):
     return ends
 
 
-def _search(sections, ends, rows):
-    """One min-plus pass with one column per anchor row: (costs, each anchor's weight)."""
-    cost = _min_plus(sections, ends[rows])
-    return cost, cost[0, np.arange(len(rows)), rows]
+@lru_cache(maxsize=None)
+def _layout(H, N):
+    """How the N sections of a word fall into floor(N/m) runs of m symbols, then N mod m single ones.
+
+    Returns, per step, the places that turn symbol digits into its key in
+    the stack (with ``first``, the key of the first single symbol, added
+    for single ones), the places that turn received-symbol integers into
+    the integer of its received bits, and the bit tuples of its labels.
+    """
+    tables, n = _search_tables(H), H.cols
+    m, base = tables.m, int(tables.digit.max()) + 1
+    runs, cut = N // m, N - N % m
+    digits = np.zeros((N, runs + N - cut), dtype=np.intp)
+    symbols = np.zeros_like(digits)
+    for t in range(N):
+        step, place = (t // m, m - 1 - t % m) if t < cut else (runs + t - cut, 0)
+        digits[t, step], symbols[t, step] = base**place, 1 << n * place
+    first = np.array([0] * runs + [base**m] * (N - cut))
+    return digits, first, symbols, [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
 
 
-def _traceback(sections, togo, state):
+@lru_cache(maxsize=None)
+def _offsets(words, S):
+    """The first of each word's S + 1 rows in a block's cost at one cut."""
+    return (np.arange(words) * (S + 1))[:, None, None]
+
+
+def _sections(tables, keys):
+    """The merged edges of a block of words: (steps x edges x words * (states + 1)) cost entries and weights.
+
+    ``keys`` (words x steps) picks each step's run from the stack.  A
+    word's entries point into its own states + 1 entries of a column's
+    cost at the next cut.
+    """
+    sec = tables.sections
+    shape = (keys.shape[1], sec.dst.shape[1], -1)
+    dst = sec.dst.take(keys.T, axis=0) + _offsets(len(keys), len(tables.states))
+    weight = sec.weight.take(keys.T, axis=0)
+    return dst.transpose(0, 2, 1, 3).reshape(shape), weight.transpose(0, 2, 1, 3).reshape(shape)
+
+
+def _traceback(outs, togo, state):
     """Smallest label sequence along which ``togo`` (one column's costs per cut) falls to 0.
 
-    Returns the label integer of each section's edge.
+    ``outs`` gives per step each state's edges.  Returns the label
+    integer of each section's edge.
     """
     labels, c = [], togo[0][state]
-    for sec, nxt in zip(sections, togo[1:]):
-        for label, dst, w in sec.out[state]:
+    for out, nxt in zip(outs, togo[1:]):
+        for label, dst, w in out[state]:
             if nxt[dst] == c - w:
                 labels.append(label)
                 state, c = dst, c - w
@@ -162,47 +211,84 @@ def _traceback(sections, togo, state):
 
 def decode_tailbiting(G, H, z):
     """Exact minimum-weight tailbiting decoding of the received word z."""
-    z = [tuple(map(int, sym)) for sym in z]
-    if not z:
+    return decode_tailbiting_batch(G, H, [z])[0]
+
+
+def decode_tailbiting_batch(G, H, words):
+    """``decode_tailbiting`` of each word of a block of equal-length words, in order.
+
+    The words are searched ``_search_tables(H).block`` at a time.
+    """
+    if not len(words):
+        return []
+    if not len(words[0]):
         raise ValueError("a trellis needs at least one section")
-    fin, zetas = circular_run(H, z)
+    E = received(H, words)
     betas, duals = _dual_codes(G, H)
     tables = _search_tables(H)
-    rows = tables.index[syndrome_former(H).state(fin) ^ duals]
-    m, N, n = tables.m, len(zetas), H.cols
-    cut = N - N % m
-    sections = [tables.sections[tuple(zetas[t : t + m])] for t in range(0, cut, m)]
-    sections += [tables.sections[(zeta,)] for zeta in zetas[cut:]]
+    digits, first, symbols, bits = _layout(H, E.shape[1])
+    results = []
+    for start in range(0, len(E), tables.block):
+        block = E[start : start + tables.block]
+        fin, zetas = circular_run(H, block)
+        rows = tables.index.take(fin[:, None] ^ duals)
+        keys = tables.digit.take(zetas) @ digits + first
+        best = _search_block(tables, betas, rows, keys)
+        for (w, ties, labels, sigma, beta), z in zip(best, (block @ symbols).tolist()):
+            results.append(
+                DecodeResult(
+                    codeword=tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, z)))),
+                    error=tuple(chain.from_iterable(map(getitem, bits, labels))),
+                    weight=w,
+                    anchor_beta=beta,
+                    anchor_sigma=sigma,
+                    tie=ties > 1,
+                )
+            )
+    return results
+
+
+def _search_block(tables, betas, rows, keys):
+    """Per word of a block: (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
+
+    A pass searches one set of anchors in every word of the block; with
+    pruning, where each word needs its own sets, a block holds one word.
+    """
+    sections = _sections(tables, keys)
     ends = _ends(len(tables.states))
+    offsets = _offsets(len(rows), len(tables.states))[..., 0]
+    passes = []
+
+    def search(anchors):
+        end = rows.take(anchors, axis=1)
+        cost = _min_plus(sections, ends.take(end.T, axis=0).reshape(len(anchors), -1))
+        weight = cost[0, np.arange(len(anchors)), end + offsets].tolist()
+        passes.append((cost.reshape(len(cost), len(anchors), len(rows), -1), anchors.tolist(), weight))
+        return [min(row) for row in weight]
+
     if tables.prune:
-        lb = _min_plus(sections, ends[-1:])[0, 0, rows]
-        first = np.flatnonzero(lb == lb.min())
-    else:
-        first = np.arange(len(rows))
-    passes = [(first, *_search(sections, ends, rows[first]))]
-    w = int(passes[0][2].min())
-    if tables.prune:
+        lb = _min_plus(sections, ends[-1:])[0, 0, rows[0]]
+        least = lb == lb.min()
+        w = search(np.flatnonzero(least))
         # no anchor whose bound exceeds w can reach w
-        rest = np.flatnonzero((lb > lb.min()) & (lb <= w))
+        rest = np.flatnonzero(~least & (lb <= w[0]))
         if len(rest):
-            passes.append((rest, *_search(sections, ends, rows[rest])))
-            w = min(w, int(passes[1][2].min()))
-    if w >= _UNREACHED:
+            w = [min(w[0], *search(rest))]
+    else:
+        w = search(np.arange(rows.shape[1]))
+    if max(w) >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    winners = [(anchors[j], cost[:, j]) for anchors, cost, weights in passes for j in np.flatnonzero(weights == w)]
-    labels, sigma, beta = min(
-        (_traceback(sections, togo.tolist(), rows[i]), tables.states[rows[i]], betas[i]) for i, togo in winners
-    )
-    widths = [m * n] * (cut // m) + [n] * (N - cut)
-    error = tuple(map(int, "".join(format(v, f"0{width}b") for v, width in zip(labels, widths))))
-    return DecodeResult(
-        codeword=tuple(map(xor, chain.from_iterable(z), error)),
-        error=error,
-        weight=w,
-        anchor_beta=beta,
-        anchor_sigma=sigma,
-        tie=len(winners) > 1,
-    )
+    outs = [[tables.sections.out[k] for k in row] for row in keys.tolist()]
+    states = rows.tolist()
+    best, ties = [None] * len(rows), [0] * len(rows)
+    for cost, anchors, weight in passes:
+        for i, j in ((i, j) for i, row in enumerate(weight) for j, x in enumerate(row) if x == w[i]):
+            state = states[i][anchors[j]]
+            found = _traceback(outs[i], cost[:, j, i].tolist(), state), tables.states[state], betas[anchors[j]]
+            if best[i] is None or found < best[i]:
+                best[i] = found
+            ties[i] += 1
+    return [(wt, t, *found) for wt, t, found in zip(w, ties, best)]
 
 
 def format_result(res, n):

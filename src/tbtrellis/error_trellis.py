@@ -1,13 +1,21 @@
 """Tailbiting error-trellis construction, forward and backward.
 
-The forward construction runs the received word through the syndrome
-former once to find the self-consistent circular state, replays it from
-that state to obtain the section syndromes, and concatenates one trellis
-module per syndrome symbol.  The tailbiting paths of the result are
-exactly the error sequences whose subtraction from the received word
-leaves a tailbiting codeword.  The backward variant applies the same
-procedure to the reciprocal parity-check matrix and the time-reversed
-word; its paths are the forward paths read in reverse symbol order.
+The forward construction finds the self-consistent circular state
+sigma_fin of the received word and the section syndromes of the run
+from it, and concatenates one trellis module per syndrome symbol.  The
+tailbiting paths of the result are exactly the error sequences whose
+subtraction from the received word leaves a tailbiting codeword.  The
+backward variant applies the same procedure to the reciprocal
+parity-check matrix and the time-reversed word; its paths are the
+forward paths read in reverse symbol order.
+
+Because the syndrome former forgets its state in M steps (A^M = 0),
+sigma_fin and the syndromes come from ``state_machines.sf_circular``,
+which gathers them for a whole block of words from the impulse
+response, with no fold over the symbols; cut 0 and cut N hold
+sigma_fin.  ``sigma_fin``, ``tailbiting_syndromes`` and
+``backward_syndromes`` are each a block of one over their ``_batch``
+form.
 
 The modules of one H are tabulated once, straight from the syndrome
 former's integer step table (``_search_tables``): the trellis builders
@@ -27,10 +35,10 @@ from .gf2 import format_bits
 from .state_machines import (
     backward_state,
     dual_state_of,
-    sf_run,
+    sf_circular,
     sf_state_space,
-    sf_zero_state,
     syndrome_former,
+    unpack,
     xor_states,
 )
 from .trellis import Edge, _make_trellis
@@ -56,55 +64,85 @@ class SyndromeSequence:
         return " ".join(format_bits(s) for s in self.symbols)
 
 
-def _check_length(H, z):
-    if len(z) < H.deg:
-        raise ValueError(f"need at least M={H.deg} received symbols, got {len(z)}")
+def _check_length(H, N):
+    if N < H.deg:
+        raise ValueError(f"need at least M={H.deg} received symbols, got {N}")
+
+
+def received(H, words):
+    """(words x N) symbol integers of a block of equal-length received words, N >= M."""
+    E = syndrome_former(H).symbol_ints(words, 2)
+    _check_length(H, E.shape[1])
+    return E
+
+
+def circular_run(H, E):
+    """sigma_fin (words,) and the syndromes (words x N) of every row of ``received`` integers.
+
+    ``sf_circular`` runs on as many words at a time as keep its (words x
+    M + 1 x N) gather within ``TABLE_BUDGET`` entries.  The run is
+    circularly consistent: from sigma_fin a word leads back to sigma_fin.
+    """
+    step = max(1, TABLE_BUDGET // ((H.deg + 1) * max(E.shape[1], 1)))
+    if len(E) <= step:
+        return sf_circular(H, E)
+    fins, zetas = zip(*(sf_circular(H, E[i : i + step]) for i in range(0, len(E), step)))
+    return np.concatenate(fins), np.concatenate(zetas)
+
+
+def sigma_fin_batch(H, words):
+    """``sigma_fin`` of every word of a block, as 0/1 uint8 rows."""
+    return unpack(circular_run(H, received(H, words))[0], H.deg * H.rows)
+
+
+def tailbiting_syndromes_batch(H, words):
+    """The syndromes of every word of a block from its sigma_fin: (words x N x r) 0/1 uint8."""
+    return unpack(circular_run(H, received(H, words))[1], H.rows)
 
 
 def sigma_fin(H, z):
-    """Final syndrome-former state for input z, from the all-zero start.
+    """Final syndrome-former state for input z, from any start.
 
     A is nilpotent (A^M = 0), so with N >= M the result is independent of
-    the starting state and only the last M symbols are run.
+    the starting state: the state the last M symbols alone leave.
     """
-    _check_length(H, z)
-    final, _ = sf_run(H, sf_zero_state(H), z[len(z) - H.deg :])
-    return final
+    return tuple(sigma_fin_batch(H, [z])[0].tolist())
 
 
-def circular_run(H, z):
-    """sigma_fin of z and the syndromes of the run from it: M + N steps.
-
-    The run is circularly consistent: it ends in sigma_fin again.
-    """
-    fin = sigma_fin(H, z)
-    return fin, sf_run(H, fin, z)[1]
+def _sequence(zetas, kind):
+    return SyndromeSequence(symbols=tuple(map(tuple, zetas[0].tolist())), kind=kind)
 
 
 def tailbiting_syndromes(H, z):
     """Syndrome sequence of z when the initial state is set to sigma_fin."""
-    return SyndromeSequence(symbols=tuple(circular_run(H, z)[1]), kind="forward")
+    return _sequence(tailbiting_syndromes_batch(H, [z]), "forward")
 
 
 # entries the merged tables of one H may hold: it sets m, the number of
-# sections merged into one table, and whether the decoder's all-anchor
-# pass (states x merged edges x anchors) is small enough to skip pruning
+# sections merged into one table, whether the decoder's all-anchor pass
+# (states x merged edges x anchors) is small enough to skip pruning, and
+# how many words one such pass may search at once
 TABLE_BUDGET = 1 << 12
 
 
 class SearchSection(NamedTuple):
-    """The merged module of one run of syndrome symbols over dense state indices.
+    """The merged modules of runs of syndrome symbols, over dense state indices.
 
     Under one symbol zeta a state has ``degree`` edges or none, because the
     inputs e with eD = zeta + xC form a coset of the kernel of D or none;
-    over m symbols it has degree^m merged edges, ordered by their
-    concatenated labels.  ``dst`` and ``weight`` (degree^m x states) give
-    each merged edge's end state and label weight; an edge that dies
-    inside the run, as all of an edge-less state's do, ends in index S,
-    one past the last state, which the search never reaches.  ``out``
-    lists, per state, its live edges in label order as (label, end state
-    index, weight), the label being the integer of the concatenated
-    error symbols.
+    over j symbols it has degree^j merged edges, ordered by their
+    concatenated labels.  The stack holds every run of m symbols, indexed
+    by its symbols' digits (see ``SearchTables``) read as one base-b
+    number, b the number of symbols; for m > 1 every single symbol
+    follows, at b^m + its digit, with its degree edges padded to degree^m.
+    ``dst`` and ``weight`` (runs x degree^m x states + 1) give each
+    merged edge's end state and label weight.  An edge that dies inside
+    the run, as all of an edge-less state's and every padding edge do,
+    ends in index S, one past the last state, which the search never
+    reaches; state S's own edges lead back to it with weight 0.  ``out``
+    lists, per run and state below S, its live edges in label order as
+    (label, end state index, weight), the label being the integer of the
+    concatenated error symbols.
     """
 
     dst: np.ndarray
@@ -115,18 +153,23 @@ class SearchSection(NamedTuple):
 class SearchTables(NamedTuple):
     """The search tables of one H; states in ``sf_state_space`` order.
 
-    ``sections`` is keyed by runs of syndrome symbols: every 1-tuple and,
-    for m > 1, every m-tuple of the symbols the syndrome former emits.
-    ``prune`` is true when a pass over all S anchor columns would exceed
-    ``TABLE_BUDGET`` entries per section; ``modules`` holds each symbol's
-    transitions as ``Edge``s.
+    ``digit`` maps a syndrome symbol's integer to its rank among the
+    symbols the syndrome former emits (-1 for one it never emits).
+    ``sections`` is the ``SearchSection`` stack of runs of m and of single
+    symbols.  ``prune`` is true when a pass over all S anchor columns
+    would exceed ``TABLE_BUDGET`` entries per section; otherwise ``block``
+    words fit one all-anchor pass within it (``block`` is 1 where
+    ``prune`` is).  ``modules`` holds each symbol's transitions as
+    ``Edge``s.
     """
 
     states: list
     index: np.ndarray  # syndrome-former state integer -> dense index, -1 if pinned
     m: int
-    sections: dict
+    digit: np.ndarray
+    sections: SearchSection
     prune: bool
+    block: int
     modules: dict
 
 
@@ -144,12 +187,14 @@ def _merge(run, single, n):
 
 
 def _section(dst, label):
-    """The SearchSection of one (states + 1 x edges) table; a label's weight is its popcount."""
-    S = len(dst) - 1
-    weight = np.bitwise_count(label[:S]).astype(np.int32)
-    rows = zip(label[:S].tolist(), dst[:S].tolist(), weight.tolist())
-    out = tuple(tuple(edge for edge in zip(*row) if edge[1] != S) for row in rows)
-    return SearchSection(np.ascontiguousarray(dst[:S].T), np.ascontiguousarray(weight.T), out)
+    """The SearchSection of a (dst, label) stack; a label's weight is its popcount."""
+    S = dst.shape[1] - 1
+    weight = np.bitwise_count(label).astype(np.int32)
+    rows = zip(label[:, :S].tolist(), dst[:, :S].tolist(), weight[:, :S].tolist())
+    out = tuple(tuple(tuple(edge for edge in zip(*row) if edge[1] != S) for row in zip(*run)) for run in rows)
+    return SearchSection(
+        np.ascontiguousarray(dst.transpose(0, 2, 1)), np.ascontiguousarray(weight.transpose(0, 2, 1)), out
+    )
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +203,9 @@ def _search_tables(H):
 
     Built once per H from the integer step table: one table per symbol,
     then, with numpy, one per m-tuple of symbols, m the largest run whose
-    tables fit ``TABLE_BUDGET``.  Inputs are visited in ascending order,
-    which is label order, so merged edges in index order are in
-    concatenated-label order.
+    tables fit ``TABLE_BUDGET``, stacked above the single symbols' tables.
+    Inputs are visited in ascending order, which is label order, so
+    merged edges in index order are in concatenated-label order.
     """
     sf = syndrome_former(H)
     S = len(sf.states)
@@ -171,8 +216,10 @@ def _search_tables(H):
     for i, x in enumerate(sf.states):
         for e in range(len(sf.in_tuples)):
             nxt, zeta = sf.step(x, e)
-            out[sf.out_tuples[zeta]][i].append((e, int(index[nxt])))
+            out[zeta][i].append((e, int(index[nxt])))
     symbols = sorted(out)
+    digit = np.full(len(sf.out_tuples), -1, dtype=np.intp)
+    digit[symbols] = np.arange(len(symbols))
     degree = max(len(es) for rows in out.values() for es in rows)
     dst = np.full((len(symbols), S + 1, degree), S, dtype=np.intp)
     label = np.zeros_like(dst)
@@ -184,17 +231,22 @@ def _search_tables(H):
     m = 1
     while (len(symbols) * degree) ** (m + 1) * S <= TABLE_BUDGET:
         m += 1
-    run, keys = single, [(zeta,) for zeta in symbols]
-    sections = {key: _section(*t) for key, t in zip(keys, zip(*single))}
+    run = single
     for _ in range(m - 1):
         run = _merge(run, single, H.cols)
-        keys = [key + (zeta,) for key in keys for zeta in symbols]
-    sections.update({key: _section(*t) for key, t in zip(keys, zip(*run)) if len(key) > 1})
+    if m > 1:
+        pad = [(0, 0), (0, 0), (0, run[0].shape[2] - degree)]
+        run = [np.concatenate([r, np.pad(one, pad, constant_values=c)]) for r, one, c in zip(run, single, (S, 0))]
     modules = {
-        zeta: tuple(Edge(states[i], sf.in_tuples[e], states[j]) for i, es in enumerate(rows) for e, j in es)
+        sf.out_tuples[zeta]: tuple(
+            Edge(states[i], sf.in_tuples[e], states[j]) for i, es in enumerate(rows) for e, j in es
+        )
         for zeta, rows in out.items()
     }
-    return SearchTables(states, index, m, sections, S * S * degree**m > TABLE_BUDGET, modules)
+    per_word = S * S * degree**m
+    return SearchTables(
+        states, index, m, digit, _section(*run), per_word > TABLE_BUDGET, max(1, TABLE_BUDGET // per_word), modules
+    )
 
 
 def error_trellis_module(H, zeta):
@@ -229,7 +281,7 @@ def eta_from_zeta(zeta, M):
 
 def _reversed(H, z):
     """The reciprocal parity-check matrix and the time-reversed word."""
-    _check_length(H, z)
+    _check_length(H, len(z))
     return H.reciprocal(), list(reversed(list(z)))
 
 
@@ -238,9 +290,17 @@ def build_backward_error_trellis(H, z):
     return _error_trellis("backward-error", *_reversed(H, z))
 
 
+def backward_syndromes_batch(H, words):
+    """``backward_syndromes`` of every word of a block: (words x N x r) 0/1 uint8.
+
+    The reciprocal H runs the block with its symbol order reversed.
+    """
+    return unpack(circular_run(H.reciprocal(), received(H, words)[:, ::-1])[1], H.rows)
+
+
 def backward_syndromes(H, z):
     """Syndromes of the backward construction (kind marked backward)."""
-    return SyndromeSequence(symbols=tailbiting_syndromes(*_reversed(H, z)).symbols, kind="backward")
+    return _sequence(backward_syndromes_batch(H, [z]), "backward")
 
 
 def backward_sigma_fin(H, z):

@@ -27,6 +27,17 @@ def as_bits(x, length=None):
     return a
 
 
+def is_bit_array(a, ndim, width):
+    """True iff a is an integer ndarray of ndim axes, the last ``width`` long, of 0/1 entries only."""
+    return (
+        isinstance(a, np.ndarray)
+        and a.ndim == ndim
+        and a.shape[-1] == width
+        and a.dtype.kind in "biu"
+        and (not a.size or (a.min() >= 0 and a.max() <= 1))
+    )
+
+
 def parse_bits(text):
     """Parse a bit string; spaces and underscores are group separators."""
     cleaned = text.replace(" ", "").replace("_", "")
@@ -214,16 +225,6 @@ class PolyMatrix:
     def T(self):
         return self.transpose()
 
-    def __add__(self, other):
-        self._check_same_shape(other)
-        d = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(d):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out.append((a + b) % 2)
-        return PolyMatrix(_trimmed([np.asarray(c, dtype=np.uint8) for c in out]))
-
     def __mul__(self, other):
         """Polynomial matrix product by coefficient convolution."""
         if not isinstance(other, PolyMatrix):
@@ -241,10 +242,6 @@ class PolyMatrix:
             for j, b in enumerate(other.coeffs):
                 out[i + j] ^= mat_mul(a, b).astype(np.uint8)
         return PolyMatrix(_trimmed(out))
-
-    def _check_same_shape(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import as_bits, format_bits
+from .gf2 import as_bits, format_bits, is_bit_array
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,17 @@ def hscalar_tailbiting(H, N):
 
 def is_tailbiting_codeword(P, y):
     """Membership test: y (length Nn) has zero syndrome under P."""
+    return bool(is_tailbiting_codeword_batch(P, [y])[0])
+
+
+def is_tailbiting_codeword_batch(P, words):
+    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: one product Y P^T mod 2."""
     if P.kind != "tailbiting":
         raise ValueError("membership test needs a tailbiting matrix")
-    y = as_bits(y, P.matrix.shape[1])
-    return not ((P.matrix.astype(np.int64) @ y.astype(np.int64)) % 2).any()
+    length = P.matrix.shape[1]
+    Y = words if is_bit_array(words, 2, length) else np.array([as_bits(y, length) for y in words]).reshape(-1, length)
+    # a uint8 product wraps mod 256, which keeps the parity of every sum
+    return ~((Y @ P.matrix.T) & 1).any(axis=1)
 
 
 def format_matrix(P):

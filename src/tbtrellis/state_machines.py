@@ -23,6 +23,16 @@ A w-bit tuple is the integer whose most significant bit is its first
 entry, so integer order is tuple order.  By linearity a transition is
 the XOR of one state-table and one input-table entry, so the tables
 hold 2^(state bits) + 2^(input bits) entries.
+
+Blocks of words are run at array speed.  The syndrome former's A is
+nilpotent (A^M = 0), so its state at a cut is the XOR of the states that
+each of the last M inputs alone leaves, and a step's next state and
+output are the XOR of what each of the last M + 1 inputs alone gives.
+Tabulated once per H as the impulse response, every step of a circular
+run is M + 1 gathers from it, with no fold over the symbols.
+``sf_circular`` does this for a (words x N) block of symbol integers;
+cut 0 and cut N hold sigma_fin.  ``sf_step`` is a block of one over
+``sf_step_batch``.
 """
 
 from __future__ import annotations
@@ -31,6 +41,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+
+from .gf2 import is_bit_array
 
 
 class ExtendedState(NamedTuple):
@@ -65,13 +77,16 @@ class LinearMachine:
     """Tabulated realization x' = xA + eB, o = xC + eD of one matrix.
 
     Entries of ``from_state`` and ``from_input`` pack the next state above
-    the output bits.  ``states`` lists the trellis states, ascending.
+    the output bits; ``tables`` holds both as arrays.  ``states`` lists
+    the trellis states, ascending.
     """
 
     def __init__(self, A, B, C, D, free=None):
         self.out_bits, self.out_mask = D.shape[1], 2 ** D.shape[1] - 1
+        self.state_bits, self.in_bits = A.shape[0], B.shape[0]
         self.from_state = _span([_as_int(np.concatenate(row)) for row in zip(A, C)])
         self.from_input = _span([_as_int(np.concatenate(row)) for row in zip(B, D)])
+        self.tables = np.array(self.from_state), np.array(self.from_input)
         self.state_tuples, self._state_index = _bit_tuples(A.shape[0])
         self.in_tuples, self._in_index = _bit_tuples(B.shape[0])
         self.out_tuples = _bit_tuples(self.out_bits)[0]
@@ -80,11 +95,19 @@ class LinearMachine:
 
     def state(self, bits):
         """Integer of a state tuple; ValueError unless it holds state-width 0/1 entries."""
-        return _lookup(self._state_index, bits, "state")
+        return _lookup(self._state_index, bits, "a state")
 
     def symbol(self, bits):
         """Integer of an input symbol (a 0/1 int is a one-bit symbol)."""
-        return _lookup(self._in_index, bits, "input symbol")
+        return _lookup(self._in_index, bits, "an input symbol")
+
+    def state_ints(self, states):
+        """Integers of a sequence of states, as an intp array."""
+        return _pack(states, self._state_index, self.state_bits, 1, "a state")
+
+    def symbol_ints(self, symbols, depth=1):
+        """Integers of the input symbols ``depth`` levels down: depth 2 takes a block of words."""
+        return _pack(symbols, self._in_index, self.in_bits, depth, "an input symbol")
 
     def step(self, x, e):
         """One transition on integers: (next state, output)."""
@@ -114,7 +137,52 @@ def _lookup(index, bits, what):
         return index[tuple(bits)]
     except (KeyError, TypeError):
         width = len(next(iter(index)))
-        raise ValueError(f"expected a {what} of {width} bits in {{0, 1}}, got {bits!r}") from None
+        shown = tuple(bits) if isinstance(bits, list) else bits
+        raise ValueError(f"expected {what} of {width} bits in {{0, 1}}, got {shown!r}") from None
+
+
+def _pack(bits, index, width, depth, what):
+    """Integers of the width-bit vectors ``depth`` levels down in ``bits``, as an intp array.
+
+    A 0/1 integer ndarray of that shape is packed in one product, and
+    tuples are looked up in ``index``; anything else goes through
+    ``_lookup`` vector by vector, in order, so the ValueError names the
+    first bad one.
+    """
+    if is_bit_array(bits, depth + 1, width):
+        return bits @ _powers(width)
+    if isinstance(bits, np.ndarray):
+        bits = bits.tolist()
+
+    def walk(x, d):
+        return [walk(y, d - 1) for y in x] if d else _lookup(index, x, what)
+
+    try:
+        out = [[index[v] for v in word] for word in bits] if depth == 2 else [index[v] for v in bits]
+    except (KeyError, TypeError):
+        out = walk(bits, depth)
+    if depth == 1:
+        return np.array(out, dtype=np.intp)
+    try:
+        return np.array(out, dtype=np.intp).reshape(len(out), len(out[0]) if out else 0)
+    except ValueError:
+        raise ValueError("the words of a block differ in length") from None
+
+
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _powers(width):
+    """2^(width-1) .. 2^0: the place of each bit of a width-bit vector."""
+    return _frozen(1 << np.arange(width - 1, -1, -1))
+
+
+def unpack(ints, width):
+    """The width-bit rows (most significant first) of an integer array, as uint8 0/1 entries."""
+    return (ints[..., None] & _powers(width) != 0).astype(np.uint8)
 
 
 def _row_degrees(P):
@@ -162,8 +230,52 @@ def sf_step(H, sigma_prev, e):
     The state shifts down one block and the input adds e*(H_1^T...H_M^T);
     the output is the first block of the old state plus e*H_0^T.
     """
-    sigma, (zeta,) = syndrome_former(H).run(sigma_prev, [e])
-    return sigma, zeta
+    sigma, zeta = sf_step_batch(H, [sigma_prev], [e])
+    return tuple(sigma[0].tolist()), tuple(zeta[0].tolist())
+
+
+def sf_step_batch(H, sigmas, es):
+    """``sf_step`` of every row pair: (next states, syndrome symbols) as 0/1 uint8 rows."""
+    sf = syndrome_former(H)
+    v = sf.tables[0][sf.state_ints(sigmas)] ^ sf.tables[1][sf.symbol_ints(es)]
+    return unpack(v >> sf.out_bits, sf.state_bits), unpack(v & sf.out_mask, sf.out_bits)
+
+
+@lru_cache(maxsize=None)
+def _impulse(H):
+    """Row i, column e: the step value i steps after input e from the zero state, zeros after it.
+
+    A step value packs the next state above the output, as the tables of
+    ``LinearMachine`` do; rows i = 0..M, and row M + 1 would be zero.
+    """
+    sf = syndrome_former(H)
+    rows = [sf.from_input]
+    for _ in range(H.deg):
+        rows.append([sf.from_state[v >> sf.out_bits] for v in rows[-1]])
+    return _frozen(np.array(rows, dtype=np.intp))
+
+
+@lru_cache(maxsize=None)
+def _taps(M, N, symbols):
+    """Flat indices into ``_impulse`` ((M + 1) x N taps): row i, cut t reads e_{(t-i) mod N} at lag i."""
+    lag = np.arange(M + 1)[:, None]
+    return _frozen((np.arange(N) - lag) % max(N, 1)), _frozen(lag * symbols)
+
+
+def sf_circular(H, E):
+    """The circular run of every row of a (words x N) block of symbol integers, N >= M.
+
+    Returns sigma_fin (words,) and the syndromes (words x N) as integers.
+    The step value at cut t, from the state there on symbol e_t, is the
+    XOR of the impulse response at lag i to e_{t-i}, i = 0..M, read
+    circularly: its output field is zeta_t and its state field the state
+    at cut t + 1, so the last cut's is sigma_fin.
+    """
+    sf, impulse = syndrome_former(H), _impulse(H)
+    taps, lanes = _taps(H.deg, E.shape[1], impulse.shape[1])
+    v = np.bitwise_xor.reduce(impulse.take(E[:, taps] + lanes), axis=1)
+    fin = v[:, -1] >> sf.out_bits if E.shape[1] else np.zeros(len(E), dtype=np.intp)
+    return fin, v & sf.out_mask
 
 
 def sf_run(H, sigma0, seq):
@@ -277,6 +389,8 @@ __all__ = [
     "constraint_length",
     "sf_zero_state",
     "sf_step",
+    "sf_step_batch",
+    "sf_circular",
     "sf_run",
     "extended_state",
     "dual_state",

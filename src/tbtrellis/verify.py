@@ -17,31 +17,35 @@ early leaves the generator past all of its trials: after a FAIL the
 suites that follow see other words than a field-by-field draw would
 give them.  A run in which every suite passes is unaffected.
 
-The decoder-oracle suite compares the words with the exhaustive codeword
-table in blocks of trials, as many as keep the packed (trials x
-codewords x bytes) distance array within ``DISTANCE_BLOCK`` elements.
+The superposition, eta-zeta and hscalar-membership suites hand all of
+their trials to one call of the ``_batch`` kernel under test and compare
+whole arrays.  The decoder-oracle suite compares the words with the
+exhaustive codeword table in blocks of trials, as many as keep the
+packed (trials x codewords x bytes) distance array within
+``DISTANCE_BLOCK`` elements, and decodes each block in one call.  The
+zero-syndrome and subtrellis-set-equality suites check word by word.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, product
+from itertools import product
 
 import numpy as np
 
-from .decoder import decode_tailbiting
+from .decoder import decode_tailbiting_batch
 from .error_trellis import (
-    backward_syndromes,
+    backward_syndromes_batch,
     build_tailbiting_error_trellis,
     error_anchor,
     eta_from_zeta,
     sigma_fin,
-    tailbiting_syndromes,
+    tailbiting_syndromes_batch,
 )
-from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword
+from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword_batch
 from .state_machines import (
     dual_state_of,
     sf_run,
-    sf_step,
+    sf_step_batch,
     tailbiting_anchor,
     tailbiting_encode,
     xor_states,
@@ -52,15 +56,6 @@ EXHAUSTIVE_BITS = 20
 DISTANCE_BLOCK = 1 << 12
 
 
-def _split(bits, widths):
-    """Rows of a 0/1 array, one at a time, each cut into bit tuples of ``widths``."""
-    cuts = list(accumulate(widths, initial=0))
-    spans = list(zip(cuts, cuts[1:]))
-    for row in bits:
-        row = row.tolist()
-        yield [tuple(row[a:b]) for a, b in spans]
-
-
 def _bits(rng, trials, width):
     """``trials`` rows of ``width`` random bits from one generator call, kept as uint8.
 
@@ -68,11 +63,6 @@ def _bits(rng, trials, width):
     value at a time.
     """
     return rng.integers(0, 2, size=(trials, width)).astype(np.uint8)
-
-
-def _draw(rng, trials, widths):
-    """Draw every trial at once; yield each as a list of bit tuples of ``widths``."""
-    return _split(_bits(rng, trials, sum(widths)), widths)
 
 
 def _codeword_table(G, N):
@@ -91,13 +81,10 @@ def _codeword_table(G, N):
 def suite_superposition(H, rng, trials=1000):
     """Transitions add: the syndrome former is linear in (state, input)."""
     M, r, n = H.deg, H.rows, H.cols
-    for s1, s2, e1, e2 in _draw(rng, trials, [M * r, M * r, n, n]):
-        n1, z1 = sf_step(H, s1, e1)
-        n2, z2 = sf_step(H, s2, e2)
-        ns, zs = sf_step(H, xor_states(s1, s2), xor_states(e1, e2))
-        if ns != xor_states(n1, n2) or zs != xor_states(z1, z2):
-            return False
-    return True
+    s1, s2, e1, e2 = np.split(_bits(rng, trials, 2 * M * r + 2 * n), [M * r, 2 * M * r, 2 * M * r + n], axis=1)
+    nxt, zeta = sf_step_batch(H, np.concatenate([s1, s2, s1 ^ s2]), np.concatenate([e1, e2, e1 ^ e2]))
+    (n1, n2, ns), (z1, z2, zs) = np.split(nxt, 3), np.split(zeta, 3)
+    return bool((ns == n1 ^ n2).all() and (zs == z1 ^ z2).all())
 
 
 def suite_zero_syndrome(G, H, by_anchor):
@@ -113,7 +100,8 @@ def suite_zero_syndrome(G, H, by_anchor):
 
 def suite_set_equality(G, H, N, by_anchor, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis."""
-    for z in _draw(rng, words, [H.cols] * N):
+    for word in _bits(rng, words, N * H.cols).reshape(words, N, H.cols).tolist():
+        z = [tuple(sym) for sym in word]
         fin = sigma_fin(H, z)
         T = build_tailbiting_error_trellis(H, z)
         for beta, codewords in by_anchor.items():
@@ -129,30 +117,24 @@ def suite_set_equality(G, H, N, by_anchor, rng, words=5):
 
 def suite_eta_zeta(H, N, rng, trials=1000):
     """Backward syndromes equal the reindexed forward syndromes."""
-    for z in _draw(rng, trials, [H.cols] * N):
-        direct = backward_syndromes(H, z)
-        reordered = eta_from_zeta(tailbiting_syndromes(H, z), H.deg)
-        if direct.symbols != reordered.symbols:
-            return False
-    return True
+    words = _bits(rng, trials, N * H.cols).reshape(trials, N, H.cols)
+    order = list(eta_from_zeta(range(N), H.deg))
+    direct = backward_syndromes_batch(H, words)
+    return bool((direct == tailbiting_syndromes_batch(H, words)[:, order]).all())
 
 
 def suite_hscalar_membership(H, N, flat, rng, trials=1000):
     """Matrix membership == zero syndrome sequence == exhaustive codeword set."""
     n = H.cols
-    draws = _draw(rng, trials, [N * n])
-    codewords = {tuple(row) for row in flat.tolist()}
+    words = _bits(rng, trials, N * n)
     P = hscalar_tailbiting(H, N)
-    for y in codewords:
-        if not is_tailbiting_codeword(P, y):
-            return False
-    for (w,) in draws:
-        in_matrix = is_tailbiting_codeword(P, w)
-        zetas = tailbiting_syndromes(H, [w[i * n : (i + 1) * n] for i in range(N)])
-        zero_syndrome = not any(any(z) for z in zetas)
-        if in_matrix != zero_syndrome or in_matrix != (w in codewords):
-            return False
-    return True
+    if not is_tailbiting_codeword_batch(P, flat).all():
+        return False
+    codewords = {row.tobytes() for row in flat}
+    in_matrix = is_tailbiting_codeword_batch(P, words)
+    zero_syndrome = ~tailbiting_syndromes_batch(H, words.reshape(trials, N, n)).any(axis=(1, 2))
+    in_code = np.array([row.tobytes() in codewords for row in words], dtype=bool)
+    return bool((in_matrix == zero_syndrome).all() and (in_matrix == in_code).all())
 
 
 def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
@@ -167,12 +149,11 @@ def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
         dists = np.bitwise_count(packed[:, None, :] ^ table).sum(axis=2, dtype=np.int32)
         best = dists.min(axis=1)
         unique = (dists == best[:, None]).sum(axis=1) == 1
-        nearest = flat[dists.argmin(axis=1)]
-        checks = zip(_split(block, [n] * N), best.tolist(), unique.tolist(), nearest.tolist())
-        for z, weight, one, y in checks:
-            res = decode_tailbiting(G, H, z)
-            if res.weight != weight or (one and tuple(y) != res.codeword):
-                return False
+        results = decode_tailbiting_batch(G, H, block.reshape(len(block), N, n))
+        weights = np.array([res.weight for res in results])
+        codewords = np.array([res.codeword for res in results], dtype=np.uint8).reshape(block.shape)
+        if (weights != best).any() or (unique & (codewords != flat[dists.argmin(axis=1)]).any(axis=1)).any():
+            return False
     return True
 
 

@@ -47,6 +47,16 @@ def test_syndrome_malformed_bits(capsys, code_file):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("command", [["decode"], ["syndrome"], ["syndrome", "--backward"]])
+def test_a_malformed_word_exits_one_with_one_error_line(capsys, tmp_path, command):
+    spec = tmp_path / "mem2.json"
+    spec.write_text(json.dumps({"n": 2, "k": 1, "G": G2_STRINGS, "H": H2_STRINGS}))
+    for received in ["10120", "10110", "", "1 0x", "10"]:  # "10" is one symbol, below M = 2
+        code, out, err = run(capsys, *command, "--code", str(spec), "--received", received)
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1 and err.startswith("tbtrellis: error: "), err
+
+
 def test_decode_reference(capsys, code_file):
     code, out, _ = run(capsys, "decode", "--code", code_file, "--received", RECEIVED)
     assert code == 0

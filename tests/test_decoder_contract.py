@@ -19,6 +19,7 @@ from tbtrellis import (
     DecodeResult,
     build_tailbiting_error_trellis,
     decode_tailbiting,
+    decode_tailbiting_batch,
     enc_state_space,
     error_anchor,
     min_weight_path,
@@ -163,25 +164,28 @@ def test_decode_rejects_an_empty_word_of_a_memoryless_code():
 
 
 def test_decode_runs_the_syndrome_former_once(monkeypatch):
-    """One sigma_fin per word, and M + N syndrome-former steps in all."""
+    """One circular-run kernel call per decode, for one word or a block, and no syndrome-former step."""
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     z = [(1, 0), (0, 1), (1, 1)] * 4
     decode_tailbiting(G, H, z)  # fills the per-code caches
-    calls = {"sigma_fin": 0, "step": 0}
-    real_sigma_fin, real_step = error_trellis.sigma_fin, LinearMachine.step
+    calls = {"sf_circular": 0, "step": 0}
+    real_kernel, real_step = error_trellis.sf_circular, LinearMachine.step
 
-    def counting_sigma_fin(*args):
-        calls["sigma_fin"] += 1
-        return real_sigma_fin(*args)
+    def counting_kernel(*args):
+        calls["sf_circular"] += 1
+        return real_kernel(*args)
 
     def counting_step(self, *args):
         calls["step"] += 1
         return real_step(self, *args)
 
-    monkeypatch.setattr(error_trellis, "sigma_fin", counting_sigma_fin)
+    monkeypatch.setattr(error_trellis, "sf_circular", counting_kernel)
     monkeypatch.setattr(LinearMachine, "step", counting_step)
     decode_tailbiting(G, H, z)
-    assert calls == {"sigma_fin": 1, "step": H.deg + len(z)}
+    assert calls == {"sf_circular": 1, "step": 0}
+    # a block of the 64-state code holds one word
+    decode_tailbiting_batch(G, H, [z, z[::-1], z])
+    assert calls == {"sf_circular": 4, "step": 0}
 
 
 def test_decode_imports_nothing_new():

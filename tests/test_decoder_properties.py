@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tbtrellis import AnchorCollisionError, decode_tailbiting, poly_from_strings
+from tbtrellis import AnchorCollisionError, decode_tailbiting, decode_tailbiting_batch, poly_from_strings
 
 from oracle import circ_encode, coeffs_from_strings, flat, tailbiting_codebook
 
@@ -39,15 +39,16 @@ def pair_and_word(draw):
     return G, H, g, [tuple(bits[2 * t : 2 * t + 2]) for t in range(N)]
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(pair_and_word())
-def test_decode_is_nearest_codeword(case):
-    G, H, g, z = case
-    try:
-        res = decode_tailbiting(G, H, z)
-    except AnchorCollisionError:
-        assume(False)
-    codebook = tailbiting_codebook(g, len(z), 1)
+@st.composite
+def pair_and_words(draw):
+    """A pair and word of ``pair_and_word``, with up to five more random words of its length."""
+    G, H, g, z = draw(pair_and_word())
+    bits = st.lists(st.integers(0, 1), min_size=2 * len(z), max_size=2 * len(z))
+    more = [[tuple(w[2 * t : 2 * t + 2]) for t in range(len(z))] for w in draw(st.lists(bits, max_size=5))]
+    return G, H, g, [z, *more]
+
+
+def check_nearest(codebook, z, res):
     distances = (codebook != np.array(flat(z), dtype=np.uint8)).sum(axis=1)
     best = distances.min()
     assert res.weight == best
@@ -56,3 +57,28 @@ def test_decode_is_nearest_codeword(case):
     assert (codebook == np.array(res.codeword, dtype=np.uint8)).all(axis=1).any()
     if (distances == best).sum() == 1:
         assert res.codeword == tuple(codebook[distances.argmin()].tolist())
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(pair_and_word())
+def test_decode_is_nearest_codeword(case):
+    G, H, g, z = case
+    try:
+        res = decode_tailbiting(G, H, z)
+    except AnchorCollisionError:
+        assume(False)
+    check_nearest(tailbiting_codebook(g, len(z), 1), z, res)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(pair_and_words())
+def test_block_decode_is_nearest_codeword_word_by_word(case):
+    G, H, g, words = case
+    try:
+        results = decode_tailbiting_batch(G, H, words)
+    except AnchorCollisionError:
+        assume(False)
+    codebook = tailbiting_codebook(g, len(words[0]), 1)
+    assert len(results) == len(words)
+    for z, res in zip(words, results):
+        check_nearest(codebook, z, res)

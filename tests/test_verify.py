@@ -56,14 +56,13 @@ def test_rejects_bad_length_and_trial_count(G1, H1):
 # the mutated name must catch it, and every other suite must still pass.
 
 
-def _nonlinear_sf_step(real):
-    def sf_step(H, sigma, e):
-        nxt, zeta = real(H, sigma, e)
-        if sigma == (1, 1):
-            zeta = (1 - zeta[0],) + zeta[1:]
+def _nonlinear_sf_step_batch(real):
+    def sf_step_batch(H, sigmas, es):
+        nxt, zeta = real(H, sigmas, es)
+        zeta[(np.asarray(sigmas) == (1, 1)).all(axis=1), 0] ^= 1
         return nxt, zeta
 
-    return sf_step
+    return sf_step_batch
 
 
 def _wrong_dual_state(real):
@@ -82,41 +81,43 @@ def _dropping_enumerate_paths(real):
     return enumerate_paths
 
 
-def _flipping_backward_syndromes(real):
-    def backward_syndromes(H, z):
-        seq = real(H, z)
-        if z[0] != (1, 0, 1):
-            return seq
-        first = (1 - seq.symbols[0][0],) + seq.symbols[0][1:]
-        return replace(seq, symbols=(first,) + seq.symbols[1:])
-
-    return backward_syndromes
+def _starting_101(words):
+    return (np.asarray(words)[:, 0] == (1, 0, 1)).all(axis=1)
 
 
-def _negating_membership(real):
-    def is_tailbiting_codeword(P, y):
-        return real(P, y) != (tuple(y) == (0,) * 15)
+def _flipping_backward_syndromes_batch(real):
+    def backward_syndromes_batch(H, words):
+        etas = real(H, words)
+        etas[_starting_101(words), 0, 0] ^= 1
+        return etas
 
-    return is_tailbiting_codeword
+    return backward_syndromes_batch
 
 
-def _overweight_decoder(real):
-    def decode_tailbiting(G, H, z):
-        res = real(G, H, z)
-        return replace(res, weight=res.weight + 1) if z[0] == (1, 0, 1) else res
+def _negating_membership_batch(real):
+    def is_tailbiting_codeword_batch(P, words):
+        return real(P, words) != (np.asarray(words) == (0,) * 15).all(axis=1)
 
-    return decode_tailbiting
+    return is_tailbiting_codeword_batch
+
+
+def _overweight_decoder_batch(real):
+    def decode_tailbiting_batch(G, H, words):
+        hit = _starting_101(words)
+        return [replace(res, weight=res.weight + 1) if h else res for res, h in zip(real(G, H, words), hit)]
+
+    return decode_tailbiting_batch
 
 
 @pytest.mark.parametrize(
     "name, mutant, suite",
     [
-        ("sf_step", _nonlinear_sf_step, "superposition"),
+        ("sf_step_batch", _nonlinear_sf_step_batch, "superposition"),
         ("dual_state_of", _wrong_dual_state, "zero-syndrome-traversal"),
         ("enumerate_paths", _dropping_enumerate_paths, "subtrellis-set-equality"),
-        ("backward_syndromes", _flipping_backward_syndromes, "eta-zeta-correspondence"),
-        ("is_tailbiting_codeword", _negating_membership, "hscalar-membership"),
-        ("decode_tailbiting", _overweight_decoder, "decoder-oracle"),
+        ("backward_syndromes_batch", _flipping_backward_syndromes_batch, "eta-zeta-correspondence"),
+        ("is_tailbiting_codeword_batch", _negating_membership_batch, "hscalar-membership"),
+        ("decode_tailbiting_batch", _overweight_decoder_batch, "decoder-oracle"),
     ],
 )
 def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite):
@@ -166,28 +167,47 @@ def _per_field_draws(H, N, seed, trials):
     return steps, backward, membership, decoded
 
 
+def _words(block):
+    """The rows of a (words x N x n) block as lists of symbol tuples."""
+    return [[tuple(sym) for sym in word] for word in block.tolist()]
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
-    names = ["sf_step", "backward_syndromes", "is_tailbiting_codeword", "decode_tailbiting"]
+    names = ["sf_step_batch", "backward_syndromes_batch", "is_tailbiting_codeword_batch", "decode_tailbiting_batch"]
     trials, N = 50, 5
     results, calls = _recorded_calls(monkeypatch, names, G1, H1, N, seed, trials)
     assert all(ok for _, ok in results)
     steps, backward, membership, decoded = _per_field_draws(H1, N, seed, trials)
-    assert calls["sf_step"] == steps
-    assert calls["backward_syndromes"] == backward
-    # the suite first checks each of the 2^N codewords, then the random words
-    assert len(calls["is_tailbiting_codeword"]) == 2**N + trials
-    assert [y for _, y in calls["is_tailbiting_codeword"][2**N :]] == membership
-    assert calls["decode_tailbiting"] == [(G1, H1, z) for z in decoded]
+    # one call on every first step of a trial, then every second, then every summed one
+    ((H, sigmas, es),) = calls["sf_step_batch"]
+    rows = [(H, tuple(s), tuple(e)) for s, e in zip(sigmas.tolist(), es.tolist())]
+    thirds = rows[:trials], rows[trials : 2 * trials], rows[2 * trials :]
+    assert [row for trial in zip(*thirds) for row in trial] == steps
+    ((H, words),) = calls["backward_syndromes_batch"]
+    assert [(H, word) for word in _words(words)] == backward
+    # the suite first checks the 2^N codewords, then the random words
+    (_, codewords), (_, words) = calls["is_tailbiting_codeword_batch"]
+    assert len(codewords) == 2**N
+    assert [tuple(y) for y in words.tolist()] == membership
+    blocks = calls["decode_tailbiting_batch"]
+    assert [(G, H, z) for G, H, block in blocks for z in _words(block)] == [(G1, H1, z) for z in decoded]
 
 
 @pytest.mark.parametrize("code, N", [("1", 5), ("2", 4)])
 def test_distance_blocks_of_one_trial_change_nothing(request, monkeypatch, code, N):
     G, H = request.getfixturevalue("G" + code), request.getfixturevalue("H" + code)
-    default = _recorded_calls(monkeypatch, ["decode_tailbiting"], G, H, N, 4, 300)
+    default = _recorded_calls(monkeypatch, ["decode_tailbiting_batch"], G, H, N, 4, 300)
     monkeypatch.setattr(verify, "DISTANCE_BLOCK", 1)
-    single = _recorded_calls(monkeypatch, ["decode_tailbiting"], G, H, N, 4, 300)
-    assert single == default
+    single = _recorded_calls(monkeypatch, ["decode_tailbiting_batch"], G, H, N, 4, 300)
+
+    def blocks(recorded):
+        return [block for *_, block in recorded[1]["decode_tailbiting_batch"]]
+
+    assert single[0] == default[0]
+    assert [len(block) for block in blocks(single)] == [1] * 300
+    assert max(len(block) for block in blocks(default)) > 1
+    assert [_words(block) for block in blocks(single)] == [[z] for block in blocks(default) for z in _words(block)]
     assert all(ok for _, ok in default[0])
 
 
