@@ -23,12 +23,18 @@ block holds as many words as keep an all-anchor pass within
 ``TABLE_BUDGET`` entries per step.
 
 Pruning is exact and per word.  Where a pass over all anchors would
-exceed the table budget (the 64-state K=7 code, not the 4-state
+exceed the table budget (32 or 64 states, not the 4-state
 reference code), a block holds one word, and a first pass with one
 column that may end anywhere gives each anchor a lower bound ``lb`` on
-its weight.  The anchors of least ``lb`` are searched, giving weight w,
-then every other anchor with ``lb <= w``; an anchor left out has
-``lb > w``, so it can neither win nor tie.  Otherwise all anchors are
+its weight.  When one anchor alone has the least ``lb``, the traceback
+walks that column from it; if the walk closes, ending in the anchor it
+started from, it is the word's result and no search pass runs.  It is a
+tailbiting path of weight ``lb``, which every other anchor's bound
+exceeds, and the lexicographically smallest of all least-weight paths
+out of the anchor, so also of those that return to it.  Otherwise the
+anchors of least ``lb`` are searched, giving weight w, then every other
+anchor with ``lb <= w``; an anchor left out has ``lb > w``, so it can
+neither win nor tie.  Where pruning does not pay, all anchors are
 searched in one pass.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
@@ -197,7 +203,10 @@ def _traceback(outs, togo, state):
     """Smallest label sequence along which ``togo`` (one column's costs per cut) falls to 0.
 
     ``outs`` gives per step each state's edges.  Returns the label
-    integer of each section's edge.
+    integer of each section's edge and the state the walk ends in: on a
+    column that ends in one state only, that state; on the bound pass's
+    column, any state, so that the walk closes only if it returns to
+    where it started.
     """
     labels, c = [], togo[0][state]
     for out, nxt in zip(outs, togo[1:]):
@@ -206,7 +215,7 @@ def _traceback(outs, togo, state):
                 labels.append(label)
                 state, c = dst, c - w
                 break
-    return labels
+    return labels, state
 
 
 def decode_tailbiting(G, H, z):
@@ -266,9 +275,18 @@ def _search_block(tables, betas, rows, keys):
         passes.append((cost.reshape(len(cost), len(anchors), len(rows), -1), anchors.tolist(), weight))
         return [min(row) for row in weight]
 
+    outs = [[tables.sections.out[k] for k in row] for row in keys.tolist()]
+    states = rows.tolist()
     if tables.prune:
-        lb = _min_plus(sections, ends[-1:])[0, 0, rows[0]]
+        bound = _min_plus(sections, ends[-1:])
+        lb = bound[0, 0, rows[0]]
         least = lb == lb.min()
+        a = int(lb.argmin())
+        if least.sum() == 1 and lb[a] < _UNREACHED:
+            labels, end = _traceback(outs[0], bound[:, 0].tolist(), states[0][a])
+            # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
+            if end == states[0][a]:
+                return [(int(lb[a]), 1, labels, tables.states[end], betas[a])]
         w = search(np.flatnonzero(least))
         # no anchor whose bound exceeds w can reach w
         rest = np.flatnonzero(~least & (lb <= w[0]))
@@ -278,13 +296,11 @@ def _search_block(tables, betas, rows, keys):
         w = search(np.arange(rows.shape[1]))
     if max(w) >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    outs = [[tables.sections.out[k] for k in row] for row in keys.tolist()]
-    states = rows.tolist()
     best, ties = [None] * len(rows), [0] * len(rows)
     for cost, anchors, weight in passes:
         for i, j in ((i, j) for i, row in enumerate(weight) for j, x in enumerate(row) if x == w[i]):
             state = states[i][anchors[j]]
-            found = _traceback(outs[i], cost[:, j, i].tolist(), state), tables.states[state], betas[anchors[j]]
+            found = _traceback(outs[i], cost[:, j, i].tolist(), state)[0], tables.states[state], betas[anchors[j]]
             if best[i] is None or found < best[i]:
                 best[i] = found
             ties[i] += 1

@@ -8,6 +8,7 @@ and sorts the candidates by (weight, labels, anchor, beta).
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ CODES = {
     "mem2": ((G2_STRINGS, H2_STRINGS), 300),
     "16-state": (([["10011", "11101"]], [["11101", "10011"]]), 300),
     "k7": (K7_STRINGS, 30),
+    "32-state": (([["101111", "110101"]], [["110101", "101111"]]), 100),
     # H_0 = 0: under each syndrome symbol only half of the states have edges
     "H0-zero": (([["11", "1"]], [["01", "011"]]), 300),
 }
@@ -116,8 +118,13 @@ def test_decode_matches_per_subtrellis_reference_at_every_section_remainder(name
             assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), (N, z)
 
 
-def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
-    """Columns per pass: a 1-column bound pass, then few anchors, sometimes a second set."""
+def test_pruning_runs_on_the_codes_whose_all_anchor_pass_exceeds_the_budget():
+    pruned = {name for name, ((_, h), _) in CODES.items() if error_trellis._search_tables(poly_from_strings(h)).prune}
+    assert pruned == {"32-state", "k7"}
+
+
+def _recorded_columns(monkeypatch):
+    """A list to which the caller appends one list per decode; each min-plus pass adds its column count to the last."""
     columns = []
     real_min_plus = decoder._min_plus
 
@@ -126,12 +133,19 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
         return real_min_plus(sections, end)
 
     monkeypatch.setattr(decoder, "_min_plus", recording_min_plus)
+    return columns
+
+
+def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
+    """Columns per pass: a 1-column bound pass that mostly closes the word, else few anchors, sometimes a second set."""
+    columns = _recorded_columns(monkeypatch)
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     S = len(error_trellis._search_tables(H).states)
     for z in low_noise_k7_words(200, 7):
         columns.append([])
         decode_tailbiting(G, H, z)
-    assert all(c[0] == 1 and len(c) in (2, 3) for c in columns)
+    assert all(c[0] == 1 and len(c) <= 3 for c in columns)
+    assert sum(len(c) == 1 for c in columns) >= len(columns) * 3 / 4
     searched = [sum(c[1:]) for c in columns]
     assert max(searched) <= S and sum(searched) < len(columns) * S / 8
     assert any(len(c) == 3 for c in columns)
@@ -142,6 +156,19 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
         columns.append([])
         decode_tailbiting(G, H, z)
     assert columns == [[4], [4]]
+
+
+def test_every_outcome_of_the_bound_pass_matches_the_reference(monkeypatch):
+    """The walk from the one least-bound anchor closes on it; it does not; several anchors share the least bound."""
+    columns = _recorded_columns(monkeypatch)
+    G, H = (poly_from_strings(s) for s in K7_STRINGS)
+    outcomes = Counter()
+    for z in low_noise_k7_words(24, 37, N=12, p=0.1):
+        columns.append([])
+        assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), z
+        c = columns[-1]
+        outcomes["closed" if len(c) == 1 else "open" if c[1] == 1 else "shared"] += 1
+    assert min(outcomes[k] for k in ("closed", "open", "shared")) >= 1, outcomes
 
 
 def test_pruned_search_equals_the_search_of_every_anchor(monkeypatch):

@@ -126,6 +126,17 @@ def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite)
     assert results == {s: s != suite for s in EXPECTED_SUITES}
 
 
+def test_decoder_oracle_catches_a_tie_on_a_unique_nearest_codeword(monkeypatch, G1, H1):
+    real = verify.decode_tailbiting_batch
+
+    def decode_tailbiting_batch(G, H, words):
+        return [replace(res, tie=True) for res in real(G, H, words)]
+
+    monkeypatch.setattr(verify, "decode_tailbiting_batch", decode_tailbiting_batch)
+    results = dict(verify.run_all(G1, H1, 5, seed=1, trials=200))
+    assert results == {s: s != "decoder-oracle" for s in EXPECTED_SUITES}
+
+
 def _recorded_calls(monkeypatch, names, G, H, N, seed, trials):
     calls = {name: [] for name in names}
     with monkeypatch.context() as m:
