@@ -3,8 +3,9 @@
 A code spec is a JSON document ``{"n": int, "k": int, "G": [[str]],
 "H": [[str]]}`` whose entry strings are LSB-first binary polynomial
 coefficients.  Either matrix may be omitted; commands needing only one
-still work.  When both are present their duality (G H^T = 0) is
-checked, and H may not contain an all-zero parity row.
+still work.  H may not contain an all-zero parity row, each matrix must
+have full rank over GF(2)(D) (G rank k, H rank n - k), and when both are
+present their duality (G H^T = 0) is checked.
 """
 
 from __future__ import annotations
@@ -61,6 +62,9 @@ def parse_codespec(obj):
         for q in range(H.rows):
             if all(H.entry_string(q, j) == "0" for j in range(H.cols)):
                 raise CodeSpecError(f"parity row {q + 1} of H is zero")
+    for name, P in (("G", G), ("H", H)):
+        if P is not None and (rank := P.rank()) < P.rows:
+            raise CodeSpecError(f"matrix {name} has rank {rank} over GF(2)(D), need {P.rows}: its rows are dependent")
     if G is not None and H is not None and not poly_is_dual_pair(G, H):
         raise CodeSpecError("G and H are not dual: G(D) H(D)^T is nonzero")
     return CodeSpec(n=n, k=k, G=G, H=H)

@@ -16,11 +16,11 @@ states at cut N; a column belongs to one (word, anchor) pair, and every
 word of a block has as many.  Each step is three numpy calls: a gather
 of the next step's costs along every merged edge of each word's own
 table, an add and a minimum over each state's edges.  The gather's flat
-indices and weights come from the symbol-indexed stack of tables,
-picked for all steps and words of a block before the loop.  Edges that
-die inside a merged section end in one extra, never reached state.  A
-block holds as many words as keep an all-anchor pass within
-``TABLE_BUDGET`` entries per step.
+indices and weights come from the stack of tables, keyed by the
+integer each step's syndromes form, picked for all steps and words of a
+block before the loop.  Edges that die inside a merged section end in
+one extra, never reached state.  A block holds as many words as keep an
+all-anchor pass within ``TABLE_BUDGET`` entries per step.
 
 Pruning is exact and per word.  Where a pass over all anchors would
 exceed the table budget (32 or 64 states, not the 4-state
@@ -58,9 +58,9 @@ from operator import getitem, xor
 
 import numpy as np
 
-from .error_trellis import _search_tables, circular_run, received
+from .error_trellis import _search_tables, received
 from .gf2 import format_bits, format_state
-from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former
+from .state_machines import _bit_tuples, dual_state_of, enc_state_space, sf_circular, syndrome_former
 from .trellis import _to_anchor
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -162,21 +162,21 @@ def _ends(S):
 def _layout(H, N):
     """How the N sections of a word fall into floor(N/m) runs of m symbols, then N mod m single ones.
 
-    Returns, per step, the places that turn symbol digits into its key in
-    the stack (with ``first``, the key of the first single symbol, added
-    for single ones), the places that turn received-symbol integers into
-    the integer of its received bits, and the bit tuples of its labels.
+    Returns, per step, the places that turn syndrome integers into its key
+    in the stack (with ``first``, 2^(r*m), added for single symbols), the
+    places that turn received-symbol integers into the integer of its
+    received bits, and the bit tuples of its labels.  Both are powers of
+    two: a run's key and received integer concatenate its symbols' bits.
     """
-    tables, n = _search_tables(H), H.cols
-    m, base = tables.m, int(tables.digit.max()) + 1
+    m, r, n = _search_tables(H).m, H.rows, H.cols
     runs, cut = N // m, N - N % m
-    digits = np.zeros((N, runs + N - cut), dtype=np.intp)
-    symbols = np.zeros_like(digits)
+    places = np.zeros((N, runs + N - cut), dtype=np.intp)
+    symbols = np.zeros_like(places)
     for t in range(N):
         step, place = (t // m, m - 1 - t % m) if t < cut else (runs + t - cut, 0)
-        digits[t, step], symbols[t, step] = base**place, 1 << n * place
-    first = np.array([0] * runs + [base**m] * (N - cut))
-    return digits, first, symbols, [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
+        places[t, step], symbols[t, step] = 1 << r * place, 1 << n * place
+    first = np.array([0] * runs + [1 << r * m] * (N - cut))
+    return places, first, symbols, [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
 
 
 @lru_cache(maxsize=None)
@@ -235,13 +235,13 @@ def decode_tailbiting_batch(G, H, words):
     E = received(H, words)
     betas, duals = _dual_codes(G, H)
     tables = _search_tables(H)
-    digits, first, symbols, bits = _layout(H, E.shape[1])
+    places, first, symbols, bits = _layout(H, E.shape[1])
     results = []
     for start in range(0, len(E), tables.block):
         block = E[start : start + tables.block]
-        fin, zetas = circular_run(H, block)
+        fin, zetas = sf_circular(H, block)
         rows = tables.index.take(fin[:, None] ^ duals)
-        keys = tables.digit.take(zetas) @ digits + first
+        keys = zetas @ places + first
         best = _search_block(tables, betas, rows, keys)
         for (w, ties, labels, sigma, beta), z in zip(best, (block @ symbols).tolist()):
             results.append(

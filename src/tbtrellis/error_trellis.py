@@ -17,14 +17,16 @@ sigma_fin.  ``sigma_fin``, ``tailbiting_syndromes`` and
 ``backward_syndromes`` are each a block of one over their ``_batch``
 form.
 
-The modules of one H are tabulated once, straight from the syndrome
-former's integer step table (``_search_tables``): the trellis builders
-read their edges from it and the decoder its index arrays.
+The module of a syndrome symbol zeta is the set of syndrome-former
+transitions that emit zeta, and a merged m-section table the set of
+m-step syndrome-former paths that emit a run of m syndromes.
+``_search_tables`` enumerates those paths once per H and buckets them by
+the integer their syndromes form: the trellis builders read their edges
+from the single-step tables and the decoder its index arrays from all.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -76,28 +78,14 @@ def received(H, words):
     return E
 
 
-def circular_run(H, E):
-    """sigma_fin (words,) and the syndromes (words x N) of every row of ``received`` integers.
-
-    ``sf_circular`` runs on as many words at a time as keep its (words x
-    M + 1 x N) gather within ``TABLE_BUDGET`` entries.  The run is
-    circularly consistent: from sigma_fin a word leads back to sigma_fin.
-    """
-    step = max(1, TABLE_BUDGET // ((H.deg + 1) * max(E.shape[1], 1)))
-    if len(E) <= step:
-        return sf_circular(H, E)
-    fins, zetas = zip(*(sf_circular(H, E[i : i + step]) for i in range(0, len(E), step)))
-    return np.concatenate(fins), np.concatenate(zetas)
-
-
 def sigma_fin_batch(H, words):
     """``sigma_fin`` of every word of a block, as 0/1 uint8 rows."""
-    return unpack(circular_run(H, received(H, words))[0], H.deg * H.rows)
+    return unpack(sf_circular(H, received(H, words))[0], H.deg * H.rows)
 
 
 def tailbiting_syndromes_batch(H, words):
     """The syndromes of every word of a block from its sigma_fin: (words x N x r) 0/1 uint8."""
-    return unpack(circular_run(H, received(H, words))[1], H.rows)
+    return unpack(sf_circular(H, received(H, words))[1], H.rows)
 
 
 def sigma_fin(H, z):
@@ -130,17 +118,16 @@ class SearchSection(NamedTuple):
 
     Under one symbol zeta a state has ``degree`` edges or none, because the
     inputs e with eD = zeta + xC form a coset of the kernel of D or none;
-    over j symbols it has degree^j merged edges, ordered by their
-    concatenated labels.  The stack holds every run of m symbols, indexed
-    by its symbols' digits (see ``SearchTables``) read as one base-b
-    number, b the number of symbols; for m > 1 every single symbol
-    follows, at b^m + its digit, with its degree edges padded to degree^m.
-    ``dst`` and ``weight`` (runs x degree^m x states + 1) give each
-    merged edge's end state and label weight.  An edge that dies inside
-    the run, as all of an edge-less state's and every padding edge do,
-    ends in index S, one past the last state, which the search never
-    reaches; state S's own edges lead back to it with weight 0.  ``out``
-    lists, per run and state below S, its live edges in label order as
+    over j symbols it has at most degree^j merged edges, the j-step paths
+    of the syndrome former that emit the run.  The stack holds every run
+    of m symbols at the key its symbols' r-bit integers form, read as one
+    integer, then every single symbol zeta at 2^(r*m) + zeta; a run the
+    syndrome former never emits has no edges.  ``dst`` and ``weight``
+    (keys x degree^m x states + 1) give each merged edge's end state and
+    label weight, the edges of a state in concatenated-label order.  Slots
+    past a state's edges, and all of state S's, end in index S, one past
+    the last state, which the search never reaches; their weight is 0.
+    ``out`` lists, per key and state below S, its edges in label order as
     (label, end state index, weight), the label being the integer of the
     concatenated error symbols.
     """
@@ -153,8 +140,6 @@ class SearchSection(NamedTuple):
 class SearchTables(NamedTuple):
     """The search tables of one H; states in ``sf_state_space`` order.
 
-    ``digit`` maps a syndrome symbol's integer to its rank among the
-    symbols the syndrome former emits (-1 for one it never emits).
     ``sections`` is the ``SearchSection`` stack of runs of m and of single
     symbols.  ``prune`` is true when a pass over all S anchor columns
     would exceed ``TABLE_BUDGET`` entries per section; otherwise ``block``
@@ -166,24 +151,10 @@ class SearchTables(NamedTuple):
     states: list
     index: np.ndarray  # syndrome-former state integer -> dense index, -1 if pinned
     m: int
-    digit: np.ndarray
     sections: SearchSection
     prune: bool
     block: int
     modules: dict
-
-
-def _merge(run, single, n):
-    """The (dst, label) stacks of every run extended by one more symbol.
-
-    A stack holds one (states + 1 x edges) table per run of symbols, with
-    an edge-less row S; runs are extended in order, symbols ascending,
-    and each merged label appends the n-bit label of the next edge.
-    """
-    dst, label = run
-    nxt = np.arange(len(single[0]))[None, :, None, None], dst[:, None]
-    shape = (-1, dst.shape[1], dst.shape[2] * single[0].shape[2])
-    return single[0][nxt].reshape(shape), ((label[:, None, :, :, None] << n) | single[1][nxt]).reshape(shape)
 
 
 def _section(dst, label):
@@ -197,55 +168,60 @@ def _section(dst, label):
     )
 
 
+def _paths(sf, j):
+    """Every j-step path of ``sf`` from each state: (states x paths) keys, end states and slots.
+
+    Inputs are enumerated in ascending order, so path p's label is p, the
+    integer of its j input symbols; its key is the integer of its j
+    syndrome symbols, and its slot its rank among the paths with that key
+    from the same state.
+    """
+    x, key = np.array(sf.states)[:, None], np.zeros((len(sf.states), 1), dtype=np.intp)
+    for _ in range(j):
+        v = (sf.tables[0][x][..., None] ^ sf.tables[1]).reshape(len(x), -1)
+        x, key = v >> sf.out_bits, np.repeat(key << sf.out_bits, len(sf.tables[1]), axis=1) | v & sf.out_mask
+    group = (key + (np.arange(len(x))[:, None] << sf.out_bits * j)).ravel()
+    order = group.argsort(kind="stable")
+    slot = np.empty_like(group)
+    slot[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
+    return key, x, slot.reshape(key.shape)
+
+
 @lru_cache(maxsize=None)
 def _search_tables(H):
-    """The syndrome former's transitions bucketed by the syndrome symbols they emit.
+    """The syndrome former's m-step and single-step paths, bucketed by the syndromes they emit.
 
-    Built once per H from the integer step table: one table per symbol,
-    then, with numpy, one per m-tuple of symbols, m the largest run whose
-    tables fit ``TABLE_BUDGET``, stacked above the single symbols' tables.
-    Inputs are visited in ascending order, which is label order, so
-    merged edges in index order are in concatenated-label order.
+    Built once per H with numpy: m is the largest run whose tables fit
+    ``TABLE_BUDGET``, and the m-step paths' tables are stacked above the
+    single steps'.  A merged edge's slot is its path's rank in label
+    order.
     """
     sf = syndrome_former(H)
     S = len(sf.states)
     index = np.full(len(sf.state_tuples), -1, dtype=np.intp)
     index[sf.states] = np.arange(S)
     states = [sf.state_tuples[x] for x in sf.states]
-    out = defaultdict(lambda: [[] for _ in range(S)])
-    for i, x in enumerate(sf.states):
-        for e in range(len(sf.in_tuples)):
-            nxt, zeta = sf.step(x, e)
-            out[zeta][i].append((e, int(index[nxt])))
-    symbols = sorted(out)
-    digit = np.full(len(sf.out_tuples), -1, dtype=np.intp)
-    digit[symbols] = np.arange(len(symbols))
-    degree = max(len(es) for rows in out.values() for es in rows)
-    dst = np.full((len(symbols), S + 1, degree), S, dtype=np.intp)
-    label = np.zeros_like(dst)
-    for z, zeta in enumerate(symbols):
-        for i, es in enumerate(out[zeta]):
-            if es:
-                label[z, i], dst[z, i] = zip(*es)
-    single = dst, label
+    single = _paths(sf, 1)
+    degree = int(single[2].max()) + 1
     m = 1
-    while (len(symbols) * degree) ** (m + 1) * S <= TABLE_BUDGET:
+    while (len(set(single[0].ravel().tolist())) * degree) ** (m + 1) * S <= TABLE_BUDGET:
         m += 1
-    run = single
-    for _ in range(m - 1):
-        run = _merge(run, single, H.cols)
-    if m > 1:
-        pad = [(0, 0), (0, 0), (0, run[0].shape[2] - degree)]
-        run = [np.concatenate([r, np.pad(one, pad, constant_values=c)]) for r, one, c in zip(run, single, (S, 0))]
+    first = 1 << sf.out_bits * m
+    dst = np.full((first + 2**sf.out_bits, S + 1, degree**m), S, dtype=np.intp)
+    label = np.zeros_like(dst)
+    for base, (key, x, slot) in ((0, _paths(sf, m)), (first, single)):
+        dst[base + key, np.arange(S)[:, None], slot] = index[x]
+        label[base + key, np.arange(S)[:, None], slot] = np.arange(key.shape[1])
+    sections = _section(dst, label)
     modules = {
         sf.out_tuples[zeta]: tuple(
-            Edge(states[i], sf.in_tuples[e], states[j]) for i, es in enumerate(rows) for e, j in es
+            Edge(states[i], sf.in_tuples[e], states[j]) for i, es in enumerate(out) for e, j, _ in es
         )
-        for zeta, rows in out.items()
+        for zeta, out in enumerate(sections.out[first:])
     }
     per_word = S * S * degree**m
     return SearchTables(
-        states, index, m, digit, _section(*run), per_word > TABLE_BUDGET, max(1, TABLE_BUDGET // per_word), modules
+        states, index, m, sections, per_word > TABLE_BUDGET, max(1, TABLE_BUDGET // per_word), modules
     )
 
 
@@ -295,7 +271,7 @@ def backward_syndromes_batch(H, words):
 
     The reciprocal H runs the block with its symbol order reversed.
     """
-    return unpack(circular_run(H.reciprocal(), received(H, words)[:, ::-1])[1], H.rows)
+    return unpack(sf_circular(H.reciprocal(), received(H, words)[:, ::-1])[1], H.rows)
 
 
 def backward_syndromes(H, z):

@@ -140,6 +140,16 @@ def nullspace(A):
 # polynomial matrices
 
 
+def _clmul(a, b):
+    """Product of two GF(2)[D] polynomials held as integers, bit i the coefficient of D^i."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
 def _trimmed(coeffs):
     end = len(coeffs)
     while end > 1 and not coeffs[end - 1].any():
@@ -207,6 +217,22 @@ class PolyMatrix:
 
     def is_zero(self):
         return not any(c.any() for c in self.coeffs)
+
+    def rank(self):
+        """Rank over the rational functions GF(2)(D), by fraction-free elimination.
+
+        Entries are held as integers, bit i the coefficient of D^i.  A pivot
+        p in column c clears that column of every row left, each row w
+        becoming p*w + w_c*pivot row, which keeps the rank; every row that
+        holds a pivot is set aside.
+        """
+        rows = [[int(self.entry_string(i, j)[::-1], 2) for j in range(self.cols)] for i in range(self.rows)]
+        for c in range(self.cols):
+            pivot = next((row for row in rows if row[c]), None)
+            if pivot:
+                rows.remove(pivot)
+                rows = [[_clmul(pivot[c], a) ^ _clmul(row[c], b) for a, b in zip(row, pivot)] for row in rows]
+        return self.rows - len(rows)
 
     def coefficient_list(self):
         """[P_0, ..., P_deg] with the trailing zero matrices trimmed."""

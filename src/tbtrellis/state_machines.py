@@ -383,25 +383,3 @@ def poly_is_dual_pair(G, H):
     """True iff the polynomial product G(D) H(D)^T is the zero matrix."""
     return (G * H.T).is_zero()
 
-
-__all__ = [
-    "ExtendedState",
-    "constraint_length",
-    "sf_zero_state",
-    "sf_step",
-    "sf_step_batch",
-    "sf_circular",
-    "sf_run",
-    "extended_state",
-    "dual_state",
-    "dual_state_of",
-    "encoder_step",
-    "encoder_run",
-    "backward_state",
-    "tailbiting_encode",
-    "tailbiting_anchor",
-    "enc_state_space",
-    "sf_state_space",
-    "xor_states",
-    "poly_is_dual_pair",
-]

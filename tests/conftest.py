@@ -14,6 +14,12 @@ H2_STRINGS = [["111", "101"]]
 
 RECEIVED = "111 110 110 111 000"
 
+# specs whose H is dual to G but of rank 1 over GF(2)(D): two equal rows, and rows h and D*h
+RANK_DEFICIENT = [
+    {"n": 3, "k": 1, "G": [["1", "1", "0"]], "H": [["1", "1", "0"], ["1", "1", "0"]]},
+    {"n": 3, "k": 1, "G": G1_STRINGS, "H": [["11", "01", "11"], ["011", "001", "011"]]},
+]
+
 
 @pytest.fixture(scope="session")
 def G1():

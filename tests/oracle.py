@@ -5,7 +5,7 @@ convolution, integer-bitset elimination, exhaustive enumeration) so the
 tests never check the library against itself.
 """
 
-from itertools import product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -106,6 +106,31 @@ def bitset_rank(matrix):
         rows = [r ^ pr if r & mask else r for r in rows]
         rank += 1
     return rank
+
+
+def poly_rank(rows):
+    """Rank over GF(2)(D) of a matrix of LSB-first entry strings: the size of its largest nonzero minor.
+
+    A minor is expanded over all permutations (signs vanish in
+    characteristic 2), its products being coefficient convolutions mod 2.
+    """
+    entries = [[np.array([int(c) for c in s], dtype=np.int64) for s in row] for row in rows]
+
+    def det(rs, cs):
+        total = np.zeros(1, dtype=np.int64)
+        for perm in permutations(cs):
+            term = np.ones(1, dtype=np.int64)
+            for i, j in zip(rs, perm):
+                term = np.convolve(term, entries[i][j]) % 2
+            size = max(len(total), len(term))
+            total = np.pad(total, (0, size - len(total))) ^ np.pad(term, (0, size - len(term)))
+        return total
+
+    for t in range(min(len(rows), len(rows[0])), 0, -1):
+        for rs in combinations(range(len(rows)), t):
+            if any(det(rs, cs).any() for cs in combinations(range(len(rows[0])), t)):
+                return t
+    return 0
 
 
 def hamming(a, b):

@@ -4,7 +4,7 @@ import pytest
 
 from tbtrellis.cli import main
 
-from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RECEIVED
+from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
 
 
 def run(capsys, *argv):
@@ -55,6 +55,17 @@ def test_a_malformed_word_exits_one_with_one_error_line(capsys, tmp_path, comman
         code, out, err = run(capsys, *command, "--code", str(spec), "--received", received)
         assert (code, out) == (1, "")
         assert err.count("\n") == 1 and err.startswith("tbtrellis: error: "), err
+
+
+@pytest.mark.parametrize("command", [["decode", "--received", "110 011 101"], ["verify", "-N", "3"]])
+def test_a_rank_deficient_parity_check_matrix_exits_one_with_one_error_line(capsys, tmp_path, command):
+    """Before the rank check the first spec decoded to a non-codeword and the second stopped at an anchor collision."""
+    for i, spec in enumerate(RANK_DEFICIENT):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, command[0], "--code", str(path), *command[1:])
+        assert (code, out) == (1, "")
+        assert err == "tbtrellis: error: matrix H has rank 1 over GF(2)(D), need 2: its rows are dependent\n"
 
 
 def test_decode_reference(capsys, code_file):

@@ -4,7 +4,7 @@ import pytest
 
 from tbtrellis import CodeSpecError, load_codespec, parse_codespec
 
-from conftest import G1_STRINGS, H1_STRINGS
+from conftest import G1_STRINGS, H1_STRINGS, RANK_DEFICIENT
 
 
 def _write(tmp_path, obj):
@@ -69,6 +69,20 @@ def test_rejects_zero_parity_row():
     H = [["11", "01", "11"], ["0", "0", "0"]]
     with pytest.raises(CodeSpecError, match="zero"):
         parse_codespec({"n": 3, "k": 1, "H": H})
+
+
+@pytest.mark.parametrize("spec", RANK_DEFICIENT)
+def test_rejects_a_rank_deficient_parity_check_matrix(spec):
+    with pytest.raises(CodeSpecError, match=r"matrix H has rank 1 over GF\(2\)\(D\), need 2"):
+        parse_codespec(spec)
+
+
+def test_rejects_a_rank_deficient_generator():
+    G = [["1", "1", "0"], ["01", "01", "0"]]
+    with pytest.raises(CodeSpecError, match=r"matrix G has rank 1 over GF\(2\)\(D\), need 2"):
+        parse_codespec({"n": 3, "k": 2, "G": G, "H": [["1", "1", "0"]]})
+    with pytest.raises(CodeSpecError, match="matrix G has rank 1"):
+        parse_codespec({"n": 3, "k": 2, "G": G})
 
 
 def test_rejects_non_dual_pair():

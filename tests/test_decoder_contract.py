@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from tbtrellis import (
     min_weight_path,
     poly_from_strings,
     sigma_fin,
+    sf_run,
 )
 from tbtrellis.state_machines import LinearMachine
 
@@ -42,6 +44,48 @@ CODES = {
     # H_0 = 0: under each syndrome symbol only half of the states have edges
     "H0-zero": (([["11", "1"]], [["01", "011"]]), 300),
 }
+
+
+def brute_force_rows(H, tables):
+    """Per stack key and state: (label, end state index, weight) of each input run whose syndromes read as the key.
+
+    Every m-step and single-step input sequence is folded through
+    ``sf_run`` from every state, in ascending label order.
+    """
+    r, n, states = H.rows, H.cols, tables.states
+    rows = [[[] for _ in states] for _ in tables.sections.out]
+    for j, first in ((tables.m, 0), (1, 1 << r * tables.m)):
+        for label, bits in enumerate(product((0, 1), repeat=n * j)):
+            for i, state in enumerate(states):
+                end, zetas = sf_run(H, state, [bits[t * n : t * n + n] for t in range(j)])
+                key = int("".join(map(str, chain(*zetas))), 2)
+                rows[first + key][i].append((label, states.index(end), sum(bits)))
+    return rows
+
+
+# two equal rows: from the states that emit 01 or 10, every step enters 00 or 11, which emit only 00 and 11
+DOUBLED_ROW_H = [["11", "01", "11"], ["11", "01", "11"]]
+
+
+@pytest.mark.parametrize("h", [h for (_, h), _ in CODES.values()] + [DOUBLED_ROW_H])
+def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
+    """A key's live slots are its input runs in label order, with end states and weights; every other slot ends in S."""
+    H = poly_from_strings(h)
+    tables = error_trellis._search_tables(H)
+    sec, S = tables.sections, len(tables.states)
+    rows = brute_force_rows(H, tables)
+    assert [[list(edges) for edges in run] for run in sec.out] == rows
+    for key, run in enumerate(rows):
+        for i, edges in enumerate(run):
+            live = len(edges)
+            assert sec.dst[key, :live, i].tolist() == [dst for _, dst, _ in edges]
+            assert sec.weight[key, :live, i].tolist() == [w for _, _, w in edges]
+            assert (sec.dst[key, live:, i] == S).all()
+    assert (sec.dst[:, :, S] == S).all()
+    if h == DOUBLED_ROW_H:
+        m, r = tables.m, H.rows
+        later = [{key >> r * p & 3 for p in range(m - 1)} for key in range(1 << r * m)]
+        assert [not any(rows[key]) for key in range(1 << r * m)] == [bool(s & {1, 2}) for s in later]
 
 
 def reference_decode(G, H, z):
@@ -196,7 +240,7 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
     z = [(1, 0), (0, 1), (1, 1)] * 4
     decode_tailbiting(G, H, z)  # fills the per-code caches
     calls = {"sf_circular": 0, "step": 0}
-    real_kernel, real_step = error_trellis.sf_circular, LinearMachine.step
+    real_kernel, real_step = decoder.sf_circular, LinearMachine.step
 
     def counting_kernel(*args):
         calls["sf_circular"] += 1
@@ -206,7 +250,7 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
         calls["step"] += 1
         return real_step(self, *args)
 
-    monkeypatch.setattr(error_trellis, "sf_circular", counting_kernel)
+    monkeypatch.setattr(decoder, "sf_circular", counting_kernel)
     monkeypatch.setattr(LinearMachine, "step", counting_step)
     decode_tailbiting(G, H, z)
     assert calls == {"sf_circular": 1, "step": 0}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from tbtrellis import (
     split_symbols,
 )
 
-from oracle import bitset_rank
+from oracle import bitset_rank, poly_rank
 
 
 def test_poly_from_strings_rate13(G1):
@@ -137,6 +139,27 @@ def test_rank_nullity_random():
         for v in basis:
             assert not (mat_mul(A, v.reshape(-1, 1)) % 2).any()
         assert rank(basis) == basis.shape[0] if basis.size else True
+
+
+def test_poly_rank_matches_the_largest_nonzero_minor(G1, H1, G2, H2):
+    """PolyMatrix.rank over GF(2)(D) against an independent minor expansion, on random and dependent rows."""
+    for P in (G1, H1, G2, H2):
+        assert P.rank() == P.rows
+    assert poly_from_strings([["11", "01", "11"], ["011", "001", "011"]]).rank() == 1  # rows h and D*h
+    assert poly_from_strings([["0", "0"], ["0", "0"]]).rank() == 0
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        rows, cols, base = rng.integers(1, 4), rng.integers(1, 5), rng.integers(1, 4)
+        basis = [[rng.integers(0, 8) for _ in range(cols)] for _ in range(base)]
+        # each row a random GF(2)[D] combination of ``base`` rows, so dependent rows are common
+        mix = [[rng.integers(0, 4) for _ in range(base)] for _ in range(rows)]
+        ints = [[0] * cols for _ in range(rows)]
+        for i, j, b in product(range(rows), range(cols), range(base)):
+            for shift in range(2):
+                if mix[i][b] >> shift & 1:
+                    ints[i][j] ^= basis[b][j] << shift
+        strings = [[format(x, "b")[::-1] if x else "0" for x in row] for row in ints]
+        assert poly_from_strings(strings).rank() == poly_rank(strings), strings
 
 
 def test_bit_parsing_and_formatting():
