@@ -58,16 +58,24 @@ def parse_codespec(obj):
     H = _parse_matrix(obj.get("H"), "H", rows=n - k, cols=n)
     if G is None and H is None:
         raise CodeSpecError("code spec must provide G, H, or both")
-    if H is not None:
-        for q in range(H.rows):
-            if all(H.entry_string(q, j) == "0" for j in range(H.cols)):
-                raise CodeSpecError(f"parity row {q + 1} of H is zero")
+    check_matrices(G, H)
+    return CodeSpec(n=n, k=k, G=G, H=H)
+
+
+def check_matrices(G, H):
+    """Raise a CodeSpecError unless H has no zero row, each matrix given has full rank, and G H^T = 0.
+
+    Either matrix may be None.  The rank is over GF(2)(D): G needs rank
+    k and H rank n - k.
+    """
+    for q, row in enumerate(H.entries if H is not None else ()):
+        if not any(row):
+            raise CodeSpecError(f"parity row {q + 1} of H is zero")
     for name, P in (("G", G), ("H", H)):
         if P is not None and (rank := P.rank()) < P.rows:
             raise CodeSpecError(f"matrix {name} has rank {rank} over GF(2)(D), need {P.rows}: its rows are dependent")
     if G is not None and H is not None and not poly_is_dual_pair(G, H):
         raise CodeSpecError("G and H are not dual: G(D) H(D)^T is nonzero")
-    return CodeSpec(n=n, k=k, G=G, H=H)
 
 
 def _parse_matrix(entries, name, rows, cols):

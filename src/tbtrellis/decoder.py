@@ -58,6 +58,7 @@ from operator import getitem, xor
 
 import numpy as np
 
+from .codespec import check_matrices
 from .error_trellis import _search_tables, received
 from .gf2 import format_bits, format_state
 from .state_machines import _bit_tuples, dual_state_of, enc_state_space, sf_circular, syndrome_former
@@ -118,7 +119,11 @@ def min_weight_path(T, anchor):
 
 @lru_cache(maxsize=None)
 def _dual_codes(G, H):
-    """Encoder states and the syndrome-former integers of their dual states."""
+    """Encoder states and the syndrome-former integers of their dual states.
+
+    The pair is first checked as a spec load checks it (``check_matrices``).
+    """
+    check_matrices(G, H)
     betas = enc_state_space(G)
     sf = syndrome_former(H)
     duals = [sf.state(dual_state_of(G, H, beta)) for beta in betas]

@@ -191,10 +191,10 @@ def _paths(sf, j):
 def _search_tables(H):
     """The syndrome former's m-step and single-step paths, bucketed by the syndromes they emit.
 
-    Built once per H with numpy: m is the largest run whose tables fit
-    ``TABLE_BUDGET``, and the m-step paths' tables are stacked above the
-    single steps'.  A merged edge's slot is its path's rank in label
-    order.
+    Built once per H with numpy: m is the largest run whose tables, over
+    all 2^(r*m) runs whether emitted or not, fit ``TABLE_BUDGET``, and the
+    m-step paths' tables are stacked above the single steps'.  A merged
+    edge's slot is its path's rank in label order.
     """
     sf = syndrome_former(H)
     S = len(sf.states)
@@ -204,7 +204,7 @@ def _search_tables(H):
     single = _paths(sf, 1)
     degree = int(single[2].max()) + 1
     m = 1
-    while (len(set(single[0].ravel().tolist())) * degree) ** (m + 1) * S <= TABLE_BUDGET:
+    while (2**sf.out_bits * degree) ** (m + 1) * S <= TABLE_BUDGET:
         m += 1
     first = 1 << sf.out_bits * m
     dst = np.full((first + 2**sf.out_bits, S + 1, degree**m), S, dtype=np.intp)

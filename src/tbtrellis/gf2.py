@@ -2,8 +2,10 @@
 
 Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1};
 row reduction uses XOR row operations.  A :class:`PolyMatrix` is a matrix
-over GF(2)[D], stored as the list of its constant coefficient matrices,
-lowest power of D first.
+over GF(2)[D] whose entries are Python integers, bit p the coefficient of
+D^p: its products, transposes, reciprocals and rank work on those
+integers, and its constant coefficient matrices, lowest power of D
+first, are unpacked from them on request.
 
 Entry strings are LSB-first binary: character i is the coefficient of
 D^i, so ``"111"`` is 1+D+D^2 and ``"01"`` is D.  Bit vectors print
@@ -11,6 +13,10 @@ leftmost-first (bit 1 of a symbol is the leftmost character).
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from itertools import chain
+from operator import or_, xor
 
 import numpy as np
 
@@ -150,25 +156,23 @@ def _clmul(a, b):
     return out
 
 
-def _trimmed(coeffs):
-    end = len(coeffs)
-    while end > 1 and not coeffs[end - 1].any():
-        end -= 1
-    return coeffs[:end]
-
-
 class PolyMatrix:
-    """Matrix over GF(2)[D] as a list of coefficient matrices [P_0, ..., P_d].
+    """Matrix over GF(2)[D], each entry one integer whose bit p is the coefficient of D^p.
 
-    Instances are immutable.  ``deg`` is the effective degree (highest
-    index with a nonzero coefficient matrix; 0 for the zero matrix).
-    Equality and hashing compare the trimmed coefficient lists, so
-    trailing zero matrices do not distinguish two values.  The reciprocal
-    reverses the stored list, trailing zeros included, so it is kept per
-    instance, not in a cache keyed by value.
+    Built from a list of coefficient matrices [P_0, ..., P_d] (lowest
+    power first) or from entry strings; ``entries`` holds the rows as
+    tuples of integers.  Instances are immutable.  ``deg`` is the
+    effective degree (the highest power with a nonzero coefficient; 0 for
+    the zero matrix).  Equality compares the shape and the entries, and
+    the hash the entries, so trailing zero coefficient matrices do not
+    distinguish two values.  The reciprocal reverses each entry over
+    ``_length`` bits: the number of coefficient matrices given to the
+    constructor, trailing zero ones included (deg + 1 for strings and
+    products), which the transpose and the reciprocal keep.  So the
+    reciprocal is kept per instance, not in a cache keyed by value.
     """
 
-    __slots__ = ("coeffs", "rows", "cols", "deg", "_key", "_hash", "_reciprocal")
+    __slots__ = ("entries", "rows", "cols", "deg", "_length", "_hash", "_reciprocal")
 
     def __init__(self, coeffs):
         mats = [np.array(c, dtype=np.uint8, copy=True) % 2 for c in coeffs]
@@ -179,17 +183,21 @@ class PolyMatrix:
             raise ValueError("coefficient matrices must be two-dimensional")
         if any(m.shape != shape for m in mats):
             raise ValueError("coefficient matrices must share dimensions")
-        for m in mats:
-            m.flags.writeable = False
-        deg = max((i for i, m in enumerate(mats) if m.any()), default=0)
-        key = (shape[0], shape[1], b"".join(m.tobytes() for m in mats[: deg + 1]))
-        object.__setattr__(self, "coeffs", tuple(mats))
-        object.__setattr__(self, "rows", shape[0])
-        object.__setattr__(self, "cols", shape[1])
-        object.__setattr__(self, "deg", deg)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-        object.__setattr__(self, "_reciprocal", None)
+        bits = np.array(mats).transpose(1, 2, 0).tolist()
+        self._set(*shape, [[sum(b << p for p, b in enumerate(e)) for e in row] for row in bits], len(mats))
+
+    def _set(self, rows, cols, entries, length=1):
+        entries = tuple(map(tuple, entries))
+        deg = reduce(or_, chain.from_iterable(entries), 1).bit_length() - 1
+        # in __slots__ order
+        for name, value in zip(self.__slots__, (entries, rows, cols, deg, max(length, deg + 1), hash(entries), None)):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _of(cls, rows, cols, entries, length=1):
+        """The rows x cols matrix of integer ``entries``, stored over ``length`` coefficient matrices."""
+        return object.__new__(cls)._set(rows, cols, entries, length)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyMatrix is immutable")
@@ -202,31 +210,23 @@ class PolyMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        deg = 0
         for r in rows:
             for s in r:
-                if not s or any(c not in "01" for c in s):
+                if not isinstance(s, str) or not s or any(c not in "01" for c in s):
                     raise ValueError(f"bad coefficient string: {s!r}")
-                deg = max(deg, len(s) - 1)
-        coeffs = [np.zeros((len(rows), ncols), dtype=np.uint8) for _ in range(deg + 1)]
-        for i, r in enumerate(rows):
-            for j, s in enumerate(r):
-                for p, c in enumerate(s):
-                    coeffs[p][i, j] = int(c)
-        return cls(_trimmed(coeffs))
+        return cls._of(len(rows), ncols, [[int(s[::-1], 2) for s in r] for r in rows])
 
     def is_zero(self):
-        return not any(c.any() for c in self.coeffs)
+        return not any(chain.from_iterable(self.entries))
 
     def rank(self):
         """Rank over the rational functions GF(2)(D), by fraction-free elimination.
 
-        Entries are held as integers, bit i the coefficient of D^i.  A pivot
-        p in column c clears that column of every row left, each row w
-        becoming p*w + w_c*pivot row, which keeps the rank; every row that
-        holds a pivot is set aside.
+        A pivot p in column c clears that column of every row left, each
+        row w becoming p*w + w_c*pivot row, which keeps the rank; every row
+        that holds a pivot is set aside.
         """
-        rows = [[int(self.entry_string(i, j)[::-1], 2) for j in range(self.cols)] for i in range(self.rows)]
+        rows = list(self.entries)
         for c in range(self.cols):
             pivot = next((row for row in rows if row[c]), None)
             if pivot:
@@ -235,24 +235,28 @@ class PolyMatrix:
         return self.rows - len(rows)
 
     def coefficient_list(self):
-        """[P_0, ..., P_deg] with the trailing zero matrices trimmed."""
-        return list(self.coeffs[: self.deg + 1])
+        """[P_0, ..., P_deg] as uint8 matrices, unpacked from the entries."""
+        bits = [[[e >> p & 1 for e in row] for row in self.entries] for p in range(self.deg + 1)]
+        return list(np.array(bits, dtype=np.uint8).reshape(self.deg + 1, self.rows, self.cols))
 
     def reciprocal(self):
-        """Reverse the stored coefficient list (P~_i = P_{deg-i}); built once per instance."""
+        """Each entry reversed over the stored coefficient matrices (P~_i = P_{d-i}); built once per instance."""
         if self._reciprocal is None:
-            object.__setattr__(self, "_reciprocal", PolyMatrix(list(reversed(self.coeffs))))
+            spec = f"0{self._length}b"
+            entries = [[int(format(e, spec)[::-1], 2) for e in row] for row in self.entries]
+            object.__setattr__(self, "_reciprocal", self._of(self.rows, self.cols, entries, self._length))
         return self._reciprocal
 
     def transpose(self):
-        return PolyMatrix([c.T for c in self.coeffs])
+        columns = [[row[j] for row in self.entries] for j in range(self.cols)]  # not zip: rows may be 0
+        return self._of(self.cols, self.rows, columns, self._length)
 
     @property
     def T(self):
         return self.transpose()
 
     def __mul__(self, other):
-        """Polynomial matrix product by coefficient convolution."""
+        """Polynomial matrix product: each entry the XOR of carry-less products."""
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         if self.cols != other.rows:
@@ -260,29 +264,22 @@ class PolyMatrix:
                 f"dimension mismatch: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}"
             )
-        out = [
-            np.zeros((self.rows, other.cols), dtype=np.uint8)
-            for _ in range(len(self.coeffs) + len(other.coeffs) - 1)
-        ]
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] ^= mat_mul(a, b).astype(np.uint8)
-        return PolyMatrix(_trimmed(out))
+        columns = other.T.entries
+        return self._of(
+            self.rows, other.cols, [[reduce(xor, map(_clmul, row, col), 0) for col in columns] for row in self.entries]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        return self._key == other._key
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     def __hash__(self):
         return self._hash
 
     def entry_string(self, i, j):
         """LSB-first coefficient string of entry (i, j) in canonical form."""
-        bits = [str(int(c[i, j])) for c in self.coeffs]
-        while len(bits) > 1 and bits[-1] == "0":
-            bits.pop()
-        return "".join(bits)
+        return format(self.entries[i][j], "b")[::-1]
 
     def to_strings(self):
         return [[self.entry_string(i, j) for j in range(self.cols)] for i in range(self.rows)]

@@ -186,8 +186,8 @@ def unpack(ints, width):
 
 
 def _row_degrees(P):
-    coeffs = P.coefficient_list()
-    return [max((i for i, c in enumerate(coeffs) if c[q].any()), default=0) for q in range(P.rows)]
+    """The degree of each row of P, read from its integer entries; 0 for a zero row."""
+    return [max(map(int.bit_length, (1, *row))) - 1 for row in P.entries]
 
 
 @lru_cache(maxsize=None)

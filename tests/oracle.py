@@ -133,5 +133,19 @@ def poly_rank(rows):
     return 0
 
 
+def poly_mul(a, b):
+    """Product of two polynomial matrices given as coefficient lists [P_0..P_d], [Q_0..Q_e].
+
+    Entry (i, j) is the sum over l of the convolution of the coefficient
+    sequences of a[., i, l] and b[., l, j], mod 2; the result has d + e + 1
+    coefficient matrices, trailing zero ones included.
+    """
+    A, B = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+    out = np.zeros((len(A) + len(B) - 1, A.shape[1], B.shape[2]), dtype=np.int64)
+    for i, j, l in product(range(A.shape[1]), range(B.shape[2]), range(A.shape[2])):
+        out[:, i, j] += np.convolve(A[:, i, l], B[:, l, j])
+    return list((out % 2).astype(np.uint8))
+
+
 def hamming(a, b):
     return int(np.bitwise_xor(np.asarray(a, np.uint8), np.asarray(b, np.uint8)).sum())

@@ -65,6 +65,13 @@ def test_rejects_malformed_entries():
         parse_codespec({"n": 3, "k": 1, "G": [["1", "101"]]})
 
 
+def test_rejects_entries_that_are_not_strings():
+    """A JSON number or list as an entry is a bad coefficient string, not a TypeError."""
+    for entry in (101, ["1", "0", "1"], None):
+        with pytest.raises(CodeSpecError, match="bad coefficient string"):
+            parse_codespec({"n": 3, "k": 1, "G": [["1", entry, "111"]]})
+
+
 def test_rejects_zero_parity_row():
     H = [["11", "01", "11"], ["0", "0", "0"]]
     with pytest.raises(CodeSpecError, match="zero"):

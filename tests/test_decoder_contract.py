@@ -25,13 +25,16 @@ from tbtrellis import (
     enc_state_space,
     error_anchor,
     min_weight_path,
+    parse_bits,
     poly_from_strings,
     sigma_fin,
     sf_run,
+    split_symbols,
 )
 from tbtrellis.state_machines import LinearMachine
+from tbtrellis.verify import run_all
 
-from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS
+from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
 from oracle import circ_encode, coeffs_from_strings, flat
 
 K7_STRINGS = ([["1011011", "1111001"]], [["1111001", "1011011"]])
@@ -232,6 +235,35 @@ def test_decode_rejects_an_empty_word_of_a_memoryless_code():
     assert decode_tailbiting(G, H, [(1, 0)]).weight == 1
     with pytest.raises(ValueError):
         decode_tailbiting(G, H, [])
+
+
+def test_search_tables_size_m_from_every_syndrome_symbol():
+    """A rank-1 H emits 2 of its 4 symbols, but the stack spans the keys of all 4: m = 3, not 4."""
+    tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
+    assert tables.m == 3
+    assert tables.sections.dst.shape == (2**6 + 2**2, 4**3, 2)
+
+
+# pairs that a spec load rejects, with a word each: before the check, the library decoded
+# the first to y=110 001 111 and the second to y=111 110 111 011 101, neither a codeword
+LIBRARY_REJECTS = [
+    (RANK_DEFICIENT[0]["G"], RANK_DEFICIENT[0]["H"], "110 011 101", r"matrix H has rank 1 over GF\(2\)\(D\), need 2"),
+    (G1_STRINGS, [["11", "01", "11"], ["01", "1", "0"]], RECEIVED, r"G and H are not dual: G\(D\) H\(D\)\^T is nonzero"),
+]
+
+
+@pytest.mark.parametrize("g, h, word, message", LIBRARY_REJECTS)
+def test_library_entry_points_reject_the_pairs_a_spec_load_rejects(g, h, word, message):
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    z = split_symbols(parse_bits(word), 3)
+    calls = (
+        lambda: decode_tailbiting(G, H, z),
+        lambda: decode_tailbiting_batch(G, H, [z, z[::-1]]),
+        lambda: run_all(G, H, len(z), trials=10),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
 
 
 def test_decode_runs_the_syndrome_former_once(monkeypatch):

@@ -1,16 +1,25 @@
-"""Property test: the decoder against the exhaustive codebook on random rate-1/2 dual pairs.
+"""Property test: the decoder against the exhaustive codebook on random dual pairs.
 
-A pair is G = [h2, h1], H = [h1, h2] with polynomials of degree at most 4,
-so G(D) H(D)^T = h2 h1 + h1 h2 = 0.  Pairs whose encoder states collide
-on one error-subtrellis anchor are dropped.  Hypothesis runs derandomized,
-so the examples are the same in every run.
+A rate-1/2 pair is G = [h2, h1], H = [h1, h2] with polynomials of degree
+at most 4, so G(D) H(D)^T = h2 h1 + h1 h2 = 0.  Pairs whose encoder states
+collide on one error-subtrellis anchor are dropped.  A rate-k/(k+1) pair,
+k = 1, 2, 3, is H = [h_1 ... h_n] with G rows g_j = h_j e_1 + h_1 e_j;
+where its states collide, the CLI must fail with one error line.
+Hypothesis runs derandomized, so the examples are the same in every run.
 """
+
+import contextlib
+import io
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tbtrellis import AnchorCollisionError, decode_tailbiting, decode_tailbiting_batch, poly_from_strings
+from tbtrellis.cli import main
 
 from oracle import circ_encode, coeffs_from_strings, flat, tailbiting_codebook
 
@@ -22,6 +31,19 @@ def lsb_first(mask):
     return format(mask, "b")[::-1]
 
 
+def draw_word(draw, g, k, N):
+    """N symbols of uniform random bits, or of a codeword of g with up to three bits flipped."""
+    n = g[0].shape[1]
+    if draw(st.booleans()):
+        bits = draw(st.lists(st.integers(0, 1), min_size=n * N, max_size=n * N))
+    else:
+        u = draw(st.lists(st.integers(0, 1), min_size=k * N, max_size=k * N))
+        bits = list(flat(circ_encode(g, [tuple(u[k * t : k * t + k]) for t in range(N)])))
+        for i in draw(st.lists(st.integers(0, n * N - 1), max_size=3)):
+            bits[i] ^= 1
+    return [tuple(bits[n * t : n * t + n]) for t in range(N)]
+
+
 @st.composite
 def pair_and_word(draw):
     h1, h2 = lsb_first(draw(POLYNOMIAL)), lsb_first(draw(POLYNOMIAL))
@@ -29,14 +51,7 @@ def pair_and_word(draw):
     G, H = poly_from_strings(g_strings), poly_from_strings(h_strings)
     N = draw(st.integers(max(H.deg, 1), 2 * G.deg + 3))
     g = coeffs_from_strings(g_strings)
-    if draw(st.booleans()):
-        bits = draw(st.lists(st.integers(0, 1), min_size=2 * N, max_size=2 * N))
-    else:
-        u = [(b,) for b in draw(st.lists(st.integers(0, 1), min_size=N, max_size=N))]
-        bits = list(flat(circ_encode(g, u)))
-        for i in draw(st.lists(st.integers(0, 2 * N - 1), max_size=3)):
-            bits[i] ^= 1
-    return G, H, g, [tuple(bits[2 * t : 2 * t + 2]) for t in range(N)]
+    return G, H, g, draw_word(draw, g, 1, N)
 
 
 @st.composite
@@ -82,3 +97,41 @@ def test_block_decode_is_nearest_codeword_word_by_word(case):
     assert len(results) == len(words)
     for z, res in zip(words, results):
         check_nearest(codebook, z, res)
+
+
+@st.composite
+def k_input_pair_and_word(draw):
+    """An r = 1 pair with k = 1, 2 or 3 inputs, h of degree <= 2, and a word of N symbols, N*k <= 15."""
+    k = draw(st.integers(1, 3))
+    h = [lsb_first(draw(st.integers(1, 7))) for _ in range(k + 1)]
+    g_strings = [[h[j]] + [h[0] if c == j else "0" for c in range(1, k + 1)] for j in range(1, k + 1)]
+    G, H = poly_from_strings(g_strings), poly_from_strings([h])
+    N = draw(st.sampled_from([N for N in sorted({max(H.deg, 1), G.deg, G.deg + 1}) if N and N * k <= 15]))
+    g = coeffs_from_strings(g_strings)
+    spec = {"n": k + 1, "k": k, "G": g_strings, "H": [h]}
+    return spec, G, H, g, draw_word(draw, g, k, N)
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(k_input_pair_and_word())
+def test_k_input_pairs_decode_to_a_nearest_codeword_or_exit_one(case):
+    spec, G, H, g, z = case
+    try:
+        res = decode_tailbiting(G, H, z)
+    except AnchorCollisionError as exc:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "code.json")
+            with open(path, "w") as fh:
+                json.dump(spec, fh)
+            received = "".join(map(str, flat(z)))
+            for argv in (["decode", "--received", received], ["verify", "-N", str(len(z))]):
+                assert run_cli(argv[0], "--code", path, *argv[1:]) == (1, "", f"tbtrellis: error: {exc}\n")
+        return
+    check_nearest(tailbiting_codebook(g, len(z), spec["k"]), z, res)

@@ -18,7 +18,7 @@ from tbtrellis import (
     split_symbols,
 )
 
-from oracle import bitset_rank, poly_rank
+from oracle import bitset_rank, poly_mul, poly_rank
 
 
 def test_poly_from_strings_rate13(G1):
@@ -101,6 +101,59 @@ def test_reciprocal_is_built_once_per_instance(H1):
     padded = PolyMatrix([c0, c1, zero])
     assert padded == H1
     assert reciprocal(padded) == PolyMatrix([zero, c1, c0]) != reciprocal(H1)
+
+
+def trimmed(coeffs):
+    """A coefficient list without its trailing zero matrices (at least one kept)."""
+    end = max([1] + [p + 1 for p, c in enumerate(coeffs) if c.any()])
+    return [np.asarray(c) for c in coeffs[:end]]
+
+
+def same_coefficients(P, coeffs):
+    want = trimmed(coeffs)
+    got = P.coefficient_list()
+    return len(got) == len(want) and all(np.array_equal(x, y) for x, y in zip(got, want))
+
+
+def random_coefficients(rng, rows, cols):
+    """A coefficient list with some zero entries and, at times, trailing zero matrices."""
+    coeffs = rng.integers(0, 2, size=(rng.integers(1, 5), rows, cols)) * (rng.random((rows, cols)) < 0.8)
+    pad = np.zeros((rng.integers(0, 3), rows, cols), dtype=coeffs.dtype)
+    return list(np.concatenate([coeffs, pad]).astype(np.uint8))
+
+
+def test_poly_matrix_against_the_convolution_oracle():
+    """Products, reciprocals over the padded length, transposes and round trips on 260 seeded pairs."""
+    rng = np.random.default_rng(29)
+    products = 0
+    for _ in range(260):
+        r, c, s = rng.integers(1, 4, size=3)
+        a, b = random_coefficients(rng, r, c), random_coefficients(rng, c, s)
+        A, B = PolyMatrix(a), PolyMatrix(b)
+        for P, coeffs in ((A, a), (B, b)):
+            assert same_coefficients(P.reciprocal(), coeffs[::-1])
+            assert same_coefficients(P.T, [x.T for x in coeffs])
+            assert PolyMatrix(P.coefficient_list()) == P
+            padded = PolyMatrix([*coeffs, np.zeros_like(coeffs[0])])
+            assert padded == P and hash(padded) == hash(P)
+            assert padded.reciprocal() != P.reciprocal() or P.is_zero()
+        if not (A.is_zero() or B.is_zero()):
+            assert same_coefficients(A * B, poly_mul(a, b))
+            products += 1
+    assert products >= 200
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0)])
+def test_zero_size_matrices_keep_their_shape(shape):
+    for length in (1, 3):
+        P = PolyMatrix([np.zeros(shape, dtype=np.uint8)] * length)
+        assert (P.rows, P.cols, P.deg) == (*shape, 0)
+        assert (P.T.rows, P.T.cols) == shape[::-1] and P.T.T == P
+        assert [c.shape for c in P.T.coefficient_list()] == [shape[::-1]]
+        assert (P.reciprocal().rows, P.reciprocal().cols) == shape
+        assert [c.shape for c in P.coefficient_list()] == [shape]
+        assert P.is_zero() and P.rank() == 0
+        assert P == PolyMatrix([np.zeros(shape)]) != PolyMatrix([np.zeros(shape[::-1])])
 
 
 def test_generator_parity_product_is_zero(G1, H1, G2, H2):
