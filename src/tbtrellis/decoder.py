@@ -19,8 +19,12 @@ table, an add and a minimum over each state's edges.  The gather's flat
 indices and weights come from the stack of tables, keyed by the
 integer each step's syndromes form, picked for all steps and words of a
 block before the loop.  Edges that die inside a merged section end in
-one extra, never reached state.  A block holds as many words as keep an
-all-anchor pass within ``TABLE_BUDGET`` entries per step.
+one extra, never reached state.  Where all anchors are searched in one
+pass, a block holds as many words as keep that pass within
+``BLOCK_BUDGET`` entries per step (256 words of the reference code at
+N = 5).  A larger block spreads the fixed numpy cost of a step over
+more words; beyond a few hundred words it is no faster and takes more
+memory.
 
 Pruning is exact and per word.  Where a pass over all anchors would
 exceed the table budget (32 or 64 states, not the 4-state
@@ -47,6 +51,16 @@ first merged edge, in concatenated-label order, whose weight plus the
 next step's cost equals the current cost.  Ties across anchors set the
 ``tie`` flag and resolve to the smallest label sequence, then the
 smallest anchor.
+
+There are two tracebacks with this one rule.  A block of several words
+(only where every anchor is searched in one pass) walks all of its
+(word, anchor) pairs at the least weight forward together as arrays,
+one gather per step; a sort of the walks' label rows picks each word's
+winner, and the error and codeword bits of the whole block are unpacked
+at once.  A block of one word, which every pruned code has and which
+per-word decoding is, walks each pair in Python over the tables' edge
+lists: the array walk's fixed numpy calls cost more than one word's
+walk, which is a few list lookups per step.
 """
 
 from __future__ import annotations
@@ -61,7 +75,7 @@ import numpy as np
 from .codespec import check_matrices
 from .error_trellis import _search_tables, received
 from .gf2 import format_bits, format_state
-from .state_machines import _bit_tuples, dual_state_of, enc_state_space, sf_circular, syndrome_former
+from .state_machines import _bit_tuples, dual_state_of, enc_state_space, sf_circular, syndrome_former, unpack
 from .trellis import _to_anchor
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -172,16 +186,20 @@ def _layout(H, N):
     places that turn received-symbol integers into the integer of its
     received bits, and the bit tuples of its labels.  Both are powers of
     two: a run's key and received integer concatenate its symbols' bits.
+    Last come, per symbol, its step and the shift of its n bits in the
+    step's label.
     """
     m, r, n = _search_tables(H).m, H.rows, H.cols
     runs, cut = N // m, N - N % m
+    t = np.arange(N)
+    step = np.where(t < cut, t // m, runs + t - cut)
+    place = np.where(t < cut, m - 1 - t % m, 0)
     places = np.zeros((N, runs + N - cut), dtype=np.intp)
     symbols = np.zeros_like(places)
-    for t in range(N):
-        step, place = (t // m, m - 1 - t % m) if t < cut else (runs + t - cut, 0)
-        places[t, step], symbols[t, step] = 1 << r * place, 1 << n * place
+    places[t, step], symbols[t, step] = 1 << r * place, 1 << n * place
     first = np.array([0] * runs + [1 << r * m] * (N - cut))
-    return places, first, symbols, [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
+    bits = [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
+    return places, first, symbols, bits, step, n * place
 
 
 @lru_cache(maxsize=None)
@@ -231,7 +249,8 @@ def decode_tailbiting(G, H, z):
 def decode_tailbiting_batch(G, H, words):
     """``decode_tailbiting`` of each word of a block of equal-length words, in order.
 
-    The words are searched ``_search_tables(H).block`` at a time.
+    The words are searched ``_search_tables(H).block`` at a time; a block
+    of several words is traced back as arrays, a block of one by a walk.
     """
     if not len(words):
         return []
@@ -240,76 +259,115 @@ def decode_tailbiting_batch(G, H, words):
     E = received(H, words)
     betas, duals = _dual_codes(G, H)
     tables = _search_tables(H)
-    places, first, symbols, bits = _layout(H, E.shape[1])
+    places, first, symbols, bits, step, shift = _layout(H, E.shape[1])
     results = []
     for start in range(0, len(E), tables.block):
         block = E[start : start + tables.block]
         fin, zetas = sf_circular(H, block)
         rows = tables.index.take(fin[:, None] ^ duals)
         keys = zetas @ places + first
-        best = _search_block(tables, betas, rows, keys)
-        for (w, ties, labels, sigma, beta), z in zip(best, (block @ symbols).tolist()):
-            results.append(
-                DecodeResult(
-                    codeword=tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, z)))),
-                    error=tuple(chain.from_iterable(map(getitem, bits, labels))),
-                    weight=w,
-                    anchor_beta=beta,
-                    anchor_sigma=sigma,
-                    tie=ties > 1,
-                )
+        if len(block) > 1:
+            results += _decode_block(tables, betas, block, rows, keys, step, shift, H.cols)
+            continue
+        w, ties, labels, sigma, beta = _search_word(tables, betas, rows, keys)
+        z = (block @ symbols)[0].tolist()
+        results.append(
+            DecodeResult(
+                codeword=tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, z)))),
+                error=tuple(chain.from_iterable(map(getitem, bits, labels))),
+                weight=w,
+                anchor_beta=beta,
+                anchor_sigma=sigma,
+                tie=ties > 1,
             )
+        )
     return results
 
 
-def _search_block(tables, betas, rows, keys):
-    """Per word of a block: (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
+def _decode_block(tables, betas, block, rows, keys, step, shift, n):
+    """``DecodeResult``s of a block of several words, every anchor searched in one pass.
 
-    A pass searches one set of anchors in every word of the block; with
-    pruning, where each word needs its own sets, a block holds one word.
+    ``block`` holds the words' symbol integers, ``rows`` each word's
+    anchor states and ``keys`` its steps' keys; ``step`` and ``shift``
+    place each symbol in its step's label.  Every (word, anchor) pair at
+    its word's least weight walks forward at once; the smallest label row
+    of each word, then its smallest anchor state, wins.
     """
+    S, words, anchors = len(tables.states), *rows.shape
+    dst, weight = sections = _sections(tables, keys)
+    cost = _min_plus(sections, _ends(S).take(rows.T, axis=0).reshape(anchors, -1))
+    reach = cost[0, np.arange(anchors), rows + _offsets(words, S)[..., 0]]
+    w = reach.min(axis=1)
+    if w.max() >= _UNREACHED:
+        raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
+    word, anchor = np.nonzero(reach == w[:, None])
+    ties = np.bincount(word, minlength=words)
+    # one column per walk: its word, the label of each step, its anchor state
+    walk = np.empty((len(dst) + 2, len(word)), dtype=np.intp)
+    walk[0], walk[-1] = word, rows[word, anchor]
+    base, key, every = word * (S + 1), keys[word], np.arange(len(word))
+    at, c = walk[-1] + base, w[word]
+    for t in range(len(dst)):
+        d, e = dst[t][:, at], weight[t][:, at]
+        slot = (e + cost[t + 1][anchor, d] == c).argmax(axis=0)
+        walk[t + 1] = tables.sections.label[key[:, t], slot, at - base]
+        at, c = d[slot, every], c - e[slot, every]
+    # lexsort keys on its last row first: by word, then label row, then anchor state; each word's first wins
+    win = np.lexsort(walk[::-1])[np.cumsum(ties) - ties]
+    error = walk[1:-1, win].T.take(step, axis=1) >> shift & (1 << n) - 1
+    return [
+        DecodeResult(tuple(y), tuple(e), wt, betas[a], tables.states[s], t > 1)
+        for y, e, wt, a, s, t in zip(
+            unpack(error ^ block, n).reshape(words, -1).tolist(),
+            unpack(error, n).reshape(words, -1).tolist(),
+            w.tolist(),
+            anchor[win].tolist(),
+            walk[-1, win].tolist(),
+            ties.tolist(),
+        )
+    ]
+
+
+def _search_word(tables, betas, rows, keys):
+    """A block of one word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta)."""
     sections = _sections(tables, keys)
     ends = _ends(len(tables.states))
-    offsets = _offsets(len(rows), len(tables.states))[..., 0]
-    passes = []
+    states, passes = rows[0].tolist(), []
 
     def search(anchors):
-        end = rows.take(anchors, axis=1)
-        cost = _min_plus(sections, ends.take(end.T, axis=0).reshape(len(anchors), -1))
-        weight = cost[0, np.arange(len(anchors)), end + offsets].tolist()
-        passes.append((cost.reshape(len(cost), len(anchors), len(rows), -1), anchors.tolist(), weight))
-        return [min(row) for row in weight]
+        end = rows[0].take(anchors)
+        cost = _min_plus(sections, ends.take(end, axis=0))
+        weight = cost[0, np.arange(len(anchors)), end].tolist()
+        passes.append((cost, anchors.tolist(), weight))
+        return min(weight)
 
-    outs = [[tables.sections.out[k] for k in row] for row in keys.tolist()]
-    states = rows.tolist()
+    outs = [tables.sections.out[k] for k in keys[0].tolist()]
     if tables.prune:
         bound = _min_plus(sections, ends[-1:])
         lb = bound[0, 0, rows[0]]
         least = lb == lb.min()
         a = int(lb.argmin())
         if least.sum() == 1 and lb[a] < _UNREACHED:
-            labels, end = _traceback(outs[0], bound[:, 0].tolist(), states[0][a])
+            labels, end = _traceback(outs, bound[:, 0].tolist(), states[a])
             # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
-            if end == states[0][a]:
-                return [(int(lb[a]), 1, labels, tables.states[end], betas[a])]
+            if end == states[a]:
+                return int(lb[a]), 1, labels, tables.states[end], betas[a]
         w = search(np.flatnonzero(least))
         # no anchor whose bound exceeds w can reach w
-        rest = np.flatnonzero(~least & (lb <= w[0]))
+        rest = np.flatnonzero(~least & (lb <= w))
         if len(rest):
-            w = [min(w[0], *search(rest))]
+            w = min(w, search(rest))
     else:
-        w = search(np.arange(rows.shape[1]))
-    if max(w) >= _UNREACHED:
+        w = search(np.arange(len(states)))
+    if w >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    best, ties = [None] * len(rows), [0] * len(rows)
+    best, ties = None, 0
     for cost, anchors, weight in passes:
-        for i, j in ((i, j) for i, row in enumerate(weight) for j, x in enumerate(row) if x == w[i]):
-            state = states[i][anchors[j]]
-            found = _traceback(outs[i], cost[:, j, i].tolist(), state)[0], tables.states[state], betas[anchors[j]]
-            if best[i] is None or found < best[i]:
-                best[i] = found
-            ties[i] += 1
-    return [(wt, t, *found) for wt, t, found in zip(w, ties, best)]
+        for j in (j for j, x in enumerate(weight) if x == w):
+            state = states[anchors[j]]
+            found = _traceback(outs, cost[:, j].tolist(), state)[0], tables.states[state], betas[anchors[j]]
+            best, ties = found if best is None else min(best, found), ties + 1
+    return (w, ties, *best)
 
 
 def format_result(res, n):

@@ -107,10 +107,12 @@ def tailbiting_syndromes(H, z):
 
 
 # entries the merged tables of one H may hold: it sets m, the number of
-# sections merged into one table, whether the decoder's all-anchor pass
-# (states x merged edges x anchors) is small enough to skip pruning, and
-# how many words one such pass may search at once
+# sections merged into one table, and whether the decoder's all-anchor
+# pass (states x merged edges x anchors) is small enough to skip pruning
 TABLE_BUDGET = 1 << 12
+# entries per step of an all-anchor pass over a block of words: it sets
+# how many words one such pass searches at once
+BLOCK_BUDGET = 1 << 15
 
 
 class SearchSection(NamedTuple):
@@ -127,13 +129,15 @@ class SearchSection(NamedTuple):
     label weight, the edges of a state in concatenated-label order.  Slots
     past a state's edges, and all of state S's, end in index S, one past
     the last state, which the search never reaches; their weight is 0.
+    ``label`` (the same shape) gives each merged edge's label, the integer
+    of its concatenated error symbols, the first symbol most significant.
     ``out`` lists, per key and state below S, its edges in label order as
-    (label, end state index, weight), the label being the integer of the
-    concatenated error symbols.
+    (label, end state index, weight).
     """
 
     dst: np.ndarray
     weight: np.ndarray
+    label: np.ndarray
     out: tuple
 
 
@@ -142,10 +146,10 @@ class SearchTables(NamedTuple):
 
     ``sections`` is the ``SearchSection`` stack of runs of m and of single
     symbols.  ``prune`` is true when a pass over all S anchor columns
-    would exceed ``TABLE_BUDGET`` entries per section; otherwise ``block``
-    words fit one all-anchor pass within it (``block`` is 1 where
-    ``prune`` is).  ``modules`` holds each symbol's transitions as
-    ``Edge``s.
+    would exceed ``TABLE_BUDGET`` entries per section, and a block then
+    holds one word; otherwise ``block`` words fit one all-anchor pass
+    within ``BLOCK_BUDGET`` entries per step.  ``modules`` holds each
+    symbol's transitions as ``Edge``s.
     """
 
     states: list
@@ -163,9 +167,8 @@ def _section(dst, label):
     weight = np.bitwise_count(label).astype(np.int32)
     rows = zip(label[:, :S].tolist(), dst[:, :S].tolist(), weight[:, :S].tolist())
     out = tuple(tuple(tuple(edge for edge in zip(*row) if edge[1] != S) for row in zip(*run)) for run in rows)
-    return SearchSection(
-        np.ascontiguousarray(dst.transpose(0, 2, 1)), np.ascontiguousarray(weight.transpose(0, 2, 1)), out
-    )
+    dst, weight, label = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dst, weight, label))
+    return SearchSection(dst, weight, label, out)
 
 
 def _paths(sf, j):
@@ -220,9 +223,8 @@ def _search_tables(H):
         for zeta, out in enumerate(sections.out[first:])
     }
     per_word = S * S * degree**m
-    return SearchTables(
-        states, index, m, sections, per_word > TABLE_BUDGET, max(1, TABLE_BUDGET // per_word), modules
-    )
+    prune = per_word > TABLE_BUDGET
+    return SearchTables(states, index, m, sections, prune, 1 if prune else BLOCK_BUDGET // per_word, modules)
 
 
 def error_trellis_module(H, zeta):

@@ -286,7 +286,7 @@ class PolyMatrix:
 
     def __str__(self):
         rows = self.to_strings()
-        widths = [max(len(r[j]) for r in rows) for j in range(self.cols)]
+        widths = [max((len(r[j]) for r in rows), default=0) for j in range(self.cols)]
         return "\n".join("  ".join(r[j].rjust(widths[j]) for j in range(self.cols)) for r in rows)
 
     def __repr__(self):

@@ -20,10 +20,15 @@ give them.  A run in which every suite passes is unaffected.
 The superposition, eta-zeta and hscalar-membership suites hand all of
 their trials to one call of the ``_batch`` kernel under test and compare
 whole arrays.  The decoder-oracle suite compares the words with the
-exhaustive codeword table in blocks of trials, as many as keep the
-packed (trials x codewords x bytes) distance array within
-``DISTANCE_BLOCK`` elements, and decodes each block in one call.  The
-zero-syndrome and subtrellis-set-equality suites check word by word.
+exhaustive codeword table in distance blocks of trials, as many as keep
+the packed (trials x codewords x bytes) distance array within
+``DISTANCE_BLOCK`` elements, and hands each distance block to the
+decoder in one call.  The decoder splits it into its own decode blocks
+of ``_search_tables(H).block`` words: on the reference code at N = 5 a
+distance block holds 256 trials, one full decode block, while from
+N = 11 on it holds one trial.  The zero-syndrome suite checks codeword
+by codeword, and the subtrellis-set-equality suite word by word, on
+packed integers.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from itertools import product
 
 import numpy as np
 
+from .codespec import check_matrices
 from .decoder import decode_tailbiting_batch
 from .error_trellis import (
     backward_syndromes_batch,
@@ -48,12 +54,11 @@ from .state_machines import (
     sf_step_batch,
     tailbiting_anchor,
     tailbiting_encode,
-    xor_states,
 )
 from .trellis import enumerate_paths
 
 EXHAUSTIVE_BITS = 20
-DISTANCE_BLOCK = 1 << 12
+DISTANCE_BLOCK = 1 << 14
 
 
 def _bits(rng, trials, width):
@@ -98,19 +103,34 @@ def suite_zero_syndrome(G, H, by_anchor):
     return True
 
 
+def _packed(rows, width, flip=0):
+    """The distinct ``width``-bit rows, each plus ``flip`` and packed into one big-endian integer, ascending.
+
+    An integer is held as a scalar of its bytes, which sort as the integer.
+    """
+    bits = np.array(rows, dtype=np.uint8).reshape(len(rows), width) ^ flip
+    ints = np.sort(np.packbits(bits, axis=1).view(f"V{-(-width // 8)}")[:, 0])
+    # not np.unique: its first call imports numpy.ma, ~14 ms of every verify start
+    distinct = np.ones(len(ints), dtype=bool)
+    distinct[1:] = ints[1:] != ints[:-1]
+    return ints[distinct]
+
+
 def suite_set_equality(G, H, N, by_anchor, rng, words=5):
-    """Error subtrellis paths shifted by z equal the matching code subtrellis."""
-    for word in _bits(rng, words, N * H.cols).reshape(words, N, H.cols).tolist():
-        z = [tuple(sym) for sym in word]
+    """Error subtrellis paths shifted by z equal the matching code subtrellis.
+
+    Each shifted path and each codeword is one packed integer, and the
+    sorted distinct integers of the two sides must be equal.
+    """
+    width = N * H.cols
+    codewords = {beta: _packed(ys, width) for beta, ys in by_anchor.items()}
+    for word in _bits(rng, words, width):
+        z = [tuple(sym) for sym in word.reshape(N, H.cols).tolist()]
         fin = sigma_fin(H, z)
         T = build_tailbiting_error_trellis(H, z)
-        for beta, codewords in by_anchor.items():
-            anchor = error_anchor(beta, fin, G, H)
-            shifted = {
-                tuple(xor_states(zs, es) for zs, es in zip(z, labels))
-                for labels, _ in enumerate_paths(T, anchor)
-            }
-            if shifted != {tuple(y) for y in codewords}:
+        for beta, packed in codewords.items():
+            paths = [labels for labels, _ in enumerate_paths(T, error_anchor(beta, fin, G, H))]
+            if not np.array_equal(_packed(paths, width, word), packed):
                 return False
     return True
 
@@ -163,7 +183,12 @@ def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
 
 
 def run_all(G, H, N, seed=1, trials=1000):
-    """Run every suite; returns [(name, passed)] in a fixed order."""
+    """Run every suite; returns [(name, passed)] in a fixed order.
+
+    The pair is checked as a spec load checks it (``check_matrices``)
+    before any suite runs.
+    """
+    check_matrices(G, H)
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if N < H.deg:

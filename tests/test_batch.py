@@ -67,12 +67,14 @@ def test_block_decode_of_low_noise_k7_words_equals_the_per_word_decodes():
     assert decode_tailbiting_batch(G, H, np.array(words)) == [decode_tailbiting(G, H, z) for z in words]
 
 
+@pytest.mark.parametrize("blocks, extra", [(3, 5), (2, 1)])
 @pytest.mark.parametrize("name", ["ref", "mem2", "H0-zero"])
-def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name):
+def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name, blocks, extra):
+    """Full blocks and a last one of ``extra`` words, one word being the walk's case, equal blocks of one."""
     G, H = _code(name)
     tables = _search_tables(H)
     assert tables.block > 1
-    words = np.random.default_rng(67).integers(0, 2, (3 * tables.block + 5, 7, H.cols))
+    words = np.random.default_rng(67).integers(0, 2, (blocks * tables.block + extra, 7, H.cols))
     whole = decode_tailbiting_batch(G, H, words)
     order = np.random.default_rng(71).permutation(len(words))
     assert [whole[i] for i in order] == decode_tailbiting_batch(G, H, words[order])

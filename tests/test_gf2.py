@@ -154,6 +154,9 @@ def test_zero_size_matrices_keep_their_shape(shape):
         assert [c.shape for c in P.coefficient_list()] == [shape]
         assert P.is_zero() and P.rank() == 0
         assert P == PolyMatrix([np.zeros(shape)]) != PolyMatrix([np.zeros(shape[::-1])])
+        # one empty line per row
+        assert str(P) == "\n".join([""] * shape[0])
+        assert repr(P) == f"PolyMatrix({[[]] * shape[0]})"
 
 
 def test_generator_parity_product_is_zero(G1, H1, G2, H2):

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tbtrellis import verify
+from tbtrellis import poly_from_strings, verify
+from tbtrellis.codespec import CodeSpecError
 
 
 EXPECTED_SUITES = [
@@ -226,6 +227,19 @@ def test_all_suites_pass_on_4096_codewords(G1, H1):
     results = verify.run_all(G1, H1, 12, seed=1, trials=50)
     assert [name for name, _ in results] == EXPECTED_SUITES
     assert all(ok for _, ok in results)
+
+
+def test_run_all_rejects_a_pair_before_any_suite_kernel(monkeypatch, G1):
+    """The non-dual H stops ``run_all`` before it encodes, draws or calls a suite or a kernel."""
+    H = poly_from_strings([["11", "01", "11"], ["01", "1", "0"]])
+    calls = []
+    for name, f in list(vars(verify).items()):
+        ours = callable(f) and getattr(f, "__module__", "").startswith("tbtrellis.")
+        if ours and name not in ("run_all", "check_matrices"):
+            monkeypatch.setattr(verify, name, lambda *args, _name=name, **kwargs: calls.append(_name))
+    with pytest.raises(CodeSpecError, match="not dual"):
+        verify.run_all(G1, H, 5, seed=1)
+    assert calls == []
 
 
 def test_run_all_encodes_each_codeword_once(monkeypatch, G1, H1):
