@@ -2,7 +2,8 @@
 
 A code spec is a JSON document ``{"n": int, "k": int, "G": [[str]],
 "H": [[str]]}`` whose entry strings are LSB-first binary polynomial
-coefficients.  Either matrix may be omitted; commands needing only one
+coefficients; n and k must be JSON integers (not floats, strings or
+booleans).  Either matrix may be omitted; commands needing only one
 still work.  H may not contain an all-zero parity row, each matrix must
 have full rank over GF(2)(D) (G rank k, H rank n - k), and when both are
 present their duality (G H^T = 0) is checked.
@@ -47,11 +48,10 @@ def parse_codespec(obj):
     """Validate a decoded JSON object into a CodeSpec."""
     if not isinstance(obj, dict):
         raise CodeSpecError("code spec must be a JSON object")
-    try:
-        n = int(obj["n"])
-        k = int(obj["k"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CodeSpecError("code spec needs integer fields 'n' and 'k'") from exc
+    n, k = obj.get("n"), obj.get("k")
+    # type(...) is int: a JSON true is a Python bool, which is an int
+    if type(n) is not int or type(k) is not int:
+        raise CodeSpecError("code spec needs integer fields 'n' and 'k'")
     if not (0 < k < n):
         raise CodeSpecError(f"need 0 < k < n, got k={k}, n={n}")
     G = _parse_matrix(obj.get("G"), "G", rows=k, cols=n)

@@ -98,47 +98,42 @@ def mat_mul(A, B):
 
 
 def _row_echelon(A):
-    """Row-reduce in place (copy); returns (reduced matrix, pivot columns)."""
-    R = np.array(A, dtype=np.uint8, copy=True) % 2
-    m, n = R.shape
+    """Row-reduce a copy of A, as a 2-D 0/1 matrix, to reduced echelon form; returns (matrix, pivot columns)."""
+    R = np.atleast_2d(np.asarray(A, dtype=np.uint8)) % 2
     pivots = []
-    row = 0
-    for col in range(n):
-        if row >= m:
+    for col in range(R.shape[1]):
+        row = len(pivots)
+        if row == R.shape[0]:
             break
-        hits = np.nonzero(R[row:, col])[0]
-        if hits.size == 0:
+        p = row + R[row:, col].argmax()  # the first row at or below ``row`` with a 1, if any
+        if not R[p, col]:
             continue
-        p = row + int(hits[0])
-        if p != row:
-            R[[row, p]] = R[[p, row]]
-        others = np.nonzero(R[:, col])[0]
-        for i in others:
-            if i != row:
-                R[i] ^= R[row]
+        R[row], R[p] = R[p], R[row].copy()
+        # one XOR clears the column in every other row that holds it
+        others = R[:, col] != 0
+        others[row] = False
+        R[others] ^= R[row]
         pivots.append(col)
-        row += 1
     return R, pivots
 
 
 def rank(A):
     """GF(2) rank of a dense binary matrix."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.uint8))
     return len(_row_echelon(A)[1])
 
 
 def nullspace(A):
-    """Basis of {x : A x = 0 over GF(2)}, as rows of a (nullity x cols) array."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.uint8))
-    n = A.shape[1]
+    """Basis of {x : A x = 0 over GF(2)}, as rows of a (nullity x cols) array.
+
+    Basis row idx holds a 1 in free column free[idx] and, by
+    back-substitution, in each pivot column the entry of that column's
+    pivot row at free[idx].
+    """
     R, pivots = _row_echelon(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = np.zeros((len(free), n), dtype=np.uint8)
-    for idx, fc in enumerate(free):
-        basis[idx, fc] = 1
-        # back-substitute: pivot row r constrains x[pivots[r]] = sum of free terms
-        for r, pc in enumerate(pivots):
-            basis[idx, pc] = R[r, fc]
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = R[: len(pivots), free].T
     return basis
 
 

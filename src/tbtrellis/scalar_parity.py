@@ -1,9 +1,13 @@
 """Scalar (block) parity-check matrices for terminated and tailbiting codes.
 
-Both constructions place the coefficient matrices H_0..H_M of H(D) on a
-block band; the tailbiting variant additionally wraps H_1..H_M into the
-top-right corner cyclically, giving an Nr x Nn matrix whose null space
-is the length-N tailbiting code.
+Both constructions place the coefficient matrices H_0..H_M of H(D) on an
+N-section block grid: block (i, j) of the matrix is the sum of the H_m
+whose 0/1 grid m sets (i, j), so the matrix is the GF(2) sum over m of
+the Kronecker products grid_m (x) H_m.  The terminated grid m is the
+(N+M) x N band shift eye(N+M, N, -m), giving the block band with H_m at
+i - j = m.  The tailbiting grid m is C_N^m, C_N the N x N cyclic
+down-shift, which also wraps H_1..H_M into the top-right corner: an
+Nr x Nn matrix whose null space is the length-N tailbiting code.
 """
 
 from __future__ import annotations
@@ -24,32 +28,26 @@ class ScalarParity:
 
 
 def _placement(H, N, kind):
-    """The block grid (rows, cols) of a scalar matrix and the m of each H_m in block (i, j)."""
+    """The 0/1 block grids of H_0..H_M, stacked ((M+1) x rows x N): H_m lies in block (i, j) where grid m is set."""
     M = H.deg
-    if kind == "tailbiting":
-        if N < M:
-            raise ValueError(f"need N >= M ({N} < {M})")
-        grid, members = (N, N), lambda i, j: [m for m in range(M + 1) if m % N == (i - j) % N]
-    elif kind == "terminated":
-        grid, members = (N + M, N), lambda i, j: [i - j] if 0 <= i - j <= M else []
-    else:
+    if kind == "tailbiting" and N < M:
+        raise ValueError(f"need N >= M ({N} < {M})")
+    if kind not in ("tailbiting", "terminated"):
         raise ValueError(f"unknown kind: {kind!r}")
     if N < 1:
         raise ValueError("need N >= 1 sections")
-    return grid, members
+    if kind == "terminated":
+        return np.array([np.eye(N + M, N, k=-m, dtype=np.uint8) for m in range(M + 1)])
+    return np.array([np.eye(N, k=-m, dtype=np.uint8) + np.eye(N, k=N - m, dtype=np.uint8) for m in range(M + 1)])
 
 
 def _hscalar(H, N, kind):
-    (rows, cols), members = _placement(H, N, kind)
-    coeffs = H.coefficient_list()
-    r, n = H.rows, H.cols
-    out = np.zeros((rows * r, cols * n), dtype=np.uint8)
-    for i in range(rows):
-        for j in range(cols):
-            for m in members(i, j):
-                out[i * r : (i + 1) * r, j * n : (j + 1) * n] ^= coeffs[m]
+    grids = _placement(H, N, kind)
+    # the sum over m of the Kronecker products grid_m (x) H_m: entry (a, b) of block (i, j) is
+    # the sum of grid_m[i, j] H_m[a, b], and a uint8 sum wraps mod 256, which keeps its parity
+    out = (np.einsum("mij,mab->iajb", grids, H.coefficient_list()) & 1).reshape(len(grids[0]) * H.rows, N * H.cols)
     out.flags.writeable = False
-    return ScalarParity(matrix=out, kind=kind, n_sections=N, block_dims=(r, n))
+    return ScalarParity(matrix=out, kind=kind, n_sections=N, block_dims=(H.rows, H.cols))
 
 
 def hscalar_terminated(H, N):
@@ -93,7 +91,7 @@ def annotate_blocks(H, N, kind="tailbiting"):
     Tokens name the coefficient matrices placed in each block ("H0",
     "H0+H2", or "." for a zero block).
     """
-    (rows, cols), members = _placement(H, N, kind)
-    grid = [["+".join(f"H{m}" for m in members(i, j)) or "." for j in range(cols)] for i in range(rows)]
+    held = np.moveaxis(_placement(H, N, kind), 0, -1)  # held[i, j, m]: block (i, j) holds H_m
+    grid = [["+".join(f"H{m}" for m in np.flatnonzero(ms)) or "." for ms in row] for row in held]
     width = max(len(tok) for row in grid for tok in row)
     return "\n".join(" ".join(tok.ljust(width) for tok in row).rstrip() for row in grid)

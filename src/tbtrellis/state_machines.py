@@ -31,8 +31,9 @@ output are the XOR of what each of the last M + 1 inputs alone gives.
 Tabulated once per H as the impulse response, every step of a circular
 run is M + 1 gathers from it, with no fold over the symbols.
 ``sf_circular`` does this for a (words x N) block of symbol integers;
-cut 0 and cut N hold sigma_fin.  ``sf_step`` is a block of one over
-``sf_step_batch``.
+cut 0 and cut N hold sigma_fin.  ``sf_step_batch`` steps a block of
+state/symbol pairs at once; ``sf_step`` is one step of the tuple fold, as
+``encoder_step`` is.
 """
 
 from __future__ import annotations
@@ -230,8 +231,8 @@ def sf_step(H, sigma_prev, e):
     The state shifts down one block and the input adds e*(H_1^T...H_M^T);
     the output is the first block of the old state plus e*H_0^T.
     """
-    sigma, zeta = sf_step_batch(H, [sigma_prev], [e])
-    return tuple(sigma[0].tolist()), tuple(zeta[0].tolist())
+    sigma, (zeta,) = syndrome_former(H).run(sigma_prev, [e])
+    return sigma, zeta
 
 
 def sf_step_batch(H, sigmas, es):

@@ -195,6 +195,8 @@ def run_all(G, H, N, seed=1, trials=1000):
         raise ValueError(f"-N {N} is below M={H.deg}, the memory of H")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
     rng = np.random.default_rng(seed)

@@ -172,6 +172,7 @@ def test_verify_rejects_negative_trials_and_length(capsys, code_file):
     for argv, message in (
         (["-N", "3", "--trials", "-1"], "trials must be at least 0, got -1"),
         (["-N", "-2"], "N must be at least 1, got -2"),
+        (["-N", "3", "--seed", "-1"], "seed must be at least 0, got -1"),
     ):
         code, out, err = run(capsys, "verify", "--code", code_file, *argv)
         assert code == 1 and out == ""
@@ -180,6 +181,17 @@ def test_verify_rejects_negative_trials_and_length(capsys, code_file):
     code, out, _ = run(capsys, "verify", "--code", code_file, "-N", "3", "--trials", "0")
     assert code == 0
     assert len(out.splitlines()) == 6 and all(line.endswith(": PASS") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("value", ["1e400", "2.5", "true", '"3"'])
+def test_n_and_k_that_are_not_json_integers_exit_one(capsys, tmp_path, value):
+    """1e400 used to end in an OverflowError traceback; 2.5, true and "3" were truncated or coerced."""
+    for n, k in ((value, "1"), ("3", value)):
+        path = tmp_path / "spec.json"
+        path.write_text(f'{{"n": {n}, "k": {k}, "H": {json.dumps(H1_STRINGS)}}}')
+        code, out, err = run(capsys, "syndrome", "--code", str(path), "--received", RECEIVED)
+        assert (code, out) == (1, "")
+        assert err == "tbtrellis: error: code spec needs integer fields 'n' and 'k'\n"
 
 
 def test_verify_rejects_n_below_the_memory_of_h(capsys, tmp_path):

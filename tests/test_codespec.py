@@ -44,6 +44,14 @@ def test_rejects_missing_fields():
         parse_codespec([1, 2, 3])
 
 
+@pytest.mark.parametrize("text", ["1e400", "2.5", "true", '"3"'])
+def test_rejects_n_and_k_that_are_not_json_integers(text):
+    value = json.loads(text)
+    for fields in ({"n": value, "k": 1}, {"n": 3, "k": value}):
+        with pytest.raises(CodeSpecError, match="^code spec needs integer fields 'n' and 'k'$"):
+            parse_codespec({**fields, "H": H1_STRINGS})
+
+
 def test_rejects_bad_rates():
     with pytest.raises(CodeSpecError):
         parse_codespec({"n": 3, "k": 3, "G": G1_STRINGS})

@@ -5,6 +5,7 @@ import pytest
 
 from tbtrellis import (
     PolyMatrix,
+    as_bits,
     coefficient_expansion,
     format_bits,
     format_state,
@@ -45,6 +46,33 @@ def test_poly_from_strings_zero():
 def test_poly_from_strings_rejects_ragged():
     with pytest.raises(ValueError):
         poly_from_strings([["1", "1"], ["1"]])
+
+
+@pytest.mark.parametrize("rows", [[], [[]]])
+def test_poly_from_strings_rejects_empty_rows(rows):
+    with pytest.raises(ValueError, match="empty matrix"):
+        poly_from_strings(rows)
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ([], "need at least one coefficient matrix"),
+        ([np.ones(3)], "coefficient matrices must be two-dimensional"),
+        ([np.ones((1, 2, 3))], "coefficient matrices must be two-dimensional"),
+        ([np.ones((2, 3)), np.ones((3, 2))], "coefficient matrices must share dimensions"),
+    ],
+)
+def test_poly_matrix_rejects_bad_coefficient_lists(coeffs, message):
+    with pytest.raises(ValueError, match=message):
+        PolyMatrix(coeffs)
+
+
+@pytest.mark.parametrize("name", ["entries", "deg", "other"])
+def test_poly_matrix_attributes_cannot_be_assigned(H1, name):
+    with pytest.raises(AttributeError, match="PolyMatrix is immutable"):
+        setattr(H1, name, 0)
+    assert H1.deg == 1 and H1.to_strings() == [["11", "01", "11"], ["01", "1", "1"]]
 
 
 def test_poly_from_strings_rejects_bad_characters():
@@ -216,6 +244,12 @@ def test_poly_rank_matches_the_largest_nonzero_minor(G1, H1, G2, H2):
                     ints[i][j] ^= basis[b][j] << shift
         strings = [[format(x, "b")[::-1] if x else "0" for x in row] for row in ints]
         assert poly_from_strings(strings).rank() == poly_rank(strings), strings
+
+
+@pytest.mark.parametrize("bits", [[[1, 0], [0, 1]], np.ones((2, 2), dtype=np.uint8), [0, 2], 2])
+def test_as_bits_rejects_non_vectors_and_non_binary_entries(bits):
+    with pytest.raises(ValueError, match="expected a one-dimensional sequence of 0/1 bits"):
+        as_bits(bits)
 
 
 def test_bit_parsing_and_formatting():

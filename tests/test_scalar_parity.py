@@ -184,6 +184,7 @@ def test_tailbiting_syndromes_equal_matrix_product_with_pinned_cells():
 
 @pytest.mark.parametrize("kind, build", [("tailbiting", hscalar_tailbiting), ("terminated", hscalar_terminated)])
 def test_each_block_is_the_sum_of_the_coefficients_annotate_blocks_names(H1, H2, kind, build):
+    """The names follow the block rule, written out: m = i - j (mod N when tailbiting)."""
     for H, N in ((H1, 1), (H1, 4), (H2, 2), (H2, 3), (H2, 6)):
         coeffs = H.coefficient_list()
         r, n = H.rows, H.cols
@@ -193,6 +194,11 @@ def test_each_block_is_the_sum_of_the_coefficients_annotate_blocks_names(H1, H2,
         for i, row in enumerate(grid):
             assert len(row) == N
             for j, token in enumerate(row):
+                if kind == "tailbiting":
+                    held = [m for m in range(H.deg + 1) if (i - j - m) % N == 0]
+                else:
+                    held = [i - j] if 0 <= i - j <= H.deg else []
+                assert token == ("+".join(f"H{m}" for m in held) or "."), (kind, N, i, j)
                 want = np.zeros((r, n), dtype=np.uint8)
                 for name in token.split("+") if token != "." else []:
                     want ^= coeffs[int(name[1:])]
@@ -207,3 +213,12 @@ def test_memoryless_code_rejects_zero_sections_in_every_kind():
     for kind in ("tailbiting", "terminated"):
         with pytest.raises(ValueError, match="need N >= 1 sections"):
             annotate_blocks(H, 0, kind=kind)
+
+
+@pytest.mark.parametrize("build", [hscalar_tailbiting, hscalar_terminated])
+def test_scalar_matrices_are_read_only_uint8(H1, H2, build):
+    for H, N in ((H1, 1), (H1, 5), (H2, 2)):
+        P = build(H, N).matrix
+        assert P.dtype == np.uint8 and not P.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            P[0, 0] = 1

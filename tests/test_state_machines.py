@@ -191,6 +191,18 @@ def test_tailbiting_encode_matches_oracle(G1, g1_coeffs):
         assert tuple(tailbiting_encode(G1, u)) == circ_encode(g1_coeffs, u)
 
 
+def test_tailbiting_encode_rejects_an_empty_word(G1):
+    with pytest.raises(ValueError, match="need at least one input symbol"):
+        tailbiting_encode(G1, [])
+
+
+def test_xor_states_rejects_unequal_lengths():
+    assert xor_states((1, 0, 1), (1, 1, 0)) == (0, 1, 1)
+    for a, b in (((1, 0), (1,)), ((), (0,))):
+        with pytest.raises(ValueError, match="state length mismatch"):
+            xor_states(a, b)
+
+
 def test_tailbiting_anchor(G1):
     assert tailbiting_anchor(G1, [(0,), (1,), (1,), (1,), (0,)]) == (1, 0)
     assert tailbiting_anchor(G1, [(0,)] * 5) == (0, 0)

@@ -50,6 +50,8 @@ def test_rejects_bad_length_and_trial_count(G1, H1):
         verify.run_all(G1, H1, 0, seed=1)
     with pytest.raises(ValueError, match="trials must be at least 0"):
         verify.run_all(G1, H1, 5, seed=1, trials=-1)
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        verify.run_all(G1, H1, 5, seed=-1)
     assert all(ok for _, ok in verify.run_all(G1, H1, 5, seed=1, trials=0))
 
 
