@@ -61,6 +61,14 @@ at once.  A block of one word, which every pruned code has and which
 per-word decoding is, walks each pair in Python over the tables' edge
 lists: the array walk's fixed numpy calls cost more than one word's
 walk, which is a few list lookups per step.
+
+One loop, ``_blocks``, decodes a block of words decode block by decode
+block.  It gives a block of several words as arrays (``_Block``: weights,
+codeword and error bits, winning anchors and tie counts) and a block of
+one as its ``DecodeResult``.  Two readers consume it:
+``decode_tailbiting_batch`` builds one ``DecodeResult`` per word, and
+``_decode_arrays`` keeps the weights, codewords and ties as arrays, which
+the verifier's decoder-oracle suite compares with no per-word object.
 """
 
 from __future__ import annotations
@@ -69,6 +77,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import getitem, xor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,40 +261,85 @@ def decode_tailbiting_batch(G, H, words):
     The words are searched ``_search_tables(H).block`` at a time; a block
     of several words is traced back as arrays, a block of one by a walk.
     """
+    results = []
+    for out in _blocks(G, H, words):
+        if isinstance(out, DecodeResult):
+            results.append(out)
+            continue
+        betas, states = _dual_codes(G, H)[0], _search_tables(H).states
+        results += [
+            DecodeResult(tuple(y), tuple(e), wt, betas[a], states[s], t > 1)
+            for y, e, wt, a, s, t in zip(*(field.tolist() for field in out))
+        ]
+    return results
+
+
+def _decode_arrays(G, H, words):
+    """``decode_tailbiting_batch``'s weights, codewords and ties of a non-empty block, as arrays.
+
+    Returns the weights (words,), the codewords (words x N*n, 0/1 uint8)
+    and the ``tie`` flags (words,) of the words in order; a block of
+    several words is read from its arrays, with no ``DecodeResult``.
+    """
+    parts = [
+        ([out.weight], np.array([out.codeword], dtype=np.uint8), [out.tie])
+        if isinstance(out, DecodeResult)
+        else (out.weight, out.codeword, out.ties > 1)
+        for out in _blocks(G, H, words)
+    ]
+    weight, codeword, tie = zip(*parts)
+    return np.concatenate(weight), np.concatenate(codeword), np.concatenate(tie)
+
+
+class _Block(NamedTuple):
+    """The results of a decode block of several words, one entry or row per word, in ``DecodeResult`` field order.
+
+    ``codeword`` and ``error`` are (words x N*n) 0/1 uint8 rows, ``anchor``
+    indexes the encoder states of ``_dual_codes`` and ``sigma`` the
+    ``_search_tables`` states, and ``ties`` counts the anchors reaching
+    ``weight``.
+    """
+
+    codeword: np.ndarray
+    error: np.ndarray
+    weight: np.ndarray
+    anchor: np.ndarray
+    sigma: np.ndarray
+    ties: np.ndarray
+
+
+def _blocks(G, H, words):
+    """Per decode block of ``words``, in order: its ``_Block``, or for a block of one its ``DecodeResult``."""
     if not len(words):
-        return []
+        return
     if not len(words[0]):
         raise ValueError("a trellis needs at least one section")
     E = received(H, words)
     betas, duals = _dual_codes(G, H)
     tables = _search_tables(H)
     places, first, symbols, bits, step, shift = _layout(H, E.shape[1])
-    results = []
     for start in range(0, len(E), tables.block):
         block = E[start : start + tables.block]
         fin, zetas = sf_circular(H, block)
         rows = tables.index.take(fin[:, None] ^ duals)
         keys = zetas @ places + first
         if len(block) > 1:
-            results += _decode_block(tables, betas, block, rows, keys, step, shift, H.cols)
+            yield _decode_block(tables, block, rows, keys, step, shift, H.cols)
             continue
         w, ties, labels, sigma, beta = _search_word(tables, betas, rows, keys)
         z = (block @ symbols)[0].tolist()
-        results.append(
-            DecodeResult(
-                codeword=tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, z)))),
-                error=tuple(chain.from_iterable(map(getitem, bits, labels))),
-                weight=w,
-                anchor_beta=beta,
-                anchor_sigma=sigma,
-                tie=ties > 1,
-            )
+        yield DecodeResult(
+            codeword=tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, z)))),
+            error=tuple(chain.from_iterable(map(getitem, bits, labels))),
+            weight=w,
+            anchor_beta=beta,
+            anchor_sigma=sigma,
+            tie=ties > 1,
         )
-    return results
 
 
-def _decode_block(tables, betas, block, rows, keys, step, shift, n):
-    """``DecodeResult``s of a block of several words, every anchor searched in one pass.
+def _decode_block(tables, block, rows, keys, step, shift, n):
+    """The ``_Block`` of a block of several words, every anchor searched in one pass.
 
     ``block`` holds the words' symbol integers, ``rows`` each word's
     anchor states and ``keys`` its steps' keys; ``step`` and ``shift``
@@ -315,17 +369,8 @@ def _decode_block(tables, betas, block, rows, keys, step, shift, n):
     # lexsort keys on its last row first: by word, then label row, then anchor state; each word's first wins
     win = np.lexsort(walk[::-1])[np.cumsum(ties) - ties]
     error = walk[1:-1, win].T.take(step, axis=1) >> shift & (1 << n) - 1
-    return [
-        DecodeResult(tuple(y), tuple(e), wt, betas[a], tables.states[s], t > 1)
-        for y, e, wt, a, s, t in zip(
-            unpack(error ^ block, n).reshape(words, -1).tolist(),
-            unpack(error, n).reshape(words, -1).tolist(),
-            w.tolist(),
-            anchor[win].tolist(),
-            walk[-1, win].tolist(),
-            ties.tolist(),
-        )
-    ]
+    codeword, error = (unpack(e, n).reshape(words, -1) for e in (error ^ block, error))
+    return _Block(codeword, error, w, anchor[win], walk[-1, win], ties)
 
 
 def _search_word(tables, betas, rows, keys):

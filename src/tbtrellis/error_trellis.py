@@ -13,9 +13,10 @@ Because the syndrome former forgets its state in M steps (A^M = 0),
 sigma_fin and the syndromes come from ``state_machines.sf_circular``,
 which gathers them for a whole block of words from the impulse
 response, with no fold over the symbols; cut 0 and cut N hold
-sigma_fin.  ``sigma_fin``, ``tailbiting_syndromes`` and
-``backward_syndromes`` are each a block of one over their ``_batch``
-form.
+sigma_fin.  ``tailbiting_syndromes`` and ``backward_syndromes`` are
+each a block of one over their ``_batch`` form; ``sigma_fin`` of one
+word is one tuple fold of the syndrome former from the zero state, a
+few dictionary lookups per symbol rather than a dozen numpy calls.
 
 The module of a syndrome symbol zeta is the set of syndrome-former
 transitions that emit zeta, and a merged m-section table the set of
@@ -39,6 +40,7 @@ from .state_machines import (
     dual_state_of,
     sf_circular,
     sf_state_space,
+    sf_zero_state,
     syndrome_former,
     unpack,
     xor_states,
@@ -92,9 +94,12 @@ def sigma_fin(H, z):
     """Final syndrome-former state for input z, from any start.
 
     A is nilpotent (A^M = 0), so with N >= M the result is independent of
-    the starting state: the state the last M symbols alone leave.
+    the starting state: the state the last M symbols alone leave, which
+    one tuple fold from the zero state gives.
     """
-    return tuple(sigma_fin_batch(H, [z])[0].tolist())
+    sigma, zetas = syndrome_former(H).run(sf_zero_state(H), z)
+    _check_length(H, len(zetas))
+    return sigma
 
 
 def _sequence(zetas, kind):

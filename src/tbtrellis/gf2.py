@@ -21,16 +21,28 @@ from operator import or_, xor
 import numpy as np
 
 
+_BIT_VECTOR = "a one-dimensional sequence of 0/1 bits"
+_MATRIX = "a matrix of integer entries in 0..255, read mod 2"
+
+
 def as_bits(x, length=None):
     """Coerce a bit sequence (or a single 0/1 int) to a uint8 array."""
     if isinstance(x, (int, np.integer)):
         x = [x]
-    a = np.asarray(x, dtype=np.uint8)
+    a = _uint8(x, _BIT_VECTOR)
     if a.ndim != 1 or not np.all(a <= 1):
-        raise ValueError("expected a one-dimensional sequence of 0/1 bits")
+        raise ValueError(f"expected {_BIT_VECTOR}")
     if length is not None and a.shape[0] != length:
         raise ValueError(f"expected {length} bits, got {a.shape[0]}")
     return a
+
+
+def _uint8(x, what):
+    """x as a uint8 array; an integer entry below 0 or above 255 raises ValueError("expected <what>")."""
+    try:
+        return np.asarray(x, dtype=np.uint8)
+    except OverflowError:
+        raise ValueError(f"expected {what}") from None
 
 
 def is_bit_array(a, ndim, width):
@@ -90,8 +102,7 @@ def parse_state(text):
 
 def mat_mul(A, B):
     """Matrix product over GF(2)."""
-    A = np.asarray(A, dtype=np.uint8)
-    B = np.asarray(B, dtype=np.uint8)
+    A, B = _uint8(A, _MATRIX), _uint8(B, _MATRIX)
     if A.shape[-1] != B.shape[0]:
         raise ValueError(f"dimension mismatch: {A.shape} x {B.shape}")
     return (A.astype(np.int64) @ B.astype(np.int64)) % 2
@@ -99,7 +110,7 @@ def mat_mul(A, B):
 
 def _row_echelon(A):
     """Row-reduce a copy of A, as a 2-D 0/1 matrix, to reduced echelon form; returns (matrix, pivot columns)."""
-    R = np.atleast_2d(np.asarray(A, dtype=np.uint8)) % 2
+    R = np.atleast_2d(_uint8(A, _MATRIX)) % 2
     pivots = []
     for col in range(R.shape[1]):
         row = len(pivots)

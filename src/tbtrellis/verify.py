@@ -21,14 +21,17 @@ The superposition, eta-zeta and hscalar-membership suites hand all of
 their trials to one call of the ``_batch`` kernel under test and compare
 whole arrays.  The decoder-oracle suite compares the words with the
 exhaustive codeword table in distance blocks of trials, as many as keep
-the packed (trials x codewords x bytes) distance array within
-``DISTANCE_BLOCK`` elements, and hands each distance block to the
-decoder in one call.  The decoder splits it into its own decode blocks
-of ``_search_tables(H).block`` words: on the reference code at N = 5 a
-distance block holds 256 trials, one full decode block, while from
-N = 11 on it holds one trial.  The zero-syndrome suite checks codeword
-by codeword, and the subtrellis-set-equality suite word by word, on
-packed integers.
+trials x codewords x the bytes of a packed word within
+``DISTANCE_BLOCK``.  Words and codewords are packed into zero-padded
+uint64 lanes, so one XOR and one popcount per lane give every distance
+of a block at any width.  Each distance block goes to the decoder in one
+call of ``decoder._decode_arrays``, which splits it into its own decode
+blocks of ``_search_tables(H).block`` words and returns the weights,
+codewords and tie flags as arrays, so the suite compares arrays with no
+``DecodeResult`` per word.  On the reference code at N = 5 a distance
+block holds 256 trials, one full decode block, while from N = 11 on it
+holds one trial.  The zero-syndrome suite checks codeword by codeword,
+and the subtrellis-set-equality suite word by word, on packed integers.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import product
 import numpy as np
 
 from .codespec import check_matrices
-from .decoder import decode_tailbiting_batch
+from .decoder import _decode_arrays
 from .error_trellis import (
     backward_syndromes_batch,
     build_tailbiting_error_trellis,
@@ -157,6 +160,23 @@ def suite_hscalar_membership(H, N, flat, rng, trials=1000):
     return bool((in_matrix == zero_syndrome).all() and (in_matrix == in_code).all())
 
 
+def _lanes(bits):
+    """Rows of 0/1 bits packed, first bit highest, into zero-padded uint64 lanes.
+
+    Two rows differ in as many bits as the XOR of their lanes has set bits,
+    at any width.
+    """
+    packed = np.packbits(bits, axis=1)
+    lanes = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    lanes[:, : packed.shape[1]] = packed
+    return lanes.view(np.uint64)
+
+
+def _distances(words, table):
+    """The Hamming distance (int32) from every row of ``words`` to every row of ``table``, both ``_lanes``."""
+    return np.bitwise_count(words[:, None] ^ table).sum(axis=2, dtype=np.int32)
+
+
 def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
     """Decoder weight equals the exhaustive minimum distance, every time.
 
@@ -165,19 +185,16 @@ def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
     """
     n = H.cols
     words = _bits(rng, trials, N * n)
-    table = np.packbits(flat, axis=1)
-    per_block = max(1, DISTANCE_BLOCK // table.size)
+    table = _lanes(flat)
+    per_block = max(1, DISTANCE_BLOCK // (len(flat) * -(-N * n // 8)))
     for start in range(0, trials, per_block):
         block = words[start : start + per_block]
-        packed = np.packbits(block, axis=1)
-        dists = np.bitwise_count(packed[:, None, :] ^ table).sum(axis=2, dtype=np.int32)
+        dists = _distances(_lanes(block), table)
         best = dists.min(axis=1)
         unique = (dists == best[:, None]).sum(axis=1) == 1
-        results = decode_tailbiting_batch(G, H, block.reshape(len(block), N, n))
-        weights = np.array([res.weight for res in results])
-        codewords = np.array([res.codeword for res in results], dtype=np.uint8).reshape(block.shape)
-        wrong = (codewords != flat[dists.argmin(axis=1)]).any(axis=1) | [res.tie for res in results]
-        if (weights != best).any() or (unique & wrong).any():
+        weight, codeword, tie = _decode_arrays(G, H, block.reshape(len(block), N, n))
+        wrong = (codeword != flat[dists.argmin(axis=1)]).any(axis=1) | tie
+        if (weight != best).any() or (unique & wrong).any():
             return False
     return True
 

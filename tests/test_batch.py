@@ -84,6 +84,42 @@ def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name, blocks,
     assert decode_tailbiting_batch(G, H, words) == whole
 
 
+def _arrays_of(results):
+    """The weight, codeword and tie fields of a list of ``DecodeResult``s, as arrays."""
+    return (
+        np.array([res.weight for res in results]),
+        np.array([res.codeword for res in results], dtype=np.uint8),
+        np.array([res.tie for res in results]),
+    )
+
+
+def _assert_arrays_equal(got, want):
+    for field, a, b in zip(("weight", "codeword", "tie"), got, want):
+        assert a.shape == b.shape and a.dtype.kind == b.dtype.kind and (a == b).all(), field
+
+
+def test_decode_arrays_of_every_reference_word_equal_the_decode_results(G1, H1):
+    """All 2^15 words at N = 5, in full decode blocks of 256 and a block of one."""
+    N = 5
+    words = ((np.arange(2 ** (N * 3))[:, None] >> np.arange(N * 3 - 1, -1, -1)) & 1).astype(np.uint8)
+    words = words.reshape(-1, N, 3)
+    results = decode_tailbiting_batch(G1, H1, words)
+    assert sum(res.tie for res in results) > 1000
+    _assert_arrays_equal(decoder._decode_arrays(G1, H1, words), _arrays_of(results))
+    _assert_arrays_equal(decoder._decode_arrays(G1, H1, words[-1:]), _arrays_of(results[-1:]))
+
+
+@pytest.mark.parametrize("name, N", [("32-state", 5), ("k7", 7)])
+def test_decode_arrays_of_a_pruned_code_equal_the_decode_results(name, N):
+    """Blocks of one word, each read from its ``DecodeResult``."""
+    G, H = _code(name)
+    assert _search_tables(H).block == 1
+    words = np.random.default_rng(89).integers(0, 2, (150, N, H.cols))
+    results = decode_tailbiting_batch(G, H, words)
+    assert any(res.tie for res in results)
+    _assert_arrays_equal(decoder._decode_arrays(G, H, words), _arrays_of(results))
+
+
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_block_syndromes_and_sigma_fin_equal_the_tuple_fold(name):
     G, H = _code(name)
@@ -94,6 +130,8 @@ def test_block_syndromes_and_sigma_fin_equal_the_tuple_fold(name):
         fins, zetas = sigma_fin_batch(H, words), tailbiting_syndromes_batch(H, words)
         etas = backward_syndromes_batch(H, words)
         assert fins.shape == (20, H.deg * H.rows) and zetas.shape == etas.shape == (20, N, H.rows)
+        # sigma_fin is a tuple fold of its own, on symbol tuples and on array rows
+        assert [sigma_fin(H, z) for z in words] == [tuple(fin) for fin in fins.tolist()]
         for z, fin, zeta, eta in zip(words.tolist(), fins.tolist(), zetas.tolist(), etas.tolist()):
             z = [tuple(s) for s in z]
             start = sf_run(H, sf_zero_state(H), z)[0]

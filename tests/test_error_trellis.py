@@ -49,6 +49,19 @@ def test_sigma_fin_rejects_short_words(H2):
         sigma_fin(H2, [(1, 0)])
 
 
+def test_sigma_fin_checks_every_symbol_then_the_length(H2):
+    """A bad symbol anywhere, even in a word shorter than M, is reported before the length."""
+    good = [(1, 0)] * 4
+    for at in range(4):
+        word = good[:at] + [(1, 2)] + good[at + 1 :]
+        with pytest.raises(ValueError, match=r"^expected an input symbol of 2 bits in \{0, 1\}, got \(1, 2\)$"):
+            sigma_fin(H2, word)
+    with pytest.raises(ValueError, match=r"got \(1,\)$"):
+        sigma_fin(H2, [(1,)])
+    with pytest.raises(ValueError, match="^need at least M=2 received symbols, got 0$"):
+        sigma_fin(H2, [])
+
+
 def test_tailbiting_syndromes_reference(H1, received):
     seq = tailbiting_syndromes(H1, received)
     assert seq.symbols == ZETA

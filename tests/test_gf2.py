@@ -246,10 +246,19 @@ def test_poly_rank_matches_the_largest_nonzero_minor(G1, H1, G2, H2):
         assert poly_from_strings(strings).rank() == poly_rank(strings), strings
 
 
-@pytest.mark.parametrize("bits", [[[1, 0], [0, 1]], np.ones((2, 2), dtype=np.uint8), [0, 2], 2])
+@pytest.mark.parametrize(
+    "bits", [[[1, 0], [0, 1]], np.ones((2, 2), dtype=np.uint8), [0, 2], 2, [1, -1], -1, [0, 256], np.array([1, -1])]
+)
 def test_as_bits_rejects_non_vectors_and_non_binary_entries(bits):
-    with pytest.raises(ValueError, match="expected a one-dimensional sequence of 0/1 bits"):
+    with pytest.raises(ValueError, match="^expected a one-dimensional sequence of 0/1 bits$"):
         as_bits(bits)
+
+
+@pytest.mark.parametrize("f", [rank, nullspace, lambda A: mat_mul(A, [[1], [1]]), lambda A: mat_mul([[1]], A)])
+@pytest.mark.parametrize("A", [[[1, -1]], [[256, 1]]])
+def test_matrices_with_entries_outside_a_byte_raise_value_error(f, A):
+    with pytest.raises(ValueError, match=r"^expected a matrix of integer entries in 0\.\.255, read mod 2$"):
+        f(A)
 
 
 def test_bit_parsing_and_formatting():

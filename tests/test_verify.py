@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -104,12 +102,12 @@ def _negating_membership_batch(real):
     return is_tailbiting_codeword_batch
 
 
-def _overweight_decoder_batch(real):
-    def decode_tailbiting_batch(G, H, words):
-        hit = _starting_101(words)
-        return [replace(res, weight=res.weight + 1) if h else res for res, h in zip(real(G, H, words), hit)]
+def _overweight_decoder_arrays(real):
+    def _decode_arrays(G, H, words):
+        weight, codeword, tie = real(G, H, words)
+        return weight + _starting_101(words), codeword, tie
 
-    return decode_tailbiting_batch
+    return _decode_arrays
 
 
 @pytest.mark.parametrize(
@@ -120,7 +118,7 @@ def _overweight_decoder_batch(real):
         ("enumerate_paths", _dropping_enumerate_paths, "subtrellis-set-equality"),
         ("backward_syndromes_batch", _flipping_backward_syndromes_batch, "eta-zeta-correspondence"),
         ("is_tailbiting_codeword_batch", _negating_membership_batch, "hscalar-membership"),
-        ("decode_tailbiting_batch", _overweight_decoder_batch, "decoder-oracle"),
+        ("_decode_arrays", _overweight_decoder_arrays, "decoder-oracle"),
     ],
 )
 def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite):
@@ -130,12 +128,13 @@ def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite)
 
 
 def test_decoder_oracle_catches_a_tie_on_a_unique_nearest_codeword(monkeypatch, G1, H1):
-    real = verify.decode_tailbiting_batch
+    real = verify._decode_arrays
 
-    def decode_tailbiting_batch(G, H, words):
-        return [replace(res, tie=True) for res in real(G, H, words)]
+    def _decode_arrays(G, H, words):
+        weight, codeword, tie = real(G, H, words)
+        return weight, codeword, np.ones_like(tie)
 
-    monkeypatch.setattr(verify, "decode_tailbiting_batch", decode_tailbiting_batch)
+    monkeypatch.setattr(verify, "_decode_arrays", _decode_arrays)
     results = dict(verify.run_all(G1, H1, 5, seed=1, trials=200))
     assert results == {s: s != "decoder-oracle" for s in EXPECTED_SUITES}
 
@@ -188,7 +187,7 @@ def _words(block):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
-    names = ["sf_step_batch", "backward_syndromes_batch", "is_tailbiting_codeword_batch", "decode_tailbiting_batch"]
+    names = ["sf_step_batch", "backward_syndromes_batch", "is_tailbiting_codeword_batch", "_decode_arrays"]
     trials, N = 50, 5
     results, calls = _recorded_calls(monkeypatch, names, G1, H1, N, seed, trials)
     assert all(ok for _, ok in results)
@@ -204,23 +203,26 @@ def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
     (_, codewords), (_, words) = calls["is_tailbiting_codeword_batch"]
     assert len(codewords) == 2**N
     assert [tuple(y) for y in words.tolist()] == membership
-    blocks = calls["decode_tailbiting_batch"]
+    blocks = calls["_decode_arrays"]
     assert [(G, H, z) for G, H, block in blocks for z in _words(block)] == [(G1, H1, z) for z in decoded]
+    # a distance block holds up to 256 trials of the reference code at N = 5
+    assert [len(block) for *_, block in blocks] == [trials]
 
 
 @pytest.mark.parametrize("code, N", [("1", 5), ("2", 4)])
 def test_distance_blocks_of_one_trial_change_nothing(request, monkeypatch, code, N):
     G, H = request.getfixturevalue("G" + code), request.getfixturevalue("H" + code)
-    default = _recorded_calls(monkeypatch, ["decode_tailbiting_batch"], G, H, N, 4, 300)
+    default = _recorded_calls(monkeypatch, ["_decode_arrays"], G, H, N, 4, 300)
     monkeypatch.setattr(verify, "DISTANCE_BLOCK", 1)
-    single = _recorded_calls(monkeypatch, ["decode_tailbiting_batch"], G, H, N, 4, 300)
+    single = _recorded_calls(monkeypatch, ["_decode_arrays"], G, H, N, 4, 300)
 
     def blocks(recorded):
-        return [block for *_, block in recorded[1]["decode_tailbiting_batch"]]
+        return [block for *_, block in recorded[1]["_decode_arrays"]]
 
     assert single[0] == default[0]
     assert [len(block) for block in blocks(single)] == [1] * 300
-    assert max(len(block) for block in blocks(default)) > 1
+    # 2^14 over the packed bytes of the codeword table: 32 x 2 and 16 x 1
+    assert [len(block) for block in blocks(default)] == {"1": [256, 44], "2": [300]}[code]
     assert [_words(block) for block in blocks(single)] == [[z] for block in blocks(default) for z in _words(block)]
     assert all(ok for _, ok in default[0])
 
@@ -256,3 +258,14 @@ def test_run_all_encodes_each_codeword_once(monkeypatch, G1, H1):
     N = 5
     assert all(ok for _, ok in verify.run_all(G1, H1, N, seed=1, trials=20))
     assert len(calls) == 2 ** (N * G1.rows)
+
+
+@pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130])
+def test_lane_distances_equal_a_bit_by_bit_count(width):
+    """Rows wider than 64 bits span lanes: EXHAUSTIVE_BITS bounds N*k, not N*n."""
+    rng = np.random.default_rng(width)
+    words, table = rng.integers(0, 2, (9, width), dtype=np.uint8), rng.integers(0, 2, (11, width), dtype=np.uint8)
+    table[0], table[1] = 0, 1
+    dists = verify._distances(verify._lanes(words), verify._lanes(table))
+    assert dists.dtype == np.int32
+    assert dists.tolist() == [[sum(a != b for a, b in zip(w, t)) for t in table.tolist()] for w in words.tolist()]
