@@ -9,22 +9,32 @@ covers m consecutive sections (m fixed per H by ``TABLE_BUDGET``; the
 N mod m sections left over use the 1-section tables), so a pass makes
 floor(N/m) + N mod m steps.
 
-A block of words is decoded together, ``decode_tailbiting`` being a
-block of one.  A pass keeps, per step, an int32 (columns x words *
-(states + 1)) matrix of the weight still to go into each column's end
-states at cut N; a column belongs to one (word, anchor) pair, and every
-word of a block has as many.  Each step is three numpy calls: a gather
-of the next step's costs along every merged edge of each word's own
-table, an add and a minimum over each state's edges.  The gather's flat
-indices and weights come from the stack of tables, keyed by the
-integer each step's syndromes form, picked for all steps and words of a
-block before the loop.  Edges that die inside a merged section end in
-one extra, never reached state.  Where all anchors are searched in one
-pass, a block holds as many words as keep that pass within
-``BLOCK_BUDGET`` entries per step (256 words of the reference code at
-N = 5).  A larger block spreads the fixed numpy cost of a step over
-more words; beyond a few hundred words it is no faster and takes more
-memory.
+A block of words is decoded together.  A pass keeps, per step, an
+int32 (columns x words * (states + 1)) matrix of the weight still to go
+into each column's end states at cut N; a column belongs to one (word,
+anchor) pair, and every word of a block has as many.  Each step is three
+numpy calls: a gather of the next step's costs along every merged edge
+of each word's own table, an add and a minimum over each state's edges.
+The gather's flat indices and weights come from the stack of tables,
+keyed by the integer each step's syndromes form, picked for all steps
+and words of a block before the loop; each word's offset into the cost
+row is added in place to that copy.  Edges that die inside a merged
+section end in one extra, never reached state.  Where all anchors are
+searched in one pass, a block holds as many words as keep that pass
+within ``BLOCK_BUDGET`` entries per step (256 words of the reference
+code at N = 5).  A larger block spreads the fixed numpy cost of a step
+over more words; beyond a few hundred words it is no faster and takes
+more memory.
+
+A block of one word, which ``decode_tailbiting`` and every block of a
+pruned code is, runs its front end on Python integers instead, where a
+dozen numpy calls would cost more than the work they do.  Its symbols
+are looked up one by one (``received`` checks and packs the word only
+when one misses or it is an array), one fold of the syndrome former
+gives sigma_fin and the syndromes, one pass over its steps packs each
+step's key and received bits, and two takes from the stack give the
+word's (steps x edges x states + 1) tables.  Its bound pass carries
+one flat cost row per cut.
 
 Pruning is exact and per word.  Where a pass over all anchors would
 exceed the table budget (32 or 64 states, not the 4-state
@@ -57,10 +67,9 @@ There are two tracebacks with this one rule.  A block of several words
 (word, anchor) pairs at the least weight forward together as arrays,
 one gather per step; a sort of the walks' label rows picks each word's
 winner, and the error and codeword bits of the whole block are unpacked
-at once.  A block of one word, which every pruned code has and which
-per-word decoding is, walks each pair in Python over the tables' edge
-lists: the array walk's fixed numpy calls cost more than one word's
-walk, which is a few list lookups per step.
+at once.  A block of one word walks each pair in Python over the
+tables' edge lists: the array walk's fixed numpy calls cost more than
+one word's walk, which is a few list lookups per step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
@@ -159,21 +168,23 @@ def _dual_codes(G, H):
 
 
 def _min_plus(sections, end):
-    """Per section cut, the (columns x words * (states + 1)) least weight still to go into ``end``.
+    """Per section cut, the least weight still to go into ``end``: one row per column, or one flat row.
 
-    ``sections`` is the ``_sections`` pair of a block of words; a word's
-    states are consecutive entries of a row.  ``end`` holds one row per
-    column: its cost at cut N over the states of every word of the block.
-    State S, one past the last, is never reached: the tables point dead
-    edges at it, and it keeps its cost.
+    ``sections`` holds each step's (edges x words * (states + 1)) end
+    states and weights; a word's states are consecutive entries of a row.
+    ``end`` holds one row per column, or is one flat row: its cost at cut
+    N over the states of every word.  Each step takes the next cut's
+    costs along every edge, adds the weights and keeps each state's
+    least.  State S, one past the last, is never reached: the tables point
+    dead edges at it, and it keeps its cost.
     """
     dst, weight = sections
     cost = np.empty((len(dst) + 1, *end.shape), dtype=np.int32)
     cost[-1] = end
     for t in range(len(dst) - 1, -1, -1):
-        via = cost[t + 1].take(dst[t], axis=1)
+        via = cost[t + 1].take(dst[t], axis=-1)
         via += weight[t]
-        np.minimum.reduce(via, axis=1, out=cost[t])
+        np.minimum.reduce(via, axis=-2, out=cost[t])
     return cost
 
 
@@ -191,12 +202,10 @@ def _layout(H, N):
     """How the N sections of a word fall into floor(N/m) runs of m symbols, then N mod m single ones.
 
     Returns, per step, the places that turn syndrome integers into its key
-    in the stack (with ``first``, 2^(r*m), added for single symbols), the
-    places that turn received-symbol integers into the integer of its
-    received bits, and the bit tuples of its labels.  Both are powers of
-    two: a run's key and received integer concatenate its symbols' bits.
-    Last come, per symbol, its step and the shift of its n bits in the
-    step's label.
+    in the stack (with ``first``, 2^(r*m), added for single symbols), which
+    are powers of two: a run's key concatenates its symbols' bits.  Then
+    come, per step, the bit tuples of its labels, and per symbol its step
+    and the shift of its n bits in the step's label.
     """
     m, r, n = _search_tables(H).m, H.rows, H.cols
     runs, cut = N // m, N - N % m
@@ -204,17 +213,16 @@ def _layout(H, N):
     step = np.where(t < cut, t // m, runs + t - cut)
     place = np.where(t < cut, m - 1 - t % m, 0)
     places = np.zeros((N, runs + N - cut), dtype=np.intp)
-    symbols = np.zeros_like(places)
-    places[t, step], symbols[t, step] = 1 << r * place, 1 << n * place
+    places[t, step] = 1 << r * place
     first = np.array([0] * runs + [1 << r * m] * (N - cut))
     bits = [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
-    return places, first, symbols, bits, step, n * place
+    return places, first, bits, step, n * place
 
 
 @lru_cache(maxsize=None)
 def _offsets(words, S):
-    """The first of each word's S + 1 rows in a block's cost at one cut."""
-    return (np.arange(words) * (S + 1))[:, None, None]
+    """Per entry of a block's cost row at one cut, the first of its word's S + 1 entries."""
+    return np.repeat(np.arange(words) * (S + 1), S + 1)
 
 
 def _sections(tables, keys):
@@ -222,13 +230,14 @@ def _sections(tables, keys):
 
     ``keys`` (words x steps) picks each step's run from the stack.  A
     word's entries point into its own states + 1 entries of a column's
-    cost at the next cut.
+    cost at the next cut: the offsets are added in place to the
+    transposed copy.
     """
     sec = tables.sections
     shape = (keys.shape[1], sec.dst.shape[1], -1)
-    dst = sec.dst.take(keys.T, axis=0) + _offsets(len(keys), len(tables.states))
-    weight = sec.weight.take(keys.T, axis=0)
-    return dst.transpose(0, 2, 1, 3).reshape(shape), weight.transpose(0, 2, 1, 3).reshape(shape)
+    dst, weight = (a.take(keys.T, axis=0).transpose(0, 2, 1, 3).reshape(shape) for a in (sec.dst, sec.weight))
+    dst += _offsets(len(keys), len(tables.states))
+    return dst, weight
 
 
 def _traceback(outs, togo, state):
@@ -314,28 +323,57 @@ def _blocks(G, H, words):
         return
     if not len(words[0]):
         raise ValueError("a trellis needs at least one section")
+    if len(words) == 1:
+        index = syndrome_former(H)._in_index
+        try:
+            es = [index[e] for e in words[0]]
+        except (KeyError, TypeError):
+            es = None
+        if es is None or len(es) < H.deg:
+            # ``received`` raises on the first bad symbol or a short word, else packs an array word
+            es = received(H, words)[0].tolist()
+        yield _decode_word(G, H, es)
+        return
     E = received(H, words)
-    betas, duals = _dual_codes(G, H)
+    duals = _dual_codes(G, H)[1]
     tables = _search_tables(H)
-    places, first, symbols, bits, step, shift = _layout(H, E.shape[1])
+    places, first, _, step, shift = _layout(H, E.shape[1])
     for start in range(0, len(E), tables.block):
         block = E[start : start + tables.block]
+        if len(block) == 1:
+            yield _decode_word(G, H, block[0].tolist())
+            continue
         fin, zetas = sf_circular(H, block)
         rows = tables.index.take(fin[:, None] ^ duals)
-        keys = zetas @ places + first
-        if len(block) > 1:
-            yield _decode_block(tables, block, rows, keys, step, shift, H.cols)
-            continue
-        w, ties, labels, sigma, beta = _search_word(tables, betas, rows, keys)
-        z = (block @ symbols)[0].tolist()
-        yield DecodeResult(
-            codeword=tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, z)))),
-            error=tuple(chain.from_iterable(map(getitem, bits, labels))),
-            weight=w,
-            anchor_beta=beta,
-            anchor_sigma=sigma,
-            tie=ties > 1,
-        )
+        yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols)
+
+
+def _decode_word(G, H, es):
+    """The ``DecodeResult`` of one word of N >= M symbol integers, on Python integers.
+
+    One fold of the syndrome former from state 0 over the last M symbols
+    and then the word gives sigma_fin (A^M = 0) and, after its first M
+    outputs, the N syndromes of the circular run.  One pass over the
+    steps then packs each step's key in the stack and its received bits,
+    the first symbol most significant.
+    """
+    betas, duals = _dual_codes(G, H)
+    tables = _search_tables(H)
+    M, N, m, r, n = H.deg, len(es), tables.m, H.rows, H.cols
+    fin, outs = syndrome_former(H).fold(0, es[N - M :] + es)
+    zetas, cut, keys, zs = outs[M:], N - N % m, [], []
+    for t in range(0, cut, m):
+        key = z = 0
+        for i in range(t, t + m):
+            key, z = key << r | zetas[i], z << n | es[i]
+        keys.append(key)
+        zs.append(z)
+    keys += [(1 << r * m) + zeta for zeta in zetas[cut:]]
+    zs += es[cut:]
+    w, ties, labels, sigma, beta = _search_word(tables, betas, tables.index.take(fin ^ duals), keys)
+    bits = _layout(H, N)[2]
+    codeword = tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, zs))))
+    return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
 
 
 def _decode_block(tables, block, rows, keys, step, shift, n):
@@ -350,7 +388,7 @@ def _decode_block(tables, block, rows, keys, step, shift, n):
     S, words, anchors = len(tables.states), *rows.shape
     dst, weight = sections = _sections(tables, keys)
     cost = _min_plus(sections, _ends(S).take(rows.T, axis=0).reshape(anchors, -1))
-    reach = cost[0, np.arange(anchors), rows + _offsets(words, S)[..., 0]]
+    reach = cost[0, np.arange(anchors), rows + np.arange(words)[:, None] * (S + 1)]
     w = reach.min(axis=1)
     if w.max() >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
@@ -374,29 +412,36 @@ def _decode_block(tables, block, rows, keys, step, shift, n):
 
 
 def _search_word(tables, betas, rows, keys):
-    """A block of one word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta)."""
-    sections = _sections(tables, keys)
+    """One word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
+
+    ``rows`` holds its anchor states and ``keys`` its steps' keys, which
+    take its steps' (edges x states + 1) end states and weights from the
+    stack.
+    """
+    at, sec = np.array(keys), tables.sections
+    sections = sec.dst.take(at, axis=0), sec.weight.take(at, axis=0)
     ends = _ends(len(tables.states))
-    states, passes = rows[0].tolist(), []
+    states, passes = rows.tolist(), []
 
     def search(anchors):
-        end = rows[0].take(anchors)
+        end = rows.take(anchors)
         cost = _min_plus(sections, ends.take(end, axis=0))
         weight = cost[0, np.arange(len(anchors)), end].tolist()
         passes.append((cost, anchors.tolist(), weight))
         return min(weight)
 
-    outs = [tables.sections.out[k] for k in keys[0].tolist()]
+    outs = [tables.sections.out[k] for k in keys]
     if tables.prune:
-        bound = _min_plus(sections, ends[-1:])
-        lb = bound[0, 0, rows[0]]
-        least = lb == lb.min()
-        a = int(lb.argmin())
-        if least.sum() == 1 and lb[a] < _UNREACHED:
-            labels, end = _traceback(outs, bound[:, 0].tolist(), states[a])
+        bound = _min_plus(sections, ends[-1])
+        lb = bound[0].take(rows)
+        low = min(bounds := lb.tolist())
+        if bounds.count(low) == 1 and low < _UNREACHED:
+            a = bounds.index(low)
+            labels, end = _traceback(outs, bound.tolist(), states[a])
             # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
             if end == states[a]:
-                return int(lb[a]), 1, labels, tables.states[end], betas[a]
+                return low, 1, labels, tables.states[end], betas[a]
+        least = lb == low
         w = search(np.flatnonzero(least))
         # no anchor whose bound exceeds w can reach w
         rest = np.flatnonzero(~least & (lb <= w))

@@ -22,7 +22,11 @@ tables of a :class:`LinearMachine`, which every function below reads.
 A w-bit tuple is the integer whose most significant bit is its first
 entry, so integer order is tuple order.  By linearity a transition is
 the XOR of one state-table and one input-table entry, so the tables
-hold 2^(state bits) + 2^(input bits) entries.
+hold 2^(state bits) + 2^(input bits) entries.  ``LinearMachine.fold``
+is the one fold over a sequence: on integers, one XOR and two list
+lookups per symbol.  ``run`` is that fold read from and returned as
+tuples, checking each symbol in order, and the decoder folds one
+received word's symbol integers with it directly.
 
 Blocks of words are run at array speed.  The syndrome former's A is
 nilpotent (A^M = 0), so its state at a cut is the XOR of the states that
@@ -115,13 +119,20 @@ class LinearMachine:
         v = self.from_state[x] ^ self.from_input[e]
         return v >> self.out_bits, v & self.out_mask
 
+    def fold(self, x, es):
+        """Fold the transitions over symbol integers from state integer x: (final state, output integers)."""
+        from_state, from_input, shift, mask = self.from_state, self.from_input, self.out_bits, self.out_mask
+        outs = []
+        for e in es:
+            v = from_state[x] ^ from_input[e]
+            x = v >> shift
+            outs.append(v & mask)
+        return x, outs
+
     def run(self, sigma, seq):
-        """Fold the transitions over a symbol sequence: (final state, outputs) as tuples."""
-        x, outs = self.state(sigma), []
-        for e in seq:
-            x, o = self.step(x, self.symbol(e))
-            outs.append(self.out_tuples[o])
-        return self.state_tuples[x], outs
+        """``fold`` over a symbol sequence from a state, read and returned as tuples: (final state, outputs)."""
+        x, outs = self.fold(self.state(sigma), map(self.symbol, seq))
+        return self.state_tuples[x], list(map(self.out_tuples.__getitem__, outs))
 
     def edges(self):
         """Every transition out of ``states``: (state, input, next state, output) tuples."""
@@ -132,8 +143,12 @@ class LinearMachine:
 
 
 def _lookup(index, bits, what):
-    if isinstance(bits, (int, np.integer)):
-        bits = (bits,)
+    # a valid symbol tuple is its own key; an int is a one-bit symbol, any other sequence read as a tuple
+    try:
+        return index[bits]
+    except (KeyError, TypeError):
+        if isinstance(bits, (int, np.integer)):
+            bits = (bits,)
     try:
         return index[tuple(bits)]
     except (KeyError, TypeError):

@@ -28,10 +28,14 @@ of a block at any width.  Each distance block goes to the decoder in one
 call of ``decoder._decode_arrays``, which splits it into its own decode
 blocks of ``_search_tables(H).block`` words and returns the weights,
 codewords and tie flags as arrays, so the suite compares arrays with no
-``DecodeResult`` per word.  On the reference code at N = 5 a distance
-block holds 256 trials, one full decode block, while from N = 11 on it
-holds one trial.  The zero-syndrome suite checks codeword by codeword,
-and the subtrellis-set-equality suite word by word, on packed integers.
+``DecodeResult`` per word.  The codeword table holds its rows anchor by
+anchor, so one ``logical_or.reduceat`` of a block's nearest-codeword
+mask over the anchors' rows tells in how many code subtrellises the
+nearest codewords lie; ``tie`` must hold exactly where that is more than
+one.  On the reference code at N = 5 a distance block holds 256
+trials, one full decode block, while from N = 11 on it holds one trial.
+The zero-syndrome suite checks codeword by codeword, and the
+subtrellis-set-equality suite word by word, on packed integers.
 """
 
 from __future__ import annotations
@@ -74,16 +78,18 @@ def _bits(rng, trials, width):
 
 
 def _codeword_table(G, N):
-    """All tailbiting codewords, bucketed by anchor and flattened to rows."""
+    """All tailbiting codewords, bucketed by anchor and flattened to rows anchor by anchor.
+
+    Returns the buckets, the rows, and the first row of each anchor's rows.
+    """
     k = G.rows
     by_anchor = {}
-    flat = []
     for bits in product((0, 1), repeat=N * k):
         u = [bits[i * k : (i + 1) * k] for i in range(N)]
-        y = tailbiting_encode(G, u)
-        by_anchor.setdefault(tailbiting_anchor(G, u), []).append(y)
-        flat.append([b for sym in y for b in sym])
-    return by_anchor, np.array(flat, dtype=np.uint8)
+        by_anchor.setdefault(tailbiting_anchor(G, u), []).append(tailbiting_encode(G, u))
+    flat = [[b for sym in y for b in sym] for ys in by_anchor.values() for y in ys]
+    starts = np.cumsum([0, *map(len, by_anchor.values())])[:-1]
+    return by_anchor, np.array(flat, dtype=np.uint8), starts
 
 
 def suite_superposition(H, rng, trials=1000):
@@ -177,11 +183,13 @@ def _distances(words, table):
     return np.bitwise_count(words[:, None] ^ table).sum(axis=2, dtype=np.int32)
 
 
-def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
+def suite_decoder_oracle(G, H, N, flat, starts, rng, trials=1000):
     """Decoder weight equals the exhaustive minimum distance, every time.
 
-    Where the nearest codeword is unique, the decoder returns it and reads
-    ``tie=False``.
+    Where the nearest codeword is unique, the decoder returns it.  ``tie``
+    holds exactly where the nearest codewords lie in more than one code
+    subtrellis: ``flat`` holds the codewords anchor by anchor, each
+    anchor's rows from its entry of ``starts`` on.
     """
     n = H.cols
     words = _bits(rng, trials, N * n)
@@ -191,10 +199,12 @@ def suite_decoder_oracle(G, H, N, flat, rng, trials=1000):
         block = words[start : start + per_block]
         dists = _distances(_lanes(block), table)
         best = dists.min(axis=1)
-        unique = (dists == best[:, None]).sum(axis=1) == 1
+        nearest = dists == best[:, None]
+        unique = nearest.sum(axis=1) == 1
+        ties = np.logical_or.reduceat(nearest, starts, axis=1).sum(axis=1) > 1
         weight, codeword, tie = _decode_arrays(G, H, block.reshape(len(block), N, n))
-        wrong = (codeword != flat[dists.argmin(axis=1)]).any(axis=1) | tie
-        if (weight != best).any() or (unique & wrong).any():
+        wrong = (codeword != flat[dists.argmin(axis=1)]).any(axis=1)
+        if (weight != best).any() or (unique & wrong).any() or (tie != ties).any():
             return False
     return True
 
@@ -217,12 +227,12 @@ def run_all(G, H, N, seed=1, trials=1000):
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
     rng = np.random.default_rng(seed)
-    by_anchor, flat = _codeword_table(G, N)
+    by_anchor, flat, starts = _codeword_table(G, N)
     return [
         ("superposition", suite_superposition(H, rng, trials)),
         ("zero-syndrome-traversal", suite_zero_syndrome(G, H, by_anchor)),
         ("subtrellis-set-equality", suite_set_equality(G, H, N, by_anchor, rng)),
         ("eta-zeta-correspondence", suite_eta_zeta(H, N, rng, trials)),
         ("hscalar-membership", suite_hscalar_membership(H, N, flat, rng, trials)),
-        ("decoder-oracle", suite_decoder_oracle(G, H, N, flat, rng, trials)),
+        ("decoder-oracle", suite_decoder_oracle(G, H, N, flat, starts, rng, trials)),
     ]

@@ -5,6 +5,7 @@ tests hold every block form to the per-word result or to the tuple fold
 ``sf_run``, and pin the input contract and the memory bound.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -167,9 +168,9 @@ def _entry_points(G, H):
     ]
 
 
-@pytest.mark.parametrize("bad", [(1, 2, 0), (1, 0)])
-def test_entry_points_name_the_first_bad_symbol(G1, H1, bad):
-    message = rf"^expected an input symbol of 3 bits in \{{0, 1\}}, got \({', '.join(map(str, bad))}\)$"
+@pytest.mark.parametrize("bad, shown", [((1, 2, 0), "(1, 2, 0)"), ((1, 0), "(1, 0)"), (1, "(1,)")])
+def test_entry_points_name_the_first_bad_symbol(G1, H1, bad, shown):
+    message = rf"^expected an input symbol of 3 bits in \{{0, 1\}}, got {re.escape(shown)}$"
     word = [(1, 0, 1), bad, (2, 2, 2), (0, 0), (1, 1, 1)]
     for one, block in _entry_points(G1, H1):
         with pytest.raises(ValueError, match=message):
@@ -181,11 +182,31 @@ def test_entry_points_name_the_first_bad_symbol(G1, H1, bad):
 def test_block_entry_points_check_arrays(G1, H1):
     words = np.zeros((3, 5, 3), dtype=np.int64)
     words[1, 2], words[2, 0] = (0, 2, 1), (2, 0, 0)
-    for _, block in _entry_points(G1, H1):
+    for one, block in _entry_points(G1, H1):
         with pytest.raises(ValueError, match=r"got \(0, 2, 1\)$"):
             block(words)
         with pytest.raises(ValueError, match=r"got \(0, 0\)$"):
             block(np.zeros((2, 5, 2), dtype=np.uint8))
+        # an array word is checked symbol by symbol, each symbol shown as the array it is
+        with pytest.raises(ValueError, match=r"got array\(\[0, 2, 1\]\)$"):
+            one(words[1])
+        with pytest.raises(ValueError, match=r"got array\(\[0, 0\], dtype=uint8\)$"):
+            one(np.zeros((5, 2), dtype=np.uint8))
+        assert one(words[0]) == one([(0, 0, 0)] * 5)
+
+
+@pytest.mark.parametrize("strings", [K7_STRINGS, ([["1", "1"]], [["1", "1"]])])
+def test_decode_names_an_empty_word_ahead_of_a_short_one(strings):
+    """The empty word fails as having no section, also where M > 0 would call it short."""
+    G, H = (poly_from_strings(s) for s in strings)
+    for decode in (lambda z: decode_tailbiting(G, H, z), lambda z: decode_tailbiting_batch(G, H, [z])):
+        with pytest.raises(ValueError, match="^a trellis needs at least one section$"):
+            decode([])
+        if H.deg:
+            with pytest.raises(ValueError, match=rf"^need at least M={H.deg} received symbols, got 3$"):
+                decode([(1, 0)] * 3)
+            with pytest.raises(ValueError, match=r"got \(2, 0\)$"):
+                decode([(1, 0), (2, 0)])
 
 
 def test_a_block_of_words_of_unequal_length_is_rejected(G1, H1):

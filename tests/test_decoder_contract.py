@@ -171,12 +171,15 @@ def test_pruning_runs_on_the_codes_whose_all_anchor_pass_exceeds_the_budget():
 
 
 def _recorded_columns(monkeypatch):
-    """A list to which the caller appends one list per decode; each min-plus pass adds its column count to the last."""
+    """A list to which the caller appends one list per decode; each min-plus pass adds its column count to the last.
+
+    The bound pass runs on one flat cost row: one column.
+    """
     columns = []
     real_min_plus = decoder._min_plus
 
     def recording_min_plus(sections, end):
-        columns[-1].append(len(end))
+        columns[-1].append(len(end) if end.ndim > 1 else 1)
         return real_min_plus(sections, end)
 
     monkeypatch.setattr(decoder, "_min_plus", recording_min_plus)
@@ -267,28 +270,48 @@ def test_library_entry_points_reject_the_pairs_a_spec_load_rejects(g, h, word, m
 
 
 def test_decode_runs_the_syndrome_former_once(monkeypatch):
-    """One circular-run kernel call per decode, for one word or a block, and no syndrome-former step."""
-    G, H = (poly_from_strings(s) for s in K7_STRINGS)
-    z = [(1, 0), (0, 1), (1, 1)] * 4
-    decode_tailbiting(G, H, z)  # fills the per-code caches
-    calls = {"sf_circular": 0, "step": 0}
-    real_kernel, real_step = decoder.sf_circular, LinearMachine.step
+    """One circular run per decode block, and no syndrome-former step.
+
+    A block of one word is one integer fold over the word's last M
+    symbols and then the word; a block of several words is one
+    ``sf_circular`` call.  A second fold, e.g. for sigma_fin alone, counts.
+    """
+    K7 = [poly_from_strings(s) for s in K7_STRINGS]
+    ref = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
+    z7, z = [(1, 0), (0, 1), (1, 1)] * 4, split_symbols(parse_bits(RECEIVED), 3)
+    for G, H in (K7, ref):
+        decode_tailbiting(G, H, z7 if G is K7[0] else z)  # fills the per-code caches
+    calls = Counter()
+    real_kernel, real_fold, real_step = decoder.sf_circular, LinearMachine.fold, LinearMachine.step
 
     def counting_kernel(*args):
         calls["sf_circular"] += 1
         return real_kernel(*args)
+
+    def counting_fold(self, *args):
+        calls["fold"] += 1
+        return real_fold(self, *args)
 
     def counting_step(self, *args):
         calls["step"] += 1
         return real_step(self, *args)
 
     monkeypatch.setattr(decoder, "sf_circular", counting_kernel)
+    monkeypatch.setattr(LinearMachine, "fold", counting_fold)
     monkeypatch.setattr(LinearMachine, "step", counting_step)
-    decode_tailbiting(G, H, z)
-    assert calls == {"sf_circular": 1, "step": 0}
+    decode_tailbiting(*K7, z7)
+    assert calls == {"fold": 1}
     # a block of the 64-state code holds one word
-    decode_tailbiting_batch(G, H, [z, z[::-1], z])
-    assert calls == {"sf_circular": 4, "step": 0}
+    decode_tailbiting_batch(*K7, [z7, z7[::-1], z7])
+    assert calls == {"fold": 4}
+    decode_tailbiting(*ref, z)
+    assert calls == {"fold": 5}
+    # the reference code's 3 words fill one block
+    decode_tailbiting_batch(*ref, [z, z[::-1], z])
+    assert calls == {"fold": 5, "sf_circular": 1}
+    # an array word is packed by ``received`` and folded once
+    decode_tailbiting(*ref, np.array(z))
+    assert calls == {"fold": 6, "sf_circular": 1}
 
 
 def test_decode_imports_nothing_new():

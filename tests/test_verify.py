@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tbtrellis import poly_from_strings, verify
+from tbtrellis import decoder, poly_from_strings, verify
 from tbtrellis.codespec import CodeSpecError
 
 
@@ -135,6 +135,19 @@ def test_decoder_oracle_catches_a_tie_on_a_unique_nearest_codeword(monkeypatch, 
         return weight, codeword, np.ones_like(tie)
 
     monkeypatch.setattr(verify, "_decode_arrays", _decode_arrays)
+    results = dict(verify.run_all(G1, H1, 5, seed=1, trials=200))
+    assert results == {s: s != "decoder-oracle" for s in EXPECTED_SUITES}
+
+
+def test_decoder_oracle_catches_a_missed_tie(monkeypatch, G1, H1):
+    """With one anchor counted at every least weight, no word reads ``tie``, though many words of the reference code tie."""
+    real = decoder._decode_block
+
+    def one_anchor_each(*args):
+        out = real(*args)
+        return out._replace(ties=np.ones_like(out.ties))
+
+    monkeypatch.setattr(decoder, "_decode_block", one_anchor_each)
     results = dict(verify.run_all(G1, H1, 5, seed=1, trials=200))
     assert results == {s: s != "decoder-oracle" for s in EXPECTED_SUITES}
 
