@@ -30,11 +30,13 @@ A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a
 dozen numpy calls would cost more than the work they do.  Its symbols
 are looked up one by one (``received`` checks and packs the word only
-when one misses or it is an array), one fold of the syndrome former
-gives sigma_fin and the syndromes, one pass over its steps packs each
-step's key and received bits, and two takes from the stack give the
-word's (steps x edges x states + 1) tables.  Its bound pass carries
-one flat cost row per cut.
+when one misses or it is an array), the syndrome former's one-word
+circular run (``LinearMachine.circular_word``, one fold) gives
+sigma_fin and the syndromes, one pass over its steps packs each step's
+key and received bits, and two takes from the stack give the word's
+(steps x edges x states + 1) tables.  Its bound pass carries one flat
+cost row per cut.  A block of several words gets its sigma_fin and
+syndromes from one ``LinearMachine.circular`` of the block.
 
 Pruning is exact and per word.  Where a pass over all anchors would
 exceed the table budget (32 or 64 states, not the 4-state
@@ -93,7 +95,7 @@ import numpy as np
 from .codespec import check_matrices
 from .error_trellis import _search_tables, received
 from .gf2 import format_bits, format_state
-from .state_machines import _bit_tuples, dual_state_of, enc_state_space, sf_circular, syndrome_former, unpack
+from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _to_anchor
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -343,7 +345,7 @@ def _blocks(G, H, words):
         if len(block) == 1:
             yield _decode_word(G, H, block[0].tolist())
             continue
-        fin, zetas = sf_circular(H, block)
+        fin, zetas = syndrome_former(H).circular(block)
         rows = tables.index.take(fin[:, None] ^ duals)
         yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols)
 
@@ -351,17 +353,15 @@ def _blocks(G, H, words):
 def _decode_word(G, H, es):
     """The ``DecodeResult`` of one word of N >= M symbol integers, on Python integers.
 
-    One fold of the syndrome former from state 0 over the last M symbols
-    and then the word gives sigma_fin (A^M = 0) and, after its first M
-    outputs, the N syndromes of the circular run.  One pass over the
-    steps then packs each step's key in the stack and its received bits,
-    the first symbol most significant.
+    The syndrome former's one-word circular run gives sigma_fin and the
+    N syndromes.  One pass over the steps then packs each step's key in
+    the stack and its received bits, the first symbol most significant.
     """
     betas, duals = _dual_codes(G, H)
     tables = _search_tables(H)
-    M, N, m, r, n = H.deg, len(es), tables.m, H.rows, H.cols
-    fin, outs = syndrome_former(H).fold(0, es[N - M :] + es)
-    zetas, cut, keys, zs = outs[M:], N - N % m, [], []
+    N, m, r, n = len(es), tables.m, H.rows, H.cols
+    fin, zetas = syndrome_former(H).circular_word(es)
+    cut, keys, zs = N - N % m, [], []
     for t in range(0, cut, m):
         key = z = 0
         for i in range(t, t + m):

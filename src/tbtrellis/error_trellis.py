@@ -10,13 +10,14 @@ parity-check matrix and the time-reversed word; its paths are the
 forward paths read in reverse symbol order.
 
 Because the syndrome former forgets its state in M steps (A^M = 0),
-sigma_fin and the syndromes come from ``state_machines.sf_circular``,
-which gathers them for a whole block of words from the impulse
-response, with no fold over the symbols; cut 0 and cut N hold
-sigma_fin.  ``tailbiting_syndromes`` and ``backward_syndromes`` are
-each a block of one over their ``_batch`` form; ``sigma_fin`` of one
-word is one tuple fold of the syndrome former from the zero state, a
-few dictionary lookups per symbol rather than a dozen numpy calls.
+sigma_fin and the syndromes are its circular run, which
+``LinearMachine.circular`` gathers for a whole block of words from the
+impulse response, with no fold over the symbols; cut 0 and cut N hold
+sigma_fin.  The three ``_batch`` functions read that block form, and
+``tailbiting_syndromes`` and ``backward_syndromes`` are each a block of
+one over theirs; ``sigma_fin`` of one word is one tuple fold of the
+syndrome former from the zero state, a few dictionary lookups per
+symbol rather than a dozen numpy calls.
 
 The module of a syndrome symbol zeta is the set of syndrome-former
 transitions that emit zeta, and a merged m-section table the set of
@@ -38,7 +39,6 @@ from .gf2 import format_bits
 from .state_machines import (
     backward_state,
     dual_state_of,
-    sf_circular,
     sf_state_space,
     sf_zero_state,
     syndrome_former,
@@ -82,12 +82,12 @@ def received(H, words):
 
 def sigma_fin_batch(H, words):
     """``sigma_fin`` of every word of a block, as 0/1 uint8 rows."""
-    return unpack(sf_circular(H, received(H, words))[0], H.deg * H.rows)
+    return unpack(syndrome_former(H).circular(received(H, words))[0], H.deg * H.rows)
 
 
 def tailbiting_syndromes_batch(H, words):
     """The syndromes of every word of a block from its sigma_fin: (words x N x r) 0/1 uint8."""
-    return unpack(sf_circular(H, received(H, words))[1], H.rows)
+    return unpack(syndrome_former(H).circular(received(H, words))[1], H.rows)
 
 
 def sigma_fin(H, z):
@@ -278,7 +278,7 @@ def backward_syndromes_batch(H, words):
 
     The reciprocal H runs the block with its symbol order reversed.
     """
-    return unpack(sf_circular(H.reciprocal(), received(H, words)[:, ::-1])[1], H.rows)
+    return unpack(syndrome_former(H.reciprocal()).circular(received(H, words)[:, ::-1])[1], H.rows)
 
 
 def backward_syndromes(H, z):

@@ -25,24 +25,32 @@ the XOR of one state-table and one input-table entry, so the tables
 hold 2^(state bits) + 2^(input bits) entries.  ``LinearMachine.fold``
 is the one fold over a sequence: on integers, one XOR and two list
 lookups per symbol.  ``run`` is that fold read from and returned as
-tuples, checking each symbol in order, and the decoder folds one
-received word's symbol integers with it directly.
+tuples, checking each symbol in order.
 
-Blocks of words are run at array speed.  The syndrome former's A is
-nilpotent (A^M = 0), so its state at a cut is the XOR of the states that
-each of the last M inputs alone leaves, and a step's next state and
-output are the XOR of what each of the last M + 1 inputs alone gives.
-Tabulated once per H as the impulse response, every step of a circular
-run is M + 1 gathers from it, with no fold over the symbols.
-``sf_circular`` does this for a (words x N) block of symbol integers;
-cut 0 and cut N hold sigma_fin.  ``sf_step_batch`` steps a block of
-state/symbol pairs at once; ``sf_step`` is one step of the tuple fold, as
-``encoder_step`` is.
+Both machines are nilpotent: the syndrome former forgets its state in
+M steps (A^M = 0) and the encoder in L (A^L = 0).  So the state at a cut
+is the state that the last d inputs alone leave, d being M for the
+syndrome former and L for the encoder (the steps after which an input
+has left the state; the impulse response holds d + 1 rows), and a
+circular run over N symbols starts and ends in the state that the
+word's last d symbols, read circularly, leave.  ``LinearMachine`` holds
+that rule in two sizes.  ``circular_word`` runs one word on integers:
+one ``fold`` from state 0 over the word's circular last d symbols and
+then over the word.  ``circular`` runs a (words x N) block of symbol
+integers at array speed: a step's next state and output are the XOR of
+what each of the last d + 1 inputs alone gives, so with the impulse
+response tabulated once per machine, every step is d + 1 gathers from
+it, with no fold.  Both hold for N < d too, the word then read around
+more than once.  The decoder, the error-trellis ``_batch`` functions,
+tailbiting encoding and the verifier's codebook and zero-syndrome suite
+all run circularly through one of the two.
+``sf_step_batch`` steps a block of state/symbol pairs at once;
+``sf_step`` is one step of the tuple fold, as ``encoder_step`` is.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -129,6 +137,48 @@ class LinearMachine:
             outs.append(v & mask)
         return x, outs
 
+    @cached_property
+    def impulse(self):
+        """Row i, column e: the step value i steps after input e from state 0, rows until the state field dies out.
+
+        A step value packs the next state above the output, as the tables
+        do; the row after the last would be zero.
+        """
+        rows = [self.from_input]
+        while any(v >> self.out_bits for v in rows[-1]):
+            rows.append([self.from_state[v >> self.out_bits] for v in rows[-1]])
+        return _frozen(np.array(rows, dtype=np.intp))
+
+    def circular_word(self, es):
+        """One word's circular run on symbol integers: (the state at cuts 0 and N, the N outputs).
+
+        One fold from state 0 over the word's last d symbols, read
+        circularly, leaves the state at cut 0; the fold goes on over the
+        word, whose outputs are the run's and which ends in that state.
+        An empty word has no circular run: ValueError.
+        """
+        N, d = len(es), len(self.impulse) - 1
+        if not N:
+            raise ValueError("need at least one input symbol")
+        x, outs = self.fold(0, (es[N - d :] if N >= d else (es * d)[-d:]) + es)
+        return x, outs[d:]
+
+    def circular(self, E):
+        """The circular run of every row of a (words x N) block of symbol integers.
+
+        Returns the states at cuts 0 and N (words,) and the outputs
+        (words x N) as integers.  The step value at cut t is the XOR of
+        the impulse response at lag i to e_{(t-i) mod N}, i = 0..d: its
+        output field is the output at t, and its state field the state at
+        cut t + 1, so the last cut's is the circular state.
+        """
+        impulse, N = self.impulse, E.shape[1]
+        lag = np.arange(len(impulse))[:, None]
+        taps = (np.arange(N) - lag) % max(N, 1)
+        v = np.bitwise_xor.reduce(impulse.take(E[:, taps] + lag * impulse.shape[1]), axis=1)
+        fin = v[:, -1] >> self.out_bits if N else np.zeros(len(E), dtype=np.intp)
+        return fin, v & self.out_mask
+
     def run(self, sigma, seq):
         """``fold`` over a symbol sequence from a state, read and returned as tuples: (final state, outputs)."""
         x, outs = self.fold(self.state(sigma), map(self.symbol, seq))
@@ -147,6 +197,8 @@ def _lookup(index, bits, what):
     try:
         return index[bits]
     except (KeyError, TypeError):
+        if isinstance(bits, np.ndarray):
+            bits = bits.tolist()
         if isinstance(bits, (int, np.integer)):
             bits = (bits,)
     try:
@@ -257,43 +309,6 @@ def sf_step_batch(H, sigmas, es):
     return unpack(v >> sf.out_bits, sf.state_bits), unpack(v & sf.out_mask, sf.out_bits)
 
 
-@lru_cache(maxsize=None)
-def _impulse(H):
-    """Row i, column e: the step value i steps after input e from the zero state, zeros after it.
-
-    A step value packs the next state above the output, as the tables of
-    ``LinearMachine`` do; rows i = 0..M, and row M + 1 would be zero.
-    """
-    sf = syndrome_former(H)
-    rows = [sf.from_input]
-    for _ in range(H.deg):
-        rows.append([sf.from_state[v >> sf.out_bits] for v in rows[-1]])
-    return _frozen(np.array(rows, dtype=np.intp))
-
-
-@lru_cache(maxsize=None)
-def _taps(M, N, symbols):
-    """Flat indices into ``_impulse`` ((M + 1) x N taps): row i, cut t reads e_{(t-i) mod N} at lag i."""
-    lag = np.arange(M + 1)[:, None]
-    return _frozen((np.arange(N) - lag) % max(N, 1)), _frozen(lag * symbols)
-
-
-def sf_circular(H, E):
-    """The circular run of every row of a (words x N) block of symbol integers, N >= M.
-
-    Returns sigma_fin (words,) and the syndromes (words x N) as integers.
-    The step value at cut t, from the state there on symbol e_t, is the
-    XOR of the impulse response at lag i to e_{t-i}, i = 0..M, read
-    circularly: its output field is zeta_t and its state field the state
-    at cut t + 1, so the last cut's is sigma_fin.
-    """
-    sf, impulse = syndrome_former(H), _impulse(H)
-    taps, lanes = _taps(H.deg, E.shape[1], impulse.shape[1])
-    v = np.bitwise_xor.reduce(impulse.take(E[:, taps] + lanes), axis=1)
-    fin = v[:, -1] >> sf.out_bits if E.shape[1] else np.zeros(len(E), dtype=np.intp)
-    return fin, v & sf.out_mask
-
-
 def sf_run(H, sigma0, seq):
     """Fold sf_step over a symbol sequence; returns (final state, syndromes)."""
     return syndrome_former(H).run(sigma0, seq)
@@ -362,19 +377,17 @@ def backward_state(G, beta):
 def tailbiting_encode(G, inputs):
     """Circular-convolution (tailbiting) encoding of N input symbols.
 
-    y_t = sum_i u_{(t-i) mod N} G_i.  The encoder starts and ends in the
-    state formed by the last L input symbols.
+    y_t = sum_i u_{(t-i) mod N} G_i: the encoder's circular run, which
+    starts and ends in the state formed by the last L input symbols.
     """
-    if len(inputs) < 1:
-        raise ValueError("need at least one input symbol")
-    return encoder_run(G, tailbiting_anchor(G, inputs), inputs)[1]
+    enc = encoder(G)
+    return list(map(enc.out_tuples.__getitem__, enc.circular_word(list(map(enc.symbol, inputs)))[1]))
 
 
 def tailbiting_anchor(G, inputs):
     """Encoder state shared by cut 0 and cut N for a tailbiting input word."""
-    enc, L, N = encoder(G), G.deg, len(inputs)
-    syms = [enc.in_tuples[enc.symbol(u)] for u in inputs]
-    return tuple(syms[(N - L + t) % N][j] for j in range(G.rows) for t in range(L))
+    enc = encoder(G)
+    return enc.state_tuples[enc.circular_word(list(map(enc.symbol, inputs)))[0]]
 
 
 def enc_state_space(G):

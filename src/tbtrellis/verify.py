@@ -1,8 +1,9 @@
 """Self-verification suites: every construction against a brute-force oracle.
 
 All suites work at desk scale (exhaustive enumeration of the 2^(Nk)
-tailbiting codewords, which ``run_all`` encodes once and hands to the
-suites that need them) and are deterministic given a seed.  They back the
+tailbiting codewords, which ``run_all`` builds once, as circular runs of
+the encoder over blocks of all the inputs, and hands to the suites that
+need them) and are deterministic given a seed.  They back the
 ``verify`` CLI command; the same properties are frozen individually in
 the test suite.
 
@@ -34,13 +35,13 @@ mask over the anchors' rows tells in how many code subtrellises the
 nearest codewords lie; ``tie`` must hold exactly where that is more than
 one.  On the reference code at N = 5 a distance block holds 256
 trials, one full decode block, while from N = 11 on it holds one trial.
-The zero-syndrome suite checks codeword by codeword, and the
-subtrellis-set-equality suite word by word, on packed integers.
+The codebook and the zero-syndrome suite run their machine circularly
+over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
+codewords of the reference code at N = 5 in one block call), and the
+subtrellis-set-equality suite checks word by word, on packed integers.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 import numpy as np
 
@@ -55,13 +56,7 @@ from .error_trellis import (
     tailbiting_syndromes_batch,
 )
 from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword_batch
-from .state_machines import (
-    dual_state_of,
-    sf_run,
-    sf_step_batch,
-    tailbiting_anchor,
-    tailbiting_encode,
-)
+from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
 from .trellis import enumerate_paths
 
 EXHAUSTIVE_BITS = 20
@@ -78,18 +73,22 @@ def _bits(rng, trials, width):
 
 
 def _codeword_table(G, N):
-    """All tailbiting codewords, bucketed by anchor and flattened to rows anchor by anchor.
+    """All 2^(N*k) tailbiting codewords, sorted by anchor: (anchor states, flat rows, first row per anchor).
 
-    Returns the buckets, the rows, and the first row of each anchor's rows.
+    The encoder's circular run takes the inputs in ascending order, in
+    blocks of as many as hold ``DISTANCE_BLOCK`` symbols; a stable sort by
+    anchor keeps each anchor's rows in input order.
     """
-    k = G.rows
-    by_anchor = {}
-    for bits in product((0, 1), repeat=N * k):
-        u = [bits[i * k : (i + 1) * k] for i in range(N)]
-        by_anchor.setdefault(tailbiting_anchor(G, u), []).append(tailbiting_encode(G, u))
-    flat = [[b for sym in y for b in sym] for ys in by_anchor.values() for y in ys]
-    starts = np.cumsum([0, *map(len, by_anchor.values())])[:-1]
-    return by_anchor, np.array(flat, dtype=np.uint8), starts
+    enc, k, size, step = encoder(G), G.rows, 2 ** (N * G.rows), max(1, DISTANCE_BLOCK // N)
+    fin, flat = np.empty(size, dtype=np.intp), np.empty((size, N * G.cols), dtype=np.uint8)
+    for start in range(0, size, step):
+        inputs = np.arange(start, min(start + step, size))[:, None] >> k * np.arange(N - 1, -1, -1)
+        fin[start : start + len(inputs)], ys = enc.circular(inputs & (1 << k) - 1)
+        flat[start : start + len(inputs)] = unpack(ys, G.cols).reshape(len(inputs), -1)
+    counts = np.bincount(fin, minlength=len(enc.state_tuples))
+    anchors = np.flatnonzero(counts)
+    starts = (counts.cumsum() - counts)[anchors]
+    return [enc.state_tuples[a] for a in anchors], flat[fin.argsort(kind="stable")], starts
 
 
 def suite_superposition(H, rng, trials=1000):
@@ -101,14 +100,27 @@ def suite_superposition(H, rng, trials=1000):
     return bool((ns == n1 ^ n2).all() and (zs == z1 ^ z2).all())
 
 
-def suite_zero_syndrome(G, H, by_anchor):
-    """Codewords traverse the syndrome former from their dual anchor silently."""
-    for beta, words in by_anchor.items():
-        start = dual_state_of(G, H, beta)
-        for y in words:
-            final, zetas = sf_run(H, start, y)
-            if final != start or any(any(z) for z in zetas):
-                return False
+def suite_zero_syndrome(G, H, anchors, flat, starts):
+    """Codewords traverse the syndrome former from their dual anchor silently.
+
+    A circular run of the syndrome former over every codeword, in blocks
+    of as many as hold ``DISTANCE_BLOCK`` symbols, must emit no syndrome
+    and end in dual(beta), beta the codeword's anchor.
+
+    With N >= M that is the same as a run from dual(beta) ending there
+    with no syndrome: A^M = 0, so every run over the word, whatever its
+    start, ends in the circular state.  A run from dual(beta) that ends
+    in dual(beta) therefore starts in the circular state and is the
+    circular run; and where the circular state is dual(beta), the run
+    from dual(beta) is the circular run, which ends there.
+    """
+    sf, N = syndrome_former(H), flat.shape[1] // H.cols
+    step = max(1, DISTANCE_BLOCK // N)
+    duals = np.repeat([sf.state(dual_state_of(G, H, beta)) for beta in anchors], np.diff(starts, append=len(flat)))
+    for start in range(0, len(flat), step):
+        fin, zetas = sf.circular(sf.symbol_ints(flat[start : start + step].reshape(-1, N, H.cols), 2))
+        if zetas.any() or (fin != duals[start : start + step]).any():
+            return False
     return True
 
 
@@ -125,14 +137,14 @@ def _packed(rows, width, flip=0):
     return ints[distinct]
 
 
-def suite_set_equality(G, H, N, by_anchor, rng, words=5):
+def suite_set_equality(G, H, N, anchors, flat, starts, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis.
 
     Each shifted path and each codeword is one packed integer, and the
     sorted distinct integers of the two sides must be equal.
     """
     width = N * H.cols
-    codewords = {beta: _packed(ys, width) for beta, ys in by_anchor.items()}
+    codewords = {beta: _packed(ys, width) for beta, ys in zip(anchors, np.split(flat, starts[1:]))}
     for word in _bits(rng, words, width):
         z = [tuple(sym) for sym in word.reshape(N, H.cols).tolist()]
         fin = sigma_fin(H, z)
@@ -227,11 +239,11 @@ def run_all(G, H, N, seed=1, trials=1000):
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
     rng = np.random.default_rng(seed)
-    by_anchor, flat, starts = _codeword_table(G, N)
+    anchors, flat, starts = _codeword_table(G, N)
     return [
         ("superposition", suite_superposition(H, rng, trials)),
-        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, by_anchor)),
-        ("subtrellis-set-equality", suite_set_equality(G, H, N, by_anchor, rng)),
+        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, anchors, flat, starts)),
+        ("subtrellis-set-equality", suite_set_equality(G, H, N, anchors, flat, starts, rng)),
         ("eta-zeta-correspondence", suite_eta_zeta(H, N, rng, trials)),
         ("hscalar-membership", suite_hscalar_membership(H, N, flat, rng, trials)),
         ("decoder-oracle", suite_decoder_oracle(G, H, N, flat, starts, rng, trials)),

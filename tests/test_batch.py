@@ -29,6 +29,7 @@ from tbtrellis import (
     sf_zero_state,
     sigma_fin,
     sigma_fin_batch,
+    tailbiting_encode,
     tailbiting_syndromes,
     tailbiting_syndromes_batch,
 )
@@ -168,7 +169,9 @@ def _entry_points(G, H):
     ]
 
 
-@pytest.mark.parametrize("bad, shown", [((1, 2, 0), "(1, 2, 0)"), ((1, 0), "(1, 0)"), (1, "(1,)")])
+@pytest.mark.parametrize(
+    "bad, shown", [((1, 2, 0), "(1, 2, 0)"), ((1, 0), "(1, 0)"), (1, "(1,)"), (np.array([1, 2, 0]), "(1, 2, 0)")]
+)
 def test_entry_points_name_the_first_bad_symbol(G1, H1, bad, shown):
     message = rf"^expected an input symbol of 3 bits in \{{0, 1\}}, got {re.escape(shown)}$"
     word = [(1, 0, 1), bad, (2, 2, 2), (0, 0), (1, 1, 1)]
@@ -179,6 +182,9 @@ def test_entry_points_name_the_first_bad_symbol(G1, H1, bad, shown):
             block([[(0, 0, 0)] * 5, word])
 
 
+BAD_SYMBOL = r"expected an input symbol of 3 bits in \{0, 1\}, got "
+
+
 def test_block_entry_points_check_arrays(G1, H1):
     words = np.zeros((3, 5, 3), dtype=np.int64)
     words[1, 2], words[2, 0] = (0, 2, 1), (2, 0, 0)
@@ -187,12 +193,18 @@ def test_block_entry_points_check_arrays(G1, H1):
             block(words)
         with pytest.raises(ValueError, match=r"got \(0, 0\)$"):
             block(np.zeros((2, 5, 2), dtype=np.uint8))
-        # an array word is checked symbol by symbol, each symbol shown as the array it is
-        with pytest.raises(ValueError, match=r"got array\(\[0, 2, 1\]\)$"):
-            one(words[1])
-        with pytest.raises(ValueError, match=r"got array\(\[0, 0\], dtype=uint8\)$"):
+        # an array word, alone, in a list or as a block, shows its bad symbol as a tuple of ints too
+        for call in (lambda: one(words[1]), lambda: block([words[1], words[1]]), lambda: block(words[1][None])):
+            with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}\(0, 2, 1\)$"):
+                call()
+        with pytest.raises(ValueError, match=r"got \(0, 0\)$"):
             one(np.zeros((5, 2), dtype=np.uint8))
         assert one(words[0]) == one([(0, 0, 0)] * 5)
+    # so do a step of the syndrome former and tailbiting encoding
+    with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}\(0, 2, 1\)$"):
+        sf_step(H1, (0, 0), words[1, 2])
+    with pytest.raises(ValueError, match=r"^expected an input symbol of 1 bits in \{0, 1\}, got \(2,\)$"):
+        tailbiting_encode(G1, np.array([[1], [2], [0]]))
 
 
 @pytest.mark.parametrize("strings", [K7_STRINGS, ([["1", "1"]], [["1", "1"]])])

@@ -272,9 +272,10 @@ def test_library_entry_points_reject_the_pairs_a_spec_load_rejects(g, h, word, m
 def test_decode_runs_the_syndrome_former_once(monkeypatch):
     """One circular run per decode block, and no syndrome-former step.
 
-    A block of one word is one integer fold over the word's last M
-    symbols and then the word; a block of several words is one
-    ``sf_circular`` call.  A second fold, e.g. for sigma_fin alone, counts.
+    A block of one word is one ``LinearMachine.circular_word``, whose one
+    integer fold runs over the word's last M symbols and then the word; a
+    block of several words is one ``LinearMachine.circular`` call.  A
+    second fold, e.g. for sigma_fin alone, counts.
     """
     K7 = [poly_from_strings(s) for s in K7_STRINGS]
     ref = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
@@ -282,36 +283,27 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
     for G, H in (K7, ref):
         decode_tailbiting(G, H, z7 if G is K7[0] else z)  # fills the per-code caches
     calls = Counter()
-    real_kernel, real_fold, real_step = decoder.sf_circular, LinearMachine.fold, LinearMachine.step
+    for name in ("circular", "circular_word", "fold", "step"):
+        real = getattr(LinearMachine, name)
 
-    def counting_kernel(*args):
-        calls["sf_circular"] += 1
-        return real_kernel(*args)
+        def counting(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
 
-    def counting_fold(self, *args):
-        calls["fold"] += 1
-        return real_fold(self, *args)
-
-    def counting_step(self, *args):
-        calls["step"] += 1
-        return real_step(self, *args)
-
-    monkeypatch.setattr(decoder, "sf_circular", counting_kernel)
-    monkeypatch.setattr(LinearMachine, "fold", counting_fold)
-    monkeypatch.setattr(LinearMachine, "step", counting_step)
+        monkeypatch.setattr(LinearMachine, name, counting)
     decode_tailbiting(*K7, z7)
-    assert calls == {"fold": 1}
+    assert calls == {"circular_word": 1, "fold": 1}
     # a block of the 64-state code holds one word
     decode_tailbiting_batch(*K7, [z7, z7[::-1], z7])
-    assert calls == {"fold": 4}
+    assert calls == {"circular_word": 4, "fold": 4}
     decode_tailbiting(*ref, z)
-    assert calls == {"fold": 5}
+    assert calls == {"circular_word": 5, "fold": 5}
     # the reference code's 3 words fill one block
     decode_tailbiting_batch(*ref, [z, z[::-1], z])
-    assert calls == {"fold": 5, "sf_circular": 1}
-    # an array word is packed by ``received`` and folded once
+    assert calls == {"circular_word": 5, "fold": 5, "circular": 1}
+    # an array word is packed by ``received`` and run once
     decode_tailbiting(*ref, np.array(z))
-    assert calls == {"fold": 6, "sf_circular": 1}
+    assert calls == {"circular_word": 6, "fold": 6, "circular": 1}
 
 
 def test_decode_imports_nothing_new():

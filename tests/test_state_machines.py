@@ -192,8 +192,11 @@ def test_tailbiting_encode_matches_oracle(G1, g1_coeffs):
 
 
 def test_tailbiting_encode_rejects_an_empty_word(G1):
-    with pytest.raises(ValueError, match="need at least one input symbol"):
-        tailbiting_encode(G1, [])
+    """So does ``tailbiting_anchor``, with memory and without."""
+    for G in (G1, poly_from_strings([["1", "1"]])):
+        for circular in (tailbiting_encode, tailbiting_anchor):
+            with pytest.raises(ValueError, match="^need at least one input symbol$"):
+                circular(G, [])
 
 
 def test_xor_states_rejects_unequal_lengths():

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from conftest import G1_STRINGS, G2_STRINGS
+from oracle import all_tailbiting, coeffs_from_strings
+from oracle import flat as flat_bits
+from test_state_machines import G_K2_STRINGS
 
 from tbtrellis import decoder, poly_from_strings, verify
 from tbtrellis.codespec import CodeSpecError
+from tbtrellis.state_machines import LinearMachine, encoder
 
 
 EXPECTED_SUITES = [
@@ -260,17 +265,59 @@ def test_run_all_rejects_a_pair_before_any_suite_kernel(monkeypatch, G1):
 
 
 def test_run_all_encodes_each_codeword_once(monkeypatch, G1, H1):
-    calls = []
-    real = verify.tailbiting_encode
+    """One ``run_all`` builds its codebook once, from encoder runs over all 2^(N*k) inputs, each once and in order."""
+    N, enc = 5, encoder(G1)
+    real_run, real_table = LinearMachine.circular, verify._codeword_table
+    # a block of inputs holds as many as hold DISTANCE_BLOCK symbols
+    for budget, sizes in ((verify.DISTANCE_BLOCK, [32]), (25, [5] * 6 + [2])):
+        runs, tables = [], []
 
-    def counting_encode(G, u):
-        calls.append(u)
-        return real(G, u)
+        def recording_run(self, E, _runs=runs):
+            if self is enc:
+                _runs.append(E)
+            return real_run(self, E)
 
-    monkeypatch.setattr(verify, "tailbiting_encode", counting_encode)
-    N = 5
-    assert all(ok for _, ok in verify.run_all(G1, H1, N, seed=1, trials=20))
-    assert len(calls) == 2 ** (N * G1.rows)
+        def counting_table(*args, _tables=tables):
+            _tables.append(args)
+            return real_table(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "DISTANCE_BLOCK", budget)
+            m.setattr(LinearMachine, "circular", recording_run)
+            m.setattr(verify, "_codeword_table", counting_table)
+            assert all(ok for _, ok in verify.run_all(G1, H1, N, seed=1, trials=20))
+        assert tables == [(G1, N)]
+        assert [len(E) for E in runs] == sizes
+        inputs = np.concatenate(runs) @ (1 << G1.rows * np.arange(N - 1, -1, -1))
+        assert inputs.tolist() == list(range(2 ** (N * G1.rows)))
+
+
+CODEBOOKS = {
+    "ref": (G1_STRINGS, range(1, 7)),
+    "mem2": (G2_STRINGS, range(2, 6)),
+    "k2": (G_K2_STRINGS[0], (1, 2, 3, 5)),
+    "k2-unequal": (G_K2_STRINGS[1], (1, 2, 3, 5)),
+    "memoryless": ([["1", "1"]], range(1, 5)),
+}
+
+
+@pytest.mark.parametrize(
+    "strings, N",
+    [pytest.param(g, N, id=f"{name}-N{N}") for name, (g, lengths) in CODEBOOKS.items() for N in lengths],
+)
+def test_codeword_table_equals_the_oracle_anchor_by_anchor(monkeypatch, strings, N):
+    """Each anchor's rows, from its entry of ``starts`` on, are the circular convolutions anchored there (N < L wraps)."""
+    G = poly_from_strings(strings)
+    anchors, flat, starts = verify._codeword_table(G, N)
+    want = all_tailbiting(coeffs_from_strings(strings), N, G.rows, G.deg)[0]
+    assert len(flat) == 2 ** (N * G.rows) and starts[0] == 0 and (np.diff(starts) > 0).all()
+    assert sorted(anchors) == sorted(want)
+    for beta, rows in zip(anchors, np.split(flat, starts[1:])):
+        assert sorted(map(tuple, rows.tolist())) == sorted(map(flat_bits, want[beta]))
+    # the inputs run in blocks of any size give the same table
+    monkeypatch.setattr(verify, "DISTANCE_BLOCK", 3)
+    small = verify._codeword_table(G, N)
+    assert small[0] == anchors and (small[1] == flat).all() and (small[2] == starts).all()
 
 
 @pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130])
