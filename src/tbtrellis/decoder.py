@@ -29,9 +29,9 @@ more memory.
 A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a
 dozen numpy calls would cost more than the work they do.  Its symbols
-are looked up one by one (``received`` checks and packs the word only
-when one misses or it is an array), the syndrome former's one-word
-circular run (``LinearMachine.circular_word``, one fold) gives
+are looked up one by one (``error_trellis._symbols``, which packs an
+array word at once and names a bad symbol), the syndrome former's
+one-word circular run (``LinearMachine.circular_word``, one fold) gives
 sigma_fin and the syndromes, one pass over its steps packs each step's
 key and received bits, and two takes from the stack give the word's
 (steps x edges x states + 1) tables.  Its bound pass carries one flat
@@ -93,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codespec import check_matrices
-from .error_trellis import _search_tables, received
+from .error_trellis import _search_tables, _symbols, received
 from .gf2 import format_bits, format_state
 from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _to_anchor
@@ -243,7 +243,7 @@ def _sections(tables, keys):
 
 
 def _traceback(outs, togo, state):
-    """Smallest label sequence along which ``togo`` (one column's costs per cut) falls to 0.
+    """Smallest label sequence along which ``togo`` (one column's costs, per cut a list or a view) falls to 0.
 
     ``outs`` gives per step each state's edges.  Returns the label
     integer of each section's edge and the state the walk ends in: on a
@@ -326,15 +326,7 @@ def _blocks(G, H, words):
     if not len(words[0]):
         raise ValueError("a trellis needs at least one section")
     if len(words) == 1:
-        index = syndrome_former(H)._in_index
-        try:
-            es = [index[e] for e in words[0]]
-        except (KeyError, TypeError):
-            es = None
-        if es is None or len(es) < H.deg:
-            # ``received`` raises on the first bad symbol or a short word, else packs an array word
-            es = received(H, words)[0].tolist()
-        yield _decode_word(G, H, es)
+        yield _decode_word(G, H, _symbols(H, words[0]))
         return
     E = received(H, words)
     duals = _dual_codes(G, H)[1]
@@ -437,7 +429,8 @@ def _search_word(tables, betas, rows, keys):
         low = min(bounds := lb.tolist())
         if bounds.count(low) == 1 and low < _UNREACHED:
             a = bounds.index(low)
-            labels, end = _traceback(outs, bound.tolist(), states[a])
+            # a view per cut: the walk reads about two entries of each, fewer than converting the table costs
+            labels, end = _traceback(outs, list(map(memoryview, bound)), states[a])
             # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
             if end == states[a]:
                 return low, 1, labels, tables.states[end], betas[a]

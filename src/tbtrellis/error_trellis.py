@@ -10,21 +10,21 @@ parity-check matrix and the time-reversed word; its paths are the
 forward paths read in reverse symbol order.
 
 Because the syndrome former forgets its state in M steps (A^M = 0),
-sigma_fin and the syndromes are its circular run, which
-``LinearMachine.circular`` gathers for a whole block of words from the
-impulse response, with no fold over the symbols; cut 0 and cut N hold
-sigma_fin.  The three ``_batch`` functions read that block form, and
-``tailbiting_syndromes`` and ``backward_syndromes`` are each a block of
-one over theirs; ``sigma_fin`` of one word is one tuple fold of the
-syndrome former from the zero state, a few dictionary lookups per
-symbol rather than a dozen numpy calls.
+sigma_fin and the syndromes are its circular run, in which cut 0 and
+cut N hold sigma_fin.  ``tailbiting_syndromes`` and
+``backward_syndromes`` are one ``LinearMachine.circular_word`` each, one
+integer fold over the word; the three ``_batch`` functions read the same
+fold over a block of words, ``LinearMachine.circular``.  ``sigma_fin``
+of one word is one ``LinearMachine.fold`` from the zero state over the
+word.
 
 The module of a syndrome symbol zeta is the set of syndrome-former
-transitions that emit zeta, and a merged m-section table the set of
-m-step syndrome-former paths that emit a run of m syndromes.
-``_search_tables`` enumerates those paths once per H and buckets them by
-the integer their syndromes form: the trellis builders read their edges
-from the single-step tables and the decoder its index arrays from all.
+transitions that emit zeta: ``error_trellis_module`` groups
+``syndrome_former(H).edges()`` by output, as the code trellis reads the
+encoder's.  The decoder's merged m-section tables are the m-step
+syndrome-former paths that emit a run of m syndromes:
+``_search_tables`` enumerates those paths once per H with numpy and
+buckets them by the integer their syndromes form.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .state_machines import (
     backward_state,
     dual_state_of,
     sf_state_space,
-    sf_zero_state,
     syndrome_former,
     unpack,
     xor_states,
@@ -80,6 +79,25 @@ def received(H, words):
     return E
 
 
+def _symbols(H, z):
+    """The symbol integers of one word of N >= M symbols.
+
+    A word of symbol tuples is looked up one symbol at a time; any other
+    word goes to ``symbol_ints``, which packs an array word at once and
+    names the first bad symbol.  N >= M is checked after the symbols.
+    A one-shot iterable is read into a list first, so that the second
+    reading sees every symbol.
+    """
+    z = z if hasattr(z, "__len__") else list(z)
+    sf = syndrome_former(H)
+    try:
+        es = [sf._in_index[e] for e in z]
+    except (KeyError, TypeError):
+        es = sf.symbol_ints([z], 2)[0].tolist()
+    _check_length(H, len(es))
+    return es
+
+
 def sigma_fin_batch(H, words):
     """``sigma_fin`` of every word of a block, as 0/1 uint8 rows."""
     return unpack(syndrome_former(H).circular(received(H, words))[0], H.deg * H.rows)
@@ -95,20 +113,21 @@ def sigma_fin(H, z):
 
     A is nilpotent (A^M = 0), so with N >= M the result is independent of
     the starting state: the state the last M symbols alone leave, which
-    one tuple fold from the zero state gives.
+    one fold from the zero state gives.
     """
-    sigma, zetas = syndrome_former(H).run(sf_zero_state(H), z)
-    _check_length(H, len(zetas))
-    return sigma
+    sf = syndrome_former(H)
+    return sf.state_tuples[sf.fold(0, _symbols(H, z))[0]]
 
 
-def _sequence(zetas, kind):
-    return SyndromeSequence(symbols=tuple(map(tuple, zetas[0].tolist())), kind=kind)
+def _sequence(sf, es, kind):
+    """The syndromes of the circular run of ``sf`` over es; none for an empty word, which only a memoryless H takes."""
+    outs = sf.circular_word(es)[1] if es else []
+    return SyndromeSequence(symbols=tuple(map(sf.out_tuples.__getitem__, outs)), kind=kind)
 
 
 def tailbiting_syndromes(H, z):
     """Syndrome sequence of z when the initial state is set to sigma_fin."""
-    return _sequence(tailbiting_syndromes_batch(H, [z]), "forward")
+    return _sequence(syndrome_former(H), _symbols(H, z), "forward")
 
 
 # entries the merged tables of one H may hold: it sets m, the number of
@@ -153,8 +172,7 @@ class SearchTables(NamedTuple):
     symbols.  ``prune`` is true when a pass over all S anchor columns
     would exceed ``TABLE_BUDGET`` entries per section, and a block then
     holds one word; otherwise ``block`` words fit one all-anchor pass
-    within ``BLOCK_BUDGET`` entries per step.  ``modules`` holds each
-    symbol's transitions as ``Edge``s.
+    within ``BLOCK_BUDGET`` entries per step.
     """
 
     states: list
@@ -163,7 +181,6 @@ class SearchTables(NamedTuple):
     sections: SearchSection
     prune: bool
     block: int
-    modules: dict
 
 
 def _section(dst, label):
@@ -220,21 +237,23 @@ def _search_tables(H):
     for base, (key, x, slot) in ((0, _paths(sf, m)), (first, single)):
         dst[base + key, np.arange(S)[:, None], slot] = index[x]
         label[base + key, np.arange(S)[:, None], slot] = np.arange(key.shape[1])
-    sections = _section(dst, label)
-    modules = {
-        sf.out_tuples[zeta]: tuple(
-            Edge(states[i], sf.in_tuples[e], states[j]) for i, es in enumerate(out) for e, j, _ in es
-        )
-        for zeta, out in enumerate(sections.out[first:])
-    }
     per_word = S * S * degree**m
     prune = per_word > TABLE_BUDGET
-    return SearchTables(states, index, m, sections, prune, 1 if prune else BLOCK_BUDGET // per_word, modules)
+    return SearchTables(states, index, m, _section(dst, label), prune, 1 if prune else BLOCK_BUDGET // per_word)
+
+
+@lru_cache(maxsize=None)
+def _modules(H):
+    """The syndrome former's transitions grouped by the syndrome symbol they emit, as ``Edge``s in state, then input order."""
+    modules = {}
+    for sigma, e, nxt, zeta in syndrome_former(H).edges():
+        modules.setdefault(zeta, []).append(Edge(sigma, e, nxt))
+    return modules
 
 
 def error_trellis_module(H, zeta):
     """All transitions (state, error symbol, next state) emitting ``zeta``."""
-    return list(_search_tables(H).modules.get(tuple(int(b) for b in zeta), ()))
+    return list(_modules(H).get(tuple(int(b) for b in zeta), ()))
 
 
 def _error_trellis(kind, H, z):
@@ -283,7 +302,7 @@ def backward_syndromes_batch(H, words):
 
 def backward_syndromes(H, z):
     """Syndromes of the backward construction (kind marked backward)."""
-    return _sequence(backward_syndromes_batch(H, [z]), "backward")
+    return _sequence(syndrome_former(H.reciprocal()), _symbols(H, z)[::-1], "backward")
 
 
 def backward_sigma_fin(H, z):

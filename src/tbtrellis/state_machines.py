@@ -30,27 +30,23 @@ tuples, checking each symbol in order.
 Both machines are nilpotent: the syndrome former forgets its state in
 M steps (A^M = 0) and the encoder in L (A^L = 0).  So the state at a cut
 is the state that the last d inputs alone leave, d being M for the
-syndrome former and L for the encoder (the steps after which an input
-has left the state; the impulse response holds d + 1 rows), and a
-circular run over N symbols starts and ends in the state that the
-word's last d symbols, read circularly, leave.  ``LinearMachine`` holds
-that rule in two sizes.  ``circular_word`` runs one word on integers:
-one ``fold`` from state 0 over the word's circular last d symbols and
-then over the word.  ``circular`` runs a (words x N) block of symbol
-integers at array speed: a step's next state and output are the XOR of
-what each of the last d + 1 inputs alone gives, so with the impulse
-response tabulated once per machine, every step is d + 1 gathers from
-it, with no fold.  Both hold for N < d too, the word then read around
-more than once.  The decoder, the error-trellis ``_batch`` functions,
-tailbiting encoding and the verifier's codebook and zero-syndrome suite
-all run circularly through one of the two.
+syndrome former and L for the encoder, and a circular run over N symbols
+starts and ends in the state that the word's last d symbols, read
+circularly, leave.  ``LinearMachine`` runs that rule as one fold, in two
+sizes: from state 0 over the word's circular last d symbols and then
+over the word, whose outputs are the run's.  ``circular_word`` folds one
+word on integers; ``circular`` folds every row of a (words x N) block at
+once, one gather of the state table per symbol.  Both hold for N < d
+too, the word then read around more than once.  The decoder, the
+error-trellis syndromes, tailbiting encoding and the verifier's codebook
+and zero-syndrome suite all run circularly through one of the two.
 ``sf_step_batch`` steps a block of state/symbol pairs at once;
 ``sf_step`` is one step of the tuple fold, as ``encoder_step`` is.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -91,10 +87,12 @@ class LinearMachine:
 
     Entries of ``from_state`` and ``from_input`` pack the next state above
     the output bits; ``tables`` holds both as arrays.  ``states`` lists
-    the trellis states, ascending.
+    the trellis states, ascending.  ``degree`` is d, the number of steps
+    after which an input has left the state (A^d = 0).
     """
 
-    def __init__(self, A, B, C, D, free=None):
+    def __init__(self, A, B, C, D, degree, free=None):
+        self.degree = degree
         self.out_bits, self.out_mask = D.shape[1], 2 ** D.shape[1] - 1
         self.state_bits, self.in_bits = A.shape[0], B.shape[0]
         self.from_state = _span([_as_int(np.concatenate(row)) for row in zip(A, C)])
@@ -137,18 +135,6 @@ class LinearMachine:
             outs.append(v & mask)
         return x, outs
 
-    @cached_property
-    def impulse(self):
-        """Row i, column e: the step value i steps after input e from state 0, rows until the state field dies out.
-
-        A step value packs the next state above the output, as the tables
-        do; the row after the last would be zero.
-        """
-        rows = [self.from_input]
-        while any(v >> self.out_bits for v in rows[-1]):
-            rows.append([self.from_state[v >> self.out_bits] for v in rows[-1]])
-        return _frozen(np.array(rows, dtype=np.intp))
-
     def circular_word(self, es):
         """One word's circular run on symbol integers: (the state at cuts 0 and N, the N outputs).
 
@@ -157,7 +143,7 @@ class LinearMachine:
         word, whose outputs are the run's and which ends in that state.
         An empty word has no circular run: ValueError.
         """
-        N, d = len(es), len(self.impulse) - 1
+        N, d = len(es), self.degree
         if not N:
             raise ValueError("need at least one input symbol")
         x, outs = self.fold(0, (es[N - d :] if N >= d else (es * d)[-d:]) + es)
@@ -167,17 +153,20 @@ class LinearMachine:
         """The circular run of every row of a (words x N) block of symbol integers.
 
         Returns the states at cuts 0 and N (words,) and the outputs
-        (words x N) as integers.  The step value at cut t is the XOR of
-        the impulse response at lag i to e_{(t-i) mod N}, i = 0..d: its
-        output field is the output at t, and its state field the state at
-        cut t + 1, so the last cut's is the circular state.
+        (words x N) as integers: the fold of ``circular_word`` over the
+        block's columns, from state 0 over columns N - d .. N - 1 (mod N)
+        and then 0 .. N - 1.  The input tables are gathered for every
+        column at once, and each step value overwrites its column's.
         """
-        impulse, N = self.impulse, E.shape[1]
-        lag = np.arange(len(impulse))[:, None]
-        taps = (np.arange(N) - lag) % max(N, 1)
-        v = np.bitwise_xor.reduce(impulse.take(E[:, taps] + lag * impulse.shape[1]), axis=1)
-        fin = v[:, -1] >> self.out_bits if N else np.zeros(len(E), dtype=np.intp)
-        return fin, v & self.out_mask
+        from_state, from_input = self.tables
+        N, x = E.shape[1], np.zeros(len(E), dtype=np.intp)
+        v = from_input.take(E.T)
+        for t in range(-self.degree if N else 0, N):
+            step = from_state.take(x) ^ v[t % N]
+            x = step >> self.out_bits
+            if t >= 0:
+                v[t] = step
+        return x, v.T & self.out_mask
 
     def run(self, sigma, seq):
         """``fold`` over a symbol sequence from a state, read and returned as tuples: (final state, outputs)."""
@@ -212,13 +201,15 @@ def _lookup(index, bits, what):
 def _pack(bits, index, width, depth, what):
     """Integers of the width-bit vectors ``depth`` levels down in ``bits``, as an intp array.
 
-    A 0/1 integer ndarray of that shape is packed in one product, and
-    tuples are looked up in ``index``; anything else goes through
-    ``_lookup`` vector by vector, in order, so the ValueError names the
-    first bad one.
+    A 0/1 integer ndarray of that shape, or a list of equal-shape arrays
+    that stack into one, is packed in one product, and tuples are looked
+    up in ``index``; anything else goes through ``_lookup`` vector by
+    vector, in order, so the ValueError names the first bad one.
     """
-    if is_bit_array(bits, depth + 1, width):
-        return bits @ _powers(width)
+    arrays = isinstance(bits, list) and bits and all(isinstance(b, np.ndarray) and b.shape == bits[0].shape for b in bits)
+    packed = np.array(bits) if arrays else bits
+    if is_bit_array(packed, depth + 1, width):
+        return packed @ _powers(width)
     if isinstance(bits, np.ndarray):
         bits = bits.tolist()
 
@@ -267,7 +258,7 @@ def syndrome_former(H):
     B = np.hstack([c.T for c in coeffs[1:]] or [np.zeros((H.cols, 0), np.uint8)])
     C = np.eye(M * r, r, dtype=np.uint8)
     free = [int(p <= d) for p in range(1, M + 1) for d in _row_degrees(H)]
-    return LinearMachine(A, B, C, coeffs[0].T, free)
+    return LinearMachine(A, B, C, coeffs[0].T, M, free)
 
 
 @lru_cache(maxsize=None)
@@ -279,7 +270,7 @@ def encoder(G):
     A = np.kron(eye, np.eye(L, k=-1, dtype=np.uint8))
     B = np.kron(eye, np.eye(1, L, L - 1, dtype=np.uint8))
     C = np.array([coeffs[L - t][j] for j in range(k) for t in range(L)], dtype=np.uint8).reshape(k * L, G.cols)
-    return LinearMachine(A, B, C, coeffs[0])
+    return LinearMachine(A, B, C, coeffs[0], L)
 
 
 def constraint_length(P):

@@ -227,6 +227,33 @@ def test_a_block_of_words_of_unequal_length_is_rejected(G1, H1):
     assert decode_tailbiting_batch(G1, H1, []) == []
 
 
+def test_a_list_of_array_words_equals_the_array_and_tuple_blocks(G1, H1):
+    """Equal-shape 0/1 words stack into one array; anything else keeps its messages."""
+    words = np.random.default_rng(89).integers(0, 2, (40, 6, 3))
+    tuples = [[tuple(symbol) for symbol in word] for word in words.tolist()]
+    for _, block in _entry_points(G1, H1):
+        listed = block(list(words))
+        for other in (block(words), block(tuples)):
+            assert (listed == other) if isinstance(listed, list) else np.array_equal(listed, other)
+        bad = words[:3].copy()
+        bad[1, 2] = (0, 2, 1)
+        with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}\(0, 2, 1\)$"):
+            block(list(bad))
+        with pytest.raises(ValueError, match="^the words of a block differ in length$"):
+            block([words[0], words[1][:5]])
+    assert decode_tailbiting(G1, H1, words[0]) == decode_tailbiting(G1, H1, tuples[0])
+
+
+def test_block_steps_take_lists_of_state_and_symbol_tuples(H1):
+    rng = np.random.default_rng(101)
+    sigmas, es = rng.integers(0, 2, (16, 2)), rng.integers(0, 2, (16, 3))
+    listed = sf_step_batch(H1, [tuple(s) for s in sigmas.tolist()], [tuple(e) for e in es.tolist()])
+    for a, b in zip(listed, sf_step_batch(H1, sigmas, es)):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match=r"^expected a state of 2 bits in \{0, 1\}, got \(1, 2\)$"):
+        sf_step_batch(H1, [(0, 1), (1, 2)], [(1, 0, 1), (0, 1, 1)])
+
+
 def test_block_decode_of_2000_k7_words_stays_within_8_mb():
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     rng = np.random.default_rng(83)

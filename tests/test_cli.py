@@ -1,10 +1,15 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from tbtrellis.cli import main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
+
+
+GOLDEN = Path(__file__).parent / "golden"
+EXAMPLE = str(Path(__file__).parents[1] / "demos" / "example_code.json")
 
 
 def run(capsys, *argv):
@@ -289,3 +294,14 @@ def test_hscalar_of_a_memoryless_code_rejects_zero_sections(capsys, tmp_path):
         assert err == "tbtrellis: error: need N >= 1 sections\n"
     code, out, _ = run(capsys, "hscalar", "--code", str(path), "-N", "2")
     assert code == 0 and out == "1100\n0011\nsize 2x4 rank 2\n"
+
+
+@pytest.mark.parametrize(
+    "options, golden",
+    [(["--format", "json"], "error_trellis.json"), (["--highlight", "(0,1)"], "error_trellis_highlight.dot")],
+)
+def test_error_trellis_output_equals_its_recorded_golden(capsys, options, golden):
+    """The README's error-trellis export, and one highlighted DOT, byte for byte."""
+    code, out, err = run(capsys, "error-trellis", "--code", EXAMPLE, "--received", "111110110111000", *options)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()

@@ -1,5 +1,8 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from test_decoder_contract import CODES
 
 from tbtrellis import (
     backward_error_anchor,
@@ -13,10 +16,14 @@ from tbtrellis import (
     error_anchor,
     error_trellis_module,
     eta_from_zeta,
+    poly_from_strings,
     reciprocal,
+    sf_state_space,
+    sf_step,
     sigma_fin,
     tailbiting_syndromes,
 )
+from tbtrellis.trellis import Edge
 
 from oracle import all_tailbiting, flat
 
@@ -226,3 +233,44 @@ def test_builders_reject_short_words(H1, H2):
         build_backward_error_trellis(H2, [(0, 0)])
     with pytest.raises(ValueError):
         tailbiting_syndromes(H1, [])
+
+
+# two equal memoryless rows: every symbol emits 00 or 11, never 01 or 10
+SILENT_SYMBOLS_H = [["1", "1"], ["1", "1"]]
+
+
+@pytest.mark.parametrize("h", [h for (_, h), _ in CODES.values()] + [SILENT_SYMBOLS_H])
+def test_error_trellis_module_equals_every_syndrome_former_step_emitting_zeta(h):
+    """In state, then error-symbol order; a syndrome symbol that no step emits has no edges."""
+    H = poly_from_strings(h)
+    steps = [(s, e, *sf_step(H, s, e)) for s in sf_state_space(H) for e in product((0, 1), repeat=H.cols)]
+    for zeta in product((0, 1), repeat=H.rows):
+        expected = [Edge(s, e, nxt) for s, e, nxt, out in steps if out == zeta]
+        assert error_trellis_module(H, zeta) == expected
+        assert error_trellis_module(H, list(zeta)) == expected
+    if h is SILENT_SYMBOLS_H:
+        assert error_trellis_module(H, (0, 1)) == error_trellis_module(H, (1, 0)) == []
+
+
+def test_a_syndrome_sequence_reads_its_symbols_by_index(H1, received):
+    zetas = tailbiting_syndromes(H1, received)
+    assert [zetas[i] for i in range(len(zetas))] == list(ZETA)
+    assert zetas[-1] == (1, 1) and zetas[1:3] == ZETA[1:3]
+    assert backward_syndromes(H1, received)[1] == ETA[1]
+
+
+def test_the_empty_word_of_a_memoryless_h_has_no_syndromes_and_no_trellis():
+    H = poly_from_strings([["1", "1"]])
+    assert tailbiting_syndromes(H, []).symbols == backward_syndromes(H, []).symbols == ()
+    assert sigma_fin(H, []) == ()
+    for build in (build_tailbiting_error_trellis, build_backward_error_trellis):
+        with pytest.raises(ValueError, match="^a trellis needs at least one section$"):
+            build(H, [])
+
+
+def test_a_word_given_as_an_iterator_reads_as_the_list(H1, received):
+    """Also where a bad symbol makes the lookup read the word a second time."""
+    for f in (sigma_fin, tailbiting_syndromes, backward_syndromes):
+        assert f(H1, iter(received)) == f(H1, received)
+        with pytest.raises(ValueError, match=r"got \(2, 0, 0\)$"):
+            f(H1, iter([(1, 0, 1), (2, 0, 0), (0, 0, 0)]))

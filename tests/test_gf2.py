@@ -279,5 +279,13 @@ def test_state_formatting():
     assert parse_state("(1,0)") == (1, 0)
     assert parse_state("10") == (1, 0)
     assert parse_state("1, 0") == (1, 0)
+    assert parse_state("()") == ()
     with pytest.raises(ValueError):
         parse_state("(1,2)")
+
+
+def test_a_poly_matrix_is_neither_equal_to_nor_multiplied_by_a_non_matrix():
+    one = PolyMatrix.from_strings([["1"]])
+    assert (one == 3) is False
+    with pytest.raises(TypeError):
+        one * 3

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from test_decoder_contract import CODES
 
 from tbtrellis import (
     backward_state,
@@ -22,6 +23,7 @@ from tbtrellis import (
     tailbiting_encode,
     xor_states,
 )
+from tbtrellis.state_machines import encoder, syndrome_former
 
 from oracle import circ_encode, coeffs_from_strings
 
@@ -294,3 +296,17 @@ def test_steps_reject_non_binary_entries(G1, H1):
         encoder_run(G1, (2, 0), [(1,)])
     with pytest.raises(ValueError):
         encoder_run(G1, (0, 0), [(1,), (2,)])
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_a_block_circular_run_equals_the_one_word_run_of_each_row(name):
+    """Both machines of every pair, at N = 1..2d+1: below d the word is read around more than once."""
+    G, H = (poly_from_strings(s) for s in CODES[name][0])
+    rng = np.random.default_rng(97)
+    for machine, d in ((syndrome_former(H), H.deg), (encoder(G), G.deg)):
+        for N in range(1, 2 * d + 2):
+            E = rng.integers(0, 2**machine.in_bits, (7, N))
+            fin, outs = machine.circular(E)
+            assert outs.shape == E.shape
+            for row, x, o in zip(E.tolist(), fin.tolist(), outs.tolist()):
+                assert machine.circular_word(row) == (x, o)
