@@ -149,7 +149,7 @@ def build_parser():
     p = add("verify", cmd_verify, "run every construction against brute-force oracles")
     p.add_argument("-N", type=int, required=True, help="number of trellis sections")
     p.add_argument("--seed", type=int, default=1, help="seed for the randomized suites")
-    p.add_argument("--trials", type=int, default=1000, help="random trials per suite")
+    p.add_argument("--trials", type=int, default=1000, help=f"random trials per suite, at most {verify.MAX_TRIALS}")
 
     return parser
 

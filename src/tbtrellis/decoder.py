@@ -54,7 +54,7 @@ neither win nor tie.  Where pruning does not pay, all anchors are
 searched in one pass.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
-``Trellis``: it reads the weights of the backward pass that every
+``Trellis``: it reads the backward pass and the forward walk that every
 subtrellis query in ``trellis`` shares.
 
 Ties inside a subtrellis resolve to the lexicographically smallest label
@@ -96,7 +96,7 @@ from .codespec import check_matrices
 from .error_trellis import _search_tables, _symbols, received
 from .gf2 import format_bits, format_state
 from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former, unpack
-from .trellis import _to_anchor
+from .trellis import _walk
 
 # above any path weight; unreachable costs grow past it by at most N*n
 _UNREACHED = 2**30
@@ -135,20 +135,17 @@ def min_weight_path(T, anchor):
 
     The backward pass of ``_to_anchor`` gives each state's least weight
     still to go into the anchor at cut N; the forward walk then takes the
-    smallest label on an optimal edge, which yields the lexicographically
-    smallest lightest path.
+    first optimal edge in section order, the smallest label in a built
+    trellis, which yields the lexicographically smallest lightest path.
     """
-    togo = _to_anchor(T, anchor)
-    if anchor not in togo[0]:
+    cuts, i, walk = _walk(T, anchor)
+    if not cuts[0][i][1]:
         raise RuntimeError(f"no tailbiting path through {format_state(anchor)}")
-    labels, state = [], anchor
-    for adj, here, nxt in zip(T.adjacency, togo, togo[1:]):
-        c = here[state][0]
-        label, state = min(
-            (e.label, e.dst) for e in adj[state] if e.dst in nxt and nxt[e.dst][0] == c - sum(e.label)
-        )
-        labels.append(label)
-    return tuple(labels), togo[0][anchor][0]
+    labels, weight = [], cuts[0][i][0]
+    for section, live, here, nxt in zip(T.sections, walk, cuts, cuts[1:]):
+        k, i = next((k, j) for w, j, k in live[i] if w + nxt[j][0] == here[i][0])
+        labels.append(section[k].label)
+    return tuple(labels), weight
 
 
 @lru_cache(maxsize=None)

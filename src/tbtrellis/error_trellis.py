@@ -37,6 +37,7 @@ import numpy as np
 
 from .gf2 import format_bits
 from .state_machines import (
+    _lookup,
     backward_state,
     dual_state_of,
     sf_state_space,
@@ -244,16 +245,20 @@ def _search_tables(H):
 
 @lru_cache(maxsize=None)
 def _modules(H):
-    """The syndrome former's transitions grouped by the syndrome symbol they emit, as ``Edge``s in state, then input order."""
-    modules = {}
+    """Per syndrome symbol, the syndrome former's transitions that emit it, as ``Edge``s in state, then input order."""
+    modules = {zeta: [] for zeta in syndrome_former(H).out_tuples}
     for sigma, e, nxt, zeta in syndrome_former(H).edges():
-        modules.setdefault(zeta, []).append(Edge(sigma, e, nxt))
+        modules[zeta].append(Edge(sigma, e, nxt))
     return modules
 
 
 def error_trellis_module(H, zeta):
-    """All transitions (state, error symbol, next state) emitting ``zeta``."""
-    return list(_modules(H).get(tuple(int(b) for b in zeta), ()))
+    """All transitions (state, error symbol, next state) emitting ``zeta``, an r-bit syndrome symbol.
+
+    A zeta of another width or with an entry other than 0/1 raises
+    ValueError; a symbol that no transition emits has no edges.
+    """
+    return list(_lookup(_modules(H), zeta, "a syndrome symbol"))
 
 
 def _error_trellis(kind, H, z):

@@ -5,10 +5,18 @@ syndrome-former cells in block order), so states match across modules
 without translation.  A tailbiting subtrellis is identified by its
 anchor: the state occupied at both cut 0 and cut N.
 
-Every subtrellis query (path count, path enumeration, the highlighted
-edges of ``to_dot`` and the decoder's ``min_weight_path``) reads one
-backward pass, ``_to_anchor``, that gives each state at each cut the
-least label weight and the number of its paths into the anchor.
+Every subtrellis query reads integer rows derived once per trellis:
+``Trellis._rows`` lists, per section and state index, the state's edges
+in section order as (label weight, end index, edge index).  One backward
+pass over them, ``_to_anchor``, gives each state at each cut the least
+label weight and the exact number of its paths into the anchor; one
+forward walk, ``_walk``, keeps cut by cut the edges from the states the
+anchor reaches into states that still reach it.  ``count_paths`` reads
+the pass, ``to_dot`` bolds the walk's edges, the decoder's
+``min_weight_path`` follows the first optimal edge of the walk in section
+order, and ``enumerate_paths`` and ``_label_bits`` expand the walk path by
+path.  ``_label_bits`` is the verifier's set-equality reader: the label
+bits of every path as one uint8 array, with no per-path tuple.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 from .gf2 import format_bits, format_state
 from .state_machines import enc_state_space, encoder
@@ -44,15 +54,18 @@ class Trellis:
         return [s for s in self.states_per_cut[0] if s in last]
 
     @cached_property
-    def adjacency(self):
-        """Per section, a dict from each source state to its outgoing edges."""
-        out = []
-        for section in self.sections:
-            adj = {}
-            for e in section:
-                adj.setdefault(e.src, []).append(e)
-            out.append(adj)
-        return tuple(out)
+    def _rows(self):
+        """Per section and state index of its cut, the state's edges in section order.
+
+        Each edge is (label weight, end index, edge index), the end index
+        into the next cut's states and the edge index into the section.
+        """
+        index = [{s: i for i, s in enumerate(states)} for states in self.states_per_cut]
+        rows = [[[] for _ in states] for states in self.states_per_cut[:-1]]
+        for t, section in enumerate(self.sections):
+            for k, e in enumerate(section):
+                rows[t][index[t][e.src]].append((sum(e.label), index[t + 1][e.dst], k))
+        return rows
 
 
 def _make_trellis(kind, states, section_edges):
@@ -73,33 +86,57 @@ def build_tailbiting_code_trellis(G, N):
     return _make_trellis("code", enc_state_space(G), [edges] * N)
 
 
-def _require_anchor(T, anchor):
+def _to_anchor(T, anchor):
+    """Per cut and state index, (least label weight, number of paths) into ``anchor`` at cut N.
+
+    One backward pass over ``T._rows``; counts are Python integers, exact
+    at any size.  A state without a path into the anchor holds (None, 0),
+    so the anchor's count at cut 0 is its number of tailbiting paths.
+    Raises unless ``anchor`` is an anchor of T.
+    """
     if anchor not in T.states_per_cut[0] or anchor not in T.states_per_cut[-1]:
         raise ValueError(f"state {format_state(anchor)} is not an anchor of this trellis")
-
-
-def _to_anchor(T, anchor):
-    """Per cut, {state: (least label weight, number of paths)} into ``anchor`` at cut N.
-
-    One backward pass over ``T.adjacency``.  Only states with a path into
-    the anchor appear, so cut 0 holds the anchor iff its subtrellis has a
-    tailbiting path.  Raises unless ``anchor`` is an anchor of T.
-    """
-    _require_anchor(T, anchor)
-    cuts = [{anchor: (0, 1)}]
-    for adj in reversed(T.adjacency):
-        nxt, cur = cuts[-1], {}
-        for state, edges in adj.items():
-            ways = [(sum(e.label) + nxt[e.dst][0], nxt[e.dst][1]) for e in edges if e.dst in nxt]
-            if ways:
-                cur[state] = (min(w for w, _ in ways), sum(c for _, c in ways))
-        cuts.append(cur)
+    cuts = [[(0, 1) if s == anchor else (None, 0) for s in T.states_per_cut[-1]]]
+    for section in reversed(T._rows):
+        nxt, cut = cuts[-1], []
+        for edges in section:
+            weight, count = None, 0
+            for w, j, _ in edges:
+                v, c = nxt[j]
+                if c:
+                    weight, count = w + v if weight is None or w + v < weight else weight, count + c
+            cut.append((weight, count))
+        cuts.append(cut)
     return cuts[::-1]
+
+
+def _walk(T, anchor):
+    """The backward pass, the anchor's index at cut 0, and the subtrellis: per section, each state's live edges.
+
+    Cut by cut from the anchor, each state the walk reaches keeps its
+    edges (rows of ``T._rows``, in section order) into states that still
+    reach the anchor; every other state's list is empty.
+    """
+    cuts, start = _to_anchor(T, anchor), T.states_per_cut[0].index(anchor)
+    here, walk = {start}, []
+    for section, nxt in zip(T._rows, cuts[1:]):
+        live = [[edge for edge in edges if nxt[edge[1]][1]] if i in here else [] for i, edges in enumerate(section)]
+        here = {j for edges in live for _, j, _ in edges}
+        walk.append(live)
+    return cuts, start, walk
+
+
+def _expand(walk, start, codes, empty):
+    """Every path of the walk from ``start``: ``empty`` followed by its edges' ``codes``, first section first."""
+    paths = [(start, empty)]
+    for live, code in zip(walk, codes):
+        paths = [(j, v + code[k]) for i, v in paths for _, j, k in live[i]]
+    return [v for _, v in paths]
 
 
 def count_paths(T, anchor):
     """Number of tailbiting paths through the subtrellis at ``anchor``."""
-    return _to_anchor(T, anchor)[0].get(anchor, (0, 0))[1]
+    return _to_anchor(T, anchor)[0][T.states_per_cut[0].index(anchor)][1]
 
 
 def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
@@ -108,46 +145,38 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
     Each path is a (labels, states) pair: N edge labels and N+1 states.
     Raises if the subtrellis holds more than ``max_paths`` paths.
     """
-    cuts = _to_anchor(T, anchor)
-    total = cuts[0].get(anchor, (0, 0))[1]
+    cuts, start, walk = _walk(T, anchor)
+    total = cuts[0][start][1]
     if total > max_paths:
         raise ValueError(f"subtrellis has {total} paths, exceeding the bound {max_paths}")
-    paths = []
-    stack = [((), (anchor,))]
-    while stack:
-        labels, states = stack.pop()
-        t = len(labels)
-        if t == T.n_sections:
-            paths.append((labels, states))
-            continue
-        for e in T.adjacency[t].get(states[-1], ()):
-            if e.dst in cuts[t + 1]:
-                stack.append((labels + (e.label,), states + (e.dst,)))
-    paths.sort(key=lambda p: (p[0], p[1]))
-    return paths
+    paths = _expand(walk, start, [[(e,) for e in section] for section in T.sections], ())
+    return sorted((tuple(e.label for e in edges), (anchor, *(e.dst for e in edges))) for edges in paths)
 
 
-def _subtrellis_edges(T, anchor):
-    """Edges lying on at least one tailbiting path of the subtrellis."""
-    cuts = _to_anchor(T, anchor)
-    chosen, here = set(), {anchor}
-    for t, adj in enumerate(T.adjacency):
-        on = [e for s in here for e in adj.get(s, ()) if e.dst in cuts[t + 1]]
-        chosen.update((t, e) for e in on)
-        here = {e.dst for e in on}
-    return chosen
+def _label_bits(T, anchor):
+    """The label bits of every tailbiting path at ``anchor``: (paths x N*n) 0/1 uint8, in no fixed order.
+
+    The walk's paths expanded as byte strings of their label bits, with
+    no per-path tuple; the verifier's set-equality suite reads them.
+    """
+    _, start, walk = _walk(T, anchor)
+    paths = _expand(walk, start, [[bytes(e.label) for e in section] for section in T.sections], b"")
+    width = T.n_sections * len(T.sections[0][0].label)
+    return np.frombuffer(b"".join(paths), dtype=np.uint8).reshape(len(paths), width)
 
 
 def to_dot(T, highlight=None):
     """GraphViz rendering: cuts as ranked columns, labels as bit strings."""
-    bold = _subtrellis_edges(T, highlight) if highlight is not None else set()
+    # the edges on at least one tailbiting path of the highlighted subtrellis
+    walk = _walk(T, highlight)[2] if highlight is not None else []
+    bold = {(t, k) for t, live in enumerate(walk) for edges in live for _, _, k in edges}
     lines = [f'digraph "{T.kind}-trellis" {{', "\trankdir=LR;", '\tnode [shape=ellipse fontsize=10];']
     for t, states in enumerate(T.states_per_cut):
         nodes = " ".join(f'"{t}|{format_state(s)}" [label="{format_state(s)}"];' for s in states)
         lines.append("\t{ rank=same; %s }" % nodes)
     for t, section in enumerate(T.sections):
-        for e in section:
-            style = " style=bold penwidth=2" if (t, e) in bold else ""
+        for k, e in enumerate(section):
+            style = " style=bold penwidth=2" if (t, k) in bold else ""
             lines.append(
                 f'\t"{t}|{format_state(e.src)}" -> "{t + 1}|{format_state(e.dst)}"'
                 f' [label="{format_bits(e.label)}"{style}];'

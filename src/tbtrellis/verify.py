@@ -37,8 +37,10 @@ one.  On the reference code at N = 5 a distance block holds 256
 trials, one full decode block, while from N = 11 on it holds one trial.
 The codebook and the zero-syndrome suite run their machine circularly
 over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
-codewords of the reference code at N = 5 in one block call), and the
-subtrellis-set-equality suite checks word by word, on packed integers.
+codewords of the reference code at N = 5 in one block call).  The
+subtrellis-set-equality suite checks word by word on the built error
+trellis: per anchor, one label-bit array of every path
+(``trellis._label_bits``), shifted by the word and packed into integers.
 """
 
 from __future__ import annotations
@@ -57,10 +59,13 @@ from .error_trellis import (
 )
 from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword_batch
 from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
-from .trellis import enumerate_paths
+from .trellis import _label_bits
 
 EXHAUSTIVE_BITS = 20
 DISTANCE_BLOCK = 1 << 14
+# a suite draws all of its trials at once, 8 bytes a bit: on the reference
+# code at N = 20 the widest draw (60 bits a trial) then takes 240 MB
+MAX_TRIALS = 500_000
 
 
 def _bits(rng, trials, width):
@@ -124,13 +129,12 @@ def suite_zero_syndrome(G, H, anchors, flat, starts):
     return True
 
 
-def _packed(rows, width, flip=0):
-    """The distinct ``width``-bit rows, each plus ``flip`` and packed into one big-endian integer, ascending.
+def _packed(bits, flip=0):
+    """The distinct rows of 0/1 ``bits``, each plus ``flip`` and packed into one big-endian integer, ascending.
 
     An integer is held as a scalar of its bytes, which sort as the integer.
     """
-    bits = np.array(rows, dtype=np.uint8).reshape(len(rows), width) ^ flip
-    ints = np.sort(np.packbits(bits, axis=1).view(f"V{-(-width // 8)}")[:, 0])
+    ints = np.sort(np.packbits(bits ^ flip, axis=1).view(f"V{-(-bits.shape[1] // 8)}")[:, 0])
     # not np.unique: its first call imports numpy.ma, ~14 ms of every verify start
     distinct = np.ones(len(ints), dtype=bool)
     distinct[1:] = ints[1:] != ints[:-1]
@@ -141,17 +145,15 @@ def suite_set_equality(G, H, N, anchors, flat, starts, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis.
 
     Each shifted path and each codeword is one packed integer, and the
-    sorted distinct integers of the two sides must be equal.
+    sorted distinct integers of the two sides must be equal.  The paths
+    come from the built error trellis, as one label-bit array per anchor.
     """
-    width = N * H.cols
-    codewords = {beta: _packed(ys, width) for beta, ys in zip(anchors, np.split(flat, starts[1:]))}
-    for word in _bits(rng, words, width):
-        z = [tuple(sym) for sym in word.reshape(N, H.cols).tolist()]
-        fin = sigma_fin(H, z)
-        T = build_tailbiting_error_trellis(H, z)
+    codewords = {beta: _packed(ys) for beta, ys in zip(anchors, np.split(flat, starts[1:]))}
+    for word in _bits(rng, words, N * H.cols):
+        z = word.reshape(N, H.cols)
+        fin, T = sigma_fin(H, z), build_tailbiting_error_trellis(H, z)
         for beta, packed in codewords.items():
-            paths = [labels for labels, _ in enumerate_paths(T, error_anchor(beta, fin, G, H))]
-            if not np.array_equal(_packed(paths, width, word), packed):
+            if not np.array_equal(_packed(_label_bits(T, error_anchor(beta, fin, G, H)), word), packed):
                 return False
     return True
 
@@ -225,7 +227,8 @@ def run_all(G, H, N, seed=1, trials=1000):
     """Run every suite; returns [(name, passed)] in a fixed order.
 
     The pair is checked as a spec load checks it (``check_matrices``)
-    before any suite runs.
+    before any suite runs, and so is ``trials``: at most ``MAX_TRIALS``,
+    since each randomized suite draws all of its trials at once.
     """
     check_matrices(G, H)
     if N < 1:
@@ -234,6 +237,8 @@ def run_all(G, H, N, seed=1, trials=1000):
         raise ValueError(f"-N {N} is below M={H.deg}, the memory of H")
     if trials < 0:
         raise ValueError(f"trials must be at least 0, got {trials}")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     if N * G.rows > EXHAUSTIVE_BITS:

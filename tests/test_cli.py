@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from tbtrellis import verify
 from tbtrellis.cli import main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
@@ -188,6 +189,19 @@ def test_verify_rejects_negative_trials_and_length(capsys, code_file):
     assert len(out.splitlines()) == 6 and all(line.endswith(": PASS") for line in out.splitlines())
 
 
+def test_verify_rejects_trials_above_the_cap_before_any_draw(capsys, code_file, monkeypatch):
+    # the widest int64 draw at N*k = 20 on the reference code, 60 bits a trial, stays under 256 MB
+    assert 10**5 <= verify.MAX_TRIALS and verify.MAX_TRIALS * 60 * 8 < 256e6
+    monkeypatch.setattr(verify, "_bits", None)  # a draw would fail with a TypeError
+    for trials in (verify.MAX_TRIALS + 1, 100_000_000):
+        code, out, err = run(capsys, "verify", "--code", code_file, "-N", "20", "--trials", str(trials))
+        assert (code, out) == (1, "")
+        assert err == f"tbtrellis: error: trials must be at most {verify.MAX_TRIALS}, got {trials}\n"
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert f"at most {verify.MAX_TRIALS}" in " ".join(capsys.readouterr().out.split())
+
+
 @pytest.mark.parametrize("value", ["1e400", "2.5", "true", '"3"'])
 def test_n_and_k_that_are_not_json_integers_exit_one(capsys, tmp_path, value):
     """1e400 used to end in an OverflowError traceback; 2.5, true and "3" were truncated or coerced."""
@@ -303,5 +317,23 @@ def test_hscalar_of_a_memoryless_code_rejects_zero_sections(capsys, tmp_path):
 def test_error_trellis_output_equals_its_recorded_golden(capsys, options, golden):
     """The README's error-trellis export, and one highlighted DOT, byte for byte."""
     code, out, err = run(capsys, "error-trellis", "--code", EXAMPLE, "--received", "111110110111000", *options)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["code-trellis", "-N", "5", "--highlight", "(1,0)"], "code_trellis_highlight.dot"),
+        (["code-trellis", "-N", "3", "--format", "json"], "code_trellis.json"),
+        (
+            ["backward-error-trellis", "--received", RECEIVED, "--highlight", "(0,0)"],
+            "backward_error_trellis_highlight.dot",
+        ),
+    ],
+)
+def test_trellis_output_equals_its_recorded_golden(capsys, argv, golden):
+    """The code trellis, plain and highlighted, and a highlighted backward error trellis, byte for byte."""
+    code, out, err = run(capsys, argv[0], "--code", EXAMPLE, *argv[1:])
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()

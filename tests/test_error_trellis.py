@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import numpy as np
@@ -274,3 +275,11 @@ def test_a_word_given_as_an_iterator_reads_as_the_list(H1, received):
         assert f(H1, iter(received)) == f(H1, received)
         with pytest.raises(ValueError, match=r"got \(2, 0, 0\)$"):
             f(H1, iter([(1, 0, 1), (2, 0, 0), (0, 0, 0)]))
+
+
+@pytest.mark.parametrize("zeta", [(0, 0, 0), (0,), (2, 0), (1, -1), [0, 0, 0], [2, 0], np.array([0, 0, 0]), np.array([2, 0])])
+def test_error_trellis_module_names_a_malformed_syndrome_symbol(H1, zeta):
+    shown = tuple(np.asarray(zeta).tolist())
+    with pytest.raises(ValueError, match=rf"^expected a syndrome symbol of 2 bits in \{{0, 1\}}, got {re.escape(repr(shown))}$"):
+        error_trellis_module(H1, zeta)
+    assert len(error_trellis_module(H1, np.array([1, 0]))) == len(error_trellis_module(H1, [1, 0])) == 8

@@ -24,6 +24,7 @@ from tbtrellis import (
 )
 
 from oracle import all_tailbiting, coeffs_from_strings, flat
+from test_decoder_contract import CODES, K7_STRINGS
 
 
 def test_number_of_subtrellises(G1):
@@ -202,3 +203,60 @@ def test_subtrellis_queries_agree_on_states_without_edges(N):
             assert min_weight_path(T, anchor)[1] == min(sum(flat(labels)) for labels, _ in paths)
             assert _bold_edges(to_dot(T, highlight=anchor)) == _path_edges(paths)
         assert total == 2 ** (N * G.rows)
+
+
+def _check_subtrellis(T, anchor, want):
+    """Every subtrellis query at ``anchor`` against ``want``, its label sequences."""
+    paths = enumerate_paths(T, anchor)
+    assert [labels for labels, _ in paths] == sorted(want)
+    assert count_paths(T, anchor) == len(paths)
+    weight, labels = min((sum(flat(labels)), labels) for labels, _ in paths)
+    assert min_weight_path(T, anchor) == (labels, weight)
+    assert _bold_edges(to_dot(T, highlight=anchor)) == _path_edges(paths)
+    return len(paths)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_code_subtrellis_queries_equal_the_circular_encodings(name, N):
+    (g, _), _ = CODES[name]
+    G = poly_from_strings(g)
+    by_anchor, _ = all_tailbiting(coeffs_from_strings(g), N, G.rows, G.deg)
+    T = build_tailbiting_code_trellis(G, N)
+    total = 0
+    for anchor in T.anchors:
+        if anchor in by_anchor:
+            total += _check_subtrellis(T, anchor, by_anchor[anchor])
+        else:
+            assert enumerate_paths(T, anchor) == [] and count_paths(T, anchor) == 0
+    assert total == 2 ** (N * G.rows)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_error_subtrellis_queries_equal_the_shifted_codewords(name):
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    rng = np.random.default_rng(17)
+    for N in (H.deg, H.deg + 1):
+        by_anchor, _ = all_tailbiting(coeffs_from_strings(g), N, G.rows, G.deg)
+        z = [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]
+        T = build_tailbiting_error_trellis(H, z)
+        fin = sigma_fin(H, z)
+        anchors = {error_anchor(beta, fin, G, H): beta for beta in by_anchor}
+        total = 0
+        for anchor in T.anchors:
+            if anchor in anchors:
+                want = [tuple(xor_states(zs, ys) for zs, ys in zip(z, y)) for y in by_anchor[anchors[anchor]]]
+                total += _check_subtrellis(T, anchor, want)
+            else:
+                assert count_paths(T, anchor) == 0
+        assert total == 2 ** (N * G.rows)
+
+
+def test_path_counts_are_exact_past_int64():
+    G = poly_from_strings(K7_STRINGS[0])
+    T = build_tailbiting_code_trellis(G, 80)
+    anchor = T.anchors[5]
+    assert count_paths(T, anchor) == 2**74
+    with pytest.raises(ValueError, match=rf"^subtrellis has {2**74} paths, exceeding the bound {2**20}$"):
+        enumerate_paths(T, anchor)

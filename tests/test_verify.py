@@ -79,12 +79,12 @@ def _wrong_dual_state(real):
     return dual_state_of
 
 
-def _dropping_enumerate_paths(real):
-    def enumerate_paths(T, anchor, *args):
-        paths = real(T, anchor, *args)
-        return paths[1:] if anchor == (0, 1) else paths
+def _dropping_label_bits(real):
+    def _label_bits(T, anchor):
+        bits = real(T, anchor)
+        return bits[1:] if anchor == (0, 1) else bits
 
-    return enumerate_paths
+    return _label_bits
 
 
 def _starting_101(words):
@@ -120,7 +120,7 @@ def _overweight_decoder_arrays(real):
     [
         ("sf_step_batch", _nonlinear_sf_step_batch, "superposition"),
         ("dual_state_of", _wrong_dual_state, "zero-syndrome-traversal"),
-        ("enumerate_paths", _dropping_enumerate_paths, "subtrellis-set-equality"),
+        ("_label_bits", _dropping_label_bits, "subtrellis-set-equality"),
         ("backward_syndromes_batch", _flipping_backward_syndromes_batch, "eta-zeta-correspondence"),
         ("is_tailbiting_codeword_batch", _negating_membership_batch, "hscalar-membership"),
         ("_decode_arrays", _overweight_decoder_arrays, "decoder-oracle"),
