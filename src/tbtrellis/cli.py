@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import verify
 from .codespec import CodeSpecError, load_codespec
@@ -114,7 +115,9 @@ def cmd_verify(args):
     return EXIT_OK if all(ok for _, ok in results) else EXIT_VERIFY_FAIL
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built once per process: ``main`` parses every call with it."""
     parser = _Parser(prog="tbtrellis", description="Tailbiting convolutional code toolbox")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -29,14 +29,14 @@ more memory.
 A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a
 dozen numpy calls would cost more than the work they do.  Its symbols
-are looked up one by one (``error_trellis._symbols``, which packs an
-array word at once and names a bad symbol), the syndrome former's
-one-word circular run (``LinearMachine.circular_word``, one fold) gives
-sigma_fin and the syndromes, one pass over its steps packs each step's
-key and received bits, and two takes from the stack give the word's
-(steps x edges x states + 1) tables.  Its bound pass carries one flat
-cost row per cut.  A block of several words gets its sigma_fin and
-syndromes from one ``LinearMachine.circular`` of the block.
+are read by ``LinearMachine.word`` (tuples looked up one by one, an
+array word packed at once, the first bad symbol named), the syndrome
+former's one-word circular run (``LinearMachine.circular_word``, one
+fold) gives sigma_fin and the syndromes, one pass over its steps packs
+each step's key and received bits, and two takes from the stack give
+the word's (steps x edges x states + 1) tables.  Its bound pass carries
+one flat cost row per cut.  A block of several words gets its sigma_fin
+and syndromes from one ``LinearMachine.circular`` of the block.
 
 Pruning is exact and per word.  Where a pass over all anchors would
 exceed the table budget (32 or 64 states, not the 4-state
@@ -93,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codespec import check_matrices
-from .error_trellis import _search_tables, _symbols, received
+from .error_trellis import _check_length, _search_tables
 from .gf2 import format_bits, format_state
 from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
@@ -317,15 +317,21 @@ class _Block(NamedTuple):
 
 
 def _blocks(G, H, words):
-    """Per decode block of ``words``, in order: its ``_Block``, or for a block of one its ``DecodeResult``."""
+    """Per decode block of ``words``, in order: its ``_Block``, or for a block of one its ``DecodeResult``.
+
+    The symbols are read first, then the words are checked to be non-empty
+    and N >= M.
+    """
     if not len(words):
         return
-    if not len(words[0]):
+    sf = syndrome_former(H)
+    E = [sf.word(words[0])] if len(words) == 1 else sf.symbol_ints(words, 2)
+    if not len(E[0]):
         raise ValueError("a trellis needs at least one section")
+    _check_length(H, len(E[0]))
     if len(words) == 1:
-        yield _decode_word(G, H, _symbols(H, words[0]))
+        yield _decode_word(G, H, E[0])
         return
-    E = received(H, words)
     duals = _dual_codes(G, H)[1]
     tables = _search_tables(H)
     places, first, _, step, shift = _layout(H, E.shape[1])
@@ -334,7 +340,7 @@ def _blocks(G, H, words):
         if len(block) == 1:
             yield _decode_word(G, H, block[0].tolist())
             continue
-        fin, zetas = syndrome_former(H).circular(block)
+        fin, zetas = sf.circular(block)
         rows = tables.index.take(fin[:, None] ^ duals)
         yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols)
 

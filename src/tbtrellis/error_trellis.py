@@ -16,7 +16,11 @@ cut N hold sigma_fin.  ``tailbiting_syndromes`` and
 integer fold over the word; the three ``_batch`` functions read the same
 fold over a block of words, ``LinearMachine.circular``.  ``sigma_fin``
 of one word is one ``LinearMachine.fold`` from the zero state over the
-word.
+word.  A word is read once, by ``LinearMachine.word`` of the syndrome
+former of H, before its length is checked; the backward functions fold
+its symbol integers in reverse on the reciprocal machine.  The anchor
+functions read sigma_fin and the dual state through the same machine's
+``state`` and add them as integers.
 
 The module of a syndrome symbol zeta is the set of syndrome-former
 transitions that emit zeta: ``error_trellis_module`` groups
@@ -43,7 +47,6 @@ from .state_machines import (
     sf_state_space,
     syndrome_former,
     unpack,
-    xor_states,
 )
 from .trellis import Edge, _make_trellis
 
@@ -81,20 +84,8 @@ def received(H, words):
 
 
 def _symbols(H, z):
-    """The symbol integers of one word of N >= M symbols.
-
-    A word of symbol tuples is looked up one symbol at a time; any other
-    word goes to ``symbol_ints``, which packs an array word at once and
-    names the first bad symbol.  N >= M is checked after the symbols.
-    A one-shot iterable is read into a list first, so that the second
-    reading sees every symbol.
-    """
-    z = z if hasattr(z, "__len__") else list(z)
-    sf = syndrome_former(H)
-    try:
-        es = [sf._in_index[e] for e in z]
-    except (KeyError, TypeError):
-        es = sf.symbol_ints([z], 2)[0].tolist()
+    """The symbol integers of one word, read by ``LinearMachine.word``; N >= M is checked after the symbols."""
+    es = syndrome_former(H).word(z)
     _check_length(H, len(es))
     return es
 
@@ -261,19 +252,25 @@ def error_trellis_module(H, zeta):
     return list(_lookup(_modules(H), zeta, "a syndrome symbol"))
 
 
-def _error_trellis(kind, H, z):
-    sections = [error_trellis_module(H, zeta) for zeta in tailbiting_syndromes(H, z)]
-    return _make_trellis(kind, sf_state_space(H), sections)
+def _error_trellis(kind, H, zetas):
+    """One module of ``H`` per syndrome symbol of ``zetas``, over the syndrome-former states of ``H``."""
+    return _make_trellis(kind, sf_state_space(H), [error_trellis_module(H, zeta) for zeta in zetas])
 
 
 def build_tailbiting_error_trellis(H, z):
     """Concatenate error-trellis modules for the syndromes of z."""
-    return _error_trellis("error", H, z)
+    return _error_trellis("error", H, tailbiting_syndromes(H, z))
+
+
+def _add_states(H, sigma, dual):
+    """The GF(2) sum of two states of the syndrome former of H, each read by it."""
+    sf = syndrome_former(H)
+    return sf.state_tuples[sf.state(sigma) ^ sf.state(dual)]
 
 
 def error_anchor(beta, sigma_fin_state, G, H):
     """Anchor of the error subtrellis matching code subtrellis ``beta``."""
-    return xor_states(sigma_fin_state, dual_state_of(G, H, beta))
+    return _add_states(H, sigma_fin_state, dual_state_of(G, H, beta))
 
 
 def eta_from_zeta(zeta, M):
@@ -286,15 +283,9 @@ def eta_from_zeta(zeta, M):
     return SyndromeSequence(symbols=tuple(out), kind="backward")
 
 
-def _reversed(H, z):
-    """The reciprocal parity-check matrix and the time-reversed word."""
-    _check_length(H, len(z))
-    return H.reciprocal(), list(reversed(list(z)))
-
-
 def build_backward_error_trellis(H, z):
     """Error trellis of the reciprocal syndrome former on the reversed word."""
-    return _error_trellis("backward-error", *_reversed(H, z))
+    return _error_trellis("backward-error", H.reciprocal(), backward_syndromes(H, z))
 
 
 def backward_syndromes_batch(H, words):
@@ -311,8 +302,9 @@ def backward_syndromes(H, z):
 
 
 def backward_sigma_fin(H, z):
-    """Circular syndrome-former state of the backward construction."""
-    return sigma_fin(*_reversed(H, z))
+    """Circular syndrome-former state of the backward construction: ``sigma_fin`` of the reciprocal H and the reversed word."""
+    sf = syndrome_former(H.reciprocal())
+    return sf.state_tuples[sf.fold(0, _symbols(H, z)[::-1])[0]]
 
 
 def backward_error_anchor(beta, sigma_fin_tilde, G, H):
@@ -322,4 +314,4 @@ def backward_error_anchor(beta, sigma_fin_tilde, G, H):
     state of beta; its dual is taken with respect to the reciprocal pair.
     """
     beta_t = backward_state(G, beta)
-    return xor_states(sigma_fin_tilde, dual_state_of(G.reciprocal(), H.reciprocal(), beta_t))
+    return _add_states(H.reciprocal(), sigma_fin_tilde, dual_state_of(G.reciprocal(), H.reciprocal(), beta_t))

@@ -24,8 +24,9 @@ entry, so integer order is tuple order.  By linearity a transition is
 the XOR of one state-table and one input-table entry, so the tables
 hold 2^(state bits) + 2^(input bits) entries.  ``LinearMachine.fold``
 is the one fold over a sequence: on integers, one XOR and two list
-lookups per symbol.  ``run`` is that fold read from and returned as
-tuples, checking each symbol in order.
+lookups per symbol.  ``word`` is the one reader of a word and ``state``
+of a state: every function below that takes either reads it through
+them, and ``run`` is the fold read through both and returned as tuples.
 
 Both machines are nilpotent: the syndrome former forgets its state in
 M steps (A^M = 0) and the encoder in L (A^L = 0).  So the state at a cut
@@ -108,9 +109,18 @@ class LinearMachine:
         """Integer of a state tuple; ValueError unless it holds state-width 0/1 entries."""
         return _lookup(self._state_index, bits, "a state")
 
-    def symbol(self, bits):
-        """Integer of an input symbol (a 0/1 int is a one-bit symbol)."""
-        return _lookup(self._in_index, bits, "an input symbol")
+    def word(self, z):
+        """The symbol integers of one word, as a list; a one-shot iterable is read once.
+
+        Symbol tuples are looked up one at a time; any other word goes to
+        ``symbol_ints``, which packs a 2-D array, or a list of equal-shape
+        arrays, in one product and names the first bad symbol.
+        """
+        z = z if hasattr(z, "__len__") else list(z)
+        try:
+            return [self._in_index[e] for e in z]
+        except (KeyError, TypeError):
+            return self.symbol_ints(z).tolist()
 
     def state_ints(self, states):
         """Integers of a sequence of states, as an intp array."""
@@ -119,11 +129,6 @@ class LinearMachine:
     def symbol_ints(self, symbols, depth=1):
         """Integers of the input symbols ``depth`` levels down: depth 2 takes a block of words."""
         return _pack(symbols, self._in_index, self.in_bits, depth, "an input symbol")
-
-    def step(self, x, e):
-        """One transition on integers: (next state, output)."""
-        v = self.from_state[x] ^ self.from_input[e]
-        return v >> self.out_bits, v & self.out_mask
 
     def fold(self, x, es):
         """Fold the transitions over symbol integers from state integer x: (final state, output integers)."""
@@ -170,32 +175,35 @@ class LinearMachine:
 
     def run(self, sigma, seq):
         """``fold`` over a symbol sequence from a state, read and returned as tuples: (final state, outputs)."""
-        x, outs = self.fold(self.state(sigma), map(self.symbol, seq))
+        x, outs = self.fold(self.state(sigma), self.word(seq))
         return self.state_tuples[x], list(map(self.out_tuples.__getitem__, outs))
 
     def edges(self):
         """Every transition out of ``states``: (state, input, next state, output) tuples."""
         for x in self.states:
             for e, u in enumerate(self.in_tuples):
-                nxt, o = self.step(x, e)
+                nxt, (o,) = self.fold(x, [e])
                 yield self.state_tuples[x], u, self.state_tuples[nxt], self.out_tuples[o]
 
 
+def _key(bits):
+    """``bits`` as a tuple: an array's entries as ints, a 0/1 int as one bit, any other sequence's entries."""
+    if isinstance(bits, np.ndarray):
+        bits = bits.tolist()
+    return (bits,) if isinstance(bits, (int, np.integer)) else tuple(bits)
+
+
 def _lookup(index, bits, what):
-    # a valid symbol tuple is its own key; an int is a one-bit symbol, any other sequence read as a tuple
+    # a valid tuple is its own key; anything else is read by ``_key``, and shown as its tuple if it has one
     try:
         return index[bits]
     except (KeyError, TypeError):
-        if isinstance(bits, np.ndarray):
-            bits = bits.tolist()
-        if isinstance(bits, (int, np.integer)):
-            bits = (bits,)
-    try:
-        return index[tuple(bits)]
-    except (KeyError, TypeError):
-        width = len(next(iter(index)))
-        shown = tuple(bits) if isinstance(bits, list) else bits
-        raise ValueError(f"expected {what} of {width} bits in {{0, 1}}, got {shown!r}") from None
+        try:
+            bits = _key(bits)
+            return index[bits]
+        except (KeyError, TypeError):
+            width = len(next(iter(index)))
+            raise ValueError(f"expected {what} of {width} bits in {{0, 1}}, got {bits!r}") from None
 
 
 def _pack(bits, index, width, depth, what):
@@ -306,21 +314,23 @@ def sf_run(H, sigma0, seq):
 
 
 def extended_state(H, window):
-    """Syndrome and state produced by a window of the last M+1 input symbols."""
-    if len(window) != H.deg + 1:
-        raise ValueError(f"window length {len(window)}, expected {H.deg + 1}")
+    """Syndrome and state produced by a window of the last M+1 input symbols, its length checked after its symbols."""
     sigma, zetas = sf_run(H, sf_zero_state(H), window)
+    if len(zetas) != H.deg + 1:
+        raise ValueError(f"window length {len(zetas)}, expected {H.deg + 1}")
     return ExtendedState(zetas[-1], sigma)
 
 
 def dual_state(H, window):
     """Syndrome-former state reached by the last M encoder output symbols.
 
-    M steps forget the starting state, so the run starts from zero.
+    M steps forget the starting state, so the run starts from zero.  The
+    window's length is checked after its symbols.
     """
-    if len(window) != H.deg:
-        raise ValueError(f"window length {len(window)}, expected {H.deg}")
-    return sf_run(H, sf_zero_state(H), window)[0]
+    sigma, zetas = sf_run(H, sf_zero_state(H), window)
+    if len(zetas) != H.deg:
+        raise ValueError(f"window length {len(zetas)}, expected {H.deg}")
+    return sigma
 
 
 def enc_zero_state(G):
@@ -372,13 +382,13 @@ def tailbiting_encode(G, inputs):
     starts and ends in the state formed by the last L input symbols.
     """
     enc = encoder(G)
-    return list(map(enc.out_tuples.__getitem__, enc.circular_word(list(map(enc.symbol, inputs)))[1]))
+    return list(map(enc.out_tuples.__getitem__, enc.circular_word(enc.word(inputs))[1]))
 
 
 def tailbiting_anchor(G, inputs):
     """Encoder state shared by cut 0 and cut N for a tailbiting input word."""
     enc = encoder(G)
-    return enc.state_tuples[enc.circular_word(list(map(enc.symbol, inputs)))[0]]
+    return enc.state_tuples[enc.circular_word(enc.word(inputs))[0]]
 
 
 def enc_state_space(G):

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .gf2 import format_bits, format_state
-from .state_machines import enc_state_space, encoder
+from .state_machines import _key, enc_state_space, encoder
 
 DEFAULT_MAX_PATHS = 2**20
 
@@ -69,7 +69,7 @@ class Trellis:
 
 
 def _make_trellis(kind, states, section_edges):
-    """Assemble a time-invariant trellis from one section's edge list."""
+    """Assemble a trellis over the same ``states`` at every cut from each section's edge list, in order."""
     n_sections = len(section_edges)
     if n_sections < 1:
         raise ValueError("a trellis needs at least one section")
@@ -87,13 +87,15 @@ def build_tailbiting_code_trellis(G, N):
 
 
 def _to_anchor(T, anchor):
-    """Per cut and state index, (least label weight, number of paths) into ``anchor`` at cut N.
+    """Per cut and state index, (least label weight, number of paths) into ``anchor`` at cut N, and its index at cut 0.
 
     One backward pass over ``T._rows``; counts are Python integers, exact
     at any size.  A state without a path into the anchor holds (None, 0),
     so the anchor's count at cut 0 is its number of tailbiting paths.
-    Raises unless ``anchor`` is an anchor of T.
+    ``anchor`` is read once, as ``state_machines._key`` reads a state (a
+    tuple, list or array); raises unless it is an anchor of T.
     """
+    anchor = _key(anchor)
     if anchor not in T.states_per_cut[0] or anchor not in T.states_per_cut[-1]:
         raise ValueError(f"state {format_state(anchor)} is not an anchor of this trellis")
     cuts = [[(0, 1) if s == anchor else (None, 0) for s in T.states_per_cut[-1]]]
@@ -107,7 +109,7 @@ def _to_anchor(T, anchor):
                     weight, count = w + v if weight is None or w + v < weight else weight, count + c
             cut.append((weight, count))
         cuts.append(cut)
-    return cuts[::-1]
+    return cuts[::-1], T.states_per_cut[0].index(anchor)
 
 
 def _walk(T, anchor):
@@ -117,7 +119,7 @@ def _walk(T, anchor):
     edges (rows of ``T._rows``, in section order) into states that still
     reach the anchor; every other state's list is empty.
     """
-    cuts, start = _to_anchor(T, anchor), T.states_per_cut[0].index(anchor)
+    cuts, start = _to_anchor(T, anchor)
     here, walk = {start}, []
     for section, nxt in zip(T._rows, cuts[1:]):
         live = [[edge for edge in edges if nxt[edge[1]][1]] if i in here else [] for i, edges in enumerate(section)]
@@ -136,7 +138,8 @@ def _expand(walk, start, codes, empty):
 
 def count_paths(T, anchor):
     """Number of tailbiting paths through the subtrellis at ``anchor``."""
-    return _to_anchor(T, anchor)[0][T.states_per_cut[0].index(anchor)][1]
+    cuts, start = _to_anchor(T, anchor)
+    return cuts[0][start][1]
 
 
 def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
@@ -150,7 +153,7 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
     if total > max_paths:
         raise ValueError(f"subtrellis has {total} paths, exceeding the bound {max_paths}")
     paths = _expand(walk, start, [[(e,) for e in section] for section in T.sections], ())
-    return sorted((tuple(e.label for e in edges), (anchor, *(e.dst for e in edges))) for edges in paths)
+    return sorted((tuple(e.label for e in edges), (edges[0].src, *(e.dst for e in edges))) for edges in paths)
 
 
 def _label_bits(T, anchor):

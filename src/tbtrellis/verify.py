@@ -20,21 +20,22 @@ give them.  A run in which every suite passes is unaffected.
 
 The superposition, eta-zeta and hscalar-membership suites hand all of
 their trials to one call of the ``_batch`` kernel under test and compare
-whole arrays.  The decoder-oracle suite compares the words with the
-exhaustive codeword table in distance blocks of trials, as many as keep
-trials x codewords x the bytes of a packed word within
-``DISTANCE_BLOCK``.  Words and codewords are packed into zero-padded
-uint64 lanes, so one XOR and one popcount per lane give every distance
-of a block at any width.  Each distance block goes to the decoder in one
-call of ``decoder._decode_arrays``, which splits it into its own decode
-blocks of ``_search_tables(H).block`` words and returns the weights,
-codewords and tie flags as arrays, so the suite compares arrays with no
-``DecodeResult`` per word.  The codeword table holds its rows anchor by
-anchor, so one ``logical_or.reduceat`` of a block's nearest-codeword
-mask over the anchors' rows tells in how many code subtrellises the
-nearest codewords lie; ``tie`` must hold exactly where that is more than
-one.  On the reference code at N = 5 a distance block holds 256
-trials, one full decode block, while from N = 11 on it holds one trial.
+whole arrays.  The decoder-oracle suite hands all of its trials to the
+decoder in one call of ``decoder._decode_arrays``, which splits them
+into its own decode blocks of ``_search_tables(H).block`` words and
+returns the weights, codewords and tie flags as arrays, so the suite
+compares arrays with no ``DecodeResult`` per word.  It then compares
+them with the exhaustive codeword table in distance blocks of trials,
+as many as keep trials x codewords x the bytes of a packed word within
+``DISTANCE_BLOCK``; the distance blocks bound only the distance table.
+Words and codewords are packed into zero-padded uint64 lanes, so one XOR
+and one popcount per lane give every distance of a block at any width.
+The codeword table holds its rows anchor by anchor, so one
+``logical_or.reduceat`` of a block's nearest-codeword mask over the
+anchors' rows tells in how many code subtrellises the nearest codewords
+lie; ``tie`` must hold exactly where that is more than one.  On the
+reference code at N = 5 a distance block holds 256 trials, while from
+N = 11 on it holds one trial.
 The codebook and the zero-syndrome suite run their machine circularly
 over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
 codewords of the reference code at N = 5 in one block call).  The
@@ -207,18 +208,20 @@ def suite_decoder_oracle(G, H, N, flat, starts, rng, trials=1000):
     """
     n = H.cols
     words = _bits(rng, trials, N * n)
+    if not trials:
+        return True
+    weight, codeword, tie = _decode_arrays(G, H, words.reshape(trials, N, n))
     table = _lanes(flat)
     per_block = max(1, DISTANCE_BLOCK // (len(flat) * -(-N * n // 8)))
     for start in range(0, trials, per_block):
-        block = words[start : start + per_block]
-        dists = _distances(_lanes(block), table)
+        block = slice(start, start + per_block)
+        dists = _distances(_lanes(words[block]), table)
         best = dists.min(axis=1)
         nearest = dists == best[:, None]
         unique = nearest.sum(axis=1) == 1
         ties = np.logical_or.reduceat(nearest, starts, axis=1).sum(axis=1) > 1
-        weight, codeword, tie = _decode_arrays(G, H, block.reshape(len(block), N, n))
-        wrong = (codeword != flat[dists.argmin(axis=1)]).any(axis=1)
-        if (weight != best).any() or (unique & wrong).any() or (tie != ties).any():
+        wrong = (codeword[block] != flat[dists.argmin(axis=1)]).any(axis=1)
+        if (weight[block] != best).any() or (unique & wrong).any() or (tie[block] != ties).any():
             return False
     return True
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from tbtrellis import verify
-from tbtrellis.cli import main
+from tbtrellis.cli import build_parser, main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
 
@@ -249,6 +249,22 @@ def test_usage_errors_exit_one(code_file):
     with pytest.raises(SystemExit) as exc:
         main(["hscalar", "--code", code_file, "-N", "5", "--kind", "circular"])
     assert exc.value.code == 1
+
+
+def test_main_reuses_one_parser_across_failing_and_passing_calls(capsys, code_file):
+    """A usage error, a good call and the good call again each print what they print alone."""
+    bad = ("syndrome", "--code", code_file)  # --received missing
+    good = ("syndrome", "--code", code_file, "--received", RECEIVED)
+    seen = []
+    for argv in (bad, good, good, bad):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        seen.append((code, *capsys.readouterr()))
+    assert seen[0] == seen[3] and seen[0][0] == 1 and seen[0][1] == "" and "--received" in seen[0][2]
+    assert seen[1] == seen[2] == (0, "sigma_fin=(0,0)\nzeta=00 00 10 01 11\n", "")
+    assert build_parser() is build_parser()
 
 
 def test_missing_code_file(capsys):

@@ -283,7 +283,7 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
     for G, H in (K7, ref):
         decode_tailbiting(G, H, z7 if G is K7[0] else z)  # fills the per-code caches
     calls = Counter()
-    for name in ("circular", "circular_word", "fold", "step"):
+    for name in ("circular", "circular_word", "fold"):
         real = getattr(LinearMachine, name)
 
         def counting(self, *args, _real=real, _name=name):

@@ -3,10 +3,12 @@ import pytest
 from conftest import G1_STRINGS, G2_STRINGS
 from oracle import all_tailbiting, coeffs_from_strings
 from oracle import flat as flat_bits
+from test_decoder_contract import CODES
 from test_state_machines import G_K2_STRINGS
 
 from tbtrellis import decoder, poly_from_strings, verify
 from tbtrellis.codespec import CodeSpecError
+from tbtrellis.error_trellis import _search_tables
 from tbtrellis.state_machines import LinearMachine, encoder
 
 
@@ -223,25 +225,32 @@ def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
     assert [tuple(y) for y in words.tolist()] == membership
     blocks = calls["_decode_arrays"]
     assert [(G, H, z) for G, H, block in blocks for z in _words(block)] == [(G1, H1, z) for z in decoded]
-    # a distance block holds up to 256 trials of the reference code at N = 5
+    # one decode call of all trials
     assert [len(block) for *_, block in blocks] == [trials]
 
 
 @pytest.mark.parametrize("code, N", [("1", 5), ("2", 4)])
 def test_distance_blocks_of_one_trial_change_nothing(request, monkeypatch, code, N):
     G, H = request.getfixturevalue("G" + code), request.getfixturevalue("H" + code)
-    default = _recorded_calls(monkeypatch, ["_decode_arrays"], G, H, N, 4, 300)
+    names = ["_decode_arrays", "_distances"]
+    default = _recorded_calls(monkeypatch, names, G, H, N, 4, 300)
     monkeypatch.setattr(verify, "DISTANCE_BLOCK", 1)
-    single = _recorded_calls(monkeypatch, ["_decode_arrays"], G, H, N, 4, 300)
+    single = _recorded_calls(monkeypatch, names, G, H, N, 4, 300)
 
     def blocks(recorded):
         return [block for *_, block in recorded[1]["_decode_arrays"]]
 
+    def distance_blocks(recorded):
+        return [len(words) for words, _ in recorded[1]["_distances"]]
+
     assert single[0] == default[0]
-    assert [len(block) for block in blocks(single)] == [1] * 300
+    assert distance_blocks(single) == [1] * 300
     # 2^14 over the packed bytes of the codeword table: 32 x 2 and 16 x 1
-    assert [len(block) for block in blocks(default)] == {"1": [256, 44], "2": [300]}[code]
-    assert [_words(block) for block in blocks(single)] == [[z] for block in blocks(default) for z in _words(block)]
+    assert distance_blocks(default) == {"1": [256, 44], "2": [300]}[code]
+    # one decode call of all trials, whatever the distance blocks
+    assert [len(block) for block in blocks(single)] == [300]
+    assert [len(block) for block in blocks(default)] == [300]
+    assert [_words(block) for block in blocks(single)] == [_words(block) for block in blocks(default)]
     assert all(ok for _, ok in default[0])
 
 
@@ -249,6 +258,19 @@ def test_all_suites_pass_on_4096_codewords(G1, H1):
     results = verify.run_all(G1, H1, 12, seed=1, trials=50)
     assert [name for name, _ in results] == EXPECTED_SUITES
     assert all(ok for _, ok in results)
+
+
+@pytest.mark.parametrize("N", [5, 6])
+def test_all_suites_pass_on_a_pruned_code(monkeypatch, N):
+    """The 32-state code prunes its anchors, so every decode block holds one word and yields a ``DecodeResult``."""
+    G, H = (poly_from_strings(s) for s in CODES["32-state"][0])
+    assert _search_tables(H).prune
+    words, real = [], decoder._decode_word
+    monkeypatch.setattr(decoder, "_decode_word", lambda G, H, es: words.append(es) or real(G, H, es))
+    results = verify.run_all(G, H, N, seed=1, trials=100)
+    assert [name for name, _ in results] == EXPECTED_SUITES
+    assert all(ok for _, ok in results)
+    assert len(words) == 100 and all(len(es) == N for es in words)
 
 
 def test_run_all_rejects_a_pair_before_any_suite_kernel(monkeypatch, G1):
