@@ -84,7 +84,6 @@ the verifier's decoder-oracle suite compares with no per-word object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import getitem, xor
@@ -106,8 +105,7 @@ class AnchorCollisionError(RuntimeError):
     """Two encoder states of a G/H pair map onto one error-subtrellis anchor."""
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """The outcome of one exact minimum-weight decoding.
 
     ``codeword`` (flat N*n bits) is a tailbiting codeword nearest the

@@ -18,9 +18,11 @@ fold over a block of words, ``LinearMachine.circular``.  ``sigma_fin``
 of one word is one ``LinearMachine.fold`` from the zero state over the
 word.  A word is read once, by ``LinearMachine.word`` of the syndrome
 former of H, before its length is checked; the backward functions fold
-its symbol integers in reverse on the reciprocal machine.  The anchor
-functions read sigma_fin and the dual state through the same machine's
-``state`` and add them as integers.
+its symbol integers in reverse on the reciprocal machine.  Code
+subtrellis beta matches the error subtrellis anchored at
+sigma_fin + dual(beta): ``error_anchor`` is that sum, one XOR of the
+syndrome former's state integers, and ``backward_error_anchor`` is
+``error_anchor`` of the reciprocal pair at the backward state of beta.
 
 The module of a syndrome symbol zeta is the set of syndrome-former
 transitions that emit zeta: ``error_trellis_module`` groups
@@ -262,15 +264,14 @@ def build_tailbiting_error_trellis(H, z):
     return _error_trellis("error", H, tailbiting_syndromes(H, z))
 
 
-def _add_states(H, sigma, dual):
-    """The GF(2) sum of two states of the syndrome former of H, each read by it."""
-    sf = syndrome_former(H)
-    return sf.state_tuples[sf.state(sigma) ^ sf.state(dual)]
-
-
 def error_anchor(beta, sigma_fin_state, G, H):
-    """Anchor of the error subtrellis matching code subtrellis ``beta``."""
-    return _add_states(H, sigma_fin_state, dual_state_of(G, H, beta))
+    """Anchor of the error subtrellis matching code subtrellis ``beta``: sigma_fin + dual(beta).
+
+    One XOR of syndrome-former integers; beta is read (by ``dual_state_of``)
+    before sigma_fin, so a call given two malformed states names beta.
+    """
+    sf = syndrome_former(H)
+    return sf.state_tuples[sf.state(dual_state_of(G, H, beta)) ^ sf.state(sigma_fin_state)]
 
 
 def eta_from_zeta(zeta, M):
@@ -310,8 +311,8 @@ def backward_sigma_fin(H, z):
 def backward_error_anchor(beta, sigma_fin_tilde, G, H):
     """Anchor of the backward error subtrellis matching code subtrellis ``beta``.
 
-    The matching backward code subtrellis is anchored at the backward
-    state of beta; its dual is taken with respect to the reciprocal pair.
+    The same correspondence for the reciprocal pair: the backward code
+    subtrellis is anchored at the backward state of beta, and its error
+    subtrellis at sigma_fin~ + dual~(that state).
     """
-    beta_t = backward_state(G, beta)
-    return _add_states(H.reciprocal(), sigma_fin_tilde, dual_state_of(G.reciprocal(), H.reciprocal(), beta_t))
+    return error_anchor(backward_state(G, beta), sigma_fin_tilde, G.reciprocal(), H.reciprocal())

@@ -333,10 +333,6 @@ def dual_state(H, window):
     return sigma
 
 
-def enc_zero_state(G):
-    return (0,) * (G.rows * G.deg)
-
-
 def encoder_step(G, beta, u):
     """One encoder transition: returns (next state, output symbol)."""
     state, (y,) = encoder(G).run(beta, [u])
@@ -349,19 +345,21 @@ def encoder_run(G, beta, seq):
 
 
 def dual_state_of(G, H, beta, fill=0):
-    """Syndrome-former state labeling the encoder state beta.
+    """Syndrome-former state labeling the encoder state beta: two folds from state 0.
 
-    Reconstructs the M output symbols entering the cut where the encoder
-    sits in beta: the M unknown inputs preceding the register window are
-    frozen to ``fill``, the encoder is run over them plus the register
-    contents, and the last M outputs are run through the syndrome
-    former.  For dual G/H pairs the result does not depend on ``fill``.
+    The encoder, read beta through its ``state``, folds over M ``fill``
+    symbols (the unknown inputs before the register window) and then
+    beta's register contents, oldest first: its outputs are the code
+    symbols entering the cut where it sits in beta.  The syndrome former
+    folds over all of them, and since A^M = 0 the state it ends in is the
+    one the last M outputs alone leave.  For dual G/H pairs the result
+    does not depend on ``fill``.
     """
-    M, L, enc = H.deg, G.deg, encoder(G)
+    enc, sf = encoder(G), syndrome_former(H)
     regs = enc.state_tuples[enc.state(beta)]
-    inputs = [(fill,) * G.rows] * M + [regs[t::L] for t in range(L)]
-    _, outputs = encoder_run(G, enc_zero_state(G), inputs)
-    return dual_state(H, outputs[-M:] if M else [])
+    _, outs = enc.fold(0, enc.word([(fill,) * G.rows] * H.deg + [regs[t :: G.deg] for t in range(G.deg)]))
+    # the syndrome former reads the outputs as a word, so a G and an H of different widths raise ValueError
+    return sf.state_tuples[sf.fold(0, sf.word(map(enc.out_tuples.__getitem__, outs)))[0]]
 
 
 def backward_state(G, beta):
@@ -403,10 +401,16 @@ def sf_state_space(H):
 
 
 def xor_states(a, b):
-    """Componentwise GF(2) sum of two states."""
-    if len(a) != len(b):
-        raise ValueError("state length mismatch")
-    return tuple((x + y) % 2 for x, y in zip(a, b))
+    """Componentwise GF(2) sum of two states (tuples, lists or 0/1 arrays), as a tuple of ints.
+
+    Each state is read as ``_key`` reads it; an entry other than 0/1 raises
+    ValueError naming the state, and so do unequal lengths.
+    """
+    a, b = _key(a), _key(b)
+    bad = [s for s in (a, b) if not all(x in (0, 1) for x in s)]
+    if bad or len(a) != len(b):
+        raise ValueError(f"expected a state of bits in {{0, 1}}, got {bad[0]!r}" if bad else "state length mismatch")
+    return tuple(int(x) ^ int(y) for x, y in zip(a, b))
 
 
 def poly_is_dual_pair(G, H):

@@ -76,6 +76,17 @@ def test_decode_reference_word(G1, H1, received):
     )
 
 
+def test_a_result_is_the_named_tuple_of_its_fields(G1, H1, received):
+    """Its repr names the fields in order, and it hashes and compares as the plain tuple of them."""
+    res = decode_tailbiting(G1, H1, received)
+    fields = (res.codeword, res.error, 2, (0, 0), (0, 0), False)
+    assert res == fields and hash(res) == hash(fields)
+    names = ("codeword", "error", "weight", "anchor_beta", "anchor_sigma", "tie")
+    assert repr(res) == "DecodeResult(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, fields)) + ")"
+    with pytest.raises(AttributeError):
+        res.weight = 0
+
+
 def test_decode_codeword_is_fixed_point(G1, g1_coeffs, H1):
     by_anchor, _ = all_tailbiting(g1_coeffs, 5, 1, 2)
     for beta, words in by_anchor.items():

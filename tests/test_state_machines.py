@@ -208,6 +208,16 @@ def test_xor_states_rejects_unequal_lengths():
             xor_states(a, b)
 
 
+def test_xor_states_reads_states_like_every_state_reader():
+    """Tuples, lists and 0/1 arrays give a tuple of plain ints; an entry other than 0/1 is named, not reduced mod 2."""
+    for a, b in (((1, 0), (1, 1)), ([1, 0], [1, 1]), (np.array([1, 0]), (1, 1)), (np.array([1, 0]), np.array([1, 1]))):
+        got = xor_states(a, b)
+        assert got == (0, 1) and all(type(x) is int for x in got)
+    for a, b in (([1, 2], [0, 0]), ((0, 0), np.array([1, 2])), (np.array([1, 2]), (0, 0, 0))):
+        with pytest.raises(ValueError, match=r"^expected a state of bits in \{0, 1\}, got \(1, 2\)$"):
+            xor_states(a, b)
+
+
 def test_tailbiting_anchor(G1):
     assert tailbiting_anchor(G1, [(0,), (1,), (1,), (1,), (0,)]) == (1, 0)
     assert tailbiting_anchor(G1, [(0,)] * 5) == (0, 0)
