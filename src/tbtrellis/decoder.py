@@ -5,8 +5,9 @@ binary symmetric channel.  Code subtrellis beta corresponds to the error
 subtrellis anchored at sigma_fin + dual(beta), so all S anchors share one
 error trellis and are searched together, in backward min-plus passes
 over the merged tables of ``error_trellis._search_tables``: a table
-covers m consecutive sections (m fixed per H by ``TABLE_BUDGET``; the
-N mod m sections left over use the 1-section tables), so a pass makes
+covers m consecutive sections with one merged edge per start and end
+state, the lightest (m fixed per H by ``TABLE_BUDGET``; the N mod m
+sections left over use the 1-section tables), so a pass makes
 floor(N/m) + N mod m steps.
 
 A block of words is decoded together.  A pass keeps, per step, an
@@ -21,10 +22,10 @@ and words of a block before the loop; each word's offset into the cost
 row is added in place to that copy.  Edges that die inside a merged
 section end in one extra, never reached state.  Where all anchors are
 searched in one pass, a block holds as many words as keep that pass
-within ``BLOCK_BUDGET`` entries per step (256 words of the reference
-code at N = 5).  A larger block spreads the fixed numpy cost of a step
-over more words; beyond a few hundred words it is no faster and takes
-more memory.
+within ``BLOCK_BUDGET`` entries per step (512 words of the reference
+code, whose 4 states keep 4 merged edges each).  A larger block spreads
+the fixed numpy cost of a step over more words; beyond a few hundred
+words it is no faster and takes more memory.
 
 A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a

@@ -27,10 +27,11 @@ syndrome former's state integers, and ``backward_error_anchor`` is
 The module of a syndrome symbol zeta is the set of syndrome-former
 transitions that emit zeta: ``error_trellis_module`` groups
 ``syndrome_former(H).edges()`` by output, as the code trellis reads the
-encoder's.  The decoder's merged m-section tables are the m-step
-syndrome-former paths that emit a run of m syndromes:
-``_search_tables`` enumerates those paths once per H with numpy and
-buckets them by the integer their syndromes form.
+encoder's.  The decoder's merged m-section tables hold, of the m-step
+syndrome-former paths that emit a run of m syndromes, the lightest from
+each state to each end state: ``_search_tables`` enumerates those paths
+once per H with numpy, keeps one per start and end state and buckets
+them by the integer their syndromes form.
 """
 
 from __future__ import annotations
@@ -124,9 +125,10 @@ def tailbiting_syndromes(H, z):
     return _sequence(syndrome_former(H), _symbols(H, z), "forward")
 
 
-# entries the merged tables of one H may hold: it sets m, the number of
-# sections merged into one table, and whether the decoder's all-anchor
-# pass (states x merged edges x anchors) is small enough to skip pruning
+# entries the merged tables of one H may hold: it bounds m, the number of
+# sections merged into one table, by the tables and by the labels of a
+# run, and sets whether the decoder's all-anchor pass (states x merged
+# edges x anchors) is small enough to skip pruning
 TABLE_BUDGET = 1 << 12
 # entries per step of an all-anchor pass over a block of words: it sets
 # how many words one such pass searches at once
@@ -137,14 +139,20 @@ class SearchSection(NamedTuple):
     """The merged modules of runs of syndrome symbols, over dense state indices.
 
     Under one symbol zeta a state has ``degree`` edges or none, because the
-    inputs e with eD = zeta + xC form a coset of the kernel of D or none;
-    over j symbols it has at most degree^j merged edges, the j-step paths
-    of the syndrome former that emit the run.  The stack holds every run
-    of m symbols at the key its symbols' r-bit integers form, read as one
-    integer, then every single symbol zeta at 2^(r*m) + zeta; a run the
-    syndrome former never emits has no edges.  ``dst`` and ``weight``
-    (keys x degree^m x states + 1) give each merged edge's end state and
-    label weight, the edges of a state in concatenated-label order.  Slots
+    inputs e with eD = zeta + xC form a coset of the kernel of D or none.
+    Over j symbols it keeps one merged edge per end state, at most
+    min(degree^j, S) of them: of the j-step paths of the syndrome former
+    that emit the run and end there, the lightest, then the one of
+    smallest label.  Each merged edge of an optimal path is a lightest one
+    between its two states, so the first optimal edge in label order,
+    which both tracebacks take, is a kept one: weights, ties and the
+    smallest optimal error are those over all paths.  The stack holds
+    every run of m symbols at the key its symbols' r-bit integers form,
+    read as one integer, then every single symbol zeta at 2^(r*m) + zeta;
+    a run the syndrome former never emits has no edges.  ``dst`` and
+    ``weight`` (keys x slots x states + 1, slots the most edges a state
+    keeps under one key) give each merged edge's end state and label
+    weight, the edges of a state in concatenated-label order.  Slots
     past a state's edges, and all of state S's, end in index S, one past
     the last state, which the search never reaches; their weight is 0.
     ``label`` (the same shape) gives each merged edge's label, the integer
@@ -188,50 +196,66 @@ def _section(dst, label):
 
 
 def _paths(sf, j):
-    """Every j-step path of ``sf`` from each state: (states x paths) keys, end states and slots.
+    """The lightest j-step path of ``sf`` from each state to each end state under each key.
 
     Inputs are enumerated in ascending order, so path p's label is p, the
-    integer of its j input symbols; its key is the integer of its j
-    syndrome symbols, and its slot its rank among the paths with that key
-    from the same state.
+    integer of its j input symbols, and its key the integer of its j
+    syndrome symbols.  Of the paths with one start, key and end state the
+    lightest, then the one of smallest label, is kept: its slot is its
+    rank in label order among the kept paths with that start and key.
+    Returns the kept paths' start indices, keys, end states, labels and
+    slots, the paths of each start in label order.
     """
-    x, key = np.array(sf.states)[:, None], np.zeros((len(sf.states), 1), dtype=np.intp)
+    S, P = len(sf.states), len(sf.tables[1]) ** j
+    x, key = np.array(sf.states)[:, None], np.zeros((S, 1), dtype=np.intp)
     for _ in range(j):
-        v = (sf.tables[0][x][..., None] ^ sf.tables[1]).reshape(len(x), -1)
+        v = (sf.tables[0][x][..., None] ^ sf.tables[1]).reshape(S, -1)
         x, key = v >> sf.out_bits, np.repeat(key << sf.out_bits, len(sf.tables[1]), axis=1) | v & sf.out_mask
-    group = (key + (np.arange(len(x))[:, None] << sf.out_bits * j)).ravel()
+    label = np.arange(S * P) % P
+    group = (key + (np.arange(S)[:, None] << sf.out_bits * j)).ravel()
+    edge = group << sf.state_bits | x.ravel()
+    # sorted stably by (start, key, end state), then weight, each merged edge's kept path comes first:
+    # a start's paths are in label order
+    order = (edge * (sf.in_bits * j + 1) + np.bitwise_count(label)).argsort(kind="stable")
+    first = np.append(True, edge[order[1:]] != edge[order[:-1]])
+    keep = np.flatnonzero(np.bincount(order[first], minlength=len(edge)))
+    group = group[keep]
     order = group.argsort(kind="stable")
     slot = np.empty_like(group)
     slot[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
-    return key, x, slot.reshape(key.shape)
+    return keep // P, key.ravel()[keep], x.ravel()[keep], label[keep], slot
 
 
 @lru_cache(maxsize=None)
 def _search_tables(H):
-    """The syndrome former's m-step and single-step paths, bucketed by the syndromes they emit.
+    """The syndrome former's m-step and single-step paths, one per end state, bucketed by the syndromes they emit.
 
-    Built once per H with numpy: m is the largest run whose tables, over
-    all 2^(r*m) runs whether emitted or not, fit ``TABLE_BUDGET``, and the
-    m-step paths' tables are stacked above the single steps'.  A merged
-    edge's slot is its path's rank in label order.
+    Built once per H with numpy: m is the largest run for which both the
+    tables over all 2^(r*m) runs, emitted or not, with min(degree^m, S)
+    slots per state, and the 2^(n*m) labels of a run fit
+    ``TABLE_BUDGET``; the m-step paths' tables are stacked above the
+    single steps'.  A merged edge's slot is its path's rank in label
+    order among the kept paths.
     """
     sf = syndrome_former(H)
     S = len(sf.states)
     index = np.full(len(sf.state_tuples), -1, dtype=np.intp)
     index[sf.states] = np.arange(S)
     states = [sf.state_tuples[x] for x in sf.states]
-    single = _paths(sf, 1)
-    degree = int(single[2].max()) + 1
+    degree = int(np.bincount(sf.tables[1] & sf.out_mask).max())
     m = 1
-    while (2**sf.out_bits * degree) ** (m + 1) * S <= TABLE_BUDGET:
+    # the tables of a run of m + 1 symbols and its labels
+    while max(2 ** (sf.out_bits * (m + 1)) * S * min(degree ** (m + 1), S), 2 ** (sf.in_bits * (m + 1))) <= TABLE_BUDGET:
         m += 1
+    runs, single = _paths(sf, m), _paths(sf, 1)
+    slots = int(max(runs[-1].max(), single[-1].max())) + 1
     first = 1 << sf.out_bits * m
-    dst = np.full((first + 2**sf.out_bits, S + 1, degree**m), S, dtype=np.intp)
+    dst = np.full((first + 2**sf.out_bits, S + 1, slots), S, dtype=np.intp)
     label = np.zeros_like(dst)
-    for base, (key, x, slot) in ((0, _paths(sf, m)), (first, single)):
-        dst[base + key, np.arange(S)[:, None], slot] = index[x]
-        label[base + key, np.arange(S)[:, None], slot] = np.arange(key.shape[1])
-    per_word = S * S * degree**m
+    for base, (start, key, x, path, slot) in ((0, runs), (first, single)):
+        dst[base + key, start, slot] = index[x]
+        label[base + key, start, slot] = path
+    per_word = S * S * slots
     prune = per_word > TABLE_BUDGET
     return SearchTables(states, index, m, _section(dst, label), prune, 1 if prune else BLOCK_BUDGET // per_word)
 

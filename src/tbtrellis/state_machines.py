@@ -48,6 +48,7 @@ and zero-syndrome suite all run circularly through one of the two.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -65,8 +66,8 @@ class ExtendedState(NamedTuple):
 @lru_cache(maxsize=None)
 def _bit_tuples(width):
     """All width-bit tuples in ascending order, and the index of each."""
-    tuples = [tuple((v >> (width - 1 - i)) & 1 for i in range(width)) for v in range(2**width)]
-    return tuples, {t: v for v, t in enumerate(tuples)}
+    tuples = list(product((0, 1), repeat=width))
+    return tuples, dict(zip(tuples, range(len(tuples))))
 
 
 def _span(rows):

@@ -101,7 +101,7 @@ def _assert_arrays_equal(got, want):
 
 
 def test_decode_arrays_of_every_reference_word_equal_the_decode_results(G1, H1):
-    """All 2^15 words at N = 5, in full decode blocks of 256 and a block of one."""
+    """All 2^15 words at N = 5, in full decode blocks of 512 and a block of one."""
     N = 5
     words = ((np.arange(2 ** (N * 3))[:, None] >> np.arange(N * 3 - 1, -1, -1)) & 1).astype(np.uint8)
     words = words.reshape(-1, N, 3)

@@ -66,23 +66,38 @@ def brute_force_rows(H, tables):
     return rows
 
 
+def collapse(edges):
+    """The lightest edge, then the one of smallest label, to each end state, in label order."""
+    kept = {}
+    for edge in sorted(edges, key=lambda e: (e[2], e[0])):
+        kept.setdefault(edge[1], edge)
+    return sorted(kept.values())
+
+
 # two equal rows: from the states that emit 01 or 10, every step enters 00 or 11, which emit only 00 and 11
 DOUBLED_ROW_H = [["11", "01", "11"], ["11", "01", "11"]]
 
 
 @pytest.mark.parametrize("h", [h for (_, h), _ in CODES.values()] + [DOUBLED_ROW_H])
 def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
-    """A key's live slots are its input runs in label order, with end states and weights; every other slot ends in S."""
+    """A key's live slots are, per end state, its lightest input run of smallest label, in label order; every other slot ends in S.
+
+    Every optimal merged edge into an end state has the least weight of
+    the runs into it, so both tracebacks, which take the first optimal
+    slot in label order, take the kept run of some end state.
+    """
     H = poly_from_strings(h)
     tables = error_trellis._search_tables(H)
     sec, S = tables.sections, len(tables.states)
     rows = brute_force_rows(H, tables)
-    assert [[list(edges) for edges in run] for run in sec.out] == rows
-    for key, run in enumerate(rows):
+    kept = [[collapse(edges) for edges in run] for run in rows]
+    assert [[list(edges) for edges in run] for run in sec.out] == kept
+    for key, run in enumerate(kept):
         for i, edges in enumerate(run):
             live = len(edges)
             assert sec.dst[key, :live, i].tolist() == [dst for _, dst, _ in edges]
             assert sec.weight[key, :live, i].tolist() == [w for _, _, w in edges]
+            assert sec.label[key, :live, i].tolist() == [label for label, _, _ in edges]
             assert (sec.dst[key, live:, i] == S).all()
     assert (sec.dst[:, :, S] == S).all()
     if h == DOUBLED_ROW_H:
@@ -119,8 +134,8 @@ def reference_decode(G, H, z):
 def test_decode_matches_per_subtrellis_reference(name):
     (g, h), words = CODES[name]
     G, H = poly_from_strings(g), poly_from_strings(h)
-    M, L, n = H.deg, G.deg, H.cols
-    lengths = sorted({N for N in (M, L - 1, L, L + 1, 2 * L + 3) if N >= max(M, 1)})
+    M, L, n, m = H.deg, G.deg, H.cols, error_trellis._search_tables(H).m
+    lengths = sorted({N for N in (M, L - 1, L, L + 1, 2 * L + 3, m - 1, m, m + 1, 2 * m + 1) if N >= max(M, 1)})
     rng = np.random.default_rng(53)
     ties = 0
     for i in range(words):
@@ -163,6 +178,24 @@ def test_decode_matches_per_subtrellis_reference_at_every_section_remainder(name
         for _ in range(2 if name == "k7" else 6):
             z = [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]
             assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), (N, z)
+
+
+# m, stack shape and block per code; the 16-state, 32-state and K=7 codes' merged runs keep
+# every path, one per end state, so their tables are those the uncollapsed stack had
+TABLE_SIZES = {
+    "ref": (4, (2**8 + 2**2, 4, 5), 512),
+    "mem2": (6, (2**6 + 2, 4, 5), 512),
+    "16-state": (4, (2**4 + 2, 16, 17), 8),
+    "k7": (3, (2**3 + 2, 8, 65), 1),
+    "32-state": (3, (2**3 + 2, 8, 33), 1),
+    "H0-zero": (6, (2**6 + 2, 4, 5), 512),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_search_tables_have_the_size_of_one_merged_edge_per_end_state(name):
+    tables = error_trellis._search_tables(poly_from_strings(CODES[name][0][1]))
+    assert (tables.m, tables.sections.dst.shape, tables.block) == TABLE_SIZES[name]
 
 
 def test_pruning_runs_on_the_codes_whose_all_anchor_pass_exceeds_the_budget():
@@ -241,10 +274,24 @@ def test_decode_rejects_an_empty_word_of_a_memoryless_code():
 
 
 def test_search_tables_size_m_from_every_syndrome_symbol():
-    """A rank-1 H emits 2 of its 4 symbols, but the stack spans the keys of all 4: m = 3, not 4."""
-    tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
+    """m counts the keys of all 2^(r*m) runs of symbols, emitted or not.
+
+    The rank-1 H of rows h and D*h emits 32 of the 64 runs of 3 symbols
+    (its second syndrome bit is its first one step late) and 64 of the
+    256 runs of 4.  Over all runs, 2^(2*m) keys x 8 states x min(4^m, 8)
+    slots fill ``TABLE_BUDGET`` at m = 3; over the emitted runs alone,
+    m = 4 would fit (64 x 8 x 8), and so would its 2^(3*4) labels.  Each
+    state keeps 2 merged edges per key.  The rank-1 H of two equal rows
+    emits 2 of its 4 symbols, but its stack spans the keys of all 4; its
+    m = 4 is set by the 2^(3*m) labels.
+    """
+    tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[1]["H"]))
     assert tables.m == 3
-    assert tables.sections.dst.shape == (2**6 + 2**2, 4**3, 2)
+    assert tables.sections.dst.shape == (2**6 + 2**2, 2, 9)
+    assert sum(map(any, tables.sections.out[: 2**6])) == 32
+    tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
+    assert tables.m == 4
+    assert tables.sections.dst.shape == (2**8 + 2**2, 1, 2)
 
 
 # pairs that a spec load rejects, with a word each: before the check, the library decoded

@@ -15,11 +15,13 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tbtrellis import AnchorCollisionError, decode_tailbiting, decode_tailbiting_batch, poly_from_strings
 from tbtrellis.cli import main
+from tbtrellis.error_trellis import TABLE_BUDGET, _search_tables
 
 from oracle import circ_encode, coeffs_from_strings, flat, tailbiting_codebook
 
@@ -135,3 +137,27 @@ def test_k_input_pairs_decode_to_a_nearest_codeword_or_exit_one(case):
                 assert run_cli(argv[0], "--code", path, *argv[1:]) == (1, "", f"tbtrellis: error: {exc}\n")
         return
     check_nearest(tailbiting_codebook(g, len(z), spec["k"]), z, res)
+
+
+# memoryless pairs whose merged tables the label space bounds: one state, so 2^(r*m) keys would allow m = 12
+# for H = [1 1]; a rate-5/6 H of six ones, with G rows e_1 + e_j, has 6-bit symbols
+LABEL_BOUND_PAIRS = [
+    ([["1", "1"]], [["1", "1"]]),
+    ([["1"] + ["1" if c == j else "0" for c in range(1, 6)] for j in range(1, 6)], [["1"] * 6]),
+]
+
+
+@pytest.mark.parametrize("g_strings, h_strings", LABEL_BOUND_PAIRS)
+def test_memoryless_pairs_merge_within_the_label_space_and_decode_to_a_nearest_codeword(g_strings, h_strings):
+    """m keeps the 2^(n*m) labels within ``TABLE_BUDGET``; lengths m - 1, m, m + 1, 2m + 1 where the codebook is small."""
+    G, H = poly_from_strings(g_strings), poly_from_strings(h_strings)
+    m, k, n = _search_tables(H).m, len(g_strings), H.cols
+    assert 2 ** (n * m) <= TABLE_BUDGET < 2 ** (n * (m + 1))
+    g, rng = coeffs_from_strings(g_strings), np.random.default_rng(43)
+    for N in sorted({N for N in (1, m - 1, m, m + 1, 2 * m + 1) if N >= 1 and N * k <= 15}):
+        words = [[tuple(row) for row in word] for word in rng.integers(0, 2, (8, N, n)).tolist()]
+        results = decode_tailbiting_batch(G, H, words)
+        assert results == [decode_tailbiting(G, H, z) for z in words]
+        codebook = tailbiting_codebook(g, N, k)
+        for z, res in zip(words, results):
+            check_nearest(codebook, z, res)
