@@ -48,11 +48,19 @@ walks that column from it; if the walk closes, ending in the anchor it
 started from, it is the word's result and no search pass runs.  It is a
 tailbiting path of weight ``lb``, which every other anchor's bound
 exceeds, and the lexicographically smallest of all least-weight paths
-out of the anchor, so also of those that return to it.  Otherwise the
-anchors of least ``lb`` are searched, giving weight w, then every other
-anchor with ``lb <= w``; an anchor left out has ``lb > w``, so it can
-neither win nor tie.  Where pruning does not pay, all anchors are
-searched in one pass.
+out of the anchor, so also of those that return to it.  Otherwise a
+tailbiting path is also a path into its anchor that may start anywhere:
+one more 1-column pass, ``_start_anywhere``, runs ``_min_plus`` over the
+tables' incoming stack in reversed step order, and each anchor's bound
+rises to the larger of the two, still a lower bound.  When one anchor
+alone now has the least bound and it is not the one already walked,
+the same closing check walks the end-anywhere column from it; a walk
+that closes weighs that anchor's end-anywhere bound, which is then its
+larger bound, below every other anchor's, so the same argument holds.
+Only when neither check closes are the anchors of least ``lb``
+searched, giving weight w, then every other anchor with ``lb <= w``; an
+anchor left out has ``lb > w``, so it can neither win nor tie.  Where
+pruning does not pay, all anchors are searched in one pass.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the backward pass and the forward walk that every
@@ -202,8 +210,8 @@ def _layout(H, N):
     Returns, per step, the places that turn syndrome integers into its key
     in the stack (with ``first``, 2^(r*m), added for single symbols), which
     are powers of two: a run's key concatenates its symbols' bits.  Then
-    come, per step, the bit tuples of its labels, and per symbol its step
-    and the shift of its n bits in the step's label.
+    come, per symbol, its step and the shift of its n bits in the step's
+    label.
     """
     m, r, n = _search_tables(H).m, H.rows, H.cols
     runs, cut = N // m, N - N % m
@@ -213,8 +221,14 @@ def _layout(H, N):
     places = np.zeros((N, runs + N - cut), dtype=np.intp)
     places[t, step] = 1 << r * place
     first = np.array([0] * runs + [1 << r * m] * (N - cut))
-    bits = [_bit_tuples(m * n)[0]] * runs + [_bit_tuples(n)[0]] * (N - cut)
-    return places, first, bits, step, n * place
+    return places, first, step, n * place
+
+
+@lru_cache(maxsize=None)
+def _label_tuples(H, N):
+    """Per step of a one-word decode of N symbols, the bit tuples of its labels, indexed by label."""
+    m, n = _search_tables(H).m, H.cols
+    return [_bit_tuples(m * n)[0]] * (N // m) + [_bit_tuples(n)[0]] * (N % m)
 
 
 @lru_cache(maxsize=None)
@@ -238,8 +252,17 @@ def _sections(tables, keys):
     return dst, weight
 
 
+def _start_anywhere(tables, at):
+    """Per cut from N down to 0, each state's least weight from any state at cut 0, over the steps of keys ``at``.
+
+    ``_min_plus`` over the incoming stack in reversed step order: row 0
+    is cut N, where an anchor's entry bounds its weight from below.
+    """
+    return _min_plus(tuple(a.take(at[::-1], axis=0) for a in tables.sections.incoming), _ends(len(tables.states))[-1])
+
+
 def _traceback(outs, togo, state):
-    """Smallest label sequence along which ``togo`` (one column's costs, per cut a list or a view) falls to 0.
+    """Smallest label sequence along which ``togo`` (one column's costs, a (cuts x states + 1) memoryview) falls to 0.
 
     ``outs`` gives per step each state's edges.  Returns the label
     integer of each section's edge and the state the walk ends in: on a
@@ -247,10 +270,10 @@ def _traceback(outs, togo, state):
     column, any state, so that the walk closes only if it returns to
     where it started.
     """
-    labels, c = [], togo[0][state]
-    for out, nxt in zip(outs, togo[1:]):
+    labels, c = [], togo[0, state]
+    for t, out in enumerate(outs, 1):
         for label, dst, w in out[state]:
-            if nxt[dst] == c - w:
+            if togo[t, dst] == c - w:
                 labels.append(label)
                 state, c = dst, c - w
                 break
@@ -333,7 +356,7 @@ def _blocks(G, H, words):
         return
     duals = _dual_codes(G, H)[1]
     tables = _search_tables(H)
-    places, first, _, step, shift = _layout(H, E.shape[1])
+    places, first, step, shift = _layout(H, E.shape[1])
     for start in range(0, len(E), tables.block):
         block = E[start : start + tables.block]
         if len(block) == 1:
@@ -365,7 +388,7 @@ def _decode_word(G, H, es):
     keys += [(1 << r * m) + zeta for zeta in zetas[cut:]]
     zs += es[cut:]
     w, ties, labels, sigma, beta = _search_word(tables, betas, tables.index.take(fin ^ duals), keys)
-    bits = _layout(H, N)[2]
+    bits = _label_tuples(H, N)
     codeword = tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, zs))))
     return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
 
@@ -427,15 +450,22 @@ def _search_word(tables, betas, rows, keys):
     outs = [tables.sections.out[k] for k in keys]
     if tables.prune:
         bound = _min_plus(sections, ends[-1])
-        lb = bound[0].take(rows)
-        low = min(bounds := lb.tolist())
-        if bounds.count(low) == 1 and low < _UNREACHED:
-            a = bounds.index(low)
-            # a view per cut: the walk reads about two entries of each, fewer than converting the table costs
-            labels, end = _traceback(outs, list(map(memoryview, bound)), states[a])
-            # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
-            if end == states[a]:
-                return low, 1, labels, tables.states[end], betas[a]
+        # a walk reads about two entries per cut, fewer than converting the table costs
+        view = memoryview(bound)
+        lb, tried = bound[0].take(rows), None
+        for second in (False, True):
+            if second:
+                # a tailbiting path also starts anywhere, so the larger bound is one too; a walk that closes on
+                # the end-anywhere column weighs lb[a], which is then a's larger bound
+                lb = np.maximum(lb, _start_anywhere(tables, at)[0].take(rows))
+            low = min(bounds := lb.tolist())
+            a = bounds.index(low) if bounds.count(low) == 1 and low < _UNREACHED else None
+            if a is not None and a != tried:
+                labels, end = _traceback(outs, view, states[a])
+                # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
+                if end == states[a]:
+                    return low, 1, labels, tables.states[end], betas[a]
+            tried = a
         least = lb == low
         w = search(np.flatnonzero(least))
         # no anchor whose bound exceeds w can reach w
@@ -450,7 +480,7 @@ def _search_word(tables, betas, rows, keys):
     for cost, anchors, weight in passes:
         for j in (j for j, x in enumerate(weight) if x == w):
             state = states[anchors[j]]
-            found = _traceback(outs, cost[:, j].tolist(), state)[0], tables.states[state], betas[anchors[j]]
+            found = _traceback(outs, memoryview(cost[:, j]), state)[0], tables.states[state], betas[anchors[j]]
             best, ties = found if best is None else min(best, found), ties + 1
     return (w, ties, *best)
 

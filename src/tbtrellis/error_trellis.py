@@ -31,7 +31,8 @@ encoder's.  The decoder's merged m-section tables hold, of the m-step
 syndrome-former paths that emit a run of m syndromes, the lightest from
 each state to each end state: ``_search_tables`` enumerates those paths
 once per H with numpy, keeps one per start and end state and buckets
-them by the integer their syndromes form.
+them by the integer their syndromes form, read out of each start state
+and, in an incoming stack, into each end state.
 """
 
 from __future__ import annotations
@@ -158,23 +159,34 @@ class SearchSection(NamedTuple):
     ``label`` (the same shape) gives each merged edge's label, the integer
     of its concatenated error symbols, the first symbol most significant.
     ``out`` lists, per key and state below S, its edges in label order as
-    (label, end state index, weight).
+    (label, end state index, weight).  ``incoming`` is the same edges
+    read the other way: per key and end state, the merged edges that
+    arrive there, as (start states, weights), each (keys x in-slots x
+    states + 1), start states ascending.  It runs the backward min-plus
+    kernel forward, in reversed step order, so a pass from every state
+    at cut 0 gives each state at cut N its least incoming weight, the
+    start-anywhere bound of the anchor there.  Its slots past a state's
+    edges, and all of state S's, start in S with weight 0.
     """
 
     dst: np.ndarray
     weight: np.ndarray
     label: np.ndarray
     out: tuple
+    incoming: tuple
 
 
 class SearchTables(NamedTuple):
     """The search tables of one H; states in ``sf_state_space`` order.
 
     ``sections`` is the ``SearchSection`` stack of runs of m and of single
-    symbols.  ``prune`` is true when a pass over all S anchor columns
-    would exceed ``TABLE_BUDGET`` entries per section, and a block then
-    holds one word; otherwise ``block`` words fit one all-anchor pass
-    within ``BLOCK_BUDGET`` entries per step.
+    symbols, read out of each state by the search passes and, through its
+    incoming stack, into each state by the start-anywhere pass.  ``prune``
+    is true when a pass over all S anchor columns would exceed
+    ``TABLE_BUDGET`` entries per section, and a block then holds one word,
+    whose anchors the decoder bounds from both ends; otherwise ``block``
+    words fit one all-anchor pass within ``BLOCK_BUDGET`` entries per
+    step.
     """
 
     states: list
@@ -191,8 +203,26 @@ def _section(dst, label):
     weight = np.bitwise_count(label).astype(np.int32)
     rows = zip(label[:, :S].tolist(), dst[:, :S].tolist(), weight[:, :S].tolist())
     out = tuple(tuple(tuple(edge for edge in zip(*row) if edge[1] != S) for row in zip(*run)) for run in rows)
+    incoming = _incoming(dst, weight)
     dst, weight, label = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dst, weight, label))
-    return SearchSection(dst, weight, label, out)
+    return SearchSection(dst, weight, label, out, incoming)
+
+
+def _incoming(dst, weight):
+    """The incoming stack of a (keys x states + 1 x slots) stack of end states and weights."""
+    S = dst.shape[1] - 1
+    # the live edges come by key, then start state; sorted stably by (key, end state), an edge's rank in its
+    # group is its incoming slot
+    key, start, slot = np.nonzero(dst[:, :S] != S)
+    group = key * S + dst[key, start, slot]
+    order = group.argsort(kind="stable")
+    group = group[order]
+    rank = np.arange(group.size) - np.searchsorted(group, group)
+    src = np.full((len(dst), rank.max() + 1, S + 1), S, dtype=np.intp)
+    src_weight = np.zeros(src.shape, dtype=np.int32)
+    at = key[order], rank, group % S
+    src[at], src_weight[at] = start[order], weight[key, start, slot][order]
+    return src, src_weight
 
 
 def _paths(sf, j):

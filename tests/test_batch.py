@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracle import coeffs_from_strings
-from test_decoder_contract import CODES, K7_STRINGS, low_noise_k7_words
+from test_decoder_contract import CODES, K7_STRINGS, low_noise_words
 
 import tbtrellis.decoder as decoder
 from tbtrellis import (
@@ -65,7 +65,7 @@ def test_block_decode_equals_the_per_word_decodes(name):
 def test_block_decode_of_low_noise_k7_words_equals_the_per_word_decodes():
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     assert _search_tables(H).prune
-    words = low_noise_k7_words(40, 17)
+    words = low_noise_words(40, 17)
     assert decode_tailbiting_batch(G, H, np.array(words)) == [decode_tailbiting(G, H, z) for z in words]
 
 

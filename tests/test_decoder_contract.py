@@ -31,6 +31,7 @@ from tbtrellis import (
     sf_run,
     split_symbols,
 )
+from tbtrellis.cli import main
 from tbtrellis.state_machines import LinearMachine
 from tbtrellis.verify import run_all
 
@@ -84,7 +85,9 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
 
     Every optimal merged edge into an end state has the least weight of
     the runs into it, so both tracebacks, which take the first optimal
-    slot in label order, take the kept run of some end state.
+    slot in label order, take the kept run of some end state.  The
+    incoming stack holds the same runs per end state, (start, weight)
+    with starts ascending; its other slots start in S with weight 0.
     """
     H = poly_from_strings(h)
     tables = error_trellis._search_tables(H)
@@ -92,6 +95,7 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
     rows = brute_force_rows(H, tables)
     kept = [[collapse(edges) for edges in run] for run in rows]
     assert [[list(edges) for edges in run] for run in sec.out] == kept
+    src, src_weight = sec.incoming
     for key, run in enumerate(kept):
         for i, edges in enumerate(run):
             live = len(edges)
@@ -99,6 +103,11 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
             assert sec.weight[key, :live, i].tolist() == [w for _, _, w in edges]
             assert sec.label[key, :live, i].tolist() == [label for label, _, _ in edges]
             assert (sec.dst[key, live:, i] == S).all()
+        for end in range(S + 1):
+            into = [(start, w) for start, edges in enumerate(run) for _, dst, w in edges if dst == end]
+            live = len(into)
+            assert list(zip(src[key, :live, end].tolist(), src_weight[key, :live, end].tolist())) == into
+            assert (src[key, live:, end] == S).all() and (src_weight[key, live:, end] == 0).all()
     assert (sec.dst[:, :, S] == S).all()
     if h == DOUBLED_ROW_H:
         m, r = tables.m, H.rows
@@ -147,9 +156,9 @@ def test_decode_matches_per_subtrellis_reference(name):
     assert ties, f"expected a tie among {words} random words"
 
 
-def low_noise_k7_words(count, seed, N=48, p=0.03):
-    """Oracle codewords of the K=7 code at length N, each bit flipped with probability p."""
-    g = coeffs_from_strings(K7_STRINGS[0])
+def low_noise_words(count, seed, N=48, p=0.03, strings=K7_STRINGS):
+    """Oracle codewords of a rate-1/2 code (the K=7 code by default) at length N, each bit flipped with probability p."""
+    g = coeffs_from_strings(strings[0])
     rng = np.random.default_rng(seed)
     words = []
     for _ in range(count):
@@ -161,7 +170,7 @@ def low_noise_k7_words(count, seed, N=48, p=0.03):
 
 def test_decode_matches_per_subtrellis_reference_on_low_noise_k7_words():
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
-    for z in low_noise_k7_words(4, 71):
+    for z in low_noise_words(4, 71):
         assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), z
 
 
@@ -203,62 +212,141 @@ def test_pruning_runs_on_the_codes_whose_all_anchor_pass_exceeds_the_budget():
     assert pruned == {"32-state", "k7"}
 
 
-def _recorded_columns(monkeypatch):
-    """A list to which the caller appends one list per decode; each min-plus pass adds its column count to the last.
+def _recorded_passes(monkeypatch):
+    """A list to which the caller appends one list per decode; each min-plus pass adds an entry to the last.
 
-    The bound pass runs on one flat cost row: one column.
+    A search pass adds its column count.  The two passes on one flat cost
+    row add "end" (the end-anywhere bound pass) and "start" (the
+    start-anywhere pass over the incoming stack).
     """
-    columns = []
-    real_min_plus = decoder._min_plus
+    passes = []
+    real_min_plus, real_start_anywhere = decoder._min_plus, decoder._start_anywhere
 
     def recording_min_plus(sections, end):
-        columns[-1].append(len(end) if end.ndim > 1 else 1)
+        passes[-1].append(len(end) if end.ndim > 1 else "end")
         return real_min_plus(sections, end)
 
+    def recording_start_anywhere(tables, at):
+        cost = real_start_anywhere(tables, at)
+        assert passes[-1][-1] == "end"
+        passes[-1][-1] = "start"
+        return cost
+
     monkeypatch.setattr(decoder, "_min_plus", recording_min_plus)
-    return columns
+    monkeypatch.setattr(decoder, "_start_anywhere", recording_start_anywhere)
+    return passes
 
 
 def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
-    """Columns per pass: a 1-column bound pass that mostly closes the word, else few anchors, sometimes a second set."""
-    columns = _recorded_columns(monkeypatch)
+    """Passes per word: a 1-column bound pass that mostly closes the word; else one 1-column start-anywhere pass that
+    often closes it, else one set of few anchors."""
+    passes = _recorded_passes(monkeypatch)
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     S = len(error_trellis._search_tables(H).states)
-    for z in low_noise_k7_words(200, 7):
-        columns.append([])
+    for z in low_noise_words(200, 7):
+        passes.append([])
         decode_tailbiting(G, H, z)
-    assert all(c[0] == 1 and len(c) <= 3 for c in columns)
-    assert sum(len(c) == 1 for c in columns) >= len(columns) * 3 / 4
-    searched = [sum(c[1:]) for c in columns]
-    assert max(searched) <= S and sum(searched) < len(columns) * S / 8
-    assert any(len(c) == 3 for c in columns)
+    assert all(c[0] == "end" for c in passes)
+    assert sum(len(c) == 1 for c in passes) >= len(passes) * 3 / 4
+    # every word that does not close on the first check runs one start-anywhere pass, then at most one search set
+    opened = [c[1:] for c in passes if len(c) > 1]
+    assert all(c[0] == "start" and len(c) <= 2 and all(isinstance(k, int) for k in c[1:]) for c in opened)
+    assert any(len(c) == 1 for c in opened) and any(len(c) == 2 for c in opened)
+    searched = [sum(c[1:]) for c in opened]
+    assert max(searched) <= S and sum(searched) < len(passes) / 8
     # a 4-state code searches every anchor in one pass, without a bound pass
     G, H = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
-    columns.clear()
+    passes.clear()
     for z in ([(1, 0, 1)] * 5, [(0, 1, 1)] * 16):
-        columns.append([])
+        passes.append([])
         decode_tailbiting(G, H, z)
-    assert columns == [[4], [4]]
+    assert passes == [[4], [4]]
 
 
 def test_every_outcome_of_the_bound_pass_matches_the_reference(monkeypatch):
-    """The walk from the one least-bound anchor closes on it; it does not; several anchors share the least bound."""
-    columns = _recorded_columns(monkeypatch)
+    """The walk from the one least-bound anchor closes on it; it closes on the one anchor of least two-sided bound;
+    neither closes and one anchor has the least two-sided bound; several anchors share it."""
+    passes = _recorded_passes(monkeypatch)
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     outcomes = Counter()
-    for z in low_noise_k7_words(24, 37, N=12, p=0.1):
-        columns.append([])
+    for z in low_noise_words(24, 37, N=12, p=0.1):
+        passes.append([])
         assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), z
-        c = columns[-1]
-        outcomes["closed" if len(c) == 1 else "open" if c[1] == 1 else "shared"] += 1
-    assert min(outcomes[k] for k in ("closed", "open", "shared")) >= 1, outcomes
+        c = passes[-1]
+        if len(c) < 3:
+            outcomes[["closed", "closed on the second check"][len(c) - 1]] += 1
+        else:
+            outcomes["open" if c[2] == 1 else "shared"] += 1
+    assert min(outcomes[k] for k in ("closed", "closed on the second check", "open", "shared")) >= 1, outcomes
 
 
-def test_pruned_search_equals_the_search_of_every_anchor(monkeypatch):
-    G, H = (poly_from_strings(s) for s in K7_STRINGS)
+def test_a_k7_word_that_closes_on_the_second_check_decodes_to_its_golden_line(monkeypatch, capsys):
+    """The CLI line of a 48-symbol low-noise K=7 word whose bound pass does not close, but whose start-anywhere pass
+    leaves one anchor of least bound, on which the walk closes; CI diffs the installed package against it."""
+    passes = _recorded_passes(monkeypatch)
+    golden = Path(__file__).parent / "golden"
+    received = (golden / "decode_k7_received.txt").read_text().strip()
+    code = str(Path(__file__).parent.parent / "perfbench" / "codes" / "k7.json")
+    passes.append([])
+    assert main(["decode", "--code", code, "--received", received]) == 0
+    assert capsys.readouterr().out == (golden / "decode_k7.txt").read_text()
+    assert passes == [["end", "start"]]
+
+
+# the codes that prune, with p = 0.03, p = 0.06 and uniform words (p = 0.5)
+PRUNED = ["k7", "32-state"]
+NOISE = [0.03, 0.06, 0.5]
+
+
+def _captured_words(monkeypatch, name, lengths, count):
+    """Per word decoded at each length and noise level: the tables, anchor states and step keys ``_search_word`` got."""
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    captured, real_search_word = [], decoder._search_word
+
+    def capturing_search_word(tables, betas, rows, keys):
+        captured.append((tables, rows, np.array(keys)))
+        return real_search_word(tables, betas, rows, keys)
+
+    monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
+    for i, (N, p) in enumerate(product(lengths, NOISE)):
+        for z in low_noise_words(count, 97 + i, N=N, p=p, strings=(g, h)):
+            decode_tailbiting(G, H, z)
+    monkeypatch.undo()
+    return captured
+
+
+def start_bound_misses(tables, rows, at):
+    """Anchors whose start-anywhere bound differs from the least cut-0 cost, over start states, of their column of an
+    all-anchor pass."""
+    S = len(tables.states)
+    sections = tables.sections.dst.take(at, axis=0), tables.sections.weight.take(at, axis=0)
+    every = decoder._min_plus(sections, decoder._ends(S).take(rows, axis=0))[0, :, :S].min(axis=1)
+    return np.flatnonzero(decoder._start_anywhere(tables, at)[0].take(rows) != every)
+
+
+@pytest.mark.parametrize("name", PRUNED)
+def test_start_anywhere_bound_is_the_least_cost_into_each_anchor(monkeypatch, name):
+    """Lengths M, M + 1, 12 and 48; an incoming stack missing its last slot fails the same check."""
+    M = poly_from_strings(CODES[name][0][1]).deg
+    captured = _captured_words(monkeypatch, name, [M, M + 1, 12, 48], 4)
+    assert all(not len(start_bound_misses(*word)) for word in captured)
+    tables = captured[0][0]
+    assert tables.prune
+    incoming = tables.sections.incoming
+    short = tables._replace(sections=tables.sections._replace(incoming=tuple(a[:, :-1] for a in incoming)))
+    assert any(len(start_bound_misses(short, rows, at)) for _, rows, at in captured)
+
+
+@pytest.mark.parametrize("name", PRUNED)
+def test_pruned_search_equals_the_search_of_every_anchor(monkeypatch, name):
+    """Low-noise words at p = 0.03 and 0.06 at N = 48, and uniform words at short lengths and at 48."""
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
     rng = np.random.default_rng(29)
-    uniform = [[tuple(int(b) for b in rng.integers(0, 2, 2)) for _ in range(N)] for N in [6, 7, 8, 48] * 10]
-    words = low_noise_k7_words(100, 13) + uniform
+    M = H.deg
+    uniform = [[tuple(int(b) for b in rng.integers(0, 2, 2)) for _ in range(N)] for N in [M, M + 1, M + 2, 48] * 10]
+    words = low_noise_words(100, 13, strings=(g, h)) + low_noise_words(60, 19, p=0.06, strings=(g, h)) + uniform
     pruned = [decode_tailbiting(G, H, z) for z in words]
     tables = error_trellis._search_tables(H)
     assert tables.prune

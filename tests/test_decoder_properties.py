@@ -4,7 +4,9 @@ A rate-1/2 pair is G = [h2, h1], H = [h1, h2] with polynomials of degree
 at most 4, so G(D) H(D)^T = h2 h1 + h1 h2 = 0.  Pairs whose encoder states
 collide on one error-subtrellis anchor are dropped.  A rate-k/(k+1) pair,
 k = 1, 2, 3, is H = [h_1 ... h_n] with G rows g_j = h_j e_1 + h_1 e_j;
-where its states collide, the CLI must fail with one error line.
+where its states collide, the CLI must fail with one error line.  Decoding
+commutes with time reversal: the reversed word under the reciprocal pair
+has the same weight and ``tie``.
 Hypothesis runs derandomized, so the examples are the same in every run.
 """
 
@@ -24,6 +26,7 @@ from tbtrellis.cli import main
 from tbtrellis.error_trellis import TABLE_BUDGET, _search_tables
 
 from oracle import circ_encode, coeffs_from_strings, flat, tailbiting_codebook
+from test_decoder_contract import CODES
 
 # nonzero polynomials of degree <= 4, bit i the coefficient of D^i
 POLYNOMIAL = st.integers(1, 31)
@@ -161,3 +164,34 @@ def test_memoryless_pairs_merge_within_the_label_space_and_decode_to_a_nearest_c
         codebook = tailbiting_codebook(g, N, k)
         for z, res in zip(words, results):
             check_nearest(codebook, z, res)
+
+
+@st.composite
+def code_and_word(draw):
+    """A pair of ``CODES`` and a word of N symbols, M <= N <= M + 5 and N <= 12."""
+    name = draw(st.sampled_from(sorted(CODES)))
+    (g_strings, h_strings), _ = CODES[name]
+    G, H = poly_from_strings(g_strings), poly_from_strings(h_strings)
+    low = max(H.deg, 1)
+    g = coeffs_from_strings(g_strings)
+    return G, H, g, draw_word(draw, g, 1, draw(st.integers(low, min(low + 5, 12))))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(code_and_word())
+def test_decoding_commutes_with_reversal(case):
+    """The reversed word under (G~, H~) decodes to the same weight and ``tie``; a unique nearest codeword, reversed.
+
+    Inside one subtrellis each direction breaks a tie by its own
+    lexicographic order, so the codewords are compared only where the
+    exhaustive codebook holds one nearest codeword.
+    """
+    G, H, g, z = case
+    res = decode_tailbiting(G, H, z)
+    back = decode_tailbiting(G.reciprocal(), H.reciprocal(), z[::-1])
+    assert (back.weight, back.tie) == (res.weight, res.tie)
+    n, N = H.cols, len(z)
+    distances = (tailbiting_codebook(g, N, 1) != np.array(flat(z), dtype=np.uint8)).sum(axis=1)
+    if (distances == res.weight).sum() == 1:
+        symbols = [res.codeword[n * t : n * t + n] for t in range(N)]
+        assert back.codeword == flat(symbols[::-1])
