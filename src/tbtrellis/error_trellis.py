@@ -30,9 +30,11 @@ transitions that emit zeta: ``error_trellis_module`` groups
 encoder's.  The decoder's merged m-section tables hold, of the m-step
 syndrome-former paths that emit a run of m syndromes, the lightest from
 each state to each end state: ``_search_tables`` enumerates those paths
-once per H with numpy, keeps one per start and end state and buckets
-them by the integer their syndromes form, read out of each start state
-and, in an incoming stack, into each end state.
+once per H with numpy and keeps one per start and end state.  The kept
+paths of runs of m and of single symbols form one list of merged edges,
+keyed by the integer their syndromes form, which is scattered once into
+every table: out of each start state and, in an incoming stack, into
+each end state.
 """
 
 from __future__ import annotations
@@ -197,32 +199,12 @@ class SearchTables(NamedTuple):
     block: int
 
 
-def _section(dst, label):
-    """The SearchSection of a (dst, label) stack; a label's weight is its popcount."""
-    S = dst.shape[1] - 1
-    weight = np.bitwise_count(label).astype(np.int32)
-    rows = zip(label[:, :S].tolist(), dst[:, :S].tolist(), weight[:, :S].tolist())
-    out = tuple(tuple(tuple(edge for edge in zip(*row) if edge[1] != S) for row in zip(*run)) for run in rows)
-    incoming = _incoming(dst, weight)
-    dst, weight, label = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (dst, weight, label))
-    return SearchSection(dst, weight, label, out, incoming)
-
-
-def _incoming(dst, weight):
-    """The incoming stack of a (keys x states + 1 x slots) stack of end states and weights."""
-    S = dst.shape[1] - 1
-    # the live edges come by key, then start state; sorted stably by (key, end state), an edge's rank in its
-    # group is its incoming slot
-    key, start, slot = np.nonzero(dst[:, :S] != S)
-    group = key * S + dst[key, start, slot]
+def _rank(group):
+    """Each entry's rank among the earlier entries of its group."""
     order = group.argsort(kind="stable")
-    group = group[order]
-    rank = np.arange(group.size) - np.searchsorted(group, group)
-    src = np.full((len(dst), rank.max() + 1, S + 1), S, dtype=np.intp)
-    src_weight = np.zeros(src.shape, dtype=np.int32)
-    at = key[order], rank, group % S
-    src[at], src_weight[at] = start[order], weight[key, start, slot][order]
-    return src, src_weight
+    rank = np.empty_like(group)
+    rank[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
+    return rank
 
 
 def _paths(sf, j):
@@ -231,10 +213,9 @@ def _paths(sf, j):
     Inputs are enumerated in ascending order, so path p's label is p, the
     integer of its j input symbols, and its key the integer of its j
     syndrome symbols.  Of the paths with one start, key and end state the
-    lightest, then the one of smallest label, is kept: its slot is its
-    rank in label order among the kept paths with that start and key.
-    Returns the kept paths' start indices, keys, end states, labels and
-    slots, the paths of each start in label order.
+    lightest, then the one of smallest label, is kept.  Returns the kept
+    paths' start indices, keys, end states and labels, in start, then
+    label order.
     """
     S, P = len(sf.states), len(sf.tables[1]) ** j
     x, key = np.array(sf.states)[:, None], np.zeros((S, 1), dtype=np.intp)
@@ -242,18 +223,12 @@ def _paths(sf, j):
         v = (sf.tables[0][x][..., None] ^ sf.tables[1]).reshape(S, -1)
         x, key = v >> sf.out_bits, np.repeat(key << sf.out_bits, len(sf.tables[1]), axis=1) | v & sf.out_mask
     label = np.arange(S * P) % P
-    group = (key + (np.arange(S)[:, None] << sf.out_bits * j)).ravel()
-    edge = group << sf.state_bits | x.ravel()
-    # sorted stably by (start, key, end state), then weight, each merged edge's kept path comes first:
-    # a start's paths are in label order
+    edge = (key + (np.arange(S)[:, None] << sf.out_bits * j)).ravel() << sf.state_bits | x.ravel()
+    # sorted stably by (start, key, end state), then weight, each merged edge's kept path comes first
     order = (edge * (sf.in_bits * j + 1) + np.bitwise_count(label)).argsort(kind="stable")
     first = np.append(True, edge[order[1:]] != edge[order[:-1]])
     keep = np.flatnonzero(np.bincount(order[first], minlength=len(edge)))
-    group = group[keep]
-    order = group.argsort(kind="stable")
-    slot = np.empty_like(group)
-    slot[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
-    return keep // P, key.ravel()[keep], x.ravel()[keep], label[keep], slot
+    return keep // P, key.ravel()[keep], x.ravel()[keep], label[keep]
 
 
 @lru_cache(maxsize=None)
@@ -263,9 +238,11 @@ def _search_tables(H):
     Built once per H with numpy: m is the largest run for which both the
     tables over all 2^(r*m) runs, emitted or not, with min(degree^m, S)
     slots per state, and the 2^(n*m) labels of a run fit
-    ``TABLE_BUDGET``; the m-step paths' tables are stacked above the
-    single steps'.  A merged edge's slot is its path's rank in label
-    order among the kept paths.
+    ``TABLE_BUDGET``.  The kept paths of runs of m and of single symbols,
+    the latter's keys from 2^(r*m) on, form one list of merged edges,
+    scattered once into every table.  An edge's out-slot is its rank in
+    label order among the edges of its key and start, its in-slot its
+    rank in start order among those of its key and end state.
     """
     sf = syndrome_former(H)
     S = len(sf.states)
@@ -277,17 +254,26 @@ def _search_tables(H):
     # the tables of a run of m + 1 symbols and its labels
     while max(2 ** (sf.out_bits * (m + 1)) * S * min(degree ** (m + 1), S), 2 ** (sf.in_bits * (m + 1))) <= TABLE_BUDGET:
         m += 1
-    runs, single = _paths(sf, m), _paths(sf, 1)
-    slots = int(max(runs[-1].max(), single[-1].max())) + 1
     first = 1 << sf.out_bits * m
-    dst = np.full((first + 2**sf.out_bits, S + 1, slots), S, dtype=np.intp)
-    label = np.zeros_like(dst)
-    for base, (start, key, x, path, slot) in ((0, runs), (first, single)):
-        dst[base + key, start, slot] = index[x]
-        label[base + key, start, slot] = path
-    per_word = S * S * slots
+    runs, single = _paths(sf, m), _paths(sf, 1)
+    start, key, end, path = (np.concatenate(parts) for parts in zip(runs, single))
+    key[len(runs[0]) :] += first
+    end, weight = index[end], np.bitwise_count(path).astype(np.int32)
+    slot, in_slot = _rank(key * S + start), _rank(key * S + end)
+    shape = (first + 2**sf.out_bits, int(slot.max()) + 1, S + 1)
+    at, into = (key, slot, start), (key, in_slot, end)
+    dst, weights, label = np.full(shape, S, dtype=np.intp), np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=np.intp)
+    dst[at], weights[at], label[at] = end, weight, path
+    src = np.full((shape[0], in_slot.max() + 1, S + 1), S, dtype=np.intp)
+    src_weight = np.zeros(src.shape, dtype=np.int32)
+    src[into], src_weight[into] = start, weight
+    out = [[[] for _ in range(S)] for _ in range(shape[0])]
+    for k, s, edge in zip(key.tolist(), start.tolist(), zip(path.tolist(), end.tolist(), weight.tolist())):
+        out[k][s].append(edge)
+    per_word = S * S * shape[1]
     prune = per_word > TABLE_BUDGET
-    return SearchTables(states, index, m, _section(dst, label), prune, 1 if prune else BLOCK_BUDGET // per_word)
+    sections = SearchSection(dst, weights, label, out, (src, src_weight))
+    return SearchTables(states, index, m, sections, prune, 1 if prune else BLOCK_BUDGET // per_word)
 
 
 @lru_cache(maxsize=None)

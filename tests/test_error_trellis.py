@@ -24,7 +24,7 @@ from tbtrellis import (
     sigma_fin,
     tailbiting_syndromes,
 )
-from tbtrellis.trellis import Edge
+from tbtrellis.trellis import Edge, _label_bits
 
 from oracle import all_tailbiting, flat
 
@@ -192,16 +192,36 @@ def test_backward_error_anchor_values(G1, H1):
     assert backward_error_anchor((1, 1), (0, 0), G1, H1) == (0, 1)
 
 
-def test_backward_paths_are_reversed_forward_paths(G1, H1, received):
-    fin = sigma_fin(H1, received)
-    fin_t = backward_sigma_fin(H1, received)
-    Tf = build_tailbiting_error_trellis(H1, received)
-    Tb = build_backward_error_trellis(H1, received)
-    for beta in enc_state_space(G1):
-        fwd = {p[0] for p in enumerate_paths(Tf, error_anchor(beta, fin, G1, H1))}
-        bwd = {p[0] for p in enumerate_paths(Tb, backward_error_anchor(beta, fin_t, G1, H1))}
-        assert fwd == {tuple(reversed(labels)) for labels in bwd}
-        assert len(fwd) == 8
+def _label_rows(bits, n, step=1):
+    """The label sequences of (paths x N*n) label bits as bytes, their N symbols in ``step`` order: -1 reverses them."""
+    return {row.tobytes() for row in bits.reshape(len(bits), bits.shape[1] // n, n)[:, ::step].copy()}
+
+
+@pytest.mark.parametrize("code", ["reference-word", *CODES])
+def test_backward_paths_are_reversed_forward_paths(code, G1, H1, received):
+    """Per beta, the backward subtrellis at ``backward_error_anchor`` holds the forward one's label sequences, reversed.
+
+    The reference word has 8 in each subtrellis; each pair of ``CODES``
+    reads seeded random words of M, M + 1 and M + 2 symbols.
+    """
+    if code == "reference-word":
+        cases = [(G1, H1, received)]
+    else:
+        (g, h), _ = CODES[code]
+        G, H = poly_from_strings(g), poly_from_strings(h)
+        rng = np.random.default_rng(31)
+        cases = [(G, H, _rand_word(rng, N, H.cols)) for N in range(H.deg, H.deg + 3) for _ in range(2)]
+    sizes = []
+    for G, H, z in cases:
+        fin, fin_t = sigma_fin(H, z), backward_sigma_fin(H, z)
+        Tf, Tb = build_tailbiting_error_trellis(H, z), build_backward_error_trellis(H, z)
+        for beta in enc_state_space(G):
+            fwd = _label_rows(_label_bits(Tf, error_anchor(beta, fin, G, H)), H.cols)
+            bwd = _label_rows(_label_bits(Tb, backward_error_anchor(beta, fin_t, G, H)), H.cols, -1)
+            assert fwd == bwd
+            sizes.append(len(fwd))
+    if code == "reference-word":
+        assert sizes == [8] * 4
 
 
 def test_circular_state_is_fixed_point(H1, H2):
