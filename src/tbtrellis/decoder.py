@@ -34,8 +34,9 @@ are read by ``LinearMachine.word`` (tuples looked up one by one, an
 array word packed at once, the first bad symbol named), the syndrome
 former's one-word circular run (``LinearMachine.circular_word``, one
 fold) gives sigma_fin and the syndromes, one pass over its steps packs
-each step's key and received bits, and two takes from the stack give
-the word's (steps x edges x states + 1) tables.  Its bound pass carries
+each step's key and received bits, and, on a code without a metric
+automaton (below), two takes from the stack give the word's
+(steps x edges x states + 1) tables.  Its bound pass carries
 one flat cost row per cut.  A block of several words gets its sigma_fin
 and syndromes from one ``LinearMachine.circular`` of the block.
 
@@ -62,6 +63,29 @@ searched, giving weight w, then every other anchor with ``lb <= w``; an
 anchor left out has ``lb > w``, so it can neither win nor tie.  Where
 pruning does not pay, all anchors are searched in one pass.
 
+A block of one word of a code that is not pruned runs no pass at all:
+it walks the code's metric automaton (``_automaton``).  With hard
+decisions a backward pass only ever reaches a few normalized cost
+columns, a column less its least entry below ``_UNREACHED`` with its
+unreached entries held there, and the normalized column at a cut follows
+from the one at the next cut and the step's key alone.  So the columns
+form a finite automaton, the metric-state chain of Viterbi decoding
+(Best, Burnashev, Levy, Rabinovich, Fishburn, Calderbank and Costello,
+IEEE Trans. Inf. Theory 1995).  It is built once per H with numpy,
+breadth first from the S anchor columns under every single symbol; a
+run of m symbols steps as its symbols do, the last first, so the stack's
+keys reach no other column.  Each anchor walks its word's keys backward,
+one list lookup per step, and weighs its last column's entry at the
+anchor plus the offsets it subtracted: min(w + c - k) = min(w + c) - k,
+so the weights, ``tie``, the anchors and the smallest optimal error are
+those of the pass.  Per column, key and state the automaton also keeps
+the slot of the first edge, in label order, that a traceback takes into
+the column, so each anchor of least weight is traced forward with one
+lookup per step.  Where the columns would hold more than
+``TABLE_BUDGET`` entries (columns x (states + 1)), as on the 16-state
+code, there is no automaton and the one-word pass runs; the reference
+code has 24 columns.
+
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the backward pass and the forward walk that every
 subtrellis query in ``trellis`` shares.
@@ -79,8 +103,9 @@ There are two tracebacks with this one rule.  A block of several words
 one gather per step; a sort of the walks' label rows picks each word's
 winner, and the error and codeword bits of the whole block are unpacked
 at once.  A block of one word walks each pair in Python over the
-tables' edge lists: the array walk's fixed numpy calls cost more than
-one word's walk, which is a few list lookups per step.
+tables' edge lists (an automaton walk reads each step's edge from its
+slots): the array walk's fixed numpy calls cost more than one word's
+walk, which is a few list lookups per step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
@@ -101,7 +126,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .codespec import check_matrices
-from .error_trellis import _check_length, _search_tables
+from .error_trellis import TABLE_BUDGET, _check_length, _search_tables
 from .gf2 import format_bits, format_state
 from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
@@ -201,6 +226,73 @@ def _ends(S):
     np.fill_diagonal(ends[:S], 0)
     ends[S, :S] = 0
     return ends
+
+
+class _Automaton(NamedTuple):
+    """The normalized cost columns one H's backward passes reach from its anchors, and the steps between them.
+
+    ``columns`` (columns x states + 1, an int32 memoryview) holds the
+    columns, the first S the anchor columns of ``_ends``, in state order.
+    One min-plus step of column c under ``key`` is column ``nxt[c][key]``
+    plus ``low[c][key]`` at every entry below ``_UNREACHED``.  Into column
+    c under ``key``, a state below S on a lightest path leaves by the
+    merged edge in slot ``slots[c][key * S + state]``: the first, in label
+    order, of least weight plus c's entry at its end state, which is the
+    edge a traceback takes.
+    """
+
+    columns: memoryview
+    nxt: list
+    low: list
+    slots: list
+
+
+@lru_cache(maxsize=None)
+def _automaton(H):
+    """The ``_Automaton`` of H's all-anchor search, or None where the code prunes or its columns exceed ``TABLE_BUDGET``.
+
+    Built once, breadth first from the anchor columns: each round is one
+    ``_min_plus`` step of every new column under every single symbol,
+    normalized by its least entry below ``_UNREACHED``, with unreached
+    entries held at ``_UNREACHED``.  A run's merged edges are its lightest
+    paths, so its step is its symbols' steps, the last symbol first, and
+    reaches no other column.
+    """
+    tables = _search_tables(H)
+    if tables.prune:
+        return None
+    S, sec, r, m = len(tables.states), tables.sections, H.rows, tables.m
+    columns = _ends(S)[:S].tolist()
+    # the single symbols' keys, 2^(r*m) on, stepped at once on a row holding one copy of the column per symbol
+    first, symbols = 1 << r * m, 1 << r
+    dst = sec.dst[first:] + np.arange(symbols)[:, None, None] * (S + 1)
+    step = tuple(a.transpose(1, 0, 2).reshape(1, a.shape[1], -1) for a in (dst, sec.weight[first:]))
+    seen, done, nxt, low = {tuple(c): i for i, c in enumerate(columns)}, 0, [], []
+    while done < len(columns):
+        if len(columns) * (S + 1) > TABLE_BUDGET:
+            return None
+        new, done = np.array(columns[done:], dtype=np.int32), len(columns)
+        cost = _min_plus(step, np.tile(new, symbols))[0].reshape(-1, S + 1)
+        least = cost.min(axis=1, keepdims=True)
+        least[least >= _UNREACHED] = 0
+        low += least.ravel().tolist()
+        for column in np.where(cost < _UNREACHED, cost - least, _UNREACHED).tolist():
+            nxt.append(seen.setdefault(tuple(column), len(seen)))
+            if len(seen) > len(columns):
+                columns.append(column)
+    table, (nxt, low) = np.array(columns, dtype=np.int32), (np.reshape(a, (-1, symbols)) for a in (nxt, low))
+    # a run's key holds its last symbol in the low r bits
+    at, gain, run = np.arange(len(table))[:, None], 0, np.arange(first)
+    for p in range(m):
+        z = run >> r * p & symbols - 1
+        at, gain = nxt[at, z], gain + low[at, z]
+    # each state's slots last, so the traceback's slot is an argmin over the last axis; a slot is below S < 64
+    dst, weight = (a[:, :, :S].transpose(0, 2, 1).ravel() for a in (sec.dst, sec.weight))
+    via = table.take(dst, axis=1)
+    via += weight
+    slots = via.reshape(len(table), -1, sec.dst.shape[1]).argmin(axis=-1).astype(np.uint8)
+    moves = (np.hstack(a).tolist() for a in ((at, nxt), (gain, low)))
+    return _Automaton(memoryview(table), *moves, list(map(bytes, slots)))
 
 
 @lru_cache(maxsize=None)
@@ -387,7 +479,7 @@ def _decode_word(G, H, es):
         zs.append(z)
     keys += [(1 << r * m) + zeta for zeta in zetas[cut:]]
     zs += es[cut:]
-    w, ties, labels, sigma, beta = _search_word(tables, betas, tables.index.take(fin ^ duals), keys)
+    w, ties, labels, sigma, beta = _search_word(tables, betas, tables.index.take(fin ^ duals), keys, _automaton(H))
     bits = _label_tuples(H, N)
     codeword = tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, zs))))
     return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
@@ -428,17 +520,22 @@ def _decode_block(tables, block, rows, keys, step, shift, n):
     return _Block(codeword, error, w, anchor[win], walk[-1, win], ties)
 
 
-def _search_word(tables, betas, rows, keys):
+def _search_word(tables, betas, rows, keys, automaton):
     """One word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
 
     ``rows`` holds its anchor states and ``keys`` its steps' keys, which
     take its steps' (edges x states + 1) end states and weights from the
-    stack.
+    stack.  Where the code has an ``automaton``, every anchor is searched
+    by walks over it instead.
     """
+    states = rows.tolist()
+    outs = [tables.sections.out[k] for k in keys]
+    if automaton is not None:
+        return _walks(automaton, tables, betas, states, outs, keys)
     at, sec = np.array(keys), tables.sections
     sections = sec.dst.take(at, axis=0), sec.weight.take(at, axis=0)
     ends = _ends(len(tables.states))
-    states, passes = rows.tolist(), []
+    passes = []
 
     def search(anchors):
         end = rows.take(anchors)
@@ -447,7 +544,6 @@ def _search_word(tables, betas, rows, keys):
         passes.append((cost, anchors.tolist(), weight))
         return min(weight)
 
-    outs = [tables.sections.out[k] for k in keys]
     if tables.prune:
         bound = _min_plus(sections, ends[-1])
         # a walk reads about two entries per cut, fewer than converting the table costs
@@ -471,18 +567,59 @@ def _search_word(tables, betas, rows, keys):
         # no anchor whose bound exceeds w can reach w
         rest = np.flatnonzero(~least & (lb <= w))
         if len(rest):
-            w = min(w, search(rest))
+            search(rest)
     else:
-        w = search(np.arange(len(states)))
+        search(np.arange(len(states)))
+    w = min(min(weight) for _, _, weight in passes)
+    walks = (
+        (a, _traceback(outs, memoryview(cost[:, j]), states[a])[0])
+        for cost, anchors, weight in passes
+        for j, a in enumerate(anchors)
+        if weight[j] == w
+    )
+    return _least(tables, betas, states, w, walks)
+
+
+def _walks(automaton, tables, betas, states, outs, keys):
+    """``_search_word`` of a word on a code with an ``automaton``: every anchor walks over it.
+
+    Each anchor's column steps back from cut N, one lookup per step; its
+    weight is its last column's entry at the anchor state plus the summed
+    offsets, since min(w + c - k) = min(w + c) - k.  Each anchor of least
+    weight is traced forward over the columns it passed, one slot lookup
+    per step.
+    """
+    columns, nxt, low, slots = automaton
+    back, weight, passed = keys[::-1], [], []
+    for s in states:
+        c, k, cols = s, 0, []
+        for key in back:
+            cols.append(c)
+            c, k = nxt[c][key], k + low[c][key]
+        weight.append(columns[c, s] + k)
+        passed.append(cols[::-1])
+    w = min(weight)
+
+    def walk(a):
+        labels, s, S = [], states[a], len(tables.states)
+        for out, key, c in zip(outs, keys, passed[a]):
+            label, s, _ = out[s][slots[c][key * S + s]]
+            labels.append(label)
+        return a, labels
+
+    return _least(tables, betas, states, w, (walk(a) for a, x in enumerate(weight) if x == w))
+
+
+def _least(tables, betas, states, w, walks):
+    """(w, ties, labels, anchor sigma, anchor beta) of a word of least weight w: of its ``walks``, the smallest.
+
+    ``walks`` gives (anchor, labels) for each anchor reaching w; the
+    smallest (labels, sigma, beta) wins.
+    """
     if w >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    best, ties = None, 0
-    for cost, anchors, weight in passes:
-        for j in (j for j, x in enumerate(weight) if x == w):
-            state = states[anchors[j]]
-            found = _traceback(outs, memoryview(cost[:, j]), state)[0], tables.states[state], betas[anchors[j]]
-            best, ties = found if best is None else min(best, found), ties + 1
-    return (w, ties, *best)
+    found = [(labels, tables.states[states[a]], betas[a]) for a, labels in walks]
+    return (w, len(found), *min(found))
 
 
 def format_result(res, n):

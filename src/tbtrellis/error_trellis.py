@@ -138,6 +138,24 @@ TABLE_BUDGET = 1 << 12
 BLOCK_BUDGET = 1 << 15
 
 
+class _EdgeRows(dict):
+    """Per stack key, each state's merged edges in label order as (label, end state index, weight).
+
+    A key's rows are read out of the tables on its first lookup: only
+    one-word decodes read them, and a word only its own keys.
+    """
+
+    def __init__(self, dst, weight, label):
+        super().__init__()
+        self.tables = dst, weight, label
+
+    def __missing__(self, key):
+        dst, weight, label = (a[key, :, :-1].T.tolist() for a in self.tables)
+        S = len(dst)
+        self[key] = rows = [[e for e in zip(*edges) if e[1] < S] for edges in zip(label, dst, weight)]
+        return rows
+
+
 class SearchSection(NamedTuple):
     """The merged modules of runs of syndrome symbols, over dense state indices.
 
@@ -161,8 +179,9 @@ class SearchSection(NamedTuple):
     ``label`` (the same shape) gives each merged edge's label, the integer
     of its concatenated error symbols, the first symbol most significant.
     ``out`` lists, per key and state below S, its edges in label order as
-    (label, end state index, weight).  ``incoming`` is the same edges
-    read the other way: per key and end state, the merged edges that
+    (label, end state index, weight), read out of ``dst``, ``weight`` and
+    ``label`` when the key is first looked up.  ``incoming`` is the same
+    edges read the other way: per key and end state, the merged edges that
     arrive there, as (start states, weights), each (keys x in-slots x
     states + 1), start states ascending.  It runs the backward min-plus
     kernel forward, in reversed step order, so a pass from every state
@@ -174,7 +193,7 @@ class SearchSection(NamedTuple):
     dst: np.ndarray
     weight: np.ndarray
     label: np.ndarray
-    out: tuple
+    out: _EdgeRows
     incoming: tuple
 
 
@@ -267,12 +286,9 @@ def _search_tables(H):
     src = np.full((shape[0], in_slot.max() + 1, S + 1), S, dtype=np.intp)
     src_weight = np.zeros(src.shape, dtype=np.int32)
     src[into], src_weight[into] = start, weight
-    out = [[[] for _ in range(S)] for _ in range(shape[0])]
-    for k, s, edge in zip(key.tolist(), start.tolist(), zip(path.tolist(), end.tolist(), weight.tolist())):
-        out[k][s].append(edge)
     per_word = S * S * shape[1]
     prune = per_word > TABLE_BUDGET
-    sections = SearchSection(dst, weights, label, out, (src, src_weight))
+    sections = SearchSection(dst, weights, label, _EdgeRows(dst, weights, label), (src, src_weight))
     return SearchTables(states, index, m, sections, prune, 1 if prune else BLOCK_BUDGET // per_word)
 
 

@@ -57,7 +57,7 @@ def brute_force_rows(H, tables):
     ``sf_run`` from every state, in ascending label order.
     """
     r, n, states = H.rows, H.cols, tables.states
-    rows = [[[] for _ in states] for _ in tables.sections.out]
+    rows = [[[] for _ in states] for _ in tables.sections.dst]
     for j, first in ((tables.m, 0), (1, 1 << r * tables.m)):
         for label, bits in enumerate(product((0, 1), repeat=n * j)):
             for i, state in enumerate(states):
@@ -94,7 +94,8 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
     sec, S = tables.sections, len(tables.states)
     rows = brute_force_rows(H, tables)
     kept = [[collapse(edges) for edges in run] for run in rows]
-    assert [[list(edges) for edges in run] for run in sec.out] == kept
+    # a key's rows are read from the tables on its first lookup
+    assert [sec.out[key] for key in range(len(sec.dst))] == kept
     src, src_weight = sec.incoming
     for key, run in enumerate(kept):
         for i, edges in enumerate(run):
@@ -254,13 +255,16 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     assert any(len(c) == 1 for c in opened) and any(len(c) == 2 for c in opened)
     searched = [sum(c[1:]) for c in opened]
     assert max(searched) <= S and sum(searched) < len(passes) / 8
-    # a 4-state code searches every anchor in one pass, without a bound pass
+    # a 4-state code searches every anchor by walks over its automaton, with no min-plus pass; the automaton's
+    # build, once per H, runs min-plus steps of its own
     G, H = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
+    passes.append([])
+    assert decoder._automaton(H) is not None
     passes.clear()
     for z in ([(1, 0, 1)] * 5, [(0, 1, 1)] * 16):
         passes.append([])
         decode_tailbiting(G, H, z)
-    assert passes == [[4], [4]]
+    assert passes == [[], []]
 
 
 def test_every_outcome_of_the_bound_pass_matches_the_reference(monkeypatch):
@@ -293,6 +297,81 @@ def test_a_k7_word_that_closes_on_the_second_check_decodes_to_its_golden_line(mo
     assert passes == [["end", "start"]]
 
 
+def test_a_16_state_word_decodes_to_its_golden_line_in_one_all_anchor_pass(monkeypatch, capsys):
+    """The 16-state code has no automaton (over budget), so a one-word decode runs one min-plus pass over its 16
+    anchor columns; CI diffs the installed package's CLI line against the same golden."""
+    passes = _recorded_passes(monkeypatch)
+    golden = Path(__file__).parent / "golden"
+    received = (golden / "decode_16state_received.txt").read_text().strip()
+    passes.append([])
+    assert main(["decode", "--code", str(golden / "code_16state.json"), "--received", received]) == 0
+    assert capsys.readouterr().out == (golden / "decode_16state.txt").read_text()
+    assert passes == [[16]]
+
+
+# columns of each code's metric automaton; None where the code prunes (32-state, K=7) or its columns pass
+# TABLE_BUDGET entries (16-state)
+AUTOMATON_SIZES = {"ref": 24, "mem2": 45, "H0-zero": 10, "16-state": None, "k7": None, "32-state": None}
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypatch, name):
+    """Every (column, key) step is one ``_min_plus`` step of the column under that stack key, less its least entry
+    below ``_UNREACHED`` (the step's offset), unreached entries held at ``_UNREACHED``; the first S columns are the
+    anchor columns and the columns are distinct.  A state the step reaches leaves by the slot of its first edge, in
+    label order, whose weight plus the column's entry at its end is the step's entry there."""
+    H = poly_from_strings(CODES[name][0][1])
+    tables, automaton = error_trellis._search_tables(H), decoder._automaton(H)
+    S, sec = len(tables.states), tables.sections
+    if automaton is None:
+        assert AUTOMATON_SIZES[name] is None
+        assert tables.prune == (name != "16-state")
+        if not tables.prune:
+            # its S anchor columns fit the budget, so the breadth-first build stopped on more columns than fit
+            assert S * (S + 1) <= error_trellis.TABLE_BUDGET
+            rounds = []
+            real_min_plus = decoder._min_plus
+            monkeypatch.setattr(decoder, "_min_plus", lambda *a: rounds.append(len(a[1])) or real_min_plus(*a))
+            assert decoder._automaton.__wrapped__(H) is None
+            assert len(rounds) > 1 and sum(rounds) * (S + 1) <= error_trellis.TABLE_BUDGET
+        return
+    table = np.asarray(automaton.columns)
+    assert len(table) == AUTOMATON_SIZES[name]
+    assert (table[:S] == decoder._ends(S)[:S]).all()
+    assert len({tuple(row) for row in table.tolist()}) == len(table)
+    assert len(automaton.nxt) == len(automaton.low) == len(table)
+    for key in range(len(sec.dst)):
+        step = decoder._min_plus((sec.dst[key : key + 1], sec.weight[key : key + 1]), table)[0]
+        live = step < decoder._UNREACHED
+        least = np.where(live, step, decoder._UNREACHED).min(axis=1)
+        least[least >= decoder._UNREACHED] = 0
+        nxt = [row[key] for row in automaton.nxt]
+        assert [row[key] for row in automaton.low] == least.tolist(), key
+        assert (table[nxt] == np.where(live, step - least[:, None], decoder._UNREACHED)).all(), key
+        for c, (column, cost) in enumerate(zip(table.tolist(), step.tolist())):
+            for i, edges in enumerate(sec.out[key]):
+                if cost[i] < decoder._UNREACHED:
+                    first = next(j for j, (_, dst, w) in enumerate(edges) if w + column[dst] == cost[i])
+                    assert automaton.slots[c][key * S + i] == first, (c, key, i)
+
+
+def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
+    """A tie-rich corpus decodes to the same ``DecodeResult``s by automaton walks as by the min-plus pass over all
+    anchors; ref, mem2 and H0-zero at N = M..M+8, seeded words."""
+    words = []
+    rng = np.random.default_rng(41)
+    for name in ("ref", "mem2", "H0-zero"):
+        (g, h), _ = CODES[name]
+        G, H = poly_from_strings(g), poly_from_strings(h)
+        assert decoder._automaton(H) is not None
+        for N in range(max(H.deg, 1), max(H.deg, 1) + 9):
+            words += [(G, H, [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]) for _ in range(40)]
+    walked = [decode_tailbiting(G, H, z) for G, H, z in words]
+    monkeypatch.setattr(decoder, "_automaton", lambda H: None)
+    assert [decode_tailbiting(G, H, z) for G, H, z in words] == walked
+    assert sum(res.tie for res in walked) > len(words) / 4
+
+
 # the codes that prune, with p = 0.03, p = 0.06 and uniform words (p = 0.5)
 PRUNED = ["k7", "32-state"]
 NOISE = [0.03, 0.06, 0.5]
@@ -304,9 +383,9 @@ def _captured_words(monkeypatch, name, lengths, count):
     G, H = poly_from_strings(g), poly_from_strings(h)
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, betas, rows, keys):
+    def capturing_search_word(tables, betas, rows, keys, automaton):
         captured.append((tables, rows, np.array(keys)))
-        return real_search_word(tables, betas, rows, keys)
+        return real_search_word(tables, betas, rows, keys, automaton)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     for i, (N, p) in enumerate(product(lengths, NOISE)):
@@ -376,7 +455,7 @@ def test_search_tables_size_m_from_every_syndrome_symbol():
     tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[1]["H"]))
     assert tables.m == 3
     assert tables.sections.dst.shape == (2**6 + 2**2, 2, 9)
-    assert sum(map(any, tables.sections.out[: 2**6])) == 32
+    assert sum(any(tables.sections.out[key]) for key in range(2**6)) == 32
     tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
     assert tables.m == 4
     assert tables.sections.dst.shape == (2**8 + 2**2, 1, 2)
