@@ -3,14 +3,17 @@
 Decoding a tailbiting received word is exact maximum-likelihood for the
 binary symmetric channel.  Code subtrellis beta corresponds to the error
 subtrellis anchored at sigma_fin + dual(beta), so all S anchors share one
-error trellis and are searched together, in backward min-plus passes
+error trellis and are searched together, in backward min-plus passes,
+or walks over the metric automaton below that take the same steps,
 over the merged tables of ``error_trellis._search_tables``: a table
 covers m consecutive sections with one merged edge per start and end
 state, the lightest (m fixed per H by ``TABLE_BUDGET``; the N mod m
 sections left over use the 1-section tables), so a pass makes
 floor(N/m) + N mod m steps.
 
-A block of words is decoded together.  A pass keeps, per step, an
+A block of words is decoded together.  On a code with no metric
+automaton (below) that does not prune, the 16-state code of the tests,
+a pass over a block of several words keeps, per step, an
 int32 (columns x words * (states + 1)) matrix of the weight still to go
 into each column's end states at cut N; a column belongs to one (word,
 anchor) pair, and every word of a block has as many.  Each step is three
@@ -21,11 +24,12 @@ keyed by the integer each step's syndromes form, picked for all steps
 and words of a block before the loop; each word's offset into the cost
 row is added in place to that copy.  Edges that die inside a merged
 section end in one extra, never reached state.  Where all anchors are
-searched in one pass, a block holds as many words as keep that pass
-within ``BLOCK_BUDGET`` entries per step (512 words of the reference
-code, whose 4 states keep 4 merged edges each).  A larger block spreads
-the fixed numpy cost of a step over more words; beyond a few hundred
-words it is no faster and takes more memory.
+searched at once, a block holds as many words as keep that pass
+within ``BLOCK_BUDGET`` entries per step (8 words of the 16-state
+code); the walks of an automaton code keep the same blocks (512 words
+of the reference code, whose 4 states keep 4 merged edges each).
+A larger block spreads the fixed numpy cost of a step over more words;
+beyond a few hundred words it is no faster and takes more memory.
 
 A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a
@@ -63,8 +67,8 @@ searched, giving weight w, then every other anchor with ``lb <= w``; an
 anchor left out has ``lb > w``, so it can neither win nor tie.  Where
 pruning does not pay, all anchors are searched in one pass.
 
-A block of one word of a code that is not pruned runs no pass at all:
-it walks the code's metric automaton (``_automaton``).  With hard
+A block of a code that is not pruned runs no pass at all where the code
+has a metric automaton (``_automaton``): its words walk it.  With hard
 decisions a backward pass only ever reaches a few normalized cost
 columns, a column less its least entry below ``_UNREACHED`` with its
 unreached entries held there, and the normalized column at a cut follows
@@ -74,17 +78,21 @@ form a finite automaton, the metric-state chain of Viterbi decoding
 IEEE Trans. Inf. Theory 1995).  It is built once per H with numpy,
 breadth first from the S anchor columns under every single symbol; a
 run of m symbols steps as its symbols do, the last first, so the stack's
-keys reach no other column.  Each anchor walks its word's keys backward,
-one list lookup per step, and weighs its last column's entry at the
+keys reach no other column.  In a one-word decode each anchor walks its
+word's keys backward, one list lookup per step, and weighs its last column's entry at the
 anchor plus the offsets it subtracted: min(w + c - k) = min(w + c) - k,
 so the weights, ``tie``, the anchors and the smallest optimal error are
 those of the pass.  Per column, key and state the automaton also keeps
 the slot of the first edge, in label order, that a traceback takes into
 the column, so each anchor of least weight is traced forward with one
-lookup per step.  Where the columns would hold more than
+lookup per step.  In a block of several words every (word, anchor)
+column walks back at once, one gather of the next columns and offsets
+per step keyed by the step's keys, each column starting at its anchor's
+own; every walk at its word's least weight then gathers its slot, label
+and end state per step.  Where the columns would hold more than
 ``TABLE_BUDGET`` entries (columns x (states + 1)), as on the 16-state
-code, there is no automaton and the one-word pass runs; the reference
-code has 24 columns.
+code, there is no automaton and the min-plus passes run, for one word
+and for blocks; the reference code has 24 columns.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the backward pass and the forward walk that every
@@ -93,19 +101,21 @@ subtrellis query in ``trellis`` shares.
 Ties inside a subtrellis resolve to the lexicographically smallest label
 sequence: from each anchor reaching the minimum, a forward walk takes the
 first merged edge, in concatenated-label order, whose weight plus the
-next step's cost equals the current cost.  Ties across anchors set the
-``tie`` flag and resolve to the smallest label sequence, then the
-smallest anchor.
+next step's cost equals the current cost (an automaton walk reads that
+edge's slot).  Ties across anchors set the ``tie`` flag and resolve to
+the smallest label sequence, then the smallest anchor state.
 
 There are two tracebacks with this one rule.  A block of several words
-(only where every anchor is searched in one pass) walks all of its
+(only where every anchor is searched at once) walks all of its
 (word, anchor) pairs at the least weight forward together as arrays,
-one gather per step; a sort of the walks' label rows picks each word's
-winner, and the error and codeword bits of the whole block are unpacked
-at once.  A block of one word walks each pair in Python over the
-tables' edge lists (an automaton walk reads each step's edge from its
-slots): the array walk's fixed numpy calls cost more than one word's
-walk, which is a few list lookups per step.
+one gather per step.  A word's walks are contiguous, so its winner is
+picked row by row: one ``np.minimum.reduceat`` per label row, then on
+the anchor states, keeps the walks still at their word's least entry.
+The error and codeword bits of the whole block are then unpacked at
+once.  A block of one word walks each pair in Python over the tables'
+edge lists (an automaton walk reads each step's edge from its slots):
+the array walk's fixed numpy calls cost more than one word's walk, which
+is a few list lookups per step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
@@ -231,20 +241,23 @@ def _ends(S):
 class _Automaton(NamedTuple):
     """The normalized cost columns one H's backward passes reach from its anchors, and the steps between them.
 
-    ``columns`` (columns x states + 1, an int32 memoryview) holds the
-    columns, the first S the anchor columns of ``_ends``, in state order.
-    One min-plus step of column c under ``key`` is column ``nxt[c][key]``
-    plus ``low[c][key]`` at every entry below ``_UNREACHED``.  Into column
-    c under ``key``, a state below S on a lightest path leaves by the
-    merged edge in slot ``slots[c][key * S + state]``: the first, in label
-    order, of least weight plus c's entry at its end state, which is the
-    edge a traceback takes.
+    ``columns`` (columns x states + 1, int32) holds the columns, the first
+    S the anchor columns of ``_ends``, in state order.  One min-plus step
+    of column c under ``key`` is column ``nxt[c, key]`` plus
+    ``low[c, key]`` (columns x keys, intp and int32) at every entry below
+    ``_UNREACHED``.  Into column c under ``key``, a state below S on a
+    lightest path leaves by the merged edge in slot
+    ``slots[c, key * S + state]`` (uint8): the first, in label order, of
+    least weight plus c's entry at its end state, which is the edge a
+    traceback takes.  ``lists`` holds the same four as a memoryview, lists
+    of rows and a bytes row per column, which a one-word walk indexes.
     """
 
-    columns: memoryview
-    nxt: list
-    low: list
-    slots: list
+    columns: np.ndarray
+    nxt: np.ndarray
+    low: np.ndarray
+    slots: np.ndarray
+    lists: tuple
 
 
 @lru_cache(maxsize=None)
@@ -291,8 +304,8 @@ def _automaton(H):
     via = table.take(dst, axis=1)
     via += weight
     slots = via.reshape(len(table), -1, sec.dst.shape[1]).argmin(axis=-1).astype(np.uint8)
-    moves = (np.hstack(a).tolist() for a in ((at, nxt), (gain, low)))
-    return _Automaton(memoryview(table), *moves, list(map(bytes, slots)))
+    nxt, low = np.hstack((at, nxt)), np.hstack((gain, low)).astype(np.int32)
+    return _Automaton(table, nxt, low, slots, (memoryview(table), nxt.tolist(), low.tolist(), list(map(bytes, slots))))
 
 
 @lru_cache(maxsize=None)
@@ -456,7 +469,7 @@ def _blocks(G, H, words):
             continue
         fin, zetas = sf.circular(block)
         rows = tables.index.take(fin[:, None] ^ duals)
-        yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols)
+        yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols, _automaton(H))
 
 
 def _decode_word(G, H, es):
@@ -485,37 +498,61 @@ def _decode_word(G, H, es):
     return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
 
 
-def _decode_block(tables, block, rows, keys, step, shift, n):
-    """The ``_Block`` of a block of several words, every anchor searched in one pass.
+def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
+    """The ``_Block`` of a block of several words, every anchor searched at once.
 
     ``block`` holds the words' symbol integers, ``rows`` each word's
     anchor states and ``keys`` its steps' keys; ``step`` and ``shift``
-    place each symbol in its step's label.  Every (word, anchor) pair at
-    its word's least weight walks forward at once; the smallest label row
-    of each word, then its smallest anchor state, wins.
+    place each symbol in its step's label.  On a code with an
+    ``automaton`` each (word, anchor) column walks it backward from its
+    anchor's column, one gather of ``nxt`` and ``low`` per step; on any
+    other, one min-plus pass searches every column.  Every (word, anchor)
+    pair at its word's least weight then walks forward at once; the
+    smallest label row of each word, then its smallest anchor state, wins.
     """
-    S, words, anchors = len(tables.states), *rows.shape
-    dst, weight = sections = _sections(tables, keys)
-    cost = _min_plus(sections, _ends(S).take(rows.T, axis=0).reshape(anchors, -1))
-    reach = cost[0, np.arange(anchors), rows + np.arange(words)[:, None] * (S + 1)]
+    S, (words, anchors), sec, steps = len(tables.states), rows.shape, tables.sections, keys.shape[1]
+    if automaton is None:
+        dst, weight = sections = _sections(tables, keys)
+        cost = _min_plus(sections, _ends(S).take(rows.T, axis=0).reshape(anchors, -1))
+        reach = cost[0, np.arange(anchors), rows + np.arange(words)[:, None] * (S + 1)]
+    else:
+        # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
+        passed, at, gain = np.empty((steps, words, anchors), dtype=np.intp), rows, 0
+        for t in range(steps - 1, -1, -1):
+            passed[t] = at
+            i = at * len(sec.dst) + keys[:, t, None]
+            at, gain = automaton.nxt.take(i), gain + automaton.low.take(i)
+        reach = automaton.columns[at, rows] + gain
     w = reach.min(axis=1)
     if w.max() >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
     word, anchor = np.nonzero(reach == w[:, None])
     ties = np.bincount(word, minlength=words)
-    # one column per walk: its word, the label of each step, its anchor state
-    walk = np.empty((len(dst) + 2, len(word)), dtype=np.intp)
-    walk[0], walk[-1] = word, rows[word, anchor]
-    base, key, every = word * (S + 1), keys[word], np.arange(len(word))
-    at, c = walk[-1] + base, w[word]
-    for t in range(len(dst)):
-        d, e = dst[t][:, at], weight[t][:, at]
-        slot = (e + cost[t + 1][anchor, d] == c).argmax(axis=0)
-        walk[t + 1] = tables.sections.label[key[:, t], slot, at - base]
-        at, c = d[slot, every], c - e[slot, every]
-    # lexsort keys on its last row first: by word, then label row, then anchor state; each word's first wins
-    win = np.lexsort(walk[::-1])[np.cumsum(ties) - ties]
-    error = walk[1:-1, win].T.take(step, axis=1) >> shift & (1 << n) - 1
+    # one column per walk: the label of each step, then its anchor state
+    walk = np.empty((steps + 1, len(word)), dtype=np.intp)
+    walk[-1] = state = rows[word, anchor]
+    key = keys[word]
+    if automaton is None:
+        base, every = word * (S + 1), np.arange(len(word))
+        at, c = state + base, w[word]
+        for t in range(steps):
+            d, e = dst[t][:, at], weight[t][:, at]
+            slot = (e + cost[t + 1][anchor, d] == c).argmax(axis=0)
+            walk[t] = sec.label[key[:, t], slot, at - base]
+            at, c = d[slot, every], c - e[slot, every]
+    else:
+        for t, column in enumerate(passed[:, word, anchor]):
+            slot = automaton.slots.take((column * len(sec.dst) + key[:, t]) * S + state)
+            at = (key[:, t] * sec.dst.shape[1] + slot) * (S + 1) + state
+            walk[t], state = sec.label.take(at), sec.dst.take(at)
+    # each word's walks are contiguous; row by row, keep those at their word's least entry, so one is left (a
+    # dropped walk reads _UNREACHED, above every label and state)
+    first, keep = np.cumsum(ties) - ties, np.ones(len(word), dtype=bool)
+    for row in walk:
+        row = np.where(keep, row, _UNREACHED)
+        keep &= row == np.minimum.reduceat(row, first).repeat(ties)
+    win = np.flatnonzero(keep)
+    error = walk[:-1, win].T.take(step, axis=1) >> shift & (1 << n) - 1
     codeword, error = (unpack(e, n).reshape(words, -1) for e in (error ^ block, error))
     return _Block(codeword, error, w, anchor[win], walk[-1, win], ties)
 
@@ -589,7 +626,7 @@ def _walks(automaton, tables, betas, states, outs, keys):
     weight is traced forward over the columns it passed, one slot lookup
     per step.
     """
-    columns, nxt, low, slots = automaton
+    columns, nxt, low, slots = automaton.lists
     back, weight, passed = keys[::-1], [], []
     for s in states:
         c, k, cols = s, 0, []

@@ -133,8 +133,10 @@ def tailbiting_syndromes(H, z):
 # run, and sets whether the decoder's all-anchor pass (states x merged
 # edges x anchors) is small enough to skip pruning
 TABLE_BUDGET = 1 << 12
-# entries per step of an all-anchor pass over a block of words: it sets
-# how many words one such pass searches at once
+# entries per step of an all-anchor min-plus pass over a block of words:
+# it sets how many words a block of a code that does not prune holds.
+# Only a code without a metric automaton runs that pass; a code with one
+# walks the automaton in blocks of the same size
 BLOCK_BUDGET = 1 << 15
 
 

@@ -255,8 +255,8 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     assert any(len(c) == 1 for c in opened) and any(len(c) == 2 for c in opened)
     searched = [sum(c[1:]) for c in opened]
     assert max(searched) <= S and sum(searched) < len(passes) / 8
-    # a 4-state code searches every anchor by walks over its automaton, with no min-plus pass; the automaton's
-    # build, once per H, runs min-plus steps of its own
+    # a 4-state code searches every anchor by walks over its automaton, with no min-plus pass, one word or a block
+    # of several; the automaton's build, once per H, runs min-plus steps of its own
     G, H = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
     passes.append([])
     assert decoder._automaton(H) is not None
@@ -264,7 +264,9 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     for z in ([(1, 0, 1)] * 5, [(0, 1, 1)] * 16):
         passes.append([])
         decode_tailbiting(G, H, z)
-    assert passes == [[], []]
+    passes.append([])
+    assert len(decode_tailbiting_batch(G, H, [[(1, 0, 1)] * 5, [(0, 1, 1)] * 5, [(1, 1, 0)] * 5])) == 3
+    assert passes == [[], [], []]
 
 
 def test_every_outcome_of_the_bound_pass_matches_the_reference(monkeypatch):
@@ -303,6 +305,11 @@ def test_a_16_state_word_decodes_to_its_golden_line_in_one_all_anchor_pass(monke
     passes = _recorded_passes(monkeypatch)
     golden = Path(__file__).parent / "golden"
     received = (golden / "decode_16state_received.txt").read_text().strip()
+    # the attempt to build its automaton, once per H, runs min-plus steps of its own: made here, the test does not
+    # depend on the tests run before it
+    passes.append([])
+    assert decoder._automaton(poly_from_strings(CODES["16-state"][0][1])) is None
+    passes.clear()
     passes.append([])
     assert main(["decode", "--code", str(golden / "code_16state.json"), "--received", received]) == 0
     assert capsys.readouterr().out == (golden / "decode_16state.txt").read_text()
@@ -319,7 +326,8 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     """Every (column, key) step is one ``_min_plus`` step of the column under that stack key, less its least entry
     below ``_UNREACHED`` (the step's offset), unreached entries held at ``_UNREACHED``; the first S columns are the
     anchor columns and the columns are distinct.  A state the step reaches leaves by the slot of its first edge, in
-    label order, whose weight plus the column's entry at its end is the step's entry there."""
+    label order, whose weight plus the column's entry at its end is the step's entry there.  The lists a one-word walk
+    reads hold the same steps and slots as the arrays a block's walks gather from."""
     H = poly_from_strings(CODES[name][0][1])
     tables, automaton = error_trellis._search_tables(H), decoder._automaton(H)
     S, sec = len(tables.states), tables.sections
@@ -339,7 +347,11 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     assert len(table) == AUTOMATON_SIZES[name]
     assert (table[:S] == decoder._ends(S)[:S]).all()
     assert len({tuple(row) for row in table.tolist()}) == len(table)
-    assert len(automaton.nxt) == len(automaton.low) == len(table)
+    assert automaton.nxt.shape == automaton.low.shape == (len(table), len(sec.dst))
+    assert automaton.slots.shape == (len(table), len(sec.dst) * S)
+    columns, nxt, low, slots = automaton.lists
+    assert columns.tolist() == table.tolist() and slots == list(map(bytes, automaton.slots))
+    assert (nxt, low) == (automaton.nxt.tolist(), automaton.low.tolist())
     for key in range(len(sec.dst)):
         step = decoder._min_plus((sec.dst[key : key + 1], sec.weight[key : key + 1]), table)[0]
         live = step < decoder._UNREACHED
@@ -357,19 +369,26 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
 
 def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     """A tie-rich corpus decodes to the same ``DecodeResult``s by automaton walks as by the min-plus pass over all
-    anchors; ref, mem2 and H0-zero at N = M..M+8, seeded words."""
-    words = []
+    anchors, one word at a time and in one multi-word block per (code, N); ref, mem2 and H0-zero at N = M..M+8
+    (N < m and N mod m != 0 among them), seeded words."""
+    groups = []
     rng = np.random.default_rng(41)
     for name in ("ref", "mem2", "H0-zero"):
         (g, h), _ = CODES[name]
         G, H = poly_from_strings(g), poly_from_strings(h)
         assert decoder._automaton(H) is not None
-        for N in range(max(H.deg, 1), max(H.deg, 1) + 9):
-            words += [(G, H, [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]) for _ in range(40)]
-    walked = [decode_tailbiting(G, H, z) for G, H, z in words]
+        lengths = range(max(H.deg, 1), max(H.deg, 1) + 9)
+        m = error_trellis._search_tables(H).m
+        assert min(lengths) < m and any(N % m for N in lengths)
+        for N in lengths:
+            groups.append((G, H, [[tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)] for _ in range(40)]))
+    walked = [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups]
+    blocks = [decode_tailbiting_batch(G, H, words) for G, H, words in groups]
+    assert blocks == walked
     monkeypatch.setattr(decoder, "_automaton", lambda H: None)
-    assert [decode_tailbiting(G, H, z) for G, H, z in words] == walked
-    assert sum(res.tie for res in walked) > len(words) / 4
+    assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
+    assert [decode_tailbiting_batch(G, H, words) for G, H, words in groups] == blocks
+    assert sum(res.tie for results in walked for res in results) > len(groups) * 40 / 4
 
 
 # the codes that prune, with p = 0.03, p = 0.06 and uniform words (p = 0.5)

@@ -33,6 +33,15 @@ def test_all_suites_pass_on_memory_two_code(G2, H2):
     assert all(ok for _, ok in results)
 
 
+def test_all_suites_pass_on_the_16_state_code():
+    """The one code of ``CODES`` whose multi-word decode blocks run the min-plus pass: it has no metric automaton and
+    does not prune, so the decoder-oracle suite's 1,000 words decode in blocks of 8."""
+    G, H = (poly_from_strings(s) for s in CODES["16-state"][0])
+    assert decoder._automaton(H) is None and _search_tables(H).block == 8
+    results = verify.run_all(G, H, 6, seed=1)
+    assert results == [(name, True) for name in EXPECTED_SUITES]
+
+
 def test_boundary_section_count(G1, H1):
     # N = M is the smallest legal length
     results = verify.run_all(G1, H1, 1, seed=1, trials=100)
