@@ -11,25 +11,13 @@ state, the lightest (m fixed per H by ``TABLE_BUDGET``; the N mod m
 sections left over use the 1-section tables), so a pass makes
 floor(N/m) + N mod m steps.
 
-A block of words is decoded together.  On a code with no metric
-automaton (below) that does not prune, the 16-state code of the tests,
-a pass over a block of several words keeps, per step, an
-int32 (columns x words * (states + 1)) matrix of the weight still to go
-into each column's end states at cut N; a column belongs to one (word,
-anchor) pair, and every word of a block has as many.  Each step is three
-numpy calls: a gather of the next step's costs along every merged edge
-of each word's own table, an add and a minimum over each state's edges.
-The gather's flat indices and weights come from the stack of tables,
-keyed by the integer each step's syndromes form, picked for all steps
-and words of a block before the loop; each word's offset into the cost
-row is added in place to that copy.  Edges that die inside a merged
-section end in one extra, never reached state.  Where all anchors are
-searched at once, a block holds as many words as keep that pass
-within ``BLOCK_BUDGET`` entries per step (8 words of the 16-state
-code); the walks of an automaton code keep the same blocks (512 words
-of the reference code, whose 4 states keep 4 merged edges each).
-A larger block spreads the fixed numpy cost of a step over more words;
-beyond a few hundred words it is no faster and takes more memory.
+Each code gets one decode rule.  A code with a metric automaton (below;
+the 4-state codes of the tests) walks it, and decodes a block of words
+together: a block holds as many words as keep ``BLOCK_BUDGET`` (word,
+anchor) walks per step, 512 words of a 4-state code.  A larger block
+spreads the fixed numpy cost of a step over more words; beyond a few
+hundred words it is no faster and takes more memory.  Every other code
+(16, 32 or 64 states) prunes its anchors, one word at a time.
 
 A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a
@@ -39,50 +27,49 @@ array word packed at once, the first bad symbol named), the syndrome
 former's one-word circular run (``LinearMachine.circular_word``, one
 fold) gives sigma_fin and the syndromes, one pass over its steps packs
 each step's key and received bits, and, on a code without a metric
-automaton (below), two takes from the stack give the word's
-(steps x edges x states + 1) tables.  Its bound pass carries
-one flat cost row per cut.  A block of several words gets its sigma_fin
-and syndromes from one ``LinearMachine.circular`` of the block.
+automaton, two takes from the stack give the word's (steps x edges x
+states + 1) tables.  Its bound pass carries one flat cost row per cut.
+A block of several words gets its sigma_fin and syndromes from one
+``LinearMachine.circular`` of the block.
 
-Pruning is exact and per word.  Where a pass over all anchors would
-exceed the table budget (32 or 64 states, not the 4-state
-reference code), a block holds one word, and a first pass with one
-column that may end anywhere gives each anchor a lower bound ``lb`` on
-its weight.  When one anchor alone has the least ``lb``, the traceback
-walks that column from it; if the walk closes, ending in the anchor it
-started from, it is the word's result and no search pass runs.  It is a
-tailbiting path of weight ``lb``, which every other anchor's bound
-exceeds, and the lexicographically smallest of all least-weight paths
-out of the anchor, so also of those that return to it.  Otherwise a
-tailbiting path is also a path into its anchor that may start anywhere:
-one more 1-column pass, ``_start_anywhere``, runs ``_min_plus`` over the
-tables' incoming stack in reversed step order, and each anchor's bound
-rises to the larger of the two, still a lower bound.  When one anchor
-alone now has the least bound and it is not the one already walked,
-the same closing check walks the end-anywhere column from it; a walk
-that closes weighs that anchor's end-anywhere bound, which is then its
-larger bound, below every other anchor's, so the same argument holds.
-Only when neither check closes are the anchors of least ``lb``
-searched, giving weight w, then every other anchor with ``lb <= w``; an
-anchor left out has ``lb > w``, so it can neither win nor tie.  Where
-pruning does not pay, all anchors are searched in one pass.
+Pruning is exact and per word.  On a code with no metric automaton a
+first pass with one column that may end anywhere gives each anchor a
+lower bound ``lb`` on its weight.  When one anchor alone has the least
+``lb``, the traceback walks that column from it; if the walk closes,
+ending in the anchor it started from, it is the word's result and no
+search pass runs.  It is a tailbiting path of weight ``lb``, which every
+other anchor's bound exceeds, and the lexicographically smallest of all
+least-weight paths out of the anchor, so also of those that return to
+it.  Otherwise a tailbiting path is also a path into its anchor that may
+start anywhere: one more 1-column pass, ``_start_anywhere``, runs
+``_min_plus`` over the tables' incoming stack in reversed step order,
+and each anchor's bound rises to the larger of the two, still a lower
+bound.  When one anchor alone now has the least bound and it is not the
+one already walked, the same closing check walks the end-anywhere column
+from it; a walk that closes weighs that anchor's end-anywhere bound,
+which is then its larger bound, below every other anchor's, so the same
+argument holds.  Only when neither check closes are the anchors of least
+``lb`` searched, giving weight w, then every other anchor with
+``lb <= w``; an anchor left out has ``lb > w``, so it can neither win
+nor tie.  The closing check is the first iteration of the wrap-around
+Viterbi algorithm (Shao, Lin and Fossorier, IEEE Trans. Commun. 2003).
 
-A block of a code that is not pruned runs no pass at all where the code
-has a metric automaton (``_automaton``): its words walk it.  With hard
-decisions a backward pass only ever reaches a few normalized cost
-columns, a column less its least entry below ``_UNREACHED`` with its
-unreached entries held there, and the normalized column at a cut follows
-from the one at the next cut and the step's key alone.  So the columns
-form a finite automaton, the metric-state chain of Viterbi decoding
-(Best, Burnashev, Levy, Rabinovich, Fishburn, Calderbank and Costello,
-IEEE Trans. Inf. Theory 1995).  It is built once per H with numpy,
-breadth first from the S anchor columns under every single symbol; a
-run of m symbols steps as its symbols do, the last first, so the stack's
-keys reach no other column.  In a one-word decode each anchor walks its
-word's keys backward, one list lookup per step, and weighs its last column's entry at the
-anchor plus the offsets it subtracted: min(w + c - k) = min(w + c) - k,
-so the weights, ``tie``, the anchors and the smallest optimal error are
-those of the pass.  Per column, key and state the automaton also keeps
+A code with a metric automaton (``_automaton``) runs no pass at all: its
+words walk it.  With hard decisions a backward pass only ever reaches a
+few normalized cost columns, a column less its least entry below
+``_UNREACHED`` with its unreached entries held there, and the normalized
+column at a cut follows from the one at the next cut and the step's key
+alone.  So the columns form a finite automaton, the metric-state chain
+of Viterbi decoding (Best, Burnashev, Levy, Rabinovich, Fishburn,
+Calderbank and Costello, IEEE Trans. Inf. Theory 1995).  It is built
+once per H with numpy, breadth first from the S anchor columns under
+every single symbol; a run of m symbols steps as its symbols do, the
+last first, so the stack's keys reach no other column.  In a one-word
+decode each anchor walks its word's keys backward, one list lookup per
+step, and weighs its last column's entry at the anchor plus the offsets
+it subtracted: min(w + c - k) = min(w + c) - k, so the weights, ``tie``,
+the anchors and the smallest optimal error are those of a min-plus pass
+over every anchor.  Per column, key and state the automaton also keeps
 the slot of the first edge, in label order, that a traceback takes into
 the column, so each anchor of least weight is traced forward with one
 lookup per step.  In a block of several words every (word, anchor)
@@ -90,9 +77,9 @@ column walks back at once, one gather of the next columns and offsets
 per step keyed by the step's keys, each column starting at its anchor's
 own; every walk at its word's least weight then gathers its slot, label
 and end state per step.  Where the columns would hold more than
-``TABLE_BUDGET`` entries (columns x (states + 1)), as on the 16-state
-code, there is no automaton and the min-plus passes run, for one word
-and for blocks; the reference code has 24 columns.
+``TABLE_BUDGET`` entries (columns x (states + 1)), as on the 16-, 32-
+and 64-state codes, there is no automaton and the code prunes; the
+reference code has 24 columns.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the backward pass and the forward walk that every
@@ -105,17 +92,16 @@ next step's cost equals the current cost (an automaton walk reads that
 edge's slot).  Ties across anchors set the ``tie`` flag and resolve to
 the smallest label sequence, then the smallest anchor state.
 
-There are two tracebacks with this one rule.  A block of several words
-(only where every anchor is searched at once) walks all of its
-(word, anchor) pairs at the least weight forward together as arrays,
-one gather per step.  A word's walks are contiguous, so its winner is
-picked row by row: one ``np.minimum.reduceat`` per label row, then on
-the anchor states, keeps the walks still at their word's least entry.
-The error and codeword bits of the whole block are then unpacked at
-once.  A block of one word walks each pair in Python over the tables'
-edge lists (an automaton walk reads each step's edge from its slots):
-the array walk's fixed numpy calls cost more than one word's walk, which
-is a few list lookups per step.
+A block of several words walks all of its (word, anchor) pairs at the
+least weight forward together as arrays, one gather per step.  A word's
+walks are contiguous, so its winner is picked row by row: one
+``np.minimum.reduceat`` per label row, then on the anchor states, keeps
+the walks still at their word's least entry.  The error and codeword
+bits of the whole block are then unpacked at once.  A block of one word
+walks each pair in Python: an automaton walk reads each step's edge from
+its slots, a pruned word's traceback the first edge of its cost column
+that falls by its weight.  The array walk's fixed numpy calls cost more
+than one word's walk, which is a few list lookups per step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
@@ -143,6 +129,9 @@ from .trellis import _walk
 
 # above any path weight; unreachable costs grow past it by at most N*n
 _UNREACHED = 2**30
+# (word, anchor) walks per step of a multi-word block of a code with a metric automaton: a block holds
+# BLOCK_BUDGET // S words, 512 of a 4-state code
+BLOCK_BUDGET = 1 << 11
 
 
 class AnchorCollisionError(RuntimeError):
@@ -211,10 +200,11 @@ def _dual_codes(G, H):
 def _min_plus(sections, end):
     """Per section cut, the least weight still to go into ``end``: one row per column, or one flat row.
 
-    ``sections`` holds each step's (edges x words * (states + 1)) end
-    states and weights; a word's states are consecutive entries of a row.
-    ``end`` holds one row per column, or is one flat row: its cost at cut
-    N over the states of every word.  Each step takes the next cut's
+    ``sections`` holds each step's (edges x states + 1) end states and
+    weights, or (edges x copies * (states + 1)) where the automaton's build
+    steps several copies of a column at once; a copy's states are
+    consecutive entries of a row.  ``end`` holds one row per column, or is
+    one flat row: its cost at cut N.  Each step takes the next cut's
     costs along every edge, adds the weights and keeps each state's
     least.  State S, one past the last, is never reached: the tables point
     dead edges at it, and it keeps its cost.
@@ -262,18 +252,18 @@ class _Automaton(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _automaton(H):
-    """The ``_Automaton`` of H's all-anchor search, or None where the code prunes or its columns exceed ``TABLE_BUDGET``.
+    """The ``_Automaton`` of H's all-anchor search, or None where its columns exceed ``TABLE_BUDGET``.
 
     Built once, breadth first from the anchor columns: each round is one
     ``_min_plus`` step of every new column under every single symbol,
     normalized by its least entry below ``_UNREACHED``, with unreached
     entries held at ``_UNREACHED``.  A run's merged edges are its lightest
     paths, so its step is its symbols' steps, the last symbol first, and
-    reaches no other column.
+    reaches no other column.  The budget is checked before each round: the
+    64 anchor columns of K=7 alone exceed it, and the 16- and 32-state
+    codes pass it within a few rounds.  A code with no automaton prunes.
     """
     tables = _search_tables(H)
-    if tables.prune:
-        return None
     S, sec, r, m = len(tables.states), tables.sections, H.rows, tables.m
     columns = _ends(S)[:S].tolist()
     # the single symbols' keys, 2^(r*m) on, stepped at once on a row holding one copy of the column per symbol
@@ -336,27 +326,6 @@ def _label_tuples(H, N):
     return [_bit_tuples(m * n)[0]] * (N // m) + [_bit_tuples(n)[0]] * (N % m)
 
 
-@lru_cache(maxsize=None)
-def _offsets(words, S):
-    """Per entry of a block's cost row at one cut, the first of its word's S + 1 entries."""
-    return np.repeat(np.arange(words) * (S + 1), S + 1)
-
-
-def _sections(tables, keys):
-    """The merged edges of a block of words: (steps x edges x words * (states + 1)) cost entries and weights.
-
-    ``keys`` (words x steps) picks each step's run from the stack.  A
-    word's entries point into its own states + 1 entries of a column's
-    cost at the next cut: the offsets are added in place to the
-    transposed copy.
-    """
-    sec = tables.sections
-    shape = (keys.shape[1], sec.dst.shape[1], -1)
-    dst, weight = (a.take(keys.T, axis=0).transpose(0, 2, 1, 3).reshape(shape) for a in (sec.dst, sec.weight))
-    dst += _offsets(len(keys), len(tables.states))
-    return dst, weight
-
-
 def _start_anywhere(tables, at):
     """Per cut from N down to 0, each state's least weight from any state at cut 0, over the steps of keys ``at``.
 
@@ -393,8 +362,8 @@ def decode_tailbiting(G, H, z):
 def decode_tailbiting_batch(G, H, words):
     """``decode_tailbiting`` of each word of a block of equal-length words, in order.
 
-    The words are searched ``_search_tables(H).block`` at a time; a block
-    of several words is traced back as arrays, a block of one by a walk.
+    A code with a metric automaton walks blocks of ``BLOCK_BUDGET // S``
+    words, traced back as arrays; any other code prunes one word at a time.
     """
     results = []
     for out in _blocks(G, H, words):
@@ -460,16 +429,17 @@ def _blocks(G, H, words):
         yield _decode_word(G, H, E[0])
         return
     duals = _dual_codes(G, H)[1]
-    tables = _search_tables(H)
+    tables, automaton = _search_tables(H), _automaton(H)
+    size = 1 if automaton is None else BLOCK_BUDGET // len(tables.states)
     places, first, step, shift = _layout(H, E.shape[1])
-    for start in range(0, len(E), tables.block):
-        block = E[start : start + tables.block]
+    for start in range(0, len(E), size):
+        block = E[start : start + size]
         if len(block) == 1:
             yield _decode_word(G, H, block[0].tolist())
             continue
         fin, zetas = sf.circular(block)
         rows = tables.index.take(fin[:, None] ^ duals)
-        yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols, _automaton(H))
+        yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols, automaton)
 
 
 def _decode_word(G, H, es):
@@ -499,30 +469,25 @@ def _decode_word(G, H, es):
 
 
 def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
-    """The ``_Block`` of a block of several words, every anchor searched at once.
+    """The ``_Block`` of a block of several words of a code with an ``automaton``, every anchor walked at once.
 
     ``block`` holds the words' symbol integers, ``rows`` each word's
     anchor states and ``keys`` its steps' keys; ``step`` and ``shift``
-    place each symbol in its step's label.  On a code with an
-    ``automaton`` each (word, anchor) column walks it backward from its
-    anchor's column, one gather of ``nxt`` and ``low`` per step; on any
-    other, one min-plus pass searches every column.  Every (word, anchor)
-    pair at its word's least weight then walks forward at once; the
-    smallest label row of each word, then its smallest anchor state, wins.
+    place each symbol in its step's label.  Each (word, anchor) column
+    walks the automaton backward from its anchor's column, one gather of
+    ``nxt`` and ``low`` per step.  Every (word, anchor) pair at its word's
+    least weight then walks forward at once, one gather of its slot, label
+    and end state per step; the smallest label row of each word, then its
+    smallest anchor state, wins.
     """
     S, (words, anchors), sec, steps = len(tables.states), rows.shape, tables.sections, keys.shape[1]
-    if automaton is None:
-        dst, weight = sections = _sections(tables, keys)
-        cost = _min_plus(sections, _ends(S).take(rows.T, axis=0).reshape(anchors, -1))
-        reach = cost[0, np.arange(anchors), rows + np.arange(words)[:, None] * (S + 1)]
-    else:
-        # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
-        passed, at, gain = np.empty((steps, words, anchors), dtype=np.intp), rows, 0
-        for t in range(steps - 1, -1, -1):
-            passed[t] = at
-            i = at * len(sec.dst) + keys[:, t, None]
-            at, gain = automaton.nxt.take(i), gain + automaton.low.take(i)
-        reach = automaton.columns[at, rows] + gain
+    # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
+    passed, at, gain = np.empty((steps, words, anchors), dtype=np.intp), rows, 0
+    for t in range(steps - 1, -1, -1):
+        passed[t] = at
+        i = at * len(sec.dst) + keys[:, t, None]
+        at, gain = automaton.nxt.take(i), gain + automaton.low.take(i)
+    reach = automaton.columns[at, rows] + gain
     w = reach.min(axis=1)
     if w.max() >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
@@ -532,19 +497,10 @@ def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
     walk = np.empty((steps + 1, len(word)), dtype=np.intp)
     walk[-1] = state = rows[word, anchor]
     key = keys[word]
-    if automaton is None:
-        base, every = word * (S + 1), np.arange(len(word))
-        at, c = state + base, w[word]
-        for t in range(steps):
-            d, e = dst[t][:, at], weight[t][:, at]
-            slot = (e + cost[t + 1][anchor, d] == c).argmax(axis=0)
-            walk[t] = sec.label[key[:, t], slot, at - base]
-            at, c = d[slot, every], c - e[slot, every]
-    else:
-        for t, column in enumerate(passed[:, word, anchor]):
-            slot = automaton.slots.take((column * len(sec.dst) + key[:, t]) * S + state)
-            at = (key[:, t] * sec.dst.shape[1] + slot) * (S + 1) + state
-            walk[t], state = sec.label.take(at), sec.dst.take(at)
+    for t, column in enumerate(passed[:, word, anchor]):
+        slot = automaton.slots.take((column * len(sec.dst) + key[:, t]) * S + state)
+        at = (key[:, t] * sec.dst.shape[1] + slot) * (S + 1) + state
+        walk[t], state = sec.label.take(at), sec.dst.take(at)
     # each word's walks are contiguous; row by row, keep those at their word's least entry, so one is left (a
     # dropped walk reads _UNREACHED, above every label and state)
     first, keep = np.cumsum(ties) - ties, np.ones(len(word), dtype=bool)
@@ -560,10 +516,12 @@ def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
 def _search_word(tables, betas, rows, keys, automaton):
     """One word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
 
-    ``rows`` holds its anchor states and ``keys`` its steps' keys, which
-    take its steps' (edges x states + 1) end states and weights from the
-    stack.  Where the code has an ``automaton``, every anchor is searched
-    by walks over it instead.
+    ``rows`` holds its anchor states and ``keys`` its steps' keys.  Where
+    the code has an ``automaton``, every anchor walks it.  Otherwise the
+    keys take its steps' (edges x states + 1) end states and weights from
+    the stack, and the anchors are pruned: the bound pass and its closing
+    check, then the start-anywhere pass and its own, then the search of
+    the anchors the bounds leave.
     """
     states = rows.tolist()
     outs = [tables.sections.out[k] for k in keys]
@@ -581,32 +539,29 @@ def _search_word(tables, betas, rows, keys, automaton):
         passes.append((cost, anchors.tolist(), weight))
         return min(weight)
 
-    if tables.prune:
-        bound = _min_plus(sections, ends[-1])
-        # a walk reads about two entries per cut, fewer than converting the table costs
-        view = memoryview(bound)
-        lb, tried = bound[0].take(rows), None
-        for second in (False, True):
-            if second:
-                # a tailbiting path also starts anywhere, so the larger bound is one too; a walk that closes on
-                # the end-anywhere column weighs lb[a], which is then a's larger bound
-                lb = np.maximum(lb, _start_anywhere(tables, at)[0].take(rows))
-            low = min(bounds := lb.tolist())
-            a = bounds.index(low) if bounds.count(low) == 1 and low < _UNREACHED else None
-            if a is not None and a != tried:
-                labels, end = _traceback(outs, view, states[a])
-                # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
-                if end == states[a]:
-                    return low, 1, labels, tables.states[end], betas[a]
-            tried = a
-        least = lb == low
-        w = search(np.flatnonzero(least))
-        # no anchor whose bound exceeds w can reach w
-        rest = np.flatnonzero(~least & (lb <= w))
-        if len(rest):
-            search(rest)
-    else:
-        search(np.arange(len(states)))
+    bound = _min_plus(sections, ends[-1])
+    # a walk reads about two entries per cut, fewer than converting the table costs
+    view = memoryview(bound)
+    lb, tried = bound[0].take(rows), None
+    for second in (False, True):
+        if second:
+            # a tailbiting path also starts anywhere, so the larger bound is one too; a walk that closes on
+            # the end-anywhere column weighs lb[a], which is then a's larger bound
+            lb = np.maximum(lb, _start_anywhere(tables, at)[0].take(rows))
+        low = min(bounds := lb.tolist())
+        a = bounds.index(low) if bounds.count(low) == 1 and low < _UNREACHED else None
+        if a is not None and a != tried:
+            labels, end = _traceback(outs, view, states[a])
+            # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
+            if end == states[a]:
+                return low, 1, labels, tables.states[end], betas[a]
+        tried = a
+    least = lb == low
+    w = search(np.flatnonzero(least))
+    # no anchor whose bound exceeds w can reach w
+    rest = np.flatnonzero(~least & (lb <= w))
+    if len(rest):
+        search(rest)
     w = min(min(weight) for _, _, weight in passes)
     walks = (
         (a, _traceback(outs, memoryview(cost[:, j]), states[a])[0])

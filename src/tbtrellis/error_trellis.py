@@ -130,14 +130,8 @@ def tailbiting_syndromes(H, z):
 
 # entries the merged tables of one H may hold: it bounds m, the number of
 # sections merged into one table, by the tables and by the labels of a
-# run, and sets whether the decoder's all-anchor pass (states x merged
-# edges x anchors) is small enough to skip pruning
+# run, and the decoder's metric automaton by its columns x (states + 1)
 TABLE_BUDGET = 1 << 12
-# entries per step of an all-anchor min-plus pass over a block of words:
-# it sets how many words a block of a code that does not prune holds.
-# Only a code without a metric automaton runs that pass; a code with one
-# walks the automaton in blocks of the same size
-BLOCK_BUDGET = 1 << 15
 
 
 class _EdgeRows(dict):
@@ -203,21 +197,15 @@ class SearchTables(NamedTuple):
     """The search tables of one H; states in ``sf_state_space`` order.
 
     ``sections`` is the ``SearchSection`` stack of runs of m and of single
-    symbols, read out of each state by the search passes and, through its
-    incoming stack, into each state by the start-anywhere pass.  ``prune``
-    is true when a pass over all S anchor columns would exceed
-    ``TABLE_BUDGET`` entries per section, and a block then holds one word,
-    whose anchors the decoder bounds from both ends; otherwise ``block``
-    words fit one all-anchor pass within ``BLOCK_BUDGET`` entries per
-    step.
+    symbols, read out of each state by the search passes and the metric
+    automaton's build and, through its incoming stack, into each state by
+    the start-anywhere pass.
     """
 
     states: list
     index: np.ndarray  # syndrome-former state integer -> dense index, -1 if pinned
     m: int
     sections: SearchSection
-    prune: bool
-    block: int
 
 
 def _rank(group):
@@ -288,10 +276,8 @@ def _search_tables(H):
     src = np.full((shape[0], in_slot.max() + 1, S + 1), S, dtype=np.intp)
     src_weight = np.zeros(src.shape, dtype=np.int32)
     src[into], src_weight[into] = start, weight
-    per_word = S * S * shape[1]
-    prune = per_word > TABLE_BUDGET
     sections = SearchSection(dst, weights, label, _EdgeRows(dst, weights, label), (src, src_weight))
-    return SearchTables(states, index, m, sections, prune, 1 if prune else BLOCK_BUDGET // per_word)
+    return SearchTables(states, index, m, sections)
 
 
 @lru_cache(maxsize=None)

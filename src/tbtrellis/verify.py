@@ -22,9 +22,11 @@ The superposition, eta-zeta and hscalar-membership suites hand all of
 their trials to one call of the ``_batch`` kernel under test and compare
 whole arrays.  The decoder-oracle suite hands all of its trials to the
 decoder in one call of ``decoder._decode_arrays``, which splits them
-into its own decode blocks of ``_search_tables(H).block`` words and
-returns the weights, codewords and tie flags as arrays, so the suite
-compares arrays with no ``DecodeResult`` per word.  It then compares
+into its own decode blocks (``decoder._blocks``: a code with a metric
+automaton walks blocks of ``BLOCK_BUDGET // S`` words, any other code
+prunes one word at a time) and returns the weights, codewords and tie
+flags as arrays, so the suite compares arrays with no ``DecodeResult``
+per word.  It then compares
 them with the exhaustive codeword table in distance blocks of trials,
 as many as keep trials x codewords x the bytes of a packed word within
 ``DISTANCE_BLOCK``; the distance blocks bound only the distance table.

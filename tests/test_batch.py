@@ -64,7 +64,7 @@ def test_block_decode_equals_the_per_word_decodes(name):
 
 def test_block_decode_of_low_noise_k7_words_equals_the_per_word_decodes():
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
-    assert _search_tables(H).prune
+    assert decoder._automaton(H) is None
     words = low_noise_words(40, 17)
     assert decode_tailbiting_batch(G, H, np.array(words)) == [decode_tailbiting(G, H, z) for z in words]
 
@@ -74,16 +74,32 @@ def test_block_decode_of_low_noise_k7_words_equals_the_per_word_decodes():
 def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name, blocks, extra):
     """Full blocks and a last one of ``extra`` words, one word being the walk's case, equal blocks of one."""
     G, H = _code(name)
-    tables = _search_tables(H)
-    assert tables.block > 1
-    words = np.random.default_rng(67).integers(0, 2, (blocks * tables.block + extra, 7, H.cols))
+    S = len(_search_tables(H).states)
+    size = decoder.BLOCK_BUDGET // S
+    assert size > 1
+    words = np.random.default_rng(67).integers(0, 2, (blocks * size + extra, 7, H.cols))
     whole = decode_tailbiting_batch(G, H, words)
     order = np.random.default_rng(71).permutation(len(words))
     assert [whole[i] for i in order] == decode_tailbiting_batch(G, H, words[order])
     half = len(words) // 2
     assert decode_tailbiting_batch(G, H, words[:half]) + decode_tailbiting_batch(G, H, words[half:]) == whole
-    monkeypatch.setattr(decoder, "_search_tables", lambda H: tables._replace(block=1))
+    monkeypatch.setattr(decoder, "BLOCK_BUDGET", S)
     assert decode_tailbiting_batch(G, H, words) == whole
+
+
+def test_decode_blocks_hold_the_block_budget_of_walks(monkeypatch):
+    """1,100 reference words decode in blocks of 512, 512 and 76 words, 2,048 walks of 4 anchors per step; the
+    16-state code, which has no automaton, hands no block of several words to ``_decode_block``."""
+    lengths, real = [], decoder._decode_block
+    monkeypatch.setattr(decoder, "_decode_block", lambda tables, block, *a: lengths.append(len(block)) or real(tables, block, *a))
+    rng = np.random.default_rng(79)
+    G, H = _code("ref")
+    assert len(decode_tailbiting_batch(G, H, rng.integers(0, 2, (1100, 5, H.cols)))) == 1100
+    assert lengths == [512, 512, 76]
+    lengths.clear()
+    G, H = _code("16-state")
+    assert len(decode_tailbiting_batch(G, H, rng.integers(0, 2, (20, 6, H.cols)))) == 20
+    assert lengths == []
 
 
 def _arrays_of(results):
@@ -111,11 +127,11 @@ def test_decode_arrays_of_every_reference_word_equal_the_decode_results(G1, H1):
     _assert_arrays_equal(decoder._decode_arrays(G1, H1, words[-1:]), _arrays_of(results[-1:]))
 
 
-@pytest.mark.parametrize("name, N", [("32-state", 5), ("k7", 7)])
+@pytest.mark.parametrize("name, N", [("32-state", 5), ("k7", 7), ("16-state", 6)])
 def test_decode_arrays_of_a_pruned_code_equal_the_decode_results(name, N):
     """Blocks of one word, each read from its ``DecodeResult``."""
     G, H = _code(name)
-    assert _search_tables(H).block == 1
+    assert decoder._automaton(H) is None
     words = np.random.default_rng(89).integers(0, 2, (150, N, H.cols))
     results = decode_tailbiting_batch(G, H, words)
     assert any(res.tie for res in results)

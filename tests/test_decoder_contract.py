@@ -190,27 +190,22 @@ def test_decode_matches_per_subtrellis_reference_at_every_section_remainder(name
             assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), (N, z)
 
 
-# m, stack shape and block per code; the 16-state, 32-state and K=7 codes' merged runs keep
+# m and stack shape per code; the 16-state, 32-state and K=7 codes' merged runs keep
 # every path, one per end state, so their tables are those the uncollapsed stack had
 TABLE_SIZES = {
-    "ref": (4, (2**8 + 2**2, 4, 5), 512),
-    "mem2": (6, (2**6 + 2, 4, 5), 512),
-    "16-state": (4, (2**4 + 2, 16, 17), 8),
-    "k7": (3, (2**3 + 2, 8, 65), 1),
-    "32-state": (3, (2**3 + 2, 8, 33), 1),
-    "H0-zero": (6, (2**6 + 2, 4, 5), 512),
+    "ref": (4, (2**8 + 2**2, 4, 5)),
+    "mem2": (6, (2**6 + 2, 4, 5)),
+    "16-state": (4, (2**4 + 2, 16, 17)),
+    "k7": (3, (2**3 + 2, 8, 65)),
+    "32-state": (3, (2**3 + 2, 8, 33)),
+    "H0-zero": (6, (2**6 + 2, 4, 5)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_search_tables_have_the_size_of_one_merged_edge_per_end_state(name):
     tables = error_trellis._search_tables(poly_from_strings(CODES[name][0][1]))
-    assert (tables.m, tables.sections.dst.shape, tables.block) == TABLE_SIZES[name]
-
-
-def test_pruning_runs_on_the_codes_whose_all_anchor_pass_exceeds_the_budget():
-    pruned = {name for name, ((_, h), _) in CODES.items() if error_trellis._search_tables(poly_from_strings(h)).prune}
-    assert pruned == {"32-state", "k7"}
+    assert (tables.m, tables.sections.dst.shape) == TABLE_SIZES[name]
 
 
 def _recorded_passes(monkeypatch):
@@ -236,6 +231,39 @@ def _recorded_passes(monkeypatch):
     monkeypatch.setattr(decoder, "_min_plus", recording_min_plus)
     monkeypatch.setattr(decoder, "_start_anywhere", recording_start_anywhere)
     return passes
+
+
+def _search_every_anchor(monkeypatch):
+    """Make every bound pass (a flat cost row at cut N) return zeros; returns the column counts of the search passes.
+
+    A bound of 0 is a valid lower bound of every anchor, so the pruned
+    search closes on neither check and searches every anchor in one pass.
+    """
+    searched, real_min_plus = [], decoder._min_plus
+
+    def zero_bound_min_plus(sections, end):
+        if end.ndim == 1:
+            return np.zeros((len(sections[0]) + 1, *end.shape), dtype=np.int32)
+        searched.append(len(end))
+        return real_min_plus(sections, end)
+
+    monkeypatch.setattr(decoder, "_min_plus", zero_bound_min_plus)
+    return searched
+
+
+def test_pruning_runs_on_the_codes_with_no_metric_automaton(monkeypatch):
+    """A one-word decode opens with the end-anywhere bound pass exactly on the codes whose ``_automaton`` is None."""
+    codes = {name: [poly_from_strings(s) for s in strings] for name, (strings, _) in CODES.items()}
+    # each automaton's build, once per H, runs min-plus steps of its own: made first, the test does not depend on
+    # the tests run before it
+    unwalked = {name for name, (_, H) in codes.items() if decoder._automaton(H) is None}
+    assert unwalked == {"16-state", "32-state", "k7"}
+    passes = _recorded_passes(monkeypatch)
+    for G, H in codes.values():
+        passes.append([])
+        decode_tailbiting(G, H, [(1,) * H.cols] * max(H.deg, 1))
+    assert {name for name, c in zip(codes, passes) if c[:1] == ["end"]} == unwalked
+    assert all(c == [] for name, c in zip(codes, passes) if name not in unwalked)
 
 
 def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
@@ -299,9 +327,10 @@ def test_a_k7_word_that_closes_on_the_second_check_decodes_to_its_golden_line(mo
     assert passes == [["end", "start"]]
 
 
-def test_a_16_state_word_decodes_to_its_golden_line_in_one_all_anchor_pass(monkeypatch, capsys):
-    """The 16-state code has no automaton (over budget), so a one-word decode runs one min-plus pass over its 16
-    anchor columns; CI diffs the installed package's CLI line against the same golden."""
+def test_a_16_state_word_decodes_to_its_golden_line_on_the_pruned_route(monkeypatch, capsys):
+    """The 16-state code has no automaton (over budget), so it prunes: the word closes on neither check, then its one
+    anchor of least bound and the 15 whose bound does not exceed that weight are searched; CI diffs the installed
+    package's CLI line against the same golden."""
     passes = _recorded_passes(monkeypatch)
     golden = Path(__file__).parent / "golden"
     received = (golden / "decode_16state_received.txt").read_text().strip()
@@ -313,11 +342,10 @@ def test_a_16_state_word_decodes_to_its_golden_line_in_one_all_anchor_pass(monke
     passes.append([])
     assert main(["decode", "--code", str(golden / "code_16state.json"), "--received", received]) == 0
     assert capsys.readouterr().out == (golden / "decode_16state.txt").read_text()
-    assert passes == [[16]]
+    assert passes == [["end", "start", 1, 15]]
 
 
-# columns of each code's metric automaton; None where the code prunes (32-state, K=7) or its columns pass
-# TABLE_BUDGET entries (16-state)
+# columns of each code's metric automaton; None where its columns pass TABLE_BUDGET entries, and the code prunes
 AUTOMATON_SIZES = {"ref": 24, "mem2": 45, "H0-zero": 10, "16-state": None, "k7": None, "32-state": None}
 
 
@@ -333,14 +361,15 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     S, sec = len(tables.states), tables.sections
     if automaton is None:
         assert AUTOMATON_SIZES[name] is None
-        assert tables.prune == (name != "16-state")
-        if not tables.prune:
-            # its S anchor columns fit the budget, so the breadth-first build stopped on more columns than fit
-            assert S * (S + 1) <= error_trellis.TABLE_BUDGET
-            rounds = []
-            real_min_plus = decoder._min_plus
-            monkeypatch.setattr(decoder, "_min_plus", lambda *a: rounds.append(len(a[1])) or real_min_plus(*a))
-            assert decoder._automaton.__wrapped__(H) is None
+        # the breadth-first build stopped on more columns than fit the budget: K=7's 64 anchor columns before its
+        # first round, the 16- and 32-state codes' after a few rounds
+        rounds = []
+        real_min_plus = decoder._min_plus
+        monkeypatch.setattr(decoder, "_min_plus", lambda *a: rounds.append(len(a[1])) or real_min_plus(*a))
+        assert decoder._automaton.__wrapped__(H) is None
+        if S * (S + 1) > error_trellis.TABLE_BUDGET:
+            assert name == "k7" and rounds == []
+        else:
             assert len(rounds) > 1 and sum(rounds) * (S + 1) <= error_trellis.TABLE_BUDGET
         return
     table = np.asarray(automaton.columns)
@@ -368,9 +397,10 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
 
 
 def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
-    """A tie-rich corpus decodes to the same ``DecodeResult``s by automaton walks as by the min-plus pass over all
-    anchors, one word at a time and in one multi-word block per (code, N); ref, mem2 and H0-zero at N = M..M+8
-    (N < m and N mod m != 0 among them), seeded words."""
+    """A tie-rich corpus decodes to the same ``DecodeResult``s by automaton walks, one word at a time and in one
+    multi-word block per (code, N), as by the pruned search (``_automaton`` patched to None) and by one min-plus pass
+    over all anchors (every bound zeroed); ref, mem2 and H0-zero at N = M..M+8 (N < m and N mod m != 0 among them),
+    seeded words."""
     groups = []
     rng = np.random.default_rng(41)
     for name in ("ref", "mem2", "H0-zero"):
@@ -387,12 +417,17 @@ def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     assert blocks == walked
     monkeypatch.setattr(decoder, "_automaton", lambda H: None)
     assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
-    assert [decode_tailbiting_batch(G, H, words) for G, H, words in groups] == blocks
+    assert [decode_tailbiting_batch(G, H, words) for G, H, words in groups] == walked
+    searched = _search_every_anchor(monkeypatch)
+    for (G, H, words), results in zip(groups, walked):
+        searched.clear()
+        assert [decode_tailbiting(G, H, z) for z in words] == results
+        assert set(searched) == {len(enc_state_space(G))}
     assert sum(res.tie for results in walked for res in results) > len(groups) * 40 / 4
 
 
-# the codes that prune, with p = 0.03, p = 0.06 and uniform words (p = 0.5)
-PRUNED = ["k7", "32-state"]
+# the codes that prune, those with no metric automaton, with p = 0.03, p = 0.06 and uniform words (p = 0.5)
+PRUNED = ["k7", "32-state", "16-state"]
 NOISE = [0.03, 0.06, 0.5]
 
 
@@ -430,7 +465,7 @@ def test_start_anywhere_bound_is_the_least_cost_into_each_anchor(monkeypatch, na
     captured = _captured_words(monkeypatch, name, [M, M + 1, 12, 48], 4)
     assert all(not len(start_bound_misses(*word)) for word in captured)
     tables = captured[0][0]
-    assert tables.prune
+    assert decoder._automaton(poly_from_strings(CODES[name][0][1])) is None
     incoming = tables.sections.incoming
     short = tables._replace(sections=tables.sections._replace(incoming=tuple(a[:, :-1] for a in incoming)))
     assert any(len(start_bound_misses(short, rows, at)) for _, rows, at in captured)
@@ -446,10 +481,10 @@ def test_pruned_search_equals_the_search_of_every_anchor(monkeypatch, name):
     uniform = [[tuple(int(b) for b in rng.integers(0, 2, 2)) for _ in range(N)] for N in [M, M + 1, M + 2, 48] * 10]
     words = low_noise_words(100, 13, strings=(g, h)) + low_noise_words(60, 19, p=0.06, strings=(g, h)) + uniform
     pruned = [decode_tailbiting(G, H, z) for z in words]
-    tables = error_trellis._search_tables(H)
-    assert tables.prune
-    monkeypatch.setattr(decoder, "_search_tables", lambda H: tables._replace(prune=False))
+    assert decoder._automaton(H) is None
+    searched = _search_every_anchor(monkeypatch)
     assert [decode_tailbiting(G, H, z) for z in words] == pruned
+    assert set(searched) == {len(enc_state_space(G))}
 
 
 def test_decode_rejects_an_empty_word_of_a_memoryless_code():

@@ -8,7 +8,6 @@ from test_state_machines import G_K2_STRINGS
 
 from tbtrellis import decoder, poly_from_strings, verify
 from tbtrellis.codespec import CodeSpecError
-from tbtrellis.error_trellis import _search_tables
 from tbtrellis.state_machines import LinearMachine, encoder
 
 
@@ -33,13 +32,16 @@ def test_all_suites_pass_on_memory_two_code(G2, H2):
     assert all(ok for _, ok in results)
 
 
-def test_all_suites_pass_on_the_16_state_code():
-    """The one code of ``CODES`` whose multi-word decode blocks run the min-plus pass: it has no metric automaton and
-    does not prune, so the decoder-oracle suite's 1,000 words decode in blocks of 8."""
+def test_all_suites_pass_on_the_16_state_code(monkeypatch):
+    """The 16-state code has no metric automaton, so it prunes: the decoder-oracle suite's 1,000 words decode one word
+    at a time, each on the pruned route."""
     G, H = (poly_from_strings(s) for s in CODES["16-state"][0])
-    assert decoder._automaton(H) is None and _search_tables(H).block == 8
+    assert decoder._automaton(H) is None
+    words, real = [], decoder._decode_word
+    monkeypatch.setattr(decoder, "_decode_word", lambda G, H, es: words.append(es) or real(G, H, es))
     results = verify.run_all(G, H, 6, seed=1)
     assert results == [(name, True) for name in EXPECTED_SUITES]
+    assert len(words) == 1000 and all(len(es) == 6 for es in words)
 
 
 def test_boundary_section_count(G1, H1):
@@ -273,7 +275,7 @@ def test_all_suites_pass_on_4096_codewords(G1, H1):
 def test_all_suites_pass_on_a_pruned_code(monkeypatch, N):
     """The 32-state code prunes its anchors, so every decode block holds one word and yields a ``DecodeResult``."""
     G, H = (poly_from_strings(s) for s in CODES["32-state"][0])
-    assert _search_tables(H).prune
+    assert decoder._automaton(H) is None
     words, real = [], decoder._decode_word
     monkeypatch.setattr(decoder, "_decode_word", lambda G, H, es: words.append(es) or real(G, H, es))
     results = verify.run_all(G, H, N, seed=1, trials=100)
