@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage, code-spec or output-file error, or a
+Exit codes: 0 success, 1 usage, code-spec or output-file error, a
 G/H pair whose encoder states collide on one error-subtrellis anchor
-(decode, verify), 2 decoding tie (result still printed), 3 verification
-failure.
+(decode, verify), or an array too large to allocate, 2 decoding tie
+(result still printed), 3 verification failure.
 """
 
 from __future__ import annotations
@@ -162,7 +162,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CodeSpecError, ValueError, AnchorCollisionError) as exc:
+    except (CodeSpecError, ValueError, AnchorCollisionError, MemoryError) as exc:
         print(f"tbtrellis: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

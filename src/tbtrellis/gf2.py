@@ -1,7 +1,10 @@
 """Exact GF(2) arithmetic: dense bit vectors/matrices and polynomial matrices.
 
-Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1};
-row reduction uses XOR row operations.  A :class:`PolyMatrix` is a matrix
+Bit vectors and matrices are numpy uint8 arrays with entries in {0, 1}.
+A kernel that reduces or compares rows packs them one way, by
+``_lanes``: 64 columns to a zero-padded uint64 lane, so row reduction
+adds one row to another with one XOR per lane, and two rows differ in
+the set bits of the XOR of their lanes.  A :class:`PolyMatrix` is a matrix
 over GF(2)[D] whose entries are Python integers, bit p the coefficient of
 D^p: its products, transposes, reciprocals and rank work on those
 integers, and its constant coefficient matrices, lowest power of D
@@ -108,24 +111,43 @@ def mat_mul(A, B):
     return (A.astype(np.int64) @ B.astype(np.int64)) % 2
 
 
+def _lanes(bits):
+    """Rows of 0/1 bits packed into zero-padded uint64 lanes, byte j // 8 of a row holding bit j at 0x80 >> j % 8.
+
+    Lane j // 64 holds bit j.  Read big-endian (``.view(">u8")``), bit j
+    is bit 63 - j % 64 of its lane, so a row's lanes, first lane first,
+    read as one integer with its first bit highest and zeros past its
+    end.  Read natively on a little-endian host, bit 0 is 0x80 of the
+    lane's integer, the bytes coming in reverse order, which XOR and
+    popcount do not see: two rows differ in as many bits as the XOR of
+    their lanes has set bits, at any width.
+    """
+    packed = np.packbits(bits, axis=1)
+    lanes = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    lanes[:, : packed.shape[1]] = packed
+    return lanes.view(np.uint64)
+
+
 def _row_echelon(A):
-    """Row-reduce a copy of A, as a 2-D 0/1 matrix, to reduced echelon form; returns (matrix, pivot columns)."""
-    R = np.atleast_2d(_uint8(A, _MATRIX)) % 2
+    """Reduced echelon form of A, a 2-D matrix read mod 2: (its pivot rows as 0/1 rows, pivot columns).
+
+    The rows are reduced as ``_lanes`` read big-endian, so column c is
+    bit 63 - c % 64 of lane c // 64, and one XOR per lane adds a row to
+    every other row that holds the pivot's column.
+    """
+    A = np.atleast_2d(_uint8(A, _MATRIX)) & 1
+    R = _lanes(A).view(">u8").astype(np.uint64)
     pivots = []
-    for col in range(R.shape[1]):
+    for col in range(A.shape[1]):
         row = len(pivots)
-        if row == R.shape[0]:
-            break
-        p = row + R[row:, col].argmax()  # the first row at or below ``row`` with a 1, if any
-        if not R[p, col]:
-            continue
-        R[row], R[p] = R[p], R[row].copy()
-        # one XOR clears the column in every other row that holds it
-        others = R[:, col] != 0
-        others[row] = False
-        R[others] ^= R[row]
-        pivots.append(col)
-    return R, pivots
+        holds = R[:, col >> 6] & np.uint64(1 << 63 - (col & 63)) != 0
+        if holds[row:].any():
+            p = row + holds[row:].argmax()  # the first row at or below ``row`` with a 1
+            R[row], R[p] = R[p], R[row].copy()
+            holds[p], holds[row] = holds[row], False
+            R[holds] ^= R[row]  # one XOR per lane clears the column in every other row that holds it
+            pivots.append(col)
+    return np.unpackbits(R[: len(pivots)].astype(">u8").view(np.uint8), axis=1, count=A.shape[1]), pivots
 
 
 def rank(A):
@@ -144,7 +166,7 @@ def nullspace(A):
     free = [c for c in range(R.shape[1]) if c not in pivots]
     basis = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
     basis[range(len(free)), free] = 1
-    basis[:, pivots] = R[: len(pivots), free].T
+    basis[:, pivots] = R[:, free].T
     return basis
 
 

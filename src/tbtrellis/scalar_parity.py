@@ -71,7 +71,13 @@ def is_tailbiting_codeword(P, y):
 
 
 def is_tailbiting_codeword_batch(P, words):
-    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: one product Y P^T mod 2."""
+    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: one product Y P^T mod 2.
+
+    The product stays on uint8 rows, not on the packed rows of
+    ``gf2._lanes``: a parity of AND-popcounts would hold words x checks x
+    lanes uint64, about 335 MB for the 2^20 codewords of ``verify -N 20``,
+    where the product holds words x checks bytes, 42 MB.
+    """
     if P.kind != "tailbiting":
         raise ValueError("membership test needs a tailbiting matrix")
     length = P.matrix.shape[1]

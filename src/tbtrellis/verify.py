@@ -20,8 +20,12 @@ give them.  A run in which every suite passes is unaffected.
 
 The superposition, eta-zeta and hscalar-membership suites hand all of
 their trials to one call of the ``_batch`` kernel under test and compare
-whole arrays.  The decoder-oracle suite hands all of its trials to the
-decoder in one call of ``decoder._decode_arrays``, which splits them
+whole arrays.  Where a suite compares words with codewords, it reads
+them in the one packed row form, ``gf2._lanes``: hscalar-membership
+finds each word's key (its lanes read as one void scalar) by a binary
+search of the codewords' sorted keys.  The decoder-oracle suite hands
+all of its trials to the decoder in one call of
+``decoder._decode_arrays``, which splits them
 into its own decode blocks (``decoder._blocks``: a code with a metric
 automaton walks blocks of ``BLOCK_BUDGET // S`` words, any other code
 prunes one word at a time) and returns the weights, codewords and tie
@@ -30,8 +34,8 @@ per word.  It then compares
 them with the exhaustive codeword table in distance blocks of trials,
 as many as keep trials x codewords x the bytes of a packed word within
 ``DISTANCE_BLOCK``; the distance blocks bound only the distance table.
-Words and codewords are packed into zero-padded uint64 lanes, so one XOR
-and one popcount per lane give every distance of a block at any width.
+Words and codewords are packed into ``_lanes``, so one XOR and one
+popcount per lane give every distance of a block at any width.
 The codeword table holds its rows anchor by anchor, so one
 ``logical_or.reduceat`` of a block's nearest-codeword mask over the
 anchors' rows tells in how many code subtrellises the nearest codewords
@@ -43,7 +47,7 @@ over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
 codewords of the reference code at N = 5 in one block call).  The
 subtrellis-set-equality suite checks word by word on the built error
 trellis: per anchor, one label-bit array of every path
-(``trellis._label_bits``), shifted by the word and packed into integers.
+(``trellis._label_bits``), shifted by the word and keyed by its lanes.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .error_trellis import (
     sigma_fin,
     tailbiting_syndromes_batch,
 )
+from .gf2 import _lanes
 from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword_batch
 from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
 from .trellis import _label_bits
@@ -132,31 +137,31 @@ def suite_zero_syndrome(G, H, anchors, flat, starts):
     return True
 
 
-def _packed(bits, flip=0):
-    """The distinct rows of 0/1 ``bits``, each plus ``flip`` and packed into one big-endian integer, ascending.
+def _keys(bits):
+    """Each row of 0/1 ``bits`` as one void scalar of its ``_lanes``; the scalars sort as the rows read as integers."""
+    return _lanes(bits).view(f"V{-(-bits.shape[1] // 64) * 8}")[:, 0]
 
-    An integer is held as a scalar of its bytes, which sort as the integer.
-    """
-    ints = np.sort(np.packbits(bits ^ flip, axis=1).view(f"V{-(-bits.shape[1] // 8)}")[:, 0])
+
+def _key_set(bits):
+    """The distinct ``_keys`` of the rows of ``bits``, ascending."""
+    keys = np.sort(_keys(bits))
     # not np.unique: its first call imports numpy.ma, ~14 ms of every verify start
-    distinct = np.ones(len(ints), dtype=bool)
-    distinct[1:] = ints[1:] != ints[:-1]
-    return ints[distinct]
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def suite_set_equality(G, H, N, anchors, flat, starts, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis.
 
-    Each shifted path and each codeword is one packed integer, and the
-    sorted distinct integers of the two sides must be equal.  The paths
-    come from the built error trellis, as one label-bit array per anchor.
+    Each shifted path and each codeword is one key of its lanes, and the
+    sorted distinct keys of the two sides must be equal.  The paths come
+    from the built error trellis, as one label-bit array per anchor.
     """
-    codewords = {beta: _packed(ys) for beta, ys in zip(anchors, np.split(flat, starts[1:]))}
+    codewords = {beta: _key_set(ys) for beta, ys in zip(anchors, np.split(flat, starts[1:]))}
     for word in _bits(rng, words, N * H.cols):
         z = word.reshape(N, H.cols)
         fin, T = sigma_fin(H, z), build_tailbiting_error_trellis(H, z)
-        for beta, packed in codewords.items():
-            if not np.array_equal(_packed(_label_bits(T, error_anchor(beta, fin, G, H)), word), packed):
+        for beta, keys in codewords.items():
+            if not np.array_equal(_key_set(_label_bits(T, error_anchor(beta, fin, G, H)) ^ word), keys):
                 return False
     return True
 
@@ -170,29 +175,21 @@ def suite_eta_zeta(H, N, rng, trials=1000):
 
 
 def suite_hscalar_membership(H, N, flat, rng, trials=1000):
-    """Matrix membership == zero syndrome sequence == exhaustive codeword set."""
+    """Matrix membership == zero syndrome sequence == exhaustive codeword set.
+
+    A word is in the codeword set where its key is found by a binary
+    search of the codewords' sorted keys.
+    """
     n = H.cols
     words = _bits(rng, trials, N * n)
     P = hscalar_tailbiting(H, N)
     if not is_tailbiting_codeword_batch(P, flat).all():
         return False
-    codewords = {row.tobytes() for row in flat}
+    codewords, keys = _key_set(flat), _keys(words)
     in_matrix = is_tailbiting_codeword_batch(P, words)
     zero_syndrome = ~tailbiting_syndromes_batch(H, words.reshape(trials, N, n)).any(axis=(1, 2))
-    in_code = np.array([row.tobytes() in codewords for row in words], dtype=bool)
+    in_code = codewords[np.searchsorted(codewords, keys).clip(max=len(codewords) - 1)] == keys
     return bool((in_matrix == zero_syndrome).all() and (in_matrix == in_code).all())
-
-
-def _lanes(bits):
-    """Rows of 0/1 bits packed, first bit highest, into zero-padded uint64 lanes.
-
-    Two rows differ in as many bits as the XOR of their lanes has set bits,
-    at any width.
-    """
-    packed = np.packbits(bits, axis=1)
-    lanes = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    lanes[:, : packed.shape[1]] = packed
-    return lanes.view(np.uint64)
 
 
 def _distances(words, table):

@@ -89,6 +89,40 @@ def term_encode(g_coeffs, u_syms):
     return tuple(out)
 
 
+def row_echelon(A):
+    """Reduced echelon form of A read mod 2, one uint8 entry per bit: (the reduced matrix, pivot columns).
+
+    Each pivot column is cleared from every other row by one XOR of uint8
+    rows, one byte per bit: another row form than the library's packed
+    lanes, reaching the same unique reduced form.
+    """
+    R = np.atleast_2d(np.asarray(A, dtype=np.uint8)) % 2
+    pivots = []
+    for col in range(R.shape[1]):
+        row = len(pivots)
+        if row == R.shape[0]:
+            break
+        p = row + R[row:, col].argmax()  # the first row at or below ``row`` with a 1, if any
+        if not R[p, col]:
+            continue
+        R[row], R[p] = R[p], R[row].copy()
+        others = R[:, col] != 0
+        others[row] = False
+        R[others] ^= R[row]
+        pivots.append(col)
+    return R, pivots
+
+
+def echelon_nullspace(A):
+    """Null space basis of A read from ``row_echelon``: one row per free column, pivot entries by back-substitution."""
+    R, pivots = row_echelon(A)
+    free = [c for c in range(R.shape[1]) if c not in pivots]
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
+    basis[range(len(free)), free] = 1
+    basis[:, pivots] = R[: len(pivots), free].T
+    return basis
+
+
 def bitset_rank(matrix):
     """GF(2) rank via integer bitsets (a different algorithm than the library)."""
     rows = [int("".join(str(int(b)) for b in row), 2) if row.size else 0 for row in np.atleast_2d(matrix)]

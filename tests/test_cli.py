@@ -326,6 +326,15 @@ def test_hscalar_of_a_memoryless_code_rejects_zero_sections(capsys, tmp_path):
     assert code == 0 and out == "1100\n0011\nsize 2x4 rank 2\n"
 
 
+@pytest.mark.parametrize("kind", ["tailbiting", "terminated"])
+def test_hscalar_too_large_to_allocate_exits_one_with_one_error_line(capsys, code_file, kind):
+    """At N = 10^8 the placement grids alone are N x N bytes, 8.88 PiB, which numpy refuses before it touches memory."""
+    code, out, err = run(capsys, "hscalar", "--code", code_file, "-N", "100000000", "--kind", kind)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("tbtrellis: error: Unable to allocate "), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "options, golden",
     [(["--format", "json"], "error_trellis.json"), (["--highlight", "(0,1)"], "error_trellis_highlight.dot")],

@@ -19,7 +19,7 @@ from tbtrellis import (
     split_symbols,
 )
 
-from oracle import bitset_rank, poly_mul, poly_rank
+from oracle import bitset_rank, echelon_nullspace, poly_mul, poly_rank, row_echelon
 
 
 def test_poly_from_strings_rate13(G1):
@@ -209,19 +209,38 @@ def test_rank_identity():
     assert rank(np.eye(4, dtype=np.uint8)) == 4
 
 
-def test_rank_nullity_random():
-    """rank + nullity = cols, basis vectors lie in the kernel, rank matches
-    an independent bitset elimination."""
-    rng = np.random.default_rng(11)
+def _rank_test_matrices(rng):
+    """(matrix, its rank or None): random matrices of up to 32 columns, then rows across a lane boundary, with 0
+    rows, 1 column, 63-65 and 130 columns, and all-zero and full-rank ones (full row rank, full column rank and
+    square)."""
     for _ in range(50):
-        m, n = rng.integers(1, 33, size=2)
-        A = rng.integers(0, 2, size=(m, n)).astype(np.uint8)
+        yield rng.integers(0, 2, size=rng.integers(1, 33, size=2)).astype(np.uint8), None
+    for cols in (1, 63, 64, 65, 130):
+        for rows in (0, 1, cols - 1, cols, cols + 3):
+            yield rng.integers(0, 2, size=(rows, cols)).astype(np.uint8), None
+            yield np.zeros((rows, cols), dtype=np.uint8), 0
+        for rows in sorted({1, cols // 2, cols}):
+            # a random row echelon of full row rank, its rows mixed by a unit lower-triangular matrix
+            E = np.triu(rng.integers(0, 2, size=(rows, cols)), 1) | np.eye(rows, cols, dtype=np.int64)
+            L = np.tril(rng.integers(0, 2, size=(rows, rows)), -1) | np.eye(rows, dtype=np.int64)
+            A = (L @ E % 2).astype(np.uint8)[:, rng.permutation(cols)]
+            yield A, rows
+            yield np.ascontiguousarray(A.T), rows
+
+
+def test_rank_nullity_random():
+    """rank + nullity = cols, basis vectors lie in the kernel, rank matches an independent bitset elimination, and
+    rank and nullspace equal the uint8 elimination of the oracle exactly, on rows of one lane and of several."""
+    rng = np.random.default_rng(11)
+    for A, want in _rank_test_matrices(rng):
+        n = A.shape[1]
         r = rank(A)
         basis = nullspace(A)
         assert r + basis.shape[0] == n
-        assert r == bitset_rank(A)
-        for v in basis:
-            assert not (mat_mul(A, v.reshape(-1, 1)) % 2).any()
+        assert r == bitset_rank(A) == len(row_echelon(A)[1])
+        assert want is None or r == want
+        assert basis.dtype == np.uint8 and np.array_equal(basis, echelon_nullspace(A))
+        assert not (mat_mul(A, basis.T) % 2).any()
         assert rank(basis) == basis.shape[0] if basis.size else True
 
 

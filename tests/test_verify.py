@@ -6,7 +6,7 @@ from oracle import flat as flat_bits
 from test_decoder_contract import CODES
 from test_state_machines import G_K2_STRINGS
 
-from tbtrellis import decoder, poly_from_strings, verify
+from tbtrellis import decoder, gf2, poly_from_strings, verify
 from tbtrellis.codespec import CodeSpecError
 from tbtrellis.state_machines import LinearMachine, encoder
 
@@ -30,6 +30,43 @@ def test_all_suites_pass_on_reference_code(G1, H1):
 def test_all_suites_pass_on_memory_two_code(G2, H2):
     results = verify.run_all(G2, H2, 4, seed=2, trials=200)
     assert all(ok for _, ok in results)
+
+
+# a rate-1/5 pair whose words at N = 13 are 65 bits long, one past a lane
+G_RATE_5 = [["11", "1", "1", "1", "1"]]
+H_RATE_5 = [["1", "11", "0", "0", "0"], ["1", "0", "11", "0", "0"], ["1", "0", "0", "11", "0"], ["1", "0", "0", "0", "11"]]
+
+
+def test_all_suites_pass_on_words_wider_than_one_lane():
+    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5)
+    assert 13 * H.cols == 65
+    assert verify.run_all(G, H, 13, seed=1) == [(name, True) for name in EXPECTED_SUITES]
+
+
+def test_rows_differing_only_at_bit_64_get_distinct_keys():
+    rows = np.zeros((2, 65), dtype=np.uint8)
+    rows[1, 64] = 1
+    keys = verify._keys(rows)
+    assert keys[0] != keys[1] and len(verify._key_set(rows)) == 2
+    assert len(verify._key_set(np.zeros((3, 65), dtype=np.uint8))) == 1
+
+
+def test_a_codeword_with_bit_64_flipped_is_not_in_the_codeword_set():
+    """The membership suite run on two words, a codeword and the codeword with bit 64 flipped: its binary search of
+    the codewords' keys must find the first and not the second, as the matrix and the syndromes do."""
+    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5)
+    flat = verify._codeword_table(G, 13)[1]
+    codeword = flat[flat.sum(axis=1).argmax()]
+    words = np.array([codeword, codeword ^ (np.arange(65) == 64)])
+
+    class Draw:
+        def integers(self, low, high, size):
+            assert size == words.shape
+            return words
+
+    P = verify.hscalar_tailbiting(H, 13)
+    assert verify.is_tailbiting_codeword_batch(P, words).tolist() == [True, False]
+    assert verify.suite_hscalar_membership(H, 13, flat, Draw(), trials=2)
 
 
 def test_all_suites_pass_on_the_16_state_code(monkeypatch):
@@ -355,10 +392,18 @@ def test_codeword_table_equals_the_oracle_anchor_by_anchor(monkeypatch, strings,
 
 @pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130])
 def test_lane_distances_equal_a_bit_by_bit_count(width):
-    """Rows wider than 64 bits span lanes: EXHAUSTIVE_BITS bounds N*k, not N*n."""
+    """Rows wider than 64 bits span lanes: EXHAUSTIVE_BITS bounds N*k, not N*n.
+
+    Read big-endian, lane j // 64 holds bit j at bit 63 - j % 64 and every bit past the row is 0; the
+    elimination in ``gf2`` relies on that layout.
+    """
     rng = np.random.default_rng(width)
     words, table = rng.integers(0, 2, (9, width), dtype=np.uint8), rng.integers(0, 2, (11, width), dtype=np.uint8)
     table[0], table[1] = 0, 1
-    dists = verify._distances(verify._lanes(words), verify._lanes(table))
+    dists = verify._distances(gf2._lanes(words), gf2._lanes(table))
     assert dists.dtype == np.int32
     assert dists.tolist() == [[sum(a != b for a, b in zip(w, t)) for t in table.tolist()] for w in words.tolist()]
+    for row, bits in zip(gf2._lanes(table).view(">u8").tolist(), table.tolist()):
+        assert len(row) == -(-width // 64)
+        assert all(row[j // 64] >> 63 - j % 64 & 1 == b for j, b in enumerate(bits))
+        assert row[-1] & (1 << -width % 64) - 1 == 0  # the bits past the row are 0
