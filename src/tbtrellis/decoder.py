@@ -23,14 +23,20 @@ A block of one word, which ``decode_tailbiting`` and every block of a
 pruned code is, runs its front end on Python integers instead, where a
 dozen numpy calls would cost more than the work they do.  Its symbols
 are read by ``LinearMachine.word`` (tuples looked up one by one, an
-array word packed at once, the first bad symbol named), the syndrome
-former's one-word circular run (``LinearMachine.circular_word``, one
-fold) gives sigma_fin and the syndromes, one pass over its steps packs
-each step's key and received bits, and, on a code without a metric
-automaton, two takes from the stack give the word's (steps x edges x
-states + 1) tables.  Its bound pass carries one flat cost row per cut.
-A block of several words gets its sigma_fin and syndromes from one
-``LinearMachine.circular`` of the block.
+array word packed at once, the first bad symbol named).  The syndrome
+former's circular run in steps of m symbols
+(``LinearMachine.circular_runs``) then gives sigma_fin and each step's
+key and received bits: one fold of the one-step machine over the M
+symbols before the last N mod m, then over those, gives the state at
+cut 0 and the single symbols' syndromes, and from that state the m-step
+machine (``LinearMachine.power``) takes each run of m symbols in one XOR
+of its two tables, whose output is the run's key in the stack.  The
+anchor states of each sigma_fin are one list, built once per G/H pair
+(``_dual_codes``).  On a code without a metric automaton two takes from
+the stack give the word's (steps x edges x states + 1) tables, and its
+bound pass carries one flat cost row per cut.  A block of several words
+gets its sigma_fin and syndromes from one ``LinearMachine.circular`` of
+the block.
 
 Pruning is exact and per word.  On a code with no metric automaton a
 first pass with one column that may end anywhere gives each anchor a
@@ -98,10 +104,11 @@ walks are contiguous, so its winner is picked row by row: one
 ``np.minimum.reduceat`` per label row, then on the anchor states, keeps
 the walks still at their word's least entry.  The error and codeword
 bits of the whole block are then unpacked at once.  A block of one word
-walks each pair in Python: an automaton walk reads each step's edge from
-its slots, a pruned word's traceback the first edge of its cost column
-that falls by its weight.  The array walk's fixed numpy calls cost more
-than one word's walk, which is a few list lookups per step.
+walks each pair in Python: an automaton walk reads each step's edge,
+packed per slot, and a pruned word's traceback the first edge of its
+cost column that falls by its weight.  The array walk's fixed numpy
+calls cost more than one word's walk, which is a few list lookups per
+step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
@@ -124,7 +131,7 @@ import numpy as np
 from .codespec import check_matrices
 from .error_trellis import TABLE_BUDGET, _check_length, _search_tables
 from .gf2 import format_bits, format_state
-from .state_machines import _bit_tuples, dual_state_of, enc_state_space, syndrome_former, unpack
+from .state_machines import dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -181,20 +188,24 @@ def min_weight_path(T, anchor):
 
 @lru_cache(maxsize=None)
 def _dual_codes(G, H):
-    """Encoder states and the syndrome-former integers of their dual states.
+    """What a decode of the pair reads: the encoder states, their dual states, each sigma_fin's anchors, and H's tables.
 
-    The pair is first checked as a spec load checks it (``check_matrices``).
+    Returns the encoder states, the syndrome-former integers of their
+    dual states (an array), per syndrome-former state integer x the list
+    of the dense indices of x + dual(beta), one per beta (the anchor
+    states of a word whose sigma_fin is x, which a one-word decode
+    reads), the syndrome former of H and its ``_search_tables``.  The
+    pair is first checked as a spec load checks it (``check_matrices``).
     """
     check_matrices(G, H)
-    betas = enc_state_space(G)
-    sf = syndrome_former(H)
-    duals = [sf.state(dual_state_of(G, H, beta)) for beta in betas]
-    if len(set(duals)) != len(betas):
+    betas, sf, tables = enc_state_space(G), syndrome_former(H), _search_tables(H)
+    duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in betas])
+    if len(set(duals.tolist())) != len(betas):
         raise AnchorCollisionError(
             "encoder states map onto colliding error-subtrellis anchors; "
             "the dual-state labeling is not one-to-one for this G/H pair"
         )
-    return betas, np.array(duals)
+    return betas, duals, {x: tables.index[x ^ duals].tolist() for x in sf.states}, sf, tables
 
 
 def _min_plus(sections, end):
@@ -239,8 +250,10 @@ class _Automaton(NamedTuple):
     lightest path leaves by the merged edge in slot
     ``slots[c, key * S + state]`` (uint8): the first, in label order, of
     least weight plus c's entry at its end state, which is the edge a
-    traceback takes.  ``lists`` holds the same four as a memoryview, lists
-    of rows and a bytes row per column, which a one-word walk indexes.
+    traceback takes.  ``lists`` holds what a one-word walk indexes: the
+    columns, ``nxt`` and ``low`` as lists of rows, and per column a
+    memoryview of each slot's edge, its label times 256 plus its end
+    state (S < 64).
     """
 
     columns: np.ndarray
@@ -295,7 +308,10 @@ def _automaton(H):
     via += weight
     slots = via.reshape(len(table), -1, sec.dst.shape[1]).argmin(axis=-1).astype(np.uint8)
     nxt, low = np.hstack((at, nxt)), np.hstack((gain, low)).astype(np.int32)
-    return _Automaton(table, nxt, low, slots, (memoryview(table), nxt.tolist(), low.tolist(), list(map(bytes, slots))))
+    # each slot's edge, its label above its end state's 8 bits (S < 64), which a one-word walk reads
+    key, state = np.divmod(np.arange(slots.shape[1]), S)
+    edges = (sec.label << 8 | sec.dst).astype(np.int32).take((key * sec.dst.shape[1] + slots) * (S + 1) + state)
+    return _Automaton(table, nxt, low, slots, (table.tolist(), nxt.tolist(), low.tolist(), [*map(memoryview, edges)]))
 
 
 @lru_cache(maxsize=None)
@@ -317,13 +333,6 @@ def _layout(H, N):
     places[t, step] = 1 << r * place
     first = np.array([0] * runs + [1 << r * m] * (N - cut))
     return places, first, step, n * place
-
-
-@lru_cache(maxsize=None)
-def _label_tuples(H, N):
-    """Per step of a one-word decode of N symbols, the bit tuples of its labels, indexed by label."""
-    m, n = _search_tables(H).m, H.cols
-    return [_bit_tuples(m * n)[0]] * (N // m) + [_bit_tuples(n)[0]] * (N % m)
 
 
 def _start_anywhere(tables, at):
@@ -355,8 +364,16 @@ def _traceback(outs, togo, state):
 
 
 def decode_tailbiting(G, H, z):
-    """Exact minimum-weight tailbiting decoding of the received word z."""
-    return decode_tailbiting_batch(G, H, [z])[0]
+    """Exact minimum-weight tailbiting decoding of the received word z.
+
+    The symbols are read first, then the word is checked to be non-empty
+    and N >= M.
+    """
+    es = syndrome_former(H).word(z)
+    if not es:
+        raise ValueError("a trellis needs at least one section")
+    _check_length(H, len(es))
+    return _decode_word(G, H, es)
 
 
 def decode_tailbiting_batch(G, H, words):
@@ -415,21 +432,20 @@ class _Block(NamedTuple):
 def _blocks(G, H, words):
     """Per decode block of ``words``, in order: its ``_Block``, or for a block of one its ``DecodeResult``.
 
-    The symbols are read first, then the words are checked to be non-empty
-    and N >= M.
+    A single word is ``decode_tailbiting``'s; the symbols of several are
+    read first, then the words are checked to be non-empty and N >= M.
     """
     if not len(words):
         return
-    sf = syndrome_former(H)
-    E = [sf.word(words[0])] if len(words) == 1 else sf.symbol_ints(words, 2)
-    if not len(E[0]):
-        raise ValueError("a trellis needs at least one section")
-    _check_length(H, len(E[0]))
     if len(words) == 1:
-        yield _decode_word(G, H, E[0])
+        yield decode_tailbiting(G, H, words[0])
         return
-    duals = _dual_codes(G, H)[1]
-    tables, automaton = _search_tables(H), _automaton(H)
+    E = syndrome_former(H).symbol_ints(words, 2)
+    if not E.shape[1]:
+        raise ValueError("a trellis needs at least one section")
+    _check_length(H, E.shape[1])
+    _, duals, _, sf, tables = _dual_codes(G, H)
+    automaton = _automaton(H)
     size = 1 if automaton is None else BLOCK_BUDGET // len(tables.states)
     places, first, step, shift = _layout(H, E.shape[1])
     for start in range(0, len(E), size):
@@ -445,25 +461,18 @@ def _blocks(G, H, words):
 def _decode_word(G, H, es):
     """The ``DecodeResult`` of one word of N >= M symbol integers, on Python integers.
 
-    The syndrome former's one-word circular run gives sigma_fin and the
-    N syndromes.  One pass over the steps then packs each step's key in
-    the stack and its received bits, the first symbol most significant.
+    The syndrome former's circular run in runs of m symbols
+    (``LinearMachine.circular_runs``) gives sigma_fin and each step's
+    syndromes and received bits: a run's syndromes are its key in the
+    stack, and a single symbol's key is its syndrome plus 2^(r*m).
     """
-    betas, duals = _dual_codes(G, H)
-    tables = _search_tables(H)
-    N, m, r, n = len(es), tables.m, H.rows, H.cols
-    fin, zetas = syndrome_former(H).circular_word(es)
-    cut, keys, zs = N - N % m, [], []
-    for t in range(0, cut, m):
-        key = z = 0
-        for i in range(t, t + m):
-            key, z = key << r | zetas[i], z << n | es[i]
-        keys.append(key)
-        zs.append(z)
-    keys += [(1 << r * m) + zeta for zeta in zetas[cut:]]
-    zs += es[cut:]
-    w, ties, labels, sigma, beta = _search_word(tables, betas, tables.index.take(fin ^ duals), keys, _automaton(H))
-    bits = _label_tuples(H, N)
+    betas, _, anchors, sf, tables = _dual_codes(G, H)
+    m, runs = tables.m, len(es) // tables.m
+    fin, keys, zs = sf.circular_runs(es, m)
+    keys[runs:] = map((1 << H.rows * m).__or__, keys[runs:])
+    w, ties, labels, sigma, beta = _search_word(tables, betas, anchors[fin], keys, _automaton(H))
+    # each step's labels as bit tuples, indexed by label
+    bits = [sf.power(m).in_tuples] * runs + [sf.in_tuples] * (len(es) - runs * m)
     codeword = tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, zs))))
     return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
 
@@ -516,18 +525,39 @@ def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
 def _search_word(tables, betas, rows, keys, automaton):
     """One word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
 
-    ``rows`` holds its anchor states and ``keys`` its steps' keys.  Where
-    the code has an ``automaton``, every anchor walks it.  Otherwise the
-    keys take its steps' (edges x states + 1) end states and weights from
-    the stack, and the anchors are pruned: the bound pass and its closing
-    check, then the start-anywhere pass and its own, then the search of
-    the anchors the bounds leave.
+    ``rows`` lists its anchor states and ``keys`` its steps' keys.  Where
+    the code has an ``automaton``, every anchor walks it: the anchor's
+    column steps back from cut N, one lookup per step, and its weight is
+    its last column's entry at the anchor state plus the summed offsets,
+    since min(w + c - k) = min(w + c) - k.  Each anchor of least weight is
+    then traced forward over the columns it passed, one lookup of its
+    slot's edge per step.  Otherwise the keys take its steps' (edges x
+    states + 1) end states and weights from the stack, and the anchors
+    are pruned: the bound pass and its closing check, then the
+    start-anywhere pass and its own, then the search of the anchors the
+    bounds leave.
     """
-    states = rows.tolist()
-    outs = [tables.sections.out[k] for k in keys]
     if automaton is not None:
-        return _walks(automaton, tables, betas, states, outs, keys)
-    at, sec = np.array(keys), tables.sections
+        columns, nxt, low, edges = automaton.lists
+        back, weight, passed = keys[::-1], [], []
+        for s in rows:
+            c, k, cols = s, 0, []
+            for key in back:
+                cols.append(c)
+                c, k = nxt[c][key], k + low[c][key]
+            weight.append(columns[c][s] + k)
+            passed.append(cols)
+        w, S, found = min(weight), len(tables.states), []
+        for a, x in enumerate(weight):
+            if x == w:
+                labels, s = [], rows[a]
+                for key, c in zip(keys, reversed(passed[a])):
+                    label, s = divmod(edges[c][key * S + s], 256)
+                    labels.append(label)
+                found.append((labels, tables.states[rows[a]], betas[a]))
+        return _least(w, found)
+    outs = [tables.sections.out[k] for k in keys]
+    states, rows, at, sec = rows, np.array(rows), np.array(keys), tables.sections
     sections = sec.dst.take(at, axis=0), sec.weight.take(at, axis=0)
     ends = _ends(len(tables.states))
     passes = []
@@ -563,54 +593,23 @@ def _search_word(tables, betas, rows, keys, automaton):
     if len(rest):
         search(rest)
     w = min(min(weight) for _, _, weight in passes)
-    walks = (
-        (a, _traceback(outs, memoryview(cost[:, j]), states[a])[0])
+    found = [
+        (_traceback(outs, memoryview(cost[:, j]), states[a])[0], tables.states[states[a]], betas[a])
         for cost, anchors, weight in passes
         for j, a in enumerate(anchors)
         if weight[j] == w
-    )
-    return _least(tables, betas, states, w, walks)
+    ]
+    return _least(w, found)
 
 
-def _walks(automaton, tables, betas, states, outs, keys):
-    """``_search_word`` of a word on a code with an ``automaton``: every anchor walks over it.
+def _least(w, found):
+    """(w, ties, labels, anchor sigma, anchor beta) of a word of least weight w: of what is ``found``, the smallest.
 
-    Each anchor's column steps back from cut N, one lookup per step; its
-    weight is its last column's entry at the anchor state plus the summed
-    offsets, since min(w + c - k) = min(w + c) - k.  Each anchor of least
-    weight is traced forward over the columns it passed, one slot lookup
-    per step.
-    """
-    columns, nxt, low, slots = automaton.lists
-    back, weight, passed = keys[::-1], [], []
-    for s in states:
-        c, k, cols = s, 0, []
-        for key in back:
-            cols.append(c)
-            c, k = nxt[c][key], k + low[c][key]
-        weight.append(columns[c, s] + k)
-        passed.append(cols[::-1])
-    w = min(weight)
-
-    def walk(a):
-        labels, s, S = [], states[a], len(tables.states)
-        for out, key, c in zip(outs, keys, passed[a]):
-            label, s, _ = out[s][slots[c][key * S + s]]
-            labels.append(label)
-        return a, labels
-
-    return _least(tables, betas, states, w, (walk(a) for a, x in enumerate(weight) if x == w))
-
-
-def _least(tables, betas, states, w, walks):
-    """(w, ties, labels, anchor sigma, anchor beta) of a word of least weight w: of its ``walks``, the smallest.
-
-    ``walks`` gives (anchor, labels) for each anchor reaching w; the
-    smallest (labels, sigma, beta) wins.
+    ``found`` lists (labels, sigma, beta) for each anchor reaching w; the
+    smallest wins.
     """
     if w >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    found = [(labels, tables.states[states[a]], betas[a]) for a, labels in walks]
     return (w, len(found), *min(found))
 
 

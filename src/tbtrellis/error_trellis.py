@@ -30,11 +30,12 @@ transitions that emit zeta: ``error_trellis_module`` groups
 encoder's.  The decoder's merged m-section tables hold, of the m-step
 syndrome-former paths that emit a run of m syndromes, the lightest from
 each state to each end state: ``_search_tables`` enumerates those paths
-once per H with numpy and keeps one per start and end state.  The kept
-paths of runs of m and of single symbols form one list of merged edges,
-keyed by the integer their syndromes form, which is scattered once into
-every table: out of each start state and, in an incoming stack, into
-each end state.
+once per H, as one broadcast XOR of the tables of the syndrome former's
+m-step machine (``LinearMachine.power``), and keeps one per start and
+end state.  The kept paths of runs of m and of single symbols form one
+list of merged edges, keyed by the integer their syndromes form, which
+is scattered once into every table: out of each start state and, in an
+incoming stack, into each end state.
 """
 
 from __future__ import annotations
@@ -219,22 +220,20 @@ def _rank(group):
 def _paths(sf, j):
     """The lightest j-step path of ``sf`` from each state to each end state under each key.
 
-    Inputs are enumerated in ascending order, so path p's label is p, the
+    One broadcast XOR of the two tables of ``sf.power(j)`` steps every
+    state under every run of j inputs, so path p's label is p, the
     integer of its j input symbols, and its key the integer of its j
     syndrome symbols.  Of the paths with one start, key and end state the
     lightest, then the one of smallest label, is kept.  Returns the kept
     paths' start indices, keys, end states and labels, in start, then
     label order.
     """
-    S, P = len(sf.states), len(sf.tables[1]) ** j
-    x, key = np.array(sf.states)[:, None], np.zeros((S, 1), dtype=np.intp)
-    for _ in range(j):
-        v = (sf.tables[0][x][..., None] ^ sf.tables[1]).reshape(S, -1)
-        x, key = v >> sf.out_bits, np.repeat(key << sf.out_bits, len(sf.tables[1]), axis=1) | v & sf.out_mask
+    run, S, P = sf.power(j), len(sf.states), len(sf.from_input) ** j
+    x, key = np.divmod(run.tables[0][sf.states][:, None] ^ run.tables[1], 1 << run.out_bits)
     label = np.arange(S * P) % P
-    edge = (key + (np.arange(S)[:, None] << sf.out_bits * j)).ravel() << sf.state_bits | x.ravel()
+    edge = (key + (np.arange(S)[:, None] << run.out_bits)).ravel() << sf.state_bits | x.ravel()
     # sorted stably by (start, key, end state), then weight, each merged edge's kept path comes first
-    order = (edge * (sf.in_bits * j + 1) + np.bitwise_count(label)).argsort(kind="stable")
+    order = (edge * (run.in_bits + 1) + np.bitwise_count(label)).argsort(kind="stable")
     first = np.append(True, edge[order[1:]] != edge[order[:-1]])
     keep = np.flatnonzero(np.bincount(order[first], minlength=len(edge)))
     return keep // P, key.ravel()[keep], x.ravel()[keep], label[keep]

@@ -76,12 +76,9 @@ def split_symbols(bits, n):
 
 
 def format_bits(bits, group=None):
-    """Render bits as '0'/'1' text, optionally in space-separated groups."""
-    a = as_bits(bits)
-    s = "".join(str(int(b)) for b in a)
-    if group is None:
-        return s
-    return " ".join(s[i : i + group] for i in range(0, len(s), group))
+    """Render bits as '0'/'1' text, optionally in space-separated groups: the bytes of the bits plus ord('0')."""
+    s = (as_bits(bits) + 48).tobytes().decode()
+    return s if group is None else " ".join(s[i : i + group] for i in range(0, len(s), group))
 
 
 def format_state(bits):

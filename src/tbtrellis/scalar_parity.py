@@ -18,6 +18,9 @@ import numpy as np
 
 from .gf2 import as_bits, format_bits, is_bit_array
 
+# words per float32 product of ``is_tailbiting_codeword_batch``
+MEMBERSHIP_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True)
 class ScalarParity:
@@ -71,19 +74,21 @@ def is_tailbiting_codeword(P, y):
 
 
 def is_tailbiting_codeword_batch(P, words):
-    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: one product Y P^T mod 2.
+    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: one product Y P^T, read mod 2.
 
-    The product stays on uint8 rows, not on the packed rows of
-    ``gf2._lanes``: a parity of AND-popcounts would hold words x checks x
-    lanes uint64, about 335 MB for the 2^20 codewords of ``verify -N 20``,
-    where the product holds words x checks bytes, 42 MB.
+    The product is a float32 one, which numpy hands to BLAS: it is exact
+    while N*n < 2^24, since a sum counts ones of a row of N*n bits, and
+    every integer below 2^24 is a float32.  It runs over blocks of
+    ``MEMBERSHIP_BLOCK`` words, so the float copies stay small (the 2^20
+    codewords of ``verify -N 20`` take 250 MB as float32 rows) and in
+    cache.
     """
     if P.kind != "tailbiting":
         raise ValueError("membership test needs a tailbiting matrix")
     length = P.matrix.shape[1]
     Y = words if is_bit_array(words, 2, length) else np.array([as_bits(y, length) for y in words]).reshape(-1, length)
-    # a uint8 product wraps mod 256, which keeps the parity of every sum
-    return ~((Y @ P.matrix.T) & 1).any(axis=1)
+    checks, blocks = P.matrix.T.astype(np.float32), range(0, max(len(Y), 1), MEMBERSHIP_BLOCK)
+    return np.concatenate([~((Y[i : i + MEMBERSHIP_BLOCK] @ checks).astype(np.int32) & 1).any(axis=1) for i in blocks])
 
 
 def format_matrix(P):

@@ -22,6 +22,7 @@ from tbtrellis import (
     build_tailbiting_error_trellis,
     decode_tailbiting,
     decode_tailbiting_batch,
+    dual_state_of,
     enc_state_space,
     error_anchor,
     min_weight_path,
@@ -32,7 +33,7 @@ from tbtrellis import (
     split_symbols,
 )
 from tbtrellis.cli import main
-from tbtrellis.state_machines import LinearMachine
+from tbtrellis.state_machines import LinearMachine, syndrome_former
 from tbtrellis.verify import run_all
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
@@ -355,7 +356,7 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     below ``_UNREACHED`` (the step's offset), unreached entries held at ``_UNREACHED``; the first S columns are the
     anchor columns and the columns are distinct.  A state the step reaches leaves by the slot of its first edge, in
     label order, whose weight plus the column's entry at its end is the step's entry there.  The lists a one-word walk
-    reads hold the same steps and slots as the arrays a block's walks gather from."""
+    reads hold the same columns and steps as the arrays a block's walks gather from, and each slot's edge."""
     H = poly_from_strings(CODES[name][0][1])
     tables, automaton = error_trellis._search_tables(H), decoder._automaton(H)
     S, sec = len(tables.states), tables.sections
@@ -378,9 +379,12 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     assert len({tuple(row) for row in table.tolist()}) == len(table)
     assert automaton.nxt.shape == automaton.low.shape == (len(table), len(sec.dst))
     assert automaton.slots.shape == (len(table), len(sec.dst) * S)
-    columns, nxt, low, slots = automaton.lists
-    assert columns.tolist() == table.tolist() and slots == list(map(bytes, automaton.slots))
-    assert (nxt, low) == (automaton.nxt.tolist(), automaton.low.tolist())
+    columns, nxt, low, edges = automaton.lists
+    assert columns == table.tolist() and (nxt, low) == (automaton.nxt.tolist(), automaton.low.tolist())
+    # a one-word walk reads each slot's edge: its label above its end state's 8 bits
+    key, state = np.divmod(np.arange(len(sec.dst) * S), S)
+    at = key, automaton.slots, state
+    assert [list(row) for row in edges] == (sec.label[at] << 8 | sec.dst[at]).tolist()
     for key in range(len(sec.dst)):
         step = decoder._min_plus((sec.dst[key : key + 1], sec.weight[key : key + 1]), table)[0]
         live = step < decoder._UNREACHED
@@ -538,40 +542,93 @@ def test_library_entry_points_reject_the_pairs_a_spec_load_rejects(g, h, word, m
 
 
 def test_decode_runs_the_syndrome_former_once(monkeypatch):
-    """One circular run per decode block, and no syndrome-former step.
+    """One circular run per decode block, and no second fold.
 
-    A block of one word is one ``LinearMachine.circular_word``, whose one
-    integer fold runs over the word's last M symbols and then the word; a
+    A block of one word is one ``LinearMachine.circular_runs`` of the
+    syndrome former: one fold of the one-step machine over the M symbols
+    before the last N mod m and those, then one step of its m-step
+    machine (``power(m)``) per run of m symbols, which folds nothing.  A
     block of several words is one ``LinearMachine.circular`` call.  A
-    second fold, e.g. for sigma_fin alone, counts.
+    second fold of either machine, e.g. for sigma_fin alone, or a
+    ``circular_word``, counts.
     """
     K7 = [poly_from_strings(s) for s in K7_STRINGS]
     ref = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
     z7, z = [(1, 0), (0, 1), (1, 1)] * 4, split_symbols(parse_bits(RECEIVED), 3)
+    machines = {}
     for G, H in (K7, ref):
         decode_tailbiting(G, H, z7 if G is K7[0] else z)  # fills the per-code caches
+        sf = syndrome_former(H)
+        machines.update({sf: "one-step", sf.power(error_trellis._search_tables(H).m): "m-step"})
+    assert len(machines) == 4
     calls = Counter()
-    for name in ("circular", "circular_word", "fold"):
+    for name in ("circular", "circular_runs", "circular_word", "fold"):
         real = getattr(LinearMachine, name)
 
         def counting(self, *args, _real=real, _name=name):
-            calls[_name] += 1
+            calls[_name, machines.get(self, "other")] += 1
             return _real(self, *args)
 
         monkeypatch.setattr(LinearMachine, name, counting)
+    def runs(words, blocks=0):
+        """The calls of ``words`` one-word decodes and ``blocks`` multi-word blocks."""
+        return {("circular_runs", "one-step"): words, ("fold", "one-step"): words} | (
+            {("circular", "one-step"): blocks} if blocks else {}
+        )
+
     decode_tailbiting(*K7, z7)
-    assert calls == {"circular_word": 1, "fold": 1}
+    assert calls == runs(1)
     # a block of the 64-state code holds one word
     decode_tailbiting_batch(*K7, [z7, z7[::-1], z7])
-    assert calls == {"circular_word": 4, "fold": 4}
+    assert calls == runs(4)
     decode_tailbiting(*ref, z)
-    assert calls == {"circular_word": 5, "fold": 5}
+    assert calls == runs(5)
     # the reference code's 3 words fill one block
     decode_tailbiting_batch(*ref, [z, z[::-1], z])
-    assert calls == {"circular_word": 5, "fold": 5, "circular": 1}
+    assert calls == runs(5, 1)
     # an array word is packed by ``received`` and run once
     decode_tailbiting(*ref, np.array(z))
-    assert calls == {"circular_word": 6, "fold": 6, "circular": 1}
+    assert calls == runs(6, 1)
+
+
+def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(monkeypatch):
+    """The one-word front end against ``circular_word``, then each step's key packed from its syndromes.
+
+    A run of m symbols keys the stack by its syndromes, the first most
+    significant, and a single symbol by 2^(r*m) plus its syndrome; the
+    anchor states are sigma_fin + dual(beta), per beta, as dense indices.
+    Every ``CODES`` pair at N = M..M+2m+1, N < m and N mod m != 0 among
+    the lengths.
+    """
+    captured, real_search_word = [], decoder._search_word
+
+    def capturing_search_word(tables, betas, rows, keys, automaton):
+        captured.append((rows, keys))
+        return real_search_word(tables, betas, rows, keys, automaton)
+
+    monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
+    rng, lengths = np.random.default_rng(67), []
+    for (g, h), _ in CODES.values():
+        G, H = poly_from_strings(g), poly_from_strings(h)
+        sf, tables = syndrome_former(H), error_trellis._search_tables(H)
+        m, r = tables.m, H.rows
+        duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in enc_state_space(G)])
+        for N in range(max(H.deg, 1), max(H.deg, 1) + 2 * m + 2):
+            lengths.append((N, m))
+            for _ in range(3):
+                es = rng.integers(0, 2**H.cols, N).tolist()
+                fin, zetas = sf.circular_word(es)
+                cut, keys = N - N % m, []
+                for t in range(0, cut, m):
+                    key = 0
+                    for zeta in zetas[t : t + m]:
+                        key = key << r | zeta
+                    keys.append(key)
+                captured.clear()
+                decode_tailbiting(G, H, [sf.in_tuples[e] for e in es])
+                rows = tables.index[fin ^ duals].tolist()
+                assert captured == [(rows, keys + [(1 << r * m) + zeta for zeta in zetas[cut:]])], (h, N)
+    assert any(N < m for N, m in lengths) and any(N % m for N, m in lengths)
 
 
 def test_decode_imports_nothing_new():

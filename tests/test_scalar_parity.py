@@ -15,6 +15,8 @@ from tbtrellis import (
     sf_state_space,
     tailbiting_syndromes,
 )
+from tbtrellis import scalar_parity
+from tbtrellis.scalar_parity import ScalarParity, is_tailbiting_codeword_batch
 
 from oracle import all_tailbiting, bitset_rank, flat, term_encode
 
@@ -222,3 +224,25 @@ def test_scalar_matrices_are_read_only_uint8(H1, H2, build):
         assert P.dtype == np.uint8 and not P.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             P[0, 0] = 1
+
+
+def test_float32_membership_equals_the_uint8_product(monkeypatch, H1):
+    """The reference code at N = 100 (300-bit words), and one dense check row whose sums reach 300 > 255.
+
+    Words are codewords, seeded draws and the all-ones word; blocks of 7
+    words split the product, and a block of no words gives no answers.
+    """
+    rng = np.random.default_rng(71)
+    P = hscalar_tailbiting(H1, 100)
+    basis = nullspace(P.matrix)
+    codewords = rng.integers(0, 2, (40, len(basis))).astype(np.uint8) @ basis & 1
+    words = np.vstack([codewords, rng.integers(0, 2, (60, 300)), np.ones((1, 300))]).astype(np.uint8)
+    dense = ScalarParity(np.ones((1, 300), dtype=np.uint8), "tailbiting", 100, (1, 3))
+    assert (words.astype(int) @ dense.matrix.T).max() == 300
+    for block in (scalar_parity.MEMBERSHIP_BLOCK, 7):
+        monkeypatch.setattr(scalar_parity, "MEMBERSHIP_BLOCK", block)
+        assert is_tailbiting_codeword_batch(P, codewords).all()
+        for Q in (P, dense):
+            uint8 = ~((words @ Q.matrix.T) & 1).any(axis=1)
+            assert (is_tailbiting_codeword_batch(Q, words) == uint8).all()
+            assert is_tailbiting_codeword_batch(Q, words[:0]).shape == (0,)

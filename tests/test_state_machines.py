@@ -1,3 +1,4 @@
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -23,6 +24,7 @@ from tbtrellis import (
     tailbiting_encode,
     xor_states,
 )
+from tbtrellis.error_trellis import _search_tables
 from tbtrellis.state_machines import encoder, syndrome_former
 
 from oracle import circ_encode, coeffs_from_strings
@@ -320,3 +322,52 @@ def test_a_block_circular_run_equals_the_one_word_run_of_each_row(name):
             assert outs.shape == E.shape
             for row, x, o in zip(E.tolist(), fin.tolist(), outs.tolist()):
                 assert machine.circular_word(row) == (x, o)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_the_m_step_machine_is_m_one_step_folds(name):
+    """``power(m)`` of the syndrome former, m its search tables' run, from every state under every run of m symbols.
+
+    A transition is one XOR of its two tables; it equals m ``fold`` steps,
+    the next state above the m outputs, the first symbol's most
+    significant.  ``power(1)`` holds the machine's own tables.
+    """
+    H = poly_from_strings(CODES[name][0][1])
+    sf, m = syndrome_former(H), _search_tables(H).m
+    run, n, r = sf.power(m), sf.in_bits, sf.out_bits
+    assert (sf.power(1).from_state, sf.power(1).from_input) == (sf.from_state, sf.from_input)
+    assert run.states == sf.states and run.degree == -(-H.deg // m)
+    assert (run.state_bits, run.in_bits, run.out_bits) == (sf.state_bits, m * n, m * r)
+    folded = []
+    for x in range(2**sf.state_bits):
+        for z in range(2 ** (m * n)):
+            y, outs = sf.fold(x, [z >> n * p & 2**n - 1 for p in range(m - 1, -1, -1)])
+            folded.append(reduce(lambda v, o: v << r | o, outs, y))
+    assert [x ^ z for x in run.from_state for z in run.from_input] == folded
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_a_circular_run_in_steps_of_m_is_the_one_word_run_packed_step_by_step(name):
+    """``circular_runs`` against ``circular_word``, its outputs and inputs then packed m to a run, at N = 1..M+2m+1.
+
+    Below d the word is read around more than once; N < m and N mod m != 0
+    are among the lengths of every code.  An empty word has no run.
+    """
+    H = poly_from_strings(CODES[name][0][1])
+    sf, m = syndrome_former(H), _search_tables(H).m
+    assert m > 1
+    rng = np.random.default_rng(61)
+    for N in range(1, max(H.deg, 1) + 2 * m + 2):
+        for _ in range(5):
+            es = rng.integers(0, 2**sf.in_bits, N).tolist()
+            fin, zetas = sf.circular_word(es)
+            cut, keys, zs = N - N % m, [], []
+            for t in range(0, cut, m):
+                key = z = 0
+                for i in range(t, t + m):
+                    key, z = key << sf.out_bits | zetas[i], z << sf.in_bits | es[i]
+                keys.append(key)
+                zs.append(z)
+            assert sf.circular_runs(es, m) == (fin, keys + zetas[cut:], zs + es[cut:]), N
+    with pytest.raises(ValueError, match="^need at least one input symbol$"):
+        sf.circular_runs([], m)
