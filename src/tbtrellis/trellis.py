@@ -14,9 +14,9 @@ forward walk, ``_walk``, keeps cut by cut the edges from the states the
 anchor reaches into states that still reach it.  ``count_paths`` reads
 the pass, ``to_dot`` bolds the walk's edges, the decoder's
 ``min_weight_path`` follows the first optimal edge of the walk in section
-order, and ``enumerate_paths`` and ``_label_bits`` expand the walk path by
-path.  ``_label_bits`` is the verifier's set-equality reader: the label
-bits of every path as one uint8 array, with no per-path tuple.
+order, and ``enumerate_paths`` expands the walk path by path.  The
+verifier's set-equality suite reads none of them: it reads the sections
+themselves into integer tables (``verify._tables``).
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .gf2 import format_bits, format_state
 from .state_machines import _key, enc_state_space, encoder
@@ -128,14 +126,6 @@ def _walk(T, anchor):
     return cuts, start, walk
 
 
-def _expand(walk, start, codes, empty):
-    """Every path of the walk from ``start``: ``empty`` followed by its edges' ``codes``, first section first."""
-    paths = [(start, empty)]
-    for live, code in zip(walk, codes):
-        paths = [(j, v + code[k]) for i, v in paths for _, j, k in live[i]]
-    return [v for _, v in paths]
-
-
 def count_paths(T, anchor):
     """Number of tailbiting paths through the subtrellis at ``anchor``."""
     cuts, start = _to_anchor(T, anchor)
@@ -152,20 +142,10 @@ def enumerate_paths(T, anchor, max_paths=DEFAULT_MAX_PATHS):
     total = cuts[0][start][1]
     if total > max_paths:
         raise ValueError(f"subtrellis has {total} paths, exceeding the bound {max_paths}")
-    paths = _expand(walk, start, [[(e,) for e in section] for section in T.sections], ())
-    return sorted((tuple(e.label for e in edges), (edges[0].src, *(e.dst for e in edges))) for edges in paths)
-
-
-def _label_bits(T, anchor):
-    """The label bits of every tailbiting path at ``anchor``: (paths x N*n) 0/1 uint8, in no fixed order.
-
-    The walk's paths expanded as byte strings of their label bits, with
-    no per-path tuple; the verifier's set-equality suite reads them.
-    """
-    _, start, walk = _walk(T, anchor)
-    paths = _expand(walk, start, [[bytes(e.label) for e in section] for section in T.sections], b"")
-    width = T.n_sections * len(T.sections[0][0].label)
-    return np.frombuffer(b"".join(paths), dtype=np.uint8).reshape(len(paths), width)
+    paths = [(start, ())]
+    for live, section in zip(walk, T.sections):
+        paths = [(j, edges + (section[k],)) for i, edges in paths for _, j, k in live[i]]
+    return sorted((tuple(e.label for e in edges), (edges[0].src, *(e.dst for e in edges))) for _, edges in paths)
 
 
 def to_dot(T, highlight=None):

@@ -45,12 +45,21 @@ N = 11 on it holds one trial.
 The codebook and the zero-syndrome suite run their machine circularly
 over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
 codewords of the reference code at N = 5 in one block call).  The
-subtrellis-set-equality suite checks word by word on the built error
-trellis: per anchor, one label-bit array of every path
-(``trellis._label_bits``), shifted by the word and keyed by its lanes.
+subtrellis-set-equality suite reads each word's built error trellis once
+into integer tables (``_tables``) and enumerates no path.  Containment:
+every codeword of beta, XORed with the word, walks the next-state table
+from beta's error anchor and must find an edge at every step and end
+where it started, so beta's codewords B lie among the anchor's
+tailbiting paths A.  Count: the diagonal of the product of the section
+count matrices is |A|, which must equal |B|, beta's number of distinct
+codewords.  B in A and |A| = |B| give A = B.  The product runs in
+float64, exact up to 2^53, far above the 2^EXHAUSTIVE_BITS codewords a
+beta can have.  The codewords are walked in the blocks of the codebook.
 """
 
 from __future__ import annotations
+
+from functools import reduce
 
 import numpy as np
 
@@ -66,8 +75,7 @@ from .error_trellis import (
 )
 from .gf2 import _lanes
 from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword_batch
-from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
-from .trellis import _label_bits
+from .state_machines import _powers, dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
 
 EXHAUSTIVE_BITS = 20
 DISTANCE_BLOCK = 1 << 14
@@ -149,19 +157,60 @@ def _key_set(bits):
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
+def _tables(T, sf):
+    """``T`` read once into integer tables: (its state index, next-state table, path-count matrices).
+
+    States are indexed in cut 0's order at every cut, and a label is the
+    integer of its symbol, as ``sf`` reads an input.  Section t of the
+    next-state table holds, at start index << n | label, the end index of
+    that edge; a missing edge and every edge of state S, one past the
+    last, end in S.  Entry (i, j) of count matrix t is the number of
+    section t's edges from i to j.
+    """
+    index = {s: i for i, s in enumerate(T.states_per_cut[0])}
+    N, S, edges = T.n_sections, len(index), [(t, e) for t, section in enumerate(T.sections) for e in section]
+    t, src, dst = np.array([(t, index[e.src], index[e.dst]) for t, e in edges], dtype=np.intp).reshape(-1, 3).T
+    nxt = np.full((N, S + 1 << sf.in_bits), S, dtype=np.intp)
+    nxt[t, src << sf.in_bits | sf.word([e.label for _, e in edges])] = dst
+    return index, nxt, np.bincount((t * S + src) * S + dst, minlength=N * S * S).reshape(N, S, S)
+
+
 def suite_set_equality(G, H, N, anchors, flat, starts, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis.
 
-    Each shifted path and each codeword is one key of its lanes, and the
-    sorted distinct keys of the two sides must be equal.  The paths come
-    from the built error trellis, as one label-bit array per anchor.
+    Per word, the built error trellis is read once into integer tables
+    (``_tables``).  Containment: every codeword of beta, XORed with the
+    word, walks the next-state table from beta's error anchor; it must
+    find an edge at every step and end where it started, so beta's
+    codewords B lie among the anchor's tailbiting paths A.  Count: the
+    diagonal of the product of the count matrices gives |A|, which must
+    equal the number of distinct codewords of beta.  B in A and |A| = |B|
+    give A = B, with no path left unchecked; a duplicated edge adds a path
+    and fails the count.  The product runs in float64, whose entries are
+    exact up to 2^53; a count past that stays past it, and past
+    2^(N*k) <= 2^EXHAUSTIVE_BITS, the most codewords a beta has, so every
+    comparison is exact.  The codewords are read as symbol integers once,
+    and walked in blocks of as many as hold ``DISTANCE_BLOCK`` symbols.
     """
-    codewords = {beta: _key_set(ys) for beta, ys in zip(anchors, np.split(flat, starts[1:]))}
-    for word in _bits(rng, words, N * H.cols):
-        z = word.reshape(N, H.cols)
+    sf, n, step = syndrome_former(H), H.cols, max(1, DISTANCE_BLOCK // N)
+    rows = np.diff(starts, append=len(flat))
+    # the circular run is linear: a codeword of beta repeats as often as 0 does in the zero anchor, the first
+    sizes, group = rows // np.count_nonzero(~flat[: rows[0]].any(axis=1)), np.repeat(np.arange(len(anchors)), rows)
+    places = _powers(n).astype(np.min_scalar_type(2**n - 1))
+    syms = np.concatenate([(flat[i : i + step].reshape(-1, N, n) @ places).T for i in range(0, len(flat), step)], axis=1)
+    for word in _bits(rng, words, N * n):
+        z = word.reshape(N, n)
         fin, T = sigma_fin(H, z), build_tailbiting_error_trellis(H, z)
-        for beta, keys in codewords.items():
-            if not np.array_equal(_key_set(_label_bits(T, error_anchor(beta, fin, G, H)) ^ word), keys):
+        index, nxt, counts = _tables(T, sf)
+        paths = reduce(np.matmul, counts.astype(np.float64))
+        at = np.array([index[error_anchor(beta, fin, G, H)] for beta in anchors])
+        if (paths.diagonal()[at] != sizes).any():
+            return False
+        for start in range(0, len(flat), step):
+            x = first = at[group[start : start + step]]
+            for table, syms_t in zip(nxt, syms[:, start : start + step] ^ (z @ places)[:, None]):
+                x = table.take(x << n | syms_t)
+            if (x != first).any():
                 return False
     return True
 

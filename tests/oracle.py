@@ -183,3 +183,35 @@ def poly_mul(a, b):
 
 def hamming(a, b):
     return int(np.bitwise_xor(np.asarray(a, np.uint8), np.asarray(b, np.uint8)).sum())
+
+
+def label_bits(T, anchor):
+    """The label bits of every tailbiting path of ``T`` at ``anchor``: (paths x N*n) 0/1 uint8, in no fixed order.
+
+    Every path from the anchor at cut 0 is extended edge by edge through
+    ``T.sections``, and those that end at the anchor are kept; a label
+    sequence appears once per path that carries it.
+    """
+    anchor = tuple(anchor)
+    paths = [(anchor, b"")]
+    for section in T.sections:
+        out = {}
+        for e in section:
+            out.setdefault(e.src, []).append(e)
+        paths = [(e.dst, bits + bytes(e.label)) for src, bits in paths for e in out.get(src, ())]
+    rows = [bits for end, bits in paths if end == anchor]
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), T.n_sections * len(T.sections[0][0].label))
+
+
+def set_equality_by_enumeration(T, word, anchors, codewords):
+    """Subtrellis set equality on one error trellis, by enumerating and sorting its paths.
+
+    Per code subtrellis, the distinct label-bit rows of the paths at its
+    error anchor (``anchors``), XORed with the flat 0/1 ``word``, sorted,
+    must equal its distinct codeword rows (``codewords``), sorted.  Only
+    distinct rows are compared, so a duplicated edge goes unseen.
+    """
+    return all(
+        np.array_equal(np.unique(label_bits(T, a) ^ word, axis=0), np.unique(ys, axis=0))
+        for a, ys in zip(anchors, codewords)
+    )

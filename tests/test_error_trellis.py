@@ -24,9 +24,9 @@ from tbtrellis import (
     sigma_fin,
     tailbiting_syndromes,
 )
-from tbtrellis.trellis import Edge, _label_bits
+from tbtrellis.trellis import Edge
 
-from oracle import all_tailbiting, flat
+from oracle import all_tailbiting, flat, label_bits
 
 ZETA = ((0, 0), (0, 0), (1, 0), (0, 1), (1, 1))
 ETA = ((0, 0), (1, 1), (0, 1), (1, 0), (0, 0))
@@ -216,8 +216,8 @@ def test_backward_paths_are_reversed_forward_paths(code, G1, H1, received):
         fin, fin_t = sigma_fin(H, z), backward_sigma_fin(H, z)
         Tf, Tb = build_tailbiting_error_trellis(H, z), build_backward_error_trellis(H, z)
         for beta in enc_state_space(G):
-            fwd = _label_rows(_label_bits(Tf, error_anchor(beta, fin, G, H)), H.cols)
-            bwd = _label_rows(_label_bits(Tb, backward_error_anchor(beta, fin_t, G, H)), H.cols, -1)
+            fwd = _label_rows(label_bits(Tf, error_anchor(beta, fin, G, H)), H.cols)
+            bwd = _label_rows(label_bits(Tb, backward_error_anchor(beta, fin_t, G, H)), H.cols, -1)
             assert fwd == bwd
             sizes.append(len(fwd))
     if code == "reference-word":

@@ -1,12 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import G1_STRINGS, G2_STRINGS
-from oracle import all_tailbiting, coeffs_from_strings
+from oracle import all_tailbiting, coeffs_from_strings, set_equality_by_enumeration
 from oracle import flat as flat_bits
 from test_decoder_contract import CODES
 from test_state_machines import G_K2_STRINGS
 
-from tbtrellis import decoder, gf2, poly_from_strings, verify
+from tbtrellis import (
+    Edge,
+    build_tailbiting_error_trellis,
+    decoder,
+    enc_state_space,
+    error_anchor,
+    gf2,
+    poly_from_strings,
+    sigma_fin,
+    verify,
+)
 from tbtrellis.codespec import CodeSpecError
 from tbtrellis.state_machines import LinearMachine, encoder
 
@@ -37,6 +49,17 @@ G_RATE_5 = [["11", "1", "1", "1", "1"]]
 H_RATE_5 = [["1", "11", "0", "0", "0"], ["1", "0", "11", "0", "0"], ["1", "0", "0", "11", "0"], ["1", "0", "0", "0", "11"]]
 
 
+class _Draw:
+    """A generator stand-in whose one draw is the given rows of bits."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def integers(self, low, high, size):
+        assert size == self.rows.shape
+        return self.rows
+
+
 def test_all_suites_pass_on_words_wider_than_one_lane():
     G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5)
     assert 13 * H.cols == 65
@@ -58,15 +81,9 @@ def test_a_codeword_with_bit_64_flipped_is_not_in_the_codeword_set():
     flat = verify._codeword_table(G, 13)[1]
     codeword = flat[flat.sum(axis=1).argmax()]
     words = np.array([codeword, codeword ^ (np.arange(65) == 64)])
-
-    class Draw:
-        def integers(self, low, high, size):
-            assert size == words.shape
-            return words
-
     P = verify.hscalar_tailbiting(H, 13)
     assert verify.is_tailbiting_codeword_batch(P, words).tolist() == [True, False]
-    assert verify.suite_hscalar_membership(H, 13, flat, Draw(), trials=2)
+    assert verify.suite_hscalar_membership(H, 13, flat, _Draw(words), trials=2)
 
 
 def test_all_suites_pass_on_the_16_state_code(monkeypatch):
@@ -129,12 +146,28 @@ def _wrong_dual_state(real):
     return dual_state_of
 
 
-def _dropping_label_bits(real):
-    def _label_bits(T, anchor):
-        bits = real(T, anchor)
-        return bits[1:] if anchor == (0, 1) else bits
+def _words_own_edge(T, H, z):
+    """The edge of section 0 on the word's own path, which is the zero codeword of anchor 0 shifted by the word.
 
-    return _label_bits
+    That path runs from sigma_fin, the error anchor sigma_fin + dual(0) of
+    anchor 0, under the word's symbols, so its first edge leaves sigma_fin
+    under the first symbol.
+    """
+    fin, first = sigma_fin(H, z), tuple(np.asarray(z)[0].tolist())
+    return next(e for e in T.sections[0] if (e.src, e.label) == (fin, first))
+
+
+def _with_section_0(T, edges):
+    return replace(T, sections=(tuple(edges), *T.sections[1:]))
+
+
+def _dropping_an_edge(real):
+    def build_tailbiting_error_trellis(H, z):
+        T = real(H, z)
+        edge = _words_own_edge(T, H, z)
+        return _with_section_0(T, [e for e in T.sections[0] if e != edge])
+
+    return build_tailbiting_error_trellis
 
 
 def _starting_101(words):
@@ -170,7 +203,7 @@ def _overweight_decoder_arrays(real):
     [
         ("sf_step_batch", _nonlinear_sf_step_batch, "superposition"),
         ("dual_state_of", _wrong_dual_state, "zero-syndrome-traversal"),
-        ("_label_bits", _dropping_label_bits, "subtrellis-set-equality"),
+        ("build_tailbiting_error_trellis", _dropping_an_edge, "subtrellis-set-equality"),
         ("backward_syndromes_batch", _flipping_backward_syndromes_batch, "eta-zeta-correspondence"),
         ("is_tailbiting_codeword_batch", _negating_membership_batch, "hscalar-membership"),
         ("_decode_arrays", _overweight_decoder_arrays, "decoder-oracle"),
@@ -240,12 +273,11 @@ def _per_field_draws(H, N, seed, trials):
         s12 = tuple(a ^ b for a, b in zip(s1, s2))
         e12 = tuple(a ^ b for a, b in zip(e1, e2))
         steps += [(H, s1, e1), (H, s2, e2), (H, s12, e12)]
-    for _ in range(5):  # subtrellis-set-equality draws five words
-        word()
+    set_equality = [word() for _ in range(5)]  # subtrellis-set-equality draws five words
     backward = [(H, word()) for _ in range(trials)]
     membership = [bits(N * n) for _ in range(trials)]
     decoded = [word() for _ in range(trials)]
-    return steps, backward, membership, decoded
+    return steps, set_equality, backward, membership, decoded
 
 
 def _words(block):
@@ -259,7 +291,7 @@ def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
     trials, N = 50, 5
     results, calls = _recorded_calls(monkeypatch, names, G1, H1, N, seed, trials)
     assert all(ok for _, ok in results)
-    steps, backward, membership, decoded = _per_field_draws(H1, N, seed, trials)
+    steps, _, backward, membership, decoded = _per_field_draws(H1, N, seed, trials)
     # one call on every first step of a trial, then every second, then every summed one
     ((H, sigmas, es),) = calls["sf_step_batch"]
     rows = [(H, tuple(s), tuple(e)) for s, e in zip(sigmas.tolist(), es.tolist())]
@@ -275,6 +307,58 @@ def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
     assert [(G, H, z) for G, H, block in blocks for z in _words(block)] == [(G1, H1, z) for z in decoded]
     # one decode call of all trials
     assert [len(block) for *_, block in blocks] == [trials]
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_set_equality_reads_the_construction_under_test(monkeypatch, G1, H1, seed):
+    """One ``run_all`` builds the error trellis of each drawn word, with its sigma_fin, and asks for every beta's anchor."""
+    names = ["sigma_fin", "build_tailbiting_error_trellis", "error_anchor"]
+    results, calls = _recorded_calls(monkeypatch, names, G1, H1, 5, seed, 50)
+    assert all(ok for _, ok in results)
+    words = _per_field_draws(H1, 5, seed, 50)[1]
+    for name in ("sigma_fin", "build_tailbiting_error_trellis"):
+        assert [(H, [tuple(sym) for sym in z.tolist()]) for H, z in calls[name]] == [(H1, z) for z in words]
+    fins = [sigma_fin(H1, z) for z in words]
+    assert calls["error_anchor"] == [(beta, fin, G1, H1) for fin in fins for beta in enc_state_space(G1)]
+
+
+DIFFERENTIAL = [
+    pytest.param(g, h, N, id=f"{name}-N{N}")
+    for name, ((g, h), _) in CODES.items()
+    for N in range(poly_from_strings(h).deg, poly_from_strings(h).deg + 3)
+] + [pytest.param(G_RATE_5, H_RATE_5, 13, id="rate-5-N13")]
+
+
+@pytest.mark.parametrize("g, h, N", DIFFERENTIAL)
+def test_set_equality_agrees_with_enumeration(monkeypatch, g, h, N):
+    """The suite and the enumerate-and-sort check agree on the built trellises of two words, and with one edge of
+    section 0 dropped or its label's first bit flipped, which both must fail.
+
+    The duplicated edge is the strengthening: it adds a path that repeats a
+    label sequence, so the enumeration, comparing distinct rows, passes it,
+    while the suite's path count exceeds the codewords and fails.
+    """
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    table = verify._codeword_table(G, N)
+    anchors, flat, starts = table
+    for word in np.random.default_rng(N).integers(0, 2, (2, N * H.cols)).astype(np.uint8):
+        z = word.reshape(N, H.cols)
+        T, fin = build_tailbiting_error_trellis(H, z), sigma_fin(H, z)
+        edge, section = _words_own_edge(T, H, z), T.sections[0]
+        flipped = Edge(edge.src, (1 - edge.label[0], *edge.label[1:]), edge.dst)
+        trellises = {
+            "built": T,
+            "dropped": _with_section_0(T, [e for e in section if e != edge]),
+            "flipped": _with_section_0(T, [flipped if e == edge else e for e in section]),
+            "duplicated": _with_section_0(T, [*section, edge]),
+        }
+        error_anchors, codewords = [error_anchor(beta, fin, G, H) for beta in anchors], np.split(flat, starts[1:])
+        verdicts = {}
+        for name, trellis in trellises.items():
+            monkeypatch.setattr(verify, "build_tailbiting_error_trellis", lambda H, z, _T=trellis: _T)
+            suite = verify.suite_set_equality(G, H, N, *table, _Draw(word[None]), words=1)
+            verdicts[name] = suite, set_equality_by_enumeration(trellis, word, error_anchors, codewords)
+        assert verdicts == {"built": (True, True), "dropped": (False, False), "flipped": (False, False), "duplicated": (False, True)}
 
 
 @pytest.mark.parametrize("code, N", [("1", 5), ("2", 4)])
