@@ -67,21 +67,26 @@ class Trellis:
 
 
 def _make_trellis(kind, states, section_edges):
-    """Assemble a trellis over the same ``states`` at every cut from each section's edge list, in order."""
+    """Assemble a trellis over the same ``states`` at every cut from each section's edge list, kept in its order.
+
+    Every builder hands its edges in (src, label, dst) order: the error
+    modules arrive in it, and the code trellis sorts its one section once.
+    """
     n_sections = len(section_edges)
     if n_sections < 1:
         raise ValueError("a trellis needs at least one section")
     cuts = tuple(tuple(states) for _ in range(n_sections + 1))
-    sections = tuple(tuple(sorted(es, key=lambda e: (e.src, e.label, e.dst))) for es in section_edges)
+    sections = tuple(tuple(es) for es in section_edges)
     return Trellis(kind=kind, n_sections=n_sections, states_per_cut=cuts, sections=sections)
 
 
 def build_tailbiting_code_trellis(G, N):
-    """N identical encoder sections over all encoder states."""
+    """N identical encoder sections over all encoder states, each in (src, label, dst) order."""
     if N < 1:
         raise ValueError("need N >= 1 sections")
     edges = [Edge(src=beta, label=y, dst=nxt) for beta, _, nxt, y in encoder(G).edges()]
-    return _make_trellis("code", enc_state_space(G), [edges] * N)
+    section = tuple(sorted(edges, key=lambda e: (e.src, e.label, e.dst)))
+    return _make_trellis("code", enc_state_space(G), [section] * N)
 
 
 def _to_anchor(T, anchor):

@@ -18,12 +18,22 @@ early leaves the generator past all of its trials: after a FAIL the
 suites that follow see other words than a field-by-field draw would
 give them.  A run in which every suite passes is unaffected.
 
+The codebook has one form: the encoder's symbol integers, a row of N
+a codeword, in the smallest unsigned dtype that holds an n-bit symbol
+(20 MB at N = 20 on the reference code, against 63 MB of 0/1 rows).
+The zero-syndrome and set-equality suites read the integers as the
+syndrome former reads its input; hscalar-membership and decoder-oracle
+unpack them to 0/1 rows block by block (``_unpacked``, 16,384 rows a
+block), never the whole table at once.
+
 The superposition, eta-zeta and hscalar-membership suites hand all of
 their trials to one call of the ``_batch`` kernel under test and compare
-whole arrays.  Where a suite compares words with codewords, it reads
-them in the one packed row form, ``gf2._lanes``: hscalar-membership
-finds each word's key (its lanes read as one void scalar) by a binary
-search of the codewords' sorted keys.  The decoder-oracle suite hands
+whole arrays.  hscalar-membership proves ker H_scalar = the codebook:
+every codeword lies in the kernel (containment), and the number of
+distinct codewords, the rows over the repeats of the zero codeword,
+equals 2^(N*n - rank H_scalar), the size of the kernel (count).  Its
+random words then need only agree between the matrix and the syndrome
+former.  The decoder-oracle suite hands
 all of its trials to the decoder in one call of
 ``decoder._decode_arrays``, which splits them
 into its own decode blocks (``decoder._blocks``: a code with a metric
@@ -34,7 +44,7 @@ per word.  It then compares
 them with the exhaustive codeword table in distance blocks of trials,
 as many as keep trials x codewords x the bytes of a packed word within
 ``DISTANCE_BLOCK``; the distance blocks bound only the distance table.
-Words and codewords are packed into ``_lanes``, so one XOR and one
+Words and codewords are packed into ``gf2._lanes``, so one XOR and one
 popcount per lane give every distance of a block at any width.
 The codeword table holds its rows anchor by anchor, so one
 ``logical_or.reduceat`` of a block's nearest-codeword mask over the
@@ -73,9 +83,9 @@ from .error_trellis import (
     sigma_fin,
     tailbiting_syndromes_batch,
 )
-from .gf2 import _lanes
-from .scalar_parity import hscalar_tailbiting, is_tailbiting_codeword_batch
-from .state_machines import _powers, dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
+from .gf2 import _lanes, rank
+from .scalar_parity import MEMBERSHIP_BLOCK, hscalar_tailbiting, is_tailbiting_codeword_batch
+from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
 
 EXHAUSTIVE_BITS = 20
 DISTANCE_BLOCK = 1 << 14
@@ -94,22 +104,37 @@ def _bits(rng, trials, width):
 
 
 def _codeword_table(G, N):
-    """All 2^(N*k) tailbiting codewords, sorted by anchor: (anchor states, flat rows, first row per anchor).
+    """All 2^(N*k) tailbiting codewords, sorted by anchor: (anchor states, symbol integers, first row per anchor).
 
-    The encoder's circular run takes the inputs in ascending order, in
-    blocks of as many as hold ``DISTANCE_BLOCK`` symbols; a stable sort by
-    anchor keeps each anchor's rows in input order.
+    Row i holds one codeword's N output symbols as the encoder emits them,
+    in the smallest unsigned dtype that holds an n-bit symbol.  The
+    encoder's circular run takes the inputs in ascending order, in blocks
+    of as many as hold ``DISTANCE_BLOCK`` symbols; a stable sort by anchor
+    keeps each anchor's rows in input order.
     """
     enc, k, size, step = encoder(G), G.rows, 2 ** (N * G.rows), max(1, DISTANCE_BLOCK // N)
-    fin, flat = np.empty(size, dtype=np.intp), np.empty((size, N * G.cols), dtype=np.uint8)
+    fin, syms = np.empty(size, dtype=np.intp), np.empty((size, N), dtype=np.min_scalar_type(enc.out_mask))
     for start in range(0, size, step):
         inputs = np.arange(start, min(start + step, size))[:, None] >> k * np.arange(N - 1, -1, -1)
-        fin[start : start + len(inputs)], ys = enc.circular(inputs & (1 << k) - 1)
-        flat[start : start + len(inputs)] = unpack(ys, G.cols).reshape(len(inputs), -1)
+        fin[start : start + len(inputs)], syms[start : start + len(inputs)] = enc.circular(inputs & (1 << k) - 1)
     counts = np.bincount(fin, minlength=len(enc.state_tuples))
     anchors = np.flatnonzero(counts)
     starts = (counts.cumsum() - counts)[anchors]
-    return [enc.state_tuples[a] for a in anchors], flat[fin.argsort(kind="stable")], starts
+    return [enc.state_tuples[a] for a in anchors], syms[fin.argsort(kind="stable")], starts
+
+
+def _unpacked(syms, n):
+    """The rows of ``syms`` as flat 0/1 rows of N*n bits, in blocks of ``MEMBERSHIP_BLOCK``: (first row, block) pairs.
+
+    A block is one float32 product of ``is_tailbiting_codeword_batch``.
+    Blocks of as many rows as hold ``DISTANCE_BLOCK`` symbols would make N
+    times as many, smaller products, each handed to BLAS's threads: on the
+    reference code at N = 20, with the other core of a 2-core x86-64 box
+    busy, containment then took up to 8.5 s, against at most 1.2 s in
+    these blocks.
+    """
+    for start in range(0, len(syms), MEMBERSHIP_BLOCK):
+        yield start, unpack(syms[start : start + MEMBERSHIP_BLOCK], n).reshape(-1, syms.shape[1] * n)
 
 
 def suite_superposition(H, rng, trials=1000):
@@ -121,7 +146,7 @@ def suite_superposition(H, rng, trials=1000):
     return bool((ns == n1 ^ n2).all() and (zs == z1 ^ z2).all())
 
 
-def suite_zero_syndrome(G, H, anchors, flat, starts):
+def suite_zero_syndrome(G, H, anchors, syms, starts):
     """Codewords traverse the syndrome former from their dual anchor silently.
 
     A circular run of the syndrome former over every codeword, in blocks
@@ -135,26 +160,13 @@ def suite_zero_syndrome(G, H, anchors, flat, starts):
     circular run; and where the circular state is dual(beta), the run
     from dual(beta) is the circular run, which ends there.
     """
-    sf, N = syndrome_former(H), flat.shape[1] // H.cols
-    step = max(1, DISTANCE_BLOCK // N)
-    duals = np.repeat([sf.state(dual_state_of(G, H, beta)) for beta in anchors], np.diff(starts, append=len(flat)))
-    for start in range(0, len(flat), step):
-        fin, zetas = sf.circular(sf.symbol_ints(flat[start : start + step].reshape(-1, N, H.cols), 2))
+    sf, step = syndrome_former(H), max(1, DISTANCE_BLOCK // syms.shape[1])
+    duals = np.repeat([sf.state(dual_state_of(G, H, beta)) for beta in anchors], np.diff(starts, append=len(syms)))
+    for start in range(0, len(syms), step):
+        fin, zetas = sf.circular(syms[start : start + step])
         if zetas.any() or (fin != duals[start : start + step]).any():
             return False
     return True
-
-
-def _keys(bits):
-    """Each row of 0/1 ``bits`` as one void scalar of its ``_lanes``; the scalars sort as the rows read as integers."""
-    return _lanes(bits).view(f"V{-(-bits.shape[1] // 64) * 8}")[:, 0]
-
-
-def _key_set(bits):
-    """The distinct ``_keys`` of the rows of ``bits``, ascending."""
-    keys = np.sort(_keys(bits))
-    # not np.unique: its first call imports numpy.ma, ~14 ms of every verify start
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def _tables(T, sf):
@@ -175,7 +187,7 @@ def _tables(T, sf):
     return index, nxt, np.bincount((t * S + src) * S + dst, minlength=N * S * S).reshape(N, S, S)
 
 
-def suite_set_equality(G, H, N, anchors, flat, starts, rng, words=5):
+def suite_set_equality(G, H, N, anchors, syms, starts, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis.
 
     Per word, the built error trellis is read once into integer tables
@@ -189,26 +201,25 @@ def suite_set_equality(G, H, N, anchors, flat, starts, rng, words=5):
     and fails the count.  The product runs in float64, whose entries are
     exact up to 2^53; a count past that stays past it, and past
     2^(N*k) <= 2^EXHAUSTIVE_BITS, the most codewords a beta has, so every
-    comparison is exact.  The codewords are read as symbol integers once,
-    and walked in blocks of as many as hold ``DISTANCE_BLOCK`` symbols.
+    comparison is exact.  The codewords' symbol integers, XORed with the
+    word's, are walked in blocks of as many as hold ``DISTANCE_BLOCK``
+    symbols.
     """
     sf, n, step = syndrome_former(H), H.cols, max(1, DISTANCE_BLOCK // N)
-    rows = np.diff(starts, append=len(flat))
+    rows = np.diff(starts, append=len(syms))
     # the circular run is linear: a codeword of beta repeats as often as 0 does in the zero anchor, the first
-    sizes, group = rows // np.count_nonzero(~flat[: rows[0]].any(axis=1)), np.repeat(np.arange(len(anchors)), rows)
-    places = _powers(n).astype(np.min_scalar_type(2**n - 1))
-    syms = np.concatenate([(flat[i : i + step].reshape(-1, N, n) @ places).T for i in range(0, len(flat), step)], axis=1)
+    sizes, group = rows // np.count_nonzero(~syms[: rows[0]].any(axis=1)), np.repeat(np.arange(len(anchors)), rows)
     for word in _bits(rng, words, N * n):
         z = word.reshape(N, n)
-        fin, T = sigma_fin(H, z), build_tailbiting_error_trellis(H, z)
+        fin, T, shift = sigma_fin(H, z), build_tailbiting_error_trellis(H, z), sf.symbol_ints(z)
         index, nxt, counts = _tables(T, sf)
         paths = reduce(np.matmul, counts.astype(np.float64))
         at = np.array([index[error_anchor(beta, fin, G, H)] for beta in anchors])
         if (paths.diagonal()[at] != sizes).any():
             return False
-        for start in range(0, len(flat), step):
+        for start in range(0, len(syms), step):
             x = first = at[group[start : start + step]]
-            for table, syms_t in zip(nxt, syms[:, start : start + step] ^ (z @ places)[:, None]):
+            for table, syms_t in zip(nxt, (syms[start : start + step] ^ shift).T):
                 x = table.take(x << n | syms_t)
             if (x != first).any():
                 return False
@@ -223,22 +234,25 @@ def suite_eta_zeta(H, N, rng, trials=1000):
     return bool((direct == tailbiting_syndromes_batch(H, words)[:, order]).all())
 
 
-def suite_hscalar_membership(H, N, flat, rng, trials=1000):
-    """Matrix membership == zero syndrome sequence == exhaustive codeword set.
+def suite_hscalar_membership(H, N, syms, rng, trials=1000):
+    """ker H_scalar == exhaustive codeword set, and matrix membership == zero syndrome sequence.
 
-    A word is in the codeword set where its key is found by a binary
-    search of the codewords' sorted keys.
+    Containment: every codeword, unpacked to 0/1 rows block by block, lies
+    in the kernel.  Count: the number of distinct codewords, len(syms)
+    over the number of all-zero rows (the encoder's run is linear, so
+    every codeword repeats as often as the zero codeword), must equal
+    2^(N*n - rank H_scalar), the size of the kernel.  Containment and
+    equal size give kernel = code, so the random words need only agree
+    between the matrix and the syndromes.
     """
-    n = H.cols
+    n, P = H.cols, hscalar_tailbiting(H, N)
     words = _bits(rng, trials, N * n)
-    P = hscalar_tailbiting(H, N)
-    if not is_tailbiting_codeword_batch(P, flat).all():
+    if not all(is_tailbiting_codeword_batch(P, rows).all() for _, rows in _unpacked(syms, n)):
         return False
-    codewords, keys = _key_set(flat), _keys(words)
-    in_matrix = is_tailbiting_codeword_batch(P, words)
+    if len(syms) // np.count_nonzero(~syms.any(axis=1)) != 2 ** (N * n - rank(P.matrix)):
+        return False
     zero_syndrome = ~tailbiting_syndromes_batch(H, words.reshape(trials, N, n)).any(axis=(1, 2))
-    in_code = codewords[np.searchsorted(codewords, keys).clip(max=len(codewords) - 1)] == keys
-    return bool((in_matrix == zero_syndrome).all() and (in_matrix == in_code).all())
+    return bool((is_tailbiting_codeword_batch(P, words) == zero_syndrome).all())
 
 
 def _distances(words, table):
@@ -246,21 +260,24 @@ def _distances(words, table):
     return np.bitwise_count(words[:, None] ^ table).sum(axis=2, dtype=np.int32)
 
 
-def suite_decoder_oracle(G, H, N, flat, starts, rng, trials=1000):
+def suite_decoder_oracle(G, H, N, syms, starts, rng, trials=1000):
     """Decoder weight equals the exhaustive minimum distance, every time.
 
     Where the nearest codeword is unique, the decoder returns it.  ``tie``
     holds exactly where the nearest codewords lie in more than one code
-    subtrellis: ``flat`` holds the codewords anchor by anchor, each
-    anchor's rows from its entry of ``starts`` on.
+    subtrellis: ``syms`` holds the codewords anchor by anchor, each
+    anchor's rows from its entry of ``starts`` on.  The codewords' lanes
+    are packed block by block from their unpacked rows into one table.
     """
     n = H.cols
     words = _bits(rng, trials, N * n)
     if not trials:
         return True
     weight, codeword, tie = _decode_arrays(G, H, words.reshape(trials, N, n))
-    table = _lanes(flat)
-    per_block = max(1, DISTANCE_BLOCK // (len(flat) * -(-N * n // 8)))
+    table, decoded = np.empty((len(syms), -(-N * n // 64)), dtype=np.uint64), _lanes(codeword)
+    for start, rows in _unpacked(syms, n):
+        table[start : start + len(rows)] = _lanes(rows)
+    per_block = max(1, DISTANCE_BLOCK // (len(syms) * -(-N * n // 8)))
     for start in range(0, trials, per_block):
         block = slice(start, start + per_block)
         dists = _distances(_lanes(words[block]), table)
@@ -268,7 +285,7 @@ def suite_decoder_oracle(G, H, N, flat, starts, rng, trials=1000):
         nearest = dists == best[:, None]
         unique = nearest.sum(axis=1) == 1
         ties = np.logical_or.reduceat(nearest, starts, axis=1).sum(axis=1) > 1
-        wrong = (codeword[block] != flat[dists.argmin(axis=1)]).any(axis=1)
+        wrong = (decoded[block] != table[dists.argmin(axis=1)]).any(axis=1)
         if (weight[block] != best).any() or (unique & wrong).any() or (tie[block] != ties).any():
             return False
     return True
@@ -295,12 +312,12 @@ def run_all(G, H, N, seed=1, trials=1000):
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
     rng = np.random.default_rng(seed)
-    anchors, flat, starts = _codeword_table(G, N)
+    anchors, syms, starts = _codeword_table(G, N)
     return [
         ("superposition", suite_superposition(H, rng, trials)),
-        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, anchors, flat, starts)),
-        ("subtrellis-set-equality", suite_set_equality(G, H, N, anchors, flat, starts, rng)),
+        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, anchors, syms, starts)),
+        ("subtrellis-set-equality", suite_set_equality(G, H, N, anchors, syms, starts, rng)),
         ("eta-zeta-correspondence", suite_eta_zeta(H, N, rng, trials)),
-        ("hscalar-membership", suite_hscalar_membership(H, N, flat, rng, trials)),
-        ("decoder-oracle", suite_decoder_oracle(G, H, N, flat, starts, rng, trials)),
+        ("hscalar-membership", suite_hscalar_membership(H, N, syms, rng, trials)),
+        ("decoder-oracle", suite_decoder_oracle(G, H, N, syms, starts, rng, trials)),
     ]

@@ -7,6 +7,7 @@ from tbtrellis import verify
 from tbtrellis.cli import build_parser, main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
+from test_verify import G_RATE_5, H_RATE_5
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -221,6 +222,17 @@ def test_verify_rejects_n_below_the_memory_of_h(capsys, tmp_path):
     assert err == "tbtrellis: error: -N 1 is below M=2, the memory of H\n"
     code, out, _ = run(capsys, "verify", "--code", str(path), "-N", "2", "--trials", "20")
     assert code == 0 and len(out.splitlines()) == 6 and all(l.endswith(": PASS") for l in out.splitlines())
+
+
+def test_verify_exits_three_when_the_kernel_of_h_scalar_exceeds_the_code(capsys, tmp_path):
+    """The non-basic H_RATE_5 has ker H_scalar 8 times its code at every N: only hscalar-membership FAILs, even
+    with no random trial."""
+    path = tmp_path / "rate5.json"
+    path.write_text(json.dumps({"n": 5, "k": 1, "G": G_RATE_5, "H": H_RATE_5}))
+    for trials in ("0", "20"):
+        code, out, err = run(capsys, "verify", "--code", str(path), "-N", "3", "--trials", trials)
+        assert (code, err) == (3, "")
+        assert [line for line in out.splitlines() if not line.endswith(": PASS")] == ["hscalar-membership: FAIL"]
 
 
 def test_missing_matrix_for_command(capsys, tmp_path):

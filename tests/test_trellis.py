@@ -7,6 +7,7 @@ import pytest
 from tbtrellis import (
     Edge,
     Trellis,
+    build_backward_error_trellis,
     build_tailbiting_code_trellis,
     build_tailbiting_error_trellis,
     count_paths,
@@ -251,6 +252,24 @@ def test_error_subtrellis_queries_equal_the_shifted_codewords(name):
             else:
                 assert count_paths(T, anchor) == 0
         assert total == 2 ** (N * G.rows)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_sections_hold_their_edges_in_src_label_dst_order(name):
+    """A trellis keeps each section's edges as its builder hands them: the code trellis sorts its one section, and
+    the error modules of both directions arrive in (src, label, dst) order, which every section must show."""
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    for N in (max(H.deg, 1), H.deg + 2):
+        z = np.random.default_rng(N).integers(0, 2, (N, H.cols))
+        for T in (
+            build_tailbiting_code_trellis(G, N),
+            build_tailbiting_error_trellis(H, z),
+            build_backward_error_trellis(H, z),
+        ):
+            for section in T.sections:
+                keys = [(e.src, e.label, e.dst) for e in section]
+                assert keys == sorted(set(keys)), T.kind
 
 
 def test_path_counts_are_exact_past_int64():

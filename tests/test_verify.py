@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import G1_STRINGS, G2_STRINGS
-from oracle import all_tailbiting, coeffs_from_strings, set_equality_by_enumeration
+from oracle import all_tailbiting, coeffs_from_strings, row_echelon, set_equality_by_enumeration
 from oracle import flat as flat_bits
 from test_decoder_contract import CODES
 from test_state_machines import G_K2_STRINGS
@@ -20,7 +20,7 @@ from tbtrellis import (
     verify,
 )
 from tbtrellis.codespec import CodeSpecError
-from tbtrellis.state_machines import LinearMachine, encoder
+from tbtrellis.state_machines import LinearMachine, encoder, unpack
 
 
 EXPECTED_SUITES = [
@@ -44,9 +44,15 @@ def test_all_suites_pass_on_memory_two_code(G2, H2):
     assert all(ok for _, ok in results)
 
 
-# a rate-1/5 pair whose words at N = 13 are 65 bits long, one past a lane
+# a rate-1/5 G whose words at N = 13 are 65 bits long, one past a lane, with a basic H and a non-basic one
 G_RATE_5 = [["11", "1", "1", "1", "1"]]
+H_RATE_5_BASIC = [["1", "11", "0", "0", "0"], ["0", "1", "1", "0", "0"], ["0", "0", "1", "1", "0"], ["0", "0", "0", "1", "1"]]
 H_RATE_5 = [["1", "11", "0", "0", "0"], ["1", "0", "11", "0", "0"], ["1", "0", "0", "11", "0"], ["1", "0", "0", "0", "11"]]
+
+
+def _rows(syms, n):
+    """The codebook's symbol integers as flat 0/1 rows."""
+    return unpack(syms, n).reshape(len(syms), -1)
 
 
 class _Draw:
@@ -61,29 +67,34 @@ class _Draw:
 
 
 def test_all_suites_pass_on_words_wider_than_one_lane():
-    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5)
+    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5_BASIC)
     assert 13 * H.cols == 65
     assert verify.run_all(G, H, 13, seed=1) == [(name, True) for name in EXPECTED_SUITES]
 
 
-def test_rows_differing_only_at_bit_64_get_distinct_keys():
-    rows = np.zeros((2, 65), dtype=np.uint8)
-    rows[1, 64] = 1
-    keys = verify._keys(rows)
-    assert keys[0] != keys[1] and len(verify._key_set(rows)) == 2
-    assert len(verify._key_set(np.zeros((3, 65), dtype=np.uint8))) == 1
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 13])
+def test_a_non_basic_H_fails_exactly_hscalar_membership(N):
+    """H_RATE_5 is dual to G_RATE_5 but not basic: row 1 plus any other row is 1+D times a 0/1 row, so three of its
+    invariant factors are 1+D and its 4 x 4 minors share (1+D)^3.  1+D divides D^N + 1 at every N, so ker H_scalar
+    is 2^3 = 8 times the codebook, which the suite's count must name while every other suite passes."""
+    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5)
+    P = verify.hscalar_tailbiting(H, N)
+    assert 2 ** (5 * N - len(row_echelon(P.matrix)[1])) == 8 * 2**N
+    assert verify.run_all(G, H, N, seed=1) == [(name, name != "hscalar-membership") for name in EXPECTED_SUITES]
 
 
 def test_a_codeword_with_bit_64_flipped_is_not_in_the_codeword_set():
-    """The membership suite run on two words, a codeword and the codeword with bit 64 flipped: its binary search of
-    the codewords' keys must find the first and not the second, as the matrix and the syndromes do."""
-    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5)
-    flat = verify._codeword_table(G, 13)[1]
-    codeword = flat[flat.sum(axis=1).argmax()]
+    """The membership suite run on two words, a codeword and the codeword with bit 64 flipped: the matrix holds the
+    first and not the second, as the codeword set and the syndromes do, and the suite passes."""
+    G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5_BASIC)
+    syms = verify._codeword_table(G, 13)[1]
+    rows = _rows(syms, 5)
+    codeword = rows[rows.sum(axis=1).argmax()]
     words = np.array([codeword, codeword ^ (np.arange(65) == 64)])
+    assert [(rows == word).all(axis=1).any() for word in words] == [True, False]
     P = verify.hscalar_tailbiting(H, 13)
     assert verify.is_tailbiting_codeword_batch(P, words).tolist() == [True, False]
-    assert verify.suite_hscalar_membership(H, 13, flat, _Draw(words), trials=2)
+    assert verify.suite_hscalar_membership(H, 13, syms, _Draw(words), trials=2)
 
 
 def test_all_suites_pass_on_the_16_state_code(monkeypatch):
@@ -215,6 +226,26 @@ def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite)
     assert results == {s: s != suite for s in EXPECTED_SUITES}
 
 
+def _dropping_a_check_row(real):
+    def hscalar_tailbiting(H, N):
+        P = real(H, N)
+        return replace(P, matrix=P.matrix[:-1])
+
+    return hscalar_tailbiting
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_hscalar_membership_counts_a_kernel_twice_the_codebook(monkeypatch, G1, H1, seed):
+    """With the last check row of H_scalar dropped, its kernel still holds every codeword but is twice the codebook.
+    Few random words fall in the extra half, so only the count fails the suite at every seed."""
+    P = _dropping_a_check_row(verify.hscalar_tailbiting)(H1, 5)
+    assert 2 ** (15 - len(row_echelon(P.matrix)[1])) == 2 * 2**5
+    assert verify.is_tailbiting_codeword_batch(P, _rows(verify._codeword_table(G1, 5)[1], 3)).all()
+    monkeypatch.setattr(verify, "hscalar_tailbiting", _dropping_a_check_row(verify.hscalar_tailbiting))
+    results = dict(verify.run_all(G1, H1, 5, seed=seed, trials=200))
+    assert results == {s: s != "hscalar-membership" for s in EXPECTED_SUITES}
+
+
 def test_decoder_oracle_catches_a_tie_on_a_unique_nearest_codeword(monkeypatch, G1, H1):
     real = verify._decode_arrays
 
@@ -340,7 +371,7 @@ def test_set_equality_agrees_with_enumeration(monkeypatch, g, h, N):
     """
     G, H = poly_from_strings(g), poly_from_strings(h)
     table = verify._codeword_table(G, N)
-    anchors, flat, starts = table
+    anchors, syms, starts = table
     for word in np.random.default_rng(N).integers(0, 2, (2, N * H.cols)).astype(np.uint8):
         z = word.reshape(N, H.cols)
         T, fin = build_tailbiting_error_trellis(H, z), sigma_fin(H, z)
@@ -352,7 +383,7 @@ def test_set_equality_agrees_with_enumeration(monkeypatch, g, h, N):
             "flipped": _with_section_0(T, [flipped if e == edge else e for e in section]),
             "duplicated": _with_section_0(T, [*section, edge]),
         }
-        error_anchors, codewords = [error_anchor(beta, fin, G, H) for beta in anchors], np.split(flat, starts[1:])
+        error_anchors, codewords = [error_anchor(beta, fin, G, H) for beta in anchors], np.split(_rows(syms, H.cols), starts[1:])
         verdicts = {}
         for name, trellis in trellises.items():
             monkeypatch.setattr(verify, "build_tailbiting_error_trellis", lambda H, z, _T=trellis: _T)
@@ -460,18 +491,24 @@ CODEBOOKS = {
     [pytest.param(g, N, id=f"{name}-N{N}") for name, (g, lengths) in CODEBOOKS.items() for N in lengths],
 )
 def test_codeword_table_equals_the_oracle_anchor_by_anchor(monkeypatch, strings, N):
-    """Each anchor's rows, from its entry of ``starts`` on, are the circular convolutions anchored there (N < L wraps)."""
+    """Each anchor's rows, from its entry of ``starts`` on, are the circular convolutions anchored there (N < L wraps),
+    as symbol integers, one byte a symbol of these codes."""
     G = poly_from_strings(strings)
-    anchors, flat, starts = verify._codeword_table(G, N)
+    anchors, syms, starts = verify._codeword_table(G, N)
     want = all_tailbiting(coeffs_from_strings(strings), N, G.rows, G.deg)[0]
-    assert len(flat) == 2 ** (N * G.rows) and starts[0] == 0 and (np.diff(starts) > 0).all()
+    assert syms.shape == (2 ** (N * G.rows), N) and syms.dtype == np.uint8
+    assert starts[0] == 0 and (np.diff(starts) > 0).all()
     assert sorted(anchors) == sorted(want)
-    for beta, rows in zip(anchors, np.split(flat, starts[1:])):
+    for beta, rows in zip(anchors, np.split(_rows(syms, G.cols), starts[1:])):
         assert sorted(map(tuple, rows.tolist())) == sorted(map(flat_bits, want[beta]))
-    # the inputs run in blocks of any size give the same table
+    # the inputs run in blocks of any size give the same table, and so do its unpacked blocks
     monkeypatch.setattr(verify, "DISTANCE_BLOCK", 3)
     small = verify._codeword_table(G, N)
-    assert small[0] == anchors and (small[1] == flat).all() and (small[2] == starts).all()
+    assert small[0] == anchors and (small[1] == syms).all() and (small[2] == starts).all()
+    monkeypatch.setattr(verify, "MEMBERSHIP_BLOCK", 3)
+    blocks = list(verify._unpacked(syms, G.cols))
+    assert [start for start, _ in blocks] == list(range(0, len(syms), 3))
+    assert (np.concatenate([rows for _, rows in blocks]) == _rows(syms, G.cols)).all()
 
 
 @pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130])
