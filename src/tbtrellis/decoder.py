@@ -38,6 +38,23 @@ bound pass carries one flat cost row per cut.  A block of several words
 gets its sigma_fin and syndromes from one ``LinearMachine.circular`` of
 the block.
 
+On a code with no metric automaton a word goes four ways, in order: the
+low-weight certificate, the bound pass and its closing check, the
+start-anywhere pass and its own, then the search.  The certificate
+(``_certificate``) reads the word's syndrome, its circular run's step
+outputs packed into one integer, against a table of the N*n single-bit
+errors built once per H and N (``_singles``): the zero syndrome, a
+syndrome that one bit alone has, or one that exactly one pair of bits
+has.  Each
+tailbiting path of the error trellis is an error sequence with the
+word's syndrome whose circular state is an anchor, so when exactly one
+error of weight <= 2, among all of them, has that syndrome and its state
+is an anchor, it is the word's unique optimum: ``tie`` is False and no
+label order is left to choose.  This is syndrome decoding (Schalkwijk
+and Vinck, IEEE Trans. Commun. 1976) used as an exact certificate; the
+table, not the code's free distance, proves it.  Any other word runs
+the passes below, as it did before.
+
 Pruning is exact and per word.  On a code with no metric automaton a
 first pass with one column that may end anywhere gives each anchor a
 lower bound ``lb`` on its weight.  When one anchor alone has the least
@@ -121,7 +138,7 @@ the verifier's decoder-oracle suite compares with no per-word object.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 from operator import getitem, xor
 from typing import NamedTuple
@@ -131,7 +148,7 @@ import numpy as np
 from .codespec import check_matrices
 from .error_trellis import TABLE_BUDGET, _check_length, _search_tables
 from .gf2 import format_bits, format_state
-from .state_machines import dual_state_of, enc_state_space, syndrome_former, unpack
+from .state_machines import _powers, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -458,19 +475,96 @@ def _blocks(G, H, words):
         yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols, automaton)
 
 
+@lru_cache(maxsize=None)
+def _singles(H, N):
+    """What ``_certificate`` reads of the N*n single-bit errors of a word of N symbols of H.
+
+    Returns (states, places, bit, covers, widths, heaviest).  Per bit,
+    symbol by symbol and most significant first, ``states`` holds its
+    circular state and ``places`` its step and the bit it sets in that
+    step's label.  ``bit`` maps each bit's circular syndrome, the N
+    outputs packed with the first symbol's most significant, to the bit,
+    or to -1 where two bits share it; ``covers`` lists per syndrome bit,
+    the least significant first, the syndromes that have it, in bit
+    order.  ``widths`` holds the bits of each step's outputs, and
+    ``heaviest`` the most set bits of a single-bit syndrome.  One
+    ``LinearMachine.circular`` of the bits of the last d + 1 symbols
+    gives them: only a bit of the last d symbols leaves a state at cut N,
+    and the circular run is linear and shift-invariant, so the last
+    symbol's syndromes, rotated by t symbols, are those of the symbol t
+    earlier.
+    """
+    sf, n, r, m, W = syndrome_former(H), H.cols, H.rows, _search_tables(H).m, N * H.rows
+    first, cut = max(N - sf.degree - 1, 0), N - N % m
+    x, outs = sf.circular((np.eye(N - first, N, first, dtype=np.intp)[:, None] * _powers(n)[:, None]).reshape(-1, N))
+    last = [reduce(lambda v, o: v << r | o, row, 0) for row in outs[-n:].tolist()]
+    bit, covers = {}, [[] for _ in range(W)]
+    for i, v in enumerate((u << k * r | u >> W - k * r) & (1 << W) - 1 for k in range(N - 1, -1, -1) for u in last):
+        bit[v], rest = -1 if v in bit else i, v
+        while rest:
+            covers[(rest & -rest).bit_length() - 1].append(v)
+            rest &= rest - 1
+    # a run's symbols fill its label from the most significant end; a single symbol past the cut is a step alone
+    places = [(t // m + max(t - cut, 0), 1 << n * (m - 1 - t % m) * (t < cut) + n - 1 - j) for t in range(N) for j in range(n)]
+    widths = [r * m] * (N // m) + [r] * (N % m)
+    return [0] * (first * n) + x.tolist(), places, bit, covers, widths, max(u.bit_count() for u in last)
+
+
+def _certificate(H, N, keys, rows, betas, tables):
+    """The ``_search_word`` result of a word whose one error of weight <= 2 with its syndrome is anchored, else None.
+
+    ``keys`` holds the word's step outputs, floor(N/m) runs of m symbols
+    then single ones, and ``rows`` its anchor states.  Packed into one
+    integer, the first most significant, they are the word's syndrome s:
+    s = 0 is the zero error's syndrome, a bit whose syndrome is s alone
+    is the weight-1 error, and each weight-2 pair has exactly one bit
+    covering s's lowest set bit, so looking up s XOR each such bit's
+    syndrome finds every pair.  Every path the search weighs is an error
+    with syndrome s whose circular state is an anchor, so one such error
+    of weight <= 2, found among all of them, is its unique optimum: one
+    anchor reaches it and no label order is left to choose.  A shared
+    syndrome, two pairs, or an error whose state is not an anchor returns
+    None.
+    """
+    states, places, bit, covers, widths, heaviest = _singles(H, N)
+    # no two single-bit syndromes together have more set bits than twice the heaviest's
+    if sum(map(int.bit_count, keys)) > 2 * heaviest:
+        return None
+    s = 0
+    for key, width in zip(keys, widths):
+        s = s << width | key
+    if not s or s in bit:
+        error = (bit[s],) if s else ()
+    else:
+        pairs = [(bit[s ^ j], bit[j]) for j in bit.keys() & set(map(s.__xor__, covers[(s & -s).bit_length() - 1]))]
+        error = pairs[0] if len(pairs) == 1 else (-1,)
+    row = tables.index.item(reduce(xor, map(states.__getitem__, error), 0))
+    # -1 marks a syndrome of several errors; the row it reads is never taken
+    if min(error, default=0) < 0 or row not in rows:
+        return None
+    labels = [0] * len(keys)
+    for step, label in map(places.__getitem__, error):
+        labels[step] |= label
+    return len(error), 1, labels, tables.states[row], betas[rows.index(row)]
+
+
 def _decode_word(G, H, es):
     """The ``DecodeResult`` of one word of N >= M symbol integers, on Python integers.
 
     The syndrome former's circular run in runs of m symbols
     (``LinearMachine.circular_runs``) gives sigma_fin and each step's
     syndromes and received bits: a run's syndromes are its key in the
-    stack, and a single symbol's key is its syndrome plus 2^(r*m).
+    stack, and a single symbol's key is its syndrome plus 2^(r*m).  On a
+    code with no metric automaton, ``_certificate`` may decide the word
+    from its syndromes before any search.
     """
     betas, _, anchors, sf, tables = _dual_codes(G, H)
     m, runs = tables.m, len(es) // tables.m
     fin, keys, zs = sf.circular_runs(es, m)
+    automaton = _automaton(H)
+    found = automaton is None and _certificate(H, len(es), keys, anchors[fin], betas, tables)
     keys[runs:] = map((1 << H.rows * m).__or__, keys[runs:])
-    w, ties, labels, sigma, beta = _search_word(tables, betas, anchors[fin], keys, _automaton(H))
+    w, ties, labels, sigma, beta = found or _search_word(tables, betas, anchors[fin], keys, automaton)
     # each step's labels as bit tuples, indexed by label
     bits = [sf.power(m).in_tuples] * runs + [sf.in_tuples] * (len(es) - runs * m)
     codeword = tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, zs))))
@@ -535,7 +629,11 @@ def _search_word(tables, betas, rows, keys, automaton):
     states + 1) end states and weights from the stack, and the anchors
     are pruned: the bound pass and its closing check, then the
     start-anywhere pass and its own, then the search of the anchors the
-    bounds leave.
+    bounds leave.  A pruned word reaches this only when
+    ``_certificate``, which ``_decode_word`` asks first, has not found
+    its one anchored error of weight <= 2; each step here is exact on
+    its own, so the order changes which step decides a word, never its
+    result.
     """
     if automaton is not None:
         columns, nxt, low, edges = automaton.lists

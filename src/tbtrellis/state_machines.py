@@ -163,14 +163,18 @@ class LinearMachine:
     def word(self, z):
         """The symbol integers of one word, as a list; a one-shot iterable is read once.
 
-        Symbol tuples are looked up one at a time; any other word goes to
-        ``symbol_ints``, which packs a 2-D array, or a list of equal-shape
-        arrays, in one product and names the first bad symbol.
+        Symbol tuples are looked up one at a time, and a list word whose
+        first symbol is a list is read again with its list symbols made
+        tuples; any other word goes to ``symbol_ints``, which packs a 2-D
+        array, or a list of equal-shape arrays, in one product and names
+        the first bad symbol.
         """
         z = z if hasattr(z, "__len__") else list(z)
         try:
             return list(map(self._in_index.__getitem__, z))
         except (KeyError, TypeError):
+            if isinstance(z, list) and isinstance(z[0], list):
+                return self.word([tuple(s) if isinstance(s, list) else s for s in z])
             return self.symbol_ints(z).tolist()
 
     def state_ints(self, states):
@@ -320,14 +324,19 @@ def _frozen(a):
 
 
 @lru_cache(maxsize=None)
-def _powers(width):
-    """2^(width-1) .. 2^0: the place of each bit of a width-bit vector."""
-    return _frozen(1 << np.arange(width - 1, -1, -1))
+def _powers(width, dtype=np.intp):
+    """2^(width-1) .. 2^0: the place of each bit of a width-bit vector, in ``dtype``."""
+    return _frozen((1 << np.arange(width - 1, -1, -1)).astype(dtype))
 
 
 def unpack(ints, width):
-    """The width-bit rows (most significant first) of an integer array, as uint8 0/1 entries."""
-    return (ints[..., None] & _powers(width) != 0).astype(np.uint8)
+    """The width-bit rows (most significant first) of an integer array, as uint8 0/1 entries.
+
+    The mask is taken in the array's own integer dtype where its value
+    bits hold width bits, so a narrow array is not widened to intp.
+    """
+    fits = ints.dtype.kind in "ui" and width <= np.iinfo(ints.dtype).bits - (ints.dtype.kind == "i")
+    return (ints[..., None] & _powers(width, ints.dtype if fits else np.intp) != 0).astype(np.uint8)
 
 
 def _row_degrees(P):

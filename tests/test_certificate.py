@@ -1,0 +1,154 @@
+"""The low-weight certificate of the pruned codes against the search it skips and the per-subtrellis reference.
+
+A code with no metric automaton first reads each word's syndrome for its
+one error of weight <= 2 (``decoder._certificate``); only a word it does
+not answer runs the bound pass, the closing checks and the search.
+"""
+
+from collections import Counter
+from functools import reduce
+from itertools import combinations, product
+
+import numpy as np
+import pytest
+from test_decoder_contract import CERTIFICATE, CODES, PRUNED, low_noise_words, reference_decode
+
+import tbtrellis.decoder as decoder
+from tbtrellis import decode_tailbiting, decode_tailbiting_batch, enc_state_space, poly_from_strings
+from tbtrellis.error_trellis import _search_tables
+from tbtrellis.state_machines import syndrome_former
+
+
+def _pair(name):
+    return tuple(poly_from_strings(s) for s in CODES[name][0])
+
+
+def _keys(H, outs):
+    """The step outputs of a word's circular run whose symbols output ``outs``: runs of m, then single ones."""
+    m, r = _search_tables(H).m, H.rows
+    cut = len(outs) - len(outs) % m
+    return [reduce(lambda v, o: v << r | o, outs[t : t + m], 0) for t in range(0, cut, m)] + list(outs[cut:])
+
+
+def _every_anchor(G, H):
+    """``_certificate``'s anchor arguments that leave every state an anchor: rows, betas and the search tables."""
+    tables = _search_tables(H)
+    return list(range(len(tables.states))), enc_state_space(G), tables
+
+
+@pytest.mark.parametrize("name", PRUNED)
+def test_singles_hold_the_circular_run_of_every_single_bit_error(name):
+    """Per bit, the state of its own circular run and its place in a label; ``bit``, ``covers`` and the heaviest
+    syndrome's bit count read the syndromes of the same runs, and the steps' output widths are those of the runs."""
+    H = _pair(name)[1]
+    sf, n, r, m = syndrome_former(H), H.cols, H.rows, _search_tables(H).m
+    for N in [*range(H.deg, H.deg + 2 * m + 2), 48]:
+        singles, syndromes, states = decoder._singles(H, N), [], []
+        for b in range(N * n):
+            es = [0] * N
+            es[b // n] = 1 << n - 1 - b % n
+            x, outs = sf.circular_word(es)
+            syndromes.append(int("".join(format(o, f"0{r}b") for o in outs), 2))
+            states.append(x)
+        bit = {v: i if syndromes.count(v) == 1 else -1 for i, v in enumerate(syndromes)}
+        covers = [[v for v in syndromes if v >> p & 1] for p in range(N * r)]
+        assert singles[0] == states and singles[2:4] == (bit, covers), N
+        assert singles[4] == [r * m] * (N // m) + [r] * (N % m) and singles[5] == max(v.bit_count() for v in syndromes)
+        # each bit's place: its step, and the bit it sets in the step's label, a run's first symbol most significant
+        cut = N - N % m
+        assert singles[1] == [
+            (t // m, 1 << n * (m - 1 - t % m) + n - 1 - j) if t < cut else (N // m + t - cut, 1 << n - 1 - j)
+            for t in range(N)
+            for j in range(n)
+        ]
+
+
+@pytest.mark.parametrize("name", PRUNED)
+def test_certificate_equals_the_search_and_the_reference(monkeypatch, name):
+    """Low-noise corpora at N = M..M+13 and 48, one word at a time and in a block: every result equals the
+    certificate-off search's, each word the certificate answers equals ``reference_decode``, and it answers words
+    of weight 0, 1 and 2, and no other."""
+    G, H = _pair(name)
+    g, h = CODES[name][0]
+    words = []
+    for i, N in enumerate([*range(H.deg, H.deg + 14), 48]):
+        words += low_noise_words(3, 300 + i, N=N, p=[0.02, 0.06][i % 2], strings=(g, h))
+    answered = []
+
+    def recording_certificate(*args):
+        found = CERTIFICATE(*args)
+        answered.append(found and found[0])
+        return found
+
+    monkeypatch.setattr(decoder, "_certificate", recording_certificate)
+    results = [decode_tailbiting(G, H, z) for z in words]
+    hits = [(z, res) for z, res, w in zip(words, results, answered) if w is not None]
+    assert all(res == reference_decode(G, H, z) for z, res in hits)
+    assert all(not res.tie and res.weight <= 2 for _, res in hits)
+    assert Counter(answered).keys() >= {0, 1, 2, None}
+    blocks = [decode_tailbiting_batch(G, H, words[i : i + 3]) for i in range(0, len(words), 3)]
+    assert sum(blocks, []) == results
+    monkeypatch.setattr(decoder, "_certificate", lambda *args: None)
+    assert [decode_tailbiting(G, H, z) for z in words] == results
+
+
+@pytest.mark.parametrize("name, N", [("k7", 6), ("16-state", 5)])
+def test_a_syndrome_of_two_weight_2_errors_is_not_answered(name, N):
+    """At these lengths the circular code has words of weight <= 4, so two weight-2 errors, which their own circular
+    runs find, share a syndrome that no single bit has; the certificate, every state an anchor, declines it."""
+    G, H = _pair(name)
+    sf, n = syndrome_former(H), H.cols
+    count = Counter()
+    for pair in combinations(range(N * n), 2):
+        es = [0] * N
+        for b in pair:
+            es[b // n] ^= 1 << n - 1 - b % n
+        count[tuple(sf.circular_word(es)[1])] += 1
+    bit, packed = decoder._singles(H, N)[2], {outs: reduce(lambda v, o: v << H.rows | o, outs, 0) for outs in count}
+    shared = [outs for outs, k in count.items() if k > 1 and packed[outs] not in bit]
+    assert shared
+    for outs in shared:
+        assert CERTIFICATE(H, N, _keys(H, outs), *_every_anchor(G, H)) is None
+    # a syndrome of one weight-2 error, every state an anchor, is answered
+    once = next(outs for outs, k in count.items() if k == 1 and packed[outs] not in bit)
+    assert CERTIFICATE(H, N, _keys(H, once), *_every_anchor(G, H))[0] == 2
+
+
+def test_a_syndrome_of_two_single_bits_is_not_answered():
+    """The memoryless pair G = H = [1 1]: both bits of a symbol have its syndrome, so no syndrome but 0 is answered."""
+    G = H = poly_from_strings([["1", "1"]])
+    assert set(decoder._singles(H, 3)[2].values()) == {-1}
+    for outs in product((0, 1), repeat=3):
+        found = CERTIFICATE(H, 3, _keys(H, outs), *_every_anchor(G, H))
+        assert found is None if any(outs) else found[0] == 0
+
+
+def test_an_error_whose_state_is_not_an_anchor_is_not_answered():
+    """Low-noise K=7 words the certificate answers: with the anchor of the error's state left out of the rows, it
+    declines each of them."""
+    G, H = _pair("k7")
+    betas, _, anchors, sf, tables = decoder._dual_codes(G, H)
+    declined = 0
+    for z in low_noise_words(40, 11):
+        es = sf.word(z)
+        fin, keys, _ = sf.circular_runs(es, tables.m)
+        rows = anchors[fin]
+        found = CERTIFICATE(H, len(es), keys, rows, betas, tables)
+        if found is None:
+            continue
+        row = tables.states.index(found[3])
+        assert found[1:] == (1, found[2], tables.states[row], betas[rows.index(row)])
+        assert CERTIFICATE(H, len(es), keys, [r for r in rows if r != row], betas, tables) is None
+        declined += 1
+    assert declined > 10
+
+
+def test_a_word_the_certificate_answers_runs_no_pass(monkeypatch):
+    """A 48-symbol K=7 codeword with two bits flipped far apart decodes with no min-plus pass."""
+    G, H = _pair("k7")
+    z = low_noise_words(1, 5, p=0)[0]
+    z[3], z[30] = (1 - z[3][0], z[3][1]), (z[30][0], 1 - z[30][1])
+    monkeypatch.setattr(decoder, "_min_plus", lambda *args: pytest.fail("a min-plus pass ran"))
+    res = decode_tailbiting(G, H, z)
+    assert res.weight == 2 and not res.tie
+    assert np.flatnonzero(res.error).tolist() == [6, 61]

@@ -252,6 +252,28 @@ def _search_every_anchor(monkeypatch):
     return searched
 
 
+# the low-weight certificate as the decoder defines it, which the helpers below patch over
+CERTIFICATE = decoder._certificate
+
+
+def _recorded_certificates(monkeypatch):
+    """A list to which each call of ``_certificate`` (on, even if patched off before) appends whether it answered."""
+    answered, real_certificate = [], CERTIFICATE
+
+    def recording_certificate(*args):
+        found = real_certificate(*args)
+        answered.append(found is not None)
+        return found
+
+    monkeypatch.setattr(decoder, "_certificate", recording_certificate)
+    return answered
+
+
+def _certificate_off(monkeypatch):
+    """Make ``_certificate`` answer no word, so every pruned word runs the passes it ran before the certificate."""
+    monkeypatch.setattr(decoder, "_certificate", lambda *args: None)
+
+
 def test_pruning_runs_on_the_codes_with_no_metric_automaton(monkeypatch):
     """A one-word decode opens with the end-anywhere bound pass exactly on the codes whose ``_automaton`` is None."""
     codes = {name: [poly_from_strings(s) for s in strings] for name, (strings, _) in CODES.items()}
@@ -260,11 +282,22 @@ def test_pruning_runs_on_the_codes_with_no_metric_automaton(monkeypatch):
     unwalked = {name for name, (_, H) in codes.items() if decoder._automaton(H) is None}
     assert unwalked == {"16-state", "32-state", "k7"}
     passes = _recorded_passes(monkeypatch)
+    _certificate_off(monkeypatch)
     for G, H in codes.values():
         passes.append([])
         decode_tailbiting(G, H, [(1,) * H.cols] * max(H.deg, 1))
     assert {name for name, c in zip(codes, passes) if c[:1] == ["end"]} == unwalked
     assert all(c == [] for name, c in zip(codes, passes) if name not in unwalked)
+    # with the certificate on, exactly the pruned codes ask it, and a word it answers runs no pass: the K=7 word
+    answered = _recorded_certificates(monkeypatch)
+    passes.clear()
+    for G, H in codes.values():
+        passes.append([])
+        decode_tailbiting(G, H, [(1,) * H.cols] * max(H.deg, 1))
+    pruned = [c for name, c in zip(codes, passes) if name in unwalked]
+    assert len(answered) == len(unwalked) and all(c == [] for name, c in zip(codes, passes) if name not in unwalked)
+    assert [c == [] for c in pruned] == answered and [c[:1] == ["end"] for c in pruned] == [not a for a in answered]
+    assert passes[list(codes).index("k7")] == []
 
 
 def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
@@ -273,9 +306,12 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     passes = _recorded_passes(monkeypatch)
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     S = len(error_trellis._search_tables(H).states)
-    for z in low_noise_words(200, 7):
+    words = low_noise_words(200, 7)
+    _certificate_off(monkeypatch)
+    for z in words:
         passes.append([])
         decode_tailbiting(G, H, z)
+    searched_passes = passes[:]
     assert all(c[0] == "end" for c in passes)
     assert sum(len(c) == 1 for c in passes) >= len(passes) * 3 / 4
     # every word that does not close on the first check runs one start-anywhere pass, then at most one search set
@@ -284,6 +320,15 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     assert any(len(c) == 1 for c in opened) and any(len(c) == 2 for c in opened)
     searched = [sum(c[1:]) for c in opened]
     assert max(searched) <= S and sum(searched) < len(passes) / 8
+    # with the certificate on, the words it answers (those of one error of weight <= 2, about 45%) run no pass and
+    # every other word runs the passes it ran with the certificate off
+    answered = _recorded_certificates(monkeypatch)
+    passes.clear()
+    for z in words:
+        passes.append([])
+        decode_tailbiting(G, H, z)
+    assert passes == [[] if a else c for a, c in zip(answered, searched_passes)]
+    assert len(words) / 3 < sum(answered) < len(words) * 2 / 3
     # a 4-state code searches every anchor by walks over its automaton, with no min-plus pass, one word or a block
     # of several; the automaton's build, once per H, runs min-plus steps of its own
     G, H = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
@@ -296,6 +341,7 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     passes.append([])
     assert len(decode_tailbiting_batch(G, H, [[(1, 0, 1)] * 5, [(0, 1, 1)] * 5, [(1, 1, 0)] * 5])) == 3
     assert passes == [[], [], []]
+    assert len(answered) == len(words)
 
 
 def test_every_outcome_of_the_bound_pass_matches_the_reference(monkeypatch):
@@ -304,28 +350,60 @@ def test_every_outcome_of_the_bound_pass_matches_the_reference(monkeypatch):
     passes = _recorded_passes(monkeypatch)
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
     outcomes = Counter()
-    for z in low_noise_words(24, 37, N=12, p=0.1):
+    words = low_noise_words(24, 37, N=12, p=0.1)
+    expected = [reference_decode(G, H, z) for z in words]
+    _certificate_off(monkeypatch)
+    for z, res in zip(words, expected):
         passes.append([])
-        assert decode_tailbiting(G, H, z) == reference_decode(G, H, z), z
+        assert decode_tailbiting(G, H, z) == res, z
         c = passes[-1]
         if len(c) < 3:
             outcomes[["closed", "closed on the second check"][len(c) - 1]] += 1
         else:
             outcomes["open" if c[2] == 1 else "shared"] += 1
     assert min(outcomes[k] for k in ("closed", "closed on the second check", "open", "shared")) >= 1, outcomes
+    # with the certificate on, a word it answers runs no pass, and the others run the same passes as above
+    searched_passes, answered = passes[:], _recorded_certificates(monkeypatch)
+    passes.clear()
+    for z, res in zip(words, expected):
+        passes.append([])
+        assert decode_tailbiting(G, H, z) == res, z
+    assert passes == [[] if a else c for a, c in zip(answered, searched_passes)] and any(answered)
 
 
 def test_a_k7_word_that_closes_on_the_second_check_decodes_to_its_golden_line(monkeypatch, capsys):
     """The CLI line of a 48-symbol low-noise K=7 word whose bound pass does not close, but whose start-anywhere pass
-    leaves one anchor of least bound, on which the walk closes; CI diffs the installed package against it."""
+    leaves one anchor of least bound, on which the walk closes; CI diffs the installed package against it.  Its one
+    error of weight <= 2 is anchored, so with the certificate on it runs no pass, to the same line."""
     passes = _recorded_passes(monkeypatch)
     golden = Path(__file__).parent / "golden"
     received = (golden / "decode_k7_received.txt").read_text().strip()
     code = str(Path(__file__).parent.parent / "perfbench" / "codes" / "k7.json")
+    _certificate_off(monkeypatch)
     passes.append([])
     assert main(["decode", "--code", code, "--received", received]) == 0
     assert capsys.readouterr().out == (golden / "decode_k7.txt").read_text()
     assert passes == [["end", "start"]]
+    answered = _recorded_certificates(monkeypatch)
+    passes.clear()
+    passes.append([])
+    assert main(["decode", "--code", code, "--received", received]) == 0
+    assert capsys.readouterr().out == (golden / "decode_k7.txt").read_text()
+    assert passes == [[]] and answered == [True]
+
+
+def test_a_k7_word_of_weight_3_opens_with_the_bound_pass_and_decodes_to_its_golden_line(monkeypatch, capsys):
+    """The CLI line of a 48-symbol low-noise K=7 word of ML weight 3: the certificate declines it, and it opens with
+    the end-anywhere bound pass, whose walk closes; CI diffs the installed package against it."""
+    passes, answered = _recorded_passes(monkeypatch), _recorded_certificates(monkeypatch)
+    golden = Path(__file__).parent / "golden"
+    received = (golden / "decode_k7_weight3_received.txt").read_text().strip()
+    code = str(Path(__file__).parent.parent / "perfbench" / "codes" / "k7.json")
+    passes.append([])
+    assert main(["decode", "--code", code, "--received", received]) == 0
+    assert capsys.readouterr().out == (golden / "decode_k7_weight3.txt").read_text()
+    assert answered == [False] and passes == [["end"]]
+    assert (golden / "decode_k7_weight3.txt").read_text().startswith("weight=3 ")
 
 
 def test_a_16_state_word_decodes_to_its_golden_line_on_the_pruned_route(monkeypatch, capsys):
@@ -420,14 +498,25 @@ def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     blocks = [decode_tailbiting_batch(G, H, words) for G, H, words in groups]
     assert blocks == walked
     monkeypatch.setattr(decoder, "_automaton", lambda H: None)
+    # the pruned search, with the certificate on and then off
+    answered = _recorded_certificates(monkeypatch)
     assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
     assert [decode_tailbiting_batch(G, H, words) for G, H, words in groups] == walked
+    assert len(answered) == 2 * len(groups) * 40 and any(answered)
+    _certificate_off(monkeypatch)
+    assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
     searched = _search_every_anchor(monkeypatch)
     for (G, H, words), results in zip(groups, walked):
         searched.clear()
         assert [decode_tailbiting(G, H, z) for z in words] == results
         assert set(searched) == {len(enc_state_space(G))}
     assert sum(res.tie for results in walked for res in results) > len(groups) * 40 / 4
+    # with the certificate on, each word it answers runs no pass, and every other word searches every anchor
+    answered = _recorded_certificates(monkeypatch)
+    searched.clear()
+    assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
+    every = [len(enc_state_space(G)) for G, _, words in groups for _ in words]
+    assert searched == [S for S, a in zip(every, answered) if not a] and any(answered)
 
 
 # the codes that prune, those with no metric automaton, with p = 0.03, p = 0.06 and uniform words (p = 0.5)
@@ -548,19 +637,23 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
     syndrome former: one fold of the one-step machine over the M symbols
     before the last N mod m and those, then one step of its m-step
     machine (``power(m)``) per run of m symbols, which folds nothing.  A
-    block of several words is one ``LinearMachine.circular`` call.  A
-    second fold of either machine, e.g. for sigma_fin alone, or a
-    ``circular_word``, counts.
+    block of several words is one ``LinearMachine.circular`` call, and so
+    is the table of a pruned code's single-bit errors (``_singles``), once
+    per length.  A second fold of either machine, e.g. for sigma_fin
+    alone, or a ``circular_word``, counts.  No word is decoded before the
+    count: the per-code caches are filled by their own calls, and the
+    K=7 word's length has no table yet.
     """
     K7 = [poly_from_strings(s) for s in K7_STRINGS]
     ref = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
     z7, z = [(1, 0), (0, 1), (1, 1)] * 4, split_symbols(parse_bits(RECEIVED), 3)
     machines = {}
     for G, H in (K7, ref):
-        decode_tailbiting(G, H, z7 if G is K7[0] else z)  # fills the per-code caches
+        decoder._dual_codes(G, H), decoder._automaton(H)
         sf = syndrome_former(H)
         machines.update({sf: "one-step", sf.power(error_trellis._search_tables(H).m): "m-step"})
     assert len(machines) == 4
+    decoder._singles.cache_clear()
     calls = Counter()
     for name in ("circular", "circular_runs", "circular_word", "fold"):
         real = getattr(LinearMachine, name)
@@ -570,25 +663,24 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(LinearMachine, name, counting)
-    def runs(words, blocks=0):
-        """The calls of ``words`` one-word decodes and ``blocks`` multi-word blocks."""
-        return {("circular_runs", "one-step"): words, ("fold", "one-step"): words} | (
-            {("circular", "one-step"): blocks} if blocks else {}
-        )
+    def runs(words, circulars):
+        """The calls of ``words`` one-word decodes and ``circulars`` multi-word blocks and ``_singles`` tables."""
+        return {("circular_runs", "one-step"): words, ("fold", "one-step"): words, ("circular", "one-step"): circulars}
 
+    # the first K=7 word of its length builds the length's table, in one circular run of the single-bit errors
     decode_tailbiting(*K7, z7)
-    assert calls == runs(1)
+    assert calls == runs(1, 1)
     # a block of the 64-state code holds one word
     decode_tailbiting_batch(*K7, [z7, z7[::-1], z7])
-    assert calls == runs(4)
+    assert calls == runs(4, 1)
     decode_tailbiting(*ref, z)
-    assert calls == runs(5)
+    assert calls == runs(5, 1)
     # the reference code's 3 words fill one block
     decode_tailbiting_batch(*ref, [z, z[::-1], z])
-    assert calls == runs(5, 1)
+    assert calls == runs(5, 2)
     # an array word is packed by ``received`` and run once
     decode_tailbiting(*ref, np.array(z))
-    assert calls == runs(6, 1)
+    assert calls == runs(6, 2)
 
 
 def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(monkeypatch):
@@ -607,7 +699,8 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
         return real_search_word(tables, betas, rows, keys, automaton)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
-    rng, lengths = np.random.default_rng(67), []
+    _certificate_off(monkeypatch)
+    rng, lengths, hits = np.random.default_rng(67), [], 0
     for (g, h), _ in CODES.values():
         G, H = poly_from_strings(g), poly_from_strings(h)
         sf, tables = syndrome_former(H), error_trellis._search_tables(H)
@@ -624,11 +717,19 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
                     for zeta in zetas[t : t + m]:
                         key = key << r | zeta
                     keys.append(key)
+                rows = tables.index[fin ^ duals].tolist()
+                searched = [(rows, keys + [(1 << r * m) + zeta for zeta in zetas[cut:]])]
                 captured.clear()
                 decode_tailbiting(G, H, [sf.in_tuples[e] for e in es])
-                rows = tables.index[fin ^ duals].tolist()
-                assert captured == [(rows, keys + [(1 << r * m) + zeta for zeta in zetas[cut:]])], (h, N)
-    assert any(N < m for N, m in lengths) and any(N % m for N, m in lengths)
+                assert captured == searched, (h, N)
+                # with the certificate on, a word it answers is not searched
+                answered = _recorded_certificates(monkeypatch)
+                captured.clear()
+                decode_tailbiting(G, H, [sf.in_tuples[e] for e in es])
+                assert captured == ([] if any(answered) else searched), (h, N)
+                hits += any(answered)
+                _certificate_off(monkeypatch)
+    assert any(N < m for N, m in lengths) and any(N % m for N, m in lengths) and hits
 
 
 def test_decode_imports_nothing_new():

@@ -25,7 +25,8 @@ from tbtrellis import (
     xor_states,
 )
 from tbtrellis.error_trellis import _search_tables
-from tbtrellis.state_machines import encoder, syndrome_former
+import tbtrellis.state_machines as state_machines
+from tbtrellis.state_machines import encoder, syndrome_former, unpack
 
 from oracle import circ_encode, coeffs_from_strings
 
@@ -371,3 +372,26 @@ def test_a_circular_run_in_steps_of_m_is_the_one_word_run_packed_step_by_step(na
             assert sf.circular_runs(es, m) == (fin, keys + zetas[cut:], zs + es[cut:]), N
     with pytest.raises(ValueError, match="^need at least one input symbol$"):
         sf.circular_runs([], m)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.intp])
+def test_unpack_equals_a_bit_by_bit_reference_in_every_input_dtype(dtype):
+    """Widths 1-8 of uint8, uint16 and intp arrays; the mask is taken in the input's dtype where it fits."""
+    rng = np.random.default_rng(83)
+    for width in range(1, 9):
+        ints = rng.integers(0, 2**width, (5, 7)).astype(dtype)
+        bits = [[[int(v) >> width - 1 - p & 1 for p in range(width)] for v in row] for row in ints.tolist()]
+        out = unpack(ints, width)
+        assert out.dtype == np.uint8 and out.tolist() == bits, width
+
+
+def test_a_word_of_lists_is_looked_up_as_tuples_with_no_per_symbol_lookup(monkeypatch):
+    """A valid list-of-lists word reads as its tuples do, without ``_lookup``; a bad one still names its symbol."""
+    sf = syndrome_former(poly_from_strings([["1111001", "1011011"]]))
+    word = np.random.default_rng(5).integers(0, 2, (48, 2)).tolist()
+    expected = sf.word([tuple(s) for s in word])
+    monkeypatch.setattr(state_machines, "_lookup", lambda *args: pytest.fail("a symbol was looked up alone"))
+    assert sf.word(word) == expected
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match=r"^expected an input symbol of 2 bits in \{0, 1\}, got \(1, 2\)$"):
+        sf.word(word[:3] + [[1, 2]] + word[3:])
