@@ -36,24 +36,31 @@ anchor states of each sigma_fin are one list, built once per G/H pair
 the stack give the word's (steps x edges x states + 1) tables, and its
 bound pass carries one flat cost row per cut.  A block of several words
 gets its sigma_fin and syndromes from one ``LinearMachine.circular`` of
-the block.
+the block, and its keys from the syndromes by a reshape into runs of m
+and a shift-sum, in time and memory linear in N.
 
 On a code with no metric automaton a word goes four ways, in order: the
 low-weight certificate, the bound pass and its closing check, the
 start-anywhere pass and its own, then the search.  The certificate
-(``_certificate``) reads the word's syndrome, its circular run's step
+(``_certificate``) reads the word's syndrome s, its circular run's step
 outputs packed into one integer, against a table of the N*n single-bit
-errors built once per H and N (``_singles``): the zero syndrome, a
-syndrome that one bit alone has, or one that exactly one pair of bits
-has.  Each
+errors built once per H and N (``_singles``): s = 0, a syndrome that one
+bit alone has, one that exactly one pair of bits has, or, when no error
+of weight <= 2 has s, one that exactly one triple of bits has.  Every
+error with syndrome s != 0 has an odd number of bits whose syndrome
+covers s's lowest set bit; taking one such bit out of a triple leaves a
+pair with syndrome s XOR that bit's, which the pair rule finds, so the
+pair rule over each covering bit finds every triple.  Each
 tailbiting path of the error trellis is an error sequence with the
 word's syndrome whose circular state is an anchor, so when exactly one
-error of weight <= 2, among all of them, has that syndrome and its state
-is an anchor, it is the word's unique optimum: ``tie`` is False and no
-label order is left to choose.  This is syndrome decoding (Schalkwijk
-and Vinck, IEEE Trans. Commun. 1976) used as an exact certificate; the
-table, not the code's free distance, proves it.  Any other word runs
-the passes below, as it did before.
+error of weight <= 3, among all of them, has that syndrome, no lighter
+one does and its state is an anchor, it is the word's unique optimum:
+``tie`` is False and no label order is left to choose.  This is syndrome
+decoding (Schalkwijk and Vinck, IEEE Trans. Commun. 1976) used as an
+exact certificate; the table, not the code's free distance, proves it.
+The weight stops at 3: a search for weight 4 by the same nesting costs
+about as much as the bound pass it would skip.  Any other word runs the
+passes below, as it did before.
 
 Pruning is exact and per word.  On a code with no metric automaton a
 first pass with one column that may end anywhere gives each anchor a
@@ -333,23 +340,13 @@ def _automaton(H):
 
 @lru_cache(maxsize=None)
 def _layout(H, N):
-    """How the N sections of a word fall into floor(N/m) runs of m symbols, then N mod m single ones.
+    """Per symbol of a word of N symbols: its step and the shift of its n bits in the step's label.
 
-    Returns, per step, the places that turn syndrome integers into its key
-    in the stack (with ``first``, 2^(r*m), added for single symbols), which
-    are powers of two: a run's key concatenates its symbols' bits.  Then
-    come, per symbol, its step and the shift of its n bits in the step's
-    label.
+    The steps are floor(N/m) runs of m symbols, then N mod m single ones.
     """
-    m, r, n = _search_tables(H).m, H.rows, H.cols
-    runs, cut = N // m, N - N % m
-    t = np.arange(N)
-    step = np.where(t < cut, t // m, runs + t - cut)
-    place = np.where(t < cut, m - 1 - t % m, 0)
-    places = np.zeros((N, runs + N - cut), dtype=np.intp)
-    places[t, step] = 1 << r * place
-    first = np.array([0] * runs + [1 << r * m] * (N - cut))
-    return places, first, step, n * place
+    m = _search_tables(H).m
+    t, cut = np.arange(N), N - N % m
+    return np.where(t < cut, t // m, t - cut + N // m), np.where(t < cut, m - 1 - t % m, 0) * H.cols
 
 
 def _start_anywhere(tables, at):
@@ -451,6 +448,10 @@ def _blocks(G, H, words):
 
     A single word is ``decode_tailbiting``'s; the symbols of several are
     read first, then the words are checked to be non-empty and N >= M.
+    Each symbol's step and label shift (``_layout``, once per H and N)
+    and each step's key take O(N) per word: a run's key is its m
+    syndromes shifted into place and summed, a single symbol's its
+    syndrome plus 2^(r*m).
     """
     if not len(words):
         return
@@ -464,7 +465,8 @@ def _blocks(G, H, words):
     _, duals, _, sf, tables = _dual_codes(G, H)
     automaton = _automaton(H)
     size = 1 if automaton is None else BLOCK_BUDGET // len(tables.states)
-    places, first, step, shift = _layout(H, E.shape[1])
+    N, m, r = E.shape[1], tables.m, H.rows
+    step, shift = _layout(H, N)
     for start in range(0, len(E), size):
         block = E[start : start + size]
         if len(block) == 1:
@@ -472,7 +474,10 @@ def _blocks(G, H, words):
             continue
         fin, zetas = sf.circular(block)
         rows = tables.index.take(fin[:, None] ^ duals)
-        yield _decode_block(tables, block, rows, zetas @ places + first, step, shift, H.cols, automaton)
+        # a run's key concatenates its symbols' syndromes, the first most significant; a single symbol's is 2^(r*m) on
+        runs = zetas[:, : N - N % m].reshape(len(block), -1, m) << r * np.arange(m - 1, -1, -1)
+        keys = np.hstack((runs.sum(axis=2), zetas[:, N - N % m :] | 1 << r * m))
+        yield _decode_block(tables, block, rows, keys, step, shift, H.cols, automaton)
 
 
 @lru_cache(maxsize=None)
@@ -487,7 +492,10 @@ def _singles(H, N):
     or to -1 where two bits share it; ``covers`` lists per syndrome bit,
     the least significant first, the syndromes that have it, in bit
     order.  ``widths`` holds the bits of each step's outputs, and
-    ``heaviest`` the most set bits of a single-bit syndrome.  One
+    ``heaviest`` the most set bits of a single-bit syndrome, so no k
+    bits together have a syndrome of more than k * ``heaviest``; the
+    certificate finds pairs by ``covers`` and ``bit``, and triples by the
+    pairs of s XOR each syndrome covering s's lowest set bit.  One
     ``LinearMachine.circular`` of the bits of the last d + 1 symbols
     gives them: only a bit of the last d symbols leaves a state at cut N,
     and the circular run is linear and shift-invariant, so the last
@@ -511,7 +519,7 @@ def _singles(H, N):
 
 
 def _certificate(H, N, keys, rows, betas, tables):
-    """The ``_search_word`` result of a word whose one error of weight <= 2 with its syndrome is anchored, else None.
+    """The ``_search_word`` result of a word whose one lightest error, of weight <= 3, is anchored, else None.
 
     ``keys`` holds the word's step outputs, floor(N/m) runs of m symbols
     then single ones, and ``rows`` its anchor states.  Packed into one
@@ -519,27 +527,43 @@ def _certificate(H, N, keys, rows, betas, tables):
     s = 0 is the zero error's syndrome, a bit whose syndrome is s alone
     is the weight-1 error, and each weight-2 pair has exactly one bit
     covering s's lowest set bit, so looking up s XOR each such bit's
-    syndrome finds every pair.  Every path the search weighs is an error
-    with syndrome s whose circular state is an anchor, so one such error
-    of weight <= 2, found among all of them, is its unique optimum: one
-    anchor reaches it and no label order is left to choose.  A shared
-    syndrome, two pairs, or an error whose state is not an anchor returns
-    None.
+    syndrome finds every pair.  When no error of weight <= 2 has s, each
+    triple has an odd number, so at least one, of bits covering s's
+    lowest set bit, and without it is a pair with syndrome s XOR that
+    bit's: the pair rule on s XOR each covering syndrome finds every
+    triple, once per covering member, so the triples are kept as sets of
+    bits.  A covering syndrome whose XOR with s has more set bits than
+    two single syndromes can have is skipped.  Every path the search
+    weighs is an error with syndrome s whose circular state is an anchor,
+    so one such error of weight <= 3, found among all of them with no
+    lighter one, is its unique optimum: one anchor reaches it and no
+    label order is left to choose.  A shared single syndrome among the
+    error's bits, two pairs or two triples, no error of weight <= 3, or
+    an error whose state is not an anchor returns None.
     """
     states, places, bit, covers, widths, heaviest = _singles(H, N)
-    # no two single-bit syndromes together have more set bits than twice the heaviest's
-    if sum(map(int.bit_count, keys)) > 2 * heaviest:
+    # no three single-bit syndromes together have more set bits than three times the heaviest's
+    if sum(map(int.bit_count, keys)) > 3 * heaviest:
         return None
     s = 0
     for key, width in zip(keys, widths):
         s = s << width | key
+
+    def pairs(s):
+        low = covers[(s & -s).bit_length() - 1]
+        return [(bit[s ^ j], bit[j]) for j in filter(bit.__contains__, map(s.__xor__, low))]
+
     if not s or s in bit:
         error = (bit[s],) if s else ()
+    elif two := pairs(s):
+        error = two[0] if len(two) == 1 else (-1,)
     else:
-        pairs = [(bit[s ^ j], bit[j]) for j in bit.keys() & set(map(s.__xor__, covers[(s & -s).bit_length() - 1]))]
-        error = pairs[0] if len(pairs) == 1 else (-1,)
+        # each triple once per member covering s's lowest set bit; a pair's syndrome has at most 2 * heaviest bits
+        low = covers[(s & -s).bit_length() - 1]
+        three = {frozenset((bit[j], *p)) for j in low if (s ^ j).bit_count() <= 2 * heaviest for p in pairs(s ^ j)}
+        error = tuple(three.pop()) if len(three) == 1 else (-1,)
     row = tables.index.item(reduce(xor, map(states.__getitem__, error), 0))
-    # -1 marks a syndrome of several errors; the row it reads is never taken
+    # -1 marks a syndrome of several errors or a bit whose syndrome another shares; the row it reads is never taken
     if min(error, default=0) < 0 or row not in rows:
         return None
     labels = [0] * len(keys)
@@ -631,9 +655,10 @@ def _search_word(tables, betas, rows, keys, automaton):
     start-anywhere pass and its own, then the search of the anchors the
     bounds leave.  A pruned word reaches this only when
     ``_certificate``, which ``_decode_word`` asks first, has not found
-    its one anchored error of weight <= 2; each step here is exact on
-    its own, so the order changes which step decides a word, never its
-    result.
+    its one lightest anchored error of weight <= 3 (a word of weight >= 4,
+    or one whose syndrome two errors of its least weight share, are such
+    words).  Each step here is exact on its own, so the order changes
+    which step decides a word, never its result.
     """
     if automaton is not None:
         columns, nxt, low, edges = automaton.lists

@@ -34,6 +34,7 @@ from tbtrellis import (
     tailbiting_syndromes_batch,
 )
 from tbtrellis.error_trellis import _search_tables
+from tbtrellis.state_machines import syndrome_former
 
 
 def _code(name):
@@ -100,6 +101,50 @@ def test_decode_blocks_hold_the_block_budget_of_walks(monkeypatch):
     G, H = _code("16-state")
     assert len(decode_tailbiting_batch(G, H, rng.integers(0, 2, (20, 6, H.cols)))) == 20
     assert lengths == []
+
+
+@pytest.mark.parametrize("name", ["ref", "mem2", "H0-zero"])
+def test_block_keys_equal_the_dense_product_of_the_syndromes(monkeypatch, name):
+    """At N = M..M+2m+1, the step keys a block of a code with an automaton walks equal its syndromes times the dense
+    (N x steps) matrix that puts each symbol's syndrome at its place in its step's key, plus 2^(r*m) on each single
+    symbol's step."""
+    G, H = _code(name)
+    assert decoder._automaton(H) is not None
+    sf, m, r = syndrome_former(H), _search_tables(H).m, H.rows
+    blocks, real = [], decoder._decode_block
+
+    def recording(tables, block, rows, keys, *args):
+        blocks.append((block, keys))
+        return real(tables, block, rows, keys, *args)
+
+    monkeypatch.setattr(decoder, "_decode_block", recording)
+    rng = np.random.default_rng(89)
+    for N in range(max(H.deg, 1), max(H.deg, 1) + 2 * m + 2):
+        blocks.clear()
+        decode_tailbiting_batch(G, H, rng.integers(0, 2, (3, N, H.cols)))
+        ((block, keys),) = blocks
+        runs, cut = N // m, N - N % m
+        places = np.zeros((N, runs + N - cut), dtype=np.intp)
+        for t in range(N):
+            places[t, t // m if t < cut else runs + t - cut] = 1 << r * (m - 1 - t % m) if t < cut else 1
+        first = np.array([0] * runs + [1 << r * m] * (N - cut))
+        assert keys.tolist() == (sf.circular(block)[1] @ places + first).tolist(), N
+
+
+def test_a_two_word_block_at_n_8000_stays_within_8_mb():
+    """A block's keys and label places take memory linear in N: two uniform reference-code words at N = 8,000 decode
+    within 8 MB, where a dense (N x steps) matrix of places alone would take 122 MiB."""
+    G, H = _code("ref")
+    words = np.random.default_rng(97).integers(0, 2, (2, 8000, H.cols))
+    decode_tailbiting_batch(G, H, words[:, :16])  # fills the per-code caches
+    tracemalloc.start()
+    try:
+        results = decode_tailbiting_batch(G, H, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    assert [res.weight for res in results] == [decode_tailbiting(G, H, z).weight for z in words]
 
 
 def _arrays_of(results):

@@ -320,15 +320,15 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     assert any(len(c) == 1 for c in opened) and any(len(c) == 2 for c in opened)
     searched = [sum(c[1:]) for c in opened]
     assert max(searched) <= S and sum(searched) < len(passes) / 8
-    # with the certificate on, the words it answers (those of one error of weight <= 2, about 45%) run no pass and
-    # every other word runs the passes it ran with the certificate off
+    # with the certificate on, the words it answers (those of one error of weight <= 3, 69%) run no pass and every
+    # other word runs the passes it ran with the certificate off
     answered = _recorded_certificates(monkeypatch)
     passes.clear()
     for z in words:
         passes.append([])
         decode_tailbiting(G, H, z)
     assert passes == [[] if a else c for a, c in zip(answered, searched_passes)]
-    assert len(words) / 3 < sum(answered) < len(words) * 2 / 3
+    assert len(words) * 3 / 5 < sum(answered) < len(words) * 4 / 5
     # a 4-state code searches every anchor by walks over its automaton, with no min-plus pass, one word or a block
     # of several; the automaton's build, once per H, runs min-plus steps of its own
     G, H = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
@@ -393,26 +393,46 @@ def test_a_k7_word_that_closes_on_the_second_check_decodes_to_its_golden_line(mo
 
 
 def test_a_k7_word_of_weight_3_opens_with_the_bound_pass_and_decodes_to_its_golden_line(monkeypatch, capsys):
-    """The CLI line of a 48-symbol low-noise K=7 word of ML weight 3: the certificate declines it, and it opens with
-    the end-anywhere bound pass, whose walk closes; CI diffs the installed package against it."""
-    passes, answered = _recorded_passes(monkeypatch), _recorded_certificates(monkeypatch)
+    """The CLI line of a 48-symbol low-noise K=7 word of ML weight 3: with the certificate off it opens with the
+    end-anywhere bound pass, whose walk closes; its one error of weight <= 3 is anchored, so with the certificate on
+    it runs no pass, to the same line.  CI diffs the installed package against it."""
+    passes = _recorded_passes(monkeypatch)
     golden = Path(__file__).parent / "golden"
     received = (golden / "decode_k7_weight3_received.txt").read_text().strip()
     code = str(Path(__file__).parent.parent / "perfbench" / "codes" / "k7.json")
+    _certificate_off(monkeypatch)
     passes.append([])
     assert main(["decode", "--code", code, "--received", received]) == 0
     assert capsys.readouterr().out == (golden / "decode_k7_weight3.txt").read_text()
-    assert answered == [False] and passes == [["end"]]
+    assert passes == [["end"]]
+    answered = _recorded_certificates(monkeypatch)
+    passes.clear()
+    passes.append([])
+    assert main(["decode", "--code", code, "--received", received]) == 0
+    assert capsys.readouterr().out == (golden / "decode_k7_weight3.txt").read_text()
+    assert answered == [True] and passes == [[]]
     assert (golden / "decode_k7_weight3.txt").read_text().startswith("weight=3 ")
 
 
-def test_a_16_state_word_decodes_to_its_golden_line_on_the_pruned_route(monkeypatch, capsys):
-    """The 16-state code has no automaton (over budget), so it prunes: the word closes on neither check, then its one
-    anchor of least bound and the 15 whose bound does not exceed that weight are searched; CI diffs the installed
-    package's CLI line against the same golden."""
-    passes = _recorded_passes(monkeypatch)
+def test_a_k7_word_of_weight_4_opens_with_the_bound_pass_and_decodes_to_its_golden_line(monkeypatch, capsys):
+    """The CLI line of a 48-symbol low-noise K=7 word of ML weight 4: the certificate declines it, and it opens with
+    the end-anywhere bound pass, whose walk closes; CI diffs the installed package against it."""
+    passes, answered = _recorded_passes(monkeypatch), _recorded_certificates(monkeypatch)
     golden = Path(__file__).parent / "golden"
-    received = (golden / "decode_16state_received.txt").read_text().strip()
+    received = (golden / "decode_k7_weight4_received.txt").read_text().strip()
+    code = str(Path(__file__).parent.parent / "perfbench" / "codes" / "k7.json")
+    passes.append([])
+    assert main(["decode", "--code", code, "--received", received]) == 0
+    assert capsys.readouterr().out == (golden / "decode_k7_weight4.txt").read_text()
+    assert answered == [False] and passes == [["end"]]
+    assert (golden / "decode_k7_weight4.txt").read_text().startswith("weight=4 ")
+
+
+def _decode_16_state_golden(passes, capsys, word):
+    """The passes (recorded into ``passes``) of the CLI decode of a 16-state golden word, whose stdout must equal its
+    golden line."""
+    golden = Path(__file__).parent / "golden"
+    received = (golden / f"{word}_received.txt").read_text().strip()
     # the attempt to build its automaton, once per H, runs min-plus steps of its own: made here, the test does not
     # depend on the tests run before it
     passes.append([])
@@ -420,8 +440,28 @@ def test_a_16_state_word_decodes_to_its_golden_line_on_the_pruned_route(monkeypa
     passes.clear()
     passes.append([])
     assert main(["decode", "--code", str(golden / "code_16state.json"), "--received", received]) == 0
-    assert capsys.readouterr().out == (golden / "decode_16state.txt").read_text()
-    assert passes == [["end", "start", 1, 15]]
+    assert capsys.readouterr().out == (golden / f"{word}.txt").read_text()
+    return passes
+
+
+def test_a_16_state_word_decodes_to_its_golden_line_on_the_pruned_route(monkeypatch, capsys):
+    """The 16-state code has no automaton (over budget), so it prunes.  This word of ML weight 3 has one anchored
+    error of weight <= 3, so the certificate answers it with no pass; with the certificate off it closes on neither
+    check, then its one anchor of least bound and the 15 whose bound does not exceed that weight are searched, to the
+    same line.  CI diffs the installed package's CLI line against the same golden."""
+    passes, answered = _recorded_passes(monkeypatch), _recorded_certificates(monkeypatch)
+    assert _decode_16_state_golden(passes, capsys, "decode_16state") == [[]] and answered == [True]
+    _certificate_off(monkeypatch)
+    assert _decode_16_state_golden(passes, capsys, "decode_16state") == [["end", "start", 1, 15]]
+
+
+def test_a_16_state_word_of_weight_4_closes_on_neither_check_and_decodes_to_its_golden_line(monkeypatch, capsys):
+    """A 16-state word of ML weight 4, which the certificate declines: it closes on neither check, then its one anchor
+    of least bound and the 15 whose bound does not exceed that weight are searched; CI diffs the installed package's
+    CLI line against the same golden."""
+    passes, answered = _recorded_passes(monkeypatch), _recorded_certificates(monkeypatch)
+    assert _decode_16_state_golden(passes, capsys, "decode_16state_weight4") == [["end", "start", 1, 15]]
+    assert answered == [False]
 
 
 # columns of each code's metric automaton; None where its columns pass TABLE_BUDGET entries, and the code prunes
