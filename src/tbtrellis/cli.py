@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage, code-spec or output-file error, a
 G/H pair whose encoder states collide on one error-subtrellis anchor
-(decode, verify), or an array too large to allocate, 2 decoding tie
-(result still printed), 3 verification failure.
+(decode, verify), an array too large to allocate, or a size past the
+index range, 2 decoding tie (result still printed), 3 verification
+failure.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CodeSpecError, ValueError, AnchorCollisionError, MemoryError) as exc:
+    except (CodeSpecError, ValueError, AnchorCollisionError, MemoryError, OverflowError) as exc:
         print(f"tbtrellis: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

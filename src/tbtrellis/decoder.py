@@ -32,12 +32,14 @@ cut 0 and the single symbols' syndromes, and from that state the m-step
 machine (``LinearMachine.power``) takes each run of m symbols in one XOR
 of its two tables, whose output is the run's key in the stack.  The
 anchor states of each sigma_fin are one list, built once per G/H pair
-(``_dual_codes``).  On a code without a metric automaton two takes from
-the stack give the word's (steps x edges x states + 1) tables, and its
-bound pass carries one flat cost row per cut.  A block of several words
-gets its sigma_fin and syndromes from one ``LinearMachine.circular`` of
-the block, and its keys from the syndromes by a reshape into runs of m
-and a shift-sum, in time and memory linear in N.
+(``_dual_codes``, the one record a decode looks up per pair, which also
+holds H's tables and automaton).  On a code without a metric automaton
+two takes from the stack give the word's (steps x edges x states + 1)
+tables, and its bound pass carries one flat cost row per cut.  A block
+of several words gets its sigma_fin and syndromes from one
+``LinearMachine.circular`` of the block, and its keys from the syndromes
+by a reshape into runs of m and a shift-sum, in time and memory linear
+in N.
 
 On a code with no metric automaton a word goes four ways, in order: the
 low-weight certificate, the bound pass and its closing check, the
@@ -78,11 +80,12 @@ bound.  When one anchor alone now has the least bound and it is not the
 one already walked, the same closing check walks the end-anywhere column
 from it; a walk that closes weighs that anchor's end-anywhere bound,
 which is then its larger bound, below every other anchor's, so the same
-argument holds.  Only when neither check closes are the anchors of least
-``lb`` searched, giving weight w, then every other anchor with
-``lb <= w``; an anchor left out has ``lb > w``, so it can neither win
-nor tie.  The closing check is the first iteration of the wrap-around
-Viterbi algorithm (Shao, Lin and Fossorier, IEEE Trans. Commun. 2003).
+argument holds.  Only when neither check closes is the search run, one
+loop over two sets of anchors: those of least ``lb``, giving weight w,
+then every other anchor with ``lb <= w``; an anchor left out has
+``lb > w``, so it can neither win nor tie.  The closing check is the first
+iteration of the wrap-around Viterbi algorithm (Shao, Lin and Fossorier,
+IEEE Trans. Commun. 2003).
 
 A code with a metric automaton (``_automaton``) runs no pass at all: its
 words walk it.  With hard decisions a backward pass only ever reaches a
@@ -100,39 +103,40 @@ step, and weighs its last column's entry at the anchor plus the offsets
 it subtracted: min(w + c - k) = min(w + c) - k, so the weights, ``tie``,
 the anchors and the smallest optimal error are those of a min-plus pass
 over every anchor.  Per column, key and state the automaton also keeps
-the slot of the first edge, in label order, that a traceback takes into
-the column, so each anchor of least weight is traced forward with one
-lookup per step.  In a block of several words every (word, anchor)
-column walks back at once, one gather of the next columns and offsets
-per step keyed by the step's keys, each column starting at its anchor's
-own; every walk at its word's least weight then gathers its slot, label
-and end state per step.  Where the columns would hold more than
-``TABLE_BUDGET`` entries (columns x (states + 1)), as on the 16-, 32-
-and 64-state codes, there is no automaton and the code prunes; the
-reference code has 24 columns.
+the first edge, in label order, that a traceback takes into the column,
+packed as its label above its end state (``edges``), so each anchor of
+least weight is traced forward with one lookup per step.  In a block of
+several words every (word, anchor) column walks back at once, one gather
+of the next columns and offsets per step keyed by the step's keys, each
+column starting at its anchor's own; every walk at its word's least
+weight then gathers its packed edge per step from the same table.
+Where the columns would hold more than ``TABLE_BUDGET`` entries
+(columns x (states + 1)), as on the 16-, 32- and 64-state codes, there
+is no automaton and the code prunes; the reference code has 24 columns.
 
 ``min_weight_path`` is the one-subtrellis reference on a built
 ``Trellis``: it reads the backward pass and the forward walk that every
 subtrellis query in ``trellis`` shares.
 
 Ties inside a subtrellis resolve to the lexicographically smallest label
-sequence: from each anchor reaching the minimum, a forward walk takes the
-first merged edge, in concatenated-label order, whose weight plus the
-next step's cost equals the current cost (an automaton walk reads that
-edge's slot).  Ties across anchors set the ``tie`` flag and resolve to
-the smallest label sequence, then the smallest anchor state.
+sequence: from each anchor reaching the minimum, a forward walk takes
+the first merged edge, in concatenated-label order, whose weight plus
+the next step's cost equals the current cost (an automaton walk reads
+that edge from ``edges``).  Ties across anchors set the ``tie`` flag and
+resolve to the smallest label sequence, then the smallest anchor state.
 
 A block of several words walks all of its (word, anchor) pairs at the
 least weight forward together as arrays, one gather per step.  A word's
 walks are contiguous, so its winner is picked row by row: one
 ``np.minimum.reduceat`` per label row, then on the anchor states, keeps
-the walks still at their word's least entry.  The error and codeword
-bits of the whole block are then unpacked at once.  A block of one word
-walks each pair in Python: an automaton walk reads each step's edge,
-packed per slot, and a pruned word's traceback the first edge of its
-cost column that falls by its weight.  The array walk's fixed numpy
-calls cost more than one word's walk, which is a few list lookups per
-step.
+the walks still at their word's least entry.  The error bits of the
+whole block are then unpacked at once by the steps' widths, the runs at
+n*m bits and the single symbols at n, and the codeword bits are those
+XOR the received bits.  A block of one word walks each pair in Python:
+an automaton walk reads each step's packed edge, and a pruned word's
+traceback the first edge of its cost column that falls by its weight.
+The array walk's fixed numpy calls cost more than one word's walk, which
+is a few list lookups per step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
@@ -218,7 +222,8 @@ def _dual_codes(G, H):
     dual states (an array), per syndrome-former state integer x the list
     of the dense indices of x + dual(beta), one per beta (the anchor
     states of a word whose sigma_fin is x, which a one-word decode
-    reads), the syndrome former of H and its ``_search_tables``.  The
+    reads), the syndrome former of H, its ``_search_tables`` and its
+    ``_automaton``, or None: the one lookup a decode makes per pair.  The
     pair is first checked as a spec load checks it (``check_matrices``).
     """
     check_matrices(G, H)
@@ -229,7 +234,7 @@ def _dual_codes(G, H):
             "encoder states map onto colliding error-subtrellis anchors; "
             "the dual-state labeling is not one-to-one for this G/H pair"
         )
-    return betas, duals, {x: tables.index[x ^ duals].tolist() for x in sf.states}, sf, tables
+    return betas, duals, {x: tables.index[x ^ duals].tolist() for x in sf.states}, sf, tables, _automaton(H)
 
 
 def _min_plus(sections, end):
@@ -271,19 +276,19 @@ class _Automaton(NamedTuple):
     of column c under ``key`` is column ``nxt[c, key]`` plus
     ``low[c, key]`` (columns x keys, intp and int32) at every entry below
     ``_UNREACHED``.  Into column c under ``key``, a state below S on a
-    lightest path leaves by the merged edge in slot
-    ``slots[c, key * S + state]`` (uint8): the first, in label order, of
-    least weight plus c's entry at its end state, which is the edge a
-    traceback takes.  ``lists`` holds what a one-word walk indexes: the
-    columns, ``nxt`` and ``low`` as lists of rows, and per column a
-    memoryview of each slot's edge, its label times 256 plus its end
-    state (S < 64).
+    lightest path leaves by the merged edge ``edges[c, key * S + state]``
+    (int32), its label times 256 plus its end state (S < 64): the first,
+    in label order, of least weight plus c's entry at its end state,
+    which is the edge a traceback takes.  A block's walks gather it, and
+    a one-word walk indexes it through ``lists``, which holds the
+    columns, ``nxt`` and ``low`` as lists of rows and a memoryview of
+    each column's row of ``edges``.
     """
 
     columns: np.ndarray
     nxt: np.ndarray
     low: np.ndarray
-    slots: np.ndarray
+    edges: np.ndarray
     lists: tuple
 
 
@@ -326,27 +331,16 @@ def _automaton(H):
     for p in range(m):
         z = run >> r * p & symbols - 1
         at, gain = nxt[at, z], gain + low[at, z]
-    # each state's slots last, so the traceback's slot is an argmin over the last axis; a slot is below S < 64
+    # each state's slots last, so the traceback's slot is an argmin over the last axis
     dst, weight = (a[:, :, :S].transpose(0, 2, 1).ravel() for a in (sec.dst, sec.weight))
     via = table.take(dst, axis=1)
     via += weight
-    slots = via.reshape(len(table), -1, sec.dst.shape[1]).argmin(axis=-1).astype(np.uint8)
+    slots = via.reshape(len(table), -1, sec.dst.shape[1]).argmin(axis=-1)
     nxt, low = np.hstack((at, nxt)), np.hstack((gain, low)).astype(np.int32)
-    # each slot's edge, its label above its end state's 8 bits (S < 64), which a one-word walk reads
+    # each slot's edge, its label above its end state's 8 bits (S < 64), which both walks read
     key, state = np.divmod(np.arange(slots.shape[1]), S)
     edges = (sec.label << 8 | sec.dst).astype(np.int32).take((key * sec.dst.shape[1] + slots) * (S + 1) + state)
-    return _Automaton(table, nxt, low, slots, (table.tolist(), nxt.tolist(), low.tolist(), [*map(memoryview, edges)]))
-
-
-@lru_cache(maxsize=None)
-def _layout(H, N):
-    """Per symbol of a word of N symbols: its step and the shift of its n bits in the step's label.
-
-    The steps are floor(N/m) runs of m symbols, then N mod m single ones.
-    """
-    m = _search_tables(H).m
-    t, cut = np.arange(N), N - N % m
-    return np.where(t < cut, t // m, t - cut + N // m), np.where(t < cut, m - 1 - t % m, 0) * H.cols
+    return _Automaton(table, nxt, low, edges, (table.tolist(), nxt.tolist(), low.tolist(), [*map(memoryview, edges)]))
 
 
 def _start_anywhere(tables, at):
@@ -401,9 +395,9 @@ def decode_tailbiting_batch(G, H, words):
         if isinstance(out, DecodeResult):
             results.append(out)
             continue
-        betas, states = _dual_codes(G, H)[0], _search_tables(H).states
+        betas, *_, tables, _ = _dual_codes(G, H)
         results += [
-            DecodeResult(tuple(y), tuple(e), wt, betas[a], states[s], t > 1)
+            DecodeResult(tuple(y), tuple(e), wt, betas[a], tables.states[s], t > 1)
             for y, e, wt, a, s, t in zip(*(field.tolist() for field in out))
         ]
     return results
@@ -448,10 +442,9 @@ def _blocks(G, H, words):
 
     A single word is ``decode_tailbiting``'s; the symbols of several are
     read first, then the words are checked to be non-empty and N >= M.
-    Each symbol's step and label shift (``_layout``, once per H and N)
-    and each step's key take O(N) per word: a run's key is its m
-    syndromes shifted into place and summed, a single symbol's its
-    syndrome plus 2^(r*m).
+    Each step's key takes O(N) per word: a run's key is its m syndromes
+    shifted into place and summed, a single symbol's its syndrome plus
+    2^(r*m).
     """
     if not len(words):
         return
@@ -462,11 +455,9 @@ def _blocks(G, H, words):
     if not E.shape[1]:
         raise ValueError("a trellis needs at least one section")
     _check_length(H, E.shape[1])
-    _, duals, _, sf, tables = _dual_codes(G, H)
-    automaton = _automaton(H)
+    _, duals, _, sf, tables, automaton = _dual_codes(G, H)
     size = 1 if automaton is None else BLOCK_BUDGET // len(tables.states)
     N, m, r = E.shape[1], tables.m, H.rows
-    step, shift = _layout(H, N)
     for start in range(0, len(E), size):
         block = E[start : start + size]
         if len(block) == 1:
@@ -477,7 +468,7 @@ def _blocks(G, H, words):
         # a run's key concatenates its symbols' syndromes, the first most significant; a single symbol's is 2^(r*m) on
         runs = zetas[:, : N - N % m].reshape(len(block), -1, m) << r * np.arange(m - 1, -1, -1)
         keys = np.hstack((runs.sum(axis=2), zetas[:, N - N % m :] | 1 << r * m))
-        yield _decode_block(tables, block, rows, keys, step, shift, H.cols, automaton)
+        yield _decode_block(tables, block, rows, keys, H.cols, automaton)
 
 
 @lru_cache(maxsize=None)
@@ -582,10 +573,9 @@ def _decode_word(G, H, es):
     code with no metric automaton, ``_certificate`` may decide the word
     from its syndromes before any search.
     """
-    betas, _, anchors, sf, tables = _dual_codes(G, H)
+    betas, _, anchors, sf, tables, automaton = _dual_codes(G, H)
     m, runs = tables.m, len(es) // tables.m
     fin, keys, zs = sf.circular_runs(es, m)
-    automaton = _automaton(H)
     found = automaton is None and _certificate(H, len(es), keys, anchors[fin], betas, tables)
     keys[runs:] = map((1 << H.rows * m).__or__, keys[runs:])
     w, ties, labels, sigma, beta = found or _search_word(tables, betas, anchors[fin], keys, automaton)
@@ -595,17 +585,19 @@ def _decode_word(G, H, es):
     return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
 
 
-def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
+def _decode_block(tables, block, rows, keys, n, automaton):
     """The ``_Block`` of a block of several words of a code with an ``automaton``, every anchor walked at once.
 
     ``block`` holds the words' symbol integers, ``rows`` each word's
-    anchor states and ``keys`` its steps' keys; ``step`` and ``shift``
-    place each symbol in its step's label.  Each (word, anchor) column
-    walks the automaton backward from its anchor's column, one gather of
-    ``nxt`` and ``low`` per step.  Every (word, anchor) pair at its word's
-    least weight then walks forward at once, one gather of its slot, label
-    and end state per step; the smallest label row of each word, then its
-    smallest anchor state, wins.
+    anchor states and ``keys`` its steps' keys.  Each (word, anchor)
+    column walks the automaton backward from its anchor's column, one
+    gather of ``nxt`` and ``low`` per step.  Every (word, anchor) pair at
+    its word's least weight then walks forward at once, one gather of its
+    packed edge per step, the one a one-word walk reads; the smallest
+    label row of each word, then its smallest anchor state, wins.  The
+    winners' labels unpack by the steps' widths: floor(N/m) runs of n*m
+    bits, the first symbol most significant, then N mod m single symbols
+    of n bits.
     """
     S, (words, anchors), sec, steps = len(tables.states), rows.shape, tables.sections, keys.shape[1]
     # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
@@ -625,19 +617,19 @@ def _decode_block(tables, block, rows, keys, step, shift, n, automaton):
     walk[-1] = state = rows[word, anchor]
     key = keys[word]
     for t, column in enumerate(passed[:, word, anchor]):
-        slot = automaton.slots.take((column * len(sec.dst) + key[:, t]) * S + state)
-        at = (key[:, t] * sec.dst.shape[1] + slot) * (S + 1) + state
-        walk[t], state = sec.label.take(at), sec.dst.take(at)
+        edge = automaton.edges.take((column * len(sec.dst) + key[:, t]) * S + state)
+        walk[t], state = edge >> 8, edge & 255
     # each word's walks are contiguous; row by row, keep those at their word's least entry, so one is left (a
     # dropped walk reads _UNREACHED, above every label and state)
     first, keep = np.cumsum(ties) - ties, np.ones(len(word), dtype=bool)
     for row in walk:
         row = np.where(keep, row, _UNREACHED)
         keep &= row == np.minimum.reduceat(row, first).repeat(ties)
-    win = np.flatnonzero(keep)
-    error = walk[:-1, win].T.take(step, axis=1) >> shift & (1 << n) - 1
-    codeword, error = (unpack(e, n).reshape(words, -1) for e in (error ^ block, error))
-    return _Block(codeword, error, w, anchor[win], walk[-1, win], ties)
+    labels, runs = walk[:-1, keep].T, block.shape[1] // tables.m
+    # a run's label holds its m symbols, the first most significant, as ``LinearMachine.power`` packs them
+    parts = (labels[:, :runs], n * tables.m), (labels[:, runs:], n)
+    error = np.hstack([unpack(part, width).reshape(words, -1) for part, width in parts])
+    return _Block(error ^ unpack(block, n).reshape(words, -1), error, w, anchor[keep], walk[-1, keep], ties)
 
 
 def _search_word(tables, betas, rows, keys, automaton):
@@ -645,20 +637,22 @@ def _search_word(tables, betas, rows, keys, automaton):
 
     ``rows`` lists its anchor states and ``keys`` its steps' keys.  Where
     the code has an ``automaton``, every anchor walks it: the anchor's
-    column steps back from cut N, one lookup per step, and its weight is
-    its last column's entry at the anchor state plus the summed offsets,
-    since min(w + c - k) = min(w + c) - k.  Each anchor of least weight is
-    then traced forward over the columns it passed, one lookup of its
-    slot's edge per step.  Otherwise the keys take its steps' (edges x
-    states + 1) end states and weights from the stack, and the anchors
-    are pruned: the bound pass and its closing check, then the
-    start-anywhere pass and its own, then the search of the anchors the
-    bounds leave.  A pruned word reaches this only when
-    ``_certificate``, which ``_decode_word`` asks first, has not found
-    its one lightest anchored error of weight <= 3 (a word of weight >= 4,
-    or one whose syndrome two errors of its least weight share, are such
-    words).  Each step here is exact on its own, so the order changes
-    which step decides a word, never its result.
+    column steps back from cut N, one lookup per step, and its weight is its
+    last column's entry at the anchor state plus the summed offsets, since
+    min(w + c - k) = min(w + c) - k.  Each anchor of least weight is then
+    traced forward over the columns it passed, one lookup of its packed edge
+    per step.  Otherwise the keys take its steps' (edges x states + 1) end
+    states and weights from the stack, and the anchors are pruned: the bound
+    pass and its closing check, then the start-anywhere pass and its own,
+    then the search of the anchors the bounds leave, one loop that searches
+    those of least bound, then the others whose bound does not exceed the
+    least weight w found so far (an anchor left out has a bound above w).  A
+    pruned word reaches this only when ``_certificate``, which
+    ``_decode_word`` asks first, has not found its one lightest anchored
+    error of weight <= 3 (a word of weight >= 4, or one whose syndrome two
+    errors of its least weight share, are such words).  Each step here is
+    exact on its own, so the order changes which step decides a word, never
+    its result.
     """
     if automaton is not None:
         columns, nxt, low, edges = automaton.lists
@@ -683,15 +677,6 @@ def _search_word(tables, betas, rows, keys, automaton):
     states, rows, at, sec = rows, np.array(rows), np.array(keys), tables.sections
     sections = sec.dst.take(at, axis=0), sec.weight.take(at, axis=0)
     ends = _ends(len(tables.states))
-    passes = []
-
-    def search(anchors):
-        end = rows.take(anchors)
-        cost = _min_plus(sections, ends.take(end, axis=0))
-        weight = cost[0, np.arange(len(anchors)), end].tolist()
-        passes.append((cost, anchors.tolist(), weight))
-        return min(weight)
-
     bound = _min_plus(sections, ends[-1])
     # a walk reads about two entries per cut, fewer than converting the table costs
     view = memoryview(bound)
@@ -709,13 +694,15 @@ def _search_word(tables, betas, rows, keys, automaton):
             if end == states[a]:
                 return low, 1, labels, tables.states[end], betas[a]
         tried = a
-    least = lb == low
-    w = search(np.flatnonzero(least))
-    # no anchor whose bound exceeds w can reach w
-    rest = np.flatnonzero(~least & (lb <= w))
-    if len(rest):
-        search(rest)
-    w = min(min(weight) for _, _, weight in passes)
+    least, w, passes = lb == low, _UNREACHED, []
+    # the anchors of least bound, then the others; no anchor whose bound exceeds w can reach w
+    for group in (least, ~least):
+        if len(anchors := np.flatnonzero(group & (lb <= w))):
+            end = rows.take(anchors)
+            cost = _min_plus(sections, ends.take(end, axis=0))
+            weight = cost[0, np.arange(len(anchors)), end].tolist()
+            passes.append((cost, anchors.tolist(), weight))
+            w = min(w, *weight)
     found = [
         (_traceback(outs, memoryview(cost[:, j]), states[a])[0], tables.states[states[a]], betas[a])
         for cost, anchors, weight in passes

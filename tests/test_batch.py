@@ -43,7 +43,10 @@ def _code(name):
 
 
 def _lengths(G, H):
-    return sorted({N for N in (H.deg, G.deg - 1, G.deg, G.deg + 1, 2 * G.deg + 3) if N >= max(H.deg, 1)})
+    """Lengths around the memories, and 2m and 2m + 1: two runs of m symbols a word, without and with a single one."""
+    m = _search_tables(H).m
+    lengths = H.deg, G.deg - 1, G.deg, G.deg + 1, 2 * G.deg + 3, 2 * m, 2 * m + 1
+    return sorted({N for N in lengths if N >= max(H.deg, 1)})
 
 
 def _block(rng, count, N, n):

@@ -180,7 +180,7 @@ def test_an_error_whose_state_is_not_an_anchor_is_not_answered():
     """Low-noise K=7 words the certificate answers: with the anchor of the error's state left out of the rows, it
     declines each of them."""
     G, H = _pair("k7")
-    betas, _, anchors, sf, tables = decoder._dual_codes(G, H)
+    betas, _, anchors, sf, tables, _ = decoder._dual_codes(G, H)
     declined = 0
     for z in low_noise_words(40, 11):
         es = sf.word(z)

@@ -347,6 +347,14 @@ def test_hscalar_too_large_to_allocate_exits_one_with_one_error_line(capsys, cod
     assert "Traceback" not in err
 
 
+def test_code_trellis_beyond_the_index_range_exits_one_with_one_error_line(capsys, code_file):
+    """N = 10^20 sections do not fit an index-sized integer: Python refuses the section list before building it."""
+    code, out, err = run(capsys, "code-trellis", "--code", code_file, "-N", "99999999999999999999")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("tbtrellis: error: "), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "options, golden",
     [(["--format", "json"], "error_trellis.json"), (["--highlight", "(0,1)"], "error_trellis_highlight.dot")],

@@ -472,9 +472,10 @@ AUTOMATON_SIZES = {"ref": 24, "mem2": 45, "H0-zero": 10, "16-state": None, "k7":
 def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypatch, name):
     """Every (column, key) step is one ``_min_plus`` step of the column under that stack key, less its least entry
     below ``_UNREACHED`` (the step's offset), unreached entries held at ``_UNREACHED``; the first S columns are the
-    anchor columns and the columns are distinct.  A state the step reaches leaves by the slot of its first edge, in
-    label order, whose weight plus the column's entry at its end is the step's entry there.  The lists a one-word walk
-    reads hold the same columns and steps as the arrays a block's walks gather from, and each slot's edge."""
+    anchor columns and the columns are distinct.  A state the step reaches leaves by its first edge, in label order,
+    whose weight plus the column's entry at its end is the step's entry there, packed as its label above its end
+    state's 8 bits.  The lists a one-word walk reads hold the same columns, steps and edges as the arrays a block's
+    walks gather from."""
     H = poly_from_strings(CODES[name][0][1])
     tables, automaton = error_trellis._search_tables(H), decoder._automaton(H)
     S, sec = len(tables.states), tables.sections
@@ -496,13 +497,10 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     assert (table[:S] == decoder._ends(S)[:S]).all()
     assert len({tuple(row) for row in table.tolist()}) == len(table)
     assert automaton.nxt.shape == automaton.low.shape == (len(table), len(sec.dst))
-    assert automaton.slots.shape == (len(table), len(sec.dst) * S)
+    assert automaton.edges.shape == (len(table), len(sec.dst) * S)
     columns, nxt, low, edges = automaton.lists
     assert columns == table.tolist() and (nxt, low) == (automaton.nxt.tolist(), automaton.low.tolist())
-    # a one-word walk reads each slot's edge: its label above its end state's 8 bits
-    key, state = np.divmod(np.arange(len(sec.dst) * S), S)
-    at = key, automaton.slots, state
-    assert [list(row) for row in edges] == (sec.label[at] << 8 | sec.dst[at]).tolist()
+    assert [list(row) for row in edges] == automaton.edges.tolist()
     for key in range(len(sec.dst)):
         step = decoder._min_plus((sec.dst[key : key + 1], sec.weight[key : key + 1]), table)[0]
         live = step < decoder._UNREACHED
@@ -514,15 +512,15 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
         for c, (column, cost) in enumerate(zip(table.tolist(), step.tolist())):
             for i, edges in enumerate(sec.out[key]):
                 if cost[i] < decoder._UNREACHED:
-                    first = next(j for j, (_, dst, w) in enumerate(edges) if w + column[dst] == cost[i])
-                    assert automaton.slots[c][key * S + i] == first, (c, key, i)
+                    label, dst, _ = next(edge for edge in edges if edge[2] + column[edge[1]] == cost[i])
+                    assert automaton.edges[c][key * S + i] == label << 8 | dst, (c, key, i)
 
 
 def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     """A tie-rich corpus decodes to the same ``DecodeResult``s by automaton walks, one word at a time and in one
-    multi-word block per (code, N), as by the pruned search (``_automaton`` patched to None) and by one min-plus pass
-    over all anchors (every bound zeroed); ref, mem2 and H0-zero at N = M..M+8 (N < m and N mod m != 0 among them),
-    seeded words."""
+    multi-word block per (code, N), as by the pruned search (the automaton ``_dual_codes`` gives patched to None) and by
+    one min-plus pass over all anchors (every bound zeroed); ref, mem2 and H0-zero at N = M..M+8 (N < m and
+    N mod m != 0 among them), seeded words."""
     groups = []
     rng = np.random.default_rng(41)
     for name in ("ref", "mem2", "H0-zero"):
@@ -537,7 +535,8 @@ def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     walked = [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups]
     blocks = [decode_tailbiting_batch(G, H, words) for G, H, words in groups]
     assert blocks == walked
-    monkeypatch.setattr(decoder, "_automaton", lambda H: None)
+    real_dual_codes = decoder._dual_codes
+    monkeypatch.setattr(decoder, "_dual_codes", lambda G, H: (*real_dual_codes(G, H)[:5], None))
     # the pruned search, with the certificate on and then off
     answered = _recorded_certificates(monkeypatch)
     assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
