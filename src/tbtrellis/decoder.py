@@ -14,9 +14,10 @@ floor(N/m) + N mod m steps.
 Each code gets one decode rule.  A code with a metric automaton (below;
 the 4-state codes of the tests) walks it, and decodes a block of words
 together: a block holds as many words as keep ``BLOCK_BUDGET`` (word,
-anchor) walks per step, 512 words of a 4-state code.  A larger block
-spreads the fixed numpy cost of a step over more words; beyond a few
-hundred words it is no faster and takes more memory.  Every other code
+anchor) walks per step, 1,024 words of a 4-state code, so the
+verifier's 1,000 decoder-oracle words are one block.  A larger block
+spreads the fixed numpy cost of a step over more words; beyond about a
+thousand words it is no faster and takes more memory.  Every other code
 (16, 32 or 64 states) prunes its anchors, one word at a time.
 
 A block of one word, which ``decode_tailbiting`` and every block of a
@@ -129,10 +130,11 @@ A block of several words walks all of its (word, anchor) pairs at the
 least weight forward together as arrays, one gather per step.  A word's
 walks are contiguous, so its winner is picked row by row: one
 ``np.minimum.reduceat`` per label row, then on the anchor states, keeps
-the walks still at their word's least entry.  The error bits of the
-whole block are then unpacked at once by the steps' widths, the runs at
-n*m bits and the single symbols at n, and the codeword bits are those
-XOR the received bits.  A block of one word walks each pair in Python:
+the walks still at their word's least entry.  The winners' labels then
+split by shifts into the errors' symbol integers, a run's label into
+its m symbols, and the codewords are those XOR the block's own symbol
+integers; ``decode_tailbiting_batch`` unpacks both to bits.  A block of
+one word walks each pair in Python:
 an automaton walk reads each step's packed edge, and a pruned word's
 traceback the first edge of its cost column that falls by its weight.
 The array walk's fixed numpy calls cost more than one word's walk, which
@@ -140,11 +142,13 @@ is a few list lookups per step.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives a block of several words as arrays (``_Block``: weights,
-codeword and error bits, winning anchors and tie counts) and a block of
-one as its ``DecodeResult``.  Two readers consume it:
-``decode_tailbiting_batch`` builds one ``DecodeResult`` per word, and
-``_decode_arrays`` keeps the weights, codewords and ties as arrays, which
-the verifier's decoder-oracle suite compares with no per-word object.
+codewords and errors as symbol integers, winning anchors and tie counts)
+and a block of one as its ``DecodeResult``.  Two readers consume it:
+``decode_tailbiting_batch`` unpacks the symbols to bits and builds one
+``DecodeResult`` per word, and ``_decode_arrays`` keeps the weights,
+codewords and ties as arrays, the codewords as symbol integers, the form
+of the verifier's codeword table, which its decoder-oracle suite
+compares with no per-word object and no unpacking.
 """
 
 from __future__ import annotations
@@ -165,8 +169,8 @@ from .trellis import _walk
 # above any path weight; unreachable costs grow past it by at most N*n
 _UNREACHED = 2**30
 # (word, anchor) walks per step of a multi-word block of a code with a metric automaton: a block holds
-# BLOCK_BUDGET // S words, 512 of a 4-state code
-BLOCK_BUDGET = 1 << 11
+# BLOCK_BUDGET // S words, 1,024 of a 4-state code
+BLOCK_BUDGET = 1 << 12
 
 
 class AnchorCollisionError(RuntimeError):
@@ -389,6 +393,8 @@ def decode_tailbiting_batch(G, H, words):
 
     A code with a metric automaton walks blocks of ``BLOCK_BUDGET // S``
     words, traced back as arrays; any other code prunes one word at a time.
+    A block's codewords and errors are unpacked from its symbol integers
+    to bits at once.
     """
     results = []
     for out in _blocks(G, H, words):
@@ -396,9 +402,10 @@ def decode_tailbiting_batch(G, H, words):
             results.append(out)
             continue
         betas, *_, tables, _ = _dual_codes(G, H)
+        bits = [unpack(field, H.cols).reshape(len(field), -1) for field in out[:2]]
         results += [
             DecodeResult(tuple(y), tuple(e), wt, betas[a], tables.states[s], t > 1)
-            for y, e, wt, a, s, t in zip(*(field.tolist() for field in out))
+            for y, e, wt, a, s, t in zip(*(field.tolist() for field in (*bits, *out[2:])))
         ]
     return results
 
@@ -406,27 +413,30 @@ def decode_tailbiting_batch(G, H, words):
 def _decode_arrays(G, H, words):
     """``decode_tailbiting_batch``'s weights, codewords and ties of a non-empty block, as arrays.
 
-    Returns the weights (words,), the codewords (words x N*n, 0/1 uint8)
-    and the ``tie`` flags (words,) of the words in order; a block of
-    several words is read from its arrays, with no ``DecodeResult``.
+    Returns the weights (words,), the codewords (words x N symbol
+    integers, intp, the form of ``LinearMachine.symbol_ints`` and of the
+    verifier's codeword table) and the ``tie`` flags (words,) of the words
+    in order; a block of several words is read from its arrays, with no
+    ``DecodeResult`` and no bits, and a block of one packs its codeword's
+    bits.
     """
-    parts = [
-        ([out.weight], np.array([out.codeword], dtype=np.uint8), [out.tie])
+    weight, codeword, tie = zip(*(
+        ([out.weight], [np.reshape(out.codeword, (-1, H.cols)) @ _powers(H.cols)], [out.tie])
         if isinstance(out, DecodeResult)
         else (out.weight, out.codeword, out.ties > 1)
         for out in _blocks(G, H, words)
-    ]
-    weight, codeword, tie = zip(*parts)
+    ))
     return np.concatenate(weight), np.concatenate(codeword), np.concatenate(tie)
 
 
 class _Block(NamedTuple):
     """The results of a decode block of several words, one entry or row per word, in ``DecodeResult`` field order.
 
-    ``codeword`` and ``error`` are (words x N*n) 0/1 uint8 rows, ``anchor``
-    indexes the encoder states of ``_dual_codes`` and ``sigma`` the
-    ``_search_tables`` states, and ``ties`` counts the anchors reaching
-    ``weight``.
+    ``codeword`` and ``error`` are (words x N) rows of symbol integers
+    (intp, each symbol's n bits the first most significant, as
+    ``LinearMachine.symbol_ints`` packs them), ``anchor`` indexes the
+    encoder states of ``_dual_codes`` and ``sigma`` the ``_search_tables``
+    states, and ``ties`` counts the anchors reaching ``weight``.
     """
 
     codeword: np.ndarray
@@ -595,9 +605,11 @@ def _decode_block(tables, block, rows, keys, n, automaton):
     its word's least weight then walks forward at once, one gather of its
     packed edge per step, the one a one-word walk reads; the smallest
     label row of each word, then its smallest anchor state, wins.  The
-    winners' labels unpack by the steps' widths: floor(N/m) runs of n*m
-    bits, the first symbol most significant, then N mod m single symbols
-    of n bits.
+    winners' labels are their errors' symbol integers: each of the
+    floor(N/m) run labels splits by shifts into its m symbols of n bits,
+    the first most significant, and the N mod m single symbols' labels
+    are symbols already.  The errors XOR the block's symbol integers are
+    the codewords.
     """
     S, (words, anchors), sec, steps = len(tables.states), rows.shape, tables.sections, keys.shape[1]
     # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
@@ -606,7 +618,7 @@ def _decode_block(tables, block, rows, keys, n, automaton):
         passed[t] = at
         i = at * len(sec.dst) + keys[:, t, None]
         at, gain = automaton.nxt.take(i), gain + automaton.low.take(i)
-    reach = automaton.columns[at, rows] + gain
+    reach = automaton.columns.take(at * (S + 1) + rows) + gain
     w = reach.min(axis=1)
     if w.max() >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
@@ -616,7 +628,7 @@ def _decode_block(tables, block, rows, keys, n, automaton):
     walk = np.empty((steps + 1, len(word)), dtype=np.intp)
     walk[-1] = state = rows[word, anchor]
     key = keys[word]
-    for t, column in enumerate(passed[:, word, anchor]):
+    for t, column in enumerate(passed.reshape(steps, -1).take(word * anchors + anchor, axis=1)):
         edge = automaton.edges.take((column * len(sec.dst) + key[:, t]) * S + state)
         walk[t], state = edge >> 8, edge & 255
     # each word's walks are contiguous; row by row, keep those at their word's least entry, so one is left (a
@@ -625,11 +637,11 @@ def _decode_block(tables, block, rows, keys, n, automaton):
     for row in walk:
         row = np.where(keep, row, _UNREACHED)
         keep &= row == np.minimum.reduceat(row, first).repeat(ties)
-    labels, runs = walk[:-1, keep].T, block.shape[1] // tables.m
+    labels, m, runs = walk[:-1, keep].T, tables.m, block.shape[1] // tables.m
     # a run's label holds its m symbols, the first most significant, as ``LinearMachine.power`` packs them
-    parts = (labels[:, :runs], n * tables.m), (labels[:, runs:], n)
-    error = np.hstack([unpack(part, width).reshape(words, -1) for part, width in parts])
-    return _Block(error ^ unpack(block, n).reshape(words, -1), error, w, anchor[keep], walk[-1, keep], ties)
+    symbols = labels[:, :runs, None] >> n * np.arange(m - 1, -1, -1) & (1 << n) - 1
+    error = np.hstack((symbols.reshape(words, -1), labels[:, runs:]))
+    return _Block(error ^ block, error, w, anchor[keep], walk[-1, keep], ties)
 
 
 def _search_word(tables, betas, rows, keys, automaton):

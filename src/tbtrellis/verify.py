@@ -37,21 +37,26 @@ former.  The decoder-oracle suite hands
 all of its trials to the decoder in one call of
 ``decoder._decode_arrays``, which splits them
 into its own decode blocks (``decoder._blocks``: a code with a metric
-automaton walks blocks of ``BLOCK_BUDGET // S`` words, any other code
-prunes one word at a time) and returns the weights, codewords and tie
-flags as arrays, so the suite compares arrays with no ``DecodeResult``
-per word.  It then compares
-them with the exhaustive codeword table in distance blocks of trials,
-as many as keep trials x codewords x the bytes of a packed word within
-``DISTANCE_BLOCK``; the distance blocks bound only the distance table.
-Words and codewords are packed into ``gf2._lanes``, so one XOR and one
-popcount per lane give every distance of a block at any width.
-The codeword table holds its rows anchor by anchor, so one
-``logical_or.reduceat`` of a block's nearest-codeword mask over the
-anchors' rows tells in how many code subtrellises the nearest codewords
-lie; ``tie`` must hold exactly where that is more than one.  On the
-reference code at N = 5 a distance block holds 256 trials, while from
-N = 11 on it holds one trial.
+automaton walks blocks of ``BLOCK_BUDGET // S`` words, 1,024 of a
+4-state code, any other code prunes one word at a time) and returns the
+weights, codewords and tie flags as arrays, the codewords as symbol
+integers, the codebook's own form, so the suite compares arrays with no
+``DecodeResult`` per word and no unpacking.  It then compares them with
+the exhaustive codeword table in one fused pass per distance block of
+trials, as many as keep trials x codewords x lanes, the entries of the
+XOR buffer, within ``DISTANCE_BLOCK``: on the reference code 1,024
+trials at N = 5, so its 1,000 default trials are one block, eight at
+N = 12 and one from N = 15 on.  Words and codewords are packed into
+``gf2._lanes``, and one XOR into a reused uint64 buffer and one popcount
+into a reused uint8 buffer give every distance of a block at any width
+(``_distances``; past one lane the lanes sum as uint16).  Per trial,
+``_nearest`` takes the least distance and the first and last nearest
+codeword.  The trial is unique when they are one, and its decoded
+codeword must then be the table's row there.  The table holds its rows
+anchor by anchor, so the nearest codewords lie in more than one code
+subtrellis exactly when ``searchsorted`` on the anchors' first rows puts
+the first and the last under different anchors; ``tie`` must hold
+exactly there.
 The codebook and the zero-syndrome suite run their machine circularly
 over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
 codewords of the reference code at N = 5 in one block call).  The
@@ -88,7 +93,7 @@ from .scalar_parity import MEMBERSHIP_BLOCK, hscalar_tailbiting, is_tailbiting_c
 from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
 
 EXHAUSTIVE_BITS = 20
-DISTANCE_BLOCK = 1 << 14
+DISTANCE_BLOCK = 1 << 15
 # a suite draws all of its trials at once, 8 bytes a bit: on the reference
 # code at N = 20 the widest draw (60 bits a trial) then takes 240 MB
 MAX_TRIALS = 500_000
@@ -255,38 +260,66 @@ def suite_hscalar_membership(H, N, syms, rng, trials=1000):
     return bool((is_tailbiting_codeword_batch(P, words) == zero_syndrome).all())
 
 
-def _distances(words, table):
-    """The Hamming distance (int32) from every row of ``words`` to every row of ``table``, both ``_lanes``."""
-    return np.bitwise_count(words[:, None] ^ table).sum(axis=2, dtype=np.int32)
+def _distances(words, table, xor, count):
+    """The Hamming distance from every row of ``words`` to every row of ``table``, both ``_lanes``.
+
+    One XOR into the first entries of ``xor`` (uint64) and one popcount
+    into those of ``count`` (uint8), buffers a caller reuses across
+    blocks, give each lane's distance; a row within one lane reads it as
+    uint8, and a wider row sums its lanes as uint16.
+    """
+    shape, size = (len(words), *table.shape), len(words) * table.size
+    xor, count = xor[:size].reshape(shape), count[:size].reshape(shape)
+    ones = np.bitwise_count(np.bitwise_xor(words[:, None], table, out=xor), out=count)
+    return ones[:, :, 0] if shape[2] == 1 else ones.sum(axis=2, dtype=np.uint16)
+
+
+def _nearest(dists, starts):
+    """Per row of ``dists``: (least distance, first nearest column, unique, tie).
+
+    ``unique`` holds where one column alone is nearest, and ``tie`` where
+    the nearest lie under more than one anchor.  The columns are the
+    codeword table's rows, anchor by anchor from ``starts`` on, so the
+    nearest lie under one anchor exactly when the first and the last do.
+    One comparison with the row minima and one ``flatnonzero`` give every
+    nearest (row, column) in row order, so each row's first and last are
+    the ends of its run, and two ``searchsorted`` in ``starts`` place
+    them under their anchors.  A reversed argmin for the last would copy
+    the distances first, at ~0.4 ms a row of 2^20.
+    """
+    best = dists.min(axis=1)
+    row, col = np.divmod(np.flatnonzero(dists == best[:, None]), dists.shape[1])
+    at = np.arange(len(dists))
+    first, last = col[row.searchsorted(at)], col[row.searchsorted(at, "right") - 1]
+    return best, first, first == last, starts.searchsorted(first, "right") != starts.searchsorted(last, "right")
 
 
 def suite_decoder_oracle(G, H, N, syms, starts, rng, trials=1000):
     """Decoder weight equals the exhaustive minimum distance, every time.
 
-    Where the nearest codeword is unique, the decoder returns it.  ``tie``
-    holds exactly where the nearest codewords lie in more than one code
-    subtrellis: ``syms`` holds the codewords anchor by anchor, each
-    anchor's rows from its entry of ``starts`` on.  The codewords' lanes
-    are packed block by block from their unpacked rows into one table.
+    Where the nearest codeword is unique, the decoder returns it, as
+    symbol integers like ``syms``.  ``tie`` holds exactly where the
+    nearest codewords lie in more than one code subtrellis: ``syms`` holds
+    the codewords anchor by anchor, each anchor's rows from its entry of
+    ``starts`` on.  The codewords' lanes are packed block by block from
+    their unpacked rows into one table, and each distance block of trials
+    is one ``_distances`` and one ``_nearest``.
     """
     n = H.cols
     words = _bits(rng, trials, N * n)
     if not trials:
         return True
     weight, codeword, tie = _decode_arrays(G, H, words.reshape(trials, N, n))
-    table, decoded = np.empty((len(syms), -(-N * n // 64)), dtype=np.uint64), _lanes(codeword)
+    table, lanes = np.empty((len(syms), -(-N * n // 64)), dtype=np.uint64), _lanes(words)
     for start, rows in _unpacked(syms, n):
         table[start : start + len(rows)] = _lanes(rows)
-    per_block = max(1, DISTANCE_BLOCK // (len(syms) * -(-N * n // 8)))
+    per_block = min(trials, max(1, DISTANCE_BLOCK // table.size))
+    xor, count = (np.empty(per_block * table.size, dtype=dtype) for dtype in (np.uint64, np.uint8))
     for start in range(0, trials, per_block):
         block = slice(start, start + per_block)
-        dists = _distances(_lanes(words[block]), table)
-        best = dists.min(axis=1)
-        nearest = dists == best[:, None]
-        unique = nearest.sum(axis=1) == 1
-        ties = np.logical_or.reduceat(nearest, starts, axis=1).sum(axis=1) > 1
-        wrong = (decoded[block] != table[dists.argmin(axis=1)]).any(axis=1)
-        if (weight[block] != best).any() or (unique & wrong).any() or (tie[block] != ties).any():
+        best, first, unique, ties = _nearest(_distances(lanes[block], table, xor, count), starts)
+        wrong = unique & (codeword[block] != syms[first]).any(axis=1)
+        if (weight[block] != best).any() or wrong.any() or (tie[block] != ties).any():
             return False
     return True
 

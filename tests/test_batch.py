@@ -92,14 +92,14 @@ def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name, blocks,
 
 
 def test_decode_blocks_hold_the_block_budget_of_walks(monkeypatch):
-    """1,100 reference words decode in blocks of 512, 512 and 76 words, 2,048 walks of 4 anchors per step; the
+    """1,100 reference words decode in blocks of 1,024 and 76 words, 4,096 walks of 4 anchors per step; the
     16-state code, which has no automaton, hands no block of several words to ``_decode_block``."""
     lengths, real = [], decoder._decode_block
     monkeypatch.setattr(decoder, "_decode_block", lambda tables, block, *a: lengths.append(len(block)) or real(tables, block, *a))
     rng = np.random.default_rng(79)
     G, H = _code("ref")
     assert len(decode_tailbiting_batch(G, H, rng.integers(0, 2, (1100, 5, H.cols)))) == 1100
-    assert lengths == [512, 512, 76]
+    assert lengths == [1024, 76]
     lengths.clear()
     G, H = _code("16-state")
     assert len(decode_tailbiting_batch(G, H, rng.integers(0, 2, (20, 6, H.cols)))) == 20
@@ -150,11 +150,13 @@ def test_a_two_word_block_at_n_8000_stays_within_8_mb():
     assert [res.weight for res in results] == [decode_tailbiting(G, H, z).weight for z in words]
 
 
-def _arrays_of(results):
-    """The weight, codeword and tie fields of a list of ``DecodeResult``s, as arrays."""
+def _arrays_of(results, n):
+    """The weight, codeword and tie fields of a list of ``DecodeResult``s, as arrays, each codeword's n-bit symbols
+    read as integers, the first bit most significant."""
+    bits = np.array([res.codeword for res in results]).reshape(len(results), -1, n)
     return (
         np.array([res.weight for res in results]),
-        np.array([res.codeword for res in results], dtype=np.uint8),
+        (bits << np.arange(n - 1, -1, -1)).sum(axis=2),
         np.array([res.tie for res in results]),
     )
 
@@ -165,14 +167,14 @@ def _assert_arrays_equal(got, want):
 
 
 def test_decode_arrays_of_every_reference_word_equal_the_decode_results(G1, H1):
-    """All 2^15 words at N = 5, in full decode blocks of 512 and a block of one."""
+    """All 2^15 words at N = 5, in full decode blocks of 1,024 and a block of one."""
     N = 5
     words = ((np.arange(2 ** (N * 3))[:, None] >> np.arange(N * 3 - 1, -1, -1)) & 1).astype(np.uint8)
     words = words.reshape(-1, N, 3)
     results = decode_tailbiting_batch(G1, H1, words)
     assert sum(res.tie for res in results) > 1000
-    _assert_arrays_equal(decoder._decode_arrays(G1, H1, words), _arrays_of(results))
-    _assert_arrays_equal(decoder._decode_arrays(G1, H1, words[-1:]), _arrays_of(results[-1:]))
+    _assert_arrays_equal(decoder._decode_arrays(G1, H1, words), _arrays_of(results, 3))
+    _assert_arrays_equal(decoder._decode_arrays(G1, H1, words[-1:]), _arrays_of(results[-1:], 3))
 
 
 @pytest.mark.parametrize("name, N", [("32-state", 5), ("k7", 7), ("16-state", 6)])
@@ -183,7 +185,7 @@ def test_decode_arrays_of_a_pruned_code_equal_the_decode_results(name, N):
     words = np.random.default_rng(89).integers(0, 2, (150, N, H.cols))
     results = decode_tailbiting_batch(G, H, words)
     assert any(res.tie for res in results)
-    _assert_arrays_equal(decoder._decode_arrays(G, H, words), _arrays_of(results))
+    _assert_arrays_equal(decoder._decode_arrays(G, H, words), _arrays_of(results, H.cols))
 
 
 @pytest.mark.parametrize("name", sorted(CODES))

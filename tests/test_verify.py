@@ -271,6 +271,86 @@ def test_decoder_oracle_catches_a_missed_tie(monkeypatch, G1, H1):
     assert results == {s: s != "decoder-oracle" for s in EXPECTED_SUITES}
 
 
+def _ties_forced(value):
+    def mutant(real):
+        def _decode_arrays(G, H, words):
+            weight, codeword, tie = real(G, H, words)
+            return weight, codeword, np.full_like(tie, value)
+
+        return _decode_arrays
+
+    return mutant
+
+
+def _swapping_a_unique_codeword(real):
+    """The decoder, with the codeword of its last trial whose nearest codeword is unique, counted bit by bit against
+    the codeword table, swapped for the table's next row."""
+
+    def _decode_arrays(G, H, words):
+        weight, codeword, tie = real(G, H, words)
+        N, n = words.shape[1:]
+        syms = verify._codeword_table(G, N)[1]
+        rows = _rows(syms, n)
+        for j in range(len(words) - 1, -1, -1):
+            dists = (rows != words[j].reshape(-1)).sum(axis=1)
+            if np.count_nonzero(dists == dists.min()) == 1:
+                codeword = codeword.copy()
+                codeword[j] = syms[(dists.argmin() + 1) % len(syms)]
+                return weight, codeword, tie
+        raise AssertionError("no trial has a unique nearest codeword")
+
+    return _decode_arrays
+
+
+@pytest.mark.parametrize("N", [5, 12])
+@pytest.mark.parametrize(
+    "mutant",
+    [
+        pytest.param(_ties_forced(False), id="tie-false"),
+        pytest.param(_ties_forced(True), id="tie-true"),
+        pytest.param(_swapping_a_unique_codeword, id="next-codeword"),
+    ],
+)
+def test_decoder_oracle_catches_each_wrong_decision(monkeypatch, G1, H1, mutant, N):
+    """``tie`` forced False on every trial, forced True on every trial, and one unique trial's codeword swapped for
+    the next codeword row each fail decoder-oracle alone; at N = 12 a distance block holds eight trials."""
+    monkeypatch.setattr(verify, "_decode_arrays", mutant(verify._decode_arrays))
+    results = dict(verify.run_all(G1, H1, N, seed=1, trials=200))
+    assert results == {s: s != "decoder-oracle" for s in EXPECTED_SUITES}
+
+
+@pytest.mark.parametrize("N", [4, 5, 12])
+def test_nearest_equals_the_definitions_it_replaces(monkeypatch, G1, H1, N):
+    """Per distance block, at the default ``DISTANCE_BLOCK`` and at 1, ``_nearest`` equals the nearest-codeword mask's
+    reading: the least distance, the argmin, a mask row summing to 1 (unique), and more than one anchor's rows holding
+    a nearest codeword by ``logical_or.reduceat`` over ``starts`` (tie).  Uniform words tie often, so both readings
+    of tie occur; both budgets give the same decisions, and the suite passes."""
+    _, syms, starts = verify._codeword_table(G1, N)
+    decided = {}
+    for budget in (verify.DISTANCE_BLOCK, 1):
+        calls, real = [], verify._nearest
+
+        def recording(dists, starts, _calls=calls):
+            # the distances are a view of the suite's reused buffer
+            _calls.append((dists.copy(), real(dists, starts)))
+            return _calls[-1][1]
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "DISTANCE_BLOCK", budget)
+            m.setattr(verify, "_nearest", recording)
+            assert verify.suite_decoder_oracle(G1, H1, N, syms, starts, np.random.default_rng(N), trials=300)
+        for dists, (best, first, unique, tie) in calls:
+            nearest = dists == dists.min(axis=1, keepdims=True)
+            assert (best == dists.min(axis=1)).all() and (first == dists.argmin(axis=1)).all()
+            assert (unique == (nearest.sum(axis=1) == 1)).all()
+            assert (tie == (np.logical_or.reduceat(nearest, starts, axis=1).sum(axis=1) > 1)).all()
+        decided[budget] = [np.concatenate(field) for field in zip(*(out for _, out in calls))]
+        assert sum(map(len, (dists for dists, _ in calls))) == 300
+    (best, first, unique, tie), single = decided.values()
+    assert all((a == b).all() for a, b in zip(decided[verify.DISTANCE_BLOCK], single))
+    assert 0 < tie.sum() < 300 and unique.any() and not unique.all()
+
+
 def _recorded_calls(monkeypatch, names, G, H, N, seed, trials):
     calls = {name: [] for name in names}
     with monkeypatch.context() as m:
@@ -392,7 +472,7 @@ def test_set_equality_agrees_with_enumeration(monkeypatch, g, h, N):
         assert verdicts == {"built": (True, True), "dropped": (False, False), "flipped": (False, False), "duplicated": (False, True)}
 
 
-@pytest.mark.parametrize("code, N", [("1", 5), ("2", 4)])
+@pytest.mark.parametrize("code, N", [("1", 5), ("2", 4), ("1", 12)])
 def test_distance_blocks_of_one_trial_change_nothing(request, monkeypatch, code, N):
     G, H = request.getfixturevalue("G" + code), request.getfixturevalue("H" + code)
     names = ["_decode_arrays", "_distances"]
@@ -404,12 +484,13 @@ def test_distance_blocks_of_one_trial_change_nothing(request, monkeypatch, code,
         return [block for *_, block in recorded[1]["_decode_arrays"]]
 
     def distance_blocks(recorded):
-        return [len(words) for words, _ in recorded[1]["_distances"]]
+        return [len(words) for words, *_ in recorded[1]["_distances"]]
 
     assert single[0] == default[0]
     assert distance_blocks(single) == [1] * 300
-    # 2^14 over the packed bytes of the codeword table: 32 x 2 and 16 x 1
-    assert distance_blocks(default) == {"1": [256, 44], "2": [300]}[code]
+    # 2^15 over the entries of the XOR buffer a trial takes, codewords x lanes: 32 x 1 and 16 x 1 hold every trial,
+    # 4,096 x 1 at N = 12 eight
+    assert distance_blocks(default) == {("1", 5): [300], ("2", 4): [300], ("1", 12): [8] * 37 + [4]}[code, N]
     # one decode call of all trials, whatever the distance blocks
     assert [len(block) for block in blocks(single)] == [300]
     assert [len(block) for block in blocks(default)] == [300]
@@ -511,9 +592,10 @@ def test_codeword_table_equals_the_oracle_anchor_by_anchor(monkeypatch, strings,
     assert (np.concatenate([rows for _, rows in blocks]) == _rows(syms, G.cols)).all()
 
 
-@pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130])
+@pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130, 255, 256, 300])
 def test_lane_distances_equal_a_bit_by_bit_count(width):
-    """Rows wider than 64 bits span lanes: EXHAUSTIVE_BITS bounds N*k, not N*n.
+    """Rows wider than 64 bits span lanes: EXHAUSTIVE_BITS bounds N*k, not N*n.  One lane's distances are uint8,
+    the popcounts themselves, and wider rows sum their lanes as uint16, which holds distances past 255.
 
     Read big-endian, lane j // 64 holds bit j at bit 63 - j % 64 and every bit past the row is 0; the
     elimination in ``gf2`` relies on that layout.
@@ -521,8 +603,12 @@ def test_lane_distances_equal_a_bit_by_bit_count(width):
     rng = np.random.default_rng(width)
     words, table = rng.integers(0, 2, (9, width), dtype=np.uint8), rng.integers(0, 2, (11, width), dtype=np.uint8)
     table[0], table[1] = 0, 1
-    dists = verify._distances(gf2._lanes(words), gf2._lanes(table))
-    assert dists.dtype == np.int32
+    words[0] = 0
+    # buffers longer than a block needs, as a suite's last distance block finds them
+    size = 9 * 11 * -(-width // 64) + 5
+    dists = verify._distances(gf2._lanes(words), gf2._lanes(table), np.empty(size, np.uint64), np.empty(size, np.uint8))
+    assert dists.dtype == (np.uint8 if width <= 64 else np.uint16)
+    assert dists[0, 1] == width
     assert dists.tolist() == [[sum(a != b for a, b in zip(w, t)) for t in table.tolist()] for w in words.tolist()]
     for row, bits in zip(gf2._lanes(table).view(">u8").tolist(), table.tolist()):
         assert len(row) == -(-width // 64)
