@@ -20,22 +20,24 @@ spreads the fixed numpy cost of a step over more words; beyond about a
 thousand words it is no faster and takes more memory.  Every other code
 (16, 32 or 64 states) prunes its anchors, one word at a time.
 
-A block of one word, which ``decode_tailbiting`` and every block of a
-pruned code is, runs its front end on Python integers instead, where a
-dozen numpy calls would cost more than the work they do.  Its symbols
-are read by ``LinearMachine.word`` (tuples looked up one by one, an
-array word packed at once, the first bad symbol named).  The syndrome
-former's circular run in steps of m symbols
-(``LinearMachine.circular_runs``) then gives sigma_fin and each step's
-key and received bits: one fold of the one-step machine over the M
-symbols before the last N mod m, then over those, gives the state at
-cut 0 and the single symbols' syndromes, and from that state the m-step
+Every decode of a G/H pair reads one record (``_Pair``), built on the
+pair's first decode and found by one ``lru_cache`` lookup on (G, H):
+the encoder states and the anchor states of each sigma_fin, H's tables
+and automaton, and, as plain lists and dicts, what a one-word decode
+reads.  A block of one word, which ``decode_tailbiting`` and every block
+of a pruned code is, runs in one frame, ``_Pair.decode``, on Python
+integers, where a dozen numpy calls would cost more than the work they
+do.  A word of symbol tuples is read a run of m symbols at a time, one
+dict lookup per run; any other form (an array, lists, bools) is read by
+``LinearMachine.word``, which names the first bad symbol, and decoded as
+tuples.  The syndrome former's circular run then gives sigma_fin and
+each step's key in the stack: one fold of the one-step machine over the
+word's last M symbols gives the state at cut 0, from which the m-step
 machine (``LinearMachine.power``) takes each run of m symbols in one XOR
-of its two tables, whose output is the run's key in the stack.  The
-anchor states of each sigma_fin are one list, built once per G/H pair
-(``_dual_codes``, the one record a decode looks up per pair, which also
-holds H's tables and automaton).  On a code without a metric automaton
-two takes from the stack give the word's (steps x edges x states + 1)
+of its two tables, and the one-step machine each of the N mod m single
+symbols left.  Both machines' tables are repacked in the record so that
+a step's output is its key.  On a code without a metric automaton two
+takes from the stack give the word's (steps x edges x states + 1)
 tables, and its bound pass carries one flat cost row per cut.  A block
 of several words gets its sigma_fin and syndromes from one
 ``LinearMachine.circular`` of the block, and its keys from the syndromes
@@ -47,7 +49,8 @@ low-weight certificate, the bound pass and its closing check, the
 start-anywhere pass and its own, then the search.  The certificate
 (``_certificate``) reads the word's syndrome s, its circular run's step
 outputs packed into one integer, against a table of the N*n single-bit
-errors built once per H and N (``_singles``): s = 0, a syndrome that one
+errors (``error_trellis._singles``), of which the pair record keeps the
+last ``LENGTHS`` lengths decoded: s = 0, a syndrome that one
 bit alone has, one that exactly one pair of bits has, or, when no error
 of weight <= 2 has s, one that exactly one triple of bits has.  Every
 error with syndrome s != 0 has an odd number of bits whose syndrome
@@ -153,15 +156,15 @@ compares with no per-word object and no unpacking.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
-from itertools import chain
+from functools import lru_cache, partial, reduce
+from itertools import count, product
 from operator import getitem, xor
 from typing import NamedTuple
 
 import numpy as np
 
 from .codespec import check_matrices
-from .error_trellis import TABLE_BUDGET, _check_length, _search_tables
+from .error_trellis import TABLE_BUDGET, _check_length, _search_tables, _singles
 from .gf2 import format_bits, format_state
 from .state_machines import _powers, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
@@ -171,6 +174,8 @@ _UNREACHED = 2**30
 # (word, anchor) walks per step of a multi-word block of a code with a metric automaton: a block holds
 # BLOCK_BUDGET // S words, 1,024 of a 4-state code
 BLOCK_BUDGET = 1 << 12
+# the lengths whose single-bit error tables (``_singles``) a pair record keeps, the most recently used
+LENGTHS = 8
 
 
 class AnchorCollisionError(RuntimeError):
@@ -218,27 +223,116 @@ def min_weight_path(T, anchor):
     return tuple(labels), weight
 
 
-@lru_cache(maxsize=None)
-def _dual_codes(G, H):
-    """What a decode of the pair reads: the encoder states, their dual states, each sigma_fin's anchors, and H's tables.
+class _Pair:
+    """What every decode of one G/H pair reads, built on its first decode and found by one ``_pair`` lookup.
 
-    Returns the encoder states, the syndrome-former integers of their
-    dual states (an array), per syndrome-former state integer x the list
-    of the dense indices of x + dual(beta), one per beta (the anchor
-    states of a word whose sigma_fin is x, which a one-word decode
-    reads), the syndrome former of H, its ``_search_tables`` and its
-    ``_automaton``, or None: the one lookup a decode makes per pair.  The
-    pair is first checked as a spec load checks it (``check_matrices``).
+    ``betas`` holds the encoder states, ``duals`` the syndrome-former
+    integers of their dual states (an array), and ``anchors`` per
+    syndrome-former state integer x the dense indices of x + dual(beta),
+    one per beta: the anchor states of a word whose sigma_fin is x.  H's
+    ``_search_tables`` and ``_automaton`` (or None) are kept as built.  The
+    rest is what ``decode`` reads, as plain lists and dicts: ``run_index``
+    and ``symbol_index`` map a run of m symbol tuples and a symbol tuple to
+    its integer, ``bits`` a run's and a symbol's label integer to its bits (a
+    bytes of 0/1 values), and ``steps`` holds the tables of the syndrome
+    former's m-step and one-step machines repacked to one layout, each
+    entry its next state above r*m + 1 output bits.  A step's output is
+    then its key in the stack: a run's m syndromes, and a single symbol's
+    syndrome plus 2^(r*m), a bit only the one-step state table holds, so
+    one XOR keeps it.  ``singles`` is ``_singles`` of H by length, of which
+    the last ``LENGTHS`` are kept.  The pair is first checked as a spec
+    load checks it (``check_matrices``).
     """
-    check_matrices(G, H)
-    betas, sf, tables = enc_state_space(G), syndrome_former(H), _search_tables(H)
-    duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in betas])
-    if len(set(duals.tolist())) != len(betas):
-        raise AnchorCollisionError(
-            "encoder states map onto colliding error-subtrellis anchors; "
-            "the dual-state labeling is not one-to-one for this G/H pair"
-        )
-    return betas, duals, {x: tables.index[x ^ duals].tolist() for x in sf.states}, sf, tables, _automaton(H)
+
+    def __init__(self, G, H):
+        check_matrices(G, H)
+        betas, sf, tables = enc_state_space(G), syndrome_former(H), _search_tables(H)
+        duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in betas])
+        if len(set(duals.tolist())) != len(betas):
+            message = "encoder states map onto colliding error-subtrellis anchors; "
+            raise AnchorCollisionError(message + "the dual-state labeling is not one-to-one for this G/H pair")
+        self.H, self.sf, self.betas, self.duals, self.tables, self.automaton = H, sf, betas, duals, tables, _automaton(H)
+        self.m, self.shift, run = tables.m, H.rows * tables.m + 1, sf.power(tables.m)
+        self.anchors = {x: tables.index[x ^ duals].tolist() for x in sf.states}
+        self.run_index, self.symbol_index = dict(zip(product(sf.in_tuples, repeat=self.m), count())), sf._in_index
+        self.bits = [[bytes(t) for t in product((0, 1), repeat=H.cols * k)] for k in (self.m, 1)]
+        # each entry's next state moved up to bit r*m + 1, and a single symbol's 2^(r*m) set in the one-step state table
+        self.steps = [
+            [[v >> M.out_bits << self.shift | v & M.out_mask | b for v in t.tolist()] for t, b in zip(M.tables, (bias, 0))]
+            for M, bias in ((run, 0), (sf, 1 << self.shift - 1))
+        ]
+        self.singles = lru_cache(maxsize=LENGTHS)(partial(_singles, H))
+
+    def decode(self, z):
+        """The ``DecodeResult`` of one received word, in one frame.
+
+        A sequence of symbol tuples is read a run of m symbols at a time,
+        one dict lookup per run, and its N mod m last symbols one at a
+        time; any other form, or a bad symbol, is read by
+        ``LinearMachine.word``, which names the first bad one, and decoded
+        as tuples.  The length is checked after the symbols.  One fold of
+        the one-step machine over the word's last d = M <= N symbols gives
+        the state at cuts 0 and N; from it each run takes
+        one XOR of the m-step tables and each single symbol one of the
+        one-step tables, whose outputs are the steps' keys.  With a metric
+        automaton every anchor then walks it back from cut N, and each
+        anchor of least weight is traced forward over the columns it
+        passed (``_Automaton``); otherwise ``_certificate``, then
+        ``_search_word``, decides.  The winner's labels, and those XOR the
+        received steps, are read out as bits.
+        """
+        try:
+            N, m, symbols = len(z), self.m, self.symbol_index
+            es = [*map(self.run_index.__getitem__, zip(*[iter(z)] * m)), *map(symbols.__getitem__, z[N - N % m :])]
+        except (KeyError, TypeError):
+            return self.decode(list(map(self.sf.in_tuples.__getitem__, self.sf.word(z))))
+        if not N:
+            raise ValueError("a trellis needs at least one section")
+        if N < self.H.deg:
+            _check_length(self.H, N)
+        (run, one), runs, d, shift, x, keys = self.steps, N // m, self.sf.degree, self.shift, 0, []
+        # the last d = M <= N symbols, then the runs of m, then the single symbols
+        mask, prefix = (1 << shift) - 1, map(symbols.__getitem__, z[N - d :])
+        for (from_state, from_input), part in ((one, prefix), (run, es[:runs]), (one, es[runs:])):
+            for e in part:
+                v = from_state[x] ^ from_input[e]
+                x = v >> shift
+                keys.append(v & mask)
+        rows, tables, betas, keys, S = self.anchors[x], self.tables, self.betas, keys[d:], len(self.tables.states)
+        if self.automaton is None:
+            found = _certificate(self.singles(N), keys, rows, betas, tables)
+            w, ties, labels, sigma, beta = found or _search_word(tables, betas, rows, keys)
+        else:
+            # min(w + c - k) = min(w + c) - k: an anchor's weight is its last column's entry at it plus the offsets
+            (columns, nxt, low, edges), back, weight, passed, walks = self.automaton.lists, keys[::-1], [], [], []
+            for s in rows:
+                c, k, cols = s, 0, []
+                for key in back:
+                    cols.append(c)
+                    c, k = nxt[c][key], k + low[c][key]
+                weight.append(columns[c][s] + k)
+                passed.append(cols)
+            if (w := min(weight)) >= _UNREACHED:
+                raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
+            # each anchor of least weight is traced forward over the columns it passed, one packed edge a step
+            for a, reach in enumerate(weight):
+                if reach == w:
+                    labels, s = [], rows[a]
+                    for key, c in zip(keys, reversed(passed[a])):
+                        v = edges[c][key * S + s]
+                        labels.append(v >> 8)
+                        s = v & 255
+                    walks.append((labels, tables.states[rows[a]], betas[a]))
+            ties, (labels, sigma, beta) = len(walks), min(walks)
+        bits = [self.bits[0]] * runs + [self.bits[1]] * (N - runs * m)
+        codeword = tuple(b"".join(map(getitem, bits, map(xor, labels, es))))
+        return tuple.__new__(DecodeResult, (codeword, tuple(b"".join(map(getitem, bits, labels))), w, beta, sigma, ties > 1))
+
+
+@lru_cache(maxsize=None)
+def _pair(G, H):
+    """The ``_Pair`` of G and H, built on the first call: the one lookup a decode makes per pair."""
+    return _Pair(G, H)
 
 
 def _min_plus(sections, end):
@@ -378,14 +472,10 @@ def _traceback(outs, togo, state):
 def decode_tailbiting(G, H, z):
     """Exact minimum-weight tailbiting decoding of the received word z.
 
-    The symbols are read first, then the word is checked to be non-empty
-    and N >= M.
+    The pair is checked first, then the symbols are read, then the word is
+    checked to be non-empty and N >= M (``_Pair.decode``).
     """
-    es = syndrome_former(H).word(z)
-    if not es:
-        raise ValueError("a trellis needs at least one section")
-    _check_length(H, len(es))
-    return _decode_word(G, H, es)
+    return _pair(G, H).decode(z)
 
 
 def decode_tailbiting_batch(G, H, words):
@@ -401,10 +491,9 @@ def decode_tailbiting_batch(G, H, words):
         if isinstance(out, DecodeResult):
             results.append(out)
             continue
-        betas, *_, tables, _ = _dual_codes(G, H)
-        bits = [unpack(field, H.cols).reshape(len(field), -1) for field in out[:2]]
+        pair, bits = _pair(G, H), [unpack(field, H.cols).reshape(len(field), -1) for field in out[:2]]
         results += [
-            DecodeResult(tuple(y), tuple(e), wt, betas[a], tables.states[s], t > 1)
+            DecodeResult(tuple(y), tuple(e), wt, pair.betas[a], pair.tables.states[s], t > 1)
             for y, e, wt, a, s, t in zip(*(field.tolist() for field in (*bits, *out[2:])))
         ]
     return results
@@ -435,7 +524,7 @@ class _Block(NamedTuple):
     ``codeword`` and ``error`` are (words x N) rows of symbol integers
     (intp, each symbol's n bits the first most significant, as
     ``LinearMachine.symbol_ints`` packs them), ``anchor`` indexes the
-    encoder states of ``_dual_codes`` and ``sigma`` the ``_search_tables``
+    encoder states of ``_Pair`` and ``sigma`` the ``_search_tables``
     states, and ``ties`` counts the anchors reaching ``weight``.
     """
 
@@ -450,81 +539,42 @@ class _Block(NamedTuple):
 def _blocks(G, H, words):
     """Per decode block of ``words``, in order: its ``_Block``, or for a block of one its ``DecodeResult``.
 
-    A single word is ``decode_tailbiting``'s; the symbols of several are
-    read first, then the words are checked to be non-empty and N >= M.
-    Each step's key takes O(N) per word: a run's key is its m syndromes
-    shifted into place and summed, a single symbol's its syndrome plus
-    2^(r*m).
+    A single word, and each block of one, is ``_Pair.decode``'s; the
+    symbols of several are read first, then the words are checked to be
+    non-empty and N >= M.  Each step's key takes O(N) per word: a run's key
+    is its m syndromes shifted into place and summed, a single symbol's its
+    syndrome plus 2^(r*m).
     """
     if not len(words):
         return
-    if len(words) == 1:
-        yield decode_tailbiting(G, H, words[0])
-        return
-    E = syndrome_former(H).symbol_ints(words, 2)
+    pair = _pair(G, H)
+    E = pair.sf.symbol_ints(words, 2)
     if not E.shape[1]:
         raise ValueError("a trellis needs at least one section")
     _check_length(H, E.shape[1])
-    _, duals, _, sf, tables, automaton = _dual_codes(G, H)
-    size = 1 if automaton is None else BLOCK_BUDGET // len(tables.states)
-    N, m, r = E.shape[1], tables.m, H.rows
+    size = 1 if pair.automaton is None else BLOCK_BUDGET // len(pair.tables.states)
+    N, m, r = E.shape[1], pair.m, H.rows
     for start in range(0, len(E), size):
         block = E[start : start + size]
         if len(block) == 1:
-            yield _decode_word(G, H, block[0].tolist())
+            yield pair.decode(list(map(pair.sf.in_tuples.__getitem__, block[0].tolist())))
             continue
-        fin, zetas = sf.circular(block)
-        rows = tables.index.take(fin[:, None] ^ duals)
+        fin, zetas = pair.sf.circular(block)
+        rows = pair.tables.index.take(fin[:, None] ^ pair.duals)
         # a run's key concatenates its symbols' syndromes, the first most significant; a single symbol's is 2^(r*m) on
         runs = zetas[:, : N - N % m].reshape(len(block), -1, m) << r * np.arange(m - 1, -1, -1)
         keys = np.hstack((runs.sum(axis=2), zetas[:, N - N % m :] | 1 << r * m))
-        yield _decode_block(tables, block, rows, keys, H.cols, automaton)
+        yield _decode_block(pair, block, rows, keys)
 
 
-@lru_cache(maxsize=None)
-def _singles(H, N):
-    """What ``_certificate`` reads of the N*n single-bit errors of a word of N symbols of H.
-
-    Returns (states, places, bit, covers, widths, heaviest).  Per bit,
-    symbol by symbol and most significant first, ``states`` holds its
-    circular state and ``places`` its step and the bit it sets in that
-    step's label.  ``bit`` maps each bit's circular syndrome, the N
-    outputs packed with the first symbol's most significant, to the bit,
-    or to -1 where two bits share it; ``covers`` lists per syndrome bit,
-    the least significant first, the syndromes that have it, in bit
-    order.  ``widths`` holds the bits of each step's outputs, and
-    ``heaviest`` the most set bits of a single-bit syndrome, so no k
-    bits together have a syndrome of more than k * ``heaviest``; the
-    certificate finds pairs by ``covers`` and ``bit``, and triples by the
-    pairs of s XOR each syndrome covering s's lowest set bit.  One
-    ``LinearMachine.circular`` of the bits of the last d + 1 symbols
-    gives them: only a bit of the last d symbols leaves a state at cut N,
-    and the circular run is linear and shift-invariant, so the last
-    symbol's syndromes, rotated by t symbols, are those of the symbol t
-    earlier.
-    """
-    sf, n, r, m, W = syndrome_former(H), H.cols, H.rows, _search_tables(H).m, N * H.rows
-    first, cut = max(N - sf.degree - 1, 0), N - N % m
-    x, outs = sf.circular((np.eye(N - first, N, first, dtype=np.intp)[:, None] * _powers(n)[:, None]).reshape(-1, N))
-    last = [reduce(lambda v, o: v << r | o, row, 0) for row in outs[-n:].tolist()]
-    bit, covers = {}, [[] for _ in range(W)]
-    for i, v in enumerate((u << k * r | u >> W - k * r) & (1 << W) - 1 for k in range(N - 1, -1, -1) for u in last):
-        bit[v], rest = -1 if v in bit else i, v
-        while rest:
-            covers[(rest & -rest).bit_length() - 1].append(v)
-            rest &= rest - 1
-    # a run's symbols fill its label from the most significant end; a single symbol past the cut is a step alone
-    places = [(t // m + max(t - cut, 0), 1 << n * (m - 1 - t % m) * (t < cut) + n - 1 - j) for t in range(N) for j in range(n)]
-    widths = [r * m] * (N // m) + [r] * (N % m)
-    return [0] * (first * n) + x.tolist(), places, bit, covers, widths, max(u.bit_count() for u in last)
-
-
-def _certificate(H, N, keys, rows, betas, tables):
+def _certificate(singles, keys, rows, betas, tables):
     """The ``_search_word`` result of a word whose one lightest error, of weight <= 3, is anchored, else None.
 
-    ``keys`` holds the word's step outputs, floor(N/m) runs of m symbols
-    then single ones, and ``rows`` its anchor states.  Packed into one
-    integer, the first most significant, they are the word's syndrome s:
+    ``singles`` is the ``_singles`` table of the word's length, ``keys``
+    holds its steps' keys, floor(N/m) runs of m symbols then single ones,
+    and ``rows`` its anchor states.  Their outputs (a single symbol's key
+    less its 2^(r*m)), packed into one integer, the first most
+    significant, are the word's syndrome s:
     s = 0 is the zero error's syndrome, a bit whose syndrome is s alone
     is the weight-1 error, and each weight-2 pair has exactly one bit
     covering s's lowest set bit, so looking up s XOR each such bit's
@@ -542,13 +592,13 @@ def _certificate(H, N, keys, rows, betas, tables):
     error's bits, two pairs or two triples, no error of weight <= 3, or
     an error whose state is not an anchor returns None.
     """
-    states, places, bit, covers, widths, heaviest = _singles(H, N)
-    # no three single-bit syndromes together have more set bits than three times the heaviest's
-    if sum(map(int.bit_count, keys)) > 3 * heaviest:
-        return None
+    states, places, bit, covers, widths, heaviest = singles
     s = 0
     for key, width in zip(keys, widths):
-        s = s << width | key
+        s = s << width | key & (1 << width) - 1
+    # no three single-bit syndromes together have more set bits than three times the heaviest's
+    if s.bit_count() > 3 * heaviest:
+        return None
 
     def pairs(s):
         low = covers[(s & -s).bit_length() - 1]
@@ -573,30 +623,8 @@ def _certificate(H, N, keys, rows, betas, tables):
     return len(error), 1, labels, tables.states[row], betas[rows.index(row)]
 
 
-def _decode_word(G, H, es):
-    """The ``DecodeResult`` of one word of N >= M symbol integers, on Python integers.
-
-    The syndrome former's circular run in runs of m symbols
-    (``LinearMachine.circular_runs``) gives sigma_fin and each step's
-    syndromes and received bits: a run's syndromes are its key in the
-    stack, and a single symbol's key is its syndrome plus 2^(r*m).  On a
-    code with no metric automaton, ``_certificate`` may decide the word
-    from its syndromes before any search.
-    """
-    betas, _, anchors, sf, tables, automaton = _dual_codes(G, H)
-    m, runs = tables.m, len(es) // tables.m
-    fin, keys, zs = sf.circular_runs(es, m)
-    found = automaton is None and _certificate(H, len(es), keys, anchors[fin], betas, tables)
-    keys[runs:] = map((1 << H.rows * m).__or__, keys[runs:])
-    w, ties, labels, sigma, beta = found or _search_word(tables, betas, anchors[fin], keys, automaton)
-    # each step's labels as bit tuples, indexed by label
-    bits = [sf.power(m).in_tuples] * runs + [sf.in_tuples] * (len(es) - runs * m)
-    codeword = tuple(chain.from_iterable(map(getitem, bits, map(xor, labels, zs))))
-    return DecodeResult(codeword, tuple(chain.from_iterable(map(getitem, bits, labels))), w, beta, sigma, ties > 1)
-
-
-def _decode_block(tables, block, rows, keys, n, automaton):
-    """The ``_Block`` of a block of several words of a code with an ``automaton``, every anchor walked at once.
+def _decode_block(pair, block, rows, keys):
+    """The ``_Block`` of a block of several words of a pair (``_Pair``) with a metric automaton, every anchor walked at once.
 
     ``block`` holds the words' symbol integers, ``rows`` each word's
     anchor states and ``keys`` its steps' keys.  Each (word, anchor)
@@ -611,14 +639,14 @@ def _decode_block(tables, block, rows, keys, n, automaton):
     are symbols already.  The errors XOR the block's symbol integers are
     the codewords.
     """
-    S, (words, anchors), sec, steps = len(tables.states), rows.shape, tables.sections, keys.shape[1]
+    S, (words, anchors), sec, steps = len(pair.tables.states), rows.shape, pair.tables.sections, keys.shape[1]
     # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
     passed, at, gain = np.empty((steps, words, anchors), dtype=np.intp), rows, 0
     for t in range(steps - 1, -1, -1):
         passed[t] = at
         i = at * len(sec.dst) + keys[:, t, None]
-        at, gain = automaton.nxt.take(i), gain + automaton.low.take(i)
-    reach = automaton.columns.take(at * (S + 1) + rows) + gain
+        at, gain = pair.automaton.nxt.take(i), gain + pair.automaton.low.take(i)
+    reach = pair.automaton.columns.take(at * (S + 1) + rows) + gain
     w = reach.min(axis=1)
     if w.max() >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
@@ -629,7 +657,7 @@ def _decode_block(tables, block, rows, keys, n, automaton):
     walk[-1] = state = rows[word, anchor]
     key = keys[word]
     for t, column in enumerate(passed.reshape(steps, -1).take(word * anchors + anchor, axis=1)):
-        edge = automaton.edges.take((column * len(sec.dst) + key[:, t]) * S + state)
+        edge = pair.automaton.edges.take((column * len(sec.dst) + key[:, t]) * S + state)
         walk[t], state = edge >> 8, edge & 255
     # each word's walks are contiguous; row by row, keep those at their word's least entry, so one is left (a
     # dropped walk reads _UNREACHED, above every label and state)
@@ -637,61 +665,35 @@ def _decode_block(tables, block, rows, keys, n, automaton):
     for row in walk:
         row = np.where(keep, row, _UNREACHED)
         keep &= row == np.minimum.reduceat(row, first).repeat(ties)
-    labels, m, runs = walk[:-1, keep].T, tables.m, block.shape[1] // tables.m
+    labels, m, runs, n = walk[:-1, keep].T, pair.m, block.shape[1] // pair.m, pair.H.cols
     # a run's label holds its m symbols, the first most significant, as ``LinearMachine.power`` packs them
     symbols = labels[:, :runs, None] >> n * np.arange(m - 1, -1, -1) & (1 << n) - 1
     error = np.hstack((symbols.reshape(words, -1), labels[:, runs:]))
     return _Block(error ^ block, error, w, anchor[keep], walk[-1, keep], ties)
 
 
-def _search_word(tables, betas, rows, keys, automaton):
-    """One word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
+def _search_word(tables, betas, rows, keys):
+    """One pruned word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
 
-    ``rows`` lists its anchor states and ``keys`` its steps' keys.  Where
-    the code has an ``automaton``, every anchor walks it: the anchor's
-    column steps back from cut N, one lookup per step, and its weight is its
-    last column's entry at the anchor state plus the summed offsets, since
-    min(w + c - k) = min(w + c) - k.  Each anchor of least weight is then
-    traced forward over the columns it passed, one lookup of its packed edge
-    per step.  Otherwise the keys take its steps' (edges x states + 1) end
-    states and weights from the stack, and the anchors are pruned: the bound
-    pass and its closing check, then the start-anywhere pass and its own,
-    then the search of the anchors the bounds leave, one loop that searches
-    those of least bound, then the others whose bound does not exceed the
-    least weight w found so far (an anchor left out has a bound above w).  A
-    pruned word reaches this only when ``_certificate``, which
-    ``_decode_word`` asks first, has not found its one lightest anchored
-    error of weight <= 3 (a word of weight >= 4, or one whose syndrome two
-    errors of its least weight share, are such words).  Each step here is
-    exact on its own, so the order changes which step decides a word, never
-    its result.
+    ``rows`` lists its anchor states and ``keys`` its steps' keys, which
+    take its steps' (edges x states + 1) end states and weights from the
+    stack.  The anchors are pruned: the bound pass and its closing check,
+    then the start-anywhere pass and its own, then the search of the
+    anchors the bounds leave, one loop that searches those of least bound,
+    then the others whose bound does not exceed the least weight w found so
+    far (an anchor left out has a bound above w).  A word reaches this only
+    when ``_certificate``, which ``_Pair.decode`` asks first, has not found
+    its one lightest anchored error of weight <= 3 (a word of weight >= 4,
+    or one whose syndrome two errors of its least weight share, are such
+    words).  Each step here is exact on its own, so the order changes which
+    step decides a word, never its result.  Of the anchors reaching w, the
+    smallest (labels, sigma, beta) wins.
     """
-    if automaton is not None:
-        columns, nxt, low, edges = automaton.lists
-        back, weight, passed = keys[::-1], [], []
-        for s in rows:
-            c, k, cols = s, 0, []
-            for key in back:
-                cols.append(c)
-                c, k = nxt[c][key], k + low[c][key]
-            weight.append(columns[c][s] + k)
-            passed.append(cols)
-        w, S, found = min(weight), len(tables.states), []
-        for a, x in enumerate(weight):
-            if x == w:
-                labels, s = [], rows[a]
-                for key, c in zip(keys, reversed(passed[a])):
-                    label, s = divmod(edges[c][key * S + s], 256)
-                    labels.append(label)
-                found.append((labels, tables.states[rows[a]], betas[a]))
-        return _least(w, found)
     outs = [tables.sections.out[k] for k in keys]
     states, rows, at, sec = rows, np.array(rows), np.array(keys), tables.sections
     sections = sec.dst.take(at, axis=0), sec.weight.take(at, axis=0)
     ends = _ends(len(tables.states))
     bound = _min_plus(sections, ends[-1])
-    # a walk reads about two entries per cut, fewer than converting the table costs
-    view = memoryview(bound)
     lb, tried = bound[0].take(rows), None
     for second in (False, True):
         if second:
@@ -701,7 +703,8 @@ def _search_word(tables, betas, rows, keys, automaton):
         low = min(bounds := lb.tolist())
         a = bounds.index(low) if bounds.count(low) == 1 and low < _UNREACHED else None
         if a is not None and a != tried:
-            labels, end = _traceback(outs, view, states[a])
+            # a walk reads about two entries per cut, fewer than converting the table costs
+            labels, end = _traceback(outs, memoryview(bound), states[a])
             # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
             if end == states[a]:
                 return low, 1, labels, tables.states[end], betas[a]
@@ -721,18 +724,9 @@ def _search_word(tables, betas, rows, keys, automaton):
         for j, a in enumerate(anchors)
         if weight[j] == w
     ]
-    return _least(w, found)
-
-
-def _least(w, found):
-    """(w, ties, labels, anchor sigma, anchor beta) of a word of least weight w: of what is ``found``, the smallest.
-
-    ``found`` lists (labels, sigma, beta) for each anchor reaching w; the
-    smallest wins.
-    """
     if w >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    return (w, len(found), *min(found))
+    return w, len(found), *min(found)
 
 
 def format_result(res, n):

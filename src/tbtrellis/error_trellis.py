@@ -35,13 +35,15 @@ m-step machine (``LinearMachine.power``), and keeps one per start and
 end state.  The kept paths of runs of m and of single symbols form one
 list of merged edges, keyed by the integer their syndromes form, which
 is scattered once into every table: out of each start state and, in an
-incoming stack, into each end state.
+incoming stack, into each end state.  ``_singles`` tabulates, per H and
+N, the circular syndrome and state of every single-bit error of a word
+of N symbols, which the decoder's low-weight certificate reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +51,7 @@ import numpy as np
 from .gf2 import format_bits
 from .state_machines import (
     _lookup,
+    _powers,
     backward_state,
     dual_state_of,
     sf_state_space,
@@ -277,6 +280,43 @@ def _search_tables(H):
     src[into], src_weight[into] = start, weight
     sections = SearchSection(dst, weights, label, _EdgeRows(dst, weights, label), (src, src_weight))
     return SearchTables(states, index, m, sections)
+
+
+def _singles(H, N):
+    """What ``decoder._certificate`` reads of the N*n single-bit errors of a word of N symbols of H.
+
+    Returns (states, places, bit, covers, widths, heaviest).  Per bit,
+    symbol by symbol and most significant first, ``states`` holds its
+    circular state and ``places`` its step and the bit it sets in that
+    step's label.  ``bit`` maps each bit's circular syndrome, the N
+    outputs packed with the first symbol's most significant, to the bit,
+    or to -1 where two bits share it; ``covers`` lists per syndrome bit,
+    the least significant first, the syndromes that have it, in bit
+    order.  ``widths`` holds the bits of each step's outputs, and
+    ``heaviest`` the most set bits of a single-bit syndrome, so no k
+    bits together have a syndrome of more than k * ``heaviest``; the
+    certificate finds pairs by ``covers`` and ``bit``, and triples by the
+    pairs of s XOR each syndrome covering s's lowest set bit.  One
+    ``LinearMachine.circular`` of the bits of the last d + 1 symbols
+    gives them: only a bit of the last d symbols leaves a state at cut N,
+    and the circular run is linear and shift-invariant, so the last
+    symbol's syndromes, rotated by t symbols, are those of the symbol t
+    earlier.
+    """
+    sf, n, r, m, W = syndrome_former(H), H.cols, H.rows, _search_tables(H).m, N * H.rows
+    first, cut = max(N - sf.degree - 1, 0), N - N % m
+    x, outs = sf.circular((np.eye(N - first, N, first, dtype=np.intp)[:, None] * _powers(n)[:, None]).reshape(-1, N))
+    last = [reduce(lambda v, o: v << r | o, row, 0) for row in outs[-n:].tolist()]
+    bit, covers = {}, [[] for _ in range(W)]
+    for i, v in enumerate((u << k * r | u >> W - k * r) & (1 << W) - 1 for k in range(N - 1, -1, -1) for u in last):
+        bit[v], rest = -1 if v in bit else i, v
+        while rest:
+            covers[(rest & -rest).bit_length() - 1].append(v)
+            rest &= rest - 1
+    # a run's symbols fill its label from the most significant end; a single symbol past the cut is a step alone
+    places = [(t // m + max(t - cut, 0), 1 << n * (m - 1 - t % m) * (t < cut) + n - 1 - j) for t in range(N) for j in range(n)]
+    widths = [r * m] * (N // m) + [r] * (N % m)
+    return [0] * (first * n) + x.tolist(), places, bit, covers, widths, max(u.bit_count() for u in last)
 
 
 @lru_cache(maxsize=None)

@@ -51,14 +51,13 @@ m from the one-step tables, by linearity: its rows are m-step folds of
 the unit states under the zero run and of the unit runs from state 0.
 Its tables hold 2^(state bits) + 2^(n*m) entries, 4,100 at most on the
 codes of the tests (the reference code: 4 + 4,096, with n = 3 and m =
-4).  ``circular_runs`` is the circular run of one word in steps of m
-symbols: one fold of the one-step machine over the d symbols before the
-last N mod m, read circularly, and then over those ends at cut N, in the
-state at cut 0, and from it each run takes one XOR of the m-step
-machine's two tables.  The decoder's one-word front end reads it, m
-being the run of its search tables, and ``error_trellis._paths`` steps
-every state under every run as one broadcast XOR of the same two
-tables.
+4).  ``error_trellis._paths`` steps every state under every run as one
+broadcast XOR of its two tables, and the decoder's one-word front end
+(``decoder._Pair.decode``) runs a word's circular run on the same two
+tables as lists: one fold of the one-step machine over the word's last d
+symbols (a decoded word has N >= d) leaves the state at cut 0, from which each run
+of m symbols takes one XOR, and each of the N mod m single symbols left
+over one XOR of the one-step tables.
 """
 
 from __future__ import annotations
@@ -132,7 +131,7 @@ class LinearMachine:
         self.pinned, self.states = pinned, [x for x in range(len(self.from_state)) if not x & pinned]
 
     # the input and output codecs are built on first use: a run of m symbols has 2^(n*m) inputs and 2^(r*m)
-    # outputs, and only a one-word decode reads a run's input bits
+    # outputs, neither of which the decoder reads as tuples
     in_tuples = cached_property(lambda self: _bit_tuples(self.in_bits)[0])
     _in_index = cached_property(lambda self: _bit_tuples(self.in_bits)[1])
     out_tuples = cached_property(lambda self: _bit_tuples(self.out_bits)[0])
@@ -208,33 +207,6 @@ class LinearMachine:
             raise ValueError("need at least one input symbol")
         x, outs = self.fold(0, (es[N - d :] if N >= d else (es * d)[-d:]) + es)
         return x, outs[d:]
-
-    def circular_runs(self, es, m):
-        """``circular_word`` in floor(N/m) steps of m symbols, then N mod m steps of one.
-
-        Returns the state at cuts 0 and N, each step's output integer and
-        each step's input integer, a run's packed as ``power(m)`` packs it.
-        One fold from state 0 over the d symbols before the last N mod m,
-        read circularly, then over those, gives their outputs and ends at
-        cut N, in the state at cut 0.  From it each run of m symbols takes
-        one XOR of the two tables of ``power(m)``, which gives the next
-        state and the run's outputs.
-        """
-        N, d, cut = len(es), self.degree, len(es) - len(es) % m
-        if not N:
-            raise ValueError("need at least one input symbol")
-        x, tail = self.fold(0, es[cut - d :] if cut >= d else [es[t % N] for t in range(cut - d, N)])
-        run, n, y, outs, ins = self.power(m), self.in_bits, x, [], []
-        from_state, from_input, shift, mask = run.from_state, run.from_input, run.out_bits, run.out_mask
-        for t in range(0, cut, m):
-            z = 0
-            for e in es[t : t + m]:
-                z = z << n | e
-            v = from_state[y] ^ from_input[z]
-            y = v >> shift
-            outs.append(v & mask)
-            ins.append(z)
-        return x, outs + tail[d:], ins + es[cut:]
 
     def circular(self, E):
         """The circular run of every row of a (words x N) block of symbol integers.

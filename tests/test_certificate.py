@@ -118,10 +118,10 @@ def test_a_syndrome_of_two_weight_2_errors_is_not_answered(name, N):
     shared = [outs for outs, k in count.items() if k > 1 and packed[outs] not in bit]
     assert shared
     for outs in shared:
-        assert CERTIFICATE(H, N, _keys(H, outs), *_every_anchor(G, H)) is None
+        assert CERTIFICATE(decoder._singles(H, N), _keys(H, outs), *_every_anchor(G, H)) is None
     # a syndrome of one weight-2 error, every state an anchor, is answered
     once = next(outs for outs, k in count.items() if k == 1 and packed[outs] not in bit)
-    assert CERTIFICATE(H, N, _keys(H, once), *_every_anchor(G, H))[0] == 2
+    assert CERTIFICATE(decoder._singles(H, N), _keys(H, once), *_every_anchor(G, H))[0] == 2
 
 
 def _answers_every_lone_triple(G, H, N):
@@ -130,7 +130,7 @@ def _answers_every_lone_triple(G, H, N):
     a lighter error is never answered at weight 3.  Returns the weight-3 syndromes each way, by their errors."""
     tables, lighter, routes = _search_tables(H), {outs for w in range(3) for outs in _errors(H, N, w)}, {}
     for outs, errors in _errors(H, N, 3).items():
-        found = CERTIFICATE(H, N, _keys(H, outs), *_every_anchor(G, H))
+        found = CERTIFICATE(decoder._singles(H, N), _keys(H, outs), *_every_anchor(G, H))
         if outs in lighter:
             assert found is None or found[0] < 3, outs
             routes.setdefault("lighter", []).append(errors)
@@ -172,7 +172,7 @@ def test_a_syndrome_of_two_single_bits_is_not_answered():
     G = H = poly_from_strings([["1", "1"]])
     assert set(decoder._singles(H, 3)[2].values()) == {-1}
     for outs in product((0, 1), repeat=3):
-        found = CERTIFICATE(H, 3, _keys(H, outs), *_every_anchor(G, H))
+        found = CERTIFICATE(decoder._singles(H, 3), _keys(H, outs), *_every_anchor(G, H))
         assert found is None if any(outs) else found[0] == 0
 
 
@@ -180,18 +180,17 @@ def test_an_error_whose_state_is_not_an_anchor_is_not_answered():
     """Low-noise K=7 words the certificate answers: with the anchor of the error's state left out of the rows, it
     declines each of them."""
     G, H = _pair("k7")
-    betas, _, anchors, sf, tables, _ = decoder._dual_codes(G, H)
-    declined = 0
+    pair, sf = decoder._pair(G, H), syndrome_former(H)
+    betas, tables, declined = pair.betas, pair.tables, 0
     for z in low_noise_words(40, 11):
-        es = sf.word(z)
-        fin, keys, _ = sf.circular_runs(es, tables.m)
-        rows = anchors[fin]
-        found = CERTIFICATE(H, len(es), keys, rows, betas, tables)
+        fin, outs = sf.circular_word(sf.word(z))
+        rows, keys, singles = pair.anchors[fin], _keys(H, outs), decoder._singles(H, len(z))
+        found = CERTIFICATE(singles, keys, rows, betas, tables)
         if found is None:
             continue
         row = tables.states.index(found[3])
         assert found[1:] == (1, found[2], tables.states[row], betas[rows.index(row)])
-        assert CERTIFICATE(H, len(es), keys, [r for r in rows if r != row], betas, tables) is None
+        assert CERTIFICATE(singles, keys, [r for r in rows if r != row], betas, tables) is None
         declined += 1
     assert declined > 10
 
@@ -216,3 +215,16 @@ def test_a_word_of_weight_3_the_certificate_answers_runs_no_pass(monkeypatch):
     res = decode_tailbiting(G, H, z)
     assert res.weight == 3 and not res.tie
     assert np.flatnonzero(res.error).tolist() == [6, 41, 80]
+
+
+def test_a_pair_record_keeps_the_single_bit_tables_of_its_last_lengths():
+    """One K=7 word at each of 50 lengths: the record holds at most ``LENGTHS`` ``_singles`` tables after every decode,
+    and every result equals ``decode_tailbiting_batch``'s of a block of two words of its length."""
+    G, H = _pair("k7")
+    cache = decoder._pair(G, H).singles
+    cache.cache_clear()
+    for N in range(H.deg, H.deg + 50):
+        words = low_noise_words(2, 400 + N, N=N, p=0.05)
+        assert [decode_tailbiting(G, H, z) for z in words] == decode_tailbiting_batch(G, H, words), N
+        assert cache.cache_info().currsize <= decoder.LENGTHS, N
+    assert cache.cache_info().currsize == cache.cache_info().maxsize == decoder.LENGTHS

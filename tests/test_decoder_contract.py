@@ -5,6 +5,7 @@ trellis, runs ``min_weight_path`` from every anchor sigma_fin + dual(beta)
 and sorts the candidates by (weight, labels, anchor, beta).
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from tbtrellis import (
     split_symbols,
 )
 from tbtrellis.cli import main
+from tbtrellis.gf2 import PolyMatrix
 from tbtrellis.state_machines import LinearMachine, syndrome_former
 from tbtrellis.verify import run_all
 
@@ -518,7 +520,7 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
 
 def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     """A tie-rich corpus decodes to the same ``DecodeResult``s by automaton walks, one word at a time and in one
-    multi-word block per (code, N), as by the pruned search (the automaton ``_dual_codes`` gives patched to None) and by
+    multi-word block per (code, N), as by the pruned search (the automaton of the pair record patched to None) and by
     one min-plus pass over all anchors (every bound zeroed); ref, mem2 and H0-zero at N = M..M+8 (N < m and
     N mod m != 0 among them), seeded words."""
     groups = []
@@ -535,8 +537,8 @@ def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     walked = [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups]
     blocks = [decode_tailbiting_batch(G, H, words) for G, H, words in groups]
     assert blocks == walked
-    real_dual_codes = decoder._dual_codes
-    monkeypatch.setattr(decoder, "_dual_codes", lambda G, H: (*real_dual_codes(G, H)[:5], None))
+    for G, H, _ in groups:
+        monkeypatch.setattr(decoder._pair(G, H), "automaton", None)
     # the pruned search, with the certificate on and then off
     answered = _recorded_certificates(monkeypatch)
     assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
@@ -569,9 +571,9 @@ def _captured_words(monkeypatch, name, lengths, count):
     G, H = poly_from_strings(g), poly_from_strings(h)
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, betas, rows, keys, automaton):
+    def capturing_search_word(tables, betas, rows, keys):
         captured.append((tables, rows, np.array(keys)))
-        return real_search_word(tables, betas, rows, keys, automaton)
+        return real_search_word(tables, betas, rows, keys)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     for i, (N, p) in enumerate(product(lengths, NOISE)):
@@ -672,29 +674,26 @@ def test_library_entry_points_reject_the_pairs_a_spec_load_rejects(g, h, word, m
 def test_decode_runs_the_syndrome_former_once(monkeypatch):
     """One circular run per decode block, and no second fold.
 
-    A block of one word is one ``LinearMachine.circular_runs`` of the
-    syndrome former: one fold of the one-step machine over the M symbols
-    before the last N mod m and those, then one step of its m-step
-    machine (``power(m)``) per run of m symbols, which folds nothing.  A
-    block of several words is one ``LinearMachine.circular`` call, and so
-    is the table of a pruned code's single-bit errors (``_singles``), once
-    per length.  A second fold of either machine, e.g. for sigma_fin
-    alone, or a ``circular_word``, counts.  No word is decoded before the
-    count: the per-code caches are filled by their own calls, and the
-    K=7 word's length has no table yet.
+    A block of one word runs its circular run on the lists of its pair
+    record (``_Pair.decode``), with no call of a ``LinearMachine`` fold.
+    A block of several words is one ``LinearMachine.circular`` call, and
+    so is the table of a pruned code's single-bit errors (``_singles``),
+    once per length the record keeps.  A fold of either machine, e.g. for
+    sigma_fin alone, or a ``circular_word``, counts.  No word is decoded
+    before the count: the pair records are built by their own calls, and
+    the K=7 word's length has no table yet.
     """
     K7 = [poly_from_strings(s) for s in K7_STRINGS]
     ref = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
     z7, z = [(1, 0), (0, 1), (1, 1)] * 4, split_symbols(parse_bits(RECEIVED), 3)
     machines = {}
     for G, H in (K7, ref):
-        decoder._dual_codes(G, H), decoder._automaton(H)
+        decoder._pair(G, H).singles.cache_clear()
         sf = syndrome_former(H)
         machines.update({sf: "one-step", sf.power(error_trellis._search_tables(H).m): "m-step"})
     assert len(machines) == 4
-    decoder._singles.cache_clear()
     calls = Counter()
-    for name in ("circular", "circular_runs", "circular_word", "fold"):
+    for name in ("circular", "circular_word", "fold"):
         real = getattr(LinearMachine, name)
 
         def counting(self, *args, _real=real, _name=name):
@@ -702,24 +701,47 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
             return _real(self, *args)
 
         monkeypatch.setattr(LinearMachine, name, counting)
-    def runs(words, circulars):
-        """The calls of ``words`` one-word decodes and ``circulars`` multi-word blocks and ``_singles`` tables."""
-        return {("circular_runs", "one-step"): words, ("fold", "one-step"): words, ("circular", "one-step"): circulars}
+
+    def runs(circulars):
+        """The calls of ``circulars`` multi-word blocks and ``_singles`` tables."""
+        return {("circular", "one-step"): circulars}
 
     # the first K=7 word of its length builds the length's table, in one circular run of the single-bit errors
     decode_tailbiting(*K7, z7)
-    assert calls == runs(1, 1)
+    assert calls == runs(1)
     # a block of the 64-state code holds one word
     decode_tailbiting_batch(*K7, [z7, z7[::-1], z7])
-    assert calls == runs(4, 1)
+    assert calls == runs(1)
     decode_tailbiting(*ref, z)
-    assert calls == runs(5, 1)
+    assert calls == runs(1)
     # the reference code's 3 words fill one block
     decode_tailbiting_batch(*ref, [z, z[::-1], z])
-    assert calls == runs(5, 2)
-    # an array word is packed by ``received`` and run once
+    assert calls == runs(2)
+    # an array word is read by ``LinearMachine.word``, then decoded as tuples
     decode_tailbiting(*ref, np.array(z))
-    assert calls == runs(6, 2)
+    assert calls == runs(2)
+
+
+@pytest.mark.parametrize("name", ["ref", "k7"])
+def test_a_decode_hashes_each_matrix_once(monkeypatch, name):
+    """A decode finds its pair record by one lookup on (G, H): at most 2 ``PolyMatrix.__hash__`` calls a word, once the
+    first word has built the record, on the reference code (its automaton walked) and on the K=7 code (pruned: uniform
+    words, which it searches, and low-noise words, which the certificate answers or declines)."""
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    rng = np.random.default_rng(7)
+    words = [[tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(12)] for _ in range(10)]
+    if name == "k7":
+        words += low_noise_words(10, 3, N=12, p=0.03) + low_noise_words(10, 5, N=12, p=0.1)
+    decode_tailbiting(G, H, words[0])
+    hashes, real = [], PolyMatrix.__hash__
+    monkeypatch.setattr(PolyMatrix, "__hash__", lambda self: hashes.append(self) or real(self))
+    counts = []
+    for z in words:
+        hashes.clear()
+        decode_tailbiting(G, H, z)
+        counts.append(len(hashes))
+    assert max(counts) <= 2, counts
 
 
 def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(monkeypatch):
@@ -729,13 +751,15 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
     significant, and a single symbol by 2^(r*m) plus its syndrome; the
     anchor states are sigma_fin + dual(beta), per beta, as dense indices.
     Every ``CODES`` pair at N = M..M+2m+1, N < m and N mod m != 0 among
-    the lengths.
+    the lengths.  The keys and anchors are read where ``_search_word``
+    gets them, so every pair's record prunes (its automaton patched to
+    None): an automaton walk reads the same keys and anchors.
     """
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, betas, rows, keys, automaton):
+    def capturing_search_word(tables, betas, rows, keys):
         captured.append((rows, keys))
-        return real_search_word(tables, betas, rows, keys, automaton)
+        return real_search_word(tables, betas, rows, keys)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     _certificate_off(monkeypatch)
@@ -744,6 +768,7 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
         G, H = poly_from_strings(g), poly_from_strings(h)
         sf, tables = syndrome_former(H), error_trellis._search_tables(H)
         m, r = tables.m, H.rows
+        monkeypatch.setattr(decoder._pair(G, H), "automaton", None)
         duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in enc_state_space(G)])
         for N in range(max(H.deg, 1), max(H.deg, 1) + 2 * m + 2):
             lengths.append((N, m))
@@ -769,6 +794,27 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
                 hits += any(answered)
                 _certificate_off(monkeypatch)
     assert any(N < m for N, m in lengths) and any(N % m for N, m in lengths) and hits
+
+
+# the sha256 of the identity corpus's results, recorded at the commit before the one-word decode became one frame
+CORPUS_SHA256 = "d673f4f8e14bdf7af1015f152f6962a4e9e72d0c1d75abc10ba02abf883862b1"
+
+
+def test_the_decode_corpus_keeps_its_digest():
+    """Seeded words of every ``CODES`` code at N = M..M+13 and 48, each bit of a codeword flipped with p in {0, 0.03,
+    0.1, 0.5} (40 words a length and p), decode one at a time and as a batch to the results whose sha256 is pinned.
+    The codewords are circular convolutions of uniform inputs, taken in numpy, not by the library."""
+    rng, digest = np.random.default_rng(36), hashlib.sha256()
+    for (g, h), _ in CODES.values():
+        G, H, taps = poly_from_strings(g), poly_from_strings(h), coeffs_from_strings(g)
+        for N, p in product([*range(max(H.deg, 1), max(H.deg, 1) + 14), 48], [0, 0.03, 0.1, 0.5]):
+            u = rng.integers(0, 2, (40, N, G.rows))
+            y = sum(np.roll(u, i, axis=1) @ tap for i, tap in enumerate(taps)) % 2
+            words = [list(map(tuple, word)) for word in (y ^ (rng.random(y.shape) < p)).tolist()]
+            one = [decode_tailbiting(G, H, z) for z in words]
+            digest.update(repr(one).encode())
+            digest.update(repr(decode_tailbiting_batch(G, H, words)).encode())
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 def test_decode_imports_nothing_new():

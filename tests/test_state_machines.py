@@ -347,33 +347,6 @@ def test_the_m_step_machine_is_m_one_step_folds(name):
     assert [x ^ z for x in run.from_state for z in run.from_input] == folded
 
 
-@pytest.mark.parametrize("name", sorted(CODES))
-def test_a_circular_run_in_steps_of_m_is_the_one_word_run_packed_step_by_step(name):
-    """``circular_runs`` against ``circular_word``, its outputs and inputs then packed m to a run, at N = 1..M+2m+1.
-
-    Below d the word is read around more than once; N < m and N mod m != 0
-    are among the lengths of every code.  An empty word has no run.
-    """
-    H = poly_from_strings(CODES[name][0][1])
-    sf, m = syndrome_former(H), _search_tables(H).m
-    assert m > 1
-    rng = np.random.default_rng(61)
-    for N in range(1, max(H.deg, 1) + 2 * m + 2):
-        for _ in range(5):
-            es = rng.integers(0, 2**sf.in_bits, N).tolist()
-            fin, zetas = sf.circular_word(es)
-            cut, keys, zs = N - N % m, [], []
-            for t in range(0, cut, m):
-                key = z = 0
-                for i in range(t, t + m):
-                    key, z = key << sf.out_bits | zetas[i], z << sf.in_bits | es[i]
-                keys.append(key)
-                zs.append(z)
-            assert sf.circular_runs(es, m) == (fin, keys + zetas[cut:], zs + es[cut:]), N
-    with pytest.raises(ValueError, match="^need at least one input symbol$"):
-        sf.circular_runs([], m)
-
-
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.intp])
 def test_unpack_equals_a_bit_by_bit_reference_in_every_input_dtype(dtype):
     """Widths 1-8 of uint8, uint16 and intp arrays; the mask is taken in the input's dtype where it fits."""

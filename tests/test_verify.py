@@ -102,11 +102,11 @@ def test_all_suites_pass_on_the_16_state_code(monkeypatch):
     at a time, each on the pruned route."""
     G, H = (poly_from_strings(s) for s in CODES["16-state"][0])
     assert decoder._automaton(H) is None
-    words, real = [], decoder._decode_word
-    monkeypatch.setattr(decoder, "_decode_word", lambda G, H, es: words.append(es) or real(G, H, es))
+    words, real = [], decoder._Pair.decode
+    monkeypatch.setattr(decoder._Pair, "decode", lambda pair, z: words.append(z) or real(pair, z))
     results = verify.run_all(G, H, 6, seed=1)
     assert results == [(name, True) for name in EXPECTED_SUITES]
-    assert len(words) == 1000 and all(len(es) == 6 for es in words)
+    assert len(words) == 1000 and all(len(z) == 6 for z in words)
 
 
 def test_boundary_section_count(G1, H1):
@@ -509,12 +509,12 @@ def test_all_suites_pass_on_a_pruned_code(monkeypatch, N):
     """The 32-state code prunes its anchors, so every decode block holds one word and yields a ``DecodeResult``."""
     G, H = (poly_from_strings(s) for s in CODES["32-state"][0])
     assert decoder._automaton(H) is None
-    words, real = [], decoder._decode_word
-    monkeypatch.setattr(decoder, "_decode_word", lambda G, H, es: words.append(es) or real(G, H, es))
+    words, real = [], decoder._Pair.decode
+    monkeypatch.setattr(decoder._Pair, "decode", lambda pair, z: words.append(z) or real(pair, z))
     results = verify.run_all(G, H, N, seed=1, trials=100)
     assert [name for name, _ in results] == EXPECTED_SUITES
     assert all(ok for _, ok in results)
-    assert len(words) == 100 and all(len(es) == N for es in words)
+    assert len(words) == 100 and all(len(z) == N for z in words)
 
 
 def test_run_all_rejects_a_pair_before_any_suite_kernel(monkeypatch, G1):

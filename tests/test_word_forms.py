@@ -37,6 +37,10 @@ from tbtrellis import (
     tailbiting_syndromes,
     to_dot,
 )
+from tbtrellis.error_trellis import _search_tables
+from tbtrellis.state_machines import syndrome_former
+from tbtrellis import poly_from_strings
+from test_decoder_contract import CODES
 
 INPUTS = [(1,), (0,), (1,), (1,), (0,)]
 
@@ -157,3 +161,62 @@ def test_a_trellis_query_reads_a_list_or_array_anchor(G1, H1, received, query):
         with pytest.raises(ValueError, match=r"^state \(1\) is not an anchor of this trellis$"):
             f(T, state)
     assert f(T, [0]) == f(T, np.array([0])) == f(T, (0,))
+
+
+def _decode_forms(word):
+    """``_forms`` of a word of symbol tuples, with tuples of bools and of ``np.int64`` entries besides."""
+    forms = _forms(word)
+    forms["bools"] = lambda: [tuple(bool(b) for b in s) for s in word]
+    forms["int64"] = lambda: [tuple(np.int64(b) for b in s) for s in word]
+    return forms
+
+
+def _reader_cases():
+    """(code name, N) for the reference, K=7 and H0-zero codes: the lengths N >= max(M, 1) below max(M, 1) + 2m whose
+    N mod m is 0, 1 or m - 1, m being the run the decoder reads a word's symbols in."""
+    for name in ("ref", "k7", "H0-zero"):
+        H = poly_from_strings(CODES[name][0][1])
+        m, low = _search_tables(H).m, max(H.deg, 1)
+        for N in range(low, low + 2 * m):
+            if N % m in (0, 1, m - 1):
+                yield name, N
+
+
+@pytest.mark.parametrize("name, N", list(_reader_cases()))
+def test_the_run_reader_decodes_every_form_of_a_word_as_its_tuples(name, N):
+    """A word of symbol tuples is read a run of m symbols at a time, any other form by ``LinearMachine.word``: both
+    decode alike.  (No code has one-bit symbols, so the 0/1 int form of ``_forms`` does not arise here.)"""
+    G, H = (poly_from_strings(s) for s in CODES[name][0])
+    rng = np.random.default_rng(N)
+    for _ in range(3):
+        word = [tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)]
+        expected = decode_tailbiting(G, H, word)
+        for form, make in _decode_forms(word).items():
+            assert decode_tailbiting(G, H, make()) == expected, form
+
+
+@pytest.mark.parametrize("name, N", list(_reader_cases()))
+def test_the_run_reader_names_a_bad_symbol_in_a_run_or_the_tail_before_the_length(name, N):
+    """A bad symbol in the first run of m symbols and in the last symbol (one of the N mod m single symbols, or of the
+    last run), in every form that can hold it (a bool cannot), raises the message ``LinearMachine.word`` raises for the
+    word; so does a bad symbol in a word shorter than M, whose length is checked only after its symbols.  A good word
+    shorter than M names its length."""
+    G, H = (poly_from_strings(s) for s in CODES[name][0])
+    sf, n = syndrome_former(H), H.cols
+    bad, good = (0,) * (n - 1) + (2,), [(1,) + (0,) * (n - 1)] * N
+    message = rf"^expected an input symbol of {n} bits in \{{0, 1\}}, got {re.escape(repr(bad))}$"
+    words = [good[:at] + [bad] + good[at + 1 :] for at in sorted({1, N - 1})]
+    if H.deg > 1:
+        words.append(good[: H.deg - 2] + [bad])
+        with pytest.raises(ValueError, match=rf"^need at least M={H.deg} received symbols, got {H.deg - 1}$"):
+            decode_tailbiting(G, H, good[: H.deg - 1])
+    for word in words:
+        for form, make in _decode_forms(word).items():
+            if form != "bools":
+                with pytest.raises(ValueError) as expected:
+                    sf.word(make())
+                with pytest.raises(ValueError) as got:
+                    decode_tailbiting(G, H, make())
+                assert str(got.value) == str(expected.value), (form, word)
+                # an np.int64 entry is shown as its repr
+                assert form == "int64" or re.match(message, str(got.value)), form
