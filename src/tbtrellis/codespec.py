@@ -12,18 +12,23 @@ present their duality (G H^T = 0) is checked.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gf2 import PolyMatrix, poly_from_strings
 from .state_machines import poly_is_dual_pair
+
+# verify's trials per randomized suite, here so that the CLI's help reads it
+# without importing verify: a suite draws all of its trials at once, 8 bytes
+# a bit, so on the reference code at N = 20 the widest draw (60 bits a
+# trial) then takes 240 MB
+MAX_TRIALS = 500_000
 
 
 class CodeSpecError(ValueError):
     """Malformed or inconsistent code-spec document."""
 
 
-@dataclass(frozen=True)
-class CodeSpec:
+class CodeSpec(NamedTuple):
     n: int
     k: int
     G: PolyMatrix | None

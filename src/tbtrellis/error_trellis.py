@@ -42,7 +42,6 @@ of N symbols, which the decoder's low-weight certificate reads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import NamedTuple
 
@@ -58,15 +57,17 @@ from .state_machines import (
     syndrome_former,
     unpack,
 )
-from .trellis import Edge, _make_trellis
+from .trellis import Edge, _make_trellis, _Record
 
 
-@dataclass(frozen=True)
-class SyndromeSequence:
+class SyndromeSequence(_Record):
     """A length-N sequence of r-bit syndrome symbols."""
 
-    symbols: tuple
-    kind: str  # "forward" | "backward"
+    _fields = ("symbols", "kind")
+
+    def __init__(self, symbols, kind):
+        # kind: "forward" | "backward"
+        self.__dict__.update(symbols=symbols, kind=kind)
 
     def __iter__(self):
         return iter(self.symbols)

@@ -12,7 +12,7 @@ Nr x Nn matrix whose null space is the length-N tailbiting code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,7 @@ from .gf2 import as_bits, format_bits, is_bit_array
 MEMBERSHIP_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
-class ScalarParity:
+class ScalarParity(NamedTuple):
     matrix: np.ndarray
     kind: str  # "terminated" | "tailbiting"
     n_sections: int

@@ -22,8 +22,8 @@ themselves into integer tables (``verify._tables``).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .gf2 import format_bits, format_state
 from .state_machines import _key, enc_state_space, encoder
@@ -31,19 +31,47 @@ from .state_machines import _key, enc_state_space, encoder
 DEFAULT_MAX_PATHS = 2**20
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: tuple
     label: tuple
     dst: tuple
 
 
-@dataclass(frozen=True)
-class Trellis:
-    kind: str  # "code" | "error" | "backward-error"
-    n_sections: int
-    states_per_cut: tuple
-    sections: tuple
+class _Record:
+    """An immutable record: ``_fields``, set once into ``__dict__`` by ``__init__``, with repr, equality and hash over
+    them in order.
+
+    Equality holds only between instances of one class.  Other attributes
+    (a ``cached_property`` memo) stay out of all three.
+    """
+
+    def _values(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def _replace(self, **changes):
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._values()))})"
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Trellis(_Record):
+    _fields = ("kind", "n_sections", "states_per_cut", "sections")
+
+    def __init__(self, kind, n_sections, states_per_cut, sections):
+        # kind: "code" | "error" | "backward-error"
+        self.__dict__.update(kind=kind, n_sections=n_sections, states_per_cut=states_per_cut, sections=sections)
 
     @property
     def anchors(self):
@@ -85,7 +113,7 @@ def build_tailbiting_code_trellis(G, N):
     if N < 1:
         raise ValueError("need N >= 1 sections")
     edges = [Edge(src=beta, label=y, dst=nxt) for beta, _, nxt, y in encoder(G).edges()]
-    section = tuple(sorted(edges, key=lambda e: (e.src, e.label, e.dst)))
+    section = tuple(sorted(edges))
     return _make_trellis("code", enc_state_space(G), [section] * N)
 
 

@@ -78,7 +78,7 @@ from functools import reduce
 
 import numpy as np
 
-from .codespec import check_matrices
+from .codespec import MAX_TRIALS, check_matrices
 from .decoder import _decode_arrays
 from .error_trellis import (
     backward_syndromes_batch,
@@ -94,9 +94,6 @@ from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_form
 
 EXHAUSTIVE_BITS = 20
 DISTANCE_BLOCK = 1 << 15
-# a suite draws all of its trials at once, 8 bytes a bit: on the reference
-# code at N = 20 the widest draw (60 bits a trial) then takes 240 MB
-MAX_TRIALS = 500_000
 
 
 def _bits(rng, trials, width):

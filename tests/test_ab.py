@@ -1,5 +1,6 @@
 """``tools/ab.py``, the in-process A/B harness: a tree against itself, and against a copy with one changed result."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -21,10 +22,21 @@ def decode_tailbiting(G, H, z):
 '''
 
 
-def _ab(parent, change):
-    """A run of the harness on the reference-code words, two rounds per import order: (exit status, stdout)."""
+# appended to a copy's verify: every suite reads FAIL
+VERIFY_MUTANT = '''
+
+_real_run_all = run_all
+
+
+def run_all(G, H, N, seed=1, trials=1000):
+    return [(name, False) for name, _ in _real_run_all(G, H, N, seed, trials)]
+'''
+
+
+def _ab(parent, change, *options, case="decode-ref-uniform", rounds=2):
+    """A run of the harness, by default on the reference-code words, two rounds per import order: (exit status, stdout)."""
     argv = [sys.executable, str(ROOT / "tools" / "ab.py"), "--parent", str(parent), "--change", str(change)]
-    argv += ["--case", "decode-ref-uniform", "--rounds", "2"]
+    argv += ["--case", case, "--rounds", str(rounds), *options]
     out = subprocess.run(argv, capture_output=True, text=True, timeout=120)
     assert not out.stderr, out.stderr
     return out.returncode, out.stdout
@@ -34,19 +46,40 @@ def _digests(stdout):
     return dict(re.findall(r"^  (parent|change) sha256 ([0-9a-f]{64})$", stdout, re.M))
 
 
-def test_a_tree_against_itself_reads_identical_digests():
-    status, stdout = _ab(ROOT, ROOT)
+def test_a_tree_against_itself_reads_identical_digests_and_writes_its_report_as_json(tmp_path):
+    status, stdout = _ab(ROOT, ROOT, "--out", str(tmp_path / "ab.json"))
     digests = _digests(stdout)
     assert status == 0 and digests.keys() == {"parent", "change"} and len(set(digests.values())) == 1, stdout
-    assert len(re.findall(r"imported first: .* change won \d/2$", stdout, re.M)) == 2, stdout
+    lines = re.findall(r"^  (\w+) imported first: .* ratio ([\d.]+)x, change won (\d)/2$", stdout, re.M)
+    assert len(lines) == 2, stdout
+    report = json.loads((tmp_path / "ab.json").read_text())
+    assert (report["case"], report["ops"], report["rounds"], report["sha256"]) == ("decode-ref-uniform", 4000, 2, digests)
+    assert [(o["first"], f"{o['median_ratio']:.3f}", str(o["change_won"])) for o in report["orders"]] == lines
+    for order in report["orders"]:
+        for side in ("parent", "change"):
+            seconds, (q1, median, q3) = order[side]["seconds"], order[side]["quartiles"]
+            assert len(seconds) == 2 and q1 <= median == sum(seconds) / 2 <= q3
+        ratios = [p / c for p, c in zip(order["parent"]["seconds"], order["change"]["seconds"])]
+        assert order["median_ratio"] == sum(ratios) / 2 and order["change_won"] == sum(r > 1 for r in ratios)
+
+
+def _mutant(tmp_path, module, text):
+    """A copy of the tree's package under ``tmp_path`` with ``text`` appended to ``module``."""
+    package = tmp_path / "src" / "tbtrellis"
+    shutil.copytree(ROOT / "src" / "tbtrellis", package, ignore=shutil.ignore_patterns("__pycache__"))
+    (package / module).write_text((package / module).read_text() + text)
+    return tmp_path
 
 
 def test_a_copy_with_one_changed_decode_result_exits_non_zero(tmp_path):
-    package = tmp_path / "src" / "tbtrellis"
-    shutil.copytree(ROOT / "src" / "tbtrellis", package, ignore=shutil.ignore_patterns("__pycache__"))
-    (package / "decoder.py").write_text((package / "decoder.py").read_text() + MUTANT)
-    status, stdout = _ab(ROOT, tmp_path)
+    status, stdout = _ab(ROOT, _mutant(tmp_path, "decoder.py", MUTANT))
     digests = _digests(stdout)
     assert status == 1 and "OUTPUTS DIFFER" in stdout and digests["parent"] != digests["change"], stdout
     # the same tree as the parent side reads the same digest as in a run against itself
     assert digests["parent"] == _digests(_ab(ROOT, ROOT)[1])["parent"]
+
+
+def test_each_side_of_a_verify_case_runs_the_verify_of_its_own_tree(tmp_path):
+    """The CLI imports ``verify`` when a verify runs, so each call must find its own tree's package in ``sys.modules``."""
+    status, stdout = _ab(ROOT, _mutant(tmp_path, "verify.py", VERIFY_MUTANT), case="verify-ref-cli", rounds=1)
+    assert status == 1 and "OUTPUTS DIFFER" in stdout, stdout

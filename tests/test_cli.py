@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,8 @@ from test_verify import G_RATE_5, H_RATE_5
 
 
 GOLDEN = Path(__file__).parent / "golden"
-EXAMPLE = str(Path(__file__).parents[1] / "demos" / "example_code.json")
+ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE = str(ROOT / "demos" / "example_code.json")
 
 
 def run(capsys, *argv):
@@ -382,3 +386,64 @@ def test_trellis_output_equals_its_recorded_golden(capsys, argv, golden):
     code, out, err = run(capsys, argv[0], "--code", EXAMPLE, *argv[1:])
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text()
+
+
+
+# run first in the child: one stderr line for each file of the package's verify module that it opens, source or bytecode
+WATCH = (
+    "import os, runpy, sys\n"
+    "sys.addaudithook(lambda event, args: event == 'open' and 'tbtrellis' in str(args[0])"
+    " and os.path.basename(str(args[0])).startswith('verify.') and print('opened', args[0], file=sys.stderr))\n"
+)
+
+
+def _start(code):
+    """A fresh interpreter's run of ``code`` after WATCH, under ``-X importtime``.
+
+    Returns its stdout, the names of the modules it imported and the
+    files of ``tbtrellis.verify`` it opened.
+    """
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, "-X", "importtime", "-c", WATCH + code]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stderr.splitlines()
+    names = {line.rsplit("|", 1)[1].strip() for line in lines if line.startswith("import time:")}
+    return out.stdout, names, [line for line in lines if line.startswith("opened ")]
+
+
+def _command(*argv):
+    """The code that runs ``python -m tbtrellis *argv``."""
+    return f"sys.argv[1:] = {list(argv)!r}\nrunpy.run_module('tbtrellis', run_name='__main__', alter_sys=True)"
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import tbtrellis, tbtrellis.cli",
+        _command("decode", "--code", EXAMPLE, "--received", RECEIVED),
+        _command("syndrome", "--code", EXAMPLE, "--received", RECEIVED),
+        _command("code-trellis", "--code", EXAMPLE, "-N", "3"),
+        _command("error-trellis", "--code", EXAMPLE, "--received", RECEIVED),
+        _command("backward-error-trellis", "--code", EXAMPLE, "--received", RECEIVED),
+        _command("hscalar", "--code", EXAMPLE, "-N", "5"),
+    ],
+    ids=["import", "decode", "syndrome", "code-trellis", "error-trellis", "backward-error-trellis", "hscalar"],
+)
+def test_a_process_that_runs_no_verify_loads_neither_verify_nor_dataclasses(code):
+    """Without a bytecode cache every module loaded is compiled first, so each one a command never calls costs start-up."""
+    _, names, opened = _start(code)
+    assert "tbtrellis.cli" in names and not names & {"tbtrellis.verify", "dataclasses"} and opened == []
+
+
+def test_a_verify_process_loads_verify_and_prints_its_six_pass_lines():
+    stdout, _, opened = _start(_command("verify", "--code", EXAMPLE, "-N", "5"))
+    assert opened
+    assert len(stdout.splitlines()) == 6 and all(line.endswith(": PASS") for line in stdout.splitlines())
+
+
+def test_the_cli_import_puts_verify_in_sys_modules_and_its_first_read_loads_it():
+    """perfbench's tracer finds the verify suites in ``sys.modules`` right after importing the CLI."""
+    code = "import tbtrellis, tbtrellis.cli\nprint(sys.modules['tbtrellis.verify'].MAX_TRIALS, tbtrellis.verify is tbtrellis.cli.verify)"
+    stdout, _, opened = _start(code)
+    assert stdout == f"{verify.MAX_TRIALS} True\n" and opened

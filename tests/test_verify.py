@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from conftest import G1_STRINGS, G2_STRINGS
@@ -169,7 +167,7 @@ def _words_own_edge(T, H, z):
 
 
 def _with_section_0(T, edges):
-    return replace(T, sections=(tuple(edges), *T.sections[1:]))
+    return T._replace(sections=(tuple(edges), *T.sections[1:]))
 
 
 def _dropping_an_edge(real):
@@ -229,7 +227,7 @@ def test_each_suite_catches_its_mutant(monkeypatch, G1, H1, name, mutant, suite)
 def _dropping_a_check_row(real):
     def hscalar_tailbiting(H, N):
         P = real(H, N)
-        return replace(P, matrix=P.matrix[:-1])
+        return P._replace(matrix=P.matrix[:-1])
 
     return hscalar_tailbiting
 

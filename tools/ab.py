@@ -1,6 +1,6 @@
 """Interleaved in-process A/B timing of two source trees of tbtrellis, standard library and numpy only.
 
-    python3 tools/ab.py --parent <tree> --change <tree> --case <name> [--rounds R]
+    python3 tools/ab.py --parent <tree> --change <tree> --case <name> [--rounds R] [--out PATH]
 
 Each tree's ``src/tbtrellis`` is imported into this one process under its
 own module objects (``sys.modules`` is cleared of the package between
@@ -15,7 +15,9 @@ sides' median seconds a round with their quartiles, the median ratio
 (parent / change, above 1 when the change is faster) and how many rounds
 the change won, then one sha256 of each side's outputs (the repr of every
 call's return value, in both orders).  The exit status is 1 when the two
-digests differ.
+digests differ.  ``--out`` also writes the report to PATH as JSON: per
+import order both sides' seconds a round and their quartiles, the median
+ratio and the change's wins, then both digests.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import gc
 import hashlib
 import importlib
+import json
 import statistics
 import sys
 import time
@@ -35,8 +38,14 @@ OPS = {"decode-k7-lownoise": 1000, "decode-ref-uniform": 4000, "verify-ref-cli":
 SEED = 1
 
 
+def pop_package():
+    """The package's entries of ``sys.modules``, removed from it."""
+    return {name: sys.modules.pop(name) for name in list(sys.modules) if name.partition(".")[0] == "tbtrellis"}
+
+
 def load_tree(tree):
-    """A tree's ``src/tbtrellis``, imported afresh with its ``cli``; ``sys.modules`` is left without the package."""
+    """A tree's ``src/tbtrellis``, imported afresh with its ``cli``: its modules, which ``sys.modules`` is left without."""
+    pop_package()
     src = str(Path(tree).resolve() / "src")
     sys.path.insert(0, src)
     try:
@@ -47,9 +56,15 @@ def load_tree(tree):
             sys.exit(f"ab: imported tbtrellis from {tb.__file__}, not from {src}")
     finally:
         sys.path.remove(src)
-        for name in [name for name in sys.modules if name == "tbtrellis" or name.startswith("tbtrellis.")]:
-            del sys.modules[name]
-    return tb
+    return pop_package()
+
+
+def use(modules):
+    """A loaded tree's package, with only its modules in ``sys.modules``: an import run inside a call (the ``cli``
+    imports ``verify`` when a verify runs) then finds its own tree's package and loads from its directory."""
+    pop_package()
+    sys.modules.update(modules)
+    return modules["tbtrellis"]
 
 
 def timed(wl, tb, spec, args):
@@ -71,6 +86,7 @@ def main(argv=None):
     parser.add_argument("--change", required=True)
     parser.add_argument("--case", required=True, choices=sorted(OPS))
     parser.add_argument("--rounds", type=int, default=10)
+    parser.add_argument("--out", help="also write the report to this file as JSON")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -83,29 +99,39 @@ def main(argv=None):
     ops = wl.make_ops(SEED, OPS[args.case])
     prepared = [wl.prepare(op) for op in ops]
     digests = {side: hashlib.sha256() for side in ("parent", "change")}
+    report = {"case": args.case, "ops": len(ops), "rounds": args.rounds, "orders": []}
     print(f"{args.case}: {len(ops)} ops a round, {args.rounds} rounds per import order")
     for order in (("parent", "change"), ("change", "parent")):
         trees = {side: load_tree(getattr(args, side)) for side in order}
-        specs = {side: tb.load_codespec(wl.code_path) for side, tb in trees.items()}
-        for side, tb in trees.items():
+        specs = {side: use(modules).load_codespec(wl.code_path) for side, modules in trees.items()}
+        for side, modules in trees.items():
+            tb = use(modules)
             wl.warmup(tb, specs[side], ops[0])
             for arg in prepared:
                 digests[side].update(repr(wl.call(tb, specs[side], arg)).encode())
         seconds = {side: [] for side in order}
         for r in range(args.rounds):
             for side in order[r % 2 :] + order[: r % 2]:
-                seconds[side].append(timed(wl, trees[side], specs[side], prepared))
+                seconds[side].append(timed(wl, use(trees[side]), specs[side], prepared))
         ratios = [p / c for p, c in zip(seconds["parent"], seconds["change"])]
-        (p1, p, p3), (c1, c, c3) = quartiles(seconds["parent"]), quartiles(seconds["change"])
+        won = sum(ratio > 1 for ratio in ratios)
+        entry = {"first": order[0], "median_ratio": statistics.median(ratios), "change_won": won}
+        entry |= {side: {"seconds": seconds[side], "quartiles": quartiles(seconds[side])} for side in order}
+        report["orders"].append(entry)
+        (p1, p, p3), (c1, c, c3) = entry["parent"]["quartiles"], entry["change"]["quartiles"]
         print(
             f"  {order[0]} imported first: parent {p:.4f} [{p1:.4f}, {p3:.4f}] s, change {c:.4f} [{c1:.4f}, {c3:.4f}] s,"
-            f" ratio {statistics.median(ratios):.3f}x, change won {sum(ratio > 1 for ratio in ratios)}/{args.rounds}"
+            f" ratio {entry['median_ratio']:.3f}x, change won {entry['change_won']}/{args.rounds}"
         )
-        del trees, specs
-    for side, digest in digests.items():
-        print(f"  {side} sha256 {digest.hexdigest()}")
-    same = digests["parent"].hexdigest() == digests["change"].hexdigest()
+        del trees, specs, tb
+    report["sha256"] = {side: digest.hexdigest() for side, digest in digests.items()}
+    for side, hexdigest in report["sha256"].items():
+        print(f"  {side} sha256 {hexdigest}")
+    same = report["sha256"]["parent"] == report["sha256"]["change"]
     print("  outputs identical" if same else "  OUTPUTS DIFFER")
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(report, fh, indent=1)
     return 0 if same else 1
 
 
