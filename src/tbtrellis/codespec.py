@@ -18,9 +18,9 @@ from .gf2 import PolyMatrix, poly_from_strings
 from .state_machines import poly_is_dual_pair
 
 # verify's trials per randomized suite, here so that the CLI's help reads it
-# without importing verify: a suite draws all of its trials at once, 8 bytes
-# a bit, so on the reference code at N = 20 the widest draw (60 bits a
-# trial) then takes 240 MB
+# without importing verify: a suite draws all of its trials at once, one byte
+# a bit once unpacked, so on the reference code at N = 20 the widest draw (60
+# bits a trial) then holds 30 MB of rows and peaks at 34 MB (tracemalloc)
 MAX_TRIALS = 500_000
 
 

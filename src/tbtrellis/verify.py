@@ -8,15 +8,15 @@ need them) and are deterministic given a seed.  They back the
 the test suite.
 
 A randomized suite draws all of its trials in one
-``rng.integers(0, 2, size=(trials, width))`` call when it starts, the
-fields of a trial laid side by side in a row.  An int64 draw consumes
-the generator one value at a time, so the rows hold exactly the bits
-that one small ``rng.integers(0, 2, size=w)`` call per field and trial
-would give, and every function under test receives the same words for
-the same seed.  Because the whole draw comes first, a suite that fails
-early leaves the generator past all of its trials: after a FAIL the
-suites that follow see other words than a field-by-field draw would
-give them.  A run in which every suite passes is unaffected.
+``rng.getrandbits(trials * width)`` call of the standard library's
+``random.Random(seed)`` (MT19937) when it starts, the fields of a trial
+laid side by side in a row: bit j of the integer is row j // width,
+column j % width (``_bits``).  The generator hands out 32 bits at a
+time, low word first, so a draw of a multiple of 32 bits followed by
+another gives the bits of one draw of their sum.  As the whole draw
+comes first, a suite that fails early still leaves the generator past
+all of its trials, and the suites that follow see the words they would
+see after a PASS.
 
 The codebook has one form: the encoder's symbol integers, a row of N
 a codeword, in the smallest unsigned dtype that holds an n-bit symbol
@@ -74,6 +74,7 @@ beta can have.  The codewords are walked in the blocks of the codebook.
 
 from __future__ import annotations
 
+import random
 from functools import reduce
 
 import numpy as np
@@ -97,12 +98,13 @@ DISTANCE_BLOCK = 1 << 15
 
 
 def _bits(rng, trials, width):
-    """``trials`` rows of ``width`` random bits from one generator call, kept as uint8.
+    """``trials`` rows of ``width`` random bits from one ``rng.getrandbits`` call, as uint8.
 
-    The draw itself is int64, the dtype that consumes the generator one
-    value at a time.
+    Bit j of the drawn integer, least significant first, is row
+    j // width, column j % width: its little-endian bytes unpack LSB first.
     """
-    return rng.integers(0, 2, size=(trials, width)).astype(np.uint8)
+    draw = np.frombuffer(rng.getrandbits(trials * width).to_bytes(-(-trials * width // 8), "little"), dtype=np.uint8)
+    return np.unpackbits(draw, count=trials * width, bitorder="little").reshape(trials, width)
 
 
 def _codeword_table(G, N):
@@ -341,7 +343,7 @@ def run_all(G, H, N, seed=1, trials=1000):
         raise ValueError(f"seed must be at least 0, got {seed}")
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     anchors, syms, starts = _codeword_table(G, N)
     return [
         ("superposition", suite_superposition(H, rng, trials)),

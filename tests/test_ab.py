@@ -1,11 +1,14 @@
 """``tools/ab.py``, the in-process A/B harness: a tree against itself, and against a copy with one changed result."""
 
+import importlib.util
 import json
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -58,9 +61,19 @@ def test_a_tree_against_itself_reads_identical_digests_and_writes_its_report_as_
     for order in report["orders"]:
         for side in ("parent", "change"):
             seconds, (q1, median, q3) = order[side]["seconds"], order[side]["quartiles"]
-            assert len(seconds) == 2 and q1 <= median == sum(seconds) / 2 <= q3
+            assert len(seconds) == 2 and min(seconds) <= q1 <= median == sum(seconds) / 2 <= q3 <= max(seconds)
         ratios = [p / c for p, c in zip(order["parent"]["seconds"], order["change"]["seconds"])]
         assert order["median_ratio"] == sum(ratios) / 2 and order["change_won"] == sum(r > 1 for r in ratios)
+
+
+def test_quartiles_of_one_and_two_rounds_lie_within_the_values():
+    """One round reads its value three times.  Two rounds of 0.0542 and 0.0506 s read [0.0497, 0.0551] by the
+    exclusive method, outside both values; the inclusive method reads a quarter of the way in from each."""
+    spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
+    ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ab)
+    assert ab.quartiles([0.0542]) == (0.0542, 0.0542, 0.0542)
+    assert ab.quartiles([0.0542, 0.0506]) == pytest.approx((0.0515, 0.0524, 0.0533))
 
 
 def _mutant(tmp_path, module, text):

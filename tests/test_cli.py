@@ -10,7 +10,7 @@ from tbtrellis import verify
 from tbtrellis.cli import build_parser, main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
-from test_verify import G_RATE_5, H_RATE_5
+from test_verify import EXPECTED_SUITES, G_RATE_5, H_RATE_5
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -437,9 +437,13 @@ def test_a_process_that_runs_no_verify_loads_neither_verify_nor_dataclasses(code
 
 
 def test_a_verify_process_loads_verify_and_prints_its_six_pass_lines():
-    stdout, _, opened = _start(_command("verify", "--code", EXAMPLE, "-N", "5"))
+    """The suites draw from the standard library's ``random``: no ``numpy.random`` module is loaded beyond those
+    ``import numpy`` itself loads."""
+    stdout, names, opened = _start(_command("verify", "--code", EXAMPLE, "-N", "5"))
     assert opened
-    assert len(stdout.splitlines()) == 6 and all(line.endswith(": PASS") for line in stdout.splitlines())
+    assert stdout.splitlines() == [f"{name}: PASS" for name in EXPECTED_SUITES]
+    baseline = {name for name in _start("import numpy")[1] if name.startswith("numpy.random")}
+    assert {name for name in names if name.startswith("numpy.random")} <= baseline
 
 
 def test_the_cli_import_puts_verify_in_sys_modules_and_its_first_read_loads_it():

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from conftest import G1_STRINGS, G2_STRINGS
@@ -54,14 +56,15 @@ def _rows(syms, n):
 
 
 class _Draw:
-    """A generator stand-in whose one draw is the given rows of bits."""
+    """A generator stand-in whose one draw is the given rows of bits: bit j of its integer is row j // width,
+    column j % width, as ``_bits`` reads it."""
 
     def __init__(self, rows):
         self.rows = rows
 
-    def integers(self, low, high, size):
-        assert size == self.rows.shape
-        return self.rows
+    def getrandbits(self, k):
+        assert k == self.rows.size
+        return sum(int(bit) << j for j, bit in enumerate(self.rows.ravel().tolist()))
 
 
 def test_all_suites_pass_on_words_wider_than_one_lane():
@@ -122,6 +125,30 @@ def test_deterministic_given_seed(G1, H1):
     a = verify.run_all(G1, H1, 3, seed=5, trials=50)
     b = verify.run_all(G1, H1, 3, seed=5, trials=50)
     assert a == b
+
+
+@pytest.mark.parametrize("width", [1, 7, 15, 60])
+@pytest.mark.parametrize("trials", [0, 1, 1000])
+def test_bits_are_one_getrandbits_integer_read_bit_by_bit(trials, width):
+    """Bit j of the integer, least significant first, is row j // width, column j % width, and the generator is
+    left where the one draw leaves it."""
+    rng, rebuilt = random.Random(width), random.Random(width)
+    rows, x = verify._bits(rng, trials, width), rebuilt.getrandbits(trials * width)
+    assert rows.dtype == np.uint8 and rows.shape == (trials, width)
+    assert rows.tolist() == [[x >> (t * width + c) & 1 for c in range(width)] for t in range(trials)]
+    assert rng.getrandbits(32) == rebuilt.getrandbits(32)
+
+
+@pytest.mark.parametrize("trials, width, first", [(64, 7, 32), (1000, 60, 8), (1000, 15, 320), (1000, 1, 32)])
+def test_draws_of_whole_32_bit_words_chunk_one_draw(trials, width, first):
+    """The generator hands out 32 bits at a time, low word first, so a draw of a multiple of 32 bits and a second
+    draw read the bits of one draw of their sum, while a draw that ends within a word drops the rest of that word."""
+    assert first * width % 32 == 0
+    one, rng = verify._bits(random.Random(3), trials, width), random.Random(3)
+    assert (np.vstack([verify._bits(rng, first, width), verify._bits(rng, trials - first, width)]) == one).all()
+    if width % 32:
+        rng = random.Random(3)
+        assert (np.vstack([verify._bits(rng, 1, width), verify._bits(rng, trials - 1, width)]) != one).any()
 
 
 def test_rejects_bad_length_and_trial_count(G1, H1):
@@ -336,7 +363,7 @@ def test_nearest_equals_the_definitions_it_replaces(monkeypatch, G1, H1, N):
         with monkeypatch.context() as m:
             m.setattr(verify, "DISTANCE_BLOCK", budget)
             m.setattr(verify, "_nearest", recording)
-            assert verify.suite_decoder_oracle(G1, H1, N, syms, starts, np.random.default_rng(N), trials=300)
+            assert verify.suite_decoder_oracle(G1, H1, N, syms, starts, random.Random(N), trials=300)
         for dists, (best, first, unique, tie) in calls:
             nearest = dists == dists.min(axis=1, keepdims=True)
             assert (best == dists.min(axis=1)).all() and (first == dists.argmin(axis=1)).all()
@@ -365,27 +392,26 @@ def _recorded_calls(monkeypatch, names, G, H, N, seed, trials):
 
 
 def _per_field_draws(H, N, seed, trials):
-    """The words a draw of one ``rng.integers(0, 2, size=w)`` per field gives,
-    in suite order, from one generator."""
-    rng = np.random.default_rng(seed)
+    """Each suite's one draw from ``random.Random(seed)``, in suite order, rebuilt bit by bit from its
+    ``getrandbits`` integer (bit j is row j // width, column j % width) and cut into its trials' fields."""
+    rng = random.Random(seed)
     M, r, n = H.deg, H.rows, H.cols
 
-    def bits(w):
-        return tuple(int(b) for b in rng.integers(0, 2, size=w))
-
-    def word():
-        return [bits(n) for _ in range(N)]
+    def draw(rows, *fields):
+        width = sum(fields)
+        x, cuts = rng.getrandbits(rows * width), [sum(fields[:i]) for i in range(len(fields) + 1)]
+        bits = [x >> j & 1 for j in range(rows * width)]
+        return [[tuple(bits[t * width + a : t * width + b]) for a, b in zip(cuts, cuts[1:])] for t in range(rows)]
 
     steps = []
-    for _ in range(trials):
-        s1, s2, e1, e2 = bits(M * r), bits(M * r), bits(n), bits(n)
+    for s1, s2, e1, e2 in draw(trials, M * r, M * r, n, n):
         s12 = tuple(a ^ b for a, b in zip(s1, s2))
         e12 = tuple(a ^ b for a, b in zip(e1, e2))
         steps += [(H, s1, e1), (H, s2, e2), (H, s12, e12)]
-    set_equality = [word() for _ in range(5)]  # subtrellis-set-equality draws five words
-    backward = [(H, word()) for _ in range(trials)]
-    membership = [bits(N * n) for _ in range(trials)]
-    decoded = [word() for _ in range(trials)]
+    set_equality = draw(5, *[n] * N)  # subtrellis-set-equality draws five words
+    backward = [(H, word) for word in draw(trials, *[n] * N)]
+    membership = [bits for (bits,) in draw(trials, N * n)]
+    decoded = draw(trials, *[n] * N)
     return steps, set_equality, backward, membership, decoded
 
 

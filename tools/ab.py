@@ -76,7 +76,8 @@ def timed(wl, tb, spec, args):
 
 
 def quartiles(values):
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    """(first quartile, median, third quartile), read within the values: the inclusive method never extrapolates."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return q1, statistics.median(values), q3
 
 
