@@ -11,38 +11,40 @@ state, the lightest (m fixed per H by ``TABLE_BUDGET``; the N mod m
 sections left over use the 1-section tables), so a pass makes
 floor(N/m) + N mod m steps.
 
-Each code gets one decode rule.  A code with a metric automaton (below;
-the 4-state codes of the tests) walks it, and decodes a block of words
-together: a block holds as many words as keep ``BLOCK_BUDGET`` (word,
-anchor) walks per step, 1,024 words of a 4-state code, so the
-verifier's 1,000 decoder-oracle words are one block.  A larger block
-spreads the fixed numpy cost of a step over more words; beyond about a
-thousand words it is no faster and takes more memory.  Every other code
-(16, 32 or 64 states) prunes its anchors, one word at a time.
+Each code gets one decode rule, and a block of words one pipeline
+(``_blocks``): a decode block holds as many words as keep
+``BLOCK_BUDGET`` (word, anchor) walks per step, 1,024 words of a 4-state
+code, so the verifier's 1,000 decoder-oracle words are one block, and 64
+of the 64-state code.  A code with a metric automaton (below; the
+4-state codes of the tests) walks it with a block's words together.  A
+larger block spreads the fixed numpy cost of a step over more words;
+beyond about a thousand words it is no faster and takes more memory.
+Every other code (16, 32 or 64 states) prunes its anchors, one word of
+a block at a time.
 
 Every decode of a G/H pair reads one record (``_Pair``), built on the
-pair's first decode and found by one ``lru_cache`` lookup on (G, H):
-the encoder states and the anchor states of each sigma_fin, H's tables
-and automaton, and, as plain lists and dicts, what a one-word decode
-reads.  A block of one word, which ``decode_tailbiting`` and every block
-of a pruned code is, runs in one frame, ``_Pair.decode``, on Python
-integers, where a dozen numpy calls would cost more than the work they
-do.  A word of symbol tuples is read a run of m symbols at a time, one
-dict lookup per run; any other form (an array, lists, bools) is read by
-``LinearMachine.word``, which names the first bad symbol, and decoded as
-tuples.  The syndrome former's circular run then gives sigma_fin and
-each step's key in the stack: one fold of the one-step machine over the
-word's last M symbols gives the state at cut 0, from which the m-step
-machine (``LinearMachine.power``) takes each run of m symbols in one XOR
-of its two tables, and the one-step machine each of the N mod m single
-symbols left.  Both machines' tables are repacked in the record so that
-a step's output is its key.  On a code without a metric automaton two
-takes from the stack give the word's (steps x edges x states + 1)
-tables, and its bound pass carries one flat cost row per cut.  A block
-of several words gets its sigma_fin and syndromes from one
-``LinearMachine.circular`` of the block, and its keys from the syndromes
-by a reshape into runs of m and a shift-sum, in time and memory linear
-in N.
+pair's first decode and found by one ``lru_cache`` lookup on (G, H): the
+encoder states and the anchor states of each sigma_fin, H's tables and
+automaton, and, as plain lists and dicts, what a one-word decode reads.
+A one-word decode (``decode_tailbiting``) runs in one frame,
+``_Pair.decode``, on Python integers, where a dozen numpy calls would
+cost more than the work they do.  A word of symbol tuples is read a run
+of m symbols at a time, one dict lookup per run; any other form (an
+array, lists, bools) is read by ``LinearMachine.word``, which names the
+first bad symbol, and decoded as tuples.  The syndrome former's circular
+run then gives sigma_fin and each step's key in the stack: one fold of
+the one-step machine over the word's last M symbols gives the state at
+cut 0, from which the m-step machine (``LinearMachine.power``) takes
+each run of m symbols in one XOR of its two tables, and the one-step
+machine each of the N mod m single symbols left.  Both machines' tables
+are repacked in the record so that a step's output is its key.  On a
+code without a metric automaton two takes from the stack give the word's
+(steps x edges x states + 1) tables, and its bound pass carries one flat
+cost row per cut.  A decode block, of any code, is read once as symbol
+integers and gets its sigma_fin and syndromes from one
+``LinearMachine.circular`` of the block, so its words' anchor rows, and
+its keys from the syndromes by a reshape into runs of m and a shift-sum,
+in time and memory linear in N.
 
 On a code with no metric automaton a word goes four ways, in order: the
 low-weight certificate, the bound pass and its closing check, the
@@ -109,8 +111,8 @@ the anchors and the smallest optimal error are those of a min-plus pass
 over every anchor.  Per column, key and state the automaton also keeps
 the first edge, in label order, that a traceback takes into the column,
 packed as its label above its end state (``edges``), so each anchor of
-least weight is traced forward with one lookup per step.  In a block of
-several words every (word, anchor) column walks back at once, one gather
+least weight is traced forward with one lookup per step.  In a decode
+block every (word, anchor) column walks back at once, one gather
 of the next columns and offsets per step keyed by the step's keys, each
 column starting at its anchor's own; every walk at its word's least
 weight then gathers its packed edge per step from the same table.
@@ -129,29 +131,32 @@ the next step's cost equals the current cost (an automaton walk reads
 that edge from ``edges``).  Ties across anchors set the ``tie`` flag and
 resolve to the smallest label sequence, then the smallest anchor state.
 
-A block of several words walks all of its (word, anchor) pairs at the
-least weight forward together as arrays, one gather per step.  A word's
-walks are contiguous, so its winner is picked row by row: one
-``np.minimum.reduceat`` per label row, then on the anchor states, keeps
-the walks still at their word's least entry.  The winners' labels then
-split by shifts into the errors' symbol integers, a run's label into
-its m symbols, and the codewords are those XOR the block's own symbol
-integers; ``decode_tailbiting_batch`` unpacks both to bits.  A block of
-one word walks each pair in Python:
-an automaton walk reads each step's packed edge, and a pruned word's
-traceback the first edge of its cost column that falls by its weight.
-The array walk's fixed numpy calls cost more than one word's walk, which
-is a few list lookups per step.
+A block of a code with a metric automaton walks all of its (word,
+anchor) pairs at the least weight forward together as arrays, one gather
+per step (``_decode_block``).  A word's walks are contiguous, so its
+winner is picked row by row: one ``np.minimum.reduceat`` per label row,
+then on the anchor states, keeps the walks still at their word's least
+entry.  A one-word decode walks each pair in Python, reading each step's
+packed edge.  A pruned word, alone or in a block (``_search_block``), is
+traced back in Python too, by the first edge of its cost column that
+falls by its weight.  The array walk's fixed numpy calls cost more than
+one word's walk, which is a few list lookups per step.  Every back end
+gives its winner as (weight, ties, labels, search-table row,
+encoder-state index); the rows and indices ascend as the states they
+stand for, so ties break as on the states, and ``_Pair.decode`` maps
+both to states once, at the end.  A block's winners' labels split by
+shifts into the errors' symbol integers, a run's label into its m
+symbols, and the codewords are those XOR the block's own symbol integers
+(``_as_block``); ``decode_tailbiting_batch`` unpacks both to bits.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
-block.  It gives a block of several words as arrays (``_Block``: weights,
-codewords and errors as symbol integers, winning anchors and tie counts)
-and a block of one as its ``DecodeResult``.  Two readers consume it:
-``decode_tailbiting_batch`` unpacks the symbols to bits and builds one
-``DecodeResult`` per word, and ``_decode_arrays`` keeps the weights,
-codewords and ties as arrays, the codewords as symbol integers, the form
-of the verifier's codeword table, which its decoder-oracle suite
-compares with no per-word object and no unpacking.
+block.  It gives every block as arrays (``_Block``: weights, codewords
+and errors as symbol integers, winning anchors and tie counts).  Two
+readers consume it: ``decode_tailbiting_batch`` unpacks the symbols to
+bits and builds one ``DecodeResult`` per word, and ``_decode_arrays``
+keeps the weights, codewords and ties as arrays, the codewords as symbol
+integers, the form of the verifier's codeword table, which its
+decoder-oracle suite compares with no per-word object and no unpacking.
 """
 
 from __future__ import annotations
@@ -166,7 +171,7 @@ import numpy as np
 from .codespec import check_matrices
 from .error_trellis import TABLE_BUDGET, _check_length, _search_tables, _singles
 from .gf2 import format_bits, format_state
-from .state_machines import _powers, dual_state_of, enc_state_space, syndrome_former, unpack
+from .state_machines import dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -279,7 +284,8 @@ class _Pair:
         anchor of least weight is traced forward over the columns it
         passed (``_Automaton``); otherwise ``_certificate``, then
         ``_search_word``, decides.  The winner's labels, and those XOR the
-        received steps, are read out as bits.
+        received steps, are read out as bits, and its search-table row and
+        encoder-state index as states.
         """
         try:
             N, m, symbols = len(z), self.m, self.symbol_index
@@ -298,10 +304,10 @@ class _Pair:
                 v = from_state[x] ^ from_input[e]
                 x = v >> shift
                 keys.append(v & mask)
-        rows, tables, betas, keys, S = self.anchors[x], self.tables, self.betas, keys[d:], len(self.tables.states)
+        rows, tables, keys, S = self.anchors[x], self.tables, keys[d:], len(self.tables.states)
         if self.automaton is None:
-            found = _certificate(self.singles(N), keys, rows, betas, tables)
-            w, ties, labels, sigma, beta = found or _search_word(tables, betas, rows, keys)
+            found = _certificate(self.singles(N), keys, rows, tables)
+            w, ties, labels, row, anchor = found or _search_word(tables, rows, keys)
         else:
             # min(w + c - k) = min(w + c) - k: an anchor's weight is its last column's entry at it plus the offsets
             (columns, nxt, low, edges), back, weight, passed, walks = self.automaton.lists, keys[::-1], [], [], []
@@ -322,11 +328,12 @@ class _Pair:
                         v = edges[c][key * S + s]
                         labels.append(v >> 8)
                         s = v & 255
-                    walks.append((labels, tables.states[rows[a]], betas[a]))
-            ties, (labels, sigma, beta) = len(walks), min(walks)
+                    walks.append((labels, rows[a], a))
+            ties, (labels, row, anchor) = len(walks), min(walks)
         bits = [self.bits[0]] * runs + [self.bits[1]] * (N - runs * m)
         codeword = tuple(b"".join(map(getitem, bits, map(xor, labels, es))))
-        return tuple.__new__(DecodeResult, (codeword, tuple(b"".join(map(getitem, bits, labels))), w, beta, sigma, ties > 1))
+        error = tuple(b"".join(map(getitem, bits, labels)))
+        return tuple.__new__(DecodeResult, (codeword, error, w, self.betas[anchor], tables.states[row], ties > 1))
 
 
 @lru_cache(maxsize=None)
@@ -481,17 +488,13 @@ def decode_tailbiting(G, H, z):
 def decode_tailbiting_batch(G, H, words):
     """``decode_tailbiting`` of each word of a block of equal-length words, in order.
 
-    A code with a metric automaton walks blocks of ``BLOCK_BUDGET // S``
-    words, traced back as arrays; any other code prunes one word at a time.
-    A block's codewords and errors are unpacked from its symbol integers
-    to bits at once.
+    The block is decoded in blocks of ``BLOCK_BUDGET // S`` words
+    (``_blocks``); each block's codewords and errors are unpacked from its
+    symbol integers to bits at once.
     """
-    results = []
-    for out in _blocks(G, H, words):
-        if isinstance(out, DecodeResult):
-            results.append(out)
-            continue
-        pair, bits = _pair(G, H), [unpack(field, H.cols).reshape(len(field), -1) for field in out[:2]]
+    pair, results = _pair(G, H), []
+    for out in _blocks(pair, words):
+        bits = [unpack(field, H.cols).reshape(len(field), -1) for field in out[:2]]
         results += [
             DecodeResult(tuple(y), tuple(e), wt, pair.betas[a], pair.tables.states[s], t > 1)
             for y, e, wt, a, s, t in zip(*(field.tolist() for field in (*bits, *out[2:])))
@@ -505,21 +508,15 @@ def _decode_arrays(G, H, words):
     Returns the weights (words,), the codewords (words x N symbol
     integers, intp, the form of ``LinearMachine.symbol_ints`` and of the
     verifier's codeword table) and the ``tie`` flags (words,) of the words
-    in order; a block of several words is read from its arrays, with no
-    ``DecodeResult`` and no bits, and a block of one packs its codeword's
+    in order, read from the blocks' arrays with no ``DecodeResult`` and no
     bits.
     """
-    weight, codeword, tie = zip(*(
-        ([out.weight], [np.reshape(out.codeword, (-1, H.cols)) @ _powers(H.cols)], [out.tie])
-        if isinstance(out, DecodeResult)
-        else (out.weight, out.codeword, out.ties > 1)
-        for out in _blocks(G, H, words)
-    ))
+    weight, codeword, tie = zip(*((out.weight, out.codeword, out.ties > 1) for out in _blocks(_pair(G, H), words)))
     return np.concatenate(weight), np.concatenate(codeword), np.concatenate(tie)
 
 
 class _Block(NamedTuple):
-    """The results of a decode block of several words, one entry or row per word, in ``DecodeResult`` field order.
+    """The results of a decode block, one entry or row per word, in ``DecodeResult`` field order.
 
     ``codeword`` and ``error`` are (words x N) rows of symbol integers
     (intp, each symbol's n bits the first most significant, as
@@ -536,38 +533,37 @@ class _Block(NamedTuple):
     ties: np.ndarray
 
 
-def _blocks(G, H, words):
-    """Per decode block of ``words``, in order: its ``_Block``, or for a block of one its ``DecodeResult``.
+def _blocks(pair, words):
+    """Per decode block of ``BLOCK_BUDGET // S`` of ``words``, in order, its ``_Block``.
 
-    A single word, and each block of one, is ``_Pair.decode``'s; the
-    symbols of several are read first, then the words are checked to be
-    non-empty and N >= M.  Each step's key takes O(N) per word: a run's key
-    is its m syndromes shifted into place and summed, a single symbol's its
-    syndrome plus 2^(r*m).
+    The words are read once, their symbols first; then a block of no
+    words yields nothing, and the words are checked to be non-empty and
+    N >= M.  One ``LinearMachine.circular`` of a block gives each word's
+    sigma_fin, so its anchor rows, and its syndromes, from which each
+    step's key takes O(N) per word: a run's key is its m syndromes shifted
+    into place and summed, a single symbol's its syndrome plus 2^(r*m).  A
+    pair with a metric automaton walks the block at once
+    (``_decode_block``), any other decides its words in turn
+    (``_search_block``).
     """
-    if not len(words):
-        return
-    pair = _pair(G, H)
     E = pair.sf.symbol_ints(words, 2)
+    if not len(E):
+        return
     if not E.shape[1]:
         raise ValueError("a trellis needs at least one section")
-    _check_length(H, E.shape[1])
-    size = 1 if pair.automaton is None else BLOCK_BUDGET // len(pair.tables.states)
-    N, m, r = E.shape[1], pair.m, H.rows
+    _check_length(pair.H, E.shape[1])
+    N, m, r, size = E.shape[1], pair.m, pair.H.rows, BLOCK_BUDGET // len(pair.tables.states)
     for start in range(0, len(E), size):
         block = E[start : start + size]
-        if len(block) == 1:
-            yield pair.decode(list(map(pair.sf.in_tuples.__getitem__, block[0].tolist())))
-            continue
         fin, zetas = pair.sf.circular(block)
         rows = pair.tables.index.take(fin[:, None] ^ pair.duals)
         # a run's key concatenates its symbols' syndromes, the first most significant; a single symbol's is 2^(r*m) on
         runs = zetas[:, : N - N % m].reshape(len(block), -1, m) << r * np.arange(m - 1, -1, -1)
         keys = np.hstack((runs.sum(axis=2), zetas[:, N - N % m :] | 1 << r * m))
-        yield _decode_block(pair, block, rows, keys)
+        yield (_search_block if pair.automaton is None else _decode_block)(pair, block, rows, keys)
 
 
-def _certificate(singles, keys, rows, betas, tables):
+def _certificate(singles, keys, rows, tables):
     """The ``_search_word`` result of a word whose one lightest error, of weight <= 3, is anchored, else None.
 
     ``singles`` is the ``_singles`` table of the word's length, ``keys``
@@ -620,11 +616,11 @@ def _certificate(singles, keys, rows, betas, tables):
     labels = [0] * len(keys)
     for step, label in map(places.__getitem__, error):
         labels[step] |= label
-    return len(error), 1, labels, tables.states[row], betas[rows.index(row)]
+    return len(error), 1, labels, row, rows.index(row)
 
 
 def _decode_block(pair, block, rows, keys):
-    """The ``_Block`` of a block of several words of a pair (``_Pair``) with a metric automaton, every anchor walked at once.
+    """The ``_Block`` of a block of a pair (``_Pair``) with a metric automaton, every anchor walked at once.
 
     ``block`` holds the words' symbol integers, ``rows`` each word's
     anchor states and ``keys`` its steps' keys.  Each (word, anchor)
@@ -632,12 +628,7 @@ def _decode_block(pair, block, rows, keys):
     gather of ``nxt`` and ``low`` per step.  Every (word, anchor) pair at
     its word's least weight then walks forward at once, one gather of its
     packed edge per step, the one a one-word walk reads; the smallest
-    label row of each word, then its smallest anchor state, wins.  The
-    winners' labels are their errors' symbol integers: each of the
-    floor(N/m) run labels splits by shifts into its m symbols of n bits,
-    the first most significant, and the N mod m single symbols' labels
-    are symbols already.  The errors XOR the block's symbol integers are
-    the codewords.
+    label row of each word, then its smallest anchor state, wins.
     """
     S, (words, anchors), sec, steps = len(pair.tables.states), rows.shape, pair.tables.sections, keys.shape[1]
     # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
@@ -665,15 +656,37 @@ def _decode_block(pair, block, rows, keys):
     for row in walk:
         row = np.where(keep, row, _UNREACHED)
         keep &= row == np.minimum.reduceat(row, first).repeat(ties)
-    labels, m, runs, n = walk[:-1, keep].T, pair.m, block.shape[1] // pair.m, pair.H.cols
-    # a run's label holds its m symbols, the first most significant, as ``LinearMachine.power`` packs them
+    return _as_block(pair, block, w, ties, walk[:-1, keep].T, walk[-1, keep], anchor[keep])
+
+
+def _search_block(pair, block, rows, keys):
+    """The ``_Block`` of a block of a pair with no metric automaton, a word at a time.
+
+    Each word's row of ``rows`` and of ``keys`` goes to ``_certificate``,
+    and, unless it answers, to ``_search_word``, as a one-word decode's do.
+    """
+    singles, tables, rows, keys = pair.singles(block.shape[1]), pair.tables, rows.tolist(), keys.tolist()
+    found = [_certificate(singles, k, r, tables) or _search_word(tables, r, k) for r, k in zip(rows, keys)]
+    return _as_block(pair, block, *map(np.array, zip(*found)))
+
+
+def _as_block(pair, block, weight, ties, labels, sigma, anchor):
+    """The ``_Block`` of a decode block from its words' winners: weights, tie counts, labels, table rows, anchors.
+
+    The labels (words x steps) are the errors' symbol integers: each of
+    the floor(N/m) run labels splits by shifts into its m symbols of n
+    bits, the first most significant, as ``LinearMachine.power`` packs
+    them, and the N mod m single symbols' labels are symbols already.  The
+    errors XOR the block's symbol integers are the codewords.
+    """
+    m, n, runs = pair.m, pair.H.cols, block.shape[1] // pair.m
     symbols = labels[:, :runs, None] >> n * np.arange(m - 1, -1, -1) & (1 << n) - 1
-    error = np.hstack((symbols.reshape(words, -1), labels[:, runs:]))
-    return _Block(error ^ block, error, w, anchor[keep], walk[-1, keep], ties)
+    error = np.hstack((symbols.reshape(len(block), -1), labels[:, runs:]))
+    return _Block(error ^ block, error, weight, anchor, sigma, ties)
 
 
-def _search_word(tables, betas, rows, keys):
-    """One pruned word's (weight, number of anchors reaching it, labels, anchor sigma, anchor beta).
+def _search_word(tables, rows, keys):
+    """One pruned word's (weight, number of anchors reaching it, labels, anchor's table row, anchor index).
 
     ``rows`` lists its anchor states and ``keys`` its steps' keys, which
     take its steps' (edges x states + 1) end states and weights from the
@@ -687,7 +700,8 @@ def _search_word(tables, betas, rows, keys):
     or one whose syndrome two errors of its least weight share, are such
     words).  Each step here is exact on its own, so the order changes which
     step decides a word, never its result.  Of the anchors reaching w, the
-    smallest (labels, sigma, beta) wins.
+    smallest (labels, table row, index) wins: the rows and indices ascend
+    as the states they stand for do.
     """
     outs = [tables.sections.out[k] for k in keys]
     states, rows, at, sec = rows, np.array(rows), np.array(keys), tables.sections
@@ -707,7 +721,7 @@ def _search_word(tables, betas, rows, keys):
             labels, end = _traceback(outs, memoryview(bound), states[a])
             # closed on a: a tailbiting path of weight lb[a], below every other anchor's bound
             if end == states[a]:
-                return low, 1, labels, tables.states[end], betas[a]
+                return low, 1, labels, end, a
         tried = a
     least, w, passes = lb == low, _UNREACHED, []
     # the anchors of least bound, then the others; no anchor whose bound exceeds w can reach w
@@ -719,7 +733,7 @@ def _search_word(tables, betas, rows, keys):
             passes.append((cost, anchors.tolist(), weight))
             w = min(w, *weight)
     found = [
-        (_traceback(outs, memoryview(cost[:, j]), states[a])[0], tables.states[states[a]], betas[a])
+        (_traceback(outs, memoryview(cost[:, j]), states[a])[0], states[a], a)
         for cost, anchors, weight in passes
         for j, a in enumerate(anchors)
         if weight[j] == w

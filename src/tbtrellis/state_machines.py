@@ -266,14 +266,18 @@ def _pack(bits, index, width, depth, what):
     A 0/1 integer ndarray of that shape, or a list of equal-shape arrays
     that stack into one, is packed in one product, and tuples are looked
     up in ``index``; anything else goes through ``_lookup`` vector by
-    vector, in order, so the ValueError names the first bad one.
+    vector, in order, so the ValueError names the first bad one.  A
+    one-shot block, and each one-shot word of a block, is read once.
     """
+    bits = bits if hasattr(bits, "__len__") else list(bits)
     arrays = isinstance(bits, list) and bits and all(isinstance(b, np.ndarray) and b.shape == bits[0].shape for b in bits)
     packed = np.array(bits) if arrays else bits
     if is_bit_array(packed, depth + 1, width):
         return packed @ _powers(width)
     if isinstance(bits, np.ndarray):
         bits = bits.tolist()
+    elif depth == 2:
+        bits = [word if hasattr(word, "__len__") else list(word) for word in bits]
 
     def walk(x, d):
         return [walk(y, d - 1) for y in x] if d else _lookup(index, x, what)

@@ -33,13 +33,12 @@ every codeword lies in the kernel (containment), and the number of
 distinct codewords, the rows over the repeats of the zero codeword,
 equals 2^(N*n - rank H_scalar), the size of the kernel (count).  Its
 random words then need only agree between the matrix and the syndrome
-former.  The decoder-oracle suite hands
-all of its trials to the decoder in one call of
-``decoder._decode_arrays``, which splits them
-into its own decode blocks (``decoder._blocks``: a code with a metric
-automaton walks blocks of ``BLOCK_BUDGET // S`` words, 1,024 of a
-4-state code, any other code prunes one word at a time) and returns the
-weights, codewords and tie flags as arrays, the codewords as symbol
+former.  The decoder-oracle suite hands all of its trials to the decoder
+in one call of ``decoder._decode_arrays``, which splits them into its
+own decode blocks (``decoder._blocks``: blocks of ``BLOCK_BUDGET // S``
+words, 1,024 of a 4-state code, which a code with a metric automaton
+walks at once and any other code searches a word at a time) and returns
+the weights, codewords and tie flags as arrays, the codewords as symbol
 integers, the codebook's own form, so the suite compares arrays with no
 ``DecodeResult`` per word and no unpacking.  It then compares them with
 the exhaustive codeword table in one fused pass per distance block of
@@ -79,8 +78,8 @@ from functools import reduce
 
 import numpy as np
 
-from .codespec import MAX_TRIALS, check_matrices
-from .decoder import _decode_arrays
+from .codespec import MAX_TRIALS
+from .decoder import _decode_arrays, _pair
 from .error_trellis import (
     backward_syndromes_batch,
     build_tailbiting_error_trellis,
@@ -326,11 +325,12 @@ def suite_decoder_oracle(G, H, N, syms, starts, rng, trials=1000):
 def run_all(G, H, N, seed=1, trials=1000):
     """Run every suite; returns [(name, passed)] in a fixed order.
 
-    The pair is checked as a spec load checks it (``check_matrices``)
-    before any suite runs, and so is ``trials``: at most ``MAX_TRIALS``,
+    The pair is checked before any suite runs, by its decoder record
+    (``decoder._pair``): as a spec load checks it, and for encoder states
+    that map onto one anchor.  So is ``trials``: at most ``MAX_TRIALS``,
     since each randomized suite draws all of its trials at once.
     """
-    check_matrices(G, H)
+    _pair(G, H)
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     if N < H.deg:

@@ -66,12 +66,35 @@ def test_a_tree_against_itself_reads_identical_digests_and_writes_its_report_as_
         assert order["median_ratio"] == sum(ratios) / 2 and order["change_won"] == sum(r > 1 for r in ratios)
 
 
-def test_quartiles_of_one_and_two_rounds_lie_within_the_values():
-    """One round reads its value three times.  Two rounds of 0.0542 and 0.0506 s read [0.0497, 0.0551] by the
-    exclusive method, outside both values; the inclusive method reads a quarter of the way in from each."""
+def _load_ab():
     spec = importlib.util.spec_from_file_location("ab", ROOT / "tools" / "ab.py")
     ab = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(ab)
+    return ab
+
+
+def test_the_k7_batch_case_decodes_the_k7_words_256_a_call_and_reads_identical_digests(monkeypatch):
+    """``decode-k7-batch``: the ``decode-k7-lownoise`` words in order, ``BATCH`` = 256 a ``decode_tailbiting_batch``
+    call; against itself, one round, its two digests are equal."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    ab, words = _load_ab(), WORKLOADS["decode-k7-lownoise"]
+    words.load()
+    case = ab.Batch(words)
+    ops = case.make_ops(ab.SEED, ab.OPS["decode-k7-batch"])
+    assert [len(op) for op in ops] == [256] * 4 and sum(ops, []) == words.make_ops(ab.SEED, 1024)
+    assert case.prepare(ops[0]) == [words.prepare(op) for op in ops[0]]
+    status, stdout = _ab(ROOT, ROOT, case="decode-k7-batch", rounds=1)
+    digests = _digests(stdout)
+    assert status == 0 and digests.keys() == {"parent", "change"} and len(set(digests.values())) == 1, stdout
+    assert stdout.startswith("decode-k7-batch: 4 ops a round, 1 rounds per import order\n"), stdout
+
+
+def test_quartiles_of_one_and_two_rounds_lie_within_the_values():
+    """One round reads its value three times.  Two rounds of 0.0542 and 0.0506 s read [0.0497, 0.0551] by the
+    exclusive method, outside both values; the inclusive method reads a quarter of the way in from each."""
+    ab = _load_ab()
     assert ab.quartiles([0.0542]) == (0.0542, 0.0542, 0.0542)
     assert ab.quartiles([0.0542, 0.0506]) == pytest.approx((0.0515, 0.0524, 0.0533))
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracle import coeffs_from_strings
-from test_decoder_contract import CODES, K7_STRINGS, low_noise_words
+from test_decoder_contract import CODES, K7_STRINGS, PRUNED, low_noise_words
 
 import tbtrellis.decoder as decoder
 from tbtrellis import (
@@ -34,7 +34,7 @@ from tbtrellis import (
     tailbiting_syndromes_batch,
 )
 from tbtrellis.error_trellis import _search_tables
-from tbtrellis.state_machines import syndrome_former
+from tbtrellis.state_machines import LinearMachine, syndrome_former
 
 
 def _code(name):
@@ -76,7 +76,7 @@ def test_block_decode_of_low_noise_k7_words_equals_the_per_word_decodes():
 @pytest.mark.parametrize("blocks, extra", [(3, 5), (2, 1)])
 @pytest.mark.parametrize("name", ["ref", "mem2", "H0-zero"])
 def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name, blocks, extra):
-    """Full blocks and a last one of ``extra`` words, one word being the walk's case, equal blocks of one."""
+    """Full blocks and a last one of ``extra`` words, one word among them, equal blocks of one."""
     G, H = _code(name)
     S = len(_search_tables(H).states)
     size = decoder.BLOCK_BUDGET // S
@@ -89,6 +89,23 @@ def test_block_decode_does_not_depend_on_the_blocking(monkeypatch, name, blocks,
     assert decode_tailbiting_batch(G, H, words[:half]) + decode_tailbiting_batch(G, H, words[half:]) == whole
     monkeypatch.setattr(decoder, "BLOCK_BUDGET", S)
     assert decode_tailbiting_batch(G, H, words) == whole
+
+
+@pytest.mark.parametrize("name", PRUNED)
+def test_a_pruned_block_is_searched_on_its_symbol_integers(monkeypatch, name):
+    """A block of a code with no metric automaton, of one word or 70, and the verifier's arrays of it decode with no
+    word read back as symbol tuples (``in_tuples``) or decoded alone (``_Pair.decode``), to the one-word results."""
+    (g, h), _ = CODES[name]
+    G, H = _code(name)
+    assert decoder._automaton(H) is None
+    words = low_noise_words(70, 71, N=12, p=0.06, strings=(g, h))
+    expected = [decode_tailbiting(G, H, z) for z in words]
+    monkeypatch.setattr(decoder._Pair, "decode", lambda *args: pytest.fail("a word was decoded alone"))
+    monkeypatch.setattr(LinearMachine, "in_tuples", property(lambda self: pytest.fail("a symbol was read as a tuple")))
+    assert decode_tailbiting_batch(G, H, words) == expected
+    assert decode_tailbiting_batch(G, H, words[:1]) == expected[:1]
+    weight, _, tie = decoder._decode_arrays(G, H, words)
+    assert weight.tolist() == [res.weight for res in expected] and tie.tolist() == [res.tie for res in expected]
 
 
 def test_decode_blocks_hold_the_block_budget_of_walks(monkeypatch):
@@ -179,7 +196,7 @@ def test_decode_arrays_of_every_reference_word_equal_the_decode_results(G1, H1):
 
 @pytest.mark.parametrize("name, N", [("32-state", 5), ("k7", 7), ("16-state", 6)])
 def test_decode_arrays_of_a_pruned_code_equal_the_decode_results(name, N):
-    """Blocks of one word, each read from its ``DecodeResult``."""
+    """Blocks searched a word at a time, read from their arrays."""
     G, H = _code(name)
     assert decoder._automaton(H) is None
     words = np.random.default_rng(89).integers(0, 2, (150, N, H.cols))
@@ -244,8 +261,11 @@ def test_entry_points_name_the_first_bad_symbol(G1, H1, bad, shown):
     for one, block in _entry_points(G1, H1):
         with pytest.raises(ValueError, match=message):
             one(word)
-        with pytest.raises(ValueError, match=message):
-            block([[(0, 0, 0)] * 5, word])
+        # also a one-shot block, or one-shot words, after a good word or before one: each is read once
+        for words in ([[(0, 0, 0)] * 5, word], [word, [(0, 0, 0)] * 5]):
+            for form in (words, iter(words), [iter(z) for z in words]):
+                with pytest.raises(ValueError, match=message):
+                    block(form)
 
 
 BAD_SYMBOL = r"expected an input symbol of 3 bits in \{0, 1\}, got "
@@ -299,7 +319,8 @@ def test_a_list_of_array_words_equals_the_array_and_tuple_blocks(G1, H1):
     tuples = [[tuple(symbol) for symbol in word] for word in words.tolist()]
     for _, block in _entry_points(G1, H1):
         listed = block(list(words))
-        for other in (block(words), block(tuples)):
+        # a one-shot block of arrays or of one-shot words is read as its list
+        for other in (block(words), block(tuples), block(iter(words)), block(iter(tuples)), block([iter(z) for z in tuples])):
             assert (listed == other) if isinstance(listed, list) else np.array_equal(listed, other)
         bad = words[:3].copy()
         bad[1, 2] = (0, 2, 1)
@@ -318,6 +339,11 @@ def test_block_steps_take_lists_of_state_and_symbol_tuples(H1):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError, match=r"^expected a state of 2 bits in \{0, 1\}, got \(1, 2\)$"):
         sf_step_batch(H1, [(0, 1), (1, 2)], [(1, 0, 1), (0, 1, 1)])
+    # one-shot sequences are read once, so a bad symbol is named, not skipped
+    for a, b in zip(listed, sf_step_batch(H1, iter(sigmas.tolist()), (tuple(e) for e in es.tolist()))):
+        assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}\(1, 2, 1\)$"):
+        sf_step_batch(H1, [(0, 1), (1, 1)], iter([(1, 2, 1), (1, 1, 1)]))
 
 
 def test_block_decode_of_2000_k7_words_stays_within_8_mb():

@@ -14,7 +14,7 @@ import pytest
 from test_decoder_contract import CERTIFICATE, CODES, PRUNED, low_noise_words, reference_decode
 
 import tbtrellis.decoder as decoder
-from tbtrellis import decode_tailbiting, decode_tailbiting_batch, enc_state_space, poly_from_strings
+from tbtrellis import decode_tailbiting, decode_tailbiting_batch, poly_from_strings
 from tbtrellis.error_trellis import _search_tables
 from tbtrellis.state_machines import syndrome_former
 
@@ -46,10 +46,10 @@ def _errors(H, N, weight):
     return found
 
 
-def _every_anchor(G, H):
-    """``_certificate``'s anchor arguments that leave every state an anchor: rows, betas and the search tables."""
+def _every_anchor(H):
+    """``_certificate``'s anchor arguments that leave every state an anchor: rows and the search tables."""
     tables = _search_tables(H)
-    return list(range(len(tables.states))), enc_state_space(G), tables
+    return list(range(len(tables.states))), tables
 
 
 @pytest.mark.parametrize("name", PRUNED)
@@ -112,25 +112,25 @@ def test_certificate_equals_the_search_and_the_reference(monkeypatch, name):
 def test_a_syndrome_of_two_weight_2_errors_is_not_answered(name, N):
     """At these lengths the circular code has words of weight <= 4, so two weight-2 errors, which their own circular
     runs find, share a syndrome that no single bit has; the certificate, every state an anchor, declines it."""
-    G, H = _pair(name)
+    H = _pair(name)[1]
     count = {outs: len(errors) for outs, errors in _errors(H, N, 2).items()}
     bit, packed = decoder._singles(H, N)[2], {outs: reduce(lambda v, o: v << H.rows | o, outs, 0) for outs in count}
     shared = [outs for outs, k in count.items() if k > 1 and packed[outs] not in bit]
     assert shared
     for outs in shared:
-        assert CERTIFICATE(decoder._singles(H, N), _keys(H, outs), *_every_anchor(G, H)) is None
+        assert CERTIFICATE(decoder._singles(H, N), _keys(H, outs), *_every_anchor(H)) is None
     # a syndrome of one weight-2 error, every state an anchor, is answered
     once = next(outs for outs, k in count.items() if k == 1 and packed[outs] not in bit)
-    assert CERTIFICATE(decoder._singles(H, N), _keys(H, once), *_every_anchor(G, H))[0] == 2
+    assert CERTIFICATE(decoder._singles(H, N), _keys(H, once), *_every_anchor(H))[0] == 2
 
 
-def _answers_every_lone_triple(G, H, N):
+def _answers_every_lone_triple(H, N):
     """Every state an anchor, the certificate answers a syndrome of a weight-3 error at weight 3 exactly when no error
     of weight <= 2 has it and no other weight-3 error does: that error, its labels and circular state.  A syndrome of
     a lighter error is never answered at weight 3.  Returns the weight-3 syndromes each way, by their errors."""
     tables, lighter, routes = _search_tables(H), {outs for w in range(3) for outs in _errors(H, N, w)}, {}
     for outs, errors in _errors(H, N, 3).items():
-        found = CERTIFICATE(decoder._singles(H, N), _keys(H, outs), *_every_anchor(G, H))
+        found = CERTIFICATE(decoder._singles(H, N), _keys(H, outs), *_every_anchor(H))
         if outs in lighter:
             assert found is None or found[0] < 3, outs
             routes.setdefault("lighter", []).append(errors)
@@ -139,7 +139,7 @@ def _answers_every_lone_triple(G, H, N):
             routes.setdefault("shared", []).append(errors)
         else:
             ((es, x),) = errors
-            assert found[:4] == (3, 1, _keys(H, es, H.cols), tables.states[tables.index[x]]), outs
+            assert found[:4] == (3, 1, _keys(H, es, H.cols), tables.index[x]), outs
             routes.setdefault("lone", []).append(errors)
     return routes
 
@@ -148,7 +148,7 @@ def _answers_every_lone_triple(G, H, N):
 def test_a_syndrome_of_two_weight_3_errors_or_of_a_lighter_one_is_not_answered_at_weight_3(name, N):
     """At these lengths the circular code has words of weight <= 6, so two weight-3 errors share some syndromes, and
     some syndromes of weight-3 errors are also those of lighter ones; each way occurs, and so does a lone triple."""
-    routes = _answers_every_lone_triple(*_pair(name), N)
+    routes = _answers_every_lone_triple(_pair(name)[1], N)
     assert routes.keys() == {"lighter", "shared", "lone"}
 
 
@@ -156,23 +156,23 @@ def test_a_triple_with_a_member_of_shared_syndrome_is_not_answered():
     """H = [1+D^2+D^3, 1+D^2+D^3, 1]: the first two bits of each symbol share a syndrome, so a weight-3 error with one
     of them has a twin that differs only in that member; the two read as one triple of bits, with the shared member
     marked, and the certificate declines their syndrome."""
-    G, H = poly_from_strings([["1", "1", "0"], ["1", "0", "1011"]]), poly_from_strings([["1011", "1011", "1"]])
+    H = poly_from_strings([["1011", "1011", "1"]])
     N = 10
     assert list(decoder._singles(H, N)[2].values()).count(-1) == N
     twins = [
         errors
-        for errors in _answers_every_lone_triple(G, H, N)["shared"]
+        for errors in _answers_every_lone_triple(H, N)["shared"]
         if len(errors) == 2 and [a ^ b for a, b in zip(errors[0][0], errors[1][0]) if a != b] == [0b110]
     ]
     assert twins
 
 
 def test_a_syndrome_of_two_single_bits_is_not_answered():
-    """The memoryless pair G = H = [1 1]: both bits of a symbol have its syndrome, so no syndrome but 0 is answered."""
-    G = H = poly_from_strings([["1", "1"]])
+    """The memoryless H = [1 1]: both bits of a symbol have its syndrome, so no syndrome but 0 is answered."""
+    H = poly_from_strings([["1", "1"]])
     assert set(decoder._singles(H, 3)[2].values()) == {-1}
     for outs in product((0, 1), repeat=3):
-        found = CERTIFICATE(decoder._singles(H, 3), _keys(H, outs), *_every_anchor(G, H))
+        found = CERTIFICATE(decoder._singles(H, 3), _keys(H, outs), *_every_anchor(H))
         assert found is None if any(outs) else found[0] == 0
 
 
@@ -181,16 +181,16 @@ def test_an_error_whose_state_is_not_an_anchor_is_not_answered():
     declines each of them."""
     G, H = _pair("k7")
     pair, sf = decoder._pair(G, H), syndrome_former(H)
-    betas, tables, declined = pair.betas, pair.tables, 0
+    tables, declined = pair.tables, 0
     for z in low_noise_words(40, 11):
         fin, outs = sf.circular_word(sf.word(z))
         rows, keys, singles = pair.anchors[fin], _keys(H, outs), decoder._singles(H, len(z))
-        found = CERTIFICATE(singles, keys, rows, betas, tables)
+        found = CERTIFICATE(singles, keys, rows, tables)
         if found is None:
             continue
-        row = tables.states.index(found[3])
-        assert found[1:] == (1, found[2], tables.states[row], betas[rows.index(row)])
-        assert CERTIFICATE(singles, keys, [r for r in rows if r != row], betas, tables) is None
+        row = found[3]
+        assert found[1:] == (1, found[2], row, rows.index(row))
+        assert CERTIFICATE(singles, keys, [r for r in rows if r != row], tables) is None
         declined += 1
     assert declined > 10
 

@@ -571,9 +571,9 @@ def _captured_words(monkeypatch, name, lengths, count):
     G, H = poly_from_strings(g), poly_from_strings(h)
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, betas, rows, keys):
+    def capturing_search_word(tables, rows, keys):
         captured.append((tables, rows, np.array(keys)))
-        return real_search_word(tables, betas, rows, keys)
+        return real_search_word(tables, rows, keys)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     for i, (N, p) in enumerate(product(lengths, NOISE)):
@@ -674,14 +674,15 @@ def test_library_entry_points_reject_the_pairs_a_spec_load_rejects(g, h, word, m
 def test_decode_runs_the_syndrome_former_once(monkeypatch):
     """One circular run per decode block, and no second fold.
 
-    A block of one word runs its circular run on the lists of its pair
+    A one-word decode runs its circular run on the lists of its pair
     record (``_Pair.decode``), with no call of a ``LinearMachine`` fold.
-    A block of several words is one ``LinearMachine.circular`` call, and
-    so is the table of a pruned code's single-bit errors (``_singles``),
-    once per length the record keeps.  A fold of either machine, e.g. for
-    sigma_fin alone, or a ``circular_word``, counts.  No word is decoded
-    before the count: the pair records are built by their own calls, and
-    the K=7 word's length has no table yet.
+    A decode block, of a pruned code too, is one
+    ``LinearMachine.circular`` call, and so is the table of a pruned code's
+    single-bit errors (``_singles``), once per length the record keeps.  A
+    fold of either machine, e.g. for sigma_fin alone, or a
+    ``circular_word``, counts.  No word is decoded before the count: the
+    pair records are built by their own calls, and the K=7 word's length
+    has no table yet.
     """
     K7 = [poly_from_strings(s) for s in K7_STRINGS]
     ref = poly_from_strings(G1_STRINGS), poly_from_strings(H1_STRINGS)
@@ -709,17 +710,17 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
     # the first K=7 word of its length builds the length's table, in one circular run of the single-bit errors
     decode_tailbiting(*K7, z7)
     assert calls == runs(1)
-    # a block of the 64-state code holds one word
+    # the 64-state code's 3 words fill one block, which reads the table its length already has
     decode_tailbiting_batch(*K7, [z7, z7[::-1], z7])
-    assert calls == runs(1)
+    assert calls == runs(2)
     decode_tailbiting(*ref, z)
-    assert calls == runs(1)
+    assert calls == runs(2)
     # the reference code's 3 words fill one block
     decode_tailbiting_batch(*ref, [z, z[::-1], z])
-    assert calls == runs(2)
+    assert calls == runs(3)
     # an array word is read by ``LinearMachine.word``, then decoded as tuples
     decode_tailbiting(*ref, np.array(z))
-    assert calls == runs(2)
+    assert calls == runs(3)
 
 
 @pytest.mark.parametrize("name", ["ref", "k7"])
@@ -757,9 +758,9 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
     """
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, betas, rows, keys):
+    def capturing_search_word(tables, rows, keys):
         captured.append((rows, keys))
-        return real_search_word(tables, betas, rows, keys)
+        return real_search_word(tables, rows, keys)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     _certificate_off(monkeypatch)

@@ -99,15 +99,15 @@ def test_a_codeword_with_bit_64_flipped_is_not_in_the_codeword_set():
 
 
 def test_all_suites_pass_on_the_16_state_code(monkeypatch):
-    """The 16-state code has no metric automaton, so it prunes: the decoder-oracle suite's 1,000 words decode one word
-    at a time, each on the pruned route."""
+    """The 16-state code has no metric automaton, so it prunes: the decoder-oracle suite's 1,000 words decode in
+    blocks of ``BLOCK_BUDGET // 16`` = 256 words, each on the pruned route."""
     G, H = (poly_from_strings(s) for s in CODES["16-state"][0])
     assert decoder._automaton(H) is None
-    words, real = [], decoder._Pair.decode
-    monkeypatch.setattr(decoder._Pair, "decode", lambda pair, z: words.append(z) or real(pair, z))
+    blocks, real = [], decoder._search_block
+    monkeypatch.setattr(decoder, "_search_block", lambda pair, block, *a: blocks.append(block.shape) or real(pair, block, *a))
     results = verify.run_all(G, H, 6, seed=1)
     assert results == [(name, True) for name in EXPECTED_SUITES]
-    assert len(words) == 1000 and all(len(z) == 6 for z in words)
+    assert blocks == [(256, 6)] * 3 + [(232, 6)]
 
 
 def test_boundary_section_count(G1, H1):
@@ -530,27 +530,30 @@ def test_all_suites_pass_on_4096_codewords(G1, H1):
 
 @pytest.mark.parametrize("N", [5, 6])
 def test_all_suites_pass_on_a_pruned_code(monkeypatch, N):
-    """The 32-state code prunes its anchors, so every decode block holds one word and yields a ``DecodeResult``."""
+    """The 32-state code prunes its anchors, so its 100 words are one decode block, searched a word at a time."""
     G, H = (poly_from_strings(s) for s in CODES["32-state"][0])
     assert decoder._automaton(H) is None
-    words, real = [], decoder._Pair.decode
-    monkeypatch.setattr(decoder._Pair, "decode", lambda pair, z: words.append(z) or real(pair, z))
+    blocks, real = [], decoder._search_block
+    monkeypatch.setattr(decoder, "_search_block", lambda pair, block, *a: blocks.append(block.shape) or real(pair, block, *a))
     results = verify.run_all(G, H, N, seed=1, trials=100)
     assert [name for name, _ in results] == EXPECTED_SUITES
     assert all(ok for _, ok in results)
-    assert len(words) == 100 and all(len(z) == N for z in words)
+    assert blocks == [(100, N)]
 
 
 def test_run_all_rejects_a_pair_before_any_suite_kernel(monkeypatch, G1):
-    """The non-dual H stops ``run_all`` before it encodes, draws or calls a suite or a kernel."""
+    """The non-dual H, and a dual pair whose encoder states map onto one anchor, stop ``run_all`` at the pair's
+    record (``decoder._pair``), before it encodes, draws or calls a suite or a kernel."""
     H = poly_from_strings([["11", "01", "11"], ["01", "1", "0"]])
     calls = []
     for name, f in list(vars(verify).items()):
         ours = callable(f) and getattr(f, "__module__", "").startswith("tbtrellis.")
-        if ours and name not in ("run_all", "check_matrices"):
+        if ours and name not in ("run_all", "_pair"):
             monkeypatch.setattr(verify, name, lambda *args, _name=name, **kwargs: calls.append(_name))
     with pytest.raises(CodeSpecError, match="not dual"):
         verify.run_all(G1, H, 5, seed=1)
+    with pytest.raises(decoder.AnchorCollisionError):
+        verify.run_all(poly_from_strings([["11", "101"]]), poly_from_strings([["101", "11"]]), 5, seed=1)
     assert calls == []
 
 

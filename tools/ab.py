@@ -10,7 +10,9 @@ once untimed, which gives their outputs and fills the per-code caches,
 then R timed rounds; within a round the side that runs first alternates.
 A case is a perfbench workload (``perfbench/workloads.py`` of this
 checkout, read, not edited): its seeded operations, prepared and called
-as the benchmark calls them.  The report gives per import order both
+as the benchmark calls them.  ``decode-k7-batch`` reads the words of
+``decode-k7-lownoise`` and hands them to ``decode_tailbiting_batch``,
+``BATCH`` words a call.  The report gives per import order both
 sides' median seconds a round with their quartiles, the median ratio
 (parent / change, above 1 when the change is faster) and how many rounds
 the change won, then one sha256 of each side's outputs (the repr of every
@@ -34,8 +36,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # operations a round, about 0.1 s of calls per side on a 2-core x86-64 host
-OPS = {"decode-k7-lownoise": 1000, "decode-ref-uniform": 4000, "verify-ref-cli": 25}
+OPS = {"decode-k7-lownoise": 1000, "decode-k7-batch": 4, "decode-ref-uniform": 4000, "verify-ref-cli": 25}
 SEED = 1
+# words a call of a batch case
+BATCH = 256
+
+
+class Batch:
+    """A decode workload whose operation is a block of ``BATCH`` of its words, decoded by one batch call."""
+
+    def __init__(self, wl):
+        self.wl = wl
+
+    def __getattr__(self, name):
+        return getattr(self.wl, name)
+
+    def make_ops(self, seed, count):
+        ops = self.wl.make_ops(seed, count * BATCH)
+        return [ops[i : i + BATCH] for i in range(0, len(ops), BATCH)]
+
+    def prepare(self, op):
+        return [self.wl.prepare(word) for word in op]
+
+    def warmup(self, tb, spec, op):
+        self.wl.warmup(tb, spec, op[0])
+
+    def call(self, tb, spec, arg):
+        return tb.decoder.decode_tailbiting_batch(spec.G, spec.H, arg)
 
 
 def pop_package():
@@ -95,7 +122,7 @@ def main(argv=None):
     sys.path.insert(0, str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    wl = WORKLOADS[args.case]
+    wl = Batch(WORKLOADS["decode-k7-lownoise"]) if args.case == "decode-k7-batch" else WORKLOADS[args.case]
     wl.load()
     ops = wl.make_ops(SEED, OPS[args.case])
     prepared = [wl.prepare(op) for op in ops]
