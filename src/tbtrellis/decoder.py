@@ -43,8 +43,8 @@ code without a metric automaton two takes from the stack give the word's
 cost row per cut.  A decode block, of any code, is read once as symbol
 integers and gets its sigma_fin and syndromes from one
 ``LinearMachine.circular`` of the block, so its words' anchor rows, and
-its keys from the syndromes by a reshape into runs of m and a shift-sum,
-in time and memory linear in N.
+its keys from the transposed syndromes by one shift-or per symbol of a
+run, in time and memory linear in N.
 
 On a code with no metric automaton a word goes four ways, in order: the
 low-weight certificate, the bound pass and its closing check, the
@@ -112,10 +112,10 @@ over every anchor.  Per column, key and state the automaton also keeps
 the first edge, in label order, that a traceback takes into the column,
 packed as its label above its end state (``edges``), so each anchor of
 least weight is traced forward with one lookup per step.  In a decode
-block every (word, anchor) column walks back at once, one gather
+block every (anchor, word) column walks back at once, one gather
 of the next columns and offsets per step keyed by the step's keys, each
-column starting at its anchor's own; every walk at its word's least
-weight then gathers its packed edge per step from the same table.
+column starting at its anchor's own, then forward, one gather of its
+packed edge per step from the same table.
 Where the columns would hold more than ``TABLE_BUDGET`` entries
 (columns x (states + 1)), as on the 16-, 32- and 64-state codes, there
 is no automaton and the code prunes; the reference code has 24 columns.
@@ -131,23 +131,28 @@ the next step's cost equals the current cost (an automaton walk reads
 that edge from ``edges``).  Ties across anchors set the ``tie`` flag and
 resolve to the smallest label sequence, then the smallest anchor state.
 
-A block of a code with a metric automaton walks all of its (word,
-anchor) pairs at the least weight forward together as arrays, one gather
-per step (``_decode_block``).  A word's walks are contiguous, so its
-winner is picked row by row: one ``np.minimum.reduceat`` per label row,
-then on the anchor states, keeps the walks still at their word's least
-entry.  A one-word decode walks each pair in Python, reading each step's
-packed edge.  A pruned word, alone or in a block (``_search_block``), is
-traced back in Python too, by the first edge of its cost column that
-falls by its weight.  The array walk's fixed numpy calls cost more than
-one word's walk, which is a few list lookups per step.  Every back end
-gives its winner as (weight, ties, labels, search-table row,
-encoder-state index); the rows and indices ascend as the states they
-stand for, so ties break as on the states, and ``_Pair.decode`` maps
-both to states once, at the end.  A block's winners' labels split by
-shifts into the errors' symbol integers, a run's label into its m
-symbols, and the codewords are those XOR the block's own symbol integers
-(``_as_block``); ``decode_tailbiting_batch`` unpacks both to bits.
+A block of a code with a metric automaton walks all of its (anchor,
+word) pairs forward together as arrays, time-major, one gather per step
+(``_decode_block``); a pair with no tailbiting path walks too, and is
+dropped.  numpy reduces across a long row far faster than along many
+short ones (``min(axis=1)`` of a 1,000 x 4 array took 28 us, of a
+4 x 1,000 one 2 us, numpy 2.4 on a 2-core x86-64 host), so each choice is
+one elementwise operation across the block's words, the anchors down a
+short axis: the least weight, the tie count, the pick of the walks still
+at their word's least entry, label row by label row and then on the
+anchor states, and the winning anchor.  A one-word decode walks each
+pair in Python, reading each step's packed edge.  A pruned word, alone
+or in a block (``_search_block``), is traced back in Python too, by the
+first edge of its cost column that falls by its weight.  The array
+walk's fixed numpy calls cost more than one word's walk, which is a few
+list lookups per step.  Every back end gives its winner as (weight,
+ties, labels, search-table row, encoder-state index); the rows and
+indices ascend as the states they stand for, so ties break as on the
+states, and ``_Pair.decode`` maps both to states once, at the end.  A
+block's winners' labels split by shifts into the errors' symbol
+integers, a run's label into its m symbols, and the codewords are those
+XOR the block's own symbol integers (``_as_block``);
+``decode_tailbiting_batch`` unpacks both to bits.
 
 One loop, ``_blocks``, decodes a block of words decode block by decode
 block.  It gives every block as arrays (``_Block``: weights, codewords
@@ -540,10 +545,12 @@ def _blocks(pair, words):
     words yields nothing, and the words are checked to be non-empty and
     N >= M.  One ``LinearMachine.circular`` of a block gives each word's
     sigma_fin, so its anchor rows, and its syndromes, from which each
-    step's key takes O(N) per word: a run's key is its m syndromes shifted
-    into place and summed, a single symbol's its syndrome plus 2^(r*m).  A
-    pair with a metric automaton walks the block at once
-    (``_decode_block``), any other decides its words in turn
+    step's key takes O(N) per word.  Both are time-major, a column per
+    word: the rows (anchors x words), and the keys (steps x words) from
+    the transposed syndromes, a run's key by one shift-or per symbol of
+    the run, the first most significant, and a single symbol's its
+    syndrome plus 2^(r*m).  A pair with a metric automaton walks the block
+    at once (``_decode_block``), any other decides its words in turn
     (``_search_block``).
     """
     E = pair.sf.symbol_ints(words, 2)
@@ -556,10 +563,10 @@ def _blocks(pair, words):
     for start in range(0, len(E), size):
         block = E[start : start + size]
         fin, zetas = pair.sf.circular(block)
-        rows = pair.tables.index.take(fin[:, None] ^ pair.duals)
+        rows, runs = pair.tables.index.take(pair.duals[:, None] ^ fin), zetas.T[: N - N % m]
         # a run's key concatenates its symbols' syndromes, the first most significant; a single symbol's is 2^(r*m) on
-        runs = zetas[:, : N - N % m].reshape(len(block), -1, m) << r * np.arange(m - 1, -1, -1)
-        keys = np.hstack((runs.sum(axis=2), zetas[:, N - N % m :] | 1 << r * m))
+        keys = reduce(lambda key, p: key << r | runs[p::m], range(1, m), runs[::m])
+        keys = np.vstack((keys, zetas.T[len(runs) :] | 1 << r * m))
         yield (_search_block if pair.automaton is None else _decode_block)(pair, block, rows, keys)
 
 
@@ -622,67 +629,73 @@ def _certificate(singles, keys, rows, tables):
 def _decode_block(pair, block, rows, keys):
     """The ``_Block`` of a block of a pair (``_Pair``) with a metric automaton, every anchor walked at once.
 
-    ``block`` holds the words' symbol integers, ``rows`` each word's
-    anchor states and ``keys`` its steps' keys.  Each (word, anchor)
-    column walks the automaton backward from its anchor's column, one
-    gather of ``nxt`` and ``low`` per step.  Every (word, anchor) pair at
-    its word's least weight then walks forward at once, one gather of its
-    packed edge per step, the one a one-word walk reads; the smallest
-    label row of each word, then its smallest anchor state, wins.
+    ``block`` holds the words' symbol integers, ``rows`` (anchors x words)
+    their anchor states and ``keys`` (steps x words) their steps' keys.
+    Each (anchor, word) column walks the automaton backward from its
+    anchor's column, one gather of ``nxt`` and ``low`` per step, then
+    forward from its anchor, one gather of its packed edge per step, the
+    one a one-word walk reads.  Every choice is then one elementwise
+    operation across the block: the least weight, the tie count, and,
+    among the walks at their word's least weight, the smallest label row
+    by row, then the smallest anchor state, whose walk wins.
     """
-    S, (words, anchors), sec, steps = len(pair.tables.states), rows.shape, pair.tables.sections, keys.shape[1]
-    # the column each (word, anchor) pair is in at every cut but 0, walking back from cut N
-    passed, at, gain = np.empty((steps, words, anchors), dtype=np.intp), rows, 0
+    S, (anchors, words), steps = len(pair.tables.states), rows.shape, len(keys)
+    columns, nxt, low, edges = pair.automaton[:4]
+    # each step's (column, key) entry of edges, times S, at every cut but 0, walking back from cut N
+    passed, at, gain = np.empty((steps, anchors, words), dtype=np.intp), rows, 0
     for t in range(steps - 1, -1, -1):
-        passed[t] = at
-        i = at * len(sec.dst) + keys[:, t, None]
-        at, gain = pair.automaton.nxt.take(i), gain + pair.automaton.low.take(i)
-    reach = pair.automaton.columns.take(at * (S + 1) + rows) + gain
-    w = reach.min(axis=1)
+        i = at * nxt.shape[1] + keys[t]
+        np.multiply(i, S, out=passed[t])
+        at, gain = nxt.take(i), gain + low.take(i)
+    reach = columns.take(at * (S + 1) + rows) + gain
+    w = reach.min(axis=0)
     if w.max() >= _UNREACHED:
         raise RuntimeError("no subtrellis holds a tailbiting path; inconsistent construction")
-    word, anchor = np.nonzero(reach == w[:, None])
-    ties = np.bincount(word, minlength=words)
-    # one column per walk: the label of each step, then its anchor state
-    walk = np.empty((steps + 1, len(word)), dtype=np.intp)
-    walk[-1] = state = rows[word, anchor]
-    key = keys[word]
-    for t, column in enumerate(passed.reshape(steps, -1).take(word * anchors + anchor, axis=1)):
-        edge = pair.automaton.edges.take((column * len(sec.dst) + key[:, t]) * S + state)
+    ties = (keep := reach == w).sum(axis=0)
+    # each step's label, then the anchor state; an anchor with no tailbiting path may walk dead edges into state S,
+    # which clip keeps in range, and is never kept
+    walk = np.empty((steps + 1, anchors, words), dtype=np.intp)
+    walk[-1] = state = rows
+    for t in range(steps):
+        edge = edges.take(passed[t] + state, mode="clip")
         walk[t], state = edge >> 8, edge & 255
-    # each word's walks are contiguous; row by row, keep those at their word's least entry, so one is left (a
-    # dropped walk reads _UNREACHED, above every label and state)
-    first, keep = np.cumsum(ties) - ties, np.ones(len(word), dtype=bool)
+    # row by row, keep the walks at their word's least entry, so one is left (a dropped walk reads _UNREACHED, above
+    # every label and state)
     for row in walk:
         row = np.where(keep, row, _UNREACHED)
-        keep &= row == np.minimum.reduceat(row, first).repeat(ties)
-    return _as_block(pair, block, w, ties, walk[:-1, keep].T, walk[-1, keep], anchor[keep])
+        keep &= row == row.min(axis=0)
+    # keep holds one anchor per word, so its index is one product
+    anchor = np.arange(anchors) @ keep
+    won = walk.reshape(steps + 1, -1).take(anchor * words + np.arange(words), axis=1)
+    return _as_block(pair, block, w, ties, won[:-1], won[-1], anchor)
 
 
 def _search_block(pair, block, rows, keys):
     """The ``_Block`` of a block of a pair with no metric automaton, a word at a time.
 
-    Each word's row of ``rows`` and of ``keys`` goes to ``_certificate``,
+    Each word's column of ``rows`` and of ``keys`` goes to ``_certificate``,
     and, unless it answers, to ``_search_word``, as a one-word decode's do.
     """
-    singles, tables, rows, keys = pair.singles(block.shape[1]), pair.tables, rows.tolist(), keys.tolist()
+    singles, tables, rows, keys = pair.singles(block.shape[1]), pair.tables, rows.T.tolist(), keys.T.tolist()
     found = [_certificate(singles, k, r, tables) or _search_word(tables, r, k) for r, k in zip(rows, keys)]
-    return _as_block(pair, block, *map(np.array, zip(*found)))
+    # .T turns the (words x steps) labels to (steps x words) and leaves the other, 1-D, fields as they are
+    return _as_block(pair, block, *(np.array(field).T for field in zip(*found)))
 
 
 def _as_block(pair, block, weight, ties, labels, sigma, anchor):
     """The ``_Block`` of a decode block from its words' winners: weights, tie counts, labels, table rows, anchors.
 
-    The labels (words x steps) are the errors' symbol integers: each of
+    The labels (steps x words) are the errors' symbol integers: each of
     the floor(N/m) run labels splits by shifts into its m symbols of n
     bits, the first most significant, as ``LinearMachine.power`` packs
     them, and the N mod m single symbols' labels are symbols already.  The
-    errors XOR the block's symbol integers are the codewords.
+    errors XOR the block's symbol integers are the codewords, both
+    transposed to (words x N).
     """
     m, n, runs = pair.m, pair.H.cols, block.shape[1] // pair.m
-    symbols = labels[:, :runs, None] >> n * np.arange(m - 1, -1, -1) & (1 << n) - 1
-    error = np.hstack((symbols.reshape(len(block), -1), labels[:, runs:]))
-    return _Block(error ^ block, error, weight, anchor, sigma, ties)
+    symbols = labels[:runs, None] >> n * np.arange(m - 1, -1, -1)[:, None] & (1 << n) - 1
+    error = np.vstack((symbols.reshape(-1, len(block)), labels[runs:]))
+    return _Block((error ^ block.T).T, error.T, weight, anchor, sigma, ties)
 
 
 def _search_word(tables, rows, keys):

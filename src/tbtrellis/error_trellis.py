@@ -88,9 +88,10 @@ def _check_length(H, N):
 
 
 def received(H, words):
-    """(words x N) symbol integers of a block of equal-length received words, N >= M."""
+    """(words x N) symbol integers of a block of equal-length received words, N >= M when it holds a word."""
     E = syndrome_former(H).symbol_ints(words, 2)
-    _check_length(H, E.shape[1])
+    if len(E):
+        _check_length(H, E.shape[1])
     return E
 
 

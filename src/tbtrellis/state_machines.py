@@ -365,9 +365,12 @@ def sf_step(H, sigma_prev, e):
 
 
 def sf_step_batch(H, sigmas, es):
-    """``sf_step`` of every row pair: (next states, syndrome symbols) as 0/1 uint8 rows."""
+    """``sf_step`` of every row pair: (next states, syndrome symbols) as 0/1 uint8 rows; one state per symbol."""
     sf = syndrome_former(H)
-    v = sf.tables[0][sf.state_ints(sigmas)] ^ sf.tables[1][sf.symbol_ints(es)]
+    x, e = sf.state_ints(sigmas), sf.symbol_ints(es)
+    if len(x) != len(e):
+        raise ValueError(f"expected one state per symbol, got {len(x)} states and {len(e)} symbols")
+    v = sf.tables[0][x] ^ sf.tables[1][e]
     return unpack(v >> sf.out_bits, sf.state_bits), unpack(v & sf.out_mask, sf.out_bits)
 
 

@@ -59,16 +59,20 @@ exactly there.
 The codebook and the zero-syndrome suite run their machine circularly
 over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
 codewords of the reference code at N = 5 in one block call).  The
-subtrellis-set-equality suite reads each word's built error trellis once
-into integer tables (``_tables``) and enumerates no path.  Containment:
-every codeword of beta, XORed with the word, walks the next-state table
-from beta's error anchor and must find an edge at every step and end
-where it started, so beta's codewords B lie among the anchor's
-tailbiting paths A.  Count: the diagonal of the product of the section
-count matrices is |A|, which must equal |B|, beta's number of distinct
+subtrellis-set-equality suite builds each drawn word's sigma_fin, error
+trellis and error anchors by the constructions under test, a word at a
+time, then reads the words' built trellises at once into stacked integer
+tables (``_tables``) and enumerates no path.  Containment: every
+codeword of beta, XORed with the word, walks the word's next-state
+table from beta's error anchor and must find an edge at every step and
+end where it started, so beta's codewords B lie among the anchor's
+tailbiting paths A.  Count: the diagonal of the word's product of its
+section count matrices, one batched product per section over the
+words, is |A|, which must equal |B|, beta's number of distinct
 codewords.  B in A and |A| = |B| give A = B.  The product runs in
 float64, exact up to 2^53, far above the 2^EXHAUSTIVE_BITS codewords a
-beta can have.  The codewords are walked in the blocks of the codebook.
+beta can have.  The codewords are walked in the blocks of the codebook,
+a word at a time.
 """
 
 from __future__ import annotations
@@ -172,37 +176,44 @@ def suite_zero_syndrome(G, H, anchors, syms, starts):
     return True
 
 
-def _tables(T, sf):
-    """``T`` read once into integer tables: (its state index, next-state table, path-count matrices).
+def _tables(trellises, sf):
+    """The built trellises read once into stacked integer tables: (state index, next-state tables, count matrices).
 
-    States are indexed in cut 0's order at every cut, and a label is the
-    integer of its symbol, as ``sf`` reads an input.  Section t of the
-    next-state table holds, at start index << n | label, the end index of
-    that edge; a missing edge and every edge of state S, one past the
-    last, end in S.  Entry (i, j) of count matrix t is the number of
-    section t's edges from i to j.
+    States are indexed in the first trellis's cut 0 order, in every
+    trellis at every cut, and a label is the integer of its symbol, as
+    ``sf`` reads an input.  In trellis w's table, section t holds at start
+    index << n | label the end index of that edge; a missing edge and
+    every edge of state S, one past the last, end in S.  Entry (i, j) of
+    its count matrix t is the number of section t's edges from i to j.
+    Every edge of every trellis is read by one comprehension, the labels
+    by one ``sf.word``, and the tables are one scatter and one
+    ``bincount``.
     """
-    index = {s: i for i, s in enumerate(T.states_per_cut[0])}
-    N, S, edges = T.n_sections, len(index), [(t, e) for t, section in enumerate(T.sections) for e in section]
-    t, src, dst = np.array([(t, index[e.src], index[e.dst]) for t, e in edges], dtype=np.intp).reshape(-1, 3).T
-    nxt = np.full((N, S + 1 << sf.in_bits), S, dtype=np.intp)
-    nxt[t, src << sf.in_bits | sf.word([e.label for _, e in edges])] = dst
-    return index, nxt, np.bincount((t * S + src) * S + dst, minlength=N * S * S).reshape(N, S, S)
+    index = {s: i for i, s in enumerate(trellises[0].states_per_cut[0])}
+    (W, N, S), n = (len(trellises), trellises[0].n_sections, len(index)), sf.in_bits
+    edges = [(w, t, e) for w, T in enumerate(trellises) for t, section in enumerate(T.sections) for e in section]
+    w, t, src, dst = np.array([(w, t, index[e.src], index[e.dst]) for w, t, e in edges], dtype=np.intp).reshape(-1, 4).T
+    nxt = np.full((W, N, S + 1 << n), S, dtype=np.intp)
+    nxt[w, t, src << n | sf.word([e.label for *_, e in edges])] = dst
+    return index, nxt, np.bincount(((w * N + t) * S + src) * S + dst, minlength=W * N * S * S).reshape(W, N, S, S)
 
 
 def suite_set_equality(G, H, N, anchors, syms, starts, rng, words=5):
     """Error subtrellis paths shifted by z equal the matching code subtrellis.
 
-    Per word, the built error trellis is read once into integer tables
-    (``_tables``).  Containment: every codeword of beta, XORed with the
-    word, walks the next-state table from beta's error anchor; it must
-    find an edge at every step and end where it started, so beta's
-    codewords B lie among the anchor's tailbiting paths A.  Count: the
-    diagonal of the product of the count matrices gives |A|, which must
-    equal the number of distinct codewords of beta.  B in A and |A| = |B|
-    give A = B, with no path left unchecked; a duplicated edge adds a path
-    and fails the count.  The product runs in float64, whose entries are
-    exact up to 2^53; a count past that stays past it, and past
+    Each drawn word's sigma_fin, error trellis and error anchors come from
+    the constructions under test, a word at a time; the built trellises
+    are then read once into stacked integer tables (``_tables``).  Count:
+    the diagonal of each word's product of its count matrices, one
+    batched product per section over the words, gives |A| per anchor,
+    which must equal the number of distinct codewords of beta.
+    Containment: every codeword of beta, XORed with the word, walks the
+    word's next-state table from beta's error anchor; it must find an
+    edge at every step and end where it started, so beta's codewords B lie
+    among the anchor's tailbiting paths A.  B in A and |A| = |B| give
+    A = B, with no path left unchecked; a duplicated edge adds a path and
+    fails the count.  The product runs in float64, whose entries are exact
+    up to 2^53; a count past that stays past it, and past
     2^(N*k) <= 2^EXHAUSTIVE_BITS, the most codewords a beta has, so every
     comparison is exact.  The codewords' symbol integers, XORed with the
     word's, are walked in blocks of as many as hold ``DISTANCE_BLOCK``
@@ -212,18 +223,20 @@ def suite_set_equality(G, H, N, anchors, syms, starts, rng, words=5):
     rows = np.diff(starts, append=len(syms))
     # the circular run is linear: a codeword of beta repeats as often as 0 does in the zero anchor, the first
     sizes, group = rows // np.count_nonzero(~syms[: rows[0]].any(axis=1)), np.repeat(np.arange(len(anchors)), rows)
-    for word in _bits(rng, words, N * n):
-        z = word.reshape(N, n)
-        fin, T, shift = sigma_fin(H, z), build_tailbiting_error_trellis(H, z), sf.symbol_ints(z)
-        index, nxt, counts = _tables(T, sf)
-        paths = reduce(np.matmul, counts.astype(np.float64))
-        at = np.array([index[error_anchor(beta, fin, G, H)] for beta in anchors])
-        if (paths.diagonal()[at] != sizes).any():
-            return False
+    drawn = _bits(rng, words, N * n).reshape(words, N, n)
+    if not words:
+        return True
+    shifts, fins = sf.symbol_ints(drawn, 2), [sigma_fin(H, z) for z in drawn]
+    index, nxt, counts = _tables([build_tailbiting_error_trellis(H, z) for z in drawn], sf)
+    at = np.array([[index[error_anchor(beta, fin, G, H)] for beta in anchors] for fin in fins])
+    paths = reduce(np.matmul, counts.astype(np.float64).swapaxes(0, 1))
+    if (np.take_along_axis(paths.diagonal(axis1=1, axis2=2), at, axis=1) != sizes).any():
+        return False
+    for table, shift, anchor in zip(nxt, shifts, at):
         for start in range(0, len(syms), step):
-            x = first = at[group[start : start + step]]
-            for table, syms_t in zip(nxt, (syms[start : start + step] ^ shift).T):
-                x = table.take(x << n | syms_t)
+            x = first = anchor[group[start : start + step]]
+            for section, syms_t in zip(table, (syms[start : start + step] ^ shift).T):
+                x = section.take(x << n | syms_t)
             if (x != first).any():
                 return False
     return True

@@ -91,6 +91,43 @@ def test_the_k7_batch_case_decodes_the_k7_words_256_a_call_and_reads_identical_d
     assert stdout.startswith("decode-k7-batch: 4 ops a round, 1 rounds per import order\n"), stdout
 
 
+def test_the_reference_batch_case_decodes_the_reference_words_256_a_call_and_reads_identical_digests(monkeypatch):
+    """``decode-ref-batch``: the ``decode-ref-uniform`` words in order, ``BATCH`` = 256 a ``decode_tailbiting_batch``
+    call, 64 calls a round; against itself, one round, its two digests are equal."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    ab, words = _load_ab(), WORKLOADS["decode-ref-uniform"]
+    words.load()
+    case = ab.workload("decode-ref-batch")
+    ops = case.make_ops(ab.SEED, ab.OPS["decode-ref-batch"])
+    assert isinstance(case, ab.Batch) and case.wl is words
+    assert [len(op) for op in ops] == [256] * 64 and sum(ops, []) == words.make_ops(ab.SEED, 64 * 256)
+    status, stdout = _ab(ROOT, ROOT, case="decode-ref-batch", rounds=1)
+    digests = _digests(stdout)
+    assert status == 0 and digests.keys() == {"parent", "change"} and len(set(digests.values())) == 1, stdout
+    assert stdout.startswith("decode-ref-batch: 64 ops a round, 1 rounds per import order\n"), stdout
+
+
+def test_the_n12_verify_case_runs_the_reference_verify_at_n_12_and_reads_identical_digests(monkeypatch):
+    """``verify-ref-n12``: ``verify-ref-cli``'s code and trials at N = 12, five calls a round, seeded under its own
+    name; against itself, one round, its two digests are equal."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    ab, cli = _load_ab(), WORKLOADS["verify-ref-cli"]
+    case = ab.workload("verify-ref-n12")
+    case.load()
+    ops = case.make_ops(ab.SEED, ab.OPS["verify-ref-n12"])
+    assert len(ops) == 5 and ops != cli.make_ops(ab.SEED, 5)
+    assert case.prepare(ops[0]) == ["verify", "--code", cli.code_path, "-N", "12", "--seed", str(ops[0])]
+    assert (case.code.N, case.trials, case.bits_per_op) == (12, 1000, 12 * 3 * 1000)
+    status, stdout = _ab(ROOT, ROOT, case="verify-ref-n12", rounds=1)
+    digests = _digests(stdout)
+    assert status == 0 and digests.keys() == {"parent", "change"} and len(set(digests.values())) == 1, stdout
+    assert stdout.startswith("verify-ref-n12: 5 ops a round, 1 rounds per import order\n"), stdout
+
+
 def test_quartiles_of_one_and_two_rounds_lie_within_the_values():
     """One round reads its value three times.  Two rounds of 0.0542 and 0.0506 s read [0.0497, 0.0551] by the
     exclusive method, outside both values; the inclusive method reads a quarter of the way in from each."""

@@ -14,6 +14,7 @@ from oracle import coeffs_from_strings
 from test_decoder_contract import CODES, K7_STRINGS, PRUNED, low_noise_words
 
 import tbtrellis.decoder as decoder
+import tbtrellis.verify as verify
 from tbtrellis import (
     backward_syndromes,
     backward_syndromes_batch,
@@ -34,7 +35,7 @@ from tbtrellis import (
     tailbiting_syndromes_batch,
 )
 from tbtrellis.error_trellis import _search_tables
-from tbtrellis.state_machines import LinearMachine, syndrome_former
+from tbtrellis.state_machines import LinearMachine, syndrome_former, unpack
 
 
 def _code(name):
@@ -125,9 +126,9 @@ def test_decode_blocks_hold_the_block_budget_of_walks(monkeypatch):
 
 @pytest.mark.parametrize("name", ["ref", "mem2", "H0-zero"])
 def test_block_keys_equal_the_dense_product_of_the_syndromes(monkeypatch, name):
-    """At N = M..M+2m+1, the step keys a block of a code with an automaton walks equal its syndromes times the dense
-    (N x steps) matrix that puts each symbol's syndrome at its place in its step's key, plus 2^(r*m) on each single
-    symbol's step."""
+    """At N = M..M+2m+1, the step keys a block of a code with an automaton walks, (steps x words), equal the dense
+    (steps x N) matrix that puts each symbol's syndrome at its place in its step's key times the (N x words)
+    syndromes, plus 2^(r*m) on each single symbol's step."""
     G, H = _code(name)
     assert decoder._automaton(H) is not None
     sf, m, r = syndrome_former(H), _search_tables(H).m, H.rows
@@ -148,7 +149,36 @@ def test_block_keys_equal_the_dense_product_of_the_syndromes(monkeypatch, name):
         for t in range(N):
             places[t, t // m if t < cut else runs + t - cut] = 1 << r * (m - 1 - t % m) if t < cut else 1
         first = np.array([0] * runs + [1 << r * m] * (N - cut))
-        assert keys.tolist() == (sf.circular(block)[1] @ places + first).tolist(), N
+        assert keys.tolist() == (places.T @ sf.circular(block)[1].T + first[:, None]).tolist(), N
+
+
+@pytest.mark.parametrize("name", ["ref", "mem2", "H0-zero"])
+def test_every_field_of_a_decode_block_equals_the_one_word_decode(name):
+    """At N = M..M+5, on a block of 200 uniform words, in which ties are common, and on a block of one word, each
+    word's entry of every ``_Block`` field equals ``_Pair.decode`` of the word: the codeword and error symbols as
+    bits, the weight, the anchor and sigma states, and the tie flag; the tie count is the number of code subtrellises
+    whose nearest codeword lies at the word's distance from the code."""
+    G, H = _code(name)
+    pair, rng, ties = decoder._pair(G, H), np.random.default_rng(103), 0
+    assert pair.automaton is not None
+    for N in range(max(H.deg, 1), max(H.deg, 1) + 6):
+        words = rng.integers(0, 2, (200, N, H.cols))
+        _, syms, starts = verify._codeword_table(G, N)
+        for block in (words, words[:1]):
+            (out,) = decoder._blocks(pair, block)
+            results = [pair.decode(z) for z in block]
+            for field in ("codeword", "error"):
+                bits = unpack(getattr(out, field), H.cols).reshape(len(block), -1)
+                assert bits.tolist() == [list(getattr(res, field)) for res in results], (N, field)
+            assert out.weight.tolist() == [res.weight for res in results], N
+            assert [pair.betas[a] for a in out.anchor.tolist()] == [res.anchor_beta for res in results], N
+            assert [pair.tables.states[s] for s in out.sigma.tolist()] == [res.anchor_sigma for res in results], N
+            assert (out.ties > 1).tolist() == [res.tie for res in results], N
+            dists = np.bitwise_count(pair.sf.symbol_ints(block, 2)[:, None] ^ syms).sum(axis=2)
+            nearest = np.minimum.reduceat(dists, starts, axis=1)
+            assert out.ties.tolist() == (nearest == out.weight[:, None]).sum(axis=1).tolist(), N
+            ties += (out.ties > 1).sum()
+    assert ties > 100
 
 
 def test_a_two_word_block_at_n_8000_stays_within_8_mb():
@@ -313,6 +343,18 @@ def test_a_block_of_words_of_unequal_length_is_rejected(G1, H1):
     assert decode_tailbiting_batch(G1, H1, []) == []
 
 
+def test_a_block_of_no_words_gives_empty_arrays(H1):
+    """sigma_fin (0 x M*r) and the syndromes, forward and backward (0 x 0 x r), as ``decode_tailbiting_batch`` gives
+    []; a block of one empty word, and one empty word alone, still read as short."""
+    empty = sigma_fin_batch(H1, []), tailbiting_syndromes_batch(H1, []), backward_syndromes_batch(H1, [])
+    assert [(a.shape, a.dtype) for a in empty] == [((0, 2), np.uint8), ((0, 0, 2), np.uint8), ((0, 0, 2), np.uint8)]
+    for call in (sigma_fin_batch, tailbiting_syndromes_batch, backward_syndromes_batch):
+        with pytest.raises(ValueError, match=r"^need at least M=1 received symbols, got 0$"):
+            call(H1, [[]])
+    with pytest.raises(ValueError, match=r"^need at least M=1 received symbols, got 0$"):
+        sigma_fin(H1, [])
+
+
 def test_a_list_of_array_words_equals_the_array_and_tuple_blocks(G1, H1):
     """Equal-shape 0/1 words stack into one array; anything else keeps its messages."""
     words = np.random.default_rng(89).integers(0, 2, (40, 6, 3))
@@ -344,6 +386,12 @@ def test_block_steps_take_lists_of_state_and_symbol_tuples(H1):
         assert np.array_equal(a, b)
     with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}\(1, 2, 1\)$"):
         sf_step_batch(H1, [(0, 1), (1, 1)], iter([(1, 2, 1), (1, 1, 1)]))
+    # one state per symbol: one state is not broadcast over two symbols, and a bad symbol is named ahead of the lengths
+    for sigmas, es in (([(0, 1)], [(1, 1, 1), (0, 0, 1)]), ([(0, 1), (1, 1)], [(1, 1, 1), (0, 0, 1), (1, 0, 0)])):
+        with pytest.raises(ValueError, match=rf"^expected one state per symbol, got {len(sigmas)} states and {len(es)} symbols$"):
+            sf_step_batch(H1, sigmas, es)
+    with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}\(1, 2, 1\)$"):
+        sf_step_batch(H1, [(0, 1)], [(1, 2, 1), (1, 1, 1)])
 
 
 def test_block_decode_of_2000_k7_words_stays_within_8_mb():

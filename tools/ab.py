@@ -10,16 +10,19 @@ once untimed, which gives their outputs and fills the per-code caches,
 then R timed rounds; within a round the side that runs first alternates.
 A case is a perfbench workload (``perfbench/workloads.py`` of this
 checkout, read, not edited): its seeded operations, prepared and called
-as the benchmark calls them.  ``decode-k7-batch`` reads the words of
-``decode-k7-lownoise`` and hands them to ``decode_tailbiting_batch``,
-``BATCH`` words a call.  The report gives per import order both
-sides' median seconds a round with their quartiles, the median ratio
-(parent / change, above 1 when the change is faster) and how many rounds
-the change won, then one sha256 of each side's outputs (the repr of every
-call's return value, in both orders).  The exit status is 1 when the two
-digests differ.  ``--out`` also writes the report to PATH as JSON: per
-import order both sides' seconds a round and their quartiles, the median
-ratio and the change's wins, then both digests.
+as the benchmark calls them.  ``decode-k7-batch`` and
+``decode-ref-batch`` read the words of ``decode-k7-lownoise`` and
+``decode-ref-uniform`` and hand them to ``decode_tailbiting_batch``,
+``BATCH`` words a call, and ``verify-ref-n12`` is ``verify-ref-cli`` at
+N = 12 (a ``VerifyWorkload`` of its own name, so its seeds differ).  The
+report gives per import order both sides' median seconds a round with
+their quartiles, the median ratio (parent / change, above 1 when the
+change is faster) and how many rounds the change won, then one sha256 of
+each side's outputs (the repr of every call's return value, in both
+orders).  The exit status is 1 when the two digests differ.  ``--out``
+also writes the report to PATH as JSON: per import order both sides'
+seconds a round and their quartiles, the median ratio and the change's
+wins, then both digests.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 # operations a round, about 0.1 s of calls per side on a 2-core x86-64 host
-OPS = {"decode-k7-lownoise": 1000, "decode-k7-batch": 4, "decode-ref-uniform": 4000, "verify-ref-cli": 25}
+OPS = {
+    "decode-k7-lownoise": 1000,
+    "decode-k7-batch": 4,
+    "decode-ref-uniform": 4000,
+    "decode-ref-batch": 64,
+    "verify-ref-cli": 25,
+    "verify-ref-n12": 5,
+}
 SEED = 1
 # words a call of a batch case
 BATCH = 256
@@ -63,6 +73,19 @@ class Batch:
 
     def call(self, tb, spec, arg):
         return tb.decoder.decode_tailbiting_batch(spec.G, spec.H, arg)
+
+
+def workload(case):
+    """The workload of a case, from ``perfbench/workloads.py``, which must be importable: one of its own, or a case
+    built from one."""
+    from workloads import WORKLOADS, VerifyWorkload
+
+    cli = WORKLOADS["verify-ref-cli"]
+    return {
+        "decode-k7-batch": lambda: Batch(WORKLOADS["decode-k7-lownoise"]),
+        "decode-ref-batch": lambda: Batch(WORKLOADS["decode-ref-uniform"]),
+        "verify-ref-n12": lambda: VerifyWorkload(case, cli.code_path, 12, cli.trials, cli.pool, cli.min_ops, cli.trace_ops),
+    }.get(case, lambda: WORKLOADS[case])()
 
 
 def pop_package():
@@ -120,9 +143,7 @@ def main(argv=None):
         parser.error("--rounds must be at least 1")
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from workloads import WORKLOADS
-
-    wl = Batch(WORKLOADS["decode-k7-lownoise"]) if args.case == "decode-k7-batch" else WORKLOADS[args.case]
+    wl = workload(args.case)
     wl.load()
     ops = wl.make_ops(SEED, OPS[args.case])
     prepared = [wl.prepare(op) for op in ops]
