@@ -4,13 +4,16 @@ Exit codes: 0 success, 1 usage, code-spec or output-file error, a
 G/H pair whose encoder states collide on one error-subtrellis anchor
 (decode, verify), an array too large to allocate, or a size past the
 index range, 2 decoding tie (result still printed), 3 verification
-failure.
+failure, 141 standard output closed before the output is all written
+(128 + SIGPIPE, as a shell reports a writer whose reader left; nothing
+is printed to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from functools import lru_cache
 
@@ -43,6 +46,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TIE = 2
 EXIT_VERIFY_FAIL = 3
+EXIT_CLOSED = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,7 +184,14 @@ def main(argv=None):
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again on exit, which would fail the same way: point it at devnull first
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = EXIT_CLOSED
+    sys.exit(status)
 
 
 if __name__ == "__main__":

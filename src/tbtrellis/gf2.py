@@ -109,31 +109,58 @@ def mat_mul(A, B):
 
 
 def _lanes(bits):
-    """Rows of 0/1 bits packed into zero-padded uint64 lanes, byte j // 8 of a row holding bit j at 0x80 >> j % 8.
+    """Rows of 0/1 bits packed into zero-padded uint64 lanes: lane j // 64 holds bit j at bit 63 - j % 64.
 
-    Lane j // 64 holds bit j.  Read big-endian (``.view(">u8")``), bit j
-    is bit 63 - j % 64 of its lane, so a row's lanes, first lane first,
-    read as one integer with its first bit highest and zeros past its
-    end.  Read natively on a little-endian host, bit 0 is 0x80 of the
-    lane's integer, the bytes coming in reverse order, which XOR and
-    popcount do not see: two rows differ in as many bits as the XOR of
-    their lanes has set bits, at any width.
+    So a row's lanes, first lane first, read as one integer with its first
+    bit highest and zeros past its end, and two rows differ in as many
+    bits as the XOR of their lanes has set bits, at any width.
     """
-    packed = np.packbits(bits, axis=1)
-    lanes = np.zeros((len(packed), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    lanes[:, : packed.shape[1]] = packed
-    return lanes.view(np.uint64)
+    padded = np.zeros((len(bits), -(-np.shape(bits)[1] // 64) * 64), dtype=np.uint8)
+    padded[:, : np.shape(bits)[1]] = bits
+    # one packbits of the whole block: packing row by row costs more than the copy
+    return np.packbits(padded).view(">u8").astype(np.uint64).reshape(len(padded), padded.shape[1] // 64)
+
+
+def _span(rows):
+    """The sums of all 2^len(rows) subsets of ``rows``, an array of images: entry x sums the rows whose bits x sets.
+
+    The first row is the top bit's, so given each unit vector's image the
+    table is the image of every vector, in integer order.  Rows may have
+    any shape and integer dtype, which the table keeps: ``rows`` is one
+    array.  Each row, last
+    first, doubles the table in place: the entries with its bit set are
+    those without it plus the row.
+    """
+    table = np.zeros((1 << len(rows), *rows.shape[1:]), dtype=rows.dtype)
+    for i, row in enumerate(rows[::-1]):
+        np.bitwise_xor(table[: 1 << i], row, out=table[1 << i : 2 << i])
+    return table
+
+
+def _in_kernel(A, lanes):
+    """Per row of ``lanes``, a word packed by ``_lanes``: True iff the 2-D 0/1 matrix A times the word is 0 over GF(2).
+
+    By linearity the syndrome is the XOR, over the word's bytes, of the
+    syndromes of each byte alone: one ``_span`` of the columns' syndromes,
+    as lanes, tabulates all 256 values of every byte at once, and each byte
+    of the words, shifted out of its lane, is one gather of its table.
+    """
+    columns = _lanes(np.vstack([A.T, np.zeros((-A.shape[1] % 8, len(A)), dtype=np.uint8)]))  # whole bytes of columns
+    tables = _span(columns.reshape(-1, 8, columns.shape[1]).swapaxes(0, 1)).swapaxes(0, 1)  # byte q's at value v: [q, v]
+    syndrome = np.zeros((len(lanes), columns.shape[1]), dtype=np.uint64)
+    for q, table in enumerate(tables):
+        syndrome ^= table.take((lanes[:, q >> 3] >> 56 - 8 * (q & 7)).astype(np.uint8), axis=0)
+    return ~syndrome.any(axis=1)
 
 
 def _row_echelon(A):
-    """Reduced echelon form of A, a 2-D matrix read mod 2: (its pivot rows as 0/1 rows, pivot columns).
+    """Reduced echelon form of A, a 2-D matrix read mod 2: (its pivot rows as ``_lanes``, pivot columns).
 
-    The rows are reduced as ``_lanes`` read big-endian, so column c is
-    bit 63 - c % 64 of lane c // 64, and one XOR per lane adds a row to
-    every other row that holds the pivot's column.
+    Column c is bit 63 - c % 64 of lane c // 64, and one XOR per lane adds
+    a row to every other row that holds the pivot's column.
     """
     A = np.atleast_2d(_uint8(A, _MATRIX)) & 1
-    R = _lanes(A).view(">u8").astype(np.uint64)
+    R = _lanes(A)
     pivots = []
     for col in range(A.shape[1]):
         row = len(pivots)
@@ -144,7 +171,7 @@ def _row_echelon(A):
             holds[p], holds[row] = holds[row], False
             R[holds] ^= R[row]  # one XOR per lane clears the column in every other row that holds it
             pivots.append(col)
-    return np.unpackbits(R[: len(pivots)].astype(">u8").view(np.uint8), axis=1, count=A.shape[1]), pivots
+    return R[: len(pivots)], pivots
 
 
 def rank(A):
@@ -160,10 +187,11 @@ def nullspace(A):
     pivot row at free[idx].
     """
     R, pivots = _row_echelon(A)
-    free = [c for c in range(R.shape[1]) if c not in pivots]
-    basis = np.zeros((len(free), R.shape[1]), dtype=np.uint8)
+    width = np.atleast_2d(A).shape[1]
+    free = np.setdiff1d(np.arange(width), pivots)
+    basis = np.zeros((len(free), width), dtype=np.uint8)
     basis[range(len(free)), free] = 1
-    basis[:, pivots] = R[:, free].T
+    basis[:, pivots] = (R[:, free >> 6] >> (63 - (free & 63)).astype(np.uint64) & 1).T
     return basis
 
 

@@ -16,10 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2 import as_bits, format_bits, is_bit_array
-
-# words per float32 product of ``is_tailbiting_codeword_batch``
-MEMBERSHIP_BLOCK = 1 << 14
+from .gf2 import _in_kernel, _lanes, as_bits, format_bits, is_bit_array
 
 
 class ScalarParity(NamedTuple):
@@ -73,21 +70,13 @@ def is_tailbiting_codeword(P, y):
 
 
 def is_tailbiting_codeword_batch(P, words):
-    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: one product Y P^T, read mod 2.
-
-    The product is a float32 one, which numpy hands to BLAS: it is exact
-    while N*n < 2^24, since a sum counts ones of a row of N*n bits, and
-    every integer below 2^24 is a float32.  It runs over blocks of
-    ``MEMBERSHIP_BLOCK`` words, so the float copies stay small (the 2^20
-    codewords of ``verify -N 20`` take 250 MB as float32 rows) and in
-    cache.
-    """
+    """``is_tailbiting_codeword`` of each row of a (words x Nn) block: ``gf2._in_kernel`` of the rows' ``_lanes``."""
     if P.kind != "tailbiting":
         raise ValueError("membership test needs a tailbiting matrix")
     length = P.matrix.shape[1]
-    Y = words if is_bit_array(words, 2, length) else np.array([as_bits(y, length) for y in words]).reshape(-1, length)
-    checks, blocks = P.matrix.T.astype(np.float32), range(0, max(len(Y), 1), MEMBERSHIP_BLOCK)
-    return np.concatenate([~((Y[i : i + MEMBERSHIP_BLOCK] @ checks).astype(np.int32) & 1).any(axis=1) for i in blocks])
+    if not is_bit_array(words, 2, length):
+        words = np.array([as_bits(y, length) for y in words], dtype=np.uint8).reshape(-1, length)
+    return _in_kernel(P.matrix, _lanes(words))
 
 
 def format_matrix(P):

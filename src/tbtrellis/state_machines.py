@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gf2 import is_bit_array
+from .gf2 import _span, is_bit_array
 
 
 class ExtendedState(NamedTuple):
@@ -83,18 +83,6 @@ def _bit_tuples(width):
     """All width-bit tuples in ascending order, and the index of each."""
     tuples = list(product((0, 1), repeat=width))
     return tuples, dict(zip(tuples, range(len(tuples))))
-
-
-def _span(rows):
-    """Images of all 2^len(rows) bit vectors, as an array, given each unit vector's image (the first row the top bit's).
-
-    Each row, last first, doubles the table: the images with its bit set
-    are those without it plus the row.
-    """
-    table = np.zeros(1, dtype=np.intp)
-    for row in reversed(rows):
-        table = np.concatenate((table, table ^ row))
-    return table
 
 
 def _as_int(bits):
@@ -125,7 +113,7 @@ class LinearMachine:
     def __init__(self, state_rows, input_rows, out_bits, degree, pinned):
         self.degree, self.out_bits, self.out_mask = degree, out_bits, 2**out_bits - 1
         self.state_bits, self.in_bits = len(state_rows), len(input_rows)
-        self.tables = _span(state_rows), _span(input_rows)
+        self.tables = _span(np.array(state_rows, dtype=np.intp)), _span(np.array(input_rows, dtype=np.intp))
         self.from_state, self.from_input = (table.tolist() for table in self.tables)
         self.state_tuples, self._state_index = _bit_tuples(self.state_bits)
         self.pinned, self.states = pinned, [x for x in range(len(self.from_state)) if not x & pinned]
@@ -294,15 +282,12 @@ def _pack(bits, index, width, depth, what):
         raise ValueError("the words of a block differ in length") from None
 
 
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
 @lru_cache(maxsize=None)
 def _powers(width, dtype=np.intp):
     """2^(width-1) .. 2^0: the place of each bit of a width-bit vector, in ``dtype``."""
-    return _frozen((1 << np.arange(width - 1, -1, -1)).astype(dtype))
+    powers = (1 << np.arange(width - 1, -1, -1)).astype(dtype)
+    powers.flags.writeable = False
+    return powers
 
 
 def unpack(ints, width):

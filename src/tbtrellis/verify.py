@@ -1,9 +1,9 @@
 """Self-verification suites: every construction against a brute-force oracle.
 
 All suites work at desk scale (exhaustive enumeration of the 2^(Nk)
-tailbiting codewords, which ``run_all`` builds once, as circular runs of
-the encoder over blocks of all the inputs, and hands to the suites that
-need them) and are deterministic given a seed.  They back the
+tailbiting codewords, which ``run_all`` builds once, by linearity from
+the encoder's circular runs of the N*k unit inputs, and hands to the
+suites that need them) and are deterministic given a seed.  They back the
 ``verify`` CLI command; the same properties are frozen individually in
 the test suite.
 
@@ -18,18 +18,25 @@ comes first, a suite that fails early still leaves the generator past
 all of its trials, and the suites that follow see the words they would
 see after a PASS.
 
-The codebook has one form: the encoder's symbol integers, a row of N
-a codeword, in the smallest unsigned dtype that holds an n-bit symbol
-(20 MB at N = 20 on the reference code, against 63 MB of 0/1 rows).
-The zero-syndrome and set-equality suites read the integers as the
-syndrome former reads its input; hscalar-membership and decoder-oracle
-unpack them to 0/1 rows block by block (``_unpacked``, 16,384 rows a
-block), never the whole table at once.
+The codebook has two forms, row for row: the encoder's symbol integers,
+a row of N a codeword, in the smallest unsigned dtype that holds an
+n-bit symbol (20 MB at N = 20 on the reference code), and the same
+codewords as ``gf2._lanes`` (8 MB there), the one packed form of a 0/1
+row.  Both are spanned (``gf2._span``) from the units' runs, as are the
+anchors, so no codeword is encoded or unpacked on its own.  The
+zero-syndrome and set-equality suites read the integers as the syndrome
+former reads its input; hscalar-membership and decoder-oracle read the
+lanes.  As the span reads only the unit inputs' runs, ``run_all`` also
+runs the encoder over a probe block of inputs that meets every state
+under every input symbol, and the zero-syndrome suite fails unless the
+codebook holds those runs.
 
 The superposition, eta-zeta and hscalar-membership suites hand all of
-their trials to one call of the ``_batch`` kernel under test and compare
-whole arrays.  hscalar-membership proves ker H_scalar = the codebook:
-every codeword lies in the kernel (containment), and the number of
+their trials to one call of the kernel under test and compare whole
+arrays.  hscalar-membership proves ker H_scalar = the codebook: every
+codeword's lanes lie in the kernel (``gf2._in_kernel``, the kernel of
+``is_tailbiting_codeword_batch``: XORed syndromes of the words' bytes,
+exact at any width; containment), and the number of
 distinct codewords, the rows over the repeats of the zero codeword,
 equals 2^(N*n - rank H_scalar), the size of the kernel (count).  Its
 random words then need only agree between the matrix and the syndrome
@@ -45,8 +52,8 @@ the exhaustive codeword table in one fused pass per distance block of
 trials, as many as keep trials x codewords x lanes, the entries of the
 XOR buffer, within ``DISTANCE_BLOCK``: on the reference code 1,024
 trials at N = 5, so its 1,000 default trials are one block, eight at
-N = 12 and one from N = 15 on.  Words and codewords are packed into
-``gf2._lanes``, and one XOR into a reused uint64 buffer and one popcount
+N = 12 and one from N = 15 on.  The words are packed into
+``gf2._lanes`` like the codebook's, and one XOR into a reused uint64 buffer and one popcount
 into a reused uint8 buffer give every distance of a block at any width
 (``_distances``; past one lane the lanes sum as uint16).  Per trial,
 ``_nearest`` takes the least distance and the first and last nearest
@@ -56,8 +63,8 @@ anchor by anchor, so the nearest codewords lie in more than one code
 subtrellis exactly when ``searchsorted`` on the anchors' first rows puts
 the first and the last under different anchors; ``tie`` must hold
 exactly there.
-The codebook and the zero-syndrome suite run their machine circularly
-over blocks of as many words as hold ``DISTANCE_BLOCK`` symbols (all 32
+The zero-syndrome suite runs the syndrome former circularly over blocks
+of as many codewords as hold ``DISTANCE_BLOCK`` symbols (all 32
 codewords of the reference code at N = 5 in one block call).  The
 subtrellis-set-equality suite builds each drawn word's sigma_fin, error
 trellis and error anchors by the constructions under test, a word at a
@@ -92,8 +99,8 @@ from .error_trellis import (
     sigma_fin,
     tailbiting_syndromes_batch,
 )
-from .gf2 import _lanes, rank
-from .scalar_parity import MEMBERSHIP_BLOCK, hscalar_tailbiting, is_tailbiting_codeword_batch
+from .gf2 import _in_kernel, _lanes, _span, rank
+from .scalar_parity import hscalar_tailbiting
 from .state_machines import dual_state_of, encoder, sf_step_batch, syndrome_former, unpack
 
 EXHAUSTIVE_BITS = 20
@@ -111,37 +118,33 @@ def _bits(rng, trials, width):
 
 
 def _codeword_table(G, N):
-    """All 2^(N*k) tailbiting codewords, sorted by anchor: (anchor states, symbol integers, first row per anchor).
+    """All 2^(N*k) tailbiting codewords, sorted by anchor: (anchor states, symbol integers, first row per anchor, lanes,
+    encoded).
 
     Row i holds one codeword's N output symbols as the encoder emits them,
-    in the smallest unsigned dtype that holds an n-bit symbol.  The
-    encoder's circular run takes the inputs in ascending order, in blocks
-    of as many as hold ``DISTANCE_BLOCK`` symbols; a stable sort by anchor
-    keeps each anchor's rows in input order.
+    in the smallest unsigned dtype that holds an n-bit symbol, and row i
+    of the lanes the same codeword as ``gf2._lanes``.  The encoder's
+    circular run is linear in its input, so ``_span`` of its runs of the
+    N*k unit inputs gives the circular state, the symbols and the lanes
+    of every input x at entry x (the first symbol's top bit highest): each
+    is spanned and put in order by one stable sort by anchor in turn, so
+    an anchor's rows keep input order.  The same ``enc.circular`` call runs
+    the probe block: the inputs whose nonzero symbols lie among the last
+    min(N, L + 1), so that from N = L + 1 on the last step meets every
+    state under every input symbol.  ``encoded`` holds iff the spans hold
+    those runs.
     """
-    enc, k, size, step = encoder(G), G.rows, 2 ** (N * G.rows), max(1, DISTANCE_BLOCK // N)
-    fin, syms = np.empty(size, dtype=np.intp), np.empty((size, N), dtype=np.min_scalar_type(enc.out_mask))
-    for start in range(0, size, step):
-        inputs = np.arange(start, min(start + step, size))[:, None] >> k * np.arange(N - 1, -1, -1)
-        fin[start : start + len(inputs)], syms[start : start + len(inputs)] = enc.circular(inputs & (1 << k) - 1)
-    counts = np.bincount(fin, minlength=len(enc.state_tuples))
-    anchors = np.flatnonzero(counts)
-    starts = (counts.cumsum() - counts)[anchors]
-    return [enc.state_tuples[a] for a in anchors], syms[fin.argsort(kind="stable")], starts
-
-
-def _unpacked(syms, n):
-    """The rows of ``syms`` as flat 0/1 rows of N*n bits, in blocks of ``MEMBERSHIP_BLOCK``: (first row, block) pairs.
-
-    A block is one float32 product of ``is_tailbiting_codeword_batch``.
-    Blocks of as many rows as hold ``DISTANCE_BLOCK`` symbols would make N
-    times as many, smaller products, each handed to BLAS's threads: on the
-    reference code at N = 20, with the other core of a 2-core x86-64 box
-    busy, containment then took up to 8.5 s, against at most 1.2 s in
-    these blocks.
-    """
-    for start in range(0, len(syms), MEMBERSHIP_BLOCK):
-        yield start, unpack(syms[start : start + MEMBERSHIP_BLOCK], n).reshape(-1, syms.shape[1] * n)
+    enc, k, units = encoder(G), G.rows, N * G.rows
+    states, probes = len(enc.state_tuples), np.arange(1 << k * min(N, G.deg + 1))
+    inputs = np.concatenate([1 << np.arange(units - 1, -1, -1), probes])
+    fins, outs = enc.circular(inputs[:, None] >> k * np.arange(N - 1, -1, -1) & (1 << k) - 1)
+    fin = _span(fins[:units].astype(np.min_scalar_type(states - 1)))
+    syms = _span(outs[:units].astype(np.min_scalar_type(enc.out_mask)))
+    encoded = (fin[probes] == fins[units:]).all() and (syms[probes] == outs[units:]).all()
+    order, counts = fin.argsort(kind="stable"), np.bincount(fin, minlength=states)
+    syms, anchors = syms[order], np.flatnonzero(counts)
+    lanes = _span(_lanes(unpack(outs[:units], G.cols).reshape(units, -1)))[order]
+    return [enc.state_tuples[a] for a in anchors], syms, (counts.cumsum() - counts)[anchors], lanes, bool(encoded)
 
 
 def suite_superposition(H, rng, trials=1000):
@@ -250,25 +253,23 @@ def suite_eta_zeta(H, N, rng, trials=1000):
     return bool((direct == tailbiting_syndromes_batch(H, words)[:, order]).all())
 
 
-def suite_hscalar_membership(H, N, syms, rng, trials=1000):
+def suite_hscalar_membership(H, N, lanes, rng, trials=1000):
     """ker H_scalar == exhaustive codeword set, and matrix membership == zero syndrome sequence.
 
-    Containment: every codeword, unpacked to 0/1 rows block by block, lies
-    in the kernel.  Count: the number of distinct codewords, len(syms)
-    over the number of all-zero rows (the encoder's run is linear, so
-    every codeword repeats as often as the zero codeword), must equal
-    2^(N*n - rank H_scalar), the size of the kernel.  Containment and
-    equal size give kernel = code, so the random words need only agree
-    between the matrix and the syndromes.
+    Containment: every codeword's lanes lie in the kernel.  Count: the
+    number of distinct codewords, len(lanes) over the number of all-zero
+    rows (the encoder's run is linear, so every codeword repeats as often
+    as the zero codeword), must equal 2^(N*n - rank H_scalar), the size of
+    the kernel.  Containment and equal size give kernel = code, so the
+    random words need only agree between the matrix and the syndromes.
     """
     n, P = H.cols, hscalar_tailbiting(H, N)
     words = _bits(rng, trials, N * n)
-    if not all(is_tailbiting_codeword_batch(P, rows).all() for _, rows in _unpacked(syms, n)):
-        return False
-    if len(syms) // np.count_nonzero(~syms.any(axis=1)) != 2 ** (N * n - rank(P.matrix)):
+    distinct = len(lanes) // np.count_nonzero(~lanes.any(axis=1))
+    if not _in_kernel(P.matrix, lanes).all() or distinct != 2 ** (N * n - rank(P.matrix)):
         return False
     zero_syndrome = ~tailbiting_syndromes_batch(H, words.reshape(trials, N, n)).any(axis=(1, 2))
-    return bool((is_tailbiting_codeword_batch(P, words) == zero_syndrome).all())
+    return bool((_in_kernel(P.matrix, _lanes(words)) == zero_syndrome).all())
 
 
 def _distances(words, table, xor, count):
@@ -305,25 +306,22 @@ def _nearest(dists, starts):
     return best, first, first == last, starts.searchsorted(first, "right") != starts.searchsorted(last, "right")
 
 
-def suite_decoder_oracle(G, H, N, syms, starts, rng, trials=1000):
+def suite_decoder_oracle(G, H, N, syms, starts, lanes, rng, trials=1000):
     """Decoder weight equals the exhaustive minimum distance, every time.
 
     Where the nearest codeword is unique, the decoder returns it, as
     symbol integers like ``syms``.  ``tie`` holds exactly where the
     nearest codewords lie in more than one code subtrellis: ``syms`` holds
     the codewords anchor by anchor, each anchor's rows from its entry of
-    ``starts`` on.  The codewords' lanes are packed block by block from
-    their unpacked rows into one table, and each distance block of trials
-    is one ``_distances`` and one ``_nearest``.
+    ``starts`` on, and ``lanes`` holds the same rows packed.  Each
+    distance block of trials is one ``_distances`` and one ``_nearest``.
     """
     n = H.cols
     words = _bits(rng, trials, N * n)
     if not trials:
         return True
     weight, codeword, tie = _decode_arrays(G, H, words.reshape(trials, N, n))
-    table, lanes = np.empty((len(syms), -(-N * n // 64)), dtype=np.uint64), _lanes(words)
-    for start, rows in _unpacked(syms, n):
-        table[start : start + len(rows)] = _lanes(rows)
+    table, lanes = lanes, _lanes(words)
     per_block = min(trials, max(1, DISTANCE_BLOCK // table.size))
     xor, count = (np.empty(per_block * table.size, dtype=dtype) for dtype in (np.uint64, np.uint8))
     for start in range(0, trials, per_block):
@@ -341,7 +339,10 @@ def run_all(G, H, N, seed=1, trials=1000):
     The pair is checked before any suite runs, by its decoder record
     (``decoder._pair``): as a spec load checks it, and for encoder states
     that map onto one anchor.  So is ``trials``: at most ``MAX_TRIALS``,
-    since each randomized suite draws all of its trials at once.
+    since each randomized suite draws all of its trials at once.  The
+    codebook is spanned from the encoder's runs of the unit inputs alone,
+    so zero-syndrome also fails where the encoder's own runs of the probe
+    block differ from it (``_codeword_table``'s ``encoded``).
     """
     _pair(G, H)
     if N < 1:
@@ -357,12 +358,12 @@ def run_all(G, H, N, seed=1, trials=1000):
     if N * G.rows > EXHAUSTIVE_BITS:
         raise ValueError(f"N*k = {N * G.rows} exceeds the exhaustive bound {EXHAUSTIVE_BITS}")
     rng = random.Random(seed)
-    anchors, syms, starts = _codeword_table(G, N)
+    anchors, syms, starts, lanes, encoded = _codeword_table(G, N)
     return [
         ("superposition", suite_superposition(H, rng, trials)),
-        ("zero-syndrome-traversal", suite_zero_syndrome(G, H, anchors, syms, starts)),
+        ("zero-syndrome-traversal", encoded and suite_zero_syndrome(G, H, anchors, syms, starts)),
         ("subtrellis-set-equality", suite_set_equality(G, H, N, anchors, syms, starts, rng)),
         ("eta-zeta-correspondence", suite_eta_zeta(H, N, rng, trials)),
-        ("hscalar-membership", suite_hscalar_membership(H, N, syms, rng, trials)),
-        ("decoder-oracle", suite_decoder_oracle(G, H, N, syms, starts, rng, trials)),
+        ("hscalar-membership", suite_hscalar_membership(H, N, lanes, rng, trials)),
+        ("decoder-oracle", suite_decoder_oracle(G, H, N, syms, starts, lanes, rng, trials)),
     ]

@@ -113,6 +113,11 @@ def row_echelon(A):
     return R, pivots
 
 
+def syndromes(matrix, words):
+    """Each 0/1 word's syndrome under a 0/1 check matrix: the int64 product words @ matrix^T, mod 2."""
+    return np.asarray(words, dtype=np.int64) @ np.asarray(matrix, dtype=np.int64).T % 2
+
+
 def echelon_nullspace(A):
     """Null space basis of A read from ``row_echelon``: one row per free column, pivot entries by back-substitution."""
     R, pivots = row_echelon(A)

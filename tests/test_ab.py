@@ -109,23 +109,33 @@ def test_the_reference_batch_case_decodes_the_reference_words_256_a_call_and_rea
     assert stdout.startswith("decode-ref-batch: 64 ops a round, 1 rounds per import order\n"), stdout
 
 
-def test_the_n12_verify_case_runs_the_reference_verify_at_n_12_and_reads_identical_digests(monkeypatch):
-    """``verify-ref-n12``: ``verify-ref-cli``'s code and trials at N = 12, five calls a round, seeded under its own
+def _check_verify_case(monkeypatch, N, count):
+    """``verify-ref-n<N>``: ``verify-ref-cli``'s code and trials at N, ``count`` calls a round, seeded under its own
     name; against itself, one round, its two digests are equal."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     from workloads import WORKLOADS
 
-    ab, cli = _load_ab(), WORKLOADS["verify-ref-cli"]
-    case = ab.workload("verify-ref-n12")
+    name, ab, cli = f"verify-ref-n{N}", _load_ab(), WORKLOADS["verify-ref-cli"]
+    case = ab.workload(name)
     case.load()
-    ops = case.make_ops(ab.SEED, ab.OPS["verify-ref-n12"])
-    assert len(ops) == 5 and ops != cli.make_ops(ab.SEED, 5)
-    assert case.prepare(ops[0]) == ["verify", "--code", cli.code_path, "-N", "12", "--seed", str(ops[0])]
-    assert (case.code.N, case.trials, case.bits_per_op) == (12, 1000, 12 * 3 * 1000)
-    status, stdout = _ab(ROOT, ROOT, case="verify-ref-n12", rounds=1)
+    ops = case.make_ops(ab.SEED, ab.OPS[name])
+    assert len(ops) == count and ops != cli.make_ops(ab.SEED, count)
+    assert case.prepare(ops[0]) == ["verify", "--code", cli.code_path, "-N", str(N), "--seed", str(ops[0])]
+    assert (case.code.N, case.trials, case.bits_per_op) == (N, 1000, N * 3 * 1000)
+    status, stdout = _ab(ROOT, ROOT, case=name, rounds=1)
     digests = _digests(stdout)
     assert status == 0 and digests.keys() == {"parent", "change"} and len(set(digests.values())) == 1, stdout
-    assert stdout.startswith("verify-ref-n12: 5 ops a round, 1 rounds per import order\n"), stdout
+    assert stdout.startswith(f"{name}: {count} ops a round, 1 rounds per import order\n"), stdout
+
+
+def test_the_n12_verify_case_runs_the_reference_verify_at_n_12_and_reads_identical_digests(monkeypatch):
+    """Five calls a round."""
+    _check_verify_case(monkeypatch, 12, 5)
+
+
+def test_the_n16_verify_case_runs_the_reference_verify_at_n_16_and_reads_identical_digests(monkeypatch):
+    """2^16 codewords, one call a round: the in-process run of the codebook's span and the membership kernel."""
+    _check_verify_case(monkeypatch, 16, 1)
 
 
 def test_quartiles_of_one_and_two_rounds_lie_within_the_values():

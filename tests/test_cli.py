@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from tbtrellis import verify
-from tbtrellis.cli import build_parser, main
+from tbtrellis.cli import EXIT_CLOSED, build_parser, main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
 from test_verify import EXPECTED_SUITES, G_RATE_5, H_RATE_5
@@ -451,3 +451,17 @@ def test_the_cli_import_puts_verify_in_sys_modules_and_its_first_read_loads_it()
     code = "import tbtrellis, tbtrellis.cli\nprint(sys.modules['tbtrellis.verify'].MAX_TRIALS, tbtrellis.verify is tbtrellis.cli.verify)"
     stdout, _, opened = _start(code)
     assert stdout == f"{verify.MAX_TRIALS} True\n" and opened
+
+
+@pytest.mark.parametrize("argv", [["hscalar", "-N", "200"], ["code-trellis", "-N", "2000"]], ids=["hscalar", "code-trellis"])
+def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_141_and_no_stderr(argv):
+    """Both outputs are far past a pipe's buffer, so the process is still writing when the reader closes its end after
+    10 bytes: no traceback, and no "Exception ignored" from the interpreter's last flush."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    command = [sys.executable, "-m", "tbtrellis", argv[0], "--code", EXAMPLE, *argv[1:]]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        status = proc.wait(timeout=120)
+    assert (status, stderr) == (EXIT_CLOSED, b"") and EXIT_CLOSED == 141

@@ -15,10 +15,9 @@ from tbtrellis import (
     sf_state_space,
     tailbiting_syndromes,
 )
-from tbtrellis import scalar_parity
 from tbtrellis.scalar_parity import ScalarParity, is_tailbiting_codeword_batch
 
-from oracle import all_tailbiting, bitset_rank, flat, term_encode
+from oracle import all_tailbiting, bitset_rank, flat, syndromes, term_encode
 
 
 def test_terminated_single_section_stacks_coefficients(H1):
@@ -226,23 +225,20 @@ def test_scalar_matrices_are_read_only_uint8(H1, H2, build):
             P[0, 0] = 1
 
 
-def test_float32_membership_equals_the_uint8_product(monkeypatch, H1):
-    """The reference code at N = 100 (300-bit words), and one dense check row whose sums reach 300 > 255.
-
-    Words are codewords, seeded draws and the all-ones word; blocks of 7
-    words split the product, and a block of no words gives no answers.
-    """
-    rng = np.random.default_rng(71)
-    P = hscalar_tailbiting(H1, 100)
-    basis = nullspace(P.matrix)
+@pytest.mark.parametrize("width", [63, 64, 65, 128, 300])
+def test_membership_equals_a_mod_2_integer_product(width):
+    """Seeded check matrices and words of one to five lanes, with codewords drawn from the null space, the all-ones word,
+    and the dense all-ones check row, whose sums reach the width (past 255 at 300): the lane kernel's answer is the oracle's int64 product mod 2
+    being zero.  A block of no words gives no answers."""
+    rng = np.random.default_rng(width)
+    matrix = rng.integers(0, 2, (width // 3, width), dtype=np.uint8)
+    basis = nullspace(matrix)
     codewords = rng.integers(0, 2, (40, len(basis))).astype(np.uint8) @ basis & 1
-    words = np.vstack([codewords, rng.integers(0, 2, (60, 300)), np.ones((1, 300))]).astype(np.uint8)
-    dense = ScalarParity(np.ones((1, 300), dtype=np.uint8), "tailbiting", 100, (1, 3))
-    assert (words.astype(int) @ dense.matrix.T).max() == 300
-    for block in (scalar_parity.MEMBERSHIP_BLOCK, 7):
-        monkeypatch.setattr(scalar_parity, "MEMBERSHIP_BLOCK", block)
-        assert is_tailbiting_codeword_batch(P, codewords).all()
-        for Q in (P, dense):
-            uint8 = ~((words @ Q.matrix.T) & 1).any(axis=1)
-            assert (is_tailbiting_codeword_batch(Q, words) == uint8).all()
-            assert is_tailbiting_codeword_batch(Q, words[:0]).shape == (0,)
+    words = np.vstack([codewords, rng.integers(0, 2, (60, width)), np.ones((1, width))]).astype(np.uint8)
+    for check in (matrix, np.ones((1, width), dtype=np.uint8)):
+        P = ScalarParity(check, "tailbiting", width, (len(check), 1))
+        members = is_tailbiting_codeword_batch(P, words)
+        assert members.dtype == bool and members.tolist() == (~syndromes(check, words).any(axis=1)).tolist()
+        assert is_tailbiting_codeword_batch(P, words[:0]).shape == (0,)
+    assert is_tailbiting_codeword_batch(ScalarParity(matrix, "tailbiting", width, (len(matrix), 1)), codewords).all()
+    assert (words.astype(int) @ np.ones(width, dtype=int)).max() == width

@@ -1,11 +1,12 @@
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import G1_STRINGS, G2_STRINGS
 from oracle import all_tailbiting, coeffs_from_strings, row_echelon, set_equality_by_enumeration
 from oracle import flat as flat_bits
-from test_decoder_contract import CODES
+from test_decoder_contract import CODES, K7_STRINGS
 from test_state_machines import G_K2_STRINGS
 
 from tbtrellis import (
@@ -15,14 +16,17 @@ from tbtrellis import (
     enc_state_space,
     error_anchor,
     gf2,
+    is_tailbiting_codeword_batch,
     poly_from_strings,
     sigma_fin,
     verify,
 )
+from tbtrellis.cli import main
 from tbtrellis.codespec import CodeSpecError
 from tbtrellis.state_machines import LinearMachine, encoder, unpack
 
 
+EXAMPLE = str(Path(__file__).resolve().parents[1] / "demos" / "example_code.json")
 EXPECTED_SUITES = [
     "superposition",
     "zero-syndrome-traversal",
@@ -88,14 +92,14 @@ def test_a_codeword_with_bit_64_flipped_is_not_in_the_codeword_set():
     """The membership suite run on two words, a codeword and the codeword with bit 64 flipped: the matrix holds the
     first and not the second, as the codeword set and the syndromes do, and the suite passes."""
     G, H = poly_from_strings(G_RATE_5), poly_from_strings(H_RATE_5_BASIC)
-    syms = verify._codeword_table(G, 13)[1]
+    _, syms, _, lanes, _ = verify._codeword_table(G, 13)
     rows = _rows(syms, 5)
     codeword = rows[rows.sum(axis=1).argmax()]
     words = np.array([codeword, codeword ^ (np.arange(65) == 64)])
     assert [(rows == word).all(axis=1).any() for word in words] == [True, False]
     P = verify.hscalar_tailbiting(H, 13)
-    assert verify.is_tailbiting_codeword_batch(P, words).tolist() == [True, False]
-    assert verify.suite_hscalar_membership(H, 13, syms, _Draw(words), trials=2)
+    assert is_tailbiting_codeword_batch(P, words).tolist() == [True, False]
+    assert verify.suite_hscalar_membership(H, 13, lanes, _Draw(words), trials=2)
 
 
 def test_all_suites_pass_on_the_16_state_code(monkeypatch):
@@ -219,11 +223,11 @@ def _flipping_backward_syndromes_batch(real):
     return backward_syndromes_batch
 
 
-def _negating_membership_batch(real):
-    def is_tailbiting_codeword_batch(P, words):
-        return real(P, words) != (np.asarray(words) == (0,) * 15).all(axis=1)
+def _negating_membership_of_zero(real):
+    def _in_kernel(A, lanes):
+        return real(A, lanes) != ~lanes.any(axis=1)
 
-    return is_tailbiting_codeword_batch
+    return _in_kernel
 
 
 def _overweight_decoder_arrays(real):
@@ -241,7 +245,7 @@ def _overweight_decoder_arrays(real):
         ("dual_state_of", _wrong_dual_state, "zero-syndrome-traversal"),
         ("build_tailbiting_error_trellis", _dropping_an_edge, "subtrellis-set-equality"),
         ("backward_syndromes_batch", _flipping_backward_syndromes_batch, "eta-zeta-correspondence"),
-        ("is_tailbiting_codeword_batch", _negating_membership_batch, "hscalar-membership"),
+        ("_in_kernel", _negating_membership_of_zero, "hscalar-membership"),
         ("_decode_arrays", _overweight_decoder_arrays, "decoder-oracle"),
     ],
 )
@@ -265,7 +269,7 @@ def test_hscalar_membership_counts_a_kernel_twice_the_codebook(monkeypatch, G1, 
     Few random words fall in the extra half, so only the count fails the suite at every seed."""
     P = _dropping_a_check_row(verify.hscalar_tailbiting)(H1, 5)
     assert 2 ** (15 - len(row_echelon(P.matrix)[1])) == 2 * 2**5
-    assert verify.is_tailbiting_codeword_batch(P, _rows(verify._codeword_table(G1, 5)[1], 3)).all()
+    assert is_tailbiting_codeword_batch(P, _rows(verify._codeword_table(G1, 5)[1], 3)).all()
     monkeypatch.setattr(verify, "hscalar_tailbiting", _dropping_a_check_row(verify.hscalar_tailbiting))
     results = dict(verify.run_all(G1, H1, 5, seed=seed, trials=200))
     assert results == {s: s != "hscalar-membership" for s in EXPECTED_SUITES}
@@ -350,7 +354,7 @@ def test_nearest_equals_the_definitions_it_replaces(monkeypatch, G1, H1, N):
     reading: the least distance, the argmin, a mask row summing to 1 (unique), and more than one anchor's rows holding
     a nearest codeword by ``logical_or.reduceat`` over ``starts`` (tie).  Uniform words tie often, so both readings
     of tie occur; both budgets give the same decisions, and the suite passes."""
-    _, syms, starts = verify._codeword_table(G1, N)
+    _, syms, starts, lanes, _ = verify._codeword_table(G1, N)
     decided = {}
     for budget in (verify.DISTANCE_BLOCK, 1):
         calls, real = [], verify._nearest
@@ -363,7 +367,7 @@ def test_nearest_equals_the_definitions_it_replaces(monkeypatch, G1, H1, N):
         with monkeypatch.context() as m:
             m.setattr(verify, "DISTANCE_BLOCK", budget)
             m.setattr(verify, "_nearest", recording)
-            assert verify.suite_decoder_oracle(G1, H1, N, syms, starts, random.Random(N), trials=300)
+            assert verify.suite_decoder_oracle(G1, H1, N, syms, starts, lanes, random.Random(N), trials=300)
         for dists, (best, first, unique, tie) in calls:
             nearest = dists == dists.min(axis=1, keepdims=True)
             assert (best == dists.min(axis=1)).all() and (first == dists.argmin(axis=1)).all()
@@ -422,7 +426,7 @@ def _words(block):
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
-    names = ["sf_step_batch", "backward_syndromes_batch", "is_tailbiting_codeword_batch", "_decode_arrays"]
+    names = ["sf_step_batch", "backward_syndromes_batch", "_in_kernel", "_decode_arrays"]
     trials, N = 50, 5
     results, calls = _recorded_calls(monkeypatch, names, G1, H1, N, seed, trials)
     assert all(ok for _, ok in results)
@@ -434,10 +438,10 @@ def test_suites_see_the_words_of_a_per_field_draw(monkeypatch, G1, H1, seed):
     assert [row for trial in zip(*thirds) for row in trial] == steps
     ((H, words),) = calls["backward_syndromes_batch"]
     assert [(H, word) for word in _words(words)] == backward
-    # the suite first checks the 2^N codewords, then the random words
-    (_, codewords), (_, words) = calls["is_tailbiting_codeword_batch"]
+    # the suite first checks the 2^N codewords' lanes, then the random words'
+    (_, codewords), (_, words) = calls["_in_kernel"]
     assert len(codewords) == 2**N
-    assert [tuple(y) for y in words.tolist()] == membership
+    assert (words == gf2._lanes(np.array(membership, dtype=np.uint8))).all()
     blocks = calls["_decode_arrays"]
     assert [(G, H, z) for G, H, block in blocks for z in _words(block)] == [(G1, H1, z) for z in decoded]
     # one decode call of all trials
@@ -474,7 +478,7 @@ def test_set_equality_agrees_with_enumeration(monkeypatch, g, h, N):
     while the suite's path count exceeds the codewords and fails.
     """
     G, H = poly_from_strings(g), poly_from_strings(h)
-    table = verify._codeword_table(G, N)
+    table = verify._codeword_table(G, N)[:3]
     anchors, syms, starts = table
     for word in np.random.default_rng(N).integers(0, 2, (2, N * H.cols)).astype(np.uint8):
         z = word.reshape(N, H.cols)
@@ -557,32 +561,28 @@ def test_run_all_rejects_a_pair_before_any_suite_kernel(monkeypatch, G1):
     assert calls == []
 
 
-def test_run_all_encodes_each_codeword_once(monkeypatch, G1, H1):
-    """One ``run_all`` builds its codebook once, from encoder runs over all 2^(N*k) inputs, each once and in order."""
+def test_run_all_spans_its_codebook_from_one_encoder_run(monkeypatch, G1, H1):
+    """One ``run_all`` builds its codebook once, from one circular run of the encoder over the N*k unit inputs, first
+    symbol's top bit first, and then the probe block: the inputs whose nonzero symbols lie among the last L + 1."""
     N, enc = 5, encoder(G1)
     real_run, real_table = LinearMachine.circular, verify._codeword_table
-    # a block of inputs holds as many as hold DISTANCE_BLOCK symbols
-    for budget, sizes in ((verify.DISTANCE_BLOCK, [32]), (25, [5] * 6 + [2])):
-        runs, tables = [], []
+    runs, tables = [], []
 
-        def recording_run(self, E, _runs=runs):
-            if self is enc:
-                _runs.append(E)
-            return real_run(self, E)
+    def recording_run(self, E):
+        if self is enc:
+            runs.append(E)
+        return real_run(self, E)
 
-        def counting_table(*args, _tables=tables):
-            _tables.append(args)
-            return real_table(*args)
+    def counting_table(*args):
+        tables.append(args)
+        return real_table(*args)
 
-        with monkeypatch.context() as m:
-            m.setattr(verify, "DISTANCE_BLOCK", budget)
-            m.setattr(LinearMachine, "circular", recording_run)
-            m.setattr(verify, "_codeword_table", counting_table)
-            assert all(ok for _, ok in verify.run_all(G1, H1, N, seed=1, trials=20))
-        assert tables == [(G1, N)]
-        assert [len(E) for E in runs] == sizes
-        inputs = np.concatenate(runs) @ (1 << G1.rows * np.arange(N - 1, -1, -1))
-        assert inputs.tolist() == list(range(2 ** (N * G1.rows)))
+    monkeypatch.setattr(LinearMachine, "circular", recording_run)
+    monkeypatch.setattr(verify, "_codeword_table", counting_table)
+    assert all(ok for _, ok in verify.run_all(G1, H1, N, seed=1, trials=20))
+    assert tables == [(G1, N)] and len(runs) == 1
+    inputs = runs[0] @ (1 << G1.rows * np.arange(N - 1, -1, -1))
+    assert inputs.tolist() == [1 << b for b in range(N - 1, -1, -1)] + list(range(8))
 
 
 CODEBOOKS = {
@@ -598,25 +598,65 @@ CODEBOOKS = {
     "strings, N",
     [pytest.param(g, N, id=f"{name}-N{N}") for name, (g, lengths) in CODEBOOKS.items() for N in lengths],
 )
-def test_codeword_table_equals_the_oracle_anchor_by_anchor(monkeypatch, strings, N):
+def test_codeword_table_equals_the_oracle_anchor_by_anchor(strings, N):
     """Each anchor's rows, from its entry of ``starts`` on, are the circular convolutions anchored there (N < L wraps),
-    as symbol integers, one byte a symbol of these codes."""
+    as symbol integers, one byte a symbol of these codes, and as the lanes of their bits."""
     G = poly_from_strings(strings)
-    anchors, syms, starts = verify._codeword_table(G, N)
+    anchors, syms, starts, lanes, encoded = verify._codeword_table(G, N)
     want = all_tailbiting(coeffs_from_strings(strings), N, G.rows, G.deg)[0]
-    assert syms.shape == (2 ** (N * G.rows), N) and syms.dtype == np.uint8
+    assert syms.shape == (2 ** (N * G.rows), N) and syms.dtype == np.uint8 and encoded
     assert starts[0] == 0 and (np.diff(starts) > 0).all()
     assert sorted(anchors) == sorted(want)
     for beta, rows in zip(anchors, np.split(_rows(syms, G.cols), starts[1:])):
         assert sorted(map(tuple, rows.tolist())) == sorted(map(flat_bits, want[beta]))
-    # the inputs run in blocks of any size give the same table, and so do its unpacked blocks
-    monkeypatch.setattr(verify, "DISTANCE_BLOCK", 3)
-    small = verify._codeword_table(G, N)
-    assert small[0] == anchors and (small[1] == syms).all() and (small[2] == starts).all()
-    monkeypatch.setattr(verify, "MEMBERSHIP_BLOCK", 3)
-    blocks = list(verify._unpacked(syms, G.cols))
-    assert [start for start, _ in blocks] == list(range(0, len(syms), 3))
-    assert (np.concatenate([rows for _, rows in blocks]) == _rows(syms, G.cols)).all()
+    assert lanes.dtype == np.uint64 and (lanes == gf2._lanes(_rows(syms, G.cols))).all()
+
+
+def _encoder_run_table(G, N):
+    """The codebook as the encoder's circular runs of every input, in ascending order, stably sorted by anchor:
+    (anchor states, symbol integers, first row per anchor)."""
+    enc, k = encoder(G), G.rows
+    fin, syms = enc.circular(np.arange(2 ** (N * k))[:, None] >> k * np.arange(N - 1, -1, -1) & (1 << k) - 1)
+    counts = np.bincount(fin, minlength=len(enc.state_tuples))
+    anchors = np.flatnonzero(counts)
+    return [enc.state_tuples[a] for a in anchors], syms[fin.argsort(kind="stable")], (counts.cumsum() - counts)[anchors]
+
+
+SPANNED = (
+    [pytest.param(g, N, id=f"{name}-N{N}") for name, (g, lengths) in CODEBOOKS.items() for N in lengths]
+    + [pytest.param(K7_STRINGS[0], N, id=f"k7-N{N}") for N in range(1, 9)]
+    + [pytest.param(CODES[name][0][0], N, id=f"{name}-N{N}") for name in ("16-state", "H0-zero") for N in (1, 2, 5)]
+    + [pytest.param(G_RATE_5, 13, id="rate-5-N13")]
+)
+
+
+@pytest.mark.parametrize("strings, N", SPANNED)
+def test_the_spanned_codebook_equals_the_encoder_runs_row_for_row(strings, N):
+    """The table spanned from the unit inputs' runs equals the encoder's runs of all 2^(N*k) inputs, stably sorted by
+    anchor, row for row: anchors, starts, symbols in the smallest dtype of an n-bit symbol, and lanes; the encoder's
+    runs of the probe block agree with it."""
+    G = poly_from_strings(strings)
+    anchors, syms, starts, lanes, encoded = verify._codeword_table(G, N)
+    want_anchors, want_syms, want_starts = _encoder_run_table(G, N)
+    assert encoded and anchors == want_anchors and starts.tolist() == want_starts.tolist()
+    assert syms.dtype == np.min_scalar_type(2**G.cols - 1) and (syms == want_syms).all()
+    assert (lanes == gf2._lanes(_rows(want_syms, G.cols))).all()
+
+
+def test_an_encoder_entry_the_unit_inputs_never_read_fails_zero_syndrome(monkeypatch, capsys, G1, H1):
+    """State (1,1) of the reference encoder has two set bits, so no unit input's circular run at N = 5 reads it, and
+    the spanned codebook stays what it was with its output flipped in the table ``circular`` reads.  The probe block
+    reads it: ``encoded`` is False, zero-syndrome fails alone, and the ``verify`` command prints its FAIL line."""
+    honest, enc = verify._codeword_table(G1, 5), encoder(G1)
+    from_state = enc.tables[0].copy()
+    from_state[enc.state((1, 1))] ^= 1
+    monkeypatch.setattr(enc, "tables", (from_state, enc.tables[1]))
+    anchors, *arrays, encoded = verify._codeword_table(G1, 5)
+    assert anchors == honest[0] and all((a == b).all() for a, b in zip(arrays, honest[1:4])) and not encoded
+    results = dict(verify.run_all(G1, H1, 5, seed=1, trials=200))
+    assert results == {s: s != "zero-syndrome-traversal" for s in EXPECTED_SUITES}
+    assert main(["verify", "--code", EXAMPLE, "-N", "5"]) == 3
+    assert "zero-syndrome-traversal: FAIL\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("width", [1, 8, 15, 63, 64, 65, 130, 255, 256, 300])
@@ -624,8 +664,8 @@ def test_lane_distances_equal_a_bit_by_bit_count(width):
     """Rows wider than 64 bits span lanes: EXHAUSTIVE_BITS bounds N*k, not N*n.  One lane's distances are uint8,
     the popcounts themselves, and wider rows sum their lanes as uint16, which holds distances past 255.
 
-    Read big-endian, lane j // 64 holds bit j at bit 63 - j % 64 and every bit past the row is 0; the
-    elimination in ``gf2`` relies on that layout.
+    Read as an integer, lane j // 64 holds bit j at bit 63 - j % 64 and every bit past the row is 0; the
+    elimination and the membership kernel in ``gf2`` rely on that layout.
     """
     rng = np.random.default_rng(width)
     words, table = rng.integers(0, 2, (9, width), dtype=np.uint8), rng.integers(0, 2, (11, width), dtype=np.uint8)
@@ -637,7 +677,7 @@ def test_lane_distances_equal_a_bit_by_bit_count(width):
     assert dists.dtype == (np.uint8 if width <= 64 else np.uint16)
     assert dists[0, 1] == width
     assert dists.tolist() == [[sum(a != b for a, b in zip(w, t)) for t in table.tolist()] for w in words.tolist()]
-    for row, bits in zip(gf2._lanes(table).view(">u8").tolist(), table.tolist()):
+    for row, bits in zip(gf2._lanes(table).tolist(), table.tolist()):
         assert len(row) == -(-width // 64)
         assert all(row[j // 64] >> 63 - j % 64 & 1 == b for j, b in enumerate(bits))
         assert row[-1] & (1 << -width % 64) - 1 == 0  # the bits past the row are 0

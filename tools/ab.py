@@ -13,8 +13,9 @@ checkout, read, not edited): its seeded operations, prepared and called
 as the benchmark calls them.  ``decode-k7-batch`` and
 ``decode-ref-batch`` read the words of ``decode-k7-lownoise`` and
 ``decode-ref-uniform`` and hand them to ``decode_tailbiting_batch``,
-``BATCH`` words a call, and ``verify-ref-n12`` is ``verify-ref-cli`` at
-N = 12 (a ``VerifyWorkload`` of its own name, so its seeds differ).  The
+``BATCH`` words a call, and ``verify-ref-n12`` and ``verify-ref-n16`` are
+``verify-ref-cli`` at N = 12 and 16 (a ``VerifyWorkload`` of its own name,
+so its seeds differ; 2^16 codewords at N = 16).  The
 report gives per import order both sides' median seconds a round with
 their quartiles, the median ratio (parent / change, above 1 when the
 change is faster) and how many rounds the change won, then one sha256 of
@@ -46,6 +47,7 @@ OPS = {
     "decode-ref-batch": 64,
     "verify-ref-cli": 25,
     "verify-ref-n12": 5,
+    "verify-ref-n16": 1,
 }
 SEED = 1
 # words a call of a batch case
@@ -81,10 +83,11 @@ def workload(case):
     from workloads import WORKLOADS, VerifyWorkload
 
     cli = WORKLOADS["verify-ref-cli"]
+    if case.startswith("verify-ref-n"):
+        return VerifyWorkload(case, cli.code_path, int(case[12:]), cli.trials, cli.pool, cli.min_ops, cli.trace_ops)
     return {
         "decode-k7-batch": lambda: Batch(WORKLOADS["decode-k7-lownoise"]),
         "decode-ref-batch": lambda: Batch(WORKLOADS["decode-ref-uniform"]),
-        "verify-ref-n12": lambda: VerifyWorkload(case, cli.code_path, 12, cli.trials, cli.pool, cli.min_ops, cli.trace_ops),
     }.get(case, lambda: WORKLOADS[case])()
 
 
