@@ -5,11 +5,25 @@ binary symmetric channel.  Code subtrellis beta corresponds to the error
 subtrellis anchored at sigma_fin + dual(beta), so all S anchors share one
 error trellis and are searched together, in backward min-plus passes,
 or walks over the metric automaton below that take the same steps,
-over the merged tables of ``error_trellis._search_tables``: a table
-covers m consecutive sections with one merged edge per start and end
-state, the lightest (m fixed per H by ``TABLE_BUDGET``; the N mod m
-sections left over use the 1-section tables), so a pass makes
-floor(N/m) + N mod m steps.
+over the merged tables of ``_search_tables``: a table covers m
+consecutive sections with one merged edge per start and end state, the
+lightest (m fixed per H by ``TABLE_BUDGET``; the N mod m sections left
+over use the 1-section tables), so a pass makes floor(N/m) + N mod m
+steps.
+
+The merged m-section tables hold, of the m-step syndrome-former paths
+that emit a run of m syndromes, the lightest from each state to each end
+state: ``_search_tables`` enumerates those paths once per H, as one
+broadcast XOR of the tables of the syndrome former's m-step machine
+(``LinearMachine.power``), and keeps one per start and end state.  The
+kept paths of runs of m and of single symbols form one list of merged
+edges, keyed by the integer their syndromes form, which is scattered
+once into every table of one record (``SearchTables``): out of each
+start state and, in an incoming stack, into each end state.
+``_singles`` tabulates, per H and N, the circular syndrome and state of
+every single-bit error of a word of N symbols, which the low-weight
+certificate reads.  This module is the one reader of the stack's key
+layout, which it also builds.
 
 Each code gets one decode rule, and a block of words one pipeline
 (``_blocks``): a decode block holds as many words as keep
@@ -51,8 +65,8 @@ low-weight certificate, the bound pass and its closing check, the
 start-anywhere pass and its own, then the search.  The certificate
 (``_certificate``) reads the word's syndrome s, its circular run's step
 outputs packed into one integer, against a table of the N*n single-bit
-errors (``error_trellis._singles``), of which the pair record keeps the
-last ``LENGTHS`` lengths decoded: s = 0, a syndrome that one
+errors (``_singles``), of which the pair record keeps the last
+``LENGTHS`` lengths decoded: s = 0, a syndrome that one
 bit alone has, one that exactly one pair of bits has, or, when no error
 of weight <= 2 has s, one that exactly one triple of bits has.  Every
 error with syndrome s != 0 has an odd number of bits whose syndrome
@@ -174,9 +188,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .codespec import check_matrices
-from .error_trellis import TABLE_BUDGET, _check_length, _search_tables, _singles
+from .error_trellis import _check_length
 from .gf2 import format_bits, format_state
-from .state_machines import dual_state_of, enc_state_space, syndrome_former, unpack
+from .state_machines import _powers, dual_state_of, enc_state_space, syndrome_former, unpack
 from .trellis import _walk
 
 # above any path weight; unreachable costs grow past it by at most N*n
@@ -186,6 +200,10 @@ _UNREACHED = 2**30
 BLOCK_BUDGET = 1 << 12
 # the lengths whose single-bit error tables (``_singles``) a pair record keeps, the most recently used
 LENGTHS = 8
+# entries the merged tables of one H may hold: it bounds m, the number of
+# sections merged into one table, by the tables and by the labels of a
+# run, and the metric automaton by its columns x (states + 1)
+TABLE_BUDGET = 1 << 12
 
 
 class AnchorCollisionError(RuntimeError):
@@ -231,6 +249,178 @@ def min_weight_path(T, anchor):
         k, i = next((k, j) for w, j, k in live[i] if w + nxt[j][0] == here[i][0])
         labels.append(section[k].label)
     return tuple(labels), weight
+
+
+class _EdgeRows(dict):
+    """Per stack key, each state's merged edges in label order as (label, end state index, weight).
+
+    A key's rows are read out of the tables on its first lookup: only
+    one-word decodes read them, and a word only its own keys.
+    """
+
+    def __init__(self, dst, weight, label):
+        super().__init__()
+        self.tables = dst, weight, label
+
+    def __missing__(self, key):
+        dst, weight, label = (a[key, :, :-1].T.tolist() for a in self.tables)
+        S = len(dst)
+        self[key] = rows = [[e for e in zip(*edges) if e[1] < S] for edges in zip(label, dst, weight)]
+        return rows
+
+
+class SearchTables(NamedTuple):
+    """The search tables of one H, over dense state indices; states in ``sf_state_space`` order.
+
+    The stack holds the merged modules of runs of syndrome symbols, read
+    out of each state by the search passes and the metric automaton's
+    build and, through its incoming stack, into each state by the
+    start-anywhere pass.  Under one symbol zeta a state has ``degree``
+    edges or none, because the inputs e with eD = zeta + xC form a coset
+    of the kernel of D or none.  Over j symbols it keeps one merged edge
+    per end state, at most min(degree^j, S) of them: of the j-step paths
+    of the syndrome former that emit the run and end there, the lightest,
+    then the one of smallest label.  Each merged edge of an optimal path
+    is a lightest one between its two states, so the first optimal edge
+    in label order, which both tracebacks take, is a kept one: weights,
+    ties and the smallest optimal error are those over all paths.  The
+    stack holds every run of m symbols at the key its symbols' r-bit
+    integers form, read as one integer, then every single symbol zeta at
+    2^(r*m) + zeta; a run the syndrome former never emits has no edges.
+    ``dst`` and ``weight`` (keys x slots x states + 1, slots the most
+    edges a state keeps under one key) give each merged edge's end state
+    and label weight, the edges of a state in concatenated-label order.
+    Slots past a state's edges, and all of state S's, end in index S, one
+    past the last state, which the search never reaches; their weight is
+    0.  ``label`` (the same shape) gives each merged edge's label, the
+    integer of its concatenated error symbols, the first symbol most
+    significant.  ``out`` lists, per key and state below S, its edges in
+    label order as (label, end state index, weight), read out of ``dst``,
+    ``weight`` and ``label`` when the key is first looked up.
+    ``incoming`` is the same edges read the other way: per key and end
+    state, the merged edges that arrive there, as (start states,
+    weights), each (keys x in-slots x states + 1), start states
+    ascending.  It runs the backward min-plus kernel forward, in reversed
+    step order, so a pass from every state at cut 0 gives each state at
+    cut N its least incoming weight, the start-anywhere bound of the
+    anchor there.  Its slots past a state's edges, and all of state S's,
+    start in S with weight 0.
+    """
+
+    states: list
+    index: np.ndarray  # syndrome-former state integer -> dense index, -1 if pinned
+    m: int
+    dst: np.ndarray
+    weight: np.ndarray
+    label: np.ndarray
+    out: _EdgeRows
+    incoming: tuple
+
+
+def _rank(group):
+    """Each entry's rank among the earlier entries of its group."""
+    order = group.argsort(kind="stable")
+    rank = np.empty_like(group)
+    rank[order] = np.arange(group.size) - np.searchsorted(group[order], group[order])
+    return rank
+
+
+def _paths(sf, j):
+    """The lightest j-step path of ``sf`` from each state to each end state under each key.
+
+    One broadcast XOR of the two tables of ``sf.power(j)`` steps every
+    state under every run of j inputs, so path p's label is p, the
+    integer of its j input symbols, and its key the integer of its j
+    syndrome symbols.  Of the paths with one start, key and end state the
+    lightest, then the one of smallest label, is kept.  Returns the kept
+    paths' start indices, keys, end states and labels, in start, then
+    label order.
+    """
+    run, S, P = sf.power(j), len(sf.states), len(sf.from_input) ** j
+    x, key = np.divmod(run.tables[0][sf.states][:, None] ^ run.tables[1], 1 << run.out_bits)
+    label = np.arange(S * P) % P
+    edge = (key + (np.arange(S)[:, None] << run.out_bits)).ravel() << sf.state_bits | x.ravel()
+    # sorted stably by (start, key, end state), then weight, each merged edge's kept path comes first
+    order = (edge * (run.in_bits + 1) + np.bitwise_count(label)).argsort(kind="stable")
+    first = np.append(True, edge[order[1:]] != edge[order[:-1]])
+    keep = np.flatnonzero(np.bincount(order[first], minlength=len(edge)))
+    return keep // P, key.ravel()[keep], x.ravel()[keep], label[keep]
+
+
+@lru_cache(maxsize=None)
+def _search_tables(H):
+    """The syndrome former's m-step and single-step paths, one per end state, bucketed by the syndromes they emit.
+
+    Built once per H with numpy: m is the largest run for which both the
+    tables over all 2^(r*m) runs, emitted or not, with min(degree^m, S)
+    slots per state, and the 2^(n*m) labels of a run fit
+    ``TABLE_BUDGET``.  The kept paths of runs of m and of single symbols,
+    the latter's keys from 2^(r*m) on, form one list of merged edges,
+    scattered once into every table.  An edge's out-slot is its rank in
+    label order among the edges of its key and start, its in-slot its
+    rank in start order among those of its key and end state.
+    """
+    sf = syndrome_former(H)
+    S = len(sf.states)
+    index = np.full(len(sf.state_tuples), -1, dtype=np.intp)
+    index[sf.states] = np.arange(S)
+    states = [sf.state_tuples[x] for x in sf.states]
+    degree = int(np.bincount(sf.tables[1] & sf.out_mask).max())
+    m = 1
+    # the tables of a run of m + 1 symbols and its labels
+    while max(2 ** (sf.out_bits * (m + 1)) * S * min(degree ** (m + 1), S), 2 ** (sf.in_bits * (m + 1))) <= TABLE_BUDGET:
+        m += 1
+    first = 1 << sf.out_bits * m
+    runs, single = _paths(sf, m), _paths(sf, 1)
+    start, key, end, path = (np.concatenate(parts) for parts in zip(runs, single))
+    key[len(runs[0]) :] += first
+    end, weight = index[end], np.bitwise_count(path).astype(np.int32)
+    slot, in_slot = _rank(key * S + start), _rank(key * S + end)
+    shape = (first + 2**sf.out_bits, int(slot.max()) + 1, S + 1)
+    at, into = (key, slot, start), (key, in_slot, end)
+    dst, weights, label = np.full(shape, S, dtype=np.intp), np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=np.intp)
+    dst[at], weights[at], label[at] = end, weight, path
+    src = np.full((shape[0], in_slot.max() + 1, S + 1), S, dtype=np.intp)
+    src_weight = np.zeros(src.shape, dtype=np.int32)
+    src[into], src_weight[into] = start, weight
+    return SearchTables(states, index, m, dst, weights, label, _EdgeRows(dst, weights, label), (src, src_weight))
+
+
+def _singles(H, N):
+    """What ``_certificate`` reads of the N*n single-bit errors of a word of N symbols of H.
+
+    Returns (states, places, bit, covers, widths, heaviest).  Per bit,
+    symbol by symbol and most significant first, ``states`` holds its
+    circular state and ``places`` its step and the bit it sets in that
+    step's label.  ``bit`` maps each bit's circular syndrome, the N
+    outputs packed with the first symbol's most significant, to the bit,
+    or to -1 where two bits share it; ``covers`` lists per syndrome bit,
+    the least significant first, the syndromes that have it, in bit
+    order.  ``widths`` holds the bits of each step's outputs, and
+    ``heaviest`` the most set bits of a single-bit syndrome, so no k
+    bits together have a syndrome of more than k * ``heaviest``; the
+    certificate finds pairs by ``covers`` and ``bit``, and triples by the
+    pairs of s XOR each syndrome covering s's lowest set bit.  One
+    ``LinearMachine.circular`` of the bits of the last d + 1 symbols
+    gives them: only a bit of the last d symbols leaves a state at cut N,
+    and the circular run is linear and shift-invariant, so the last
+    symbol's syndromes, rotated by t symbols, are those of the symbol t
+    earlier.
+    """
+    sf, n, r, m, W = syndrome_former(H), H.cols, H.rows, _search_tables(H).m, N * H.rows
+    first, cut = max(N - sf.degree - 1, 0), N - N % m
+    x, outs = sf.circular((np.eye(N - first, N, first, dtype=np.intp)[:, None] * _powers(n)[:, None]).reshape(-1, N))
+    last = [reduce(lambda v, o: v << r | o, row, 0) for row in outs[-n:].tolist()]
+    bit, covers = {}, [[] for _ in range(W)]
+    for i, v in enumerate((u << k * r | u >> W - k * r) & (1 << W) - 1 for k in range(N - 1, -1, -1) for u in last):
+        bit[v], rest = -1 if v in bit else i, v
+        while rest:
+            covers[(rest & -rest).bit_length() - 1].append(v)
+            rest &= rest - 1
+    # a run's symbols fill its label from the most significant end; a single symbol past the cut is a step alone
+    places = [(t // m + max(t - cut, 0), 1 << n * (m - 1 - t % m) * (t < cut) + n - 1 - j) for t in range(N) for j in range(n)]
+    widths = [r * m] * (N // m) + [r] * (N % m)
+    return [0] * (first * n) + x.tolist(), places, bit, covers, widths, max(u.bit_count() for u in last)
 
 
 class _Pair:
@@ -416,12 +606,12 @@ def _automaton(H):
     codes pass it within a few rounds.  A code with no automaton prunes.
     """
     tables = _search_tables(H)
-    S, sec, r, m = len(tables.states), tables.sections, H.rows, tables.m
+    S, r, m = len(tables.states), H.rows, tables.m
     columns = _ends(S)[:S].tolist()
     # the single symbols' keys, 2^(r*m) on, stepped at once on a row holding one copy of the column per symbol
     first, symbols = 1 << r * m, 1 << r
-    dst = sec.dst[first:] + np.arange(symbols)[:, None, None] * (S + 1)
-    step = tuple(a.transpose(1, 0, 2).reshape(1, a.shape[1], -1) for a in (dst, sec.weight[first:]))
+    dst = tables.dst[first:] + np.arange(symbols)[:, None, None] * (S + 1)
+    step = tuple(a.transpose(1, 0, 2).reshape(1, a.shape[1], -1) for a in (dst, tables.weight[first:]))
     seen, done, nxt, low = {tuple(c): i for i, c in enumerate(columns)}, 0, [], []
     while done < len(columns):
         if len(columns) * (S + 1) > TABLE_BUDGET:
@@ -442,14 +632,14 @@ def _automaton(H):
         z = run >> r * p & symbols - 1
         at, gain = nxt[at, z], gain + low[at, z]
     # each state's slots last, so the traceback's slot is an argmin over the last axis
-    dst, weight = (a[:, :, :S].transpose(0, 2, 1).ravel() for a in (sec.dst, sec.weight))
+    dst, weight = (a[:, :, :S].transpose(0, 2, 1).ravel() for a in (tables.dst, tables.weight))
     via = table.take(dst, axis=1)
     via += weight
-    slots = via.reshape(len(table), -1, sec.dst.shape[1]).argmin(axis=-1)
+    slots = via.reshape(len(table), -1, tables.dst.shape[1]).argmin(axis=-1)
     nxt, low = np.hstack((at, nxt)), np.hstack((gain, low)).astype(np.int32)
     # each slot's edge, its label above its end state's 8 bits (S < 64), which both walks read
     key, state = np.divmod(np.arange(slots.shape[1]), S)
-    edges = (sec.label << 8 | sec.dst).astype(np.int32).take((key * sec.dst.shape[1] + slots) * (S + 1) + state)
+    edges = (tables.label << 8 | tables.dst).astype(np.int32).take((key * tables.dst.shape[1] + slots) * (S + 1) + state)
     return _Automaton(table, nxt, low, edges, (table.tolist(), nxt.tolist(), low.tolist(), [*map(memoryview, edges)]))
 
 
@@ -459,7 +649,7 @@ def _start_anywhere(tables, at):
     ``_min_plus`` over the incoming stack in reversed step order: row 0
     is cut N, where an anchor's entry bounds its weight from below.
     """
-    return _min_plus(tuple(a.take(at[::-1], axis=0) for a in tables.sections.incoming), _ends(len(tables.states))[-1])
+    return _min_plus(tuple(a.take(at[::-1], axis=0) for a in tables.incoming), _ends(len(tables.states))[-1])
 
 
 def _traceback(outs, togo, state):
@@ -716,9 +906,9 @@ def _search_word(tables, rows, keys):
     smallest (labels, table row, index) wins: the rows and indices ascend
     as the states they stand for do.
     """
-    outs = [tables.sections.out[k] for k in keys]
-    states, rows, at, sec = rows, np.array(rows), np.array(keys), tables.sections
-    sections = sec.dst.take(at, axis=0), sec.weight.take(at, axis=0)
+    outs = [tables.out[k] for k in keys]
+    states, rows, at = rows, np.array(rows), np.array(keys)
+    sections = tables.dst.take(at, axis=0), tables.weight.take(at, axis=0)
     ends = _ends(len(tables.states))
     bound = _min_plus(sections, ends[-1])
     lb, tried = bound[0].take(rows), None

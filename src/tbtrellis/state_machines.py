@@ -51,7 +51,7 @@ m from the one-step tables, by linearity: its rows are m-step folds of
 the unit states under the zero run and of the unit runs from state 0.
 Its tables hold 2^(state bits) + 2^(n*m) entries, 4,100 at most on the
 codes of the tests (the reference code: 4 + 4,096, with n = 3 and m =
-4).  ``error_trellis._paths`` steps every state under every run as one
+4).  ``decoder._paths`` steps every state under every run as one
 broadcast XOR of its two tables, and the decoder's one-word front end
 (``decoder._Pair.decode``) runs a word's circular run on the same two
 tables as lists: one fold of the one-step machine over the word's last d
@@ -283,21 +283,16 @@ def _pack(bits, index, width, depth, what):
 
 
 @lru_cache(maxsize=None)
-def _powers(width, dtype=np.intp):
-    """2^(width-1) .. 2^0: the place of each bit of a width-bit vector, in ``dtype``."""
-    powers = (1 << np.arange(width - 1, -1, -1)).astype(dtype)
+def _powers(width):
+    """2^(width-1) .. 2^0: the place of each bit of a width-bit vector, as intp."""
+    powers = 1 << np.arange(width - 1, -1, -1, dtype=np.intp)
     powers.flags.writeable = False
     return powers
 
 
 def unpack(ints, width):
-    """The width-bit rows (most significant first) of an integer array, as uint8 0/1 entries.
-
-    The mask is taken in the array's own integer dtype where its value
-    bits hold width bits, so a narrow array is not widened to intp.
-    """
-    fits = ints.dtype.kind in "ui" and width <= np.iinfo(ints.dtype).bits - (ints.dtype.kind == "i")
-    return (ints[..., None] & _powers(width, ints.dtype if fits else np.intp) != 0).astype(np.uint8)
+    """The width-bit rows (most significant first) of an integer array, as uint8 0/1 entries."""
+    return (ints[..., None] & _powers(width) != 0).astype(np.uint8)
 
 
 def _row_degrees(P):
@@ -404,10 +399,17 @@ def dual_state_of(G, H, beta, fill=0):
     symbols entering the cut where it sits in beta.  The syndrome former
     folds over all of them, and since A^M = 0 the state it ends in is the
     one the last M outputs alone leave.  For dual G/H pairs the result
-    does not depend on ``fill``.
+    does not depend on ``fill``.  The folds run once per (G, H, beta,
+    fill) (``_dual_state``), after beta is read.
     """
+    return _dual_state(G, H, encoder(G).state(beta), fill)
+
+
+@lru_cache(maxsize=None)
+def _dual_state(G, H, x, fill):
+    """``dual_state_of`` the encoder state of integer x: its two folds, run once per (G, H, x, fill)."""
     enc, sf = encoder(G), syndrome_former(H)
-    regs = enc.state_tuples[enc.state(beta)]
+    regs = enc.state_tuples[x]
     _, outs = enc.fold(0, enc.word([(fill,) * G.rows] * H.deg + [regs[t :: G.deg] for t in range(G.deg)]))
     # the syndrome former reads the outputs as a word, so a G and an H of different widths raise ValueError
     return sf.state_tuples[sf.fold(0, sf.word(map(enc.out_tuples.__getitem__, outs)))[0]]

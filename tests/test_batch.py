@@ -34,7 +34,7 @@ from tbtrellis import (
     tailbiting_syndromes,
     tailbiting_syndromes_batch,
 )
-from tbtrellis.error_trellis import _search_tables
+from tbtrellis.decoder import _search_tables
 from tbtrellis.state_machines import LinearMachine, syndrome_former, unpack
 
 

@@ -15,7 +15,7 @@ from test_decoder_contract import CERTIFICATE, CODES, PRUNED, low_noise_words, r
 
 import tbtrellis.decoder as decoder
 from tbtrellis import decode_tailbiting, decode_tailbiting_batch, poly_from_strings
-from tbtrellis.error_trellis import _search_tables
+from tbtrellis.decoder import _search_tables
 from tbtrellis.state_machines import syndrome_former
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tbtrellis import verify
 from tbtrellis.cli import EXIT_CLOSED, build_parser, main
 
 from conftest import G1_STRINGS, G2_STRINGS, H1_STRINGS, H2_STRINGS, RANK_DEFICIENT, RECEIVED
+from test_decoder_contract import CODES
 from test_verify import EXPECTED_SUITES, G_RATE_5, H_RATE_5
 
 
@@ -465,3 +470,79 @@ def test_a_reader_that_closes_stdout_early_ends_the_run_with_exit_141_and_no_std
         stderr = proc.stderr.read()
         status = proc.wait(timeout=120)
     assert (status, stderr) == (EXIT_CLOSED, b"") and EXIT_CLOSED == 141
+
+
+# the specs a drawn CLI call reads: every CODES pair, a memoryless one and a non-basic H that verify fails, a file that
+# is not JSON, the pairs a spec load rejects (rank-deficient H, G and H not dual), and a dual pair whose encoder states
+# collide on one anchor
+CLI_SPECS = [
+    *({"n": len(h[0]), "k": len(g), "G": g, "H": h} for (g, h), _ in CODES.values()),
+    {"n": 2, "k": 1, "G": [["1", "1"]], "H": [["1", "1"]]},
+    {"n": 5, "k": 1, "G": G_RATE_5, "H": H_RATE_5},
+    '{"n": 3, "k": 1, "G": [["1"',
+    *RANK_DEFICIENT,
+    {"n": 3, "k": 1, "G": G1_STRINGS, "H": [["11", "01", "11"], ["01", "1", "0"]]},
+    {"n": 3, "k": 2, "G": [["01", "1", "0"], ["11", "0", "1"]], "H": [["1", "01", "11"]]},
+]
+TRELLISES = ("code-trellis", "error-trellis", "backward-error-trellis")
+
+
+def _received(n):
+    """Words of 0..40 symbols of n bits, each group separated by a space; an unclean word also holds groups of 0..n + 1
+    characters that may be bad."""
+    symbol = st.integers(0, 2**n - 1).map(lambda v: format(v, f"0{n}b"))
+    odd = st.text("01x2_", max_size=n + 1)
+    return st.booleans().flatmap(lambda clean: st.lists(symbol if clean else st.one_of(symbol, odd), max_size=40))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_drawn_cli_call_exits_with_a_documented_code_and_at_most_one_error_line(tmp_path, data):
+    """``main`` on a drawn subcommand, spec, length, word, state and output path.
+
+    It returns 0, 1, 2 (a decode tie) or 3 (a verify FAIL), or argparse
+    raises ``SystemExit(1)``, and raises nothing else.  Exit 1 prints
+    exactly one ``tbtrellis: error: `` line to stderr, after argparse's
+    usage lines where argparse exits; every other exit prints nothing
+    there.
+    """
+    spec = data.draw(st.sampled_from(CLI_SPECS), label="spec")
+    path = tmp_path / "spec.json"
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    command = data.draw(st.sampled_from(["syndrome", *TRELLISES, "hscalar", "decode", "verify"]), label="command")
+    argv = [command, "--code", str(path)]
+    if command in ("code-trellis", "hscalar", "verify"):
+        argv += ["-N", str(data.draw(st.integers(-2, 8 if command == "verify" else 12), label="N"))]
+    else:
+        words = data.draw(_received(spec["n"] if isinstance(spec, dict) else 3), label="received")
+        argv += ["--received", " ".join(words)]
+    if command == "syndrome" and data.draw(st.booleans(), label="backward"):
+        argv.append("--backward")
+    if command in TRELLISES:
+        argv += ["--format", data.draw(st.sampled_from(["dot", "json"]), label="format")]
+        bits = st.lists(st.sampled_from("01"), max_size=7).map(lambda b: f"({','.join(b)})")
+        if highlight := data.draw(st.none() | bits | st.sampled_from(["(1,2)", "on"]), label="highlight"):
+            argv += ["--highlight", highlight]
+    if command == "hscalar":
+        argv += ["--kind", data.draw(st.sampled_from(["tailbiting", "terminated"]), label="kind")]
+    if command in (*TRELLISES, "hscalar"):
+        # a file, a directory and a file in a directory that does not exist
+        out = data.draw(st.sampled_from([None, "out.txt", ".", "missing/out.txt"]), label="out")
+        argv += ["--out", str(tmp_path / out)] if out else []
+    if command == "verify":
+        argv += ["--seed", str(data.draw(st.integers(-1, 3), label="seed"))]
+        argv += ["--trials", str(data.draw(st.integers(-1, 30) | st.just(verify.MAX_TRIALS + 1), label="trials"))]
+    stdout, stderr, parsed = io.StringIO(), io.StringIO(), True
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code, parsed = exc.code, False
+    lines = stderr.getvalue().splitlines()
+    errors = [line for line in lines if line.startswith("tbtrellis: error: ")]
+    assert code in (0, 1, 2, 3) and (code != 2 or command == "decode") and (code != 3 or command == "verify"), argv
+    if code == 1:
+        # where argparse exits, its usage lines come first
+        assert len(errors) == 1 and lines[-1] == errors[0] and (len(lines) == 1 or not parsed), (argv, lines)
+    else:
+        assert parsed and lines == [], (argv, lines)

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import tbtrellis.decoder as decoder
-import tbtrellis.error_trellis as error_trellis
 from tbtrellis import (
     DecodeResult,
     build_tailbiting_error_trellis,
@@ -60,7 +59,7 @@ def brute_force_rows(H, tables):
     ``sf_run`` from every state, in ascending label order.
     """
     r, n, states = H.rows, H.cols, tables.states
-    rows = [[[] for _ in states] for _ in tables.sections.dst]
+    rows = [[[] for _ in states] for _ in tables.dst]
     for j, first in ((tables.m, 0), (1, 1 << r * tables.m)):
         for label, bits in enumerate(product((0, 1), repeat=n * j)):
             for i, state in enumerate(states):
@@ -93,26 +92,26 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
     with starts ascending; its other slots start in S with weight 0.
     """
     H = poly_from_strings(h)
-    tables = error_trellis._search_tables(H)
-    sec, S = tables.sections, len(tables.states)
+    tables = decoder._search_tables(H)
+    S = len(tables.states)
     rows = brute_force_rows(H, tables)
     kept = [[collapse(edges) for edges in run] for run in rows]
     # a key's rows are read from the tables on its first lookup
-    assert [sec.out[key] for key in range(len(sec.dst))] == kept
-    src, src_weight = sec.incoming
+    assert [tables.out[key] for key in range(len(tables.dst))] == kept
+    src, src_weight = tables.incoming
     for key, run in enumerate(kept):
         for i, edges in enumerate(run):
             live = len(edges)
-            assert sec.dst[key, :live, i].tolist() == [dst for _, dst, _ in edges]
-            assert sec.weight[key, :live, i].tolist() == [w for _, _, w in edges]
-            assert sec.label[key, :live, i].tolist() == [label for label, _, _ in edges]
-            assert (sec.dst[key, live:, i] == S).all()
+            assert tables.dst[key, :live, i].tolist() == [dst for _, dst, _ in edges]
+            assert tables.weight[key, :live, i].tolist() == [w for _, _, w in edges]
+            assert tables.label[key, :live, i].tolist() == [label for label, _, _ in edges]
+            assert (tables.dst[key, live:, i] == S).all()
         for end in range(S + 1):
             into = [(start, w) for start, edges in enumerate(run) for _, dst, w in edges if dst == end]
             live = len(into)
             assert list(zip(src[key, :live, end].tolist(), src_weight[key, :live, end].tolist())) == into
             assert (src[key, live:, end] == S).all() and (src_weight[key, live:, end] == 0).all()
-    assert (sec.dst[:, :, S] == S).all()
+    assert (tables.dst[:, :, S] == S).all()
     if h == DOUBLED_ROW_H:
         m, r = tables.m, H.rows
         later = [{key >> r * p & 3 for p in range(m - 1)} for key in range(1 << r * m)]
@@ -147,7 +146,7 @@ def reference_decode(G, H, z):
 def test_decode_matches_per_subtrellis_reference(name):
     (g, h), words = CODES[name]
     G, H = poly_from_strings(g), poly_from_strings(h)
-    M, L, n, m = H.deg, G.deg, H.cols, error_trellis._search_tables(H).m
+    M, L, n, m = H.deg, G.deg, H.cols, decoder._search_tables(H).m
     lengths = sorted({N for N in (M, L - 1, L, L + 1, 2 * L + 3, m - 1, m, m + 1, 2 * m + 1) if N >= max(M, 1)})
     rng = np.random.default_rng(53)
     ties = 0
@@ -183,7 +182,7 @@ def test_decode_matches_per_subtrellis_reference_at_every_section_remainder(name
     """Lengths M..M+m: every N mod m for the m of H's merged tables, and N < m where M < m."""
     (g, h), _ = CODES[name]
     G, H = poly_from_strings(g), poly_from_strings(h)
-    m, low = error_trellis._search_tables(H).m, max(H.deg, 1)
+    m, low = decoder._search_tables(H).m, max(H.deg, 1)
     lengths = range(low, low + m + 1)
     assert {N % m for N in lengths} == set(range(m))
     rng = np.random.default_rng(89)
@@ -207,8 +206,8 @@ TABLE_SIZES = {
 
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_search_tables_have_the_size_of_one_merged_edge_per_end_state(name):
-    tables = error_trellis._search_tables(poly_from_strings(CODES[name][0][1]))
-    assert (tables.m, tables.sections.dst.shape) == TABLE_SIZES[name]
+    tables = decoder._search_tables(poly_from_strings(CODES[name][0][1]))
+    assert (tables.m, tables.dst.shape) == TABLE_SIZES[name]
 
 
 def _recorded_passes(monkeypatch):
@@ -307,7 +306,7 @@ def test_one_pass_kernel_prunes_anchors_on_low_noise_k7_words(monkeypatch):
     often closes it, else one set of few anchors."""
     passes = _recorded_passes(monkeypatch)
     G, H = (poly_from_strings(s) for s in K7_STRINGS)
-    S = len(error_trellis._search_tables(H).states)
+    S = len(decoder._search_tables(H).states)
     words = low_noise_words(200, 7)
     _certificate_off(monkeypatch)
     for z in words:
@@ -479,8 +478,8 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     state's 8 bits.  The lists a one-word walk reads hold the same columns, steps and edges as the arrays a block's
     walks gather from."""
     H = poly_from_strings(CODES[name][0][1])
-    tables, automaton = error_trellis._search_tables(H), decoder._automaton(H)
-    S, sec = len(tables.states), tables.sections
+    tables, automaton = decoder._search_tables(H), decoder._automaton(H)
+    S = len(tables.states)
     if automaton is None:
         assert AUTOMATON_SIZES[name] is None
         # the breadth-first build stopped on more columns than fit the budget: K=7's 64 anchor columns before its
@@ -489,22 +488,22 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
         real_min_plus = decoder._min_plus
         monkeypatch.setattr(decoder, "_min_plus", lambda *a: rounds.append(len(a[1])) or real_min_plus(*a))
         assert decoder._automaton.__wrapped__(H) is None
-        if S * (S + 1) > error_trellis.TABLE_BUDGET:
+        if S * (S + 1) > decoder.TABLE_BUDGET:
             assert name == "k7" and rounds == []
         else:
-            assert len(rounds) > 1 and sum(rounds) * (S + 1) <= error_trellis.TABLE_BUDGET
+            assert len(rounds) > 1 and sum(rounds) * (S + 1) <= decoder.TABLE_BUDGET
         return
     table = np.asarray(automaton.columns)
     assert len(table) == AUTOMATON_SIZES[name]
     assert (table[:S] == decoder._ends(S)[:S]).all()
     assert len({tuple(row) for row in table.tolist()}) == len(table)
-    assert automaton.nxt.shape == automaton.low.shape == (len(table), len(sec.dst))
-    assert automaton.edges.shape == (len(table), len(sec.dst) * S)
+    assert automaton.nxt.shape == automaton.low.shape == (len(table), len(tables.dst))
+    assert automaton.edges.shape == (len(table), len(tables.dst) * S)
     columns, nxt, low, edges = automaton.lists
     assert columns == table.tolist() and (nxt, low) == (automaton.nxt.tolist(), automaton.low.tolist())
     assert [list(row) for row in edges] == automaton.edges.tolist()
-    for key in range(len(sec.dst)):
-        step = decoder._min_plus((sec.dst[key : key + 1], sec.weight[key : key + 1]), table)[0]
+    for key in range(len(tables.dst)):
+        step = decoder._min_plus((tables.dst[key : key + 1], tables.weight[key : key + 1]), table)[0]
         live = step < decoder._UNREACHED
         least = np.where(live, step, decoder._UNREACHED).min(axis=1)
         least[least >= decoder._UNREACHED] = 0
@@ -512,7 +511,7 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
         assert [row[key] for row in automaton.low] == least.tolist(), key
         assert (table[nxt] == np.where(live, step - least[:, None], decoder._UNREACHED)).all(), key
         for c, (column, cost) in enumerate(zip(table.tolist(), step.tolist())):
-            for i, edges in enumerate(sec.out[key]):
+            for i, edges in enumerate(tables.out[key]):
                 if cost[i] < decoder._UNREACHED:
                     label, dst, _ = next(edge for edge in edges if edge[2] + column[edge[1]] == cost[i])
                     assert automaton.edges[c][key * S + i] == label << 8 | dst, (c, key, i)
@@ -530,7 +529,7 @@ def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
         G, H = poly_from_strings(g), poly_from_strings(h)
         assert decoder._automaton(H) is not None
         lengths = range(max(H.deg, 1), max(H.deg, 1) + 9)
-        m = error_trellis._search_tables(H).m
+        m = decoder._search_tables(H).m
         assert min(lengths) < m and any(N % m for N in lengths)
         for N in lengths:
             groups.append((G, H, [[tuple(int(b) for b in rng.integers(0, 2, H.cols)) for _ in range(N)] for _ in range(40)]))
@@ -587,7 +586,7 @@ def start_bound_misses(tables, rows, at):
     """Anchors whose start-anywhere bound differs from the least cut-0 cost, over start states, of their column of an
     all-anchor pass."""
     S = len(tables.states)
-    sections = tables.sections.dst.take(at, axis=0), tables.sections.weight.take(at, axis=0)
+    sections = tables.dst.take(at, axis=0), tables.weight.take(at, axis=0)
     every = decoder._min_plus(sections, decoder._ends(S).take(rows, axis=0))[0, :, :S].min(axis=1)
     return np.flatnonzero(decoder._start_anywhere(tables, at)[0].take(rows) != every)
 
@@ -600,8 +599,8 @@ def test_start_anywhere_bound_is_the_least_cost_into_each_anchor(monkeypatch, na
     assert all(not len(start_bound_misses(*word)) for word in captured)
     tables = captured[0][0]
     assert decoder._automaton(poly_from_strings(CODES[name][0][1])) is None
-    incoming = tables.sections.incoming
-    short = tables._replace(sections=tables.sections._replace(incoming=tuple(a[:, :-1] for a in incoming)))
+    incoming = tables.incoming
+    short = tables._replace(incoming=tuple(a[:, :-1] for a in incoming))
     assert any(len(start_bound_misses(short, rows, at)) for _, rows, at in captured)
 
 
@@ -640,13 +639,13 @@ def test_search_tables_size_m_from_every_syndrome_symbol():
     emits 2 of its 4 symbols, but its stack spans the keys of all 4; its
     m = 4 is set by the 2^(3*m) labels.
     """
-    tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[1]["H"]))
+    tables = decoder._search_tables(poly_from_strings(RANK_DEFICIENT[1]["H"]))
     assert tables.m == 3
-    assert tables.sections.dst.shape == (2**6 + 2**2, 2, 9)
-    assert sum(any(tables.sections.out[key]) for key in range(2**6)) == 32
-    tables = error_trellis._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
+    assert tables.dst.shape == (2**6 + 2**2, 2, 9)
+    assert sum(any(tables.out[key]) for key in range(2**6)) == 32
+    tables = decoder._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
     assert tables.m == 4
-    assert tables.sections.dst.shape == (2**8 + 2**2, 1, 2)
+    assert tables.dst.shape == (2**8 + 2**2, 1, 2)
 
 
 # pairs that a spec load rejects, with a word each: before the check, the library decoded
@@ -691,7 +690,7 @@ def test_decode_runs_the_syndrome_former_once(monkeypatch):
     for G, H in (K7, ref):
         decoder._pair(G, H).singles.cache_clear()
         sf = syndrome_former(H)
-        machines.update({sf: "one-step", sf.power(error_trellis._search_tables(H).m): "m-step"})
+        machines.update({sf: "one-step", sf.power(decoder._search_tables(H).m): "m-step"})
     assert len(machines) == 4
     calls = Counter()
     for name in ("circular", "circular_word", "fold"):
@@ -767,7 +766,7 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
     rng, lengths, hits = np.random.default_rng(67), [], 0
     for (g, h), _ in CODES.values():
         G, H = poly_from_strings(g), poly_from_strings(h)
-        sf, tables = syndrome_former(H), error_trellis._search_tables(H)
+        sf, tables = syndrome_former(H), decoder._search_tables(H)
         m, r = tables.m, H.rows
         monkeypatch.setattr(decoder._pair(G, H), "automaton", None)
         duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in enc_state_space(G)])

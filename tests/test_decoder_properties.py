@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from tbtrellis import AnchorCollisionError, decode_tailbiting, decode_tailbiting_batch, poly_from_strings
 from tbtrellis.cli import main
-from tbtrellis.error_trellis import TABLE_BUDGET, _search_tables
+from tbtrellis.decoder import TABLE_BUDGET, _search_tables
 
 from oracle import circ_encode, coeffs_from_strings, flat, tailbiting_codebook
 from test_decoder_contract import CODES

@@ -24,7 +24,7 @@ from tbtrellis import (
     tailbiting_encode,
     xor_states,
 )
-from tbtrellis.error_trellis import _search_tables
+from tbtrellis.decoder import _search_tables
 import tbtrellis.state_machines as state_machines
 from tbtrellis.state_machines import encoder, syndrome_former, unpack
 
@@ -349,7 +349,7 @@ def test_the_m_step_machine_is_m_one_step_folds(name):
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.intp])
 def test_unpack_equals_a_bit_by_bit_reference_in_every_input_dtype(dtype):
-    """Widths 1-8 of uint8, uint16 and intp arrays; the mask is taken in the input's dtype where it fits."""
+    """Widths 1-8 of uint8, uint16 and intp arrays, each masked by the intp places of its bits."""
     rng = np.random.default_rng(83)
     for width in range(1, 9):
         ints = rng.integers(0, 2**width, (5, 7)).astype(dtype)

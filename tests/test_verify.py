@@ -19,6 +19,7 @@ from tbtrellis import (
     is_tailbiting_codeword_batch,
     poly_from_strings,
     sigma_fin,
+    state_machines,
     verify,
 )
 from tbtrellis.cli import main
@@ -583,6 +584,25 @@ def test_run_all_spans_its_codebook_from_one_encoder_run(monkeypatch, G1, H1):
     assert tables == [(G1, N)] and len(runs) == 1
     inputs = runs[0] @ (1 << G1.rows * np.arange(N - 1, -1, -1))
     assert inputs.tolist() == [1 << b for b in range(N - 1, -1, -1)] + list(range(8))
+
+
+def test_run_all_folds_each_dual_state_once(monkeypatch, G1, H1):
+    """One ``run_all`` at N = 5 runs the encoder fold of ``dual_state_of`` at most once per encoder state.
+
+    The zero-syndrome suite asks for the dual state of each of the 4 anchors, and set-equality for each anchor of
+    each of its 5 words (through ``error_anchor``); the folds' cache is emptied first.
+    """
+    enc, real_fold, folds = encoder(G1), LinearMachine.fold, []
+
+    def recording_fold(self, x, es):
+        if self is enc:
+            folds.append((x, tuple(es)))
+        return real_fold(self, x, es)
+
+    state_machines._dual_state.cache_clear()
+    monkeypatch.setattr(LinearMachine, "fold", recording_fold)
+    assert all(ok for _, ok in verify.run_all(G1, H1, 5, seed=1))
+    assert len(set(folds)) == len(folds) <= len(enc_state_space(G1))
 
 
 CODEBOOKS = {

@@ -37,7 +37,7 @@ from tbtrellis import (
     tailbiting_syndromes,
     to_dot,
 )
-from tbtrellis.error_trellis import _search_tables
+from tbtrellis.decoder import _search_tables
 from tbtrellis.state_machines import syndrome_former
 from tbtrellis import poly_from_strings
 from test_decoder_contract import CODES
