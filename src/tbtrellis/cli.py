@@ -17,7 +17,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .codespec import MAX_TRIALS, CodeSpecError, load_codespec
+from .codespec import MAX_TRIALS, load_codespec
 from .decoder import AnchorCollisionError, decode_tailbiting, format_result
 from .error_trellis import (
     backward_sigma_fin,
@@ -178,7 +178,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (CodeSpecError, ValueError, AnchorCollisionError, MemoryError, OverflowError) as exc:
+    except (ValueError, AnchorCollisionError, MemoryError, OverflowError) as exc:
         print(f"tbtrellis: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

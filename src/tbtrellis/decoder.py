@@ -19,9 +19,13 @@ broadcast XOR of the tables of the syndrome former's m-step machine
 kept paths of runs of m and of single symbols form one list of merged
 edges, keyed by the integer their syndromes form, which is scattered
 once into every table of one record (``SearchTables``): out of each
-start state and, in an incoming stack, into each end state.
-``_singles`` tabulates, per H and N, the circular syndrome and state of
-every single-bit error of a word of N symbols, which the low-weight
+start state and, in an incoming stack, into each end state.  That
+record holds what both decode rules read; the automaton's own tables
+are in ``_Automaton``, and the rows the pruned search's tracebacks walk,
+each key's edges per state as plain lists (``_edge_rows``), are built
+once in the pair record of a code with no automaton.  ``_singles``
+tabulates, per H and N, the circular syndrome and state of every
+single-bit error of a word of N symbols, which the low-weight
 certificate reads.  This module is the one reader of the stack's key
 layout, which it also builds.
 
@@ -37,9 +41,10 @@ Every other code (16, 32 or 64 states) prunes its anchors, one word of
 a block at a time.
 
 Every decode of a G/H pair reads one record (``_Pair``), built on the
-pair's first decode and found by one ``lru_cache`` lookup on (G, H): the
-encoder states and the anchor states of each sigma_fin, H's tables and
-automaton, and, as plain lists and dicts, what a one-word decode reads.
+pair's first decode and found by one lookup on (G, H), the class being
+its own ``lru_cache``: the encoder states and the anchor states of each
+sigma_fin, H's tables and automaton, the search's traceback rows, and,
+as plain lists and dicts, what a one-word decode reads.
 A one-word decode (``decode_tailbiting``) runs in one frame,
 ``_Pair.decode``, on Python integers, where a dozen numpy calls would
 cost more than the work they do.  A word of symbol tuples is read a run
@@ -251,24 +256,6 @@ def min_weight_path(T, anchor):
     return tuple(labels), weight
 
 
-class _EdgeRows(dict):
-    """Per stack key, each state's merged edges in label order as (label, end state index, weight).
-
-    A key's rows are read out of the tables on its first lookup: only
-    one-word decodes read them, and a word only its own keys.
-    """
-
-    def __init__(self, dst, weight, label):
-        super().__init__()
-        self.tables = dst, weight, label
-
-    def __missing__(self, key):
-        dst, weight, label = (a[key, :, :-1].T.tolist() for a in self.tables)
-        S = len(dst)
-        self[key] = rows = [[e for e in zip(*edges) if e[1] < S] for edges in zip(label, dst, weight)]
-        return rows
-
-
 class SearchTables(NamedTuple):
     """The search tables of one H, over dense state indices; states in ``sf_state_space`` order.
 
@@ -294,12 +281,9 @@ class SearchTables(NamedTuple):
     past the last state, which the search never reaches; their weight is
     0.  ``label`` (the same shape) gives each merged edge's label, the
     integer of its concatenated error symbols, the first symbol most
-    significant.  ``out`` lists, per key and state below S, its edges in
-    label order as (label, end state index, weight), read out of ``dst``,
-    ``weight`` and ``label`` when the key is first looked up.
-    ``incoming`` is the same edges read the other way: per key and end
-    state, the merged edges that arrive there, as (start states,
-    weights), each (keys x in-slots x states + 1), start states
+    significant.  ``incoming`` is the same edges read the other way: per
+    key and end state, the merged edges that arrive there, as (start
+    states, weights), each (keys x in-slots x states + 1), start states
     ascending.  It runs the backward min-plus kernel forward, in reversed
     step order, so a pass from every state at cut 0 gives each state at
     cut N its least incoming weight, the start-anywhere bound of the
@@ -313,7 +297,6 @@ class SearchTables(NamedTuple):
     dst: np.ndarray
     weight: np.ndarray
     label: np.ndarray
-    out: _EdgeRows
     incoming: tuple
 
 
@@ -383,7 +366,18 @@ def _search_tables(H):
     src = np.full((shape[0], in_slot.max() + 1, S + 1), S, dtype=np.intp)
     src_weight = np.zeros(src.shape, dtype=np.int32)
     src[into], src_weight[into] = start, weight
-    return SearchTables(states, index, m, dst, weights, label, _EdgeRows(dst, weights, label), (src, src_weight))
+    return SearchTables(states, index, m, dst, weights, label, (src, src_weight))
+
+
+def _edge_rows(tables):
+    """Per stack key, each state below S's merged edges in label order as (label, end state index, weight).
+
+    Read out of ``label``, ``dst`` and ``weight`` at once, as plain lists:
+    the rows a pruned word's tracebacks walk, one list lookup per step.
+    """
+    S, arrays = len(tables.states), (tables.label, tables.dst, tables.weight)
+    label, dst, weight = (a[:, :, :-1].transpose(0, 2, 1).tolist() for a in arrays)
+    return [[[e for e in zip(*edges) if e[1] < S] for edges in zip(*key)] for key in zip(label, dst, weight)]
 
 
 def _singles(H, N):
@@ -440,8 +434,13 @@ class _Pair:
     then its key in the stack: a run's m syndromes, and a single symbol's
     syndrome plus 2^(r*m), a bit only the one-step state table holds, so
     one XOR keeps it.  ``singles`` is ``_singles`` of H by length, of which
-    the last ``LENGTHS`` are kept.  The pair is first checked as a spec
-    load checks it (``check_matrices``).
+    the last ``LENGTHS`` are kept.  ``out`` holds, on a pair with no
+    metric automaton, the rows its tracebacks walk (``_edge_rows``), built
+    once for every key; a pair with an automaton never reads them and
+    holds None.  The class is its own cache: ``_pair`` is ``_Pair`` under
+    ``lru_cache``, so a decode finds the record by one lookup on (G, H).
+    The pair is first checked as a spec load checks it
+    (``check_matrices``).
     """
 
     def __init__(self, G, H):
@@ -462,6 +461,7 @@ class _Pair:
             for M, bias in ((run, 0), (sf, 1 << self.shift - 1))
         ]
         self.singles = lru_cache(maxsize=LENGTHS)(partial(_singles, H))
+        self.out = _edge_rows(tables) if self.automaton is None else None
 
     def decode(self, z):
         """The ``DecodeResult`` of one received word, in one frame.
@@ -502,7 +502,7 @@ class _Pair:
         rows, tables, keys, S = self.anchors[x], self.tables, keys[d:], len(self.tables.states)
         if self.automaton is None:
             found = _certificate(self.singles(N), keys, rows, tables)
-            w, ties, labels, row, anchor = found or _search_word(tables, rows, keys)
+            w, ties, labels, row, anchor = found or _search_word(self, rows, keys)
         else:
             # min(w + c - k) = min(w + c) - k: an anchor's weight is its last column's entry at it plus the offsets
             (columns, nxt, low, edges), back, weight, passed, walks = self.automaton.lists, keys[::-1], [], [], []
@@ -531,10 +531,7 @@ class _Pair:
         return tuple.__new__(DecodeResult, (codeword, error, w, self.betas[anchor], tables.states[row], ties > 1))
 
 
-@lru_cache(maxsize=None)
-def _pair(G, H):
-    """The ``_Pair`` of G and H, built on the first call: the one lookup a decode makes per pair."""
-    return _Pair(G, H)
+_pair = lru_cache(maxsize=None)(_Pair)
 
 
 def _min_plus(sections, end):
@@ -867,7 +864,7 @@ def _search_block(pair, block, rows, keys):
     and, unless it answers, to ``_search_word``, as a one-word decode's do.
     """
     singles, tables, rows, keys = pair.singles(block.shape[1]), pair.tables, rows.T.tolist(), keys.T.tolist()
-    found = [_certificate(singles, k, r, tables) or _search_word(tables, r, k) for r, k in zip(rows, keys)]
+    found = [_certificate(singles, k, r, tables) or _search_word(pair, r, k) for r, k in zip(rows, keys)]
     # .T turns the (words x steps) labels to (steps x words) and leaves the other, 1-D, fields as they are
     return _as_block(pair, block, *(np.array(field).T for field in zip(*found)))
 
@@ -888,25 +885,27 @@ def _as_block(pair, block, weight, ties, labels, sigma, anchor):
     return _Block((error ^ block.T).T, error.T, weight, anchor, sigma, ties)
 
 
-def _search_word(tables, rows, keys):
+def _search_word(pair, rows, keys):
     """One pruned word's (weight, number of anchors reaching it, labels, anchor's table row, anchor index).
 
-    ``rows`` lists its anchor states and ``keys`` its steps' keys, which
-    take its steps' (edges x states + 1) end states and weights from the
-    stack.  The anchors are pruned: the bound pass and its closing check,
-    then the start-anywhere pass and its own, then the search of the
-    anchors the bounds leave, one loop that searches those of least bound,
-    then the others whose bound does not exceed the least weight w found so
-    far (an anchor left out has a bound above w).  A word reaches this only
-    when ``_certificate``, which ``_Pair.decode`` asks first, has not found
-    its one lightest anchored error of weight <= 3 (a word of weight >= 4,
-    or one whose syndrome two errors of its least weight share, are such
-    words).  Each step here is exact on its own, so the order changes which
-    step decides a word, never its result.  Of the anchors reaching w, the
-    smallest (labels, table row, index) wins: the rows and indices ascend
-    as the states they stand for do.
+    ``pair`` is the word's ``_Pair``, one with no metric automaton; ``rows``
+    lists its anchor states and ``keys`` its steps' keys, which take its
+    steps' (edges x states + 1) end states and weights from the stack of
+    ``pair.tables`` for the passes, and its steps' edge rows from
+    ``pair.out`` for the tracebacks.  The anchors are pruned: the bound pass
+    and its closing check, then the start-anywhere pass and its own, then
+    the search of the anchors the bounds leave, one loop that searches those
+    of least bound, then the others whose bound does not exceed the least
+    weight w found so far (an anchor left out has a bound above w).  A word
+    reaches this only when ``_certificate``, which ``_Pair.decode`` asks
+    first, has not found its one lightest anchored error of weight <= 3 (a
+    word of weight >= 4, or one whose syndrome two errors of its least
+    weight share, are such words).  Each step here is exact on its own, so
+    the order changes which step decides a word, never its result.  Of the
+    anchors reaching w, the smallest (labels, table row, index) wins: the
+    rows and indices ascend as the states they stand for do.
     """
-    outs = [tables.out[k] for k in keys]
+    tables, outs = pair.tables, [pair.out[k] for k in keys]
     states, rows, at = rows, np.array(rows), np.array(keys)
     sections = tables.dst.take(at, axis=0), tables.weight.take(at, axis=0)
     ends = _ends(len(tables.states))

@@ -164,10 +164,6 @@ class LinearMachine:
                 return self.word([tuple(s) if isinstance(s, list) else s for s in z])
             return self.symbol_ints(z).tolist()
 
-    def state_ints(self, states):
-        """Integers of a sequence of states, as an intp array."""
-        return _pack(states, self._state_index, self.state_bits, 1, "a state")
-
     def symbol_ints(self, symbols, depth=1):
         """Integers of the input symbols ``depth`` levels down: depth 2 takes a block of words."""
         return _pack(symbols, self._in_index, self.in_bits, depth, "an input symbol")
@@ -347,7 +343,7 @@ def sf_step(H, sigma_prev, e):
 def sf_step_batch(H, sigmas, es):
     """``sf_step`` of every row pair: (next states, syndrome symbols) as 0/1 uint8 rows; one state per symbol."""
     sf = syndrome_former(H)
-    x, e = sf.state_ints(sigmas), sf.symbol_ints(es)
+    x, e = _pack(sigmas, sf._state_index, sf.state_bits, 1, "a state"), sf.symbol_ints(es)
     if len(x) != len(e):
         raise ValueError(f"expected one state per symbol, got {len(x)} states and {len(e)} symbols")
     v = sf.tables[0][x] ^ sf.tables[1][e]

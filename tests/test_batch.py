@@ -373,6 +373,23 @@ def test_a_list_of_array_words_equals_the_array_and_tuple_blocks(G1, H1):
     assert decode_tailbiting(G1, H1, words[0]) == decode_tailbiting(G1, H1, tuples[0])
 
 
+def test_a_block_of_list_of_list_words_equals_the_tuple_block(G1, H1):
+    """Words whose symbols are lists read as the tuple block; the first bad list symbol is named as its tuple, with the
+    tuple block's message, ahead of a later bad one."""
+    words = np.random.default_rng(97).integers(0, 2, (40, 6, 3)).tolist()
+    tuples = [[tuple(symbol) for symbol in word] for word in words]
+    entry_points = [block for _, block in _entry_points(G1, H1)] + [lambda words: backward_syndromes_batch(H1, words)]
+    for block in entry_points:
+        listed, expected = block(words), block(tuples)
+        assert (listed == expected) if isinstance(expected, list) else np.array_equal(listed, expected)
+        for bad, shown in (([0, 2, 1], r"\(0, 2, 1\)"), ([1, 0], r"\(1, 0\)")):
+            lists = [[symbol[:] for symbol in word] for word in words[:3]]
+            lists[1][2], lists[2][0] = bad, [2, 2, 2]
+            for form in (lists, [[tuple(symbol) for symbol in word] for word in lists]):
+                with pytest.raises(ValueError, match=rf"^{BAD_SYMBOL}{shown}$"):
+                    block(form)
+
+
 def test_block_steps_take_lists_of_state_and_symbol_tuples(H1):
     rng = np.random.default_rng(101)
     sigmas, es = rng.integers(0, 2, (16, 2)), rng.integers(0, 2, (16, 3))

@@ -96,8 +96,7 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
     S = len(tables.states)
     rows = brute_force_rows(H, tables)
     kept = [[collapse(edges) for edges in run] for run in rows]
-    # a key's rows are read from the tables on its first lookup
-    assert [tables.out[key] for key in range(len(tables.dst))] == kept
+    assert decoder._edge_rows(tables) == kept
     src, src_weight = tables.incoming
     for key, run in enumerate(kept):
         for i, edges in enumerate(run):
@@ -116,6 +115,20 @@ def test_search_tables_hold_exactly_the_syndrome_former_paths_of_each_key(h):
         m, r = tables.m, H.rows
         later = [{key >> r * p & 3 for p in range(m - 1)} for key in range(1 << r * m)]
         assert [not any(rows[key]) for key in range(1 << r * m)] == [bool(s & {1, 2}) for s in later]
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_a_pair_record_holds_the_traceback_rows_only_where_it_prunes(name):
+    """A pair record with a metric automaton holds no traceback rows (``out`` is None); one without holds, as built
+    with the record, ``_edge_rows`` of its tables: per key and state, the kept syndrome-former paths in label order."""
+    (g, h), _ = CODES[name]
+    G, H = poly_from_strings(g), poly_from_strings(h)
+    pair = decoder._pair(G, H)
+    if pair.automaton is not None:
+        assert pair.out is None
+        return
+    kept = [[collapse(edges) for edges in run] for run in brute_force_rows(H, pair.tables)]
+    assert pair.out == decoder._edge_rows(pair.tables) == kept
 
 
 def reference_decode(G, H, z):
@@ -273,6 +286,12 @@ def _recorded_certificates(monkeypatch):
 def _certificate_off(monkeypatch):
     """Make ``_certificate`` answer no word, so every pruned word runs the passes it ran before the certificate."""
     monkeypatch.setattr(decoder, "_certificate", lambda *args: None)
+
+
+def _prune(monkeypatch, pair):
+    """Make a pair record with a metric automaton decode by the pruned search: no automaton, and the search's rows."""
+    monkeypatch.setattr(pair, "automaton", None)
+    monkeypatch.setattr(pair, "out", decoder._edge_rows(pair.tables))
 
 
 def test_pruning_runs_on_the_codes_with_no_metric_automaton(monkeypatch):
@@ -502,6 +521,7 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
     columns, nxt, low, edges = automaton.lists
     assert columns == table.tolist() and (nxt, low) == (automaton.nxt.tolist(), automaton.low.tolist())
     assert [list(row) for row in edges] == automaton.edges.tolist()
+    out = decoder._edge_rows(tables)
     for key in range(len(tables.dst)):
         step = decoder._min_plus((tables.dst[key : key + 1], tables.weight[key : key + 1]), table)[0]
         live = step < decoder._UNREACHED
@@ -511,7 +531,7 @@ def test_automaton_steps_are_one_min_plus_step_of_the_stack_normalized(monkeypat
         assert [row[key] for row in automaton.low] == least.tolist(), key
         assert (table[nxt] == np.where(live, step - least[:, None], decoder._UNREACHED)).all(), key
         for c, (column, cost) in enumerate(zip(table.tolist(), step.tolist())):
-            for i, edges in enumerate(tables.out[key]):
+            for i, edges in enumerate(out[key]):
                 if cost[i] < decoder._UNREACHED:
                     label, dst, _ = next(edge for edge in edges if edge[2] + column[edge[1]] == cost[i])
                     assert automaton.edges[c][key * S + i] == label << 8 | dst, (c, key, i)
@@ -537,7 +557,7 @@ def test_automaton_search_equals_the_all_anchor_pass(monkeypatch):
     blocks = [decode_tailbiting_batch(G, H, words) for G, H, words in groups]
     assert blocks == walked
     for G, H, _ in groups:
-        monkeypatch.setattr(decoder._pair(G, H), "automaton", None)
+        _prune(monkeypatch, decoder._pair(G, H))
     # the pruned search, with the certificate on and then off
     answered = _recorded_certificates(monkeypatch)
     assert [[decode_tailbiting(G, H, z) for z in words] for G, H, words in groups] == walked
@@ -570,9 +590,9 @@ def _captured_words(monkeypatch, name, lengths, count):
     G, H = poly_from_strings(g), poly_from_strings(h)
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, rows, keys):
-        captured.append((tables, rows, np.array(keys)))
-        return real_search_word(tables, rows, keys)
+    def capturing_search_word(pair, rows, keys):
+        captured.append((pair.tables, rows, np.array(keys)))
+        return real_search_word(pair, rows, keys)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     for i, (N, p) in enumerate(product(lengths, NOISE)):
@@ -642,7 +662,7 @@ def test_search_tables_size_m_from_every_syndrome_symbol():
     tables = decoder._search_tables(poly_from_strings(RANK_DEFICIENT[1]["H"]))
     assert tables.m == 3
     assert tables.dst.shape == (2**6 + 2**2, 2, 9)
-    assert sum(any(tables.out[key]) for key in range(2**6)) == 32
+    assert sum(map(any, decoder._edge_rows(tables)[: 2**6])) == 32
     tables = decoder._search_tables(poly_from_strings(RANK_DEFICIENT[0]["H"]))
     assert tables.m == 4
     assert tables.dst.shape == (2**8 + 2**2, 1, 2)
@@ -757,9 +777,9 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
     """
     captured, real_search_word = [], decoder._search_word
 
-    def capturing_search_word(tables, rows, keys):
+    def capturing_search_word(pair, rows, keys):
         captured.append((rows, keys))
-        return real_search_word(tables, rows, keys)
+        return real_search_word(pair, rows, keys)
 
     monkeypatch.setattr(decoder, "_search_word", capturing_search_word)
     _certificate_off(monkeypatch)
@@ -768,7 +788,7 @@ def test_a_one_word_decode_searches_the_keys_and_anchors_of_its_circular_run(mon
         G, H = poly_from_strings(g), poly_from_strings(h)
         sf, tables = syndrome_former(H), decoder._search_tables(H)
         m, r = tables.m, H.rows
-        monkeypatch.setattr(decoder._pair(G, H), "automaton", None)
+        _prune(monkeypatch, decoder._pair(G, H))
         duals = np.array([sf.state(dual_state_of(G, H, beta)) for beta in enc_state_space(G)])
         for N in range(max(H.deg, 1), max(H.deg, 1) + 2 * m + 2):
             lengths.append((N, m))
